@@ -217,7 +217,7 @@ func runAblDiskIndex(cfg Config) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := fresh.Load(bytes.NewReader(blob)); err != nil {
+	if err := fresh.Load(blob); err != nil {
 		return nil, err
 	}
 	if _, err := fresh.SearchWithFilter(ds.Queries.Row(0), 10, nil, params); err != nil {

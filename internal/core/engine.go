@@ -340,26 +340,36 @@ func (e *Engine) registerTable(t *lsm.Table) error {
 		e.cfg.VW.RegisterTable(t)
 	}
 	if e.cfg.CompactionInterval > 0 {
-		name := t.Name()
-		t.StartCompaction(lsm.CompactionPolicy{}, e.cfg.CompactionInterval, e.stopCompaction, nil)
-		// Compaction retires segments; drop stale local index handles
-		// periodically alongside it.
-		go func() {
-			ticker := time.NewTicker(e.cfg.CompactionInterval)
-			defer ticker.Stop()
-			for {
-				select {
-				case <-e.stopCompaction:
-					return
-				case <-ticker.C:
-					if ex := e.Executor(name); ex != nil {
-						ex.InvalidateLocalIndexes()
-					}
-				}
-			}
-		}()
+		go e.compactionLoop(t)
 	}
 	return nil
+}
+
+// compactionLoop runs one compaction round per tick until the engine
+// closes. A round that merged retired its input segments, so their
+// index handles are dropped; a round that merged nothing leaves the
+// executor alone. A failed round is retried on the next tick.
+func (e *Engine) compactionLoop(t *lsm.Table) {
+	ticker := time.NewTicker(e.cfg.CompactionInterval)
+	defer ticker.Stop()
+	for {
+		select {
+		case <-e.stopCompaction:
+			return
+		case <-ticker.C:
+			if merged, _ := t.CompactOnce(lsm.CompactionPolicy{}); merged > 0 {
+				e.evictRetiredIndexes(t.Name())
+			}
+		}
+	}
+}
+
+// evictRetiredIndexes drops the executor's handles for segments a
+// compaction of the named table just retired.
+func (e *Engine) evictRetiredIndexes(table string) {
+	if ex := e.Executor(table); ex != nil {
+		ex.EvictRetiredIndexes()
+	}
 }
 
 // Close stops background compaction loops and drains every table's
@@ -674,9 +684,6 @@ func (e *Engine) delete(ctx context.Context, d *sql.Delete) (*exec.Result, error
 	if err != nil {
 		return nil, err
 	}
-	if ex := e.Executor(d.Table); ex != nil {
-		ex.InvalidateLocalIndexes()
-	}
 	return statusResult(fmt.Sprintf("OK: marked %d rows deleted in %s", n, d.Table)), nil
 }
 
@@ -687,11 +694,10 @@ func (e *Engine) optimize(name string) (*exec.Result, error) {
 		return nil, unknownTableErr(name)
 	}
 	merged, err := t.CompactAll(lsm.CompactionPolicy{MinSegments: 2})
+	// Rounds before a failed one have already retired their inputs.
+	e.evictRetiredIndexes(name)
 	if err != nil {
 		return nil, err
-	}
-	if ex := e.Executor(name); ex != nil {
-		ex.InvalidateLocalIndexes()
 	}
 	return statusResult(fmt.Sprintf("OK: compacted %d segments in %s (now %d)", merged, name, t.SegmentCount())), nil
 }

@@ -6,6 +6,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -370,7 +371,6 @@ func TestUpdateVisibilityThroughQueries(t *testing.T) {
 	if _, err := tab.Update("id", upd); err != nil {
 		t.Fatal(err)
 	}
-	e.Executor("images").InvalidateLocalIndexes()
 	res = mustExec(t, e, fmt.Sprintf(
 		`SELECT id FROM images ORDER BY L2Distance(embedding, %s) LIMIT 3 SETTINGS ef_search=128`, vecLit(q)))
 	for _, row := range res.Rows {
@@ -544,10 +544,14 @@ func TestDeleteAndOptimizeStatements(t *testing.T) {
 func TestBackgroundCompaction(t *testing.T) {
 	e := newEngine(t, Config{SegmentRows: 100, CompactionInterval: 30 * time.Millisecond})
 	defer e.Close()
-	seedImages(t, e) // 500 rows / 100 = 5 segments
+	ds := seedImages(t, e) // 500 rows / 100 = 5 segments
 	if e.Table("images").SegmentCount() < 4 {
 		t.Fatalf("segments = %d", e.Table("images").SegmentCount())
 	}
+	// Open the pre-merge segments' indexes, so the merge has handles to
+	// retire.
+	query := fmt.Sprintf(`SELECT id FROM images ORDER BY L2Distance(embedding, %s) LIMIT 5`, vecLit(ds.Queries.Row(0)))
+	mustExec(t, e, query)
 	deadline := time.Now().Add(5 * time.Second)
 	for e.Table("images").SegmentCount() > 1 && time.Now().Before(deadline) {
 		time.Sleep(20 * time.Millisecond)
@@ -555,12 +559,23 @@ func TestBackgroundCompaction(t *testing.T) {
 	if got := e.Table("images").SegmentCount(); got != 1 {
 		t.Fatalf("background compaction did not converge: %d segments", got)
 	}
-	// Queries still work on the compacted table.
-	ds := dataset.Small(eN, eDim, 17)
-	res := mustExec(t, e, fmt.Sprintf(
-		`SELECT id FROM images ORDER BY L2Distance(embedding, %s) LIMIT 5`, vecLit(ds.Queries.Row(0))))
-	if len(res.Rows) != 5 {
-		t.Fatalf("rows = %d", len(res.Rows))
+	// Queries still work on the compacted table, and once the tick that
+	// merged has evicted, the executor holds the merged segment's handle
+	// and nothing retired.
+	live := liveSegmentNames(e, "images")
+	for {
+		res := mustExec(t, e, query)
+		if len(res.Rows) != 5 {
+			t.Fatalf("rows = %d", len(res.Rows))
+		}
+		held := e.Executor("images").LoadedIndexSegments()
+		if slices.Equal(held, live) {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("executor holds %v after compaction, live segments are %v", held, live)
+		}
+		time.Sleep(20 * time.Millisecond)
 	}
 	e.Close()
 	e.Close() // idempotent

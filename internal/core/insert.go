@@ -42,10 +42,6 @@ func (e *Engine) insert(ctx context.Context, ins *sql.Insert) (int, error) {
 	if err := t.InsertCtx(ctx, batch); err != nil {
 		return 0, err
 	}
-	// New segments invalidate the executor's local index snapshot.
-	if ex := e.Executor(ins.Table); ex != nil {
-		ex.InvalidateLocalIndexes()
-	}
 	return batch.Len(), nil
 }
 

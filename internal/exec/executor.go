@@ -401,7 +401,12 @@ func (e *Executor) predicateBitset(ctx context.Context, meta *storage.SegmentMet
 	return bs, nil
 }
 
-// segmentIndex loads a segment's index for single-node execution.
+// segmentIndex returns the segment's opened index, opening it on first
+// use. Handles are keyed by segment name, which is immutable and never
+// reused, and nothing query-specific is baked into one (delete bitmaps
+// are fetched per query), so a handle stays valid for as long as its
+// segment is live: writes never invalidate it, and EvictRetiredIndexes
+// drops it once compaction has retired the segment.
 func (e *Executor) segmentIndex(ctx context.Context, meta *storage.SegmentMeta, tr *obs.Trace) (index.Index, error) {
 	if v, ok := e.localIdx.Load(meta.Name); ok {
 		tr.IdxTally().Hit()
@@ -416,9 +421,40 @@ func (e *Executor) segmentIndex(ctx context.Context, meta *storage.SegmentMeta, 
 	return actual.(index.Index), nil
 }
 
-// InvalidateLocalIndexes drops the single-node index cache (used after
-// compaction in long-running tests/benches). Keys are deleted in place
-// rather than swapping the map, which would race with concurrent loads.
+// EvictRetiredIndexes drops the handles of segments that are no longer
+// in the table's live set; the engine calls it after a compaction
+// merged something. A query that opened an index just before its
+// segment retired may store the handle after this ran; the next
+// eviction collects it.
+func (e *Executor) EvictRetiredIndexes() {
+	live := map[string]bool{}
+	for _, m := range e.Table.Segments() {
+		live[m.Name] = true
+	}
+	e.localIdx.Range(func(k, _ any) bool {
+		if !live[k.(string)] {
+			e.localIdx.Delete(k)
+		}
+		return true
+	})
+}
+
+// LoadedIndexSegments lists, sorted, the segments whose index handle
+// the executor currently holds.
+func (e *Executor) LoadedIndexSegments() []string {
+	var names []string
+	e.localIdx.Range(func(k, _ any) bool {
+		names = append(names, k.(string))
+		return true
+	})
+	sort.Strings(names)
+	return names
+}
+
+// InvalidateLocalIndexes drops every handle, so the next query reopens
+// each segment's index from the blob store — the explicit cold-node
+// hook of the cache experiments and the benchmark. The engine's own
+// write and compaction paths never call it.
 func (e *Executor) InvalidateLocalIndexes() {
 	e.localIdx.Range(func(k, _ any) bool {
 		e.localIdx.Delete(k)

@@ -7,6 +7,8 @@ package index_test
 
 import (
 	"bytes"
+	"errors"
+	"math/rand"
 	"testing"
 
 	"blendhouse/internal/bench/dataset"
@@ -368,7 +370,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := fresh.Load(&buf); err != nil {
+			if err := fresh.Load(buf.Bytes()); err != nil {
 				t.Fatalf("Load: %v", err)
 			}
 			wireProvider(fresh, ds)
@@ -391,6 +393,76 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
+// A damaged blob — from any index type — is a typed error at Load or a
+// searchable index afterwards, never a panic or an allocation sized
+// from a claim the blob cannot back.
+func TestLoadCorruptBlobIsTyped(t *testing.T) {
+	ds := dataset.Small(400, tDim, 12)
+	q := ds.Queries.Row(0)
+	for _, typ := range allTypes() {
+		typ := typ
+		t.Run(string(typ), func(t *testing.T) {
+			var buf bytes.Buffer
+			if err := buildIndex(t, typ, ds).Save(&buf); err != nil {
+				t.Fatal(err)
+			}
+			blob := buf.Bytes()
+			probe := func(what string, damaged []byte) (loaded bool) {
+				defer func() {
+					if r := recover(); r != nil {
+						t.Fatalf("%s: panic: %v", what, r)
+					}
+				}()
+				fresh, err := index.New(typ, buildParams(typ))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := fresh.Load(damaged); err != nil {
+					if !errors.Is(err, index.ErrCorrupt) {
+						t.Fatalf("%s: error %v does not wrap index.ErrCorrupt", what, err)
+					}
+					return false
+				}
+				if _, err := fresh.SearchWithFilter(q, tK, nil, searchParams()); err != nil {
+					t.Fatalf("%s: search: %v", what, err)
+				}
+				if _, err := fresh.SearchWithRange(q, 1, nil, searchParams()); err != nil {
+					t.Fatalf("%s: range search: %v", what, err)
+				}
+				return true
+			}
+			if !probe("intact", blob) {
+				t.Fatal("intact blob rejected")
+			}
+			// Every prefix of the header region, then a stride through
+			// the body that lands on every byte alignment.
+			for n := 0; n < len(blob); n++ {
+				if probe("truncated", blob[:n]) {
+					t.Fatalf("blob truncated to %d of %d bytes loaded", n, len(blob))
+				}
+				if n > 256 {
+					n += 96
+				}
+			}
+			if probe("trailing byte", append(bytes.Clone(blob), 0)) {
+				t.Fatal("blob with a trailing byte loaded")
+			}
+			// Every bit of the header region, then seeded damage anywhere.
+			for bit := 0; bit < 8*40; bit++ {
+				damaged := bytes.Clone(blob)
+				damaged[bit/8] ^= 1 << (bit % 8)
+				probe("header bit flip", damaged)
+			}
+			rng := rand.New(rand.NewSource(13))
+			for i := 0; i < 300; i++ {
+				damaged := bytes.Clone(blob)
+				damaged[rng.Intn(len(damaged))] ^= 1 << rng.Intn(8)
+				probe("bit flip", damaged)
+			}
+		})
+	}
+}
+
 func TestLoadRejectsWrongType(t *testing.T) {
 	ds := dataset.Small(300, tDim, 10)
 	hn := buildIndex(t, index.HNSW, ds)
@@ -402,7 +474,7 @@ func TestLoadRejectsWrongType(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := fl.Load(&buf); err == nil {
+	if err := fl.Load(buf.Bytes()); err == nil {
 		t.Fatal("loading HNSW blob into flat index should fail")
 	}
 }

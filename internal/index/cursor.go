@@ -1,0 +1,126 @@
+package index
+
+import (
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"math"
+)
+
+// ErrCorrupt is wrapped by every Load failure: the blob is truncated,
+// carries a count or reference that does not fit it, or was written
+// for a different index type, variant or dimension. Index blobs come
+// from a blob store, so a flipped bit must surface as this error and
+// never as a panic, an absurd allocation, or a crash at search time.
+var ErrCorrupt = errors.New("index: corrupt blob")
+
+// Corruptf formats a Load failure wrapping ErrCorrupt.
+func Corruptf(format string, args ...any) error {
+	return fmt.Errorf("%s: %w", fmt.Sprintf(format, args...), ErrCorrupt)
+}
+
+// Cursor decodes the little-endian fields of a serialized index
+// straight out of the blob, with no reflection and no intermediate
+// buffer. A read past the end latches the error and yields zeros, so
+// decoders check Err once per record instead of once per field; the
+// Count methods bound every length prefix by the bytes that remain,
+// so no allocation can exceed the blob that asked for it.
+type Cursor struct {
+	b   []byte
+	err error
+}
+
+// NewCursor starts decoding at the first byte of blob.
+func NewCursor(blob []byte) Cursor { return Cursor{b: blob} }
+
+// Err returns the latched decode error (wrapping ErrCorrupt), if any.
+func (c *Cursor) Err() error { return c.err }
+
+// Remaining returns the number of undecoded bytes.
+func (c *Cursor) Remaining() int { return len(c.b) }
+
+// Bytes consumes n bytes and returns them without copying; the slice
+// aliases the blob. It returns nil once the cursor has failed.
+func (c *Cursor) Bytes(n int) []byte {
+	if c.err != nil {
+		return nil
+	}
+	if n < 0 || n > len(c.b) {
+		c.err = Corruptf("truncated: need %d bytes, %d remain", n, len(c.b))
+		c.b = nil
+		return nil
+	}
+	out := c.b[:n:n]
+	c.b = c.b[n:]
+	return out
+}
+
+// U8 decodes one byte.
+func (c *Cursor) U8() uint8 {
+	if b := c.Bytes(1); b != nil {
+		return b[0]
+	}
+	return 0
+}
+
+// U32 decodes a uint32.
+func (c *Cursor) U32() uint32 {
+	if b := c.Bytes(4); b != nil {
+		return binary.LittleEndian.Uint32(b)
+	}
+	return 0
+}
+
+// U64 decodes a uint64.
+func (c *Cursor) U64() uint64 {
+	if b := c.Bytes(8); b != nil {
+		return binary.LittleEndian.Uint64(b)
+	}
+	return 0
+}
+
+// I64 decodes an int64.
+func (c *Cursor) I64() int64 { return int64(c.U64()) }
+
+// Count validates a decoded element count against the bytes that
+// remain, given that each element occupies at least elemSize bytes of
+// them, and returns it as an int. A count the blob cannot hold fails
+// the cursor and returns 0.
+func (c *Cursor) Count(n uint64, elemSize int) int {
+	if c.err != nil {
+		return 0
+	}
+	if n > uint64(len(c.b)/elemSize) {
+		c.err = Corruptf("count %d × %d bytes exceeds the %d remaining", n, elemSize, len(c.b))
+		c.b = nil
+		return 0
+	}
+	return int(n)
+}
+
+// Uint32s fills dst from the next 4·len(dst) bytes.
+func (c *Cursor) Uint32s(dst []uint32) {
+	if b := c.Bytes(4 * len(dst)); b != nil {
+		for i := range dst {
+			dst[i] = binary.LittleEndian.Uint32(b[4*i:])
+		}
+	}
+}
+
+// Int64s fills dst from the next 8·len(dst) bytes.
+func (c *Cursor) Int64s(dst []int64) {
+	if b := c.Bytes(8 * len(dst)); b != nil {
+		for i := range dst {
+			dst[i] = int64(binary.LittleEndian.Uint64(b[8*i:]))
+		}
+	}
+}
+
+// Float32s fills dst from the next 4·len(dst) bytes.
+func (c *Cursor) Float32s(dst []float32) {
+	if b := c.Bytes(4 * len(dst)); b != nil {
+		for i := range dst {
+			dst[i] = math.Float32frombits(binary.LittleEndian.Uint32(b[4*i:]))
+		}
+	}
+}

@@ -182,7 +182,7 @@ func TestEmptyDiskANN(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := re.Load(&buf); err != nil {
+	if err := re.Load(buf.Bytes()); err != nil {
 		t.Fatal(err)
 	}
 	if re.Count() != 0 {

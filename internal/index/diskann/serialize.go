@@ -5,6 +5,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+
+	"blendhouse/internal/index"
 )
 
 // File layout (little-endian). The body is fixed-size node records so
@@ -15,7 +17,6 @@ import (
 const (
 	magic      = uint32(0xD15CA22A)
 	headerSize = 4 + 4 + 4 + 8 + 8
-	maxSane    = 1 << 31
 )
 
 // nodeRecordSize returns the fixed byte size of one node record.
@@ -64,55 +65,51 @@ func (ix *Index) Save(w io.Writer) error {
 }
 
 // Load restores a graph written by Save into memory.
-func (ix *Index) Load(r io.Reader) error {
-	br := bufio.NewReader(r)
-	var (
-		m      uint32
-		dim    uint32
-		degree uint32
-		entry  int64
-		n      uint64
-	)
-	for _, v := range []any{&m, &dim, &degree, &entry, &n} {
-		if err := binary.Read(br, binary.LittleEndian, v); err != nil {
-			return fmt.Errorf("diskann: reading header: %w", err)
-		}
+func (ix *Index) Load(blob []byte) error {
+	c := index.NewCursor(blob)
+	m, dim32, degree32, entry, n64 := c.U32(), c.U32(), c.U32(), c.I64(), c.U64()
+	if err := c.Err(); err != nil {
+		return fmt.Errorf("diskann: reading header: %w", err)
 	}
 	if m != magic {
-		return fmt.Errorf("diskann: bad magic %#x", m)
+		return index.Corruptf("diskann: bad magic %#x", m)
 	}
-	if int(dim) != ix.params.Dim {
-		return fmt.Errorf("diskann: stored dim %d != constructed dim %d", dim, ix.params.Dim)
+	dim := ix.params.Dim
+	if int(dim32) != dim {
+		return index.Corruptf("diskann: stored dim %d != constructed dim %d", dim32, dim)
 	}
-	if n > maxSane || degree > maxSane {
-		return fmt.Errorf("diskann: unreasonable n=%d degree=%d", n, degree)
+	// The body is exactly n fixed-size records.
+	rec := uint64(nodeRecordSize(dim, 0)) + 4*uint64(degree32)
+	if body := uint64(c.Remaining()); n64 > body/rec || n64*rec != body {
+		return index.Corruptf("diskann: %d nodes of degree %d do not match the %d body bytes", n64, degree32, body)
+	}
+	n, degree := int(n64), int(degree32)
+	if entry < -1 || entry >= int64(n) || (entry < 0) != (n == 0) {
+		return index.Corruptf("diskann: entry point %d with %d nodes", entry, n)
+	}
+	ids := make([]int64, n)
+	adj := make([][]uint32, n)
+	edges := make([]uint32, n*degree)
+	data := make([]float32, n*dim)
+	for i := range ids {
+		ids[i] = c.I64()
+		ne := int(c.U32())
+		if ne > degree {
+			return index.Corruptf("diskann: node %d edge count %d > degree %d", i, ne, degree)
+		}
+		slots := edges[i*degree : (i+1)*degree : (i+1)*degree]
+		c.Uint32s(slots)
+		adj[i] = slots[:ne]
+		for _, nb := range adj[i] {
+			if int(nb) >= n {
+				return index.Corruptf("diskann: node %d links to %d of %d nodes", i, nb, n)
+			}
+		}
+		c.Float32s(data[i*dim : (i+1)*dim])
 	}
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	ix.entry = int(entry)
-	ix.ids = make([]int64, n)
-	ix.adj = make([][]uint32, n)
-	ix.data = make([]float32, int(n)*int(dim))
-	edgeBuf := make([]uint32, degree)
-	for i := 0; i < int(n); i++ {
-		if err := binary.Read(br, binary.LittleEndian, &ix.ids[i]); err != nil {
-			return err
-		}
-		var ne uint32
-		if err := binary.Read(br, binary.LittleEndian, &ne); err != nil {
-			return err
-		}
-		if ne > degree {
-			return fmt.Errorf("diskann: node %d edge count %d > degree %d", i, ne, degree)
-		}
-		if err := binary.Read(br, binary.LittleEndian, edgeBuf); err != nil {
-			return err
-		}
-		ix.adj[i] = append([]uint32(nil), edgeBuf[:ne]...)
-		if err := binary.Read(br, binary.LittleEndian, ix.data[i*int(dim):(i+1)*int(dim)]); err != nil {
-			return err
-		}
-	}
+	ix.ids, ix.adj, ix.data, ix.entry = ids, adj, data, int(entry)
 	ix.built = true
 	return nil
 }

@@ -231,36 +231,28 @@ func (ix *Index) Save(w io.Writer) error {
 }
 
 // Load restores an index written by Save.
-func (ix *Index) Load(r io.Reader) error {
-	br := bufio.NewReader(r)
-	var m, dim uint32
-	var count uint64
-	if err := binary.Read(br, binary.LittleEndian, &m); err != nil {
-		return fmt.Errorf("flat: reading magic: %w", err)
+func (ix *Index) Load(blob []byte) error {
+	c := index.NewCursor(blob)
+	m, dim, count := c.U32(), c.U32(), c.U64()
+	if err := c.Err(); err != nil {
+		return fmt.Errorf("flat: reading header: %w", err)
 	}
 	if m != magic {
-		return fmt.Errorf("flat: bad magic %#x", m)
-	}
-	if err := binary.Read(br, binary.LittleEndian, &dim); err != nil {
-		return fmt.Errorf("flat: reading dim: %w", err)
-	}
-	if err := binary.Read(br, binary.LittleEndian, &count); err != nil {
-		return fmt.Errorf("flat: reading count: %w", err)
+		return index.Corruptf("flat: bad magic %#x", m)
 	}
 	if int(dim) != ix.params.Dim {
-		return fmt.Errorf("flat: stored dim %d != constructed dim %d", dim, ix.params.Dim)
+		return index.Corruptf("flat: stored dim %d != constructed dim %d", dim, ix.params.Dim)
 	}
-	if count > math.MaxInt32 {
-		return fmt.Errorf("flat: unreasonable count %d", count)
+	// The payload is exactly count ids then count vectors.
+	rowBytes := 8 + 4*int(dim)
+	if c.Remaining()%rowBytes != 0 || count != uint64(c.Remaining()/rowBytes) {
+		return index.Corruptf("flat: %d rows at dim %d do not match the %d payload bytes", count, dim, c.Remaining())
 	}
-	ix.ids = make([]int64, count)
-	ix.data = make([]float32, int(count)*int(dim))
-	if err := binary.Read(br, binary.LittleEndian, ix.ids); err != nil {
-		return fmt.Errorf("flat: reading ids: %w", err)
-	}
-	if err := binary.Read(br, binary.LittleEndian, ix.data); err != nil {
-		return fmt.Errorf("flat: reading vectors: %w", err)
-	}
+	n := int(count)
+	ix.ids = make([]int64, n)
+	ix.data = make([]float32, n*int(dim))
+	c.Int64s(ix.ids)
+	c.Float32s(ix.data)
 	return nil
 }
 

@@ -113,7 +113,7 @@ func TestSaveLoadRejectsDimMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	other := mk(t, 4)
-	if err := other.Load(&buf); err == nil {
+	if err := other.Load(buf.Bytes()); err == nil {
 		t.Fatal("dim mismatch load should fail")
 	}
 }

@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 
 	"blendhouse/internal/index"
@@ -29,21 +30,31 @@ func init() {
 	})
 }
 
-// node is one graph vertex: its external ID and per-layer adjacency.
-type node struct {
-	id        int64
-	level     int
-	neighbors [][]uint32 // neighbors[l] = adjacency at layer l
-}
-
 // Index is an HNSW graph over a vector store (raw or quantized).
+//
+// The graph lives in flat arrays with one layout for a built and a
+// loaded index (hnswlib's), so Load fills them in place and AddWithIDs
+// keeps appending to them afterwards. Node i's layer-0 adjacency is
+// the fixed block links0[i*stride0:(i+1)*stride0] = count | 2M slots;
+// a node of level L > 0 also owns L consecutive blocks of
+// count | M slots in upper, starting at upperOff[i], one per layer
+// 1..L. Every edge at layer l points at a node of level >= l, and the
+// entry point has level maxLevel — construction guarantees both and
+// Load verifies them, which is what lets traversal index the slabs
+// without per-step checks.
 type Index struct {
-	params index.BuildParams
-	store  store
-	mL     float64 // level-generation multiplier 1/ln(M)
+	params  index.BuildParams
+	store   store
+	mL      float64 // level-generation multiplier 1/ln(M)
+	stride0 int     // layer-0 block size: 1 + 2M
+	strideU int     // upper-layer block size: 1 + M
 
 	mu       sync.RWMutex
-	nodes    []node
+	ids      []int64  // external ID per node
+	levels   []int32  // top layer per node
+	upperOff []uint32 // first upper block per node (unused at level 0)
+	links0   []uint32
+	upper    []uint32
 	entry    int // entry point node index; -1 when empty
 	maxLevel int
 	rng      *rand.Rand
@@ -55,11 +66,16 @@ func New(p index.BuildParams, quantized bool) (*Index, error) {
 	if p.Dim <= 0 {
 		return nil, fmt.Errorf("hnsw: dimension must be positive, got %d", p.Dim)
 	}
+	if p.M < 2 {
+		return nil, fmt.Errorf("hnsw: M must be at least 2, got %d", p.M)
+	}
 	ix := &Index{
-		params: p,
-		mL:     1 / math.Log(float64(p.M)),
-		entry:  -1,
-		rng:    rand.New(rand.NewSource(p.Seed + 1)),
+		params:  p,
+		mL:      1 / math.Log(float64(p.M)),
+		stride0: 1 + 2*p.M,
+		strideU: 1 + p.M,
+		entry:   -1,
+		rng:     rand.New(rand.NewSource(p.Seed + 1)),
 	}
 	if quantized {
 		ix.store = newSQStore(p.Dim, p.Metric)
@@ -69,9 +85,26 @@ func New(p index.BuildParams, quantized bool) (*Index, error) {
 	return ix, nil
 }
 
+// block returns node i's adjacency block at layer l: block[0] is the
+// neighbor count and block[1:] the slots, of which the first count are
+// live.
+func (ix *Index) block(i, l int) []uint32 {
+	if l == 0 {
+		return ix.links0[i*ix.stride0 : (i+1)*ix.stride0]
+	}
+	o := int(ix.upperOff[i]) + (l-1)*ix.strideU
+	return ix.upper[o : o+ix.strideU]
+}
+
+// neighbors returns node i's live adjacency at layer l.
+func (ix *Index) neighbors(i, l int) []uint32 {
+	b := ix.block(i, l)
+	return b[1 : 1+b[0]]
+}
+
 // Type returns HNSW or HNSWSQ.
 func (ix *Index) Type() index.Type {
-	if _, ok := ix.store.(*sqStore); ok {
+	if ix.storeKind() == kindSQ {
 		return index.HNSWSQ
 	}
 	return index.HNSW
@@ -84,7 +117,7 @@ func (ix *Index) Dim() int { return ix.params.Dim }
 func (ix *Index) Count() int {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	return len(ix.nodes)
+	return len(ix.ids)
 }
 
 // NeedsTrain reports whether the store requires training (SQ does).
@@ -93,27 +126,22 @@ func (ix *Index) NeedsTrain() bool { return ix.store.needsTrain() }
 // Train trains the quantizer for HNSWSQ; a no-op for raw HNSW.
 func (ix *Index) Train(sample []float32) error { return ix.store.train(sample) }
 
-// MemoryBytes accounts vectors/codes plus graph adjacency.
+// MemoryBytes accounts the capacity of every slab the index holds:
+// vectors/codes plus the graph arrays.
 func (ix *Index) MemoryBytes() int64 {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	var adj int64
-	for i := range ix.nodes {
-		for _, l := range ix.nodes[i].neighbors {
-			adj += int64(4 * cap(l))
-		}
-		adj += 16 // id + level
-	}
-	return ix.store.memoryBytes() + adj
+	graph := 8*cap(ix.ids) + 4*(cap(ix.levels)+cap(ix.upperOff)+cap(ix.links0)+cap(ix.upper))
+	return ix.store.memoryBytes() + int64(graph)
 }
 
 // maxDegree returns the degree cap for a layer (2M at layer 0, M above,
-// following the original paper).
+// following the original paper) — the slot count of the layer's block.
 func (ix *Index) maxDegree(layer int) int {
 	if layer == 0 {
-		return 2 * ix.params.M
+		return ix.stride0 - 1
 	}
-	return ix.params.M
+	return ix.strideU - 1
 }
 
 // AddWithIDs inserts vectors one by one (HNSW construction is
@@ -131,6 +159,14 @@ func (ix *Index) AddWithIDs(vecs []float32, ids []int64) error {
 	dim := ix.params.Dim
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
+	// Size the per-node slabs once for the batch (a segment is built by
+	// a single call); only the upper slab, whose size depends on the
+	// drawn levels, grows by appending.
+	ix.store.grow(len(ids))
+	ix.ids = slices.Grow(ix.ids, len(ids))
+	ix.levels = slices.Grow(ix.levels, len(ids))
+	ix.upperOff = slices.Grow(ix.upperOff, len(ids))
+	ix.links0 = slices.Grow(ix.links0, len(ids)*ix.stride0)
 	for i, id := range ids {
 		ix.insert(vecs[i*dim:i*dim+dim], id)
 	}
@@ -140,10 +176,13 @@ func (ix *Index) AddWithIDs(vecs []float32, ids []int64) error {
 // insert adds one vector under the write lock.
 func (ix *Index) insert(v []float32, id int64) {
 	level := int(-math.Log(ix.rng.Float64()) * ix.mL)
-	ni := len(ix.nodes)
+	ni := len(ix.ids)
 	ix.store.add(v)
-	n := node{id: id, level: level, neighbors: make([][]uint32, level+1)}
-	ix.nodes = append(ix.nodes, n)
+	ix.ids = append(ix.ids, id)
+	ix.levels = append(ix.levels, int32(level))
+	ix.links0 = append(ix.links0, make([]uint32, ix.stride0)...)
+	ix.upperOff = append(ix.upperOff, uint32(len(ix.upper)))
+	ix.upper = append(ix.upper, make([]uint32, level*ix.strideU)...)
 
 	if ix.entry < 0 {
 		ix.entry = ni
@@ -166,11 +205,11 @@ func (ix *Index) insert(v []float32, id int64) {
 	for l := startLayer; l >= 0; l-- {
 		cands := ix.searchLayer(distTo, ep, l, ix.params.EfConstruction, nil)
 		selected := ix.selectHeuristic(cands, ix.params.M)
-		ix.nodes[ni].neighbors[l] = make([]uint32, 0, len(selected))
-		for _, c := range selected {
-			ci := uint32(c.node)
-			ix.nodes[ni].neighbors[l] = append(ix.nodes[ni].neighbors[l], ci)
-			ix.connect(int(ci), ni, l)
+		b := ix.block(ni, l)
+		b[0] = uint32(len(selected))
+		for j, c := range selected {
+			b[1+j] = uint32(c.node)
+			ix.connect(c.node, ni, l)
 		}
 		if len(cands) > 0 {
 			ep, epDist = cands[0].node, cands[0].dist
@@ -186,22 +225,25 @@ func (ix *Index) insert(v []float32, id int64) {
 // connect adds back-edge from→to at layer l, pruning with the
 // heuristic when the degree cap is exceeded.
 func (ix *Index) connect(from, to, l int) {
-	nbrs := ix.nodes[from].neighbors[l]
-	nbrs = append(nbrs, uint32(to))
-	cap := ix.maxDegree(l)
-	if len(nbrs) > cap {
-		cands := make([]scored, len(nbrs))
-		for i, nb := range nbrs {
-			cands[i] = scored{node: int(nb), dist: ix.store.pairDist(from, int(nb))}
-		}
-		sortScored(cands)
-		selected := ix.selectHeuristic(cands, cap)
-		nbrs = nbrs[:0]
-		for _, s := range selected {
-			nbrs = append(nbrs, uint32(s.node))
-		}
+	b := ix.block(from, l)
+	slots := b[1:]
+	n := int(b[0])
+	if n < len(slots) {
+		slots[n] = uint32(to)
+		b[0]++
+		return
 	}
-	ix.nodes[from].neighbors[l] = nbrs
+	cands := make([]scored, n+1)
+	for i, nb := range slots {
+		cands[i] = scored{node: int(nb), dist: ix.store.pairDist(from, int(nb))}
+	}
+	cands[n] = scored{node: to, dist: ix.store.pairDist(from, to)}
+	sortScored(cands)
+	selected := ix.selectHeuristic(cands, len(slots))
+	for i, s := range selected {
+		slots[i] = uint32(s.node)
+	}
+	b[0] = uint32(len(selected))
 }
 
 // scored pairs an internal node index with a distance.
@@ -267,7 +309,7 @@ func (ix *Index) selectHeuristic(cands []scored, m int) []scored {
 func (ix *Index) greedyStep(distTo func(int) float32, ep int, epDist float32, l int) (int, float32) {
 	for {
 		improved := false
-		for _, nb := range ix.nodes[ep].neighbors[l] {
+		for _, nb := range ix.neighbors(ep, l) {
 			d := distTo(int(nb))
 			if d < epDist {
 				ep, epDist = int(nb), d
@@ -286,16 +328,13 @@ func (ix *Index) greedyStep(distTo func(int) float32, ep int, epDist float32, l 
 // pooled scratch (heaps + visited table); only the sorted-ascending
 // result slice is allocated.
 func (ix *Index) searchLayer(distTo func(int) float32, ep, l, ef int, filter index.Filter) []scored {
-	s := searchPool.Get().(*searchScratch)
+	s := borrowScratch(len(ix.ids))
 	defer searchPool.Put(s)
-	s.visited.reset(len(ix.nodes))
-	s.candidates = s.candidates[:0]
-	s.results = s.results[:0]
 	candidates, results := &s.candidates, &s.results
 	d0 := distTo(ep)
 	s.visited.tryVisit(ep)
 	candidates.push(scored{ep, d0})
-	if passes(filter, ix.nodes[ep].id) {
+	if passes(filter, ix.ids[ep]) {
 		results.push(scored{ep, d0})
 	}
 	for len(*candidates) > 0 {
@@ -305,7 +344,7 @@ func (ix *Index) searchLayer(distTo func(int) float32, ep, l, ef int, filter ind
 				break
 			}
 		}
-		for _, nb := range ix.nodes[c.node].neighbors[l] {
+		for _, nb := range ix.neighbors(c.node, l) {
 			ni := int(nb)
 			if !s.visited.tryVisit(ni) {
 				continue
@@ -313,7 +352,7 @@ func (ix *Index) searchLayer(distTo func(int) float32, ep, l, ef int, filter ind
 			d := distTo(ni)
 			if len(*results) < ef || d < (*results)[0].dist {
 				candidates.push(scored{ni, d})
-				if passes(filter, ix.nodes[ni].id) {
+				if passes(filter, ix.ids[ni]) {
 					results.push(scored{ni, d})
 					if len(*results) > ef {
 						results.pop()
@@ -360,7 +399,7 @@ func (ix *Index) SearchWithFilter(q []float32, k int, filter index.Filter, p ind
 	}
 	out := make([]index.Candidate, len(res))
 	for i, s := range res {
-		out[i] = index.Candidate{ID: ix.nodes[s.node].id, Dist: s.dist}
+		out[i] = index.Candidate{ID: ix.ids[s.node], Dist: s.dist}
 	}
 	return out, nil
 }
@@ -373,7 +412,7 @@ func (ix *Index) SearchWithRange(q []float32, radius float32, filter index.Filte
 	}
 	p = p.WithDefaults(16)
 	ix.mu.RLock()
-	n := len(ix.nodes)
+	n := len(ix.ids)
 	ix.mu.RUnlock()
 	// Iteratively widen ef until the worst in-beam result is beyond the
 	// radius (meaning the ball is fully enumerated) or we scanned all.
@@ -396,7 +435,7 @@ func (ix *Index) SearchWithRange(q []float32, radius float32, filter index.Filte
 			var out []index.Candidate
 			for _, s := range res {
 				if s.dist <= radius {
-					out = append(out, index.Candidate{ID: ix.nodes[s.node].id, Dist: s.dist})
+					out = append(out, index.Candidate{ID: ix.ids[s.node], Dist: s.dist})
 				}
 			}
 			return out, nil
@@ -411,7 +450,9 @@ func (ix *Index) SearchWithRange(q []float32, radius float32, filter index.Filte
 // expands Ef further frontier nodes, so the head of the stream has
 // beam-search quality (Ef tunes iterator accuracy exactly as it tunes
 // SearchWithFilter) while later batches stream incrementally without
-// restarting.
+// restarting. The frontier heap and visited table are borrowed from
+// the search pool and handed back by Close; an iterator that is never
+// closed just leaves them to the garbage collector.
 func (ix *Index) SearchIterator(q []float32, p index.SearchParams) (index.Iterator, error) {
 	if len(q) != ix.params.Dim {
 		return nil, fmt.Errorf("hnsw: query dim %d != index dim %d", len(q), ix.params.Dim)
@@ -419,9 +460,8 @@ func (ix *Index) SearchIterator(q []float32, p index.SearchParams) (index.Iterat
 	p = p.WithDefaults(16)
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	it := &iterator{ix: ix, q: q, visited: map[int]bool{}, frontier: &minHeap{}, lookahead: p.Ef}
+	it := &iterator{ix: ix, lookahead: p.Ef}
 	if ix.entry < 0 {
-		it.exhausted = true
 		return it, nil
 	}
 	it.distTo = ix.store.queryDist(q)
@@ -429,8 +469,9 @@ func (ix *Index) SearchIterator(q []float32, p index.SearchParams) (index.Iterat
 	for l := ix.maxLevel; l > 0; l-- {
 		ep, epDist = ix.greedyStep(it.distTo, ep, epDist, l)
 	}
-	it.visited[ep] = true
-	it.frontier.push(scored{ep, epDist})
+	it.s = borrowScratch(len(ix.ids))
+	it.s.visited.tryVisit(ep)
+	it.s.candidates.push(scored{ep, epDist})
 	return it, nil
 }
 
@@ -438,43 +479,42 @@ func (ix *Index) SearchIterator(q []float32, p index.SearchParams) (index.Iterat
 // an Ef-sized lookahead buffer.
 type iterator struct {
 	ix        *Index
-	q         []float32
 	distTo    func(int) float32
-	visited   map[int]bool
-	frontier  *minHeap
+	s         *searchScratch    // frontier + visited; nil for an empty index and after Close
 	buf       []index.Candidate // expanded but not yet emitted, sorted
 	lookahead int
-	exhausted bool
-	closed    bool
 }
 
 // Next returns up to n further candidates in ascending distance order
 // within the lookahead horizon.
 func (it *iterator) Next(n int) ([]index.Candidate, error) {
-	if it.closed || n <= 0 {
+	if n <= 0 {
 		return nil, nil
 	}
-	ix := it.ix
-	ix.mu.RLock()
-	// Expand until the buffer holds n emittable candidates plus the
-	// lookahead margin (or the graph is exhausted).
-	for len(it.buf) < n+it.lookahead && len(*it.frontier) > 0 {
-		c := it.frontier.pop()
-		it.buf = append(it.buf, index.Candidate{ID: ix.nodes[c.node].id, Dist: c.dist})
-		for _, nb := range ix.nodes[c.node].neighbors[0] {
-			ni := int(nb)
-			if it.visited[ni] {
-				continue
-			}
-			it.visited[ni] = true
-			it.frontier.push(scored{ni, it.distTo(ni)})
+	if s := it.s; s != nil {
+		ix := it.ix
+		ix.mu.RLock()
+		// Nodes added since the iterator opened are reachable through
+		// new back-edges; make room to mark them.
+		s.visited.grow(len(ix.ids))
+		if it.buf == nil {
+			it.buf = make([]index.Candidate, 0, n+it.lookahead)
 		}
+		// Expand until the buffer holds n emittable candidates plus the
+		// lookahead margin (or the graph is exhausted).
+		for len(it.buf) < n+it.lookahead && len(s.candidates) > 0 {
+			c := s.candidates.pop()
+			it.buf = append(it.buf, index.Candidate{ID: ix.ids[c.node], Dist: c.dist})
+			for _, nb := range ix.neighbors(c.node, 0) {
+				ni := int(nb)
+				if s.visited.tryVisit(ni) {
+					s.candidates.push(scored{ni, it.distTo(ni)})
+				}
+			}
+		}
+		ix.mu.RUnlock()
+		index.SortCandidates(it.buf)
 	}
-	if len(*it.frontier) == 0 {
-		it.exhausted = true
-	}
-	ix.mu.RUnlock()
-	index.SortCandidates(it.buf)
 	take := n
 	if take > len(it.buf) {
 		take = len(it.buf)
@@ -484,11 +524,13 @@ func (it *iterator) Next(n int) ([]index.Candidate, error) {
 	return out, nil
 }
 
-// Close releases the iterator state.
+// Close returns the borrowed scratch to the pool and ends the stream.
 func (it *iterator) Close() error {
-	it.closed = true
-	it.visited = nil
-	it.frontier = nil
+	if it.s != nil {
+		searchPool.Put(it.s)
+		it.s = nil
+	}
+	it.buf = nil
 	return nil
 }
 

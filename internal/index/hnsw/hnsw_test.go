@@ -35,9 +35,9 @@ func built(t *testing.T, quantized bool) (*Index, *dataset.Dataset) {
 
 func TestLayerDegreeBounds(t *testing.T) {
 	ix, _ := built(t, false)
-	for ni := range ix.nodes {
-		for l, nbrs := range ix.nodes[ni].neighbors {
-			if len(nbrs) > ix.maxDegree(l) {
+	for ni := range ix.ids {
+		for l := 0; l <= int(ix.levels[ni]); l++ {
+			if nbrs := ix.neighbors(ni, l); len(nbrs) > ix.maxDegree(l) {
 				t.Fatalf("node %d layer %d degree %d > cap %d", ni, l, len(nbrs), ix.maxDegree(l))
 			}
 		}
@@ -48,7 +48,7 @@ func TestLayer0Connected(t *testing.T) {
 	// Every node must be reachable from the entry point at layer 0 —
 	// otherwise some vectors are permanently unfindable.
 	ix, _ := built(t, false)
-	seen := make([]bool, len(ix.nodes))
+	seen := make([]bool, len(ix.ids))
 	stack := []int{ix.entry}
 	seen[ix.entry] = true
 	count := 0
@@ -56,7 +56,7 @@ func TestLayer0Connected(t *testing.T) {
 		n := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		count++
-		for _, nb := range ix.nodes[n].neighbors[0] {
+		for _, nb := range ix.neighbors(n, 0) {
 			if !seen[nb] {
 				seen[nb] = true
 				stack = append(stack, int(nb))
@@ -301,7 +301,7 @@ func TestSQSaveLoadPreservesFastPathResults(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := fresh.Load(&buf); err != nil {
+		if err := fresh.Load(buf.Bytes()); err != nil {
 			t.Fatal(err)
 		}
 		for qi := 0; qi < ds.Queries.Rows(); qi++ {

@@ -9,7 +9,8 @@ import "sync"
 // visited set is an epoch-stamped table (faiss's VisitedTable trick:
 // clearing is one counter bump, not an O(n) memset), all pooled so
 // steady-state search allocates only its result slice. Pooled scratch
-// must never escape the search that borrowed it.
+// must never escape the search — or the iterator, from open to Close —
+// that borrowed it.
 type searchScratch struct {
 	visited    visitedTable
 	candidates minHeap
@@ -17,6 +18,16 @@ type searchScratch struct {
 }
 
 var searchPool = sync.Pool{New: func() any { return new(searchScratch) }}
+
+// borrowScratch takes search state from the pool, cleared for a graph
+// of n nodes; the borrower hands it back with searchPool.Put.
+func borrowScratch(n int) *searchScratch {
+	s := searchPool.Get().(*searchScratch)
+	s.visited.reset(n)
+	s.candidates = s.candidates[:0]
+	s.results = s.results[:0]
+	return s
+}
 
 // visitedTable marks visited node indices. A node is visited iff its
 // tag equals the current epoch, so reset is O(1) amortized.
@@ -37,6 +48,15 @@ func (v *visitedTable) reset(n int) {
 			v.tags[i] = 0
 		}
 		v.epoch = 1
+	}
+}
+
+// grow extends the table to n nodes within the current epoch, keeping
+// every mark: the iterator holds one epoch open across Next calls and
+// the graph may gain nodes in between.
+func (v *visitedTable) grow(n int) {
+	if n > len(v.tags) {
+		v.tags = append(v.tags, make([]uint32, n-len(v.tags))...)
 	}
 }
 

@@ -5,14 +5,24 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
+
+	"blendhouse/internal/index"
 )
 
 const (
-	magic      = uint32(0xB145A7E1)
-	kindFloat  = uint8(0)
-	kindSQ     = uint8(1)
-	maxSaneLen = 1 << 31
+	magic     = uint32(0xB145A7E1)
+	kindFloat = uint8(0)
+	kindSQ    = uint8(1)
 )
+
+// storeKind is the wire tag of the index's vector store.
+func (ix *Index) storeKind() uint8 {
+	if _, ok := ix.store.(*sqStore); ok {
+		return kindSQ
+	}
+	return kindFloat
+}
 
 // Save serializes graph and store:
 //
@@ -23,23 +33,18 @@ func (ix *Index) Save(w io.Writer) error {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
 	bw := bufio.NewWriter(w)
-	var kind uint8 = kindFloat
-	if _, ok := ix.store.(*sqStore); ok {
-		kind = kindSQ
-	}
-	if err := writeAll(bw, magic, kind, uint32(ix.params.Dim), int64(ix.entry), uint32(ix.maxLevel), uint64(len(ix.nodes))); err != nil {
+	kind := ix.storeKind()
+	if err := writeAll(bw, magic, kind, uint32(ix.params.Dim), int64(ix.entry), uint32(ix.maxLevel), uint64(len(ix.ids))); err != nil {
 		return fmt.Errorf("hnsw: writing header: %w", err)
 	}
-	for i := range ix.nodes {
-		n := &ix.nodes[i]
-		if err := writeAll(bw, n.id, uint32(n.level)); err != nil {
+	for i, id := range ix.ids {
+		if err := writeAll(bw, id, uint32(ix.levels[i])); err != nil {
 			return fmt.Errorf("hnsw: writing node %d: %w", i, err)
 		}
-		for _, layer := range n.neighbors {
-			if err := writeAll(bw, uint32(len(layer))); err != nil {
-				return err
-			}
-			if err := binary.Write(bw, binary.LittleEndian, layer); err != nil {
+		for l := 0; l <= int(ix.levels[i]); l++ {
+			// The wire record is the block's live prefix: count | neighbors.
+			b := ix.block(i, l)
+			if err := binary.Write(bw, binary.LittleEndian, b[:1+b[0]]); err != nil {
 				return err
 			}
 		}
@@ -79,128 +84,160 @@ func (ix *Index) saveStore(bw *bufio.Writer, kind uint8) error {
 	return fmt.Errorf("hnsw: unknown store kind %d", kind)
 }
 
-// Load restores state written by Save into this index. The index must
-// have been constructed with the same dimension and variant.
-func (ix *Index) Load(r io.Reader) error {
-	br := bufio.NewReader(r)
-	var (
-		m        uint32
-		kind     uint8
-		dim      uint32
-		entry    int64
-		maxLevel uint32
-		nNodes   uint64
-	)
-	if err := readAll(br, &m, &kind, &dim, &entry, &maxLevel, &nNodes); err != nil {
+// Load restores state written by Save into this index, which must have
+// been constructed with the same dimension, variant and M. It decodes
+// the blob in place into the final flat arrays: a sizing walk over the
+// node records learns every level (the upper slab's size, and what the
+// edge checks below need), then one decoding walk fills the slabs.
+// Every count is bounded by the bytes that remain and every reference
+// is range-checked, so a blob that loads cannot make a search index
+// out of bounds; a failed Load leaves the index empty.
+func (ix *Index) Load(blob []byte) error {
+	c := index.NewCursor(blob)
+	m, kind, dim := c.U32(), c.U8(), c.U32()
+	entry, maxLevel, nNodes := c.I64(), c.U32(), c.U64()
+	if err := c.Err(); err != nil {
 		return fmt.Errorf("hnsw: reading header: %w", err)
 	}
 	if m != magic {
-		return fmt.Errorf("hnsw: bad magic %#x", m)
+		return index.Corruptf("hnsw: bad magic %#x", m)
 	}
 	if int(dim) != ix.params.Dim {
-		return fmt.Errorf("hnsw: stored dim %d != constructed dim %d", dim, ix.params.Dim)
+		return index.Corruptf("hnsw: stored dim %d != constructed dim %d", dim, ix.params.Dim)
 	}
-	wantKind := kindFloat
-	if _, ok := ix.store.(*sqStore); ok {
-		wantKind = kindSQ
+	if want := ix.storeKind(); kind != want {
+		return index.Corruptf("hnsw: stored variant %d != constructed variant %d", kind, want)
 	}
-	if kind != wantKind {
-		return fmt.Errorf("hnsw: stored variant %d != constructed variant %d", kind, wantKind)
+	// A node record is at least id + level + one degree field, and
+	// every layer of a node costs at least its degree field.
+	n := c.Count(nNodes, 16)
+	top := c.Count(uint64(maxLevel), 4)
+	if err := c.Err(); err != nil {
+		return fmt.Errorf("hnsw: node count %d, max level %d: %w", nNodes, maxLevel, err)
 	}
-	if nNodes > maxSaneLen {
-		return fmt.Errorf("hnsw: unreasonable node count %d", nNodes)
+	if entry < -1 || entry >= int64(n) || (entry < 0) != (n == 0) {
+		return index.Corruptf("hnsw: entry point %d with %d nodes", entry, n)
+	}
+
+	levels := make([]int32, n)
+	upperLayers := 0
+	scan := c
+	for i := range levels {
+		scan.Bytes(8) // id
+		level := int(scan.U32())
+		if level > top {
+			return index.Corruptf("hnsw: node %d level %d > max level %d", i, level, top)
+		}
+		for l := 0; l <= level; l++ {
+			scan.Bytes(4 * int(scan.U32()))
+		}
+		if err := scan.Err(); err != nil {
+			return fmt.Errorf("hnsw: reading node %d: %w", i, err)
+		}
+		levels[i] = int32(level)
+		upperLayers += level
+	}
+	if entry >= 0 && int(levels[entry]) != top {
+		return index.Corruptf("hnsw: entry point %d has level %d, max level is %d", entry, levels[entry], top)
+	}
+	if uint64(upperLayers)*uint64(ix.strideU) > math.MaxUint32 {
+		return index.Corruptf("hnsw: %d upper-layer blocks overflow the offset table", upperLayers)
+	}
+
+	ids := make([]int64, n)
+	upperOff := make([]uint32, n)
+	links0 := make([]uint32, n*ix.stride0)
+	upper := make([]uint32, upperLayers*ix.strideU)
+	off := 0
+	for i := range ids {
+		ids[i] = c.I64()
+		c.U32() // level, taken by the sizing walk
+		upperOff[i] = uint32(off)
+		for l := 0; l <= int(levels[i]); l++ {
+			b := links0[i*ix.stride0 : (i+1)*ix.stride0]
+			if l > 0 {
+				b = upper[off : off+ix.strideU]
+				off += ix.strideU
+			}
+			deg := c.U32()
+			if int(deg) >= len(b) {
+				return index.Corruptf("hnsw: node %d layer %d degree %d > cap %d", i, l, deg, len(b)-1)
+			}
+			b[0] = deg
+			nbrs := b[1 : 1+deg]
+			c.Uint32s(nbrs)
+			for _, nb := range nbrs {
+				if int(nb) >= n || int(levels[nb]) < l {
+					return index.Corruptf("hnsw: node %d layer %d links to %d, which is not on that layer", i, l, nb)
+				}
+			}
+		}
+	}
+	if err := ix.loadStore(&c, n); err != nil {
+		return err
 	}
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	ix.entry = int(entry)
-	ix.maxLevel = int(maxLevel)
-	ix.nodes = make([]node, nNodes)
-	for i := range ix.nodes {
-		var level uint32
-		if err := readAll(br, &ix.nodes[i].id, &level); err != nil {
-			return fmt.Errorf("hnsw: reading node %d: %w", i, err)
-		}
-		ix.nodes[i].level = int(level)
-		ix.nodes[i].neighbors = make([][]uint32, level+1)
-		for l := range ix.nodes[i].neighbors {
-			var deg uint32
-			if err := readAll(br, &deg); err != nil {
-				return err
-			}
-			if deg > maxSaneLen {
-				return fmt.Errorf("hnsw: unreasonable degree %d", deg)
-			}
-			ix.nodes[i].neighbors[l] = make([]uint32, deg)
-			if err := binary.Read(br, binary.LittleEndian, ix.nodes[i].neighbors[l]); err != nil {
-				return err
-			}
-		}
-	}
-	return ix.loadStore(br, kind)
+	ix.ids, ix.levels, ix.upperOff, ix.links0, ix.upper = ids, levels, upperOff, links0, upper
+	ix.entry, ix.maxLevel = int(entry), top
+	return nil
 }
 
-func (ix *Index) loadStore(br *bufio.Reader, kind uint8) error {
-	switch kind {
-	case kindFloat:
-		fs := ix.store.(*floatStore)
-		var n uint64
-		if err := readAll(br, &n); err != nil {
-			return err
+// loadStore decodes the vector payload, the blob's last section: it
+// must hold exactly n rows and end the blob. The store is assigned
+// only once all of it has been accepted.
+func (ix *Index) loadStore(c *index.Cursor, n int) error {
+	dim := ix.params.Dim
+	switch st := ix.store.(type) {
+	case *floatStore:
+		cnt := c.Count(c.U64(), 4)
+		if err := c.Err(); err != nil {
+			return fmt.Errorf("hnsw: reading vectors: %w", err)
 		}
-		if n > maxSaneLen {
-			return fmt.Errorf("hnsw: unreasonable float count %d", n)
+		if cnt != n*dim {
+			return index.Corruptf("hnsw: %d floats stored for %d nodes at dim %d", cnt, n, dim)
 		}
-		fs.data = make([]float32, n)
-		return binary.Read(br, binary.LittleEndian, fs.data)
-	case kindSQ:
-		ss := ix.store.(*sqStore)
-		var pn uint64
-		if err := readAll(br, &pn); err != nil {
-			return err
+		if c.Remaining() != 4*cnt {
+			return index.Corruptf("hnsw: %d trailing bytes", c.Remaining()-4*cnt)
 		}
-		if pn > maxSaneLen {
-			return fmt.Errorf("hnsw: unreasonable SQ param size %d", pn)
-		}
-		params := make([]byte, pn)
-		if _, err := io.ReadFull(br, params); err != nil {
-			return err
+		st.data = make([]float32, cnt)
+		c.Float32s(st.data)
+		return nil
+	case *sqStore:
+		params := c.Bytes(c.Count(c.U64(), 1))
+		if err := c.Err(); err != nil {
+			return fmt.Errorf("hnsw: reading SQ params: %w", err)
 		}
 		sq, err := unmarshalScalar(params)
 		if err != nil {
-			return err
+			return index.Corruptf("hnsw: %v", err)
 		}
-		ss.sq = sq
-		var cn uint64
-		if err := readAll(br, &cn); err != nil {
-			return err
+		if sq.Dim != dim {
+			return index.Corruptf("hnsw: SQ params for dim %d, index dim %d", sq.Dim, dim)
 		}
-		if cn > maxSaneLen {
-			return fmt.Errorf("hnsw: unreasonable code size %d", cn)
+		cnt := c.Count(c.U64(), 1)
+		if err := c.Err(); err != nil {
+			return fmt.Errorf("hnsw: reading SQ codes: %w", err)
 		}
-		ss.codes = make([]byte, cn)
-		if _, err := io.ReadFull(br, ss.codes); err != nil {
-			return err
+		if cnt != n*dim {
+			return index.Corruptf("hnsw: %d code bytes stored for %d nodes at dim %d", cnt, n, dim)
 		}
+		if c.Remaining() != cnt {
+			return index.Corruptf("hnsw: %d trailing bytes", c.Remaining()-cnt)
+		}
+		st.sq = sq
+		st.codes = append([]byte(nil), c.Bytes(cnt)...)
 		// The on-disk format carries only codes; the fast-path code
 		// sums are derived state and are rebuilt here.
-		ss.rebuildStats()
+		st.rebuildStats()
 		return nil
 	}
-	return fmt.Errorf("hnsw: unknown store kind %d", kind)
+	return fmt.Errorf("hnsw: unknown store %T", ix.store)
 }
 
 func writeAll(w io.Writer, vals ...any) error {
 	for _, v := range vals {
 		if err := binary.Write(w, binary.LittleEndian, v); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func readAll(r io.Reader, vals ...any) error {
-	for _, v := range vals {
-		if err := binary.Read(r, binary.LittleEndian, v); err != nil {
 			return err
 		}
 	}

@@ -2,6 +2,7 @@ package hnsw
 
 import (
 	"fmt"
+	"slices"
 
 	"blendhouse/internal/quant"
 	"blendhouse/internal/vec"
@@ -16,6 +17,8 @@ import (
 // pure-integer kernels for the whole traversal (hnswlib does the
 // same), which is where HNSWSQ's speed advantage comes from.
 type store interface {
+	// grow reserves room for n further adds.
+	grow(n int)
 	add(v []float32)
 	// queryDist returns a distance function from external query q to
 	// stored nodes. The closure must be safe for use by one goroutine;
@@ -43,6 +46,7 @@ func newFloatStore(dim int, m vec.Metric) *floatStore {
 	return &floatStore{dim: dim, metric: m}
 }
 
+func (s *floatStore) grow(n int)      { s.data = slices.Grow(s.data, n*s.dim) }
 func (s *floatStore) add(v []float32) { s.data = append(s.data, v...) }
 
 func (s *floatStore) row(i int) []float32 { return s.data[i*s.dim : i*s.dim+s.dim] }
@@ -61,7 +65,7 @@ func (s *floatStore) pairDist(i, j int) float32 {
 }
 
 func (s *floatStore) count() int            { return len(s.data) / s.dim }
-func (s *floatStore) memoryBytes() int64    { return int64(4 * len(s.data)) }
+func (s *floatStore) memoryBytes() int64    { return int64(4 * cap(s.data)) }
 func (s *floatStore) needsTrain() bool      { return false }
 func (s *floatStore) trained() bool         { return true }
 func (s *floatStore) train([]float32) error { return nil }
@@ -83,6 +87,12 @@ type sqStore struct {
 
 func newSQStore(dim int, m vec.Metric) *sqStore {
 	return &sqStore{dim: dim, metric: m}
+}
+
+func (s *sqStore) grow(n int) {
+	s.codes = slices.Grow(s.codes, n*s.dim)
+	s.sums = slices.Grow(s.sums, n)
+	s.sumSqs = slices.Grow(s.sumSqs, n)
 }
 
 func (s *sqStore) add(v []float32) {
@@ -162,8 +172,8 @@ func (s *sqStore) count() int {
 }
 
 func (s *sqStore) memoryBytes() int64 {
-	n := int64(len(s.codes))
-	n += int64(8 * len(s.sums)) // per-node Σc / Σc² fast-path tables
+	n := int64(cap(s.codes))
+	n += int64(4 * (cap(s.sums) + cap(s.sumSqs))) // per-node Σc / Σc² fast-path tables
 	if s.sq != nil {
 		n += int64(8 * s.dim) // min/step tables
 	}

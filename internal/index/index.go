@@ -79,8 +79,11 @@ type Index interface {
 	// Save serializes the full index state.
 	Save(w io.Writer) error
 	// Load restores state written by Save into a freshly constructed
-	// index of the same type and build parameters.
-	Load(r io.Reader) error
+	// index of the same type and build parameters. The blob is decoded
+	// into the index's own arrays and not retained. Any blob Load
+	// cannot accept — truncated, inconsistent, or written for another
+	// type or dimension — fails with an error wrapping ErrCorrupt.
+	Load(blob []byte) error
 
 	// --- execution API -----------------------------------------------
 

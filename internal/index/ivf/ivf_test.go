@@ -154,7 +154,7 @@ func TestSaveLoadPreservesRefineability(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := re.Load(&buf); err != nil {
+	if err := re.Load(buf.Bytes()); err != nil {
 		t.Fatal(err)
 	}
 	re.SetRawProvider(func(id int64, out []float32) bool {

@@ -5,19 +5,13 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"math"
 
+	"blendhouse/internal/index"
 	"blendhouse/internal/quant"
 	"blendhouse/internal/vec"
 )
 
-// unmarshalPQ aliases quant.UnmarshalPQ to keep Load readable.
-var unmarshalPQ = quant.UnmarshalPQ
-
-const (
-	magic      = uint32(0xB11F1DEC)
-	maxSaneLen = 1 << 31
-)
+const magic = uint32(0xB11F1DEC)
 
 // Save serializes the trained index:
 //
@@ -74,83 +68,74 @@ func (ix *Index) Save(w io.Writer) error {
 
 // Load restores an index written by Save. The receiving index must
 // have matching dim and variant.
-func (ix *Index) Load(r io.Reader) error {
-	br := bufio.NewReader(r)
-	var (
-		m       uint32
-		variant uint8
-		dim     uint32
-		nlist   uint32
-		count   uint64
-	)
-	for _, v := range []any{&m, &variant, &dim, &nlist, &count} {
-		if err := binary.Read(br, binary.LittleEndian, v); err != nil {
-			return fmt.Errorf("ivf: reading header: %w", err)
-		}
+func (ix *Index) Load(blob []byte) error {
+	c := index.NewCursor(blob)
+	m, variant, dim32, nlist32, count64 := c.U32(), c.U8(), c.U32(), c.U32(), c.U64()
+	if err := c.Err(); err != nil {
+		return fmt.Errorf("ivf: reading header: %w", err)
 	}
 	if m != magic {
-		return fmt.Errorf("ivf: bad magic %#x", m)
+		return index.Corruptf("ivf: bad magic %#x", m)
 	}
 	if Variant(variant) != ix.variant {
-		return fmt.Errorf("ivf: stored variant %d != constructed variant %d", variant, ix.variant)
+		return index.Corruptf("ivf: stored variant %d != constructed variant %d", variant, ix.variant)
 	}
-	if int(dim) != ix.params.Dim {
-		return fmt.Errorf("ivf: stored dim %d != constructed dim %d", dim, ix.params.Dim)
+	dim := ix.params.Dim
+	if int(dim32) != dim {
+		return index.Corruptf("ivf: stored dim %d != constructed dim %d", dim32, dim)
 	}
-	if nlist > maxSaneLen || count > math.MaxInt32 {
-		return fmt.Errorf("ivf: unreasonable nlist %d / count %d", nlist, count)
+	// Each list costs its centroid plus a length prefix; each row at
+	// least its id.
+	nlist := c.Count(uint64(nlist32), 4*dim+8)
+	count := c.Count(count64, 8)
+	if err := c.Err(); err != nil {
+		return fmt.Errorf("ivf: nlist %d, count %d: %w", nlist32, count64, err)
+	}
+	cents := vec.NewMatrix(nlist, dim)
+	c.Float32s(cents.Data)
+	var pq *quant.ProductQuantizer
+	if pqBlob := c.Bytes(c.Count(c.U64(), 1)); len(pqBlob) > 0 {
+		var err error
+		if pq, err = quant.UnmarshalPQ(pqBlob); err != nil {
+			return index.Corruptf("ivf: %v", err)
+		}
+		if pq.Dim != dim {
+			return index.Corruptf("ivf: PQ codebook for dim %d, index dim %d", pq.Dim, dim)
+		}
+	}
+	if err := c.Err(); err != nil {
+		return fmt.Errorf("ivf: reading codebooks: %w", err)
+	}
+	if (pq != nil) != (ix.variant != VariantFlat) {
+		return index.Corruptf("ivf: variant %d with PQ codebook present=%v", ix.variant, pq != nil)
+	}
+	rowBytes := 4 * dim
+	if pq != nil {
+		rowBytes = pq.CodeSize()
+	}
+	lists := make([]list, nlist)
+	rows := 0
+	for li := range lists {
+		l := &lists[li]
+		n := c.Count(c.U64(), 8+rowBytes)
+		if err := c.Err(); err != nil {
+			return fmt.Errorf("ivf: reading list %d: %w", li, err)
+		}
+		l.ids = make([]int64, n)
+		c.Int64s(l.ids)
+		if pq == nil {
+			l.data = make([]float32, n*dim)
+			c.Float32s(l.data)
+		} else {
+			l.code = append([]byte(nil), c.Bytes(n*rowBytes)...)
+		}
+		rows += n
+	}
+	if rows != count || c.Remaining() != 0 {
+		return index.Corruptf("ivf: lists hold %d rows for a count of %d, %d trailing bytes", rows, count, c.Remaining())
 	}
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	ix.cents = vec.NewMatrix(int(nlist), int(dim))
-	if err := binary.Read(br, binary.LittleEndian, ix.cents.Data); err != nil {
-		return fmt.Errorf("ivf: reading centroids: %w", err)
-	}
-	var pqLen uint64
-	if err := binary.Read(br, binary.LittleEndian, &pqLen); err != nil {
-		return err
-	}
-	if pqLen > maxSaneLen {
-		return fmt.Errorf("ivf: unreasonable pq blob %d", pqLen)
-	}
-	ix.pq = nil
-	if pqLen > 0 {
-		blob := make([]byte, pqLen)
-		if _, err := io.ReadFull(br, blob); err != nil {
-			return err
-		}
-		pq, err := unmarshalPQ(blob)
-		if err != nil {
-			return err
-		}
-		ix.pq = pq
-	}
-	ix.lists = make([]list, nlist)
-	ix.count = int(count)
-	for li := range ix.lists {
-		var n uint64
-		if err := binary.Read(br, binary.LittleEndian, &n); err != nil {
-			return err
-		}
-		if n > maxSaneLen {
-			return fmt.Errorf("ivf: unreasonable list size %d", n)
-		}
-		l := &ix.lists[li]
-		l.ids = make([]int64, n)
-		if err := binary.Read(br, binary.LittleEndian, l.ids); err != nil {
-			return err
-		}
-		if ix.variant == VariantFlat {
-			l.data = make([]float32, int(n)*int(dim))
-			if err := binary.Read(br, binary.LittleEndian, l.data); err != nil {
-				return err
-			}
-		} else {
-			l.code = make([]byte, int(n)*ix.pq.CodeSize())
-			if _, err := io.ReadFull(br, l.code); err != nil {
-				return err
-			}
-		}
-	}
+	ix.cents, ix.pq, ix.lists, ix.count = cents, pq, lists, count
 	return nil
 }

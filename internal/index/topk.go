@@ -1,7 +1,8 @@
 package index
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"sync"
 )
 
@@ -157,11 +158,16 @@ func PutTopK(t *TopK) {
 // SortCandidates orders candidates ascending by distance, breaking
 // ties by ID so results are deterministic across runs.
 func SortCandidates(cs []Candidate) {
-	sort.Slice(cs, func(i, j int) bool {
-		if cs[i].Dist != cs[j].Dist {
-			return cs[i].Dist < cs[j].Dist
+	slices.SortFunc(cs, func(a, b Candidate) int {
+		switch {
+		case a.Dist < b.Dist:
+			return -1
+		case a.Dist > b.Dist:
+			return 1
+		case a.Dist == b.Dist:
+			return cmp.Compare(a.ID, b.ID)
 		}
-		return cs[i].ID < cs[j].ID
+		return 0 // a NaN distance orders against nothing
 	})
 }
 

@@ -236,24 +236,3 @@ func (t *Table) CompactAll(policy CompactionPolicy) (int, error) {
 		total += n
 	}
 }
-
-// StartCompaction launches a background loop compacting every
-// interval until stop is closed — the dedicated compaction virtual
-// warehouse of the disaggregated deployment. Errors are delivered to
-// onErr (may be nil).
-func (t *Table) StartCompaction(policy CompactionPolicy, interval time.Duration, stop <-chan struct{}, onErr func(error)) {
-	go func() {
-		ticker := time.NewTicker(interval)
-		defer ticker.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-ticker.C:
-				if _, err := t.CompactOnce(policy); err != nil && onErr != nil {
-					onErr(err)
-				}
-			}
-		}
-	}()
-}

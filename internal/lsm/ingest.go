@@ -3,7 +3,6 @@ package lsm
 import (
 	"bytes"
 	"fmt"
-	"io"
 	"strings"
 	"sync"
 
@@ -13,9 +12,6 @@ import (
 	"blendhouse/internal/storage"
 	"blendhouse/internal/vec"
 )
-
-// bytesReader adapts a blob to io.Reader for index loading.
-func bytesReader(b []byte) io.Reader { return bytes.NewReader(b) }
 
 // Insert ingests a batch synchronously: rows are routed by scalar
 // partition key and semantic bucket, split into segments of at most

@@ -498,7 +498,7 @@ func (t *Table) IndexLoaderFor(meta *storage.SegmentMeta) func(blob []byte) (any
 		if err != nil {
 			return nil, 0, err
 		}
-		if err := ix.Load(bytesReader(blob)); err != nil {
+		if err := ix.Load(blob); err != nil {
 			return nil, 0, err
 		}
 		t.wireRefine(ix, meta)
@@ -555,7 +555,7 @@ func (t *Table) loadIndexForMetaCtx(ctx context.Context, m *storage.SegmentMeta)
 	if err != nil {
 		return nil, err
 	}
-	if err := ix.Load(bytesReader(blob)); err != nil {
+	if err := ix.Load(blob); err != nil {
 		return nil, fmt.Errorf("lsm: loading index of %s: %w", m.Name, err)
 	}
 	t.wireRefine(ix, m)
