@@ -12,6 +12,12 @@
 // batched-vs-solo decision delegates to plan.ChooseBatch over those
 // observed statistics, so the window is paid only where the shared
 // scan is predicted to earn it back.
+//
+// A query decided solo — ungroupable, or routed solo by the cost model
+// — is a group of one that was never going to form, so it never pays
+// for formation: Submit runs it on the submitting goroutine (gate,
+// runner, release), with no group goroutine, channel or context of its
+// own. A solo query never changes goroutine inside the scheduler.
 package batch
 
 import (
@@ -90,7 +96,7 @@ type Profile struct {
 // the group.
 type RunFunc func(gctx context.Context, g *Group)
 
-// outcome is what Deliver hands back through the member's channel.
+// outcome is what Deliver records for the member's submitter.
 type outcome struct {
 	res any
 	err error
@@ -104,15 +110,23 @@ type Member struct {
 	// Payload is the engine's opaque per-query state (plan, options).
 	Payload any
 
-	g    *Group
-	done chan outcome
 	once sync.Once
+	out  outcome
+	// done is closed once out is set, waking the submitter of a grouped
+	// member. It is nil on an inline solo run, whose submitter is the
+	// goroutine running the runner and reads out when that returns.
+	done chan struct{}
 }
 
 // Deliver hands the member its result (first delivery wins; later
 // calls are no-ops, so the runner and the safety net can't race).
 func (m *Member) Deliver(res any, err error) {
-	m.once.Do(func() { m.done <- outcome{res: res, err: err} })
+	m.once.Do(func() {
+		m.out = outcome{res: res, err: err}
+		if m.done != nil {
+			close(m.done)
+		}
+	})
 }
 
 // Group is one formed batch.
@@ -122,7 +136,6 @@ type Group struct {
 
 	s       *Scheduler
 	key     string
-	solo    bool
 	ctx     context.Context
 	cancel  context.CancelFunc
 	members []*Member
@@ -189,9 +202,9 @@ func (s *Scheduler) SetGate(g Gate) {
 // Config returns the effective (defaulted) configuration.
 func (s *Scheduler) Config() Config { return s.cfg }
 
-// Close drains: in-flight groups finish, then Close returns. Later
-// Submits still execute (solo, ungated) so shutdown never wedges a
-// straggler query.
+// Close drains: in-flight groups and inline solo runs finish, then
+// Close returns. Later Submits still execute (solo, ungated) so
+// shutdown never wedges a straggler query.
 func (s *Scheduler) Close() {
 	s.mu.Lock()
 	s.closed = true
@@ -199,11 +212,13 @@ func (s *Scheduler) Close() {
 	s.wg.Wait()
 }
 
-// Submit enrolls one query. key identifies its compatibility class
-// ("" = ungroupable: runs solo, still through the gate). prof carries
-// the observed statistics feeding the batched-vs-solo decision.
-// Submit blocks until the group runner delivers the query's result or
-// ctx fires; a fired ctx abandons only this member.
+// Submit runs one query through the scheduler. key identifies its
+// compatibility class ("" = ungroupable: runs solo, still through the
+// gate). prof carries the observed statistics feeding the
+// batched-vs-solo decision. A groupable query enrolls in a group and
+// Submit blocks until the group runner delivers its result or ctx
+// fires (a fired ctx abandons only this member); a solo query, and any
+// query submitted after Close, runs right here on the caller.
 func (s *Scheduler) Submit(ctx context.Context, table, key string, prof Profile, payload any) (any, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -226,19 +241,19 @@ func (s *Scheduler) Submit(ctx context.Context, table, key string, prof Profile,
 		})
 		groupable = ok
 	}
-
-	m := &Member{Ctx: ctx, Payload: payload, done: make(chan outcome, 1)}
-	var g *Group
 	if !groupable {
 		mSolo.Inc()
-		g = s.enroll(ctx, table, "", prof, m, true)
-	} else {
-		g = s.enroll(ctx, table, table+"\x00"+key, prof, m, false)
+		return s.runSolo(ctx, table, ts, payload)
 	}
 
+	m := &Member{Ctx: ctx, Payload: payload, done: make(chan struct{})}
+	g := s.enroll(table, table+"\x00"+key, prof, m)
+	if g == nil {
+		return s.runSolo(ctx, table, ts, payload) // closed: drain the straggler inline
+	}
 	select {
-	case o := <-m.done:
-		return o.res, o.err
+	case <-m.done:
+		return m.out.res, m.out.err
 	case <-ctx.Done():
 		mMemberCancel.Inc()
 		s.leave(g, m)
@@ -246,22 +261,88 @@ func (s *Scheduler) Submit(ctx context.Context, table, key string, prof Profile,
 	}
 }
 
-// enroll joins an open pending group or creates (and leads) a new one.
-func (s *Scheduler) enroll(ctx context.Context, table, key string, prof Profile, m *Member, solo bool) *Group {
+// soloRun is the one allocation of an inline solo run: the group, its
+// single member and the membership slice the runner sees.
+type soloRun struct {
+	g  Group
+	m  Member
+	ms [1]*Member
+}
+
+// runSolo executes a query that needs no formation on the submitting
+// goroutine: acquire the gate under the query's own ctx, hand the
+// runner a one-member group, release. It records what a sealed group
+// of one records (groups, group_size.1, a zero formation wait, the
+// gate wait) so the metrics cannot tell it from one. After Close the
+// gate is skipped — a straggler is never blocked on admission — and
+// the run is not waited for.
+func (s *Scheduler) runSolo(ctx context.Context, table string, ts *tableStats, payload any) (any, error) {
 	s.mu.Lock()
-	if !solo {
-		if g := s.pending[key]; g != nil && !g.closed {
-			m.g = g
-			g.members = append(g.members, m)
-			g.live++
-			if len(g.members) >= s.cfg.MaxGroup {
-				g.closed = true
-				delete(s.pending, key)
-				close(g.full)
+	gate := s.gate
+	if s.closed {
+		gate = nil
+	} else {
+		s.wg.Add(1)
+		defer s.wg.Done()
+	}
+	s.mu.Unlock()
+
+	r := &soloRun{}
+	if gate != nil {
+		release, wait, err := gate.AcquireTimed(ctx)
+		if err != nil {
+			if cerr := ctx.Err(); cerr != nil {
+				mMemberCancel.Inc()
+				return nil, cerr
 			}
-			s.mu.Unlock()
-			return g
+			return nil, err
 		}
+		defer release()
+		r.g.GateWait = wait
+		ts.noteGateWait(wait)
+	}
+	mFormWait.Observe(0)
+	mGroups.Inc()
+	mSize1.Inc()
+
+	r.m.Ctx, r.m.Payload = ctx, payload
+	r.ms[0] = &r.m
+	r.g.ID, r.g.Table, r.g.members = s.nextID.Add(1), table, r.ms[:]
+	s.run(ctx, &r.g)
+	// Same safety net as a formed group: a runner that delivered
+	// nothing fails the query instead of returning a nil result.
+	cerr := ctx.Err()
+	if cerr != nil {
+		r.m.Deliver(nil, cerr)
+	} else {
+		r.m.Deliver(nil, ErrNoResult)
+	}
+	if r.m.out.err != nil && cerr != nil {
+		mMemberCancel.Inc()
+		return nil, cerr
+	}
+	return r.m.out.res, r.m.out.err
+}
+
+// enroll joins an open pending group or creates (and leads) a new one.
+// It returns nil once the scheduler is closed: nothing forms while
+// draining.
+func (s *Scheduler) enroll(table, key string, prof Profile, m *Member) *Group {
+	s.mu.Lock()
+	if s.closed {
+		s.mu.Unlock()
+		return nil
+	}
+	if g := s.pending[key]; g != nil && !g.closed {
+		g.members = append(g.members, m)
+		g.live++
+		if len(g.members) >= s.cfg.MaxGroup {
+			g.closed = true
+			delete(s.pending, key)
+			close(g.full)
+		}
+		s.mu.Unlock()
+		return g
 	}
 	gctx, cancel := context.WithCancel(context.Background())
 	g := &Group{
@@ -269,7 +350,6 @@ func (s *Scheduler) enroll(ctx context.Context, table, key string, prof Profile,
 		Table:   table,
 		s:       s,
 		key:     key,
-		solo:    solo || s.closed,
 		ctx:     gctx,
 		cancel:  cancel,
 		members: []*Member{m},
@@ -278,14 +358,8 @@ func (s *Scheduler) enroll(ctx context.Context, table, key string, prof Profile,
 		created: time.Now(),
 		segs:    prof.Segments,
 	}
-	m.g = g
-	if !g.solo {
-		s.pending[key] = g
-	}
+	s.pending[key] = g
 	gate := s.gate
-	if s.closed {
-		gate = nil // draining: never block a straggler on admission
-	}
 	s.wg.Add(1)
 	s.mu.Unlock()
 	go g.lead(gate)
@@ -330,17 +404,15 @@ func (g *Group) lead(gate Gate) {
 	defer g.s.wg.Done()
 	defer g.cancel()
 
-	if !g.solo {
-		timer := time.NewTimer(g.s.cfg.Window)
-		select {
-		case <-timer.C:
-		case <-g.full:
-			timer.Stop()
-		case <-g.ctx.Done():
-			timer.Stop()
-			g.s.seal(g)
-			return // every member already abandoned the group
-		}
+	timer := time.NewTimer(g.s.cfg.Window)
+	select {
+	case <-timer.C:
+	case <-g.full:
+		timer.Stop()
+	case <-g.ctx.Done():
+		timer.Stop()
+		g.s.seal(g)
+		return // every member already abandoned the group
 	}
 
 	var release func()

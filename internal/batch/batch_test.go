@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -341,4 +343,236 @@ func TestAdaptiveExploresWhenUnobserved(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// --- the inline solo path ----------------------------------------------------
+
+// goid returns the calling goroutine's ID, from its stack header.
+func goid() string {
+	var buf [64]byte
+	f := strings.Fields(string(buf[:runtime.Stack(buf[:], false)]))
+	return f[1] // "goroutine N [running]:"
+}
+
+// TestSoloRunsOnTheSubmittingGoroutine: a query decided solo never
+// changes goroutine inside the scheduler — no lead goroutine, no
+// channel hand-off — and costs a fixed handful of allocations.
+func TestSoloRunsOnTheSubmittingGoroutine(t *testing.T) {
+	var ranOn string
+	var during int
+	probe := true
+	gate := &fakeGate{}
+	s := New(Config{Window: time.Minute, MaxGroup: 8}, func(gctx context.Context, g *Group) {
+		if probe {
+			ranOn, during = goid(), runtime.NumGoroutine()
+		}
+		deliverAll(gctx, g)
+	})
+	s.SetGate(gate)
+	defer s.Close()
+
+	before := runtime.NumGoroutine()
+	res, err := s.Submit(context.Background(), "items", "", Profile{}, nil)
+	if err != nil || res != 1 {
+		t.Fatalf("res=%v err=%v, want solo group of 1", res, err)
+	}
+	if ranOn != goid() {
+		t.Fatalf("runner ran on goroutine %s, submitter is %s", ranOn, goid())
+	}
+	if during != before || runtime.NumGoroutine() != before {
+		t.Fatalf("goroutines: %d before, %d during the run, %d after — a solo submit spawned one",
+			before, during, runtime.NumGoroutine())
+	}
+
+	// The run itself: one allocation for group + member, one for the
+	// test gate's release closure.
+	probe = false
+	ctx := context.Background()
+	if allocs := testing.AllocsPerRun(200, func() {
+		if _, err := s.Submit(ctx, "items", "", Profile{}, nil); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs > 4 {
+		t.Fatalf("a solo submit allocates %.0f times, want <= 4", allocs)
+	}
+	if a, r := gate.acquires.Load(), gate.releases.Load(); a != r || a < 2 {
+		t.Fatalf("gate: %d acquires, %d releases — every solo run takes and returns exactly one slot", a, r)
+	}
+}
+
+// TestSoloRecordsWhatAGroupOfOneRecords: the metrics cannot tell an
+// inline run from a sealed singleton group.
+func TestSoloRecordsWhatAGroupOfOneRecords(t *testing.T) {
+	s := New(Config{Window: time.Minute, MaxGroup: 8}, deliverAll)
+	s.SetGate(&fakeGate{})
+	defer s.Close()
+	q0, g0, s1, solo0 := mQueries.Value(), mGroups.Value(), mSize1.Value(), mSolo.Value()
+	fwCount, fwSum := mFormWait.Count(), mFormWait.Sum()
+	if _, err := s.Submit(context.Background(), "items", "", Profile{}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if mQueries.Value()-q0 != 1 || mGroups.Value()-g0 != 1 || mSize1.Value()-s1 != 1 || mSolo.Value()-solo0 != 1 {
+		t.Fatalf("queries +%d groups +%d group_size.1 +%d solo +%d, want +1 each",
+			mQueries.Value()-q0, mGroups.Value()-g0, mSize1.Value()-s1, mSolo.Value()-solo0)
+	}
+	if c, sum := mFormWait.Count()-fwCount, mFormWait.Sum()-fwSum; c != 1 || sum > time.Nanosecond {
+		t.Fatalf("formation_wait: count +%d sum +%v, want one observation of zero (the histogram floors at 1ns)", c, sum)
+	}
+	if w := s.tableStatsFor("items").gateWait.Value(); w <= 0 {
+		t.Fatalf("gate wait EWMA = %v, want the fake gate's 1ms noted", w)
+	}
+}
+
+// blockingGate admits nobody: AcquireTimed waits for ctx, like a full
+// admission queue, and hands out no release func.
+type blockingGate struct{}
+
+func (blockingGate) AcquireTimed(ctx context.Context) (func(), time.Duration, error) {
+	<-ctx.Done()
+	return nil, 0, ctx.Err()
+}
+
+func TestSoloCtxCanceledAtFullGate(t *testing.T) {
+	var ran atomic.Int64
+	s := New(Config{MaxGroup: 8}, func(gctx context.Context, g *Group) {
+		ran.Add(1)
+		deliverAll(gctx, g)
+	})
+	s.SetGate(blockingGate{})
+	defer s.Close()
+
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	canceled0 := mMemberCancel.Value()
+	_, err := s.Submit(ctx, "items", "", Profile{}, nil)
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v, want the ctx error", err)
+	}
+	if ran.Load() != 0 {
+		t.Fatalf("runner ran %d times without a slot", ran.Load())
+	}
+	if d := mMemberCancel.Value() - canceled0; d != 1 {
+		t.Fatalf("bh.batch.member_canceled moved by %d, want 1", d)
+	}
+}
+
+func TestSoloShedPassesThroughUnchanged(t *testing.T) {
+	shed := fmt.Errorf("server: overloaded (429): %w", errors.New("queue full"))
+	s := New(Config{MaxGroup: 8}, deliverAll)
+	s.SetGate(&fakeGate{err: shed})
+	defer s.Close()
+	if _, err := s.Submit(context.Background(), "items", "", Profile{}, nil); err != shed {
+		t.Fatalf("err = %v, want the gate's own error value", err)
+	}
+}
+
+func TestSoloReleasesOnceAlsoOnRunnerError(t *testing.T) {
+	boom := errors.New("boom")
+	for name, run := range map[string]RunFunc{
+		"result":  deliverAll,
+		"error":   func(_ context.Context, g *Group) { g.Members()[0].Deliver(nil, boom) },
+		"nothing": func(context.Context, *Group) {},
+		"twice": func(_ context.Context, g *Group) {
+			g.Members()[0].Deliver("first", nil)
+			g.Members()[0].Deliver(nil, boom)
+		},
+	} {
+		gate := &fakeGate{}
+		s := New(Config{MaxGroup: 8}, run)
+		s.SetGate(gate)
+		res, err := s.Submit(context.Background(), "items", "", Profile{}, nil)
+		switch name {
+		case "result":
+			if err != nil || res != 1 {
+				t.Errorf("%s: res=%v err=%v", name, res, err)
+			}
+		case "error":
+			if !errors.Is(err, boom) {
+				t.Errorf("%s: err=%v, want the runner's error", name, err)
+			}
+		case "nothing":
+			if !errors.Is(err, ErrNoResult) {
+				t.Errorf("%s: err=%v, want ErrNoResult", name, err)
+			}
+		case "twice":
+			if err != nil || res != "first" {
+				t.Errorf("%s: res=%v err=%v, want the first delivery", name, res, err)
+			}
+		}
+		if a, r := gate.acquires.Load(), gate.releases.Load(); a != 1 || r != 1 {
+			t.Errorf("%s: %d acquires, %d releases, want exactly 1 and 1", name, a, r)
+		}
+		s.Close()
+	}
+}
+
+func TestCloseWaitsForInlineSoloRun(t *testing.T) {
+	block := make(chan struct{})
+	started := make(chan struct{})
+	s := New(Config{MaxGroup: 8}, func(gctx context.Context, g *Group) {
+		close(started)
+		<-block
+		deliverAll(gctx, g)
+	})
+	done := make(chan error, 1)
+	go func() {
+		_, err := s.Submit(context.Background(), "items", "", Profile{}, nil)
+		done <- err
+	}()
+	<-started
+
+	closed := make(chan struct{})
+	go func() {
+		s.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+		t.Fatal("Close returned while an inline solo run was still executing")
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(block)
+	select {
+	case <-closed:
+	case <-time.After(2 * time.Second):
+		t.Fatal("Close never returned after the inline run finished")
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestConcurrentSoloGroupedAndClose mixes inline solo runs, forming
+// groups and a Close arriving mid-stream, for the race detector: the
+// scheduler's shared state (gate, closed flag, wait group, stats) is
+// reached from every submitter at once, and no query may be lost.
+func TestConcurrentSoloGroupedAndClose(t *testing.T) {
+	gate := &fakeGate{}
+	s := New(Config{Window: time.Millisecond, MaxGroup: 4}, deliverAll)
+	s.SetGate(gate)
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				key := ""
+				if (w+i)%3 == 0 {
+					key = "k"
+				}
+				if _, err := s.Submit(context.Background(), "items", key, Profile{}, nil); err != nil {
+					t.Errorf("worker %d submit %d: %v", w, i, err)
+					return
+				}
+				if w == 0 && i == 25 {
+					s.Close()
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	s.Close()
+	if a, r := gate.acquires.Load(), gate.releases.Load(); a != r {
+		t.Fatalf("%d slots acquired, %d released", a, r)
+	}
 }

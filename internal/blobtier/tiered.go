@@ -74,14 +74,14 @@ type TieredStore struct {
 	backing storage.BlobStore
 	skip    []string
 
-	mem *cache.LRU // key -> []byte
+	mem *cache.LRU[string] // key -> []byte
 
 	// Disk tier: the LRU tracks presence/recency/budget (value = size),
 	// diskFS holds the bytes. diskMu serializes every disk-tier
 	// mutation, which also scopes the LRU's eviction callback (fired
 	// inside Put under diskMu) — see cache.LRU.SetOnEvict.
 	diskMu sync.Mutex
-	disk   *cache.LRU
+	disk   *cache.LRU[string]
 	diskFS storage.BlobStore
 
 	sf singleflight
@@ -95,7 +95,7 @@ func NewTiered(backing storage.BlobStore, cfg Config) (*TieredStore, error) {
 	s := &TieredStore{
 		backing: backing,
 		skip:    cfg.SkipSubstrings,
-		mem:     cache.NewLRU(cfg.MemBytes),
+		mem:     cache.NewLRU[string](cfg.MemBytes),
 	}
 	if s.skip == nil {
 		s.skip = DefaultSkipSubstrings
@@ -112,7 +112,7 @@ func NewTiered(backing storage.BlobStore, cfg Config) (*TieredStore, error) {
 			}
 			s.diskFS = fs
 		}
-		s.disk = cache.NewLRU(cfg.DiskBytes)
+		s.disk = cache.NewLRU[string](cfg.DiskBytes)
 		s.disk.SetOnEvict(func(key string, _ any) {
 			mEvictDisk.Inc()
 			_ = s.diskFS.Delete(key)

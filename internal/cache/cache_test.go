@@ -5,11 +5,12 @@ import (
 	"testing"
 	"time"
 
+	"blendhouse/internal/obs"
 	"blendhouse/internal/storage"
 )
 
 func TestLRUBasic(t *testing.T) {
-	c := NewLRU(100)
+	c := NewLRU[string](100)
 	if !c.Put("a", 1, 40) || !c.Put("b", 2, 40) {
 		t.Fatal("puts within budget should succeed")
 	}
@@ -30,7 +31,7 @@ func TestLRUBasic(t *testing.T) {
 }
 
 func TestLRURejectsOversized(t *testing.T) {
-	c := NewLRU(10)
+	c := NewLRU[string](10)
 	if c.Put("big", 1, 11) {
 		t.Fatal("oversized entry must be rejected")
 	}
@@ -40,7 +41,7 @@ func TestLRURejectsOversized(t *testing.T) {
 }
 
 func TestLRUReplaceAdjustsSize(t *testing.T) {
-	c := NewLRU(100)
+	c := NewLRU[string](100)
 	c.Put("k", 1, 30)
 	c.Put("k", 2, 50)
 	if c.SizeBytes() != 50 || c.Len() != 1 {
@@ -52,7 +53,7 @@ func TestLRUReplaceAdjustsSize(t *testing.T) {
 }
 
 func TestLRUEvictCallback(t *testing.T) {
-	c := NewLRU(50)
+	c := NewLRU[string](50)
 	var evicted []string
 	c.SetOnEvict(func(k string, _ any) { evicted = append(evicted, k) })
 	c.Put("a", 1, 30)
@@ -67,7 +68,7 @@ func TestLRUEvictCallback(t *testing.T) {
 }
 
 func TestLRUStats(t *testing.T) {
-	c := NewLRU(100)
+	c := NewLRU[string](100)
 	c.Put("a", 1, 10)
 	c.Get("a")
 	c.Get("zz")
@@ -85,7 +86,7 @@ func TestLRUStats(t *testing.T) {
 }
 
 func TestLRUZeroCapacityStoresNothing(t *testing.T) {
-	c := NewLRU(0)
+	c := NewLRU[string](0)
 	if c.Put("a", 1, 1) {
 		t.Fatal("zero-cap cache accepted an entry")
 	}
@@ -97,7 +98,7 @@ func TestLRUZeroCapacityStoresNothing(t *testing.T) {
 	if _, ok := c.Get("b"); ok || c.Len() != 0 {
 		t.Fatal("disabled cache is holding entries")
 	}
-	neg := NewLRU(-1)
+	neg := NewLRU[string](-1)
 	if neg.Put("a", 1, 0) {
 		t.Fatal("negative-cap cache accepted an entry")
 	}
@@ -108,7 +109,7 @@ func TestLRUZeroCapacityStoresNothing(t *testing.T) {
 // on-evict path) must not deadlock. This test hangs on the old
 // fire-under-lock implementation.
 func TestLRUEvictCallbackMayReenter(t *testing.T) {
-	c := NewLRU(50)
+	c := NewLRU[string](50)
 	var evicted []string
 	c.SetOnEvict(func(k string, _ any) {
 		evicted = append(evicted, k)
@@ -140,7 +141,7 @@ func TestLRUEvictCallbackMayReenter(t *testing.T) {
 // TestLRUEvictCallbackMultipleAtOnce: one oversized Put can evict
 // several entries; every one must get its callback, oldest first.
 func TestLRUEvictCallbackMultipleAtOnce(t *testing.T) {
-	c := NewLRU(100)
+	c := NewLRU[string](100)
 	var evicted []string
 	c.SetOnEvict(func(k string, _ any) { evicted = append(evicted, k) })
 	c.Put("a", 1, 30)
@@ -367,5 +368,143 @@ func TestColumnCacheMetaSpace(t *testing.T) {
 	cc.InvalidateSegment("t", "s")
 	if _, ok := cc.GetMeta("t", "s"); ok {
 		t.Fatal("meta survived invalidate")
+	}
+}
+
+// TestColumnCacheTalliesDistinctGranules pins the accounting contract:
+// one read looks each distinct granule up exactly once, however many of
+// its rows fall in it and in whatever order, and the per-query tally
+// and the cache's own counters both move by that number.
+func TestColumnCacheTalliesDistinctGranules(t *testing.T) {
+	cc, rd, rs := colCacheFixture(t) // 64 rows in granules of 8
+	for _, tc := range []struct {
+		rows             []int
+		wantHit, wantMis int64
+	}{
+		{[]int{3}, 0, 1},                                   // cold granule 0
+		{[]int{3, 5, 4}, 1, 0},                             // three rows, one granule
+		{[]int{0, 63, 8, 1, 62}, 1, 2},                     // granules 0 (warm), 7, 1 — revisits are free
+		{[]int{0, 9, 17, 25, 33, 41, 49, 57, 58, 1}, 3, 5}, // ten rows, eight granules: 0, 1, 7 warm
+		{[]int{7, 7, 7}, 1, 0},                             // duplicates
+	} {
+		h0, m0, _ := cc.Stats()
+		gets0 := rs.Snapshot().Gets
+		var tally obs.CacheTally
+		col, err := cc.ReadRowsTally(nil, rd, "id", tc.rows, len(tc.rows), &tally)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, r := range tc.rows {
+			if col.Ints[i] != int64(r) {
+				t.Fatalf("rows %v: value %d is %d", tc.rows, i, col.Ints[i])
+			}
+		}
+		th, tm, _ := tally.Values()
+		h1, m1, _ := cc.Stats()
+		if th != tc.wantHit || tm != tc.wantMis || h1-h0 != tc.wantHit || m1-m0 != tc.wantMis {
+			t.Fatalf("rows %v: tally hits=%d misses=%d, cache +%d/+%d, want %d/%d",
+				tc.rows, th, tm, h1-h0, m1-m0, tc.wantHit, tc.wantMis)
+		}
+		if got := rs.Snapshot().Gets - gets0; got != tc.wantMis {
+			t.Fatalf("rows %v: %d remote reads, want one per miss (%d)", tc.rows, got, tc.wantMis)
+		}
+	}
+}
+
+// TestColumnCacheWholeColumnAndGranulesDoNotCollide: the whole-column
+// entry and the granule entries of one column are distinct keys, and
+// neither answers for the other.
+func TestColumnCacheWholeColumnAndGranulesDoNotCollide(t *testing.T) {
+	cc, rd, _ := colCacheFixture(t)
+	whole, err := cc.ReadColumn(rd, "id")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if whole.Len() != 64 {
+		t.Fatalf("whole column has %d rows", whole.Len())
+	}
+	if h, m, _ := cc.Stats(); h != 0 || m != 1 {
+		t.Fatalf("after whole-column read: hits=%d misses=%d, want 0/1", h, m)
+	}
+	// Granule 0 is not in the cache just because the whole column is.
+	piece, err := cc.ReadRows(rd, "id", []int{2}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if piece.Len() != 1 || piece.Ints[0] != 2 {
+		t.Fatalf("granule read returned %v", piece.Ints)
+	}
+	if h, m, _ := cc.Stats(); h != 0 || m != 2 {
+		t.Fatalf("after granule read: hits=%d misses=%d, want 0/2", h, m)
+	}
+	// And the whole column is still the whole column.
+	again, err := cc.ReadColumn(rd, "id")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again != whole {
+		t.Fatal("whole-column entry was replaced by a granule entry")
+	}
+	// Same granule number, different column: a different key.
+	if _, err := cc.ReadRows(rd, "v", []int{2}, 1); err != nil {
+		t.Fatal(err)
+	}
+	if h, m, _ := cc.Stats(); h != 1 || m != 3 {
+		t.Fatalf("after other-column read: hits=%d misses=%d, want 1/3", h, m)
+	}
+}
+
+// TestColumnCacheWarmReadAllocs: a read served entirely from the cache
+// allocates its output (header + values) and nothing per granule.
+func TestColumnCacheWarmReadAllocs(t *testing.T) {
+	cc, rd, _ := colCacheFixture(t)
+	for _, tc := range []struct {
+		name string
+		col  string
+		rows []int
+	}{
+		{"1 row / 1 granule", "id", []int{3}},
+		{"3 rows / 1 granule", "id", []int{3, 5, 4}},
+		{"10 rows / 7 granules", "id", []int{0, 9, 17, 25, 33, 41, 49, 50, 51, 1}},
+		{"10 vectors / 7 granules", "v", []int{0, 9, 17, 25, 33, 41, 49, 50, 51, 1}},
+	} {
+		var tally obs.CacheTally
+		read := func() {
+			if _, err := cc.ReadRowsTally(nil, rd, tc.col, tc.rows, len(tc.rows), &tally); err != nil {
+				t.Fatal(err)
+			}
+		}
+		read() // fill
+		if allocs := testing.AllocsPerRun(100, read); allocs > 3 {
+			t.Errorf("%s: warm read allocated %.0f times, want <= 3", tc.name, allocs)
+		}
+	}
+}
+
+// TestLRUStructKey: the LRU is one implementation over any comparable
+// key; a struct key keeps recency, replacement and byte accounting.
+func TestLRUStructKey(t *testing.T) {
+	type k struct {
+		a string
+		n int32
+	}
+	c := NewLRU[k](20)
+	c.Put(k{"x", 0}, "x0", 10)
+	c.Put(k{"x", 1}, "x1", 10)
+	if _, ok := c.Get(k{"x", 0}); !ok { // x0 is now the most recent
+		t.Fatal("x0 missing")
+	}
+	var evicted []k
+	c.SetOnEvict(func(key k, _ any) { evicted = append(evicted, key) })
+	c.Put(k{"y", 0}, "y0", 10)
+	if len(evicted) != 1 || evicted[0] != (k{"x", 1}) {
+		t.Fatalf("evicted %v, want the least recent {x 1}", evicted)
+	}
+	c.Put(k{"x", 0}, "x0'", 5) // replace shrinks
+	if c.SizeBytes() != 15 || c.Len() != 2 {
+		t.Fatalf("size=%d len=%d, want 15/2", c.SizeBytes(), c.Len())
+	}
+	if v, _ := c.Get(k{"x", 0}); v != "x0'" {
+		t.Fatalf("replaced value = %v", v)
 	}
 }

@@ -2,7 +2,6 @@ package cache
 
 import (
 	"context"
-	"fmt"
 	"sync/atomic"
 
 	"blendhouse/internal/obs"
@@ -29,19 +28,31 @@ func DefaultColumnCacheConfig() ColumnCacheConfig {
 	return ColumnCacheConfig{DataBytes: 256 << 20, MetaBytes: 32 << 20, RowLimit: 100_000}
 }
 
+// granuleKey addresses one cached piece of a column. It is a struct,
+// not a rendered path, so a lookup hashes the segment's own strings in
+// place and allocates nothing.
+type granuleKey struct {
+	table, seg, col string
+	// block is the granule number, or wholeColumn for the entry holding
+	// the entire decoded column.
+	block int32
+}
+
+const wholeColumn = -1
+
 // ColumnCache caches decoded column granules in front of a (remote)
 // blob store. It is the READ_Opt of paper §V-B8.
 type ColumnCache struct {
 	cfg  ColumnCacheConfig
-	data *LRU
-	meta *LRU
+	data *LRU[granuleKey]
+	meta *LRU[string]
 
 	bypasses atomic.Int64
 }
 
 // NewColumnCache builds the two cache spaces.
 func NewColumnCache(cfg ColumnCacheConfig) *ColumnCache {
-	return &ColumnCache{cfg: cfg, data: NewLRU(cfg.DataBytes), meta: NewLRU(cfg.MetaBytes)}
+	return &ColumnCache{cfg: cfg, data: NewLRU[granuleKey](cfg.DataBytes), meta: NewLRU[string](cfg.MetaBytes)}
 }
 
 // Stats exposes hit/miss/bypass counters for the workload-aware
@@ -49,10 +60,6 @@ func NewColumnCache(cfg ColumnCacheConfig) *ColumnCache {
 func (c *ColumnCache) Stats() (dataHits, dataMisses, bypasses int64) {
 	h, m := c.data.Stats()
 	return h, m, c.bypasses.Load()
-}
-
-func blockKey(table, seg, col string, block int) string {
-	return fmt.Sprintf("%s/%s/%s/#%d", table, seg, col, block)
 }
 
 // ReadRows reads the requested rows of a column through the cache.
@@ -76,77 +83,26 @@ func (c *ColumnCache) ReadRowsTally(ctx context.Context, reader *storage.Segment
 	return c.readRowsCached(ctx, reader, col, rows, tally)
 }
 
-// readRowsCached fetches per-granule column pieces from the data
-// space, loading misses block by block.
+// readRowsCached assembles the rows from per-granule pieces held in
+// the data space, loading a missing granule with one range read. Each
+// distinct granule the rows touch is looked up — and tallied as hit or
+// miss — exactly once per read; a warm read allocates only its output.
 func (c *ColumnCache) readRowsCached(ctx context.Context, reader *storage.SegmentReader, col string, rows []int, tally *obs.CacheTally) (*storage.ColumnData, error) {
-	ci, def := reader.Schema.Col(col)
-	if ci < 0 {
-		return nil, fmt.Errorf("cache: column %q not in schema", col)
-	}
-	var cm *storage.ColumnMeta
-	for i := range reader.Meta.Columns {
-		if reader.Meta.Columns[i].Name == col {
-			cm = &reader.Meta.Columns[i]
-			break
+	key := granuleKey{table: reader.Meta.Table, seg: reader.Meta.Name, col: col}
+	return reader.GatherRows(col, rows, func(block int) (*storage.ColumnData, error) {
+		key.block = int32(block)
+		if v, hit := c.data.Get(key); hit {
+			tally.Hit()
+			return v.(*storage.ColumnData), nil
 		}
-	}
-	if cm == nil {
-		return nil, fmt.Errorf("cache: column %q not in segment %s", col, reader.Meta.Name)
-	}
-	// Block start offsets.
-	starts := make([]int, len(cm.Blocks))
-	acc := 0
-	for i, b := range cm.Blocks {
-		starts[i] = acc
-		acc += b.Rows
-	}
-	locate := func(row int) int {
-		lo, hi := 0, len(starts)
-		for lo < hi {
-			mid := (lo + hi) / 2
-			if starts[mid] <= row {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
+		tally.Miss()
+		blk, size, err := reader.ReadGranuleCtx(ctx, col, block)
+		if err != nil {
+			return nil, err
 		}
-		return lo - 1
-	}
-	blocks := map[int]*storage.ColumnData{}
-	out := storage.NewColumnData(*def)
-	for _, row := range rows {
-		if row < 0 || row >= acc {
-			return nil, fmt.Errorf("cache: row %d out of range [0,%d)", row, acc)
-		}
-		bi := locate(row)
-		blk, ok := blocks[bi]
-		if !ok {
-			key := blockKey(reader.Meta.Table, reader.Meta.Name, col, bi)
-			if v, hit := c.data.Get(key); hit {
-				tally.Hit()
-				blk = v.(*storage.ColumnData)
-			} else {
-				tally.Miss()
-				var err error
-				blk, err = reader.ReadRowsCtx(ctx, col, blockRowsRange(starts[bi], cm.Blocks[bi].Rows))
-				if err != nil {
-					return nil, err
-				}
-				c.data.Put(key, blk, cm.Blocks[bi].Length)
-			}
-			blocks[bi] = blk
-		}
-		out.AppendRow(blk, row-starts[bi])
-	}
-	return out, nil
-}
-
-func blockRowsRange(start, n int) []int {
-	out := make([]int, n)
-	for i := range out {
-		out[i] = start + i
-	}
-	return out
+		c.data.Put(key, blk, size)
+		return blk, nil
+	})
 }
 
 // ReadColumn reads a whole column through the cache — the structured
@@ -159,7 +115,7 @@ func (c *ColumnCache) ReadColumn(reader *storage.SegmentReader, col string) (*st
 // ReadColumnTally is ReadColumn with a context bounding the blob read
 // and an optional per-query trace tally.
 func (c *ColumnCache) ReadColumnTally(ctx context.Context, reader *storage.SegmentReader, col string, tally *obs.CacheTally) (*storage.ColumnData, error) {
-	key := reader.Meta.Table + "/" + reader.Meta.Name + "/" + col + "/#all"
+	key := granuleKey{table: reader.Meta.Table, seg: reader.Meta.Name, col: col, block: wholeColumn}
 	if v, ok := c.data.Get(key); ok {
 		tally.Hit()
 		return v.(*storage.ColumnData), nil

@@ -31,10 +31,10 @@ type HierStats struct {
 // per-index headers) lives in a separate memory space from index data
 // so the two access patterns don't evict each other.
 type IndexCache struct {
-	mem        *LRU // deserialized indexes, keyed by blob key
-	meta       *LRU // small metadata entries, separate space
+	mem        *LRU[string] // deserialized indexes, keyed by blob key
+	meta       *LRU[string] // small metadata entries, separate space
 	disk       storage.BlobStore
-	diskBudget *LRU // tracks which keys are on local disk, size-aware
+	diskBudget *LRU[string] // tracks which keys are on local disk, size-aware
 	remote     storage.BlobStore
 
 	loadMu sync.Mutex // serializes remote loads of the same key (simple global single-flight)
@@ -58,13 +58,13 @@ func DefaultConfig() Config {
 // memory-over-remote only.
 func NewIndexCache(cfg Config, disk, remote storage.BlobStore) *IndexCache {
 	c := &IndexCache{
-		mem:    NewLRU(cfg.MemBytes),
-		meta:   NewLRU(cfg.MetaBytes),
+		mem:    NewLRU[string](cfg.MemBytes),
+		meta:   NewLRU[string](cfg.MetaBytes),
 		disk:   disk,
 		remote: remote,
 	}
 	if disk != nil {
-		c.diskBudget = NewLRU(cfg.DiskBytes)
+		c.diskBudget = NewLRU[string](cfg.DiskBytes)
 		c.diskBudget.SetOnEvict(func(key string, _ any) {
 			// Budget exceeded: drop the local copy; remote remains.
 			// Safe against the evict-vs-reinsert race in the SetOnEvict

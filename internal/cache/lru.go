@@ -15,20 +15,22 @@ import (
 )
 
 // LRU is a byte-size-aware least-recently-used cache, safe for
-// concurrent use. Values are opaque; callers supply each entry's size.
-type LRU struct {
+// concurrent use, over any comparable key: blob caches key by string,
+// the column cache by a granule-address struct that hashes in place.
+// Values are opaque; callers supply each entry's size.
+type LRU[K comparable] struct {
 	mu       sync.Mutex
 	capBytes int64
 	size     int64
 	ll       *list.List
-	items    map[string]*list.Element
-	onEvict  func(key string, value any)
+	items    map[K]*list.Element
+	onEvict  func(key K, value any)
 
 	hits, misses int64
 }
 
-type lruEntry struct {
-	key   string
+type lruEntry[K comparable] struct {
+	key   K
 	value any
 	size  int64
 }
@@ -36,8 +38,8 @@ type lruEntry struct {
 // NewLRU returns a cache bounded to capBytes. capBytes <= 0 means the
 // cache stores nothing (every Get misses), which callers use to
 // disable a tier.
-func NewLRU(capBytes int64) *LRU {
-	return &LRU{capBytes: capBytes, ll: list.New(), items: map[string]*list.Element{}}
+func NewLRU[K comparable](capBytes int64) *LRU[K] {
+	return &LRU[K]{capBytes: capBytes, ll: list.New(), items: map[K]*list.Element{}}
 }
 
 // SetOnEvict installs an eviction callback (e.g. deleting the local
@@ -54,27 +56,27 @@ func NewLRU(capBytes int64) *LRU {
 // backing. Callers that cannot scope cleanup to the value must
 // serialize Put and the cleanup externally (as IndexCache does with
 // its load lock).
-func (c *LRU) SetOnEvict(fn func(key string, value any)) {
+func (c *LRU[K]) SetOnEvict(fn func(key K, value any)) {
 	c.mu.Lock()
 	c.onEvict = fn
 	c.mu.Unlock()
 }
 
 // Get returns the cached value and marks it most-recently-used.
-func (c *LRU) Get(key string) (any, bool) {
+func (c *LRU[K]) Get(key K) (any, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.items[key]; ok {
 		c.ll.MoveToFront(el)
 		c.hits++
-		return el.Value.(*lruEntry).value, true
+		return el.Value.(*lruEntry[K]).value, true
 	}
 	c.misses++
 	return nil, false
 }
 
 // Contains reports presence without touching recency or stats.
-func (c *LRU) Contains(key string) bool {
+func (c *LRU[K]) Contains(key K) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	_, ok := c.items[key]
@@ -92,23 +94,23 @@ func (c *LRU) Contains(key string) bool {
 // consult cache state) would otherwise deadlock. The flip side is that
 // a callback can interleave with a concurrent re-insert of the same
 // key — see the SetOnEvict contract.
-func (c *LRU) Put(key string, value any, size int64) bool {
+func (c *LRU[K]) Put(key K, value any, size int64) bool {
 	c.mu.Lock()
 	if c.capBytes <= 0 || size > c.capBytes {
 		c.mu.Unlock()
 		return false
 	}
 	if el, ok := c.items[key]; ok {
-		e := el.Value.(*lruEntry)
+		e := el.Value.(*lruEntry[K])
 		c.size += size - e.size
 		e.value, e.size = value, size
 		c.ll.MoveToFront(el)
 	} else {
-		el := c.ll.PushFront(&lruEntry{key, value, size})
+		el := c.ll.PushFront(&lruEntry[K]{key, value, size})
 		c.items[key] = el
 		c.size += size
 	}
-	var evicted []*lruEntry
+	var evicted []*lruEntry[K]
 	for c.size > c.capBytes {
 		e := c.evictOldest()
 		if e == nil {
@@ -127,11 +129,11 @@ func (c *LRU) Put(key string, value any, size int64) bool {
 }
 
 // Remove drops an entry without invoking the eviction callback.
-func (c *LRU) Remove(key string) {
+func (c *LRU[K]) Remove(key K) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.items[key]; ok {
-		e := el.Value.(*lruEntry)
+		e := el.Value.(*lruEntry[K])
 		c.ll.Remove(el)
 		delete(c.items, key)
 		c.size -= e.size
@@ -140,12 +142,12 @@ func (c *LRU) Remove(key string) {
 
 // evictOldest pops the LRU entry under c.mu; the caller fires the
 // eviction callback after unlocking.
-func (c *LRU) evictOldest() *lruEntry {
+func (c *LRU[K]) evictOldest() *lruEntry[K] {
 	el := c.ll.Back()
 	if el == nil {
 		return nil
 	}
-	e := el.Value.(*lruEntry)
+	e := el.Value.(*lruEntry[K])
 	c.ll.Remove(el)
 	delete(c.items, e.key)
 	c.size -= e.size
@@ -153,31 +155,31 @@ func (c *LRU) evictOldest() *lruEntry {
 }
 
 // Len returns the number of entries.
-func (c *LRU) Len() int {
+func (c *LRU[K]) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return len(c.items)
 }
 
 // SizeBytes returns the summed entry sizes.
-func (c *LRU) SizeBytes() int64 {
+func (c *LRU[K]) SizeBytes() int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.size
 }
 
 // Stats returns hit/miss counters.
-func (c *LRU) Stats() (hits, misses int64) {
+func (c *LRU[K]) Stats() (hits, misses int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.hits, c.misses
 }
 
 // Purge empties the cache without callbacks.
-func (c *LRU) Purge() {
+func (c *LRU[K]) Purge() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.ll = list.New()
-	c.items = map[string]*list.Element{}
+	c.items = map[K]*list.Element{}
 	c.size = 0
 }

@@ -28,20 +28,17 @@ import (
 // slot.
 func (e *Engine) Batcher() *batch.Scheduler { return e.batcher }
 
-// BatchRoutes reports whether src would route through the batching
-// scheduler: a parseable SELECT on an engine with batching enabled.
-// The server skips per-statement admission for routed statements —
-// the scheduler acquires one slot per formed group instead.
+// BatchRoutes reports whether src routes through the batching
+// scheduler: a statement whose first keyword is SELECT, on an engine
+// with batching enabled (EXPLAIN SELECT is an EXPLAIN and does not).
+// The server skips per-statement admission for routed statements — the
+// scheduler acquires one slot per formed group instead. Only the first
+// token is lexed; Query does the one parse. A routed SELECT that then
+// fails to parse or plan returns its error from Query before it
+// reaches the scheduler, so it holds no admission slot at all — right
+// for a statement that does no work.
 func (e *Engine) BatchRoutes(src string) bool {
-	if e.batcher == nil {
-		return false
-	}
-	st, err := sql.Parse(src)
-	if err != nil {
-		return false
-	}
-	_, ok := st.(*sql.Select)
-	return ok
+	return e.batcher != nil && sql.LeadsWith(src, "SELECT")
 }
 
 // batchItem is the scheduler payload: one planned SELECT.
@@ -52,8 +49,9 @@ type batchItem struct {
 }
 
 // batchSubmit routes a planned SELECT through the scheduler. Every
-// routed statement goes through it — ungroupable ones run as solo
-// groups so admission accounting stays one-slot-per-group either way.
+// routed statement goes through it — ungroupable ones run solo, inline
+// on this goroutine, still through the scheduler's gate, so admission
+// accounting stays one slot per run either way.
 func (e *Engine) batchSubmit(ctx context.Context, t *lsm.Table, ph *plan.Physical, opts QueryOptions) (*exec.Result, error) {
 	table := t.Name()
 	ex := e.Executor(table)

@@ -666,11 +666,16 @@ func (e *Executor) postFilterSegment(ctx context.Context, lg *plan.Logical, pred
 	if err != nil {
 		return nil, err
 	}
-	var out []hit
+	// At most k hits leave a segment, and never more than it has rows.
+	out := make([]hit, 0, min(k, m.Rows))
 	batch := k
 	if batch < 16 {
 		batch = 16
 	}
+	// Candidate rows, the candidates they came from and their verdicts
+	// live in pooled scratch, reused across iterator batches.
+	s := getScratch()
+	defer putScratch(s)
 	batches := 0
 	for len(out) < k {
 		if err := ctx.Err(); err != nil {
@@ -685,35 +690,31 @@ func (e *Executor) postFilterSegment(ctx context.Context, lg *plan.Logical, pred
 		}
 		batches++
 		// Evaluate predicates only on the candidate rows.
-		rows := make([]int, 0, len(cands))
-		kept := make([]index.Candidate, 0, len(cands))
+		s.rows, s.cands, s.pass = s.rows[:0], s.cands[:0], s.pass[:0]
 		for _, c := range cands {
 			if del != nil && del.Test(int(c.ID)) {
 				continue
 			}
-			rows = append(rows, int(c.ID))
-			kept = append(kept, c)
+			s.rows = append(s.rows, int(c.ID))
+			s.cands = append(s.cands, c)
+			s.pass = append(s.pass, true)
 		}
-		if len(rows) == 0 {
+		if len(s.rows) == 0 {
 			continue
 		}
-		pass := make([]bool, len(rows))
-		for i := range pass {
-			pass[i] = true
-		}
 		for _, p := range preds {
-			col, err := e.readRows(ctx, rd, p.col, rows, len(rows), tr)
+			col, err := e.readRows(ctx, rd, p.col, s.rows, len(s.rows), tr)
 			if err != nil {
 				return nil, err
 			}
-			for i := range rows {
-				if pass[i] && !p.eval(col, i) {
-					pass[i] = false
+			for i := range s.rows {
+				if s.pass[i] && !p.eval(col, i) {
+					s.pass[i] = false
 				}
 			}
 		}
-		for i, c := range kept {
-			if pass[i] {
+		for i, c := range s.cands {
+			if s.pass[i] {
 				out = append(out, hit{meta: m, offset: int(c.ID), dist: c.Dist})
 				if len(out) == k {
 					break
@@ -946,84 +947,94 @@ func (e *Executor) assemble(ctx context.Context, lg *plan.Logical, hits []hit, p
 	if len(hits) == 0 {
 		return res, nil
 	}
-	// Group hits by segment, fetch each needed column once per
-	// segment (concurrently across segments), then emit in global
-	// order.
-	bySeg := map[string][]int{} // segment -> indices into hits
-	var segOrder []*storage.SegmentMeta
-	for i, h := range hits {
-		if _, seen := bySeg[h.meta.Name]; !seen {
-			segOrder = append(segOrder, h.meta)
-		}
-		bySeg[h.meta.Name] = append(bySeg[h.meta.Name], i)
-	}
-	type colKey struct{ seg, col string }
+	// Group hits by segment in first-appearance order, fetch each needed
+	// column once per segment (concurrently across segments), then emit
+	// in hit order. Everything is positional — at[i] says which segment
+	// hit i belongs to and where its row sits in that segment's fetch —
+	// so no map is built per query.
 	type segFetch struct {
-		cols map[string]*storage.ColumnData
-		pos  map[int]int // hit idx -> position in fetched rows
+		meta *storage.SegmentMeta
+		n    int                   // hits in this segment
+		rows []int                 // their row offsets, in hit order
+		cols []*storage.ColumnData // one per projection column (nil for the distance alias)
+	}
+	type place struct{ seg, pos int }
+	segs := make([]segFetch, 0, 8)
+	at := make([]place, len(hits))
+	for i, h := range hits {
+		si := -1
+		for j := len(segs) - 1; j >= 0; j-- { // newest first: hits grouped by segment match at once
+			if segs[j].meta.Name == h.meta.Name {
+				si = j
+				break
+			}
+		}
+		if si < 0 {
+			si = len(segs)
+			segs = append(segs, segFetch{meta: h.meta})
+		}
+		at[i] = place{si, segs[si].n}
+		segs[si].n++
+	}
+	offsets := make([]int, len(hits))
+	fetched := make([]*storage.ColumnData, len(segs)*len(cols))
+	off := 0
+	for si := range segs {
+		segs[si].rows = offsets[off : off+segs[si].n]
+		segs[si].cols = fetched[si*len(cols) : (si+1)*len(cols)]
+		off += segs[si].n
+	}
+	for i, h := range hits {
+		segs[at[i].seg].rows[at[i].pos] = h.offset
 	}
 	memSnaps := memSnapshotIndex(view.Mem)
-	fetches, err := gatherSegments(ctx, segOrder, par, func(ctx context.Context, _ int, m *storage.SegmentMeta) (segFetch, error) {
-		idxs := bySeg[m.Name]
-		rows := make([]int, len(idxs))
-		pos := map[int]int{}
-		for i, hi := range idxs {
-			rows[i] = hits[hi].offset
-			pos[hi] = i
-		}
-		sf := segFetch{cols: map[string]*storage.ColumnData{}, pos: pos}
-		if snap, ok := memSnaps[m.Name]; ok {
-			for _, c := range cols {
-				if c == lg.DistAlias && lg.DistAlias != "" {
-					continue
-				}
-				cd := memFetchColumn(snap, c, rows)
-				if cd == nil {
-					return segFetch{}, fmt.Errorf("%w: unknown column %q", ErrInvalidQuery, c)
-				}
-				sf.cols[c] = cd
+	err := poolRun(ctx, len(segs), par, func(ctx context.Context, si int) error {
+		sf := &segs[si]
+		snap, inMem := memSnaps[sf.meta.Name]
+		var rd *storage.SegmentReader
+		if !inMem {
+			var err error
+			if rd, err = e.Table.Reader(sf.meta.Name); err != nil {
+				return err
 			}
-			return sf, nil
 		}
-		rd, err := e.Table.Reader(m.Name)
-		if err != nil {
-			return segFetch{}, err
-		}
-		for _, c := range cols {
+		for ci, c := range cols {
 			if c == lg.DistAlias && lg.DistAlias != "" {
 				continue
 			}
-			cd, err := e.readRows(ctx, rd, c, rows, len(hits), tr)
-			if err != nil {
-				return segFetch{}, err
+			if inMem {
+				if sf.cols[ci] = memFetchColumn(snap, c, sf.rows); sf.cols[ci] == nil {
+					return fmt.Errorf("%w: unknown column %q", ErrInvalidQuery, c)
+				}
+				continue
 			}
-			sf.cols[c] = cd
+			cd, err := e.readRows(ctx, rd, c, sf.rows, len(hits), tr)
+			if err != nil {
+				return err
+			}
+			sf.cols[ci] = cd
 		}
-		return sf, nil
+		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	fetched := map[colKey]*storage.ColumnData{}
-	rowPos := map[string]map[int]int{}
-	for i, m := range segOrder {
-		rowPos[m.Name] = fetches[i].pos
-		for c, cd := range fetches[i].cols {
-			fetched[colKey{m.Name, c}] = cd
-		}
-	}
-	for hi, h := range hits {
-		row := make([]any, len(cols))
+	// One backing array of cells, cut into rows (capacity-limited, so a
+	// caller appending to one row cannot write into the next).
+	nc := len(cols)
+	cells := make([]any, len(hits)*nc)
+	res.Rows = make([][]any, len(hits))
+	for i, h := range hits {
+		row := cells[i*nc : (i+1)*nc : (i+1)*nc]
+		sf := &segs[at[i].seg]
 		for ci, c := range cols {
 			if c == lg.DistAlias && lg.DistAlias != "" {
 				row[ci] = outputDistance(lg.Metric, h.dist)
 				continue
 			}
-			cd := fetched[colKey{h.meta.Name, c}]
-			p := rowPos[h.meta.Name][hi]
-			row[ci] = columnValue(cd, p)
+			row[ci] = columnValue(sf.cols[ci], at[i].pos)
 		}
-		res.Rows = append(res.Rows, row)
+		res.Rows[i] = row
 	}
 	return res, nil
 }

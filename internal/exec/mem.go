@@ -106,7 +106,7 @@ func memFetchColumn(snap *wal.MemSnapshot, col string, rows []int) *storage.Colu
 	if src == nil {
 		return nil
 	}
-	out := storage.NewColumnData(src.Def)
+	out := storage.NewColumnDataCap(src.Def, len(rows))
 	for _, r := range rows {
 		out.AppendRow(src, r)
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand/v2"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -211,10 +212,16 @@ type Span struct {
 	ended    bool
 	attrs    []Attr
 	children []*Span
+
+	// attrBuf is inline room for the first attributes: most spans carry
+	// four or fewer, so attrs starts as a slice of it and only a fifth
+	// attribute allocates.
+	attrBuf [4]Attr
 }
 
 func newSpan(name string, gen *atomic.Int64) *Span {
 	s := &Span{name: name, start: Now(), gen: gen}
+	s.attrs = s.attrBuf[:0]
 	if gen != nil {
 		s.id = gen.Add(1)
 	}
@@ -280,15 +287,15 @@ func (s *Span) SetInt(key string, v int64) {
 	if s == nil {
 		return
 	}
-	s.Set(key, fmt.Sprintf("%d", v))
+	s.Set(key, strconv.FormatInt(v, 10))
 }
 
-// SetFloat records a float attribute with compact formatting.
+// SetFloat records a float attribute with compact formatting (%.4g).
 func (s *Span) SetFloat(key string, v float64) {
 	if s == nil {
 		return
 	}
-	s.Set(key, fmt.Sprintf("%.4g", v))
+	s.Set(key, strconv.FormatFloat(v, 'g', 4, 64))
 }
 
 // SetBool records a boolean attribute.
@@ -296,7 +303,7 @@ func (s *Span) SetBool(key string, v bool) {
 	if s == nil {
 		return
 	}
-	s.Set(key, fmt.Sprintf("%t", v))
+	s.Set(key, strconv.FormatBool(v))
 }
 
 // SetDur records a duration attribute.

@@ -1,6 +1,8 @@
 package obs
 
 import (
+	"fmt"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -104,5 +106,64 @@ func TestSpanEndIdempotent(t *testing.T) {
 	sp.End()
 	if sp.Duration() != d {
 		t.Fatal("second End must not overwrite the duration")
+	}
+}
+
+// TestSpanAttrRendering: the typed setters format through strconv, and
+// must render exactly what the fmt verbs they replaced rendered —
+// EXPLAIN ANALYZE, SHOW TRACES and /debug/traces print these strings.
+func TestSpanAttrRendering(t *testing.T) {
+	sp := NewTrace("q").Span()
+	var want []string
+	for _, v := range []int64{0, 1, -1, 42, 1 << 40, math.MinInt64, math.MaxInt64} {
+		sp.SetInt("i", v)
+		want = append(want, fmt.Sprintf("%d", v))
+	}
+	for _, v := range []float64{0, 0.5, 0.25, 1, 1.23456789, 12345.678, 1e6, 1e21, 1e-7, 2.0 / 3, -3.14159,
+		math.Inf(1), math.Inf(-1), math.NaN(), math.SmallestNonzeroFloat64, math.MaxFloat64} {
+		sp.SetFloat("f", v)
+		want = append(want, fmt.Sprintf("%.4g", v))
+	}
+	for _, v := range []bool{true, false} {
+		sp.SetBool("b", v)
+		want = append(want, fmt.Sprintf("%t", v))
+	}
+	attrs := sp.Attrs()
+	if len(attrs) != len(want) {
+		t.Fatalf("%d attrs recorded, want %d", len(attrs), len(want))
+	}
+	for i, a := range attrs {
+		if a.Val != want[i] {
+			t.Errorf("attr %d (%s) rendered %q, fmt renders %q", i, a.Key, a.Val, want[i])
+		}
+	}
+}
+
+// TestSpanInlineAttrs: a span holds its first four attributes inline;
+// a typed setter costs the value string and nothing else, and spilling
+// past four keeps every attribute in order.
+func TestSpanInlineAttrs(t *testing.T) {
+	root := NewTrace("q").Span()
+	if allocs := testing.AllocsPerRun(100, func() {
+		sp := root.Child("scan") // the span itself (+ the parent's child list growing)
+		sp.SetInt("rows", 3000)
+		sp.SetInt("candidates", 10)
+		sp.SetBool("semantic", false)
+		sp.Set("strategy", "pre-filter")
+	}); allocs > 4 {
+		t.Fatalf("a span with four attributes allocated %.0f times, want <= 4", allocs)
+	}
+	sp := root.Child("wide")
+	for i := 0; i < 9; i++ {
+		sp.SetInt("k", int64(i))
+	}
+	attrs := sp.Attrs()
+	if len(attrs) != 9 {
+		t.Fatalf("%d attrs, want 9", len(attrs))
+	}
+	for i, a := range attrs {
+		if a.Val != fmt.Sprint(i) {
+			t.Fatalf("attr %d = %q after spilling past the inline room", i, a.Val)
+		}
 	}
 }

@@ -63,7 +63,7 @@ func (l *Lexer) Next() (Token, error) {
 		return Token{Kind: TokIdent, Text: l.src[start:l.pos], Pos: start}, nil
 	case strings.ContainsRune("(),[];.*", rune(c)):
 		l.pos++
-		return Token{Kind: TokPunct, Text: string(c), Pos: start}, nil
+		return Token{Kind: TokPunct, Text: l.src[start:l.pos], Pos: start}, nil
 	case c == '=':
 		l.pos++
 		return Token{Kind: TokOp, Text: "=", Pos: start}, nil
@@ -82,6 +82,20 @@ func (l *Lexer) Next() (Token, error) {
 	default:
 		return Token{}, fmt.Errorf("sql: unexpected character %q at %d", c, start)
 	}
+}
+
+// listLen sizes the bracketed list opening at src[open]: one element
+// per comma before the closing bracket, plus one. A hint, not a parse —
+// elements separated by spaces alone are undercounted and grow by
+// append.
+func (l *Lexer) listLen(open int) int {
+	n := 1
+	for i := open + 1; i < len(l.src) && l.src[i] != ']'; i++ {
+		if l.src[i] == ',' {
+			n++
+		}
+	}
+	return n
 }
 
 func (l *Lexer) skipSpace() {
@@ -155,6 +169,15 @@ func (l *Lexer) lexNumber() (Token, error) {
 func isDigit(c byte) bool      { return c >= '0' && c <= '9' }
 func isIdentStart(c byte) bool { return c == '_' || unicode.IsLetter(rune(c)) }
 func isIdentPart(c byte) bool  { return isIdentStart(c) || isDigit(c) }
+
+// LeadsWith reports whether the first token of src is the keyword kw
+// (case-insensitive; leading space and comments skipped). It lexes one
+// token and allocates nothing, for callers that route on the statement
+// kind before — or instead of — parsing.
+func LeadsWith(src, kw string) bool {
+	t, err := NewLexer(src).Next()
+	return err == nil && t.Kind == TokIdent && strings.EqualFold(t.Text, kw)
+}
 
 // Tokenize runs the lexer to completion (testing helper).
 func Tokenize(src string) ([]Token, error) {

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+
+	"blendhouse/internal/obs"
 )
 
 // Parser is a hand-written recursive-descent parser with one token of
@@ -14,8 +16,15 @@ type Parser struct {
 	peek *Token
 }
 
+// mParses counts Parse calls (bh.sql.parses). A served statement is
+// parsed exactly once, so over any interval it moves in step with the
+// statements executed; a layer that parses again just to classify a
+// statement shows up as a ratio above one.
+var mParses = obs.Default().Counter("bh.sql.parses")
+
 // Parse parses a single statement (a trailing semicolon is allowed).
 func Parse(src string) (Statement, error) {
+	mParses.Inc()
 	p := &Parser{lex: NewLexer(src)}
 	if err := p.advance(); err != nil {
 		return nil, err
@@ -630,10 +639,14 @@ func (p *Parser) literal() (any, error) {
 }
 
 func (p *Parser) vectorLiteral() ([]float32, error) {
+	open := p.tok.Pos
 	if err := p.expectPunct("["); err != nil {
 		return nil, err
 	}
 	var out []float32
+	if p.tok.Kind == TokNumber {
+		out = make([]float32, 0, p.lex.listLen(open))
+	}
 	for p.tok.Kind == TokNumber {
 		f, err := strconv.ParseFloat(p.tok.Text, 32)
 		if err != nil {

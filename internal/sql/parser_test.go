@@ -308,3 +308,95 @@ func TestParseBackupRestore(t *testing.T) {
 		}
 	}
 }
+
+// benchSelect is the shape of the served hybrid statements: a filtered
+// top-k whose query vector is a dim-element literal.
+func benchSelect(dim int) string {
+	var b strings.Builder
+	b.WriteString("SELECT id, attr, d FROM items WHERE attr < 500000 ORDER BY L2Distance(v, [")
+	for i := 0; i < dim; i++ {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		b.WriteString("0.")
+		b.WriteString(strings.Repeat("37", 1+i%3))
+	}
+	b.WriteString("]) AS d LIMIT 10")
+	return b.String()
+}
+
+// TestParseAllocs bounds what one parse of a 128-d filtered top-k
+// costs: punctuation tokens slice the source and the vector literal is
+// sized once, so the count no longer scales with the dimension (it was
+// 153 with a 1-byte string per comma).
+func TestParseAllocs(t *testing.T) {
+	src := benchSelect(128)
+	sel := mustParse(t, src).(*Select)
+	if got := len(sel.OrderBy.Distance.Query); got != 128 {
+		t.Fatalf("query vector has %d elements, want 128", got)
+	}
+	if allocs := testing.AllocsPerRun(50, func() {
+		if _, err := Parse(src); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs > 25 {
+		t.Fatalf("Parse of a 128-d SELECT allocated %.0f times, want <= 25", allocs)
+	}
+}
+
+func TestVectorLiteralShapes(t *testing.T) {
+	for src, want := range map[string][]float32{
+		`[1, 2, 3]`: {1, 2, 3},
+		`[1 2 3]`:   {1, 2, 3}, // separators are optional: the comma count only sizes the slice
+		`[1, 2, ]`:  {1, 2},
+		`[-0.5]`:    {-0.5},
+		`[]`:        nil,
+	} {
+		ins := mustParse(t, `INSERT INTO t VALUES (`+src+`)`).(*Insert)
+		got := ins.Rows[0][0].([]float32)
+		if len(got) != len(want) || (want == nil) != (got == nil) {
+			t.Fatalf("%s parsed to %v, want %v", src, got, want)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%s parsed to %v, want %v", src, got, want)
+			}
+		}
+	}
+	if _, err := Parse(`INSERT INTO t VALUES ([1, 2`); err == nil {
+		t.Fatal("unterminated vector literal should fail")
+	}
+}
+
+func TestLeadsWith(t *testing.T) {
+	for src, want := range map[string]bool{
+		"SELECT 1":                       true,
+		"  \n-- why\n select id FROM t":  true,
+		"SELECT":                         true,
+		"SELECT garbage that won't [":    true, // the kind is the first keyword, whatever follows
+		"EXPLAIN SELECT id FROM t":       false,
+		"EXPLAIN ANALYZE SELECT 1":       false,
+		"INSERT INTO t VALUES (1)":       false,
+		"SELECTED":                       false,
+		"'SELECT'":                       false,
+		"":                               false,
+		"! SELECT":                       false,
+		"(SELECT 1)":                     false,
+		"SET batch = off":                false,
+		"SHOW TABLES":                    false,
+		"selecT id from t":               true,
+		"\tSELECT\tid FROM t":            true,
+		"select/**/1":                    true,
+		"select*from t":                  true,
+		"-- only a comment":              false,
+		"-- SELECT hidden\nDROP TABLE t": false,
+	} {
+		if got := LeadsWith(src, "SELECT"); got != want {
+			t.Errorf("LeadsWith(%q, SELECT) = %t, want %t", src, got, want)
+		}
+	}
+	src := benchSelect(128)
+	if allocs := testing.AllocsPerRun(50, func() { LeadsWith(src, "SELECT") }); allocs != 0 {
+		t.Fatalf("LeadsWith allocated %.0f times, want 0", allocs)
+	}
+}

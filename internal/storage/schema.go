@@ -136,6 +136,23 @@ func NewColumnData(def ColumnDef) *ColumnData {
 	return &ColumnData{Def: def}
 }
 
+// NewColumnDataCap returns an empty column buffer for def with room
+// for rows rows, for callers that know how many they will append.
+func NewColumnDataCap(def ColumnDef, rows int) *ColumnData {
+	c := &ColumnData{Def: def}
+	switch def.Type {
+	case Int64Type, DateTimeType:
+		c.Ints = make([]int64, 0, rows)
+	case Float64Type:
+		c.Floats = make([]float64, 0, rows)
+	case StringType:
+		c.Strs = make([]string, 0, rows)
+	case VectorType:
+		c.Vecs = make([]float32, 0, rows*def.Dim)
+	}
+	return c
+}
+
 // Len returns the number of rows stored.
 func (c *ColumnData) Len() int {
 	switch c.Def.Type {

@@ -7,7 +7,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
-	"sort"
 )
 
 // DefaultBlockRows is the granule size: the smallest unit of column
@@ -29,6 +28,44 @@ type BlockMeta struct {
 type ColumnMeta struct {
 	Name   string      `json:"name"`
 	Blocks []BlockMeta `json:"blocks"`
+
+	// starts is the granule directory: starts[i] is the segment row
+	// granule i begins at, starts[len(Blocks)] the column's row count.
+	// It is derived from Blocks when the metadata is opened (ReadMeta,
+	// WriteSegment) and never serialised, so a row is located by binary
+	// search without rebuilding the prefix sums per read.
+	starts []int
+}
+
+// buildGranuleDirectory derives every column's granule directory.
+func (m *SegmentMeta) buildGranuleDirectory() {
+	for ci := range m.Columns {
+		cm := &m.Columns[ci]
+		cm.starts = make([]int, len(cm.Blocks)+1)
+		for i, b := range cm.Blocks {
+			cm.starts[i+1] = cm.starts[i] + b.Rows
+		}
+	}
+}
+
+// Granule locates a segment row in the column: the granule holding it
+// and the row that granule starts at. ok is false for a row outside
+// the column.
+func (cm *ColumnMeta) Granule(row int) (block, start int, ok bool) {
+	if len(cm.starts) == 0 || row < 0 || row >= cm.starts[len(cm.starts)-1] {
+		return 0, 0, false
+	}
+	// Last granule whose start is <= row.
+	lo, hi := 0, len(cm.Blocks)
+	for lo < hi {
+		mid := (lo + hi) / 2
+		if cm.starts[mid] <= row {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo - 1, cm.starts[lo-1], true
 }
 
 // SegmentMeta describes one immutable segment: identity, row count,
@@ -115,6 +152,7 @@ func WriteSegment(store BlobStore, meta SegmentMeta, batch *RowBatch, blockRows 
 	if err := store.Put(MetaKey(meta.Table, meta.Name), mj); err != nil {
 		return nil, fmt.Errorf("storage: writing meta: %w", err)
 	}
+	meta.buildGranuleDirectory()
 	return &meta, nil
 }
 
@@ -269,6 +307,7 @@ func ReadMeta(store BlobStore, table, seg string) (*SegmentMeta, error) {
 	if err := json.Unmarshal(data, &m); err != nil {
 		return nil, fmt.Errorf("storage: parsing meta of %s/%s: %w", table, seg, err)
 	}
+	m.buildGranuleDirectory()
 	return &m, nil
 }
 
@@ -330,7 +369,7 @@ func (r *SegmentReader) ReadColumnCtx(ctx context.Context, name string) (*Column
 }
 
 // ReadRows fetches only the granules containing the requested row
-// offsets (ascending duplicates allowed) and returns values aligned
+// offsets (any order, duplicates allowed) and returns values aligned
 // with rows. This is the reduced-granularity read path: remote reads
 // are one GetRange per needed granule, not the whole column.
 func (r *SegmentReader) ReadRows(name string, rows []int) (*ColumnData, error) {
@@ -340,53 +379,80 @@ func (r *SegmentReader) ReadRows(name string, rows []int) (*ColumnData, error) {
 // ReadRowsCtx is ReadRows bounded by a context: each granule fetch
 // checks for cancellation and aborts in-flight remote range reads.
 func (r *SegmentReader) ReadRowsCtx(ctx context.Context, name string, rows []int) (*ColumnData, error) {
+	return r.GatherRows(name, rows, func(block int) (*ColumnData, error) {
+		cd, _, err := r.ReadGranuleCtx(ctx, name, block)
+		return cd, err
+	})
+}
+
+// ReadGranuleCtx fetches and decodes one granule of a column with one
+// range read, returning it with its encoded size (what a cache charges
+// for holding it).
+func (r *SegmentReader) ReadGranuleCtx(ctx context.Context, name string, block int) (*ColumnData, int64, error) {
+	cm, def, err := r.colMeta(name)
+	if err != nil {
+		return nil, 0, err
+	}
+	if block < 0 || block >= len(cm.Blocks) {
+		return nil, 0, fmt.Errorf("storage: granule %d out of range [0,%d) in column %q", block, len(cm.Blocks), name)
+	}
+	b := cm.Blocks[block]
+	blob, err := tallyGetRange(ctx, r.Store, ColumnKey(r.Meta.Table, r.Meta.Name, name), b.Offset, b.Length)
+	if err != nil {
+		return nil, 0, err
+	}
+	cd := NewColumnData(*def)
+	if err := decodeBlock(blob, *def, b.Rows, cd); err != nil {
+		return nil, 0, err
+	}
+	return cd, b.Length, nil
+}
+
+// heldGranule is one granule a GatherRows call has fetched.
+type heldGranule struct {
+	block, start, end int
+	data              *ColumnData
+}
+
+// GatherRows assembles the requested rows of a column, in request
+// order, from its granules. fetch supplies a decoded granule and is
+// called once per distinct granule the rows touch — the reader fetches
+// from the store, the column cache from its data space — so a caller
+// that counts fetches counts distinct granules. The output is sized
+// for len(rows) up front; a read touching up to eight granules
+// allocates only the output.
+func (r *SegmentReader) GatherRows(name string, rows []int, fetch func(block int) (*ColumnData, error)) (*ColumnData, error) {
 	cm, def, err := r.colMeta(name)
 	if err != nil {
 		return nil, err
 	}
-	// Map row -> block, gather needed blocks.
-	type blockSpan struct {
-		idx      int
-		startRow int
-	}
-	var spans []blockSpan
-	startRow := 0
-	for bi, b := range cm.Blocks {
-		spans = append(spans, blockSpan{bi, startRow})
-		startRow += b.Rows
-	}
-	totalRows := startRow
-	needed := map[int]bool{}
+	out := NewColumnDataCap(*def, len(rows))
+	var buf [8]heldGranule
+	held := buf[:0]
+	cur := -1 // held granule of the previous row: runs of neighbours skip the search
 	for _, row := range rows {
-		if row < 0 || row >= totalRows {
-			return nil, fmt.Errorf("storage: row %d out of range [0,%d)", row, totalRows)
+		if cur < 0 || row < held[cur].start || row >= held[cur].end {
+			block, start, ok := cm.Granule(row)
+			if !ok {
+				return nil, fmt.Errorf("storage: row %d out of range in column %q of segment %s", row, name, r.Meta.Name)
+			}
+			cur = -1
+			for i := range held {
+				if held[i].block == block {
+					cur = i
+					break
+				}
+			}
+			if cur < 0 {
+				data, err := fetch(block)
+				if err != nil {
+					return nil, err
+				}
+				held = append(held, heldGranule{block, start, start + cm.Blocks[block].Rows, data})
+				cur = len(held) - 1
+			}
 		}
-		bi := sort.Search(len(spans), func(i int) bool {
-			return spans[i].startRow > row
-		}) - 1
-		needed[bi] = true
-	}
-	// Fetch each needed block once.
-	decoded := map[int]*ColumnData{}
-	for bi := range needed {
-		b := cm.Blocks[bi]
-		blob, err := tallyGetRange(ctx, r.Store, ColumnKey(r.Meta.Table, r.Meta.Name, name), b.Offset, b.Length)
-		if err != nil {
-			return nil, err
-		}
-		cd := NewColumnData(*def)
-		if err := decodeBlock(blob, *def, b.Rows, cd); err != nil {
-			return nil, err
-		}
-		decoded[bi] = cd
-	}
-	// Assemble in request order.
-	out := NewColumnData(*def)
-	for _, row := range rows {
-		bi := sort.Search(len(spans), func(i int) bool {
-			return spans[i].startRow > row
-		}) - 1
-		out.AppendRow(decoded[bi], row-spans[bi].startRow)
+		out.AppendRow(held[cur].data, row-held[cur].start)
 	}
 	return out, nil
 }

@@ -1,8 +1,10 @@
 package storage
 
 import (
+	"context"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 )
@@ -403,5 +405,93 @@ func TestReadColumnUnknown(t *testing.T) {
 	}
 	if _, err := r.ReadRows("nope", []int{0}); err == nil {
 		t.Fatal("unknown column rows should fail")
+	}
+}
+
+// TestGranuleDirectory: the cumulative row start of each granule is
+// derived when the metadata is opened — by the writer and by ReadMeta
+// alike — and is not part of the stored format.
+func TestGranuleDirectory(t *testing.T) {
+	store := NewMemStore()
+	written, err := WriteSegment(store, SegmentMeta{Name: "seg1", Table: "t", Bucket: -1}, testBatch(25), 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	read, err := ReadMeta(store, "t", "seg1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, m := range map[string]*SegmentMeta{"written": written, "read back": read} {
+		cm := &m.Columns[0] // granules of 10, 10 and 5 rows
+		for row, want := range map[int][2]int{0: {0, 0}, 9: {0, 0}, 10: {1, 10}, 19: {1, 10}, 20: {2, 20}, 24: {2, 20}} {
+			block, start, ok := cm.Granule(row)
+			if !ok || block != want[0] || start != want[1] {
+				t.Errorf("%s: Granule(%d) = %d, %d, %t; want %d, %d", name, row, block, start, ok, want[0], want[1])
+			}
+		}
+		for _, row := range []int{-1, 25, 1 << 40} {
+			if _, _, ok := cm.Granule(row); ok {
+				t.Errorf("%s: Granule(%d) found a granule outside the column", name, row)
+			}
+		}
+	}
+	blob, err := store.Get(MetaKey("t", "seg1"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(string(blob), "starts") {
+		t.Fatal("the granule directory leaked into meta.json")
+	}
+	// Metadata that never went through ReadMeta or WriteSegment has no
+	// directory: every row is out of range, not a panic.
+	if _, _, ok := (&ColumnMeta{Blocks: []BlockMeta{{Rows: 10}}}).Granule(3); ok {
+		t.Fatal("a hand-built ColumnMeta located a row")
+	}
+}
+
+// TestReadRowsManyGranules: rows in any order, with repeats, touching
+// more granules than GatherRows holds inline, each fetched once.
+func TestReadRowsManyGranules(t *testing.T) {
+	rs := NewRemoteStore(NewMemStore(), RemoteConfig{})
+	if _, err := WriteSegment(rs, SegmentMeta{Name: "seg1", Table: "t", Bucket: -1}, testBatch(100), 5); err != nil {
+		t.Fatal(err)
+	}
+	r, err := OpenSegment(rs, testSchema(), "t", "seg1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := []int{99, 0, 50, 51, 7, 93, 12, 12, 64, 33, 28, 71, 86, 45, 19, 0, 99, 58}
+	before := rs.Snapshot().Gets
+	ids, err := r.ReadRows("id", rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := rs.Snapshot().Gets - before; got != 14 {
+		t.Fatalf("%d granule reads for 14 distinct granules", got)
+	}
+	emb, err := r.ReadRows("embedding", rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, row := range rows {
+		if ids.Ints[i] != int64(row) || emb.Vector(i)[0] != float32(row) {
+			t.Fatalf("position %d: id %d vector %v, want row %d", i, ids.Ints[i], emb.Vector(i), row)
+		}
+	}
+	if ids.Len() != len(rows) || emb.Len() != len(rows) {
+		t.Fatalf("lengths %d/%d, want %d", ids.Len(), emb.Len(), len(rows))
+	}
+
+	g, size, err := r.ReadGranuleCtx(context.Background(), "id", 19)
+	if err != nil || g.Len() != 5 || g.Ints[0] != 95 || size != 40 {
+		t.Fatalf("granule 19: %v rows, first %v, %d bytes, err %v", g.Len(), g.Ints, size, err)
+	}
+	for _, block := range []int{-1, 20} {
+		if _, _, err := r.ReadGranuleCtx(context.Background(), "id", block); err == nil {
+			t.Errorf("granule %d should be out of range", block)
+		}
+	}
+	if _, _, err := r.ReadGranuleCtx(context.Background(), "nope", 0); err == nil {
+		t.Error("unknown column should fail")
 	}
 }
