@@ -116,7 +116,8 @@ func (s *EncryptingStore) GetRange(key string, off, length int64) ([]byte, error
 	return s.GetRangeCtx(nil, key, off, length)
 }
 
-// GetRangeCtx implements storage.CtxReader.
+// GetRangeCtx implements storage.CtxReader. The range is cut from the
+// plaintext GetCtx just allocated, not copied out of it.
 func (s *EncryptingStore) GetRangeCtx(ctx context.Context, key string, off, length int64) ([]byte, error) {
 	if off < 0 || length < 0 {
 		return nil, fmt.Errorf("%w: off=%d len=%d", storage.ErrInvalidRange, off, length)

@@ -70,6 +70,12 @@ type Config struct {
 // cache), reads fill on miss, and blobs evicted from memory spill to
 // disk instead of being dropped. Only immutable blobs are cached (see
 // Config.SkipSubstrings), so a cached entry can never go stale.
+//
+// Reads lend rather than copy (the storage.BlobStore contract): the
+// slice a read returns is the one the memory tier holds, shared with
+// every other reader of that key. Nobody writes to it — not the tier,
+// not the callers — and eviction only drops the tier's reference, so
+// a slice stays valid for as long as its holder keeps it.
 type TieredStore struct {
 	backing storage.BlobStore
 	skip    []string
@@ -175,6 +181,8 @@ func containsSub(key, sub string) bool {
 	return false
 }
 
+// clone is Put's copy: the caller keeps ownership of what it puts, so
+// the tier must not share it. Reads never clone.
 func clone(b []byte) []byte { return append([]byte(nil), b...) }
 
 // Put implements BlobStore: write-through. The backing store is
@@ -201,7 +209,10 @@ func (s *TieredStore) Get(key string) ([]byte, error) {
 	return s.GetCtx(nil, key)
 }
 
-// GetCtx implements storage.CtxReader.
+// GetCtx implements storage.CtxReader. A memory hit returns the cached
+// slice itself — a map lookup, no allocation; a disk hit or a fill
+// returns the slice it admitted. The result is read-only and may be
+// held indefinitely (a loaded index keeps its vectors in it).
 func (s *TieredStore) GetCtx(ctx context.Context, key string) ([]byte, error) {
 	if !s.cacheable(key) {
 		mBypass.Inc()
@@ -209,12 +220,12 @@ func (s *TieredStore) GetCtx(ctx context.Context, key string) ([]byte, error) {
 	}
 	if v, ok := s.mem.Get(key); ok {
 		mMemHits.Inc()
-		return clone(v.([]byte)), nil
+		return v.([]byte), nil
 	}
 	if data, ok := s.diskGet(key); ok {
 		mDiskHits.Inc()
 		s.admit(key, data)
-		return clone(data), nil
+		return data, nil
 	}
 	mMisses.Inc()
 	return s.fill(ctx, key)
@@ -227,7 +238,10 @@ func (s *TieredStore) GetRange(key string, off, length int64) ([]byte, error) {
 	return s.GetRangeCtx(nil, key, off, length)
 }
 
-// GetRangeCtx implements storage.CtxReader.
+// GetRangeCtx implements storage.CtxReader. The range is a sub-slice of
+// the cached blob, read-only like GetCtx's result, with its capacity
+// cut at its end so that an append by the caller reallocates instead
+// of writing into the bytes that follow it in the cache.
 func (s *TieredStore) GetRangeCtx(ctx context.Context, key string, off, length int64) ([]byte, error) {
 	if off < 0 || length < 0 {
 		return nil, fmt.Errorf("%w: off=%d len=%d", storage.ErrInvalidRange, off, length)
@@ -254,7 +268,8 @@ func (s *TieredStore) GetRangeCtx(ctx context.Context, key string, off, length i
 }
 
 // sliceRange applies the BlobStore range contract (past-end clamps,
-// fully-past-end is empty) to an in-memory copy.
+// fully-past-end is empty) to an in-memory blob, without copying: the
+// result aliases v and cannot grow into it.
 func sliceRange(v []byte, off, length int64) []byte {
 	if off >= int64(len(v)) {
 		return nil
@@ -263,13 +278,14 @@ func sliceRange(v []byte, off, length int64) []byte {
 	if end > int64(len(v)) {
 		end = int64(len(v))
 	}
-	return clone(v[off:end])
+	return v[off:end:end]
 }
 
-// Size implements BlobStore.
+// Size implements BlobStore. It is a probe, not a read: a cached blob
+// answers without moving in the eviction order or counting as a hit.
 func (s *TieredStore) Size(key string) (int64, error) {
 	if s.cacheable(key) {
-		if v, ok := s.mem.Get(key); ok {
+		if v, ok := s.mem.Peek(key); ok {
 			return int64(len(v.([]byte))), nil
 		}
 	}
@@ -292,7 +308,8 @@ func (s *TieredStore) List(prefix string) ([]string, error) {
 }
 
 // fill fetches a missing blob from the backing store, deduplicating
-// concurrent misses on the same key through singleflight. A waiter
+// concurrent misses on the same key through singleflight: the leader
+// and every waiter return the one slice the leader admitted. A waiter
 // that shared a failed flight retries directly rather than inheriting
 // an error that may be specific to the leader (its context, a
 // transient fault the retry layer below would have absorbed again).
@@ -313,17 +330,15 @@ func (s *TieredStore) fill(ctx context.Context, key string) ([]byte, error) {
 		}
 		mFills.Inc()
 		s.admit(key, d)
-		return clone(d), nil
+		return d, nil
 	}
-	if err != nil {
-		return nil, err
-	}
-	return clone(data), nil
+	return data, err
 }
 
-// admit inserts a blob into the memory tier (the caller must not
-// mutate data afterwards; callers always pass freshly-fetched or
-// already-copied bytes).
+// admit inserts a blob into the memory tier. data comes straight from
+// a read of the backing store or the disk tier, which by the BlobStore
+// contract nobody will modify; from here on the tier and every reader
+// it is handed to share it, read-only.
 func (s *TieredStore) admit(key string, data []byte) {
 	s.mem.Put(key, data, int64(len(data)))
 }

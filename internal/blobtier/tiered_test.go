@@ -2,8 +2,10 @@ package blobtier
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -343,33 +345,69 @@ func TestTieredConfigValidation(t *testing.T) {
 }
 
 // TestTieredConcurrentHammer drives mixed operations from many
-// goroutines; run with -race it shakes out locking bugs in the
-// mem/disk interplay (the eviction callback chain especially).
+// goroutines; run under -race it is the tier's data-race check. Every
+// value carries its own checksum, and readers verify what they were
+// lent twice — on receipt, and again after the tier has gone through
+// further overwrites, deletes, evictions and spills of that key —
+// because a read returns the cached bytes themselves, not a copy.
 func TestTieredConcurrentHammer(t *testing.T) {
 	ts, _ := newCountingTiered(t, Config{
 		MemBytes: 512, DiskBytes: 1024, DiskStore: storage.NewMemStore(),
 	})
+	value := func(seed int) []byte {
+		v := bytes.Repeat([]byte{byte(seed)}, 64)
+		binary.LittleEndian.PutUint32(v[60:], crc32.ChecksumIEEE(v[:60]))
+		return v
+	}
+	intact := func(v []byte) bool {
+		return len(v) == 64 && binary.LittleEndian.Uint32(v[60:]) == crc32.ChecksumIEEE(v[:60])
+	}
 	const workers = 8
 	var wg sync.WaitGroup
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func(w int) {
 			defer wg.Done()
+			var held [][]byte
 			for i := 0; i < 200; i++ {
 				key := segKey(fmt.Sprintf("k%d", (w+i)%16))
 				switch i % 4 {
 				case 0:
-					if err := ts.Put(key, bytes.Repeat([]byte{byte(i)}, 64)); err != nil {
+					if err := ts.Put(key, value(i)); err != nil {
 						t.Error(err)
 						return
 					}
 				case 3:
 					_ = ts.Delete(key)
-				default:
-					if _, err := ts.Get(key); err != nil && !storage.IsNotFound(err) {
+				case 1:
+					v, err := ts.Get(key)
+					if err != nil && !storage.IsNotFound(err) {
 						t.Error(err)
 						return
 					}
+					if err == nil {
+						if !intact(v) {
+							t.Errorf("Get(%s) returned damaged bytes", key)
+							return
+						}
+						held = append(held, v)
+					}
+				default:
+					v, err := ts.GetRange(key, 60, 4)
+					if err != nil && !storage.IsNotFound(err) {
+						t.Error(err)
+						return
+					}
+					if err == nil && len(v) != 4 {
+						t.Errorf("GetRange(%s, 60, 4) returned %d bytes", key, len(v))
+						return
+					}
+				}
+			}
+			for _, v := range held {
+				if !intact(v) {
+					t.Error("bytes lent earlier changed while held")
+					return
 				}
 			}
 		}(w)

@@ -79,9 +79,22 @@ func TestLRUStats(t *testing.T) {
 	if !c.Contains("a") {
 		t.Fatal("Contains false negative")
 	}
+	if v, ok := c.Peek("a"); !ok || v.(int) != 1 {
+		t.Fatalf("Peek a = %v, %v", v, ok)
+	}
+	if _, ok := c.Peek("zz"); ok {
+		t.Fatal("Peek false positive")
+	}
 	h2, m2 := c.Stats()
 	if h2 != h || m2 != m {
-		t.Fatal("Contains must not affect stats")
+		t.Fatal("Contains and Peek must not affect stats")
+	}
+	// Nor recency: "a" is older than "b" and Peek leaves it so.
+	c.Put("b", 2, 60)
+	c.Peek("a")
+	c.Put("c", 3, 40)
+	if c.Contains("a") || !c.Contains("b") {
+		t.Fatal("Peek refreshed an entry's recency")
 	}
 }
 

@@ -75,6 +75,18 @@ func (c *LRU[K]) Get(key K) (any, bool) {
 	return nil, false
 }
 
+// Peek returns the cached value without touching recency or stats —
+// for probes that are not reads (a size lookup must neither keep an
+// entry alive nor count as a hit).
+func (c *LRU[K]) Peek(key K) (any, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if el, ok := c.items[key]; ok {
+		return el.Value.(*lruEntry[K]).value, true
+	}
+	return nil, false
+}
+
 // Contains reports presence without touching recency or stats.
 func (c *LRU[K]) Contains(key K) bool {
 	c.mu.Lock()

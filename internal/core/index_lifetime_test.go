@@ -3,6 +3,8 @@ package core
 import (
 	"context"
 	"fmt"
+	"reflect"
+	"runtime"
 	"slices"
 	"sort"
 	"strings"
@@ -10,7 +12,11 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"blendhouse/internal/bench/dataset"
+	"blendhouse/internal/blobtier"
+	"blendhouse/internal/exec"
 	"blendhouse/internal/obs"
+	"blendhouse/internal/storage"
 )
 
 // liveSegmentNames lists the table's live segments, sorted.
@@ -128,5 +134,79 @@ func TestIndexHandlesOutliveWrites(t *testing.T) {
 	query(0)
 	if held := ex.LoadedIndexSegments(); !slices.Equal(held, live) {
 		t.Fatalf("after OPTIMIZE and a query the executor holds %v, live segments are %v", held, live)
+	}
+}
+
+// A node that drops its index handles and reopens them through the
+// blob tier pays for the graph slabs only: the tier lends the cached
+// blob and the index reads its vectors out of it, so a reopen allocates
+// a fraction of the blob — and answers exactly what an engine over a
+// plain store answers.
+func TestReopenThroughTierBorrowsBlob(t *testing.T) {
+	const rows, dim = 600, 128
+	ds := dataset.Small(rows, dim, 23)
+	build := func(cfg Config) *Engine {
+		cfg.Store = storage.NewMemStore()
+		cfg.SegmentRows = 300
+		e := newEngine(t, cfg)
+		mustExec(t, e, fmt.Sprintf(`CREATE TABLE docs (id UInt64, v Array(Float32),
+			INDEX ann v TYPE HNSW('DIM=%d','M=8','EF_CONSTRUCTION=40','SEED=5'))`, dim))
+		var sb strings.Builder
+		sb.WriteString("INSERT INTO docs VALUES ")
+		for i := 0; i < rows; i++ {
+			if i > 0 {
+				sb.WriteByte(',')
+			}
+			fmt.Fprintf(&sb, "(%d, %s)", i, vecLit(ds.Vectors.Row(i)))
+		}
+		mustExec(t, e, sb.String())
+		return e
+	}
+	plain := build(Config{})
+	defer plain.Close()
+	tiered := build(Config{Tier: &blobtier.Config{MemBytes: 64 << 20}})
+	defer tiered.Close()
+
+	ctx := context.Background()
+	src := fmt.Sprintf(`SELECT id, d FROM docs ORDER BY L2Distance(v, %s) AS d LIMIT 10 SETTINGS ef_search=64`,
+		vecLit(ds.Queries.Row(0)))
+	want, err := plain.Query(ctx, src, QueryOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reopen := func() *exec.Result {
+		t.Helper()
+		tiered.Executor("docs").InvalidateLocalIndexes()
+		res, err := tiered.Query(ctx, src, QueryOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	for i := 0; i < 2; i++ { // the first pass fills the tier, the second hits it
+		if got := reopen(); !reflect.DeepEqual(got.Rows, want.Rows) {
+			t.Fatalf("reopen %d through the tier answers %v, plain store %v", i, got.Rows, want.Rows)
+		}
+	}
+
+	var blobBytes int64
+	tab := tiered.Table("docs")
+	for _, m := range tab.Segments() {
+		n, err := tab.Store().Size(tab.IndexKeyOf(m.Name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		blobBytes += n
+	}
+	const rounds = 10
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < rounds; i++ {
+		reopen()
+	}
+	runtime.ReadMemStats(&after)
+	perReopen := int64(after.TotalAlloc-before.TotalAlloc) / rounds
+	if perReopen >= blobBytes/2 {
+		t.Fatalf("reopening %d index bytes through the tier allocates %d bytes, want < half", blobBytes, perReopen)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"unsafe"
 )
 
 // ErrCorrupt is wrapped by every Load failure: the blob is truncated,
@@ -123,4 +124,33 @@ func (c *Cursor) Float32s(dst []float32) {
 			dst[i] = math.Float32frombits(binary.LittleEndian.Uint32(b[4*i:]))
 		}
 	}
+}
+
+// hostLittleEndian reports that a float32 in memory has the byte order
+// of the wire format, so a run of them can be read where it lies.
+var hostLittleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
+// Float32View consumes the next 4·n bytes and returns them as n
+// float32s that alias the blob: no copy, no decode, cap == len (an
+// append reallocates and never writes into the blob). The view is
+// read-only for exactly as long as the blob is, and keeps the whole
+// blob reachable.
+//
+// It reports false, consuming nothing, when the bytes cannot be viewed
+// in place — a big-endian host, a payload that does not start on a
+// 4-byte boundary in memory, or fewer than 4·n bytes left; the caller
+// then falls back to Float32s, which copies (and latches the
+// truncation). This is the only use of unsafe in the index packages;
+// the alignment test is what keeps it within the rules checkptr
+// enforces under -race.
+func (c *Cursor) Float32View(n int) ([]float32, bool) {
+	if !hostLittleEndian || c.err != nil || n <= 0 || n > len(c.b)/4 {
+		return nil, false
+	}
+	p := unsafe.Pointer(unsafe.SliceData(c.b))
+	if uintptr(p)%unsafe.Alignof(float32(0)) != 0 {
+		return nil, false
+	}
+	c.b = c.b[4*n:]
+	return unsafe.Slice((*float32)(p), n), true
 }

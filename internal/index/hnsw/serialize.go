@@ -10,8 +10,16 @@ import (
 	"blendhouse/internal/index"
 )
 
+// Wire versions. Both carry the same fields in the same order; v2 pads
+// the header from 29 to 32 bytes so that every later field — node
+// records are multiples of 4, length prefixes of 8 — and with them the
+// float payload starts on a multiple of 4 from the start of the blob.
+// In v1 the payload sits at 37 + 4k, which no float32 view can reach.
+// Save writes v2; Load reads both, because stores written by earlier
+// builds hold v1.
 const (
-	magic     = uint32(0xB145A7E1)
+	magicV1   = uint32(0xB145A7E1)
+	magic     = uint32(0xB145A7E2)
 	kindFloat = uint8(0)
 	kindSQ    = uint8(1)
 )
@@ -24,17 +32,18 @@ func (ix *Index) storeKind() uint8 {
 	return kindFloat
 }
 
-// Save serializes graph and store:
+// Save serializes graph and store (wire v2):
 //
-//	magic u32 | kind u8 | dim u32 | entry i64 | maxLevel u32 | nNodes u64
+//	magic u32 | kind u8 | pad 3×0 | dim u32 | entry i64 | maxLevel u32 | nNodes u64
 //	per node: id i64 | level u32 | per layer: deg u32 | deg×u32
-//	store payload (raw floats or SQ params + codes)
+//	store payload: nFloats u64 | floats, or
+//	               nParams u64 | SQ params | nCodes u64 | codes
 func (ix *Index) Save(w io.Writer) error {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
 	bw := bufio.NewWriter(w)
 	kind := ix.storeKind()
-	if err := writeAll(bw, magic, kind, uint32(ix.params.Dim), int64(ix.entry), uint32(ix.maxLevel), uint64(len(ix.ids))); err != nil {
+	if err := writeAll(bw, magic, kind, [3]byte{}, uint32(ix.params.Dim), int64(ix.entry), uint32(ix.maxLevel), uint64(len(ix.ids))); err != nil {
 		return fmt.Errorf("hnsw: writing header: %w", err)
 	}
 	for i, id := range ix.ids {
@@ -84,23 +93,35 @@ func (ix *Index) saveStore(bw *bufio.Writer, kind uint8) error {
 	return fmt.Errorf("hnsw: unknown store kind %d", kind)
 }
 
-// Load restores state written by Save into this index, which must have
-// been constructed with the same dimension, variant and M. It decodes
-// the blob in place into the final flat arrays: a sizing walk over the
-// node records learns every level (the upper slab's size, and what the
-// edge checks below need), then one decoding walk fills the slabs.
+// Load restores state written by Save (either wire version) into this
+// index, which must have been constructed with the same dimension,
+// variant and M. The graph is decoded into the final flat arrays: a
+// sizing walk over the node records learns every level (the upper
+// slab's size, and what the edge checks below need), then one decoding
+// walk fills the slabs. The vector payload is not decoded at all where
+// it can be read in place (loadStore), so the index keeps referencing
+// blob: the caller hands it over and must not modify it afterwards.
 // Every count is bounded by the bytes that remain and every reference
 // is range-checked, so a blob that loads cannot make a search index
 // out of bounds; a failed Load leaves the index empty.
 func (ix *Index) Load(blob []byte) error {
 	c := index.NewCursor(blob)
-	m, kind, dim := c.U32(), c.U8(), c.U32()
-	entry, maxLevel, nNodes := c.I64(), c.U32(), c.U64()
+	m, kind := c.U32(), c.U8()
+	var pad []byte
+	if m == magic {
+		pad = c.Bytes(3)
+	}
+	dim, entry, maxLevel, nNodes := c.U32(), c.I64(), c.U32(), c.U64()
 	if err := c.Err(); err != nil {
 		return fmt.Errorf("hnsw: reading header: %w", err)
 	}
-	if m != magic {
+	if m != magic && m != magicV1 {
 		return index.Corruptf("hnsw: bad magic %#x", m)
+	}
+	for _, b := range pad {
+		if b != 0 {
+			return index.Corruptf("hnsw: non-zero header padding % x", pad)
+		}
 	}
 	if int(dim) != ix.params.Dim {
 		return index.Corruptf("hnsw: stored dim %d != constructed dim %d", dim, ix.params.Dim)
@@ -183,9 +204,14 @@ func (ix *Index) Load(blob []byte) error {
 	return nil
 }
 
-// loadStore decodes the vector payload, the blob's last section: it
-// must hold exactly n rows and end the blob. The store is assigned
-// only once all of it has been accepted.
+// loadStore takes over the vector payload, the blob's last section: it
+// must hold exactly n rows and end the blob. The payload is borrowed
+// from the blob rather than copied — floats as a view where the host
+// and the address allow it (always for a v2 blob at an aligned address
+// on a little-endian host, never for v1 at one), SQ codes as the bytes
+// they are. Both come back with cap == len, so a later AddWithIDs
+// reallocates the slab instead of writing into the blob. The store is
+// assigned only once all of it has been accepted.
 func (ix *Index) loadStore(c *index.Cursor, n int) error {
 	dim := ix.params.Dim
 	switch st := ix.store.(type) {
@@ -199,6 +225,10 @@ func (ix *Index) loadStore(c *index.Cursor, n int) error {
 		}
 		if c.Remaining() != 4*cnt {
 			return index.Corruptf("hnsw: %d trailing bytes", c.Remaining()-4*cnt)
+		}
+		if view, ok := c.Float32View(cnt); ok {
+			st.data = view
+			return nil
 		}
 		st.data = make([]float32, cnt)
 		c.Float32s(st.data)
@@ -226,7 +256,7 @@ func (ix *Index) loadStore(c *index.Cursor, n int) error {
 			return index.Corruptf("hnsw: %d trailing bytes", c.Remaining()-cnt)
 		}
 		st.sq = sq
-		st.codes = append([]byte(nil), c.Bytes(cnt)...)
+		st.codes = c.Bytes(cnt)
 		// The on-disk format carries only codes; the fast-path code
 		// sums are derived state and are rebuilt here.
 		st.rebuildStats()

@@ -79,10 +79,13 @@ type Index interface {
 	// Save serializes the full index state.
 	Save(w io.Writer) error
 	// Load restores state written by Save into a freshly constructed
-	// index of the same type and build parameters. The blob is decoded
-	// into the index's own arrays and not retained. Any blob Load
-	// cannot accept — truncated, inconsistent, or written for another
-	// type or dimension — fails with an error wrapping ErrCorrupt.
+	// index of the same type and build parameters. Ownership: the
+	// index may reference blob for its whole life (HNSW reads its
+	// vectors out of it in place) — the caller hands the blob over and
+	// must not modify it afterwards. A slice straight from a BlobStore
+	// read is exactly that. Any blob Load cannot accept — truncated,
+	// inconsistent, or written for another type or dimension — fails
+	// with an error wrapping ErrCorrupt.
 	Load(blob []byte) error
 
 	// --- execution API -----------------------------------------------

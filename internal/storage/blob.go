@@ -37,13 +37,26 @@ func IsNotFound(err error) bool {
 
 // BlobStore is the persistence interface. Keys are slash-separated
 // paths. Implementations must be safe for concurrent use.
+//
+// Ownership of bytes. Put copies what it needs: the caller keeps data
+// and may reuse it once Put returns. Reads go the other way — the
+// bytes Get and GetRange return (and the CtxReader variants) are
+// READ-ONLY for the caller and stay valid for as long as the caller
+// holds them. A store may return memory it also keeps and hands to
+// other readers (the blob tier's memory cache does), so a consumer
+// decodes out of the slice or keeps referencing it (a loaded index
+// borrows its vectors from the blob), but never writes into it, never
+// appends to it expecting spare capacity, and copies first if it needs
+// a scratch buffer. Wrappers pass slices through untouched.
 type BlobStore interface {
-	// Put stores data under key, overwriting any previous value.
+	// Put stores a copy of data under key, overwriting any previous
+	// value.
 	Put(key string, data []byte) error
-	// Get returns the full value.
+	// Get returns the full value, read-only (see above).
 	Get(key string) ([]byte, error)
-	// GetRange returns length bytes starting at off. Reading past the
-	// end returns the available suffix (like HTTP range requests).
+	// GetRange returns length bytes starting at off, read-only. Reading
+	// past the end returns the available suffix (like HTTP range
+	// requests).
 	GetRange(key string, off, length int64) ([]byte, error)
 	// Size returns the value's length in bytes.
 	Size(key string) (int64, error)
@@ -58,7 +71,8 @@ type BlobStore interface {
 // operation (including any modeled network latency) instead of letting
 // it run to completion. Stores without per-operation cost don't need
 // it; the GetCtx/GetRangeCtx helpers fall back to a plain read after a
-// cheap cancellation check.
+// cheap cancellation check. The returned bytes are read-only and
+// long-lived exactly as BlobStore's are.
 type CtxReader interface {
 	GetCtx(ctx context.Context, key string) ([]byte, error)
 	GetRangeCtx(ctx context.Context, key string, off, length int64) ([]byte, error)
@@ -112,7 +126,10 @@ func (s *MemStore) Put(key string, data []byte) error {
 	return nil
 }
 
-// Get implements BlobStore.
+// Get implements BlobStore. It copies although the contract would let
+// it lend: MemStore is the durable store of tests and benchmarks, and
+// the copy stands in for the buffer a network read fills, so a caller
+// that breaks the read-only rule cannot damage durable bytes.
 func (s *MemStore) Get(key string) ([]byte, error) {
 	s.mu.RLock()
 	v, ok := s.data[key]

@@ -5,8 +5,10 @@ import (
 	"context"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // DefaultBlockRows is the granule size: the smallest unit of column
@@ -255,46 +257,72 @@ func encodeBlock(buf *bytes.Buffer, col *ColumnData, start, end int) error {
 	return fmt.Errorf("storage: unknown column type %d", col.Def.Type)
 }
 
+// ErrCorruptGranule is wrapped by every granule decode failure: the
+// bytes are shorter than the rows the mark index promises.
+var ErrCorruptGranule = errors.New("storage: corrupt granule")
+
+// decodeBlock appends the rows of one encoded granule to dst, decoding
+// straight out of data (which it only reads — it may be the blob
+// tier's cached copy) into dst grown once. Every length is checked
+// against the bytes present before anything is sized from it.
 func decodeBlock(data []byte, def ColumnDef, rows int, dst *ColumnData) error {
-	r := bytes.NewReader(data)
+	width := 0
 	switch def.Type {
-	case Int64Type, DateTimeType:
-		vals := make([]int64, rows)
-		if err := binary.Read(r, binary.LittleEndian, vals); err != nil {
-			return err
-		}
-		dst.Ints = append(dst.Ints, vals...)
-	case Float64Type:
-		vals := make([]float64, rows)
-		if err := binary.Read(r, binary.LittleEndian, vals); err != nil {
-			return err
-		}
-		dst.Floats = append(dst.Floats, vals...)
+	case Int64Type, DateTimeType, Float64Type:
+		width = 8
 	case StringType:
-		for i := 0; i < rows; i++ {
-			var n uint32
-			if err := binary.Read(r, binary.LittleEndian, &n); err != nil {
-				return err
-			}
-			if int64(n) > int64(len(data)) {
-				return fmt.Errorf("storage: corrupt string length %d", n)
-			}
-			s := make([]byte, n)
-			if _, err := r.Read(s); err != nil {
-				return err
-			}
-			dst.Strs = append(dst.Strs, string(s))
-		}
+		width = 4 // the length prefix: the least a row occupies
 	case VectorType:
-		vals := make([]float32, rows*def.Dim)
-		if err := binary.Read(r, binary.LittleEndian, vals); err != nil {
-			return err
-		}
-		dst.Vecs = append(dst.Vecs, vals...)
+		width = 4 * def.Dim
 	default:
 		return fmt.Errorf("storage: unknown column type %d", def.Type)
 	}
+	if rows < 0 || width < 0 || (width > 0 && rows > len(data)/width) {
+		return fmt.Errorf("%w: %d rows of column %q need at least %d bytes each, granule has %d",
+			ErrCorruptGranule, rows, def.Name, width, len(data))
+	}
+	switch def.Type {
+	case Int64Type, DateTimeType:
+		var out []int64
+		dst.Ints, out = extend(dst.Ints, rows)
+		for i := range out {
+			out[i] = int64(binary.LittleEndian.Uint64(data[8*i:]))
+		}
+	case Float64Type:
+		var out []float64
+		dst.Floats, out = extend(dst.Floats, rows)
+		for i := range out {
+			out[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[8*i:]))
+		}
+	case StringType:
+		dst.Strs = slices.Grow(dst.Strs, rows)
+		for i := 0; i < rows; i++ {
+			if len(data) < 4 {
+				return fmt.Errorf("%w: column %q row %d: length prefix truncated", ErrCorruptGranule, def.Name, i)
+			}
+			n := binary.LittleEndian.Uint32(data)
+			data = data[4:]
+			if uint64(n) > uint64(len(data)) {
+				return fmt.Errorf("%w: column %q row %d: string of %d bytes, %d remain", ErrCorruptGranule, def.Name, i, n, len(data))
+			}
+			dst.Strs = append(dst.Strs, string(data[:n]))
+			data = data[n:]
+		}
+	case VectorType:
+		var out []float32
+		dst.Vecs, out = extend(dst.Vecs, rows*def.Dim)
+		for i := range out {
+			out[i] = math.Float32frombits(binary.LittleEndian.Uint32(data[4*i:]))
+		}
+	}
 	return nil
+}
+
+// extend lengthens s by n elements, allocating at most once, and
+// returns it with the new tail for the caller to fill.
+func extend[T any](s []T, n int) (all, tail []T) {
+	all = slices.Grow(s, n)[:len(s)+n]
+	return all, all[len(s):]
 }
 
 // ReadMeta loads and parses a segment's metadata.

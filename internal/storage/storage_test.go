@@ -1,9 +1,12 @@
 package storage
 
 import (
+	"bytes"
 	"context"
+	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -493,5 +496,80 @@ func TestReadRowsManyGranules(t *testing.T) {
 	}
 	if _, _, err := r.ReadGranuleCtx(context.Background(), "nope", 0); err == nil {
 		t.Error("unknown column should fail")
+	}
+}
+
+// --- granule decode -----------------------------------------------------------
+
+// encodeGranule serializes rows [0, n) of col as one granule.
+func encodeGranule(t *testing.T, col *ColumnData) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := encodeBlock(&buf, col, 0, col.Len()); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+func TestDecodeBlockRoundTripAndTruncation(t *testing.T) {
+	cols := []*ColumnData{
+		{Def: ColumnDef{Name: "i", Type: Int64Type}, Ints: []int64{-1, 0, 1 << 40}},
+		{Def: ColumnDef{Name: "t", Type: DateTimeType}, Ints: []int64{1700000000, 2}},
+		{Def: ColumnDef{Name: "f", Type: Float64Type}, Floats: []float64{0.5, -2.25, 1e300}},
+		// The last row is empty: the granule ends on its length prefix.
+		{Def: ColumnDef{Name: "s", Type: StringType}, Strs: []string{"cat", "", "owl", ""}},
+		{Def: ColumnDef{Name: "v", Type: VectorType, Dim: 3}, Vecs: []float32{1, 2, 3, -4, 5.5, 6}},
+	}
+	for _, col := range cols {
+		data := encodeGranule(t, col)
+		got := NewColumnData(col.Def)
+		if err := decodeBlock(data, col.Def, col.Len(), got); err != nil {
+			t.Fatalf("column %q: %v", col.Def.Name, err)
+		}
+		if !reflect.DeepEqual(got, col) {
+			t.Fatalf("column %q: decoded %+v, want %+v", col.Def.Name, got, col)
+		}
+		// Decoding appends: a second granule lands after the first.
+		if err := decodeBlock(data, col.Def, col.Len(), got); err != nil || got.Len() != 2*col.Len() {
+			t.Fatalf("column %q: second granule: len %d, %v", col.Def.Name, got.Len(), err)
+		}
+		// One byte short is a typed error, never a short column. (For
+		// strings the byte is missing from the last prefix.)
+		short := NewColumnData(col.Def)
+		if err := decodeBlock(data[:len(data)-1], col.Def, col.Len(), short); !errors.Is(err, ErrCorruptGranule) {
+			t.Fatalf("column %q one byte short: err = %v, want ErrCorruptGranule", col.Def.Name, err)
+		}
+		// A row count the bytes cannot hold must be refused before
+		// anything is sized from it.
+		if err := decodeBlock(data, col.Def, 1<<40, NewColumnData(col.Def)); !errors.Is(err, ErrCorruptGranule) {
+			t.Fatalf("column %q absurd row count: err = %v, want ErrCorruptGranule", col.Def.Name, err)
+		}
+	}
+	// A string whose length prefix points past the granule.
+	def := ColumnDef{Name: "s", Type: StringType}
+	bad := []byte{200, 0, 0, 0, 'a', 'b'}
+	if err := decodeBlock(bad, def, 1, NewColumnData(def)); !errors.Is(err, ErrCorruptGranule) {
+		t.Fatalf("overlong string: err = %v, want ErrCorruptGranule", err)
+	}
+}
+
+func TestDecodeBlockAllocatesOnce(t *testing.T) {
+	if raceEnabled {
+		t.Skip("slices.Grow allocates a temporary under the race detector")
+	}
+	col := &ColumnData{Def: ColumnDef{Name: "i", Type: Int64Type}, Ints: make([]int64, DefaultBlockRows)}
+	for i := range col.Ints {
+		col.Ints[i] = int64(i) * 7
+	}
+	data := encodeGranule(t, col)
+	var dst ColumnData
+	allocs := testing.AllocsPerRun(50, func() {
+		dst.Ints = nil
+		if err := decodeBlock(data, col.Def, DefaultBlockRows, &dst); err != nil || len(dst.Ints) != DefaultBlockRows {
+			t.Fatalf("decoded %d rows, %v", len(dst.Ints), err)
+		}
+	})
+	if allocs != 1 {
+		t.Errorf("decoding a %d-row Int64 granule makes %.0f allocations, want 1", DefaultBlockRows, allocs)
 	}
 }
