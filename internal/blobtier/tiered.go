@@ -80,7 +80,13 @@ type TieredStore struct {
 	backing storage.BlobStore
 	skip    []string
 
-	mem *cache.LRU[string] // key -> []byte
+	mem      *cache.LRU[string] // key -> []byte
+	memBytes int64
+	// tooBig holds the keys of blobs the memory tier refused for their
+	// size (learnt from a fill, a Put or a Size): caching cannot help
+	// them, so their ranged reads go to the backing store as ranges
+	// instead of re-fetching the whole blob for every granule.
+	tooBig sync.Map // key -> struct{}
 
 	// Disk tier: the LRU tracks presence/recency/budget (value = size),
 	// diskFS holds the bytes. diskMu serializes every disk-tier
@@ -99,9 +105,10 @@ func NewTiered(backing storage.BlobStore, cfg Config) (*TieredStore, error) {
 		return nil, fmt.Errorf("blobtier: backing store is required")
 	}
 	s := &TieredStore{
-		backing: backing,
-		skip:    cfg.SkipSubstrings,
-		mem:     cache.NewLRU[string](cfg.MemBytes),
+		backing:  backing,
+		skip:     cfg.SkipSubstrings,
+		mem:      cache.NewLRU[string](cfg.MemBytes),
+		memBytes: cfg.MemBytes,
 	}
 	if s.skip == nil {
 		s.skip = DefaultSkipSubstrings
@@ -200,7 +207,10 @@ func (s *TieredStore) Put(key string, data []byte) error {
 	// survive the overwrite.
 	s.mem.Remove(key)
 	s.invalidateDisk(key)
-	s.mem.Put(key, clone(data), int64(len(data)))
+	s.tooBig.Delete(key)
+	if s.noteSize(key, int64(len(data))) {
+		s.mem.Put(key, clone(data), int64(len(data)))
+	}
 	return nil
 }
 
@@ -233,7 +243,9 @@ func (s *TieredStore) GetCtx(ctx context.Context, key string) ([]byte, error) {
 
 // GetRange implements BlobStore. A range miss fills the WHOLE blob
 // (read-through): segment column reads are ranged but revisit the same
-// blob, so one remote fetch serves every subsequent granule.
+// blob, so one remote fetch serves every subsequent granule — unless
+// the blob is known not to fit the memory tier, where the fetch would
+// serve this granule only: then the range itself is passed through.
 func (s *TieredStore) GetRange(key string, off, length int64) ([]byte, error) {
 	return s.GetRangeCtx(nil, key, off, length)
 }
@@ -253,6 +265,10 @@ func (s *TieredStore) GetRangeCtx(ctx context.Context, key string, off, length i
 	if v, ok := s.mem.Get(key); ok {
 		mMemHits.Inc()
 		return sliceRange(v.([]byte), off, length), nil
+	}
+	if _, big := s.tooBig.Load(key); big {
+		mBypass.Inc()
+		return storage.GetRangeCtx(ctx, s.backing, key, off, length)
 	}
 	if data, ok := s.diskGet(key); ok {
 		mDiskHits.Inc()
@@ -289,7 +305,11 @@ func (s *TieredStore) Size(key string) (int64, error) {
 			return int64(len(v.([]byte))), nil
 		}
 	}
-	return s.backing.Size(key)
+	n, err := s.backing.Size(key)
+	if err == nil && s.cacheable(key) {
+		s.noteSize(key, n)
+	}
+	return n, err
 }
 
 // Delete implements BlobStore.
@@ -299,6 +319,7 @@ func (s *TieredStore) Delete(key string) error {
 	}
 	s.mem.Remove(key)
 	s.invalidateDisk(key)
+	s.tooBig.Delete(key)
 	return nil
 }
 
@@ -340,7 +361,19 @@ func (s *TieredStore) fill(ctx context.Context, key string) ([]byte, error) {
 // contract nobody will modify; from here on the tier and every reader
 // it is handed to share it, read-only.
 func (s *TieredStore) admit(key string, data []byte) {
-	s.mem.Put(key, data, int64(len(data)))
+	if s.noteSize(key, int64(len(data))) {
+		s.mem.Put(key, data, int64(len(data)))
+	}
+}
+
+// noteSize reports whether a blob of size bytes fits the memory tier,
+// and remembers the key of one that does not.
+func (s *TieredStore) noteSize(key string, size int64) bool {
+	if size <= s.memBytes {
+		return true
+	}
+	s.tooBig.Store(key, struct{}{})
+	return false
 }
 
 // spill moves a memory-evicted blob to the disk tier. Failures are

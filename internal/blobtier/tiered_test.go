@@ -313,6 +313,86 @@ func TestTieredGetRangeSemantics(t *testing.T) {
 	}
 }
 
+// A blob larger than the memory tier cannot be cached, so filling it
+// whole for every granule read costs the whole blob every time. Once
+// the tier knows its size — from the first fill, from a Put through
+// the tier, or from a Size probe — ranged reads of it reach the backing
+// store as the ranges they are. A blob that fits still fills once.
+func TestTieredOversizedBlobRangesPassThrough(t *testing.T) {
+	const memBytes, reads, rangeLen = 1 << 10, 20, 64
+	blob := bytes.Repeat([]byte("0123456789abcdef"), 2*memBytes/16)
+	key := segKey("big.bin")
+	readRanges := func(ts *TieredStore) {
+		t.Helper()
+		for i := 0; i < reads; i++ {
+			off := i * rangeLen
+			got, err := ts.GetRange(key, int64(off), rangeLen)
+			if err != nil || !bytes.Equal(got, blob[off:off+rangeLen]) {
+				t.Fatalf("range %d = %q, %v", i, got, err)
+			}
+		}
+	}
+	learn := map[string]func(*TieredStore, *storage.RemoteStore){
+		"Size": func(ts *TieredStore, remote *storage.RemoteStore) {
+			if err := remote.Put(key, blob); err != nil {
+				t.Fatal(err)
+			}
+			if n, err := ts.Size(key); err != nil || n != int64(len(blob)) {
+				t.Fatalf("Size = %d, %v", n, err)
+			}
+		},
+		"Put": func(ts *TieredStore, _ *storage.RemoteStore) {
+			if err := ts.Put(key, blob); err != nil {
+				t.Fatal(err)
+			}
+		},
+		"fill": func(ts *TieredStore, remote *storage.RemoteStore) {
+			if err := remote.Put(key, blob); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := ts.GetRange(key, 0, rangeLen); err != nil { // fetches it whole, once
+				t.Fatal(err)
+			}
+		},
+	}
+	for how, setup := range learn {
+		ts, remote := newCountingTiered(t, Config{MemBytes: memBytes})
+		setup(ts, remote)
+		before := remote.Snapshot()
+		readRanges(ts)
+		after := remote.Snapshot()
+		if gets, bytesRead := after.Gets-before.Gets, after.BytesRead-before.BytesRead; gets != reads || bytesRead != reads*rangeLen {
+			t.Errorf("size learnt from %s: %d ranged reads of a %d-byte blob cost %d backing reads of %d bytes, want %d of %d",
+				how, reads, len(blob), gets, bytesRead, reads, reads*rangeLen)
+		}
+		if st := ts.TierStats(); st.MemEntries != 0 {
+			t.Errorf("size learnt from %s: oversized blob admitted: %+v", how, st)
+		}
+	}
+
+	// An overwrite that fits is cached again; so is any blob that fits.
+	ts, remote := newCountingTiered(t, Config{MemBytes: 4 * memBytes})
+	if err := remote.Put(key, blob); err != nil {
+		t.Fatal(err)
+	}
+	before := remote.Snapshot()
+	readRanges(ts)
+	after := remote.Snapshot()
+	if gets, bytesRead := after.Gets-before.Gets, after.BytesRead-before.BytesRead; gets != 1 || bytesRead != int64(len(blob)) {
+		t.Errorf("%d ranged reads of an admissible blob cost %d backing reads of %d bytes, want one fill of %d", reads, gets, bytesRead, len(blob))
+	}
+	small, _ := newCountingTiered(t, Config{MemBytes: memBytes})
+	if err := small.Put(key, blob); err != nil {
+		t.Fatal(err)
+	}
+	if err := small.Put(key, blob[:memBytes/2]); err != nil {
+		t.Fatal(err)
+	}
+	if st := small.TierStats(); st.MemEntries != 1 {
+		t.Errorf("overwrite that fits was not admitted: %+v", st)
+	}
+}
+
 func TestTieredSizeAndList(t *testing.T) {
 	ts, remote := newCountingTiered(t, Config{MemBytes: 1 << 20})
 	if err := ts.Put(segKey("s"), []byte("12345")); err != nil {

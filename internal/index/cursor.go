@@ -126,31 +126,39 @@ func (c *Cursor) Float32s(dst []float32) {
 	}
 }
 
-// hostLittleEndian reports that a float32 in memory has the byte order
-// of the wire format, so a run of them can be read where it lies.
+// hostLittleEndian reports that a number in memory has the byte order of
+// the wire format, so a run of them can be read where it lies.
 var hostLittleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
 
-// Float32View consumes the next 4·n bytes and returns them as n
-// float32s that alias the blob: no copy, no decode, cap == len (an
-// append reallocates and never writes into the blob). The view is
-// read-only for exactly as long as the blob is, and keeps the whole
-// blob reachable.
+// view consumes the next n elements and returns them as a []T that
+// aliases the blob: no copy, no decode, cap == len (an append
+// reallocates and never writes into the blob). The view is read-only
+// for exactly as long as the blob is, and keeps the whole blob
+// reachable.
 //
 // It reports false, consuming nothing, when the bytes cannot be viewed
-// in place — a big-endian host, a payload that does not start on a
-// 4-byte boundary in memory, or fewer than 4·n bytes left; the caller
-// then falls back to Float32s, which copies (and latches the
-// truncation). This is the only use of unsafe in the index packages;
-// the alignment test is what keeps it within the rules checkptr
-// enforces under -race.
-func (c *Cursor) Float32View(n int) ([]float32, bool) {
-	if !hostLittleEndian || c.err != nil || n <= 0 || n > len(c.b)/4 {
+// in place — a big-endian host, a run that does not start on a multiple
+// of T's alignment in memory, or fewer than n elements left; the caller
+// then falls back to the copying decoder of the same type (which
+// latches the truncation). This is the only use of unsafe in the index
+// packages; the alignment test is what keeps it within the rules
+// checkptr enforces under -race.
+func view[T float32 | uint32 | int64](c *Cursor, n int) ([]T, bool) {
+	var zero T
+	size := int(unsafe.Sizeof(zero))
+	if !hostLittleEndian || c.err != nil || n <= 0 || n > len(c.b)/size {
 		return nil, false
 	}
 	p := unsafe.Pointer(unsafe.SliceData(c.b))
-	if uintptr(p)%unsafe.Alignof(float32(0)) != 0 {
+	if uintptr(p)%unsafe.Alignof(zero) != 0 {
 		return nil, false
 	}
-	c.b = c.b[4*n:]
-	return unsafe.Slice((*float32)(p), n), true
+	c.b = c.b[size*n:]
+	return unsafe.Slice((*T)(p), n), true
 }
+
+// Float32View, Uint32View and Int64View are the in-place counterparts
+// of Float32s, Uint32s and Int64s: see view.
+func (c *Cursor) Float32View(n int) ([]float32, bool) { return view[float32](c, n) }
+func (c *Cursor) Uint32View(n int) ([]uint32, bool)   { return view[uint32](c, n) }
+func (c *Cursor) Int64View(n int) ([]int64, bool)     { return view[int64](c, n) }

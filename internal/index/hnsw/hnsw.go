@@ -32,32 +32,42 @@ func init() {
 
 // Index is an HNSW graph over a vector store (raw or quantized).
 //
-// The graph lives in flat arrays with one layout for a built and a
-// loaded index (hnswlib's), so Load fills them in place and AddWithIDs
-// keeps appending to them afterwards. Node i's layer-0 adjacency is
-// the fixed block links0[i*stride0:(i+1)*stride0] = count | 2M slots;
-// a node of level L > 0 also owns L consecutive blocks of
-// count | M slots in upper, starting at upperOff[i], one per layer
-// 1..L. Every edge at layer l points at a node of level >= l, and the
-// entry point has level maxLevel — construction guarantees both and
-// Load verifies them, which is what lets traversal index the slabs
-// without per-step checks.
+// The graph lives in flat arrays that search reads one way. Node i's
+// layer-0 neighbours are nbr0[beg0[i]:end0[i]]: in a built index a slab
+// of 2M slots per node (beg0[i] = i·2M, free slots behind end0[i]) that
+// AddWithIDs appends to; in an index loaded from a v3 blob (frozen) the
+// blob's own bytes, like ids and levels, with beg0/end0 two views of the
+// wire's one offset array and no free slot — the first AddWithIDs thaws
+// it, so nothing ever writes into a lent blob. A node of level L > 0
+// also owns L consecutive blocks of count | M slots in upper, starting
+// at upperOff[i], one per layer 1..L; always the index's own. Every
+// edge at layer l points at a node of level >= l, and the entry point
+// has level maxLevel — construction guarantees both and Load verifies
+// them, which is what lets traversal index the arrays without per-step
+// checks.
 type Index struct {
 	params  index.BuildParams
 	store   store
 	mL      float64 // level-generation multiplier 1/ln(M)
-	stride0 int     // layer-0 block size: 1 + 2M
+	stride0 int     // layer-0 slots per node in the owned form: 2M
 	strideU int     // upper-layer block size: 1 + M
 
-	mu       sync.RWMutex
-	ids      []int64  // external ID per node
-	levels   []int32  // top layer per node
-	upperOff []uint32 // first upper block per node (unused at level 0)
-	links0   []uint32
-	upper    []uint32
+	mu sync.RWMutex
+	graph
 	entry    int // entry point node index; -1 when empty
 	maxLevel int
-	rng      *rand.Rand
+	rng      *rand.Rand // level generator, seeded by the first AddWithIDs
+}
+
+// graph is the part of an Index that Load replaces as a whole.
+type graph struct {
+	ids        []int64  // external ID per node
+	levels     []uint32 // top layer per node
+	beg0, end0 []uint32
+	nbr0       []uint32
+	frozen     bool     // layer 0 is the wire's CSR, not the 2M-slot slab
+	upperOff   []uint32 // first upper block per node (unused at level 0)
+	upper      []uint32
 }
 
 // New constructs an empty HNSW index; quantized selects the SQ8
@@ -72,10 +82,9 @@ func New(p index.BuildParams, quantized bool) (*Index, error) {
 	ix := &Index{
 		params:  p,
 		mL:      1 / math.Log(float64(p.M)),
-		stride0: 1 + 2*p.M,
+		stride0: 2 * p.M,
 		strideU: 1 + p.M,
 		entry:   -1,
-		rng:     rand.New(rand.NewSource(p.Seed + 1)),
 	}
 	if quantized {
 		ix.store = newSQStore(p.Dim, p.Metric)
@@ -85,21 +94,52 @@ func New(p index.BuildParams, quantized bool) (*Index, error) {
 	return ix, nil
 }
 
-// block returns node i's adjacency block at layer l: block[0] is the
+// upperBlock returns node i's block at layer l > 0: block[0] is the
 // neighbor count and block[1:] the slots, of which the first count are
 // live.
-func (ix *Index) block(i, l int) []uint32 {
-	if l == 0 {
-		return ix.links0[i*ix.stride0 : (i+1)*ix.stride0]
-	}
+func (ix *Index) upperBlock(i, l int) []uint32 {
 	o := int(ix.upperOff[i]) + (l-1)*ix.strideU
 	return ix.upper[o : o+ix.strideU]
 }
 
 // neighbors returns node i's live adjacency at layer l.
 func (ix *Index) neighbors(i, l int) []uint32 {
-	b := ix.block(i, l)
+	if l == 0 {
+		return ix.nbr0[ix.beg0[i]:ix.end0[i]]
+	}
+	b := ix.upperBlock(i, l)
 	return b[1 : 1+b[0]]
+}
+
+// slots returns all of node i's slots at layer l (2M at layer 0, M
+// above, following the original paper), live neighbors first; setDegree
+// says how many are live. Both need the owned form.
+func (ix *Index) slots(i, l int) []uint32 {
+	if l == 0 {
+		return ix.nbr0[ix.beg0[i] : int(ix.beg0[i])+ix.stride0]
+	}
+	return ix.upperBlock(i, l)[1:]
+}
+
+func (ix *Index) setDegree(i, l, n int) {
+	if l == 0 {
+		ix.end0[i] = ix.beg0[i] + uint32(n)
+		return
+	}
+	ix.upperBlock(i, l)[0] = uint32(n)
+}
+
+// thaw re-strides a frozen layer 0 into a slab of the index's own with
+// 2M slots per node and room for extra further nodes.
+func (ix *Index) thaw(extra int) {
+	n, w := len(ix.ids), ix.stride0
+	beg0, end0 := make([]uint32, n, n+extra), make([]uint32, n, n+extra)
+	nbr0 := make([]uint32, n*w, (n+extra)*w)
+	for i := range beg0 {
+		beg0[i] = uint32(i * w)
+		end0[i] = beg0[i] + uint32(copy(nbr0[i*w:], ix.neighbors(i, 0)))
+	}
+	ix.beg0, ix.end0, ix.nbr0, ix.frozen = beg0, end0, nbr0, false
 }
 
 // Type returns HNSW or HNSWSQ.
@@ -126,22 +166,15 @@ func (ix *Index) NeedsTrain() bool { return ix.store.needsTrain() }
 // Train trains the quantizer for HNSWSQ; a no-op for raw HNSW.
 func (ix *Index) Train(sample []float32) error { return ix.store.train(sample) }
 
-// MemoryBytes accounts the capacity of every slab the index holds:
-// vectors/codes plus the graph arrays.
+// MemoryBytes accounts the capacity of every array the index reads:
+// vectors/codes plus the graph. Arrays borrowed from a blob count like
+// owned ones — the index is what keeps that blob's bytes alive — and a
+// frozen index's one offset array counts as the two it is read as.
 func (ix *Index) MemoryBytes() int64 {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	graph := 8*cap(ix.ids) + 4*(cap(ix.levels)+cap(ix.upperOff)+cap(ix.links0)+cap(ix.upper))
+	graph := 8*cap(ix.ids) + 4*(cap(ix.levels)+cap(ix.beg0)+cap(ix.end0)+cap(ix.nbr0)+cap(ix.upperOff)+cap(ix.upper))
 	return ix.store.memoryBytes() + int64(graph)
-}
-
-// maxDegree returns the degree cap for a layer (2M at layer 0, M above,
-// following the original paper) — the slot count of the layer's block.
-func (ix *Index) maxDegree(layer int) int {
-	if layer == 0 {
-		return ix.stride0 - 1
-	}
-	return ix.strideU - 1
 }
 
 // AddWithIDs inserts vectors one by one (HNSW construction is
@@ -159,14 +192,27 @@ func (ix *Index) AddWithIDs(vecs []float32, ids []int64) error {
 	dim := ix.params.Dim
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
+	if uint64(len(ix.ids)+len(ids))*uint64(ix.stride0) > math.MaxUint32 {
+		return fmt.Errorf("hnsw: %d + %d nodes overflow the layer-0 offsets", len(ix.ids), len(ids))
+	}
+	// A handle that only loads and searches never pays for a generator.
+	if ix.rng == nil {
+		ix.rng = rand.New(rand.NewSource(ix.params.Seed + 1))
+	}
+	if ix.frozen {
+		ix.thaw(len(ids))
+	}
 	// Size the per-node slabs once for the batch (a segment is built by
 	// a single call); only the upper slab, whose size depends on the
-	// drawn levels, grows by appending.
+	// drawn levels, grows by appending. Arrays a load borrowed have
+	// cap == len, so growing them is what makes them the index's own.
 	ix.store.grow(len(ids))
 	ix.ids = slices.Grow(ix.ids, len(ids))
 	ix.levels = slices.Grow(ix.levels, len(ids))
 	ix.upperOff = slices.Grow(ix.upperOff, len(ids))
-	ix.links0 = slices.Grow(ix.links0, len(ids)*ix.stride0)
+	ix.beg0 = slices.Grow(ix.beg0, len(ids))
+	ix.end0 = slices.Grow(ix.end0, len(ids))
+	ix.nbr0 = slices.Grow(ix.nbr0, len(ids)*ix.stride0)
 	for i, id := range ids {
 		ix.insert(vecs[i*dim:i*dim+dim], id)
 	}
@@ -179,8 +225,10 @@ func (ix *Index) insert(v []float32, id int64) {
 	ni := len(ix.ids)
 	ix.store.add(v)
 	ix.ids = append(ix.ids, id)
-	ix.levels = append(ix.levels, int32(level))
-	ix.links0 = append(ix.links0, make([]uint32, ix.stride0)...)
+	ix.levels = append(ix.levels, uint32(level))
+	ix.beg0 = append(ix.beg0, uint32(len(ix.nbr0)))
+	ix.end0 = append(ix.end0, uint32(len(ix.nbr0)))
+	ix.nbr0 = append(ix.nbr0, make([]uint32, ix.stride0)...)
 	ix.upperOff = append(ix.upperOff, uint32(len(ix.upper)))
 	ix.upper = append(ix.upper, make([]uint32, level*ix.strideU)...)
 
@@ -202,15 +250,17 @@ func (ix *Index) insert(v []float32, id int64) {
 	if startLayer > ix.maxLevel {
 		startLayer = ix.maxLevel
 	}
+	s := borrowScratch()
+	defer searchPool.Put(s)
 	for l := startLayer; l >= 0; l-- {
-		cands := ix.searchLayer(distTo, ep, l, ix.params.EfConstruction, nil)
+		cands := ix.searchLayer(s, distTo, ep, l, ix.params.EfConstruction, nil)
 		selected := ix.selectHeuristic(cands, ix.params.M)
-		b := ix.block(ni, l)
-		b[0] = uint32(len(selected))
+		slots := ix.slots(ni, l)
 		for j, c := range selected {
-			b[1+j] = uint32(c.node)
+			slots[j] = uint32(c.node)
 			ix.connect(c.node, ni, l)
 		}
+		ix.setDegree(ni, l, len(selected))
 		if len(cands) > 0 {
 			ep, epDist = cands[0].node, cands[0].dist
 		}
@@ -225,12 +275,11 @@ func (ix *Index) insert(v []float32, id int64) {
 // connect adds back-edge from→to at layer l, pruning with the
 // heuristic when the degree cap is exceeded.
 func (ix *Index) connect(from, to, l int) {
-	b := ix.block(from, l)
-	slots := b[1:]
-	n := int(b[0])
+	slots := ix.slots(from, l)
+	n := len(ix.neighbors(from, l))
 	if n < len(slots) {
 		slots[n] = uint32(to)
-		b[0]++
+		ix.setDegree(from, l, n+1)
 		return
 	}
 	cands := make([]scored, n+1)
@@ -243,7 +292,7 @@ func (ix *Index) connect(from, to, l int) {
 	for i, s := range selected {
 		slots[i] = uint32(s.node)
 	}
-	b[0] = uint32(len(selected))
+	ix.setDegree(from, l, len(selected))
 }
 
 // scored pairs an internal node index with a distance.
@@ -324,12 +373,12 @@ func (ix *Index) greedyStep(distTo func(int) float32, ep int, epDist float32, l 
 
 // searchLayer is the ef-bounded best-first search at one layer.
 // filter (over external IDs) restricts the *result* set; filtered-out
-// nodes are still traversed so the graph stays navigable. Runs on
-// pooled scratch (heaps + visited table); only the sorted-ascending
-// result slice is allocated.
-func (ix *Index) searchLayer(distTo func(int) float32, ep, l, ef int, filter index.Filter) []scored {
-	s := borrowScratch(len(ix.ids))
-	defer searchPool.Put(s)
+// nodes are still traversed so the graph stays navigable. Runs on the
+// caller's scratch (heaps + visited table) and allocates nothing: the
+// sorted-ascending result is the result heap sorted in place, valid
+// until s is used again or released.
+func (ix *Index) searchLayer(s *searchScratch, distTo func(int) float32, ep, l, ef int, filter index.Filter) []scored {
+	s.reset(len(ix.ids))
 	candidates, results := &s.candidates, &s.results
 	d0 := distTo(ep)
 	s.visited.tryVisit(ep)
@@ -361,7 +410,8 @@ func (ix *Index) searchLayer(distTo func(int) float32, ep, l, ef int, filter ind
 			}
 		}
 	}
-	out := make([]scored, len(*results))
+	// Heapsort's second half: each pop frees the slot its maximum goes to.
+	out := *results
 	for i := len(out) - 1; i >= 0; i-- {
 		out[i] = results.pop()
 	}
@@ -393,7 +443,9 @@ func (ix *Index) SearchWithFilter(q []float32, k int, filter index.Filter, p ind
 		ep, epDist = ix.greedyStep(distTo, ep, epDist, l)
 	}
 	_ = epDist
-	res := ix.searchLayer(distTo, ep, 0, p.Ef, filter)
+	s := borrowScratch()
+	defer searchPool.Put(s)
+	res := ix.searchLayer(s, distTo, ep, 0, p.Ef, filter)
 	if len(res) > k {
 		res = res[:k]
 	}
@@ -417,6 +469,8 @@ func (ix *Index) SearchWithRange(q []float32, radius float32, filter index.Filte
 	// Iteratively widen ef until the worst in-beam result is beyond the
 	// radius (meaning the ball is fully enumerated) or we scanned all.
 	ef := p.Ef
+	s := borrowScratch()
+	defer searchPool.Put(s)
 	for {
 		ix.mu.RLock()
 		if ix.entry < 0 {
@@ -429,7 +483,7 @@ func (ix *Index) SearchWithRange(q []float32, radius float32, filter index.Filte
 			ep, epDist = ix.greedyStep(distTo, ep, epDist, l)
 		}
 		_ = epDist
-		res := ix.searchLayer(distTo, ep, 0, ef, filter)
+		res := ix.searchLayer(s, distTo, ep, 0, ef, filter)
 		ix.mu.RUnlock()
 		if len(res) < ef || res[len(res)-1].dist > radius || ef >= n {
 			var out []index.Candidate
@@ -469,7 +523,8 @@ func (ix *Index) SearchIterator(q []float32, p index.SearchParams) (index.Iterat
 	for l := ix.maxLevel; l > 0; l-- {
 		ep, epDist = ix.greedyStep(it.distTo, ep, epDist, l)
 	}
-	it.s = borrowScratch(len(ix.ids))
+	it.s = borrowScratch()
+	it.s.reset(len(ix.ids))
 	it.s.visited.tryVisit(ep)
 	it.s.candidates.push(scored{ep, epDist})
 	return it, nil

@@ -37,8 +37,12 @@ func TestLayerDegreeBounds(t *testing.T) {
 	ix, _ := built(t, false)
 	for ni := range ix.ids {
 		for l := 0; l <= int(ix.levels[ni]); l++ {
-			if nbrs := ix.neighbors(ni, l); len(nbrs) > ix.maxDegree(l) {
-				t.Fatalf("node %d layer %d degree %d > cap %d", ni, l, len(nbrs), ix.maxDegree(l))
+			degreeCap := ix.params.M
+			if l == 0 {
+				degreeCap = 2 * ix.params.M
+			}
+			if nbrs := ix.neighbors(ni, l); len(nbrs) > degreeCap {
+				t.Fatalf("node %d layer %d degree %d > cap %d", ni, l, len(nbrs), degreeCap)
 			}
 		}
 	}

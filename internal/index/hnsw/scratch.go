@@ -8,9 +8,9 @@ import "sync"
 // visited*. The heaps are now native []scored sift loops and the
 // visited set is an epoch-stamped table (faiss's VisitedTable trick:
 // clearing is one counter bump, not an O(n) memset), all pooled so
-// steady-state search allocates only its result slice. Pooled scratch
-// must never escape the search — or the iterator, from open to Close —
-// that borrowed it.
+// steady-state search allocates only the candidates it returns. Pooled
+// scratch must never escape the search — or the iterator, from open to
+// Close — that borrowed it.
 type searchScratch struct {
 	visited    visitedTable
 	candidates minHeap
@@ -19,14 +19,15 @@ type searchScratch struct {
 
 var searchPool = sync.Pool{New: func() any { return new(searchScratch) }}
 
-// borrowScratch takes search state from the pool, cleared for a graph
-// of n nodes; the borrower hands it back with searchPool.Put.
-func borrowScratch(n int) *searchScratch {
-	s := searchPool.Get().(*searchScratch)
+// borrowScratch takes search state from the pool; the borrower resets
+// it before each use and hands it back with searchPool.Put.
+func borrowScratch() *searchScratch { return searchPool.Get().(*searchScratch) }
+
+// reset clears the scratch for a search over a graph of n nodes.
+func (s *searchScratch) reset(n int) {
 	s.visited.reset(n)
 	s.candidates = s.candidates[:0]
 	s.results = s.results[:0]
-	return s
 }
 
 // visitedTable marks visited node indices. A node is visited iff its

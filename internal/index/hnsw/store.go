@@ -194,7 +194,3 @@ func (s *sqStore) train(sample []float32) error {
 	s.sq = sq
 	return nil
 }
-
-// unmarshalScalar re-exports quant.UnmarshalScalar for serialize.go
-// without a second quant import there.
-var unmarshalScalar = quant.UnmarshalScalar
