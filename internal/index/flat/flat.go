@@ -230,6 +230,13 @@ func (ix *Index) Save(w io.Writer) error {
 	return bw.Flush()
 }
 
+// SavedRows implements index.RowKeeper: the vectors end the blob as
+// they were added.
+func (ix *Index) SavedRows(blobLen int64) (off, length int64, ok bool) {
+	length = 4 * int64(len(ix.data))
+	return blobLen - length, length, true
+}
+
 // Load restores an index written by Save.
 func (ix *Index) Load(blob []byte) error {
 	c := index.NewCursor(blob)

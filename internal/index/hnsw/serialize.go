@@ -99,6 +99,18 @@ func (ix *Index) Save(w io.Writer) error {
 	return err
 }
 
+// SavedRows implements index.RowKeeper: the float store's payload is the
+// added rows as given and ends the blob (any wire version); SQ codes
+// are not rows.
+func (ix *Index) SavedRows(blobLen int64) (off, length int64, ok bool) {
+	ix.mu.RLock()
+	defer ix.mu.RUnlock()
+	if st, isFloat := ix.store.(*floatStore); isFloat {
+		length, ok = 4*int64(len(st.data)), true
+	}
+	return blobLen - length, length, ok
+}
+
 // Load restores state written by Save (any wire version) into this
 // index, which must have been constructed with the same dimension,
 // variant and M. A v3 graph is validated and then viewed where it lies

@@ -113,6 +113,17 @@ type Index interface {
 	NeedsTrain() bool
 }
 
+// RowKeeper is optionally implemented by index types whose saved blob
+// holds the added vectors verbatim, so that a segment can read its
+// vector column out of the index blob instead of storing it twice.
+type RowKeeper interface {
+	// SavedRows locates, in a blob of blobLen bytes written by Save, the
+	// vectors given to AddWithIDs: in add order, dim little-endian
+	// float32 each, contiguous. ok is fixed at construction; a variant
+	// that keeps them in another form (quantized) answers false.
+	SavedRows(blobLen int64) (off, length int64, ok bool)
+}
+
 // ErrNoNativeIterator is returned by SearchIterator for index types
 // without incremental search; the engine falls back to the generic
 // restart iterator (SingleStore-V style, paper §III-B).

@@ -162,12 +162,13 @@ func (t *Table) CompactOnce(policy CompactionPolicy) (int, error) {
 	}
 	// Swap catalog: register the new segment, retire the merged ones.
 	t.mu.Lock()
-	t.segments[newMeta.Name] = newMeta
+	t.addSegmentLocked(newMeta)
 	if newBM != nil {
 		t.deletes[newMeta.Name] = newBM
 	}
 	for _, m := range mergedMetas {
 		delete(t.segments, m.Name)
+		delete(t.readers, m.Name)
 		delete(t.deletes, m.Name)
 	}
 	t.mu.Unlock()

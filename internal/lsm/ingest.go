@@ -40,7 +40,7 @@ func (t *Table) insertSegments(batch *storage.RowBatch) error {
 	}
 	t.mu.Lock()
 	for _, m := range metas {
-		t.segments[m.Name] = m
+		t.addSegmentLocked(m)
 	}
 	t.updateHistogramsLocked(batch)
 	t.mu.Unlock()
@@ -178,52 +178,72 @@ func (t *Table) writeSegment(batch *storage.RowBatch, partition string, bucket, 
 		base.IndexType = string(t.opts.IndexType)
 	}
 
-	buildIndex := func() ([]byte, error) {
-		if t.opts.IndexColumn == "" || batch.Len() == 0 {
-			return nil, nil
-		}
-		return t.buildIndexBlob(batch, level)
+	// An index type that saves its rows verbatim (index.RowKeeper) makes
+	// its blob the indexed column's only copy: the column is not written
+	// and the segment's meta points its granules into the index blob.
+	indexed := t.opts.IndexColumn != "" && batch.Len() > 0
+	shared := ""
+	if indexed && t.indexKeepsRows(batch.Len()) {
+		shared = t.opts.IndexColumn
 	}
 
 	var (
-		meta     *storage.SegmentMeta
-		idxBlob  []byte
-		writeErr error
-		idxErr   error
+		meta             *storage.SegmentMeta
+		idxBlob          []byte
+		rowsOff          int64
+		writeErr, idxErr error
+		wg               sync.WaitGroup
 	)
-	if t.opts.PipelinedBuild {
-		// Pipelined: column serialization and index construction run
-		// concurrently; the slower of the two bounds latency instead of
-		// their sum.
-		var wg sync.WaitGroup
-		wg.Add(2)
-		go func() {
-			defer wg.Done()
-			meta, writeErr = storage.WriteSegment(t.store, base, batch, t.opts.BlockRows)
-		}()
-		go func() {
-			defer wg.Done()
-			idxBlob, idxErr = buildIndex()
-		}()
-		wg.Wait()
-	} else {
-		meta, writeErr = storage.WriteSegment(t.store, base, batch, t.opts.BlockRows)
-		if writeErr == nil {
-			idxBlob, idxErr = buildIndex()
-		}
+	writeColumns := func() {
+		defer wg.Done()
+		meta, writeErr = storage.WriteColumns(t.store, base, batch, t.opts.BlockRows, shared)
 	}
+	wg.Add(1)
+	if t.opts.PipelinedBuild {
+		// Pipelined: column serialization runs beside index construction;
+		// the slower of the two bounds latency instead of their sum.
+		go writeColumns()
+	} else {
+		writeColumns()
+	}
+	if indexed && (t.opts.PipelinedBuild || writeErr == nil) {
+		idxBlob, rowsOff, idxErr = t.buildIndexBlob(batch, level)
+	}
+	wg.Wait()
 	if writeErr != nil {
 		return nil, fmt.Errorf("lsm: writing segment %s: %w", segName, writeErr)
 	}
 	if idxErr != nil {
 		return nil, fmt.Errorf("lsm: building index for %s: %w", segName, idxErr)
 	}
-	if idxBlob != nil {
-		if err := t.store.Put(storage.IndexKey(t.opts.Name, segName, t.opts.IndexColumn), idxBlob); err != nil {
+	if indexed {
+		key := storage.IndexKey(t.opts.Name, segName, t.opts.IndexColumn)
+		if err := t.store.Put(key, idxBlob); err != nil {
 			return nil, fmt.Errorf("lsm: writing index of %s: %w", segName, err)
 		}
+		if shared != "" {
+			if rowsOff < 0 {
+				return nil, fmt.Errorf("lsm: index of %s does not hold the rows of %q", segName, shared)
+			}
+			meta.ShareColumn(shared, key, rowsOff)
+		}
+	}
+	// meta.json last: a segment directory that describes itself is whole.
+	if err := meta.Commit(t.store); err != nil {
+		return nil, fmt.Errorf("lsm: writing segment %s: %w", segName, err)
 	}
 	return meta, nil
+}
+
+// indexKeepsRows reports whether the table's index type saves the rows
+// it is given verbatim; a property of the type, asked of an empty index.
+func (t *Table) indexKeepsRows(n int) bool {
+	ix, _ := index.New(t.opts.IndexType, t.buildParamsFor(n)) // the build reports a failure
+	rk, ok := ix.(index.RowKeeper)
+	if ok {
+		_, _, ok = rk.SavedRows(0)
+	}
+	return ok
 }
 
 // buildParamsFor applies the auto-index rules for a segment of n rows.
@@ -238,9 +258,11 @@ func (t *Table) buildParamsFor(n int) index.BuildParams {
 
 // buildIndexBlob constructs the per-segment index over the batch's
 // vector column, with row offsets as IDs (paper §III-B), and
-// serializes it. level > 0 marks compaction output, where the offline
-// auto-tuner may refine the rule-based parameters.
-func (t *Table) buildIndexBlob(batch *storage.RowBatch, level int) ([]byte, error) {
+// serializes it, returning the blob and where in it the column's rows
+// lie (-1 when the index does not keep them: index.RowKeeper). level > 0
+// marks compaction output, where the offline auto-tuner may refine the
+// rule-based parameters.
+func (t *Table) buildIndexBlob(batch *storage.RowBatch, level int) ([]byte, int64, error) {
 	vcol := batch.Col(t.opts.IndexColumn)
 	n := vcol.Len()
 	params := t.buildParamsFor(n)
@@ -251,11 +273,11 @@ func (t *Table) buildIndexBlob(batch *storage.RowBatch, level int) ([]byte, erro
 	}
 	ix, err := index.New(t.opts.IndexType, params)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	if ix.NeedsTrain() {
 		if err := ix.Train(vcol.Vecs); err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 	}
 	ids := make([]int64, n)
@@ -263,13 +285,19 @@ func (t *Table) buildIndexBlob(batch *storage.RowBatch, level int) ([]byte, erro
 		ids[i] = int64(i)
 	}
 	if err := ix.AddWithIDs(vcol.Vecs, ids); err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	var buf bytes.Buffer
 	if err := ix.Save(&buf); err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	return buf.Bytes(), nil
+	rowsOff := int64(-1)
+	if rk, ok := ix.(index.RowKeeper); ok {
+		if off, length, ok := rk.SavedRows(int64(buf.Len())); ok && length == int64(4*len(vcol.Vecs)) {
+			rowsOff = off
+		}
+	}
+	return buf.Bytes(), rowsOff, nil
 }
 
 // tuneParams runs the offline auto-tuner (paper §III-B's background

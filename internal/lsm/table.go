@@ -81,8 +81,9 @@ type Table struct {
 
 	mu        sync.RWMutex
 	segments  map[string]*storage.SegmentMeta
-	deletes   map[string]*bitset.Bitset // lazily loaded delete bitmaps
-	centroids *vec.Matrix               // semantic bucket centroids; nil until trained
+	readers   map[string]*storage.SegmentReader // of each live segment
+	deletes   map[string]*bitset.Bitset         // lazily loaded delete bitmaps
+	centroids *vec.Matrix                       // semantic bucket centroids; nil until trained
 	nextSeg   int64
 	hist      map[string]*Histogram // per-column histograms for the CBO
 
@@ -188,6 +189,7 @@ func Create(store storage.BlobStore, opts Options) (*Table, error) {
 		opts:     opts,
 		store:    store,
 		segments: map[string]*storage.SegmentMeta{},
+		readers:  map[string]*storage.SegmentReader{},
 		deletes:  map[string]*bitset.Bitset{},
 		hist:     map[string]*Histogram{},
 	}
@@ -219,6 +221,7 @@ func Open(store storage.BlobStore, name string) (*Table, error) {
 		},
 		store:    store,
 		segments: map[string]*storage.SegmentMeta{},
+		readers:  map[string]*storage.SegmentReader{},
 		deletes:  map[string]*bitset.Bitset{},
 		nextSeg:  m.NextSeg,
 		hist:     m.Hist,
@@ -234,7 +237,7 @@ func Open(store storage.BlobStore, name string) (*Table, error) {
 		if err != nil {
 			return nil, fmt.Errorf("lsm: loading segment %s: %w", seg, err)
 		}
-		t.segments[seg] = sm
+		t.addSegmentLocked(sm) // not yet shared: no lock to hold
 	}
 	t.flushedLSN = m.FlushedLSN
 	// Crash recovery: WAL records past the flushed watermark are the
@@ -280,7 +283,7 @@ func (t *Table) replayWAL() error {
 		}
 		t.mu.Lock()
 		for _, m := range metas {
-			t.segments[m.Name] = m
+			t.addSegmentLocked(m)
 		}
 		t.updateHistogramsLocked(b)
 		t.mu.Unlock()
@@ -455,15 +458,22 @@ func (t *Table) DeleteBitmapCtx(ctx context.Context, seg string) (*bitset.Bitset
 	return &b, nil
 }
 
-// Reader opens a column reader for a live segment.
+// addSegmentLocked registers a segment with the reader every query of
+// it shares (a reader is immutable); caller holds t.mu.
+func (t *Table) addSegmentLocked(m *storage.SegmentMeta) {
+	t.segments[m.Name] = m
+	t.readers[m.Name] = &storage.SegmentReader{Store: t.store, Meta: m, Schema: t.opts.Schema}
+}
+
+// Reader returns the column reader of a live segment.
 func (t *Table) Reader(seg string) (*storage.SegmentReader, error) {
 	t.mu.RLock()
-	m, ok := t.segments[seg]
+	rd, ok := t.readers[seg]
 	t.mu.RUnlock()
 	if !ok {
 		return nil, fmt.Errorf("lsm: segment %q not live", seg)
 	}
-	return &storage.SegmentReader{Store: t.store, Meta: m, Schema: t.opts.Schema}, nil
+	return rd, nil
 }
 
 // OpenIndex loads the per-segment vector index from the store,

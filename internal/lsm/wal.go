@@ -288,7 +288,7 @@ func (t *Table) flushOnce(ws *walState) error {
 		}
 		t.mu.Lock()
 		for _, meta := range metas {
-			t.segments[meta.Name] = meta
+			t.addSegmentLocked(meta)
 		}
 		if live.Len() > 0 {
 			t.updateHistogramsLocked(live)
@@ -439,15 +439,15 @@ func (t *Table) View() QueryView {
 	for _, m := range t.segments {
 		v.Segments = append(v.Segments, m)
 	}
+	// Rows only grow: an empty memtable is asked before it is snapshotted
+	// (ten allocations a query for nothing).
 	for _, m := range t.sealed {
-		if snap := m.Snapshot(); snap.Rows() > 0 {
-			v.Mem = append(v.Mem, snap)
+		if m.Rows() > 0 {
+			v.Mem = append(v.Mem, m.Snapshot())
 		}
 	}
-	if t.mem != nil {
-		if snap := t.mem.Snapshot(); snap.Rows() > 0 {
-			v.Mem = append(v.Mem, snap)
-		}
+	if t.mem != nil && t.mem.Rows() > 0 {
+		v.Mem = append(v.Mem, t.mem.Snapshot())
 	}
 	return v
 }

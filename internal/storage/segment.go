@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"strings"
 )
 
 // DefaultBlockRows is the granule size: the smallest unit of column
@@ -30,6 +31,10 @@ type BlockMeta struct {
 type ColumnMeta struct {
 	Name   string      `json:"name"`
 	Blocks []BlockMeta `json:"blocks"`
+	// Blob names the sibling blob holding this column's granules when
+	// it is not col_<name>.bin: the segment's index blob, whose payload
+	// is the indexed column's rows. Offsets then point into that blob.
+	Blob string `json:"blob,omitempty"`
 
 	// starts is the granule directory: starts[i] is the segment row
 	// granule i begins at, starts[len(Blocks)] the column's row count.
@@ -39,15 +44,24 @@ type ColumnMeta struct {
 	starts []int
 }
 
-// buildGranuleDirectory derives every column's granule directory.
-func (m *SegmentMeta) buildGranuleDirectory() {
+// buildGranuleDirectory derives every column's granule directory, and
+// rejects granule addresses no writer produces — a blob outside the
+// segment, granules out of order, negative or overflowing — so that
+// readers can compute with them: meta.json comes from the store.
+func (m *SegmentMeta) buildGranuleDirectory() error {
 	for ci := range m.Columns {
 		cm := &m.Columns[ci]
 		cm.starts = make([]int, len(cm.Blocks)+1)
+		end, outside := int64(0), strings.Contains(cm.Blob, "/")
 		for i, b := range cm.Blocks {
+			if outside || b.Offset < end || b.Length < 0 || b.Offset > math.MaxInt64-b.Length {
+				return fmt.Errorf("%w: segment %s column %q granule at %d+%d of blob %q", ErrCorruptGranule, m.Name, cm.Name, b.Offset, b.Length, cm.Blob)
+			}
+			end = b.Offset + b.Length
 			cm.starts[i+1] = cm.starts[i] + b.Rows
 		}
 	}
+	return nil
 }
 
 // Granule locates a segment row in the column: the granule holding it
@@ -106,14 +120,34 @@ func ColumnKey(table, seg, col string) string  { return segPrefix(table, seg) + 
 func IndexKey(table, seg, col string) string   { return segPrefix(table, seg) + "idx_" + col + ".bin" }
 func DeleteBitmapKey(table, seg string) string { return segPrefix(table, seg) + "delete.bmp" }
 
+// columnKey resolves the blob a column's granules live in.
+func (m *SegmentMeta) columnKey(cm *ColumnMeta) string {
+	if cm.Blob == "" {
+		return ColumnKey(m.Table, m.Name, cm.Name)
+	}
+	return segPrefix(m.Table, m.Name) + cm.Blob
+}
+
 // SegmentsPrefix is the listing prefix for a table's segments.
 func SegmentsPrefix(table string) string { return "tables/" + table + "/segments/" }
 
-// WriteSegment serializes batch into per-column blobs with a mark
-// index, computes statistics and the centroid, writes meta.json, and
-// returns the finished metadata. blockRows <= 0 selects
-// DefaultBlockRows.
+// WriteSegment writes a whole segment: every column, then meta.json.
 func WriteSegment(store BlobStore, meta SegmentMeta, batch *RowBatch, blockRows int) (*SegmentMeta, error) {
+	m, err := WriteColumns(store, meta, batch, blockRows, "")
+	if err != nil {
+		return nil, err
+	}
+	return m, m.Commit(store)
+}
+
+// WriteColumns serializes batch into per-column blobs with a mark
+// index, computes statistics and the centroid, and returns the metadata
+// — not yet written: Commit does that, once every blob it describes
+// exists. The vector column shared (if any) is neither encoded nor
+// Put: its granules are cut as if its rows began at offset 0, and
+// ShareColumn moves them onto the blob that holds those rows.
+// blockRows <= 0 selects DefaultBlockRows.
+func WriteColumns(store BlobStore, meta SegmentMeta, batch *RowBatch, blockRows int, shared string) (*SegmentMeta, error) {
 	if err := batch.Validate(); err != nil {
 		return nil, err
 	}
@@ -124,38 +158,64 @@ func WriteSegment(store BlobStore, meta SegmentMeta, batch *RowBatch, blockRows 
 		blockRows = DefaultBlockRows
 	}
 	meta.Rows = batch.Len()
-	if meta.Bucket == 0 && meta.Centroid == nil {
-		// Preserve explicit bucket 0; callers set -1 for "none".
-	}
 	meta.MinInt = map[string]int64{}
 	meta.MaxInt = map[string]int64{}
 	meta.MinFloat = map[string]float64{}
 	meta.MaxFloat = map[string]float64{}
-	meta.Columns = nil
+	meta.Columns = make([]ColumnMeta, len(batch.Cols))
 
-	for _, col := range batch.Cols {
+	for i, col := range batch.Cols {
+		cm := &meta.Columns[i]
+		cm.Name = col.Def.Name
+		collectStats(&meta, col)
+		if cm.Name == shared {
+			width := int64(4 * col.Def.Dim)
+			for start := 0; start < meta.Rows; start += blockRows {
+				rows := int64(min(blockRows, meta.Rows-start))
+				cm.Blocks = append(cm.Blocks, BlockMeta{Rows: int(rows), Offset: int64(start) * width, Length: rows * width})
+			}
+			continue
+		}
 		blob, blocks, err := encodeColumn(col, blockRows)
 		if err != nil {
-			return nil, fmt.Errorf("storage: encoding column %q: %w", col.Def.Name, err)
+			return nil, fmt.Errorf("storage: encoding column %q: %w", cm.Name, err)
 		}
-		if err := store.Put(ColumnKey(meta.Table, meta.Name, col.Def.Name), blob); err != nil {
-			return nil, fmt.Errorf("storage: writing column %q: %w", col.Def.Name, err)
+		if err := store.Put(meta.columnKey(cm), blob); err != nil {
+			return nil, fmt.Errorf("storage: writing column %q: %w", cm.Name, err)
 		}
-		meta.Columns = append(meta.Columns, ColumnMeta{Name: col.Def.Name, Blocks: blocks})
-		collectStats(&meta, col)
+		cm.Blocks = blocks
 	}
 	if c := batch.Schema.VectorColumn(); c != nil && meta.Centroid == nil && batch.Len() > 0 {
 		meta.Centroid = centroidOf(batch.Col(c.Name))
 	}
-	mj, err := json.Marshal(&meta)
-	if err != nil {
-		return nil, fmt.Errorf("storage: marshaling meta: %w", err)
-	}
-	if err := store.Put(MetaKey(meta.Table, meta.Name), mj); err != nil {
-		return nil, fmt.Errorf("storage: writing meta: %w", err)
-	}
-	meta.buildGranuleDirectory()
 	return &meta, nil
+}
+
+// ShareColumn places column col, left out by WriteColumns, on the
+// sibling blob key, whose bytes from off on are the column's rows in
+// the column's own encoding.
+func (m *SegmentMeta) ShareColumn(col, key string, off int64) {
+	for i := range m.Columns {
+		if cm := &m.Columns[i]; cm.Name == col {
+			cm.Blob = strings.TrimPrefix(key, segPrefix(m.Table, m.Name))
+			for b := range cm.Blocks {
+				cm.Blocks[b].Offset += off
+			}
+		}
+	}
+}
+
+// Commit writes meta.json, the blob that makes the segment's directory
+// describe itself — so it goes last, after every blob it names.
+func (m *SegmentMeta) Commit(store BlobStore) error {
+	mj, err := json.Marshal(m)
+	if err != nil {
+		return fmt.Errorf("storage: marshaling meta: %w", err)
+	}
+	if err := store.Put(MetaKey(m.Table, m.Name), mj); err != nil {
+		return fmt.Errorf("storage: writing meta: %w", err)
+	}
+	return m.buildGranuleDirectory()
 }
 
 func collectStats(meta *SegmentMeta, col *ColumnData) {
@@ -335,8 +395,7 @@ func ReadMeta(store BlobStore, table, seg string) (*SegmentMeta, error) {
 	if err := json.Unmarshal(data, &m); err != nil {
 		return nil, fmt.Errorf("storage: parsing meta of %s/%s: %w", table, seg, err)
 	}
-	m.buildGranuleDirectory()
-	return &m, nil
+	return &m, m.buildGranuleDirectory()
 }
 
 // SegmentReader reads columns of one segment, whole or block-wise.
@@ -374,22 +433,31 @@ func (r *SegmentReader) ReadColumn(name string) (*ColumnData, error) {
 }
 
 // ReadColumnCtx is ReadColumn bounded by a context: a fired deadline or
-// cancel aborts the (remote) blob read.
+// cancel aborts the (remote) blob read. Of a shared blob it fetches
+// only the span the column's granules cover, not the index around it.
 func (r *SegmentReader) ReadColumnCtx(ctx context.Context, name string) (*ColumnData, error) {
 	cm, def, err := r.colMeta(name)
 	if err != nil {
 		return nil, err
 	}
-	blob, err := tallyGet(ctx, r.Store, ColumnKey(r.Meta.Table, r.Meta.Name, name))
+	var blob []byte
+	var lo int64
+	if n := len(cm.Blocks); cm.Blob == "" || n == 0 {
+		blob, err = tallyGet(ctx, r.Store, r.Meta.columnKey(cm))
+	} else {
+		lo = cm.Blocks[0].Offset
+		blob, err = tallyGetRange(ctx, r.Store, r.Meta.columnKey(cm), lo, cm.Blocks[n-1].Offset+cm.Blocks[n-1].Length-lo)
+	}
 	if err != nil {
 		return nil, err
 	}
 	out := NewColumnData(*def)
 	for _, b := range cm.Blocks {
-		if int64(len(blob)) < b.Offset+b.Length {
-			return nil, fmt.Errorf("storage: column %q blob shorter than mark index", name)
+		off := b.Offset - lo
+		if b.Length > int64(len(blob))-off {
+			return nil, fmt.Errorf("%w: column %q blob shorter than mark index", ErrCorruptGranule, name)
 		}
-		if err := decodeBlock(blob[b.Offset:b.Offset+b.Length], *def, b.Rows, out); err != nil {
+		if err := decodeBlock(blob[off:off+b.Length], *def, b.Rows, out); err != nil {
 			return nil, err
 		}
 	}
@@ -425,7 +493,10 @@ func (r *SegmentReader) ReadGranuleCtx(ctx context.Context, name string, block i
 		return nil, 0, fmt.Errorf("storage: granule %d out of range [0,%d) in column %q", block, len(cm.Blocks), name)
 	}
 	b := cm.Blocks[block]
-	blob, err := tallyGetRange(ctx, r.Store, ColumnKey(r.Meta.Table, r.Meta.Name, name), b.Offset, b.Length)
+	blob, err := tallyGetRange(ctx, r.Store, r.Meta.columnKey(cm), b.Offset, b.Length)
+	if err == nil && int64(len(blob)) < b.Length {
+		err = fmt.Errorf("%w: column %q granule %d runs off its blob", ErrCorruptGranule, name, block)
+	}
 	if err != nil {
 		return nil, 0, err
 	}
