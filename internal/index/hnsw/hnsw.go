@@ -57,6 +57,7 @@ type Index struct {
 	entry    int // entry point node index; -1 when empty
 	maxLevel int
 	rng      *rand.Rand // level generator, seeded by the first AddWithIDs
+	build    buildScratch
 }
 
 // graph is the part of an Index that Load replaces as a whole.
@@ -213,14 +214,16 @@ func (ix *Index) AddWithIDs(vecs []float32, ids []int64) error {
 	ix.beg0 = slices.Grow(ix.beg0, len(ids))
 	ix.end0 = slices.Grow(ix.end0, len(ids))
 	ix.nbr0 = slices.Grow(ix.nbr0, len(ids)*ix.stride0)
+	s := borrowScratch()
+	defer s.release()
 	for i, id := range ids {
-		ix.insert(vecs[i*dim:i*dim+dim], id)
+		ix.insert(s, vecs[i*dim:i*dim+dim], id)
 	}
 	return nil
 }
 
-// insert adds one vector under the write lock.
-func (ix *Index) insert(v []float32, id int64) {
+// insert adds one vector under the write lock, searching on s.
+func (ix *Index) insert(s *searchScratch, v []float32, id int64) {
 	level := int(-math.Log(ix.rng.Float64()) * ix.mL)
 	ni := len(ix.ids)
 	ix.store.add(v)
@@ -238,33 +241,27 @@ func (ix *Index) insert(v []float32, id int64) {
 		return
 	}
 
-	distTo := ix.store.nodeDist(ni)
-	ep := ix.entry
-	epDist := distTo(ep)
-	// Greedy descent through layers above the new node's level.
-	for l := ix.maxLevel; l > level; l-- {
-		ep, epDist = ix.greedyStep(distTo, ep, epDist, l)
-	}
-	// Beam search and connect on each layer from min(level, maxLevel) down.
-	startLayer := level
-	if startLayer > ix.maxLevel {
-		startLayer = ix.maxLevel
-	}
-	s := borrowScratch()
-	defer searchPool.Put(s)
-	for l := startLayer; l >= 0; l-- {
-		cands := ix.searchLayer(s, distTo, ep, l, ix.params.EfConstruction, nil)
+	// Greedy descent through layers above the new node's level, then
+	// beam search and connect on each layer from min(level, maxLevel)
+	// down.
+	ix.store.node(&s.q, ni)
+	ep, _ := ix.descend(s, level)
+	for l := min(level, ix.maxLevel); l >= 0; l-- {
+		cands := ix.searchLayer(s, ep, l, ix.params.EfConstruction, nil)
 		selected := ix.selectHeuristic(cands, ix.params.M)
 		slots := ix.slots(ni, l)
 		for j, c := range selected {
 			slots[j] = uint32(c.node)
-			ix.connect(c.node, ni, l)
 		}
 		ix.setDegree(ni, l, len(selected))
-		if len(cands) > 0 {
-			ep, epDist = cands[0].node, cands[0].dist
+		// The back-edges read the new node's slots: connect reuses the
+		// buffers selected may live in.
+		for _, nb := range slots[:len(selected)] {
+			ix.connect(int(nb), ni, l)
 		}
-		_ = epDist
+		if len(cands) > 0 {
+			ep = cands[0].node
+		}
 	}
 	if level > ix.maxLevel {
 		ix.maxLevel = level
@@ -273,7 +270,8 @@ func (ix *Index) insert(v []float32, id int64) {
 }
 
 // connect adds back-edge from→to at layer l, pruning with the
-// heuristic when the degree cap is exceeded.
+// heuristic when the degree cap is exceeded; from's neighbours and to
+// are scored in one batch.
 func (ix *Index) connect(from, to, l int) {
 	slots := ix.slots(from, l)
 	n := len(ix.neighbors(from, l))
@@ -282,13 +280,15 @@ func (ix *Index) connect(from, to, l int) {
 		ix.setDegree(from, l, n+1)
 		return
 	}
-	cands := make([]scored, n+1)
-	for i, nb := range slots {
-		cands[i] = scored{node: int(nb), dist: ix.store.pairDist(from, int(nb))}
+	b := &ix.build
+	b.nodes = append(append(b.nodes[:0], slots...), uint32(to))
+	ix.store.node(&b.other, from)
+	b.cands = b.cands[:0]
+	for k, d := range b.score(ix.store, &b.other, b.nodes) {
+		b.cands = append(b.cands, scored{node: int(b.nodes[k]), dist: d})
 	}
-	cands[n] = scored{node: to, dist: ix.store.pairDist(from, to)}
-	sortScored(cands)
-	selected := ix.selectHeuristic(cands, len(slots))
+	sortScored(b.cands)
+	selected := ix.selectHeuristic(b.cands, len(slots))
 	for i, s := range selected {
 		slots[i] = uint32(s.node)
 	}
@@ -312,75 +312,80 @@ func sortScored(s []scored) {
 
 // selectHeuristic implements Malkov's SELECT-NEIGHBORS-HEURISTIC: a
 // candidate is kept only if it is closer to the base point than to any
-// already-kept neighbor, which spreads edges across directions.
-// cands must be sorted ascending by distance.
+// already-kept neighbor, which spreads edges across directions. cands
+// must be sorted ascending by distance. Each candidate is scored
+// against the kept set four at a time — one call of the gathered
+// kernel — and tested in kept order. The result lives in the build
+// scratch until the next call.
 func (ix *Index) selectHeuristic(cands []scored, m int) []scored {
 	if len(cands) <= m {
 		return cands
 	}
-	selected := make([]scored, 0, m)
-	for _, c := range cands {
-		ok := true
-		for _, s := range selected {
-			if ix.store.pairDist(c.node, s.node) < c.dist {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			selected = append(selected, c)
-			if len(selected) == m {
-				break
-			}
-		}
-	}
-	// Backfill with nearest rejected candidates if the heuristic was
-	// too aggressive (keeps graphs connected on clustered data).
-	if len(selected) < m {
-		have := map[int]bool{}
-		for _, s := range selected {
-			have[s.node] = true
-		}
-		for _, c := range cands {
-			if !have[c.node] {
-				selected = append(selected, c)
-				if len(selected) == m {
+	b := &ix.build
+	sel, kept, rejected := b.selected[:0], b.nodes[:0], b.marks(len(cands))
+	for i, c := range cands {
+		ix.store.node(&b.other, c.node)
+		for j := 0; j < len(kept) && !rejected[i]; j += 4 {
+			for _, d := range b.score(ix.store, &b.other, kept[j:min(j+4, len(kept))]) {
+				if d < c.dist {
+					rejected[i] = true
 					break
 				}
 			}
 		}
-	}
-	return selected
-}
-
-// greedyStep walks to the neighbor closest to v at layer l until no
-// improvement, returning the final node and distance.
-func (ix *Index) greedyStep(distTo func(int) float32, ep int, epDist float32, l int) (int, float32) {
-	for {
-		improved := false
-		for _, nb := range ix.neighbors(ep, l) {
-			d := distTo(int(nb))
-			if d < epDist {
-				ep, epDist = int(nb), d
-				improved = true
+		if !rejected[i] {
+			sel, kept = append(sel, c), append(kept, uint32(c.node))
+			if len(sel) == m {
+				break
 			}
 		}
-		if !improved {
-			return ep, epDist
+	}
+	// Backfill with the nearest rejected candidates if the heuristic was
+	// too aggressive (keeps graphs connected on clustered data). Short
+	// of m, the loop above saw every candidate.
+	for i := 0; i < len(cands) && len(sel) < m; i++ {
+		if rejected[i] {
+			sel = append(sel, cands[i])
 		}
 	}
+	b.nodes, b.selected = kept, sel
+	return sel
 }
 
-// searchLayer is the ef-bounded best-first search at one layer.
-// filter (over external IDs) restricts the *result* set; filtered-out
-// nodes are still traversed so the graph stays navigable. Runs on the
-// caller's scratch (heaps + visited table) and allocates nothing: the
-// sorted-ascending result is the result heap sorted in place, valid
-// until s is used again or released.
-func (ix *Index) searchLayer(s *searchScratch, distTo func(int) float32, ep, l, ef int, filter index.Filter) []scored {
+// descend walks greedily from the entry point down to layer stop+1: on
+// each layer, to the neighbour closest to s's anchor until none is
+// closer. It returns the node it stops at and its distance. A node's
+// neighbours are scored as one batch and then tested in list order.
+func (ix *Index) descend(s *searchScratch, stop int) (int, float32) {
+	ep := ix.entry
+	epDist := s.dist(ix.store, ep)
+	for l := ix.maxLevel; l > stop; l-- {
+		for improved := true; improved; {
+			improved = false
+			nbrs := ix.neighbors(ep, l)
+			for k, d := range s.score(ix.store, &s.q, nbrs) {
+				if d < epDist {
+					ep, epDist, improved = int(nbrs[k]), d, true
+				}
+			}
+		}
+	}
+	return ep, epDist
+}
+
+// searchLayer is the ef-bounded best-first search at one layer from
+// s's anchor. filter (over external IDs) restricts the *result* set;
+// filtered-out nodes are still traversed so the graph stays navigable.
+// An expanded node's unvisited neighbours are scored as one batch; the
+// accept tests then run in list order, as they would one at a time,
+// since no distance depends on the heaps. Runs on the caller's scratch
+// (heaps + visited table) and allocates nothing: the sorted-ascending
+// result is the result heap sorted in place, valid until s is used
+// again or released.
+func (ix *Index) searchLayer(s *searchScratch, ep, l, ef int, filter index.Filter) []scored {
 	s.reset(len(ix.ids))
 	candidates, results := &s.candidates, &s.results
-	d0 := distTo(ep)
+	d0 := s.dist(ix.store, ep)
 	s.visited.tryVisit(ep)
 	candidates.push(scored{ep, d0})
 	if passes(filter, ix.ids[ep]) {
@@ -393,13 +398,10 @@ func (ix *Index) searchLayer(s *searchScratch, distTo func(int) float32, ep, l, 
 				break
 			}
 		}
-		for _, nb := range ix.neighbors(c.node, l) {
-			ni := int(nb)
-			if !s.visited.tryVisit(ni) {
-				continue
-			}
-			d := distTo(ni)
+		nodes, ds := s.unvisited(ix.store, ix.neighbors(c.node, l))
+		for k, d := range ds {
 			if len(*results) < ef || d < (*results)[0].dist {
+				ni := int(nodes[k])
 				candidates.push(scored{ni, d})
 				if passes(filter, ix.ids[ni]) {
 					results.push(scored{ni, d})
@@ -437,15 +439,11 @@ func (ix *Index) SearchWithFilter(q []float32, k int, filter index.Filter, p ind
 	if ix.entry < 0 {
 		return nil, nil
 	}
-	distTo := ix.store.queryDist(q)
-	ep, epDist := ix.entry, distTo(ix.entry)
-	for l := ix.maxLevel; l > 0; l-- {
-		ep, epDist = ix.greedyStep(distTo, ep, epDist, l)
-	}
-	_ = epDist
 	s := borrowScratch()
-	defer searchPool.Put(s)
-	res := ix.searchLayer(s, distTo, ep, 0, p.Ef, filter)
+	defer s.release()
+	ix.store.query(&s.q, q)
+	ep, _ := ix.descend(s, 0)
+	res := ix.searchLayer(s, ep, 0, p.Ef, filter)
 	if len(res) > k {
 		res = res[:k]
 	}
@@ -470,20 +468,16 @@ func (ix *Index) SearchWithRange(q []float32, radius float32, filter index.Filte
 	// radius (meaning the ball is fully enumerated) or we scanned all.
 	ef := p.Ef
 	s := borrowScratch()
-	defer searchPool.Put(s)
+	defer s.release()
 	for {
 		ix.mu.RLock()
 		if ix.entry < 0 {
 			ix.mu.RUnlock()
 			return nil, nil
 		}
-		distTo := ix.store.queryDist(q)
-		ep, epDist := ix.entry, distTo(ix.entry)
-		for l := ix.maxLevel; l > 0; l-- {
-			ep, epDist = ix.greedyStep(distTo, ep, epDist, l)
-		}
-		_ = epDist
-		res := ix.searchLayer(s, distTo, ep, 0, ef, filter)
+		ix.store.query(&s.q, q)
+		ep, _ := ix.descend(s, 0)
+		res := ix.searchLayer(s, ep, 0, ef, filter)
 		ix.mu.RUnlock()
 		if len(res) < ef || res[len(res)-1].dist > radius || ef >= n {
 			var out []index.Candidate
@@ -518,12 +512,9 @@ func (ix *Index) SearchIterator(q []float32, p index.SearchParams) (index.Iterat
 	if ix.entry < 0 {
 		return it, nil
 	}
-	it.distTo = ix.store.queryDist(q)
-	ep, epDist := ix.entry, it.distTo(ix.entry)
-	for l := ix.maxLevel; l > 0; l-- {
-		ep, epDist = ix.greedyStep(it.distTo, ep, epDist, l)
-	}
 	it.s = borrowScratch()
+	ix.store.query(&it.s.q, q)
+	ep, epDist := ix.descend(it.s, 0)
 	it.s.reset(len(ix.ids))
 	it.s.visited.tryVisit(ep)
 	it.s.candidates.push(scored{ep, epDist})
@@ -534,8 +525,7 @@ func (ix *Index) SearchIterator(q []float32, p index.SearchParams) (index.Iterat
 // an Ef-sized lookahead buffer.
 type iterator struct {
 	ix        *Index
-	distTo    func(int) float32
-	s         *searchScratch    // frontier + visited; nil for an empty index and after Close
+	s         *searchScratch    // anchor, frontier, visited; nil for an empty index and after Close
 	buf       []index.Candidate // expanded but not yet emitted, sorted
 	lookahead int
 }
@@ -560,11 +550,9 @@ func (it *iterator) Next(n int) ([]index.Candidate, error) {
 		for len(it.buf) < n+it.lookahead && len(s.candidates) > 0 {
 			c := s.candidates.pop()
 			it.buf = append(it.buf, index.Candidate{ID: ix.ids[c.node], Dist: c.dist})
-			for _, nb := range ix.neighbors(c.node, 0) {
-				ni := int(nb)
-				if s.visited.tryVisit(ni) {
-					s.candidates.push(scored{ni, it.distTo(ni)})
-				}
+			nodes, ds := s.unvisited(ix.store, ix.neighbors(c.node, 0))
+			for k, d := range ds {
+				s.candidates.push(scored{int(nodes[k]), d})
 			}
 		}
 		ix.mu.RUnlock()
@@ -582,7 +570,7 @@ func (it *iterator) Next(n int) ([]index.Candidate, error) {
 // Close returns the borrowed scratch to the pool and ends the stream.
 func (it *iterator) Close() error {
 	if it.s != nil {
-		searchPool.Put(it.s)
+		it.s.release()
 		it.s = nil
 	}
 	it.buf = nil

@@ -1,6 +1,9 @@
 package hnsw
 
-import "sync"
+import (
+	"slices"
+	"sync"
+)
 
 // Per-search scratch. HNSW search state (frontier heap, result heap,
 // visited marks) used to be allocated per call — with interface boxing
@@ -10,18 +13,79 @@ import "sync"
 // clearing is one counter bump, not an O(n) memset), all pooled so
 // steady-state search allocates only the candidates it returns. Pooled
 // scratch must never escape the search — or the iterator, from open to
-// Close — that borrowed it.
+// Close — that borrowed it. The anchor (a query, or the node being
+// inserted) lives here too, so preparing it allocates nothing either.
 type searchScratch struct {
+	q          anchor
 	visited    visitedTable
 	candidates minHeap
 	results    maxHeap
+	batch
 }
 
 var searchPool = sync.Pool{New: func() any { return new(searchScratch) }}
 
 // borrowScratch takes search state from the pool; the borrower resets
-// it before each use and hands it back with searchPool.Put.
+// it before each use and hands it back with release.
 func borrowScratch() *searchScratch { return searchPool.Get().(*searchScratch) }
+
+// release returns s to the pool holding no query or stored vector.
+func (s *searchScratch) release() {
+	s.q = anchor{buf: s.q.buf, dec: s.q.dec}
+	searchPool.Put(s)
+}
+
+// dist measures the distance from the search's anchor to node i.
+func (s *searchScratch) dist(st store, i int) float32 {
+	s.nodes = append(s.nodes[:0], uint32(i))
+	return s.score(st, &s.q, s.nodes)[0]
+}
+
+// unvisited marks the nodes of nbrs not visited yet and scores them
+// from the search's anchor as one batch: it returns those nodes, in
+// list order, and their distances.
+func (s *searchScratch) unvisited(st store, nbrs []uint32) ([]uint32, []float32) {
+	s.nodes = s.nodes[:0]
+	for _, nb := range nbrs {
+		if s.visited.tryVisit(int(nb)) {
+			s.nodes = append(s.nodes, nb)
+		}
+	}
+	return s.nodes, s.score(st, &s.q, s.nodes)
+}
+
+// buildScratch is insertion's working space beyond a search: a second
+// anchor for the heuristic and for pruning a neighbour, the prune's
+// candidates, the heuristic's output and per-candidate rejection marks.
+// The index owns it and uses it under its write lock.
+type buildScratch struct {
+	other    anchor
+	cands    []scored
+	selected []scored
+	rejected []bool
+	batch
+}
+
+// marks returns the rejection marks cleared for n candidates.
+func (b *buildScratch) marks(n int) []bool {
+	b.rejected = slices.Grow(b.rejected[:0], n)[:n]
+	clear(b.rejected)
+	return b.rejected
+}
+
+// batch holds the nodes one distance call scores and their distances.
+type batch struct {
+	nodes []uint32
+	dists []float32
+}
+
+// score measures the distance from a to each of nodes, which may be
+// b.nodes or any other list; the result is valid until the next call.
+func (b *batch) score(st store, a *anchor, nodes []uint32) []float32 {
+	b.dists = slices.Grow(b.dists[:0], len(nodes))[:len(nodes)]
+	st.dists(a, nodes, b.dists)
+	return b.dists
+}
 
 // reset clears the scratch for a search over a graph of n nodes.
 func (s *searchScratch) reset(n int) {

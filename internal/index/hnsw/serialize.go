@@ -353,7 +353,7 @@ func (ix *Index) loadStore(c *index.Cursor, n int) error {
 		if c.Remaining() != cnt {
 			return index.Corruptf("hnsw: %d trailing bytes", c.Remaining()-cnt)
 		}
-		st.sq = sq
+		st.use(sq)
 		st.codes = c.Bytes(cnt)
 		// The on-disk format carries only codes; the fast-path code
 		// sums are derived state and are rebuilt here.

@@ -12,27 +12,40 @@ import (
 // HNSWSQ share all traversal code. Implementations are append-only;
 // node i's payload is the i-th add.
 //
-// Distances are exposed as closures anchored at a query vector or at a
-// stored node: this lets the SQ store encode a query once and run
-// pure-integer kernels for the whole traversal (hnswlib does the
-// same), which is where HNSWSQ's speed advantage comes from.
+// Distances are measured from an anchor — a query or a stored node —
+// that the store prepares once, in batches: the float store scores a
+// batch four rows at a time on vec's gathered kernel, and the SQ store
+// encodes a query once and runs its integer kernels for the whole
+// traversal (hnswlib does the same), which is where HNSWSQ's speed
+// advantage comes from.
 type store interface {
 	// grow reserves room for n further adds.
 	grow(n int)
 	add(v []float32)
-	// queryDist returns a distance function from external query q to
-	// stored nodes. The closure must be safe for use by one goroutine;
-	// concurrent searches each obtain their own.
-	queryDist(q []float32) func(i int) float32
-	// nodeDist returns a distance function anchored at stored node i.
-	nodeDist(i int) func(j int) float32
-	// pairDist is a one-off distance between two stored nodes.
-	pairDist(i, j int) float32
+	// query and node set a to external query q, or to stored node i.
+	query(a *anchor, q []float32)
+	node(a *anchor, i int)
+	// dists sets out[k] to the distance from a to stored node nodes[k].
+	dists(a *anchor, nodes []uint32, out []float32)
 	count() int
 	memoryBytes() int64
 	needsTrain() bool
 	trained() bool
 	train(sample []float32) error
+}
+
+// anchor is the point a batch of distances is measured from, in the
+// form the store's kernel takes it. It borrows the query or the stored
+// node it was set to; buf and dec are its own.
+type anchor struct {
+	v    []float32      // float store, SQ float paths: the point
+	code []byte         // SQ integer kernels: the point's code
+	sym  quant.SymQuery // ... with IP and cosine: its expansion terms
+	w    []float32      // SQ float path, IP: the query-side weights
+	bias float32        // ... and bias
+	norm float32        // SQ float path, cosine: Dot(v, v)
+	buf  []byte         // SQ: an encoded query
+	dec  []float32      // SQ: a decoded node
 }
 
 // floatStore keeps raw float32 vectors (classic HNSW).
@@ -49,19 +62,11 @@ func newFloatStore(dim int, m vec.Metric) *floatStore {
 func (s *floatStore) grow(n int)      { s.data = slices.Grow(s.data, n*s.dim) }
 func (s *floatStore) add(v []float32) { s.data = append(s.data, v...) }
 
-func (s *floatStore) row(i int) []float32 { return s.data[i*s.dim : i*s.dim+s.dim] }
+func (s *floatStore) query(a *anchor, q []float32) { a.v = q }
+func (s *floatStore) node(a *anchor, i int)        { a.v = s.data[i*s.dim : i*s.dim+s.dim] }
 
-func (s *floatStore) queryDist(q []float32) func(int) float32 {
-	return func(i int) float32 { return vec.Distance(s.metric, q, s.row(i)) }
-}
-
-func (s *floatStore) nodeDist(i int) func(int) float32 {
-	base := s.row(i)
-	return func(j int) float32 { return vec.Distance(s.metric, base, s.row(j)) }
-}
-
-func (s *floatStore) pairDist(i, j int) float32 {
-	return vec.Distance(s.metric, s.row(i), s.row(j))
+func (s *floatStore) dists(a *anchor, nodes []uint32, out []float32) {
+	vec.GatherDistances(s.metric, a.v, s.data, nodes, out)
 }
 
 func (s *floatStore) count() int            { return len(s.data) / s.dim }
@@ -80,6 +85,7 @@ type sqStore struct {
 	dim    int
 	metric vec.Metric
 	sq     *quant.ScalarQuantizer
+	exact  bool // every code decodes and encodes back to itself
 	codes  []byte
 	sums   []int32 // Σ code[d] per node
 	sumSqs []int32 // Σ code[d]² per node
@@ -121,47 +127,78 @@ func (s *sqStore) rebuildStats() {
 	}
 }
 
-func (s *sqStore) queryDist(q []float32) func(int) float32 {
-	switch s.metric {
-	case vec.InnerProduct:
-		if sym, ok := s.sq.NewSymQuery(q); ok {
-			return func(i int) float32 { return -sym.DotDecoded(s.code(i), s.sums[i]) }
-		}
-		w, bias := s.sq.DotTable(q)
-		return func(i int) float32 { return -quant.DotWithTable(w, bias, s.code(i)) }
-	case vec.Cosine:
-		if sym, ok := s.sq.NewSymQuery(q); ok {
-			return func(i int) float32 { return sym.CosineDecoded(s.code(i), s.sums[i], s.sumSqs[i]) }
-		}
-		qn := vec.Dot(q, q)
-		return func(i int) float32 { return s.sq.CosineToCode(q, s.code(i), qn) }
-	default:
-		// Encode the query once; traversal runs on the integer kernel.
-		qc := make([]byte, s.dim)
-		s.sq.Encode(q, qc)
-		return func(i int) float32 { return s.sq.CodeL2Squared(qc, s.code(i)) }
+// use installs the quantizer and notes whether it is uniform with every
+// code surviving Decode then Encode. A code may not where Min lies far
+// from zero against Step: float32 cannot hold Min + c·Step finely
+// enough. Uniform means one dimension answers for all.
+func (s *sqStore) use(sq *quant.ScalarQuantizer) {
+	s.sq, s.exact = sq, sq.Uniform
+	one := quant.ScalarQuantizer{Dim: 1, Min: sq.Min[:1], Step: sq.Step[:1]}
+	var v [1]float32
+	var c, back [1]byte
+	for k := 0; k < 256 && s.exact; k++ {
+		c[0] = byte(k)
+		one.Decode(c[:], v[:])
+		one.Encode(v[:], back[:])
+		s.exact = back == c
 	}
 }
 
-func (s *sqStore) nodeDist(i int) func(int) float32 {
-	switch s.metric {
-	case vec.L2:
-		base := s.code(i)
-		return func(j int) float32 { return s.sq.CodeL2Squared(base, s.code(j)) }
-	default:
-		decoded := make([]float32, s.dim)
-		s.sq.Decode(s.code(i), decoded)
-		return s.queryDist(decoded)
+// query encodes q once where the integer kernels run — L2, and IP and
+// cosine through a uniform quantizer's symmetric expansion; IP and
+// cosine over a non-uniform one take the float paths.
+func (s *sqStore) query(a *anchor, q []float32) {
+	if s.metric == vec.L2 || s.sq.Uniform {
+		a.buf = slices.Grow(a.buf[:0], s.dim)[:s.dim]
+		s.sq.Encode(q, a.buf)
+		a.code = a.buf
+		if s.metric != vec.L2 {
+			sum, sumSq := quant.CodeStats(a.buf)
+			s.sq.SetSymCode(&a.sym, a.buf, sum, sumSq)
+		}
+		return
+	}
+	if a.v = q; s.metric == vec.InnerProduct {
+		a.w, a.bias = s.sq.DotTable(q)
+	} else {
+		a.norm = vec.Dot(q, q)
 	}
 }
 
-func (s *sqStore) pairDist(i, j int) float32 {
-	if s.metric == vec.L2 {
-		return s.sq.CodeL2Squared(s.code(i), s.code(j))
+// node anchors at node i. L2 runs code to code. IP and cosine anchor at
+// i decoded and queried, which is the stored code — and its stored sums
+// — when the round trip is exact.
+func (s *sqStore) node(a *anchor, i int) {
+	switch {
+	case s.metric == vec.L2:
+		a.code = s.code(i)
+	case s.exact:
+		a.code = s.code(i)
+		s.sq.SetSymCode(&a.sym, a.code, s.sums[i], s.sumSqs[i])
+	default:
+		a.dec = slices.Grow(a.dec[:0], s.dim)[:s.dim]
+		s.sq.Decode(s.code(i), a.dec)
+		s.query(a, a.dec)
 	}
-	decoded := make([]float32, s.dim)
-	s.sq.Decode(s.code(i), decoded)
-	return s.queryDist(decoded)(j)
+}
+
+func (s *sqStore) dists(a *anchor, nodes []uint32, out []float32) {
+	for k, nb := range nodes {
+		i := int(nb)
+		c := s.code(i)
+		switch {
+		case s.metric == vec.L2:
+			out[k] = s.sq.CodeL2Squared(a.code, c)
+		case s.metric == vec.InnerProduct && s.sq.Uniform:
+			out[k] = -a.sym.DotDecoded(c, s.sums[i])
+		case s.sq.Uniform:
+			out[k] = a.sym.CosineDecoded(c, s.sums[i], s.sumSqs[i])
+		case s.metric == vec.InnerProduct:
+			out[k] = -quant.DotWithTable(a.w, a.bias, c)
+		default:
+			out[k] = s.sq.CosineToCode(a.v, c, a.norm)
+		}
+	}
 }
 
 func (s *sqStore) count() int {
@@ -191,6 +228,6 @@ func (s *sqStore) train(sample []float32) error {
 	if err != nil {
 		return err
 	}
-	s.sq = sq
+	s.use(sq)
 	return nil
 }

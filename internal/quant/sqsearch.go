@@ -74,17 +74,22 @@ func (sq *ScalarQuantizer) NewSymQuery(q []float32) (*SymQuery, bool) {
 	if !sq.Uniform || sq.Dim == 0 {
 		return nil, false
 	}
-	s := &SymQuery{qc: make([]byte, sq.Dim)}
-	sq.Encode(q, s.qc)
-	sum, sumSq := CodeStats(s.qc)
-	s.qSum = sum
+	qc := make([]byte, sq.Dim)
+	sq.Encode(q, qc)
+	s := new(SymQuery)
+	sum, sumSq := CodeStats(qc)
+	sq.SetSymCode(s, qc, sum, sumSq)
+	return s, true
+}
+
+// SetSymCode makes s the symmetric query of a point that is already a
+// code — an encoded query, or a stored code, which s then borrows —
+// given the code's CodeStats. Valid only for uniform quantizers.
+func (sq *ScalarQuantizer) SetSymCode(s *SymQuery, qc []byte, sum, sumSq int32) {
 	mn := float64(sq.Min[0])
 	step := float64(sq.Step[0])
-	s.c0 = float64(sq.Dim) * mn * mn
-	s.c1 = mn * step
-	s.c2 = step * step
+	*s = SymQuery{qc: qc, qSum: sum, c0: float64(sq.Dim) * mn * mn, c1: mn * step, c2: step * step}
 	s.qNormSq = s.c0 + 2*s.c1*float64(sum) + s.c2*float64(sumSq)
-	return s, true
 }
 
 // DotDecoded returns dot(decode(qc), decode(code)) given the code's

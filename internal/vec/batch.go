@@ -1,16 +1,16 @@
 package vec
 
-import "math"
-
 // Blocked distance kernels: every brute-force scan path (flat index,
 // exec plan A, IVF coarse probe, k-means assignment, PQ table build)
-// computes distances from ONE query to MANY contiguous rows, so the
-// kernels here process rows in pairs that share the query-element
-// loads, with exact reslicing for bounds-check elimination. Each row
-// keeps the same 4-accumulator lane pattern as the scalar kernels in
-// vec.go, which makes the results bitwise identical to a per-row
-// L2Squared/Dot/CosineDistance loop — callers can adopt the blocked
-// kernels without changing a single query result.
+// computes distances from ONE query to MANY contiguous rows.
+// L2SquaredBatch and DotBatch take them four at a time through the
+// 4-row kernel of gather.go; the threshold kernels process rows in
+// pairs that share the query-element loads, with exact reslicing for
+// bounds-check elimination. Each row keeps the same 4-accumulator lane
+// pattern as the scalar kernels in vec.go, which makes the results
+// bitwise identical to a per-row L2Squared/Dot/CosineDistance loop —
+// callers can adopt the blocked kernels without changing a single
+// query result.
 //
 // The *Threshold variants additionally abandon rows early: squared-L2
 // partial sums only accumulate non-negative terms, so once a row's
@@ -31,53 +31,7 @@ const abandonStride = 16
 // for every r in [0, len(out)). Results are bitwise identical to the
 // per-row scalar kernel.
 func L2SquaredBatch(q, data []float32, dim int, out []float32) {
-	rows := len(out)
-	r := 0
-	for ; r+2 <= rows; r += 2 {
-		l2Pair(q, data[r*dim:(r+1)*dim], data[(r+1)*dim:(r+2)*dim], out[r:r+2:r+2])
-	}
-	if r < rows {
-		out[r] = L2Squared(q, data[r*dim:r*dim+dim])
-	}
-}
-
-// l2Pair computes squared L2 from q to rows x and y in one pass,
-// sharing the query loads. Per-row accumulation matches L2Squared.
-func l2Pair(q, x, y []float32, out []float32) {
-	n := len(q)
-	x = x[:n]
-	y = y[:n]
-	var a0, a1, a2, a3 float32
-	var b0, b1, b2, b3 float32
-	i := 0
-	for ; i+4 <= n; i += 4 {
-		q0, q1, q2, q3 := q[i], q[i+1], q[i+2], q[i+3]
-		dx0 := q0 - x[i]
-		dx1 := q1 - x[i+1]
-		dx2 := q2 - x[i+2]
-		dx3 := q3 - x[i+3]
-		a0 += dx0 * dx0
-		a1 += dx1 * dx1
-		a2 += dx2 * dx2
-		a3 += dx3 * dx3
-		dy0 := q0 - y[i]
-		dy1 := q1 - y[i+1]
-		dy2 := q2 - y[i+2]
-		dy3 := q3 - y[i+3]
-		b0 += dy0 * dy0
-		b1 += dy1 * dy1
-		b2 += dy2 * dy2
-		b3 += dy3 * dy3
-	}
-	for ; i < n; i++ {
-		qv := q[i]
-		dx := qv - x[i]
-		a0 += dx * dx
-		dy := qv - y[i]
-		b0 += dy * dy
-	}
-	out[0] = a0 + a1 + a2 + a3
-	out[1] = b0 + b1 + b2 + b3
+	rows4(false, q, data, dim, nil, out)
 }
 
 // L2SquaredBatchThreshold is L2SquaredBatch with early abandonment:
@@ -264,41 +218,7 @@ func L2SquaredThreshold(a, b []float32, thr float32) float32 {
 // DotBatch computes out[r] = Dot(q, data[r*dim:(r+1)*dim]) for every
 // r in [0, len(out)), bitwise identical to the scalar kernel.
 func DotBatch(q, data []float32, dim int, out []float32) {
-	rows := len(out)
-	r := 0
-	for ; r+2 <= rows; r += 2 {
-		dotPair(q, data[r*dim:(r+1)*dim], data[(r+1)*dim:(r+2)*dim], out[r:r+2:r+2])
-	}
-	if r < rows {
-		out[r] = Dot(q, data[r*dim:r*dim+dim])
-	}
-}
-
-func dotPair(q, x, y []float32, out []float32) {
-	n := len(q)
-	x = x[:n]
-	y = y[:n]
-	var a0, a1, a2, a3 float32
-	var b0, b1, b2, b3 float32
-	i := 0
-	for ; i+4 <= n; i += 4 {
-		q0, q1, q2, q3 := q[i], q[i+1], q[i+2], q[i+3]
-		a0 += q0 * x[i]
-		a1 += q1 * x[i+1]
-		a2 += q2 * x[i+2]
-		a3 += q3 * x[i+3]
-		b0 += q0 * y[i]
-		b1 += q1 * y[i+1]
-		b2 += q2 * y[i+2]
-		b3 += q3 * y[i+3]
-	}
-	for ; i < n; i++ {
-		qv := q[i]
-		a0 += qv * x[i]
-		b0 += qv * y[i]
-	}
-	out[0] = a0 + a1 + a2 + a3
-	out[1] = b0 + b1 + b2 + b3
+	rows4(true, q, data, dim, nil, out)
 }
 
 // dotNorm computes Dot(a, b) and Dot(b, b) in one pass over b, each
@@ -335,10 +255,6 @@ func CosineBatch(q, data []float32, dim int, out []float32) {
 	na := Dot(q, q)
 	for r := range out {
 		dot, nb := dotNorm(q, data[r*dim:r*dim+dim])
-		if na == 0 || nb == 0 {
-			out[r] = 1
-			continue
-		}
-		out[r] = 1 - dot/float32(math.Sqrt(float64(na)*float64(nb)))
+		out[r] = cosine(dot, na, nb)
 	}
 }

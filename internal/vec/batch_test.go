@@ -23,6 +23,7 @@ func randVec(rng *rand.Rand, n int) []float32 {
 }
 
 func TestBatchKernelsBitwiseEqualScalar(t *testing.T) {
+	skipIfFused(t)
 	rng := rand.New(rand.NewSource(42))
 	for _, dim := range kernelDims {
 		for _, rows := range []int{0, 1, 2, 3, 5, 8, 9, 17} {
@@ -43,6 +44,7 @@ func TestBatchKernelsBitwiseEqualScalar(t *testing.T) {
 }
 
 func TestBatchKernelsDirectEntryPoints(t *testing.T) {
+	skipIfFused(t)
 	rng := rand.New(rand.NewSource(7))
 	dim, rows := 33, 9
 	q := randVec(rng, dim)
@@ -72,6 +74,7 @@ func TestBatchKernelsDirectEntryPoints(t *testing.T) {
 // entry is exact and every abandoned entry is strictly above the
 // threshold (so a top-k heap holding worst <= thr must reject it).
 func TestThresholdKernelsSoundness(t *testing.T) {
+	skipIfFused(t)
 	rng := rand.New(rand.NewSource(99))
 	for _, dim := range kernelDims {
 		for _, rows := range []int{0, 1, 2, 5, 16, 33} {

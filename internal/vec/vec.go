@@ -3,10 +3,11 @@
 // computation, norms, and small helpers shared by the quantizers and
 // the k-means trainer.
 //
-// All kernels are written as simple bounds-check-friendly loops with
-// 4-way manual unrolling, which the Go compiler vectorizes reasonably
-// well on amd64. Vectors are plain []float32 slices; callers own the
-// memory.
+// The scalar kernels are bounds-check-friendly loops whose four
+// accumulators are four independent dependency chains; the Go compiler
+// does not vectorize them. SIMD is the 4-row kernel's (gather.go), four
+// rows at once, each bitwise its scalar result. Vectors are plain
+// []float32 slices; callers own the memory.
 package vec
 
 import (
@@ -135,9 +136,12 @@ func Norm(a []float32) float32 {
 // CosineDistance returns 1 - cosine similarity. Zero vectors are
 // treated as maximally distant (distance 1) rather than NaN.
 func CosineDistance(a, b []float32) float32 {
-	dot := Dot(a, b)
-	na := Dot(a, a)
-	nb := Dot(b, b)
+	return cosine(Dot(a, b), Dot(a, a), Dot(b, b))
+}
+
+// cosine finishes a cosine distance from Dot(a, b), Dot(a, a) and
+// Dot(b, b), the one place every cosine kernel does.
+func cosine(dot, na, nb float32) float32 {
 	if na == 0 || nb == 0 {
 		return 1
 	}
