@@ -152,14 +152,16 @@ func TestSelRange(t *testing.T) {
 	}
 }
 
-// TestExperimentSmoke runs two cheap experiments end to end at minimum
+// TestExperimentSmoke runs cheap experiments end to end at minimum
 // scale, ensuring the harness plumbing (registry, dataset generation,
 // report assembly) works without waiting for the full evaluation.
+// fig11, fig12 and fig18 drive the virtual-warehouse simulation, so a
+// change that breaks it fails here; rows are asserted, not timings.
 func TestExperimentSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	for _, id := range []string{"fig7", "fig19"} {
+	for _, id := range []string{"fig7", "fig11", "fig12", "fig18", "fig19"} {
 		e, ok := Get(id)
 		if !ok {
 			t.Fatalf("missing %s", id)

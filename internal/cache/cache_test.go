@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"context"
 	"fmt"
 	"testing"
 	"time"
@@ -191,7 +192,7 @@ func TestIndexCacheTierTraversal(t *testing.T) {
 	remote.Put("idx1", []byte("graph-bytes"))
 
 	// First get: remote load, populates disk + mem.
-	v, err := c.Get("idx1", fakeLoader)
+	v, err := c.Get(context.Background(), "idx1", fakeLoader)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +207,7 @@ func TestIndexCacheTierTraversal(t *testing.T) {
 	}
 
 	// Second get: memory hit.
-	if _, err := c.Get("idx1", fakeLoader); err != nil {
+	if _, err := c.Get(context.Background(), "idx1", fakeLoader); err != nil {
 		t.Fatal(err)
 	}
 	if st := c.Stats(); st.MemHits != 1 {
@@ -215,7 +216,7 @@ func TestIndexCacheTierTraversal(t *testing.T) {
 
 	// Drop memory, keep disk: disk hit.
 	c.DropMem("idx1")
-	if _, err := c.Get("idx1", fakeLoader); err != nil {
+	if _, err := c.Get(context.Background(), "idx1", fakeLoader); err != nil {
 		t.Fatal(err)
 	}
 	if st := c.Stats(); st.DiskHits != 1 || st.RemoteLoads != 1 {
@@ -225,7 +226,7 @@ func TestIndexCacheTierTraversal(t *testing.T) {
 
 func TestIndexCacheMissingKey(t *testing.T) {
 	c, _, _ := newHier(t)
-	if _, err := c.Get("nope", fakeLoader); err == nil {
+	if _, err := c.Get(context.Background(), "nope", fakeLoader); err == nil {
 		t.Fatal("missing key should error")
 	}
 	if st := c.Stats(); st.Failures != 1 {
@@ -236,7 +237,7 @@ func TestIndexCacheMissingKey(t *testing.T) {
 func TestIndexCacheLoaderError(t *testing.T) {
 	c, _, remote := newHier(t)
 	remote.Put("bad", []byte("zzz"))
-	_, err := c.Get("bad", func([]byte) (any, int64, error) {
+	_, err := c.Get(context.Background(), "bad", func([]byte) (any, int64, error) {
 		return nil, 0, fmt.Errorf("corrupt")
 	})
 	if err == nil {
@@ -247,7 +248,7 @@ func TestIndexCacheLoaderError(t *testing.T) {
 func TestIndexCacheInvalidate(t *testing.T) {
 	c, disk, remote := newHier(t)
 	remote.Put("idx", []byte("x"))
-	if _, err := c.Get("idx", fakeLoader); err != nil {
+	if _, err := c.Get(context.Background(), "idx", fakeLoader); err != nil {
 		t.Fatal(err)
 	}
 	c.Invalidate("idx")
@@ -276,11 +277,11 @@ func TestIndexCacheWithoutDiskTier(t *testing.T) {
 	remote := storage.NewMemStore()
 	remote.Put("k", []byte("v"))
 	c := NewIndexCache(Config{MemBytes: 1 << 20}, nil, remote)
-	if _, err := c.Get("k", fakeLoader); err != nil {
+	if _, err := c.Get(context.Background(), "k", fakeLoader); err != nil {
 		t.Fatal(err)
 	}
 	c.DropMem("k")
-	if _, err := c.Get("k", fakeLoader); err != nil {
+	if _, err := c.Get(context.Background(), "k", fakeLoader); err != nil {
 		t.Fatal(err)
 	}
 	if st := c.Stats(); st.RemoteLoads != 2 {

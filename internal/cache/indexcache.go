@@ -6,7 +6,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"blendhouse/internal/obs"
 	"blendhouse/internal/storage"
 )
 
@@ -95,20 +94,12 @@ func (c *IndexCache) ContainsMem(key string) bool {
 }
 
 // Get returns the deserialized index for key, loading through the
-// tiers as needed: memory → local disk → remote. The loader runs at
-// most once per miss; its reported size drives memory accounting.
-func (c *IndexCache) Get(key string, loader IndexLoader) (any, error) {
-	return c.GetTally(nil, key, loader, nil)
-}
-
-// GetTally is Get with a context bounding the remote blob fetch on a
-// miss (nil = unbounded) and an optional per-query trace tally (nil =
-// untraced): a memory-tier hit tallies Hit, anything that had to load
-// from disk or remote tallies Miss.
-func (c *IndexCache) GetTally(ctx context.Context, key string, loader IndexLoader, tally *obs.CacheTally) (any, error) {
+// tiers as needed: memory → local disk → remote. ctx bounds the remote
+// blob fetch on a miss (nil = unbounded). The loader runs at most once
+// per miss; its reported size drives memory accounting.
+func (c *IndexCache) Get(ctx context.Context, key string, loader IndexLoader) (any, error) {
 	if v, ok := c.mem.Get(key); ok {
 		c.memHits.Add(1)
-		tally.Hit()
 		return v, nil
 	}
 	c.loadMu.Lock()
@@ -116,10 +107,8 @@ func (c *IndexCache) GetTally(ctx context.Context, key string, loader IndexLoade
 	// Re-check under the load lock: another goroutine may have won.
 	if v, ok := c.mem.Get(key); ok {
 		c.memHits.Add(1)
-		tally.Hit()
 		return v, nil
 	}
-	tally.Miss()
 	blob, fromDisk, err := c.fetchBlob(ctx, key)
 	if err != nil {
 		c.failures.Add(1)
@@ -167,7 +156,7 @@ func (c *IndexCache) fetchBlob(ctx context.Context, key string) (blob []byte, fr
 func (c *IndexCache) Preload(keys []string, loader func(key string) IndexLoader) []error {
 	var errs []error
 	for _, k := range keys {
-		if _, err := c.Get(k, loader(k)); err != nil {
+		if _, err := c.Get(context.TODO(), k, loader(k)); err != nil {
 			errs = append(errs, fmt.Errorf("preload %s: %w", k, err))
 		}
 	}

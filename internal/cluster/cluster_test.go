@@ -320,85 +320,6 @@ func TestSearchWithFilters(t *testing.T) {
 	}
 }
 
-func TestPruneSegmentsScalar(t *testing.T) {
-	_, tab, _ := fixture(t, 1, false)
-	metas := tab.Segments()
-	// id ranges are disjoint per segment (sequential fill): prune to
-	// ranges covering only low ids.
-	kept := PruneSegments(tab, metas, PruneOptions{
-		IntRanges: map[string][2]int64{"id": {0, 150}},
-	})
-	if len(kept) >= len(metas) {
-		t.Fatalf("no pruning happened: %d of %d", len(kept), len(metas))
-	}
-	for _, m := range kept {
-		if m.MinInt["id"] > 150 {
-			t.Fatal("kept a segment entirely above the range")
-		}
-	}
-	// Unknown column: nothing pruned.
-	all := PruneSegments(tab, metas, PruneOptions{IntRanges: map[string][2]int64{"zz": {0, 1}}})
-	if len(all) != len(metas) {
-		t.Fatal("missing stats must not prune")
-	}
-}
-
-func TestPruneSegmentsSemantic(t *testing.T) {
-	_, tab, ds := fixture(t, 1, false)
-	metas := tab.Segments()
-	q := ds.Queries.Row(0)
-	kept := PruneSegments(tab, metas, PruneOptions{
-		QueryVector:      q,
-		SemanticFraction: 0.5,
-		MinSegments:      1,
-	})
-	if len(kept) >= len(metas) || len(kept) == 0 {
-		t.Fatalf("semantic cut kept %d of %d", len(kept), len(metas))
-	}
-	// Kept segments must be the nearest-centroid ones.
-	for _, km := range kept {
-		for _, om := range metas {
-			if containsMeta(kept, om) {
-				continue
-			}
-			if centDist(q, om.Centroid) < centDist(q, km.Centroid) {
-				t.Fatalf("pruned a closer segment (%s) while keeping %s", om.Name, km.Name)
-			}
-		}
-	}
-}
-
-func containsMeta(ms []*storage.SegmentMeta, m *storage.SegmentMeta) bool {
-	for _, x := range ms {
-		if x.Name == m.Name {
-			return true
-		}
-	}
-	return false
-}
-
-func centDist(q, c []float32) float32 {
-	var s float32
-	for i := range q {
-		d := q[i] - c[i]
-		s += d * d
-	}
-	return s
-}
-
-func TestPruneSegmentsPartition(t *testing.T) {
-	_, tab, _ := fixture(t, 1, false)
-	metas := tab.Segments()
-	kept := PruneSegments(tab, metas, PruneOptions{Partitions: map[string]bool{}})
-	if len(kept) != 0 {
-		t.Fatal("empty partition set should prune everything")
-	}
-	kept = PruneSegments(tab, metas, PruneOptions{Partitions: map[string]bool{"": true}})
-	if len(kept) != len(metas) {
-		t.Fatal("matching partition should keep all")
-	}
-}
-
 func TestRPCErrorPaths(t *testing.T) {
 	vw, tab, ds := fixture(t, 2, true)
 	vw.SetServingConfig(ServingConfig{Transport: TransportTCP})

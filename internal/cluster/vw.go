@@ -15,7 +15,6 @@ import (
 	"blendhouse/internal/lsm"
 	"blendhouse/internal/obs"
 	"blendhouse/internal/storage"
-	"blendhouse/internal/vec"
 )
 
 // VWConfig configures a virtual warehouse.
@@ -226,11 +225,6 @@ type SearchOptions struct {
 	DisableServing bool
 	// ForceBruteForce skips the index entirely (Fig 11's worst case).
 	ForceBruteForce bool
-	// Span, when non-nil, is the parent for per-segment scan spans
-	// (EXPLAIN ANALYZE); IdxTally accumulates index-cache hit/miss per
-	// load. Both are nil-safe no-ops when unset.
-	Span     *obs.Span
-	IdxTally *obs.CacheTally
 }
 
 // Search runs a distributed top-k over the given segments: schedule,
@@ -343,27 +337,12 @@ func sortSegmentCandidates(cs []SegmentCandidate) {
 // if the worker dies mid-query.
 func (vw *VW) searchOneWithRetry(ctx context.Context, table *lsm.Table, m *storage.SegmentMeta, workerID string, q []float32, k int, opts SearchOptions) ([]index.Candidate, error) {
 	filter := opts.Filters[m.Name]
-	sp := opts.Span.Child("segment " + m.Name)
-	defer sp.End()
-	sp.Set("worker", workerID)
-	// Per-segment storage-retry delta: the ctx tally is query-global,
-	// so the difference across this segment's scan is what this
-	// segment's reads cost in retries.
-	if tally := storage.TallyFrom(ctx); tally != nil {
-		start := tally.Retries()
-		defer func() {
-			if d := tally.Retries() - start; d > 0 {
-				sp.SetInt("store_retries", d)
-			}
-		}()
-	}
 	tryWorker := func(id string) ([]index.Candidate, error) {
 		w := vw.Worker(id)
 		if w == nil || !w.Alive() {
 			return nil, fmt.Errorf("cluster: worker %s unavailable", id)
 		}
 		if opts.ForceBruteForce {
-			sp.Set("scan", "brute-force")
 			return w.BruteForceSearch(ctx, table, m, q, k, filter)
 		}
 		// Vector search serving: if this worker lacks the index in
@@ -371,20 +350,14 @@ func (vw *VW) searchOneWithRetry(ctx context.Context, table *lsm.Table, m *stora
 		if vw.cfg.Serving && !opts.DisableServing && !w.HasIndexInMem(table, m.Name) {
 			if prev := vw.PreviousOwner(table, m.Name); prev != "" && prev != id {
 				if pw := vw.Worker(prev); pw != nil && pw.Alive() && pw.HasIndexInMem(table, m.Name) {
-					// The serving hop is a cache miss papered over by
-					// the previous owner's warm index.
-					opts.IdxTally.Miss()
-					sp.Set("served_by", prev)
 					rpcStart := obs.Now()
 					res, err := vw.serve(ctx, pw, table, m, q, k, opts.Params, filter)
-					rtt := time.Since(rpcStart)
-					mServingRTT.Observe(rtt)
-					sp.SetDur("rpc_rtt", rtt)
+					mServingRTT.Observe(time.Since(rpcStart))
 					return res, err
 				}
 			}
 		}
-		return w.searchSegment(ctx, table, m, q, k, opts.Params, filter, opts.IdxTally)
+		return w.SearchSegment(ctx, table, m, q, k, opts.Params, filter)
 	}
 	res, err := tryWorker(workerID)
 	if err == nil {
@@ -395,7 +368,6 @@ func (vw *VW) searchOneWithRetry(ctx context.Context, table *lsm.Table, m *stora
 				return nil, perr
 			}
 		}
-		sp.SetInt("candidates", int64(len(res)))
 		return res, nil
 	}
 	// A cancelled/timed-out query must not fail over: the replicas
@@ -409,8 +381,6 @@ func (vw *VW) searchOneWithRetry(ctx context.Context, table *lsm.Table, m *stora
 			continue
 		}
 		if res, rerr := tryWorker(id); rerr == nil {
-			sp.Set("retried_on", id)
-			sp.SetInt("candidates", int64(len(res)))
 			return res, nil
 		}
 		if cerr := ctx.Err(); cerr != nil {
@@ -438,114 +408,4 @@ func (vw *VW) Preload(table *lsm.Table) []error {
 		}
 	}
 	return errs
-}
-
-// PruneOptions controls scheduler-side segment pruning (paper §II-C,
-// §IV-B).
-type PruneOptions struct {
-	// Partition restricts to segments whose partition value is in the
-	// set (nil = no partition pruning).
-	Partitions map[string]bool
-	// IntRanges / FloatRanges prune on column min/max statistics.
-	IntRanges   map[string][2]int64
-	FloatRanges map[string][2]float64
-	// QueryVector enables semantic pruning: segments are ranked by
-	// centroid distance and only the closest SemanticFraction kept.
-	QueryVector      []float32
-	SemanticFraction float64 // (0,1]; 0 disables semantic pruning
-	// MinSegments floors the semantic cut so adaptive retry has room.
-	MinSegments int
-}
-
-// PruneSegments applies scalar and semantic pruning to the table's
-// live segments and returns the survivors, semantically closest
-// first when a query vector is given.
-func PruneSegments(table *lsm.Table, metas []*storage.SegmentMeta, opts PruneOptions) []*storage.SegmentMeta {
-	var out []*storage.SegmentMeta
-	for _, m := range metas {
-		if opts.Partitions != nil && !opts.Partitions[m.Partition] {
-			continue
-		}
-		skip := false
-		for col, r := range opts.IntRanges {
-			if m.PruneByInt(col, r[0], r[1]) {
-				skip = true
-				break
-			}
-		}
-		if !skip {
-			for col, r := range opts.FloatRanges {
-				if m.PruneByFloat(col, r[0], r[1]) {
-					skip = true
-					break
-				}
-			}
-		}
-		if skip {
-			continue
-		}
-		out = append(out, m)
-	}
-	if opts.QueryVector != nil && opts.SemanticFraction > 0 && opts.SemanticFraction < 1 && len(out) > 1 {
-		out = semanticCut(out, opts.QueryVector, opts.SemanticFraction, opts.MinSegments)
-	}
-	return out
-}
-
-// semanticCut keeps the fraction of segments whose centroids are
-// nearest the query vector.
-func semanticCut(metas []*storage.SegmentMeta, q []float32, frac float64, minSegs int) []*storage.SegmentMeta {
-	type scored struct {
-		m *storage.SegmentMeta
-		d float32
-	}
-	scoredList := make([]scored, 0, len(metas))
-	var noCentroid []*storage.SegmentMeta
-	for _, m := range metas {
-		if len(m.Centroid) != len(q) {
-			noCentroid = append(noCentroid, m) // can't rank: always keep
-			continue
-		}
-		scoredList = append(scoredList, scored{m, vec.L2Squared(q, m.Centroid)})
-	}
-	sort.Slice(scoredList, func(i, j int) bool {
-		if scoredList[i].d != scoredList[j].d {
-			return scoredList[i].d < scoredList[j].d
-		}
-		return scoredList[i].m.Name < scoredList[j].m.Name
-	})
-	keep := int(float64(len(scoredList))*frac + 0.5)
-	if keep < minSegs {
-		keep = minSegs
-	}
-	if keep < 1 {
-		keep = 1
-	}
-	if keep > len(scoredList) {
-		keep = len(scoredList)
-	}
-	out := make([]*storage.SegmentMeta, 0, keep+len(noCentroid))
-	for i := 0; i < keep; i++ {
-		out = append(out, scoredList[i].m)
-	}
-	return append(out, noCentroid...)
-}
-
-// RankBuckets orders a table's semantic buckets by centroid distance
-// to the query — used by the executor to widen the semantic cut
-// adaptively when a pruned search comes back short.
-func RankBuckets(table *lsm.Table, q []float32) []int {
-	cents := table.Centroids()
-	if cents == nil {
-		return nil
-	}
-	n := cents.Rows()
-	order := make([]int, n)
-	dists := make([]float32, n)
-	for i := 0; i < n; i++ {
-		order[i] = i
-		dists[i] = vec.L2Squared(q, cents.Row(i))
-	}
-	sort.Slice(order, func(a, b int) bool { return dists[order[a]] < dists[order[b]] })
-	return order
 }

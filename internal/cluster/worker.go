@@ -1,10 +1,9 @@
 // Package cluster implements the disaggregated compute layer of
 // BlendHouse (paper §II): virtual warehouses (VWs) of stateless
 // workers over shared remote storage, segment scheduling with
-// multi-probe consistent hashing, scheduler-side segment pruning
-// (scalar and semantic), the vector-search-serving RPC that papers
-// over index-cache misses during scaling, cache-aware preload, and
-// query-level fault tolerance.
+// multi-probe consistent hashing, the vector-search-serving RPC that
+// papers over index-cache misses during scaling, cache-aware preload,
+// and query-level fault tolerance.
 package cluster
 
 import (
@@ -178,12 +177,6 @@ func (w *Worker) HasIndexInMem(table *lsm.Table, seg string) bool {
 // ctx bounds the slot wait, the simulated service time and the index
 // load (nil = unbounded).
 func (w *Worker) SearchSegment(ctx context.Context, table *lsm.Table, meta *storage.SegmentMeta, q []float32, k int, p index.SearchParams, filter *bitset.Bitset) ([]index.Candidate, error) {
-	return w.searchSegment(ctx, table, meta, q, k, p, filter, nil)
-}
-
-// searchSegment is SearchSegment with an optional index-cache trace
-// tally (nil = untraced).
-func (w *Worker) searchSegment(ctx context.Context, table *lsm.Table, meta *storage.SegmentMeta, q []float32, k int, p index.SearchParams, filter *bitset.Bitset, tally *obs.CacheTally) ([]index.Candidate, error) {
 	if !w.Alive() {
 		return nil, fmt.Errorf("cluster: worker %s is down", w.ID)
 	}
@@ -192,7 +185,7 @@ func (w *Worker) searchSegment(ctx context.Context, table *lsm.Table, meta *stor
 		return nil, err
 	}
 	key := table.IndexKeyOf(meta.Name)
-	v, err := w.cache.GetTally(ctx, key, table.IndexLoaderFor(meta), tally)
+	v, err := w.cache.Get(ctx, key, table.IndexLoaderFor(meta))
 	if err != nil {
 		release() // BruteForceSearch acquires its own slot
 		if storage.IsNotFound(err) {
@@ -243,39 +236,6 @@ func (w *Worker) BruteForceSearch(ctx context.Context, table *lsm.Table, meta *s
 	return t.Results(), nil
 }
 
-// RangeSegment runs a range scan over one segment.
-func (w *Worker) RangeSegment(ctx context.Context, table *lsm.Table, meta *storage.SegmentMeta, q []float32, radius float32, p index.SearchParams, filter *bitset.Bitset) ([]index.Candidate, error) {
-	if !w.Alive() {
-		return nil, fmt.Errorf("cluster: worker %s is down", w.ID)
-	}
-	release, err := w.acquire(ctx)
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	key := table.IndexKeyOf(meta.Name)
-	v, err := w.cache.GetTally(ctx, key, table.IndexLoaderFor(meta), nil)
-	if err != nil {
-		return nil, err
-	}
-	w.LocalSearches.Add(1)
-	return v.(index.Index).SearchWithRange(q, radius, filter, p)
-}
-
-// OpenIterator opens an incremental search over one segment's index.
-func (w *Worker) OpenIterator(ctx context.Context, table *lsm.Table, meta *storage.SegmentMeta, q []float32, initialK int, p index.SearchParams) (index.Iterator, error) {
-	if !w.Alive() {
-		return nil, fmt.Errorf("cluster: worker %s is down", w.ID)
-	}
-	key := table.IndexKeyOf(meta.Name)
-	v, err := w.cache.GetTally(ctx, key, table.IndexLoaderFor(meta), nil)
-	if err != nil {
-		return nil, err
-	}
-	w.LocalSearches.Add(1)
-	return index.OpenIterator(v.(index.Index), q, initialK, p)
-}
-
 // Preload pulls the given segments' indexes through the cache tiers
 // (paper §II-D "Cache-aware vector index preload"). Best-effort and
 // unbounded: preload runs ahead of queries, not inside one.
@@ -283,7 +243,7 @@ func (w *Worker) Preload(table *lsm.Table, metas []*storage.SegmentMeta) []error
 	var errs []error
 	for _, m := range metas {
 		key := table.IndexKeyOf(m.Name)
-		if _, err := w.cache.Get(key, table.IndexLoaderFor(m)); err != nil {
+		if _, err := w.cache.Get(context.TODO(), key, table.IndexLoaderFor(m)); err != nil {
 			errs = append(errs, fmt.Errorf("preload %s: %w", m.Name, err))
 		}
 	}

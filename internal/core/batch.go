@@ -73,14 +73,14 @@ func (e *Engine) batchSubmit(ctx context.Context, t *lsm.Table, ph *plan.Physica
 }
 
 // batchEligible reports whether a plan can join a shared-scan group at
-// all. Only local-mode vector queries qualify: VW scatter, semantic
-// pruning (whose widening is result-dependent) and scalar sorts keep
-// their solo path. Post-filter plans (C) are excluded too — they scan
-// the index unfiltered per query, so a group shares no bitset or
-// column read; batching them would only serialize independent index
-// searches behind one admission slot.
+// all. Only vector queries qualify: semantic pruning (whose widening is
+// result-dependent) and scalar sorts keep their solo path. Post-filter
+// plans (C) are excluded too — they scan the index unfiltered per
+// query, so a group shares no bitset or column read; batching them
+// would only serialize independent index searches behind one admission
+// slot.
 func batchEligible(ph *plan.Physical, ex *exec.Executor) bool {
-	if ex == nil || ex.VW != nil || ex.SemanticFraction != 0 {
+	if ex == nil || ex.SemanticFraction != 0 {
 		return false
 	}
 	if ph.Strategy == plan.PostFilter {

@@ -22,23 +22,24 @@ import (
 // The cost model's strategy choice depends on machine-calibrated
 // constants and on k (at k=1 it prefers post-filter, which is
 // deliberately batch-ineligible — it shares no scan work). The
-// equivalence suite is about the shared pre-filter pass, so pin that
-// strategy instead of inheriting whatever this machine's calibration
-// picks.
+// equivalence suite is about the shared passes, so pin a strategy
+// instead of inheriting whatever this machine's calibration picks:
+// pre-filter, and in TestBatchEquivalence brute force as well.
 var equivStrategy = plan.PreFilter
 
 // equivEngine builds a batching engine whose groups seal exactly when
 // maxGroup members have joined (the window is far out), so equivalence
-// runs form one deterministic group per burst. The WAL memtable cap is
-// set so the seed data straddles flushed segments AND live memtable
-// rows — the shared scan must walk both.
-func equivEngine(t *testing.T, maxGroup int) *Engine {
+// runs form one deterministic group per burst; every plan is forced to
+// strategy. The WAL memtable cap is set so the seed data straddles
+// flushed segments AND live memtable rows — the shared scan must walk
+// both.
+func equivEngine(t *testing.T, maxGroup int, strategy plan.Strategy) *Engine {
 	t.Helper()
 	e := newEngine(t, Config{
 		SegmentRows: 100,
 		WAL:         &lsm.WALConfig{MaxMemRows: 150, MaxMemBytes: 1 << 40, FlushInterval: time.Hour},
 		Batch:       &batch.Config{Window: 30 * time.Second, MaxGroup: maxGroup},
-		Planner:     plan.PlannerConfig{ForceStrategy: &equivStrategy},
+		Planner:     plan.PlannerConfig{ForceStrategy: &strategy},
 	})
 	seedImages(t, e)
 	// The seed tripped the memtable cap, so a background flush is in
@@ -88,57 +89,73 @@ func equivQuery(i, k int) string {
 }
 
 // TestBatchEquivalence is the subsystem's contract test: for every
-// k × group-size combination, a concurrent burst executed as one
+// k × group-size combination, under each plan that groups — B
+// (pre-filter) and A (brute force) — a concurrent burst executed as one
 // shared-scan group returns byte-identical rows to the same statements
 // executed in isolation (QueryOptions.DisableBatch), over a table with
 // flushed segments, live memtable rows, and deletes in both.
 func TestBatchEquivalence(t *testing.T) {
-	grouped := obs.Default().Counter("bh.batch.grouped_queries")
+	strategies := []plan.Strategy{plan.PreFilter, plan.BruteForce}
 	for _, g := range []int{2, 8, 32} {
-		e := equivEngine(t, g)
+		engines := make([]*Engine, len(strategies))
+		for i, s := range strategies {
+			engines[i] = equivEngine(t, g, s)
+		}
 		for _, k := range []int{1, 10, 100} {
 			t.Run(fmt.Sprintf("group=%d/k=%d", g, k), func(t *testing.T) {
-				stmts := make([]string, g)
-				for i := range stmts {
-					stmts[i] = equivQuery(i, k)
-				}
-				groupedBefore := grouped.Value()
-				got := make([]*exec.Result, g)
-				errs := make([]error, g)
-				var wg sync.WaitGroup
-				for i := range stmts {
-					wg.Add(1)
-					go func(i int) {
-						defer wg.Done()
-						got[i], errs[i] = e.Query(context.Background(), stmts[i], QueryOptions{})
-					}(i)
-				}
-				wg.Wait()
-				for i, err := range errs {
-					if err != nil {
-						t.Fatalf("member %d: %v", i, err)
-					}
-				}
-				// Groups seal on full (the window is 30s), so the whole
-				// burst must have executed as shared-scan groups.
-				if d := grouped.Value() - groupedBefore; d != int64(g) {
-					t.Fatalf("grouped_queries moved by %d, want %d", d, g)
-				}
-				for i, stmt := range stmts {
-					want, err := e.Query(context.Background(), stmt, QueryOptions{DisableBatch: true})
-					if err != nil {
-						t.Fatalf("solo control %d: %v", i, err)
-					}
-					if !reflect.DeepEqual(got[i].Columns, want.Columns) {
-						t.Fatalf("member %d columns: %v vs solo %v", i, got[i].Columns, want.Columns)
-					}
-					if !reflect.DeepEqual(got[i].Rows, want.Rows) {
-						t.Fatalf("member %d rows differ from solo execution\nbatched: %v\nsolo:    %v", i, got[i].Rows, want.Rows)
-					}
+				for i, e := range engines {
+					t.Run(strategies[i].String(), func(t *testing.T) { checkBurstEquivalence(t, e, g, k) })
 				}
 			})
 		}
-		e.Close()
+		for _, e := range engines {
+			e.Close()
+		}
+	}
+}
+
+// checkBurstEquivalence runs g members of one compatibility class at k
+// as a concurrent burst and compares each member's rows with the same
+// statement run solo.
+func checkBurstEquivalence(t *testing.T, e *Engine, g, k int) {
+	grouped := obs.Default().Counter("bh.batch.grouped_queries")
+	stmts := make([]string, g)
+	for i := range stmts {
+		stmts[i] = equivQuery(i, k)
+	}
+	groupedBefore := grouped.Value()
+	got := make([]*exec.Result, g)
+	errs := make([]error, g)
+	var wg sync.WaitGroup
+	for i := range stmts {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			got[i], errs[i] = e.Query(context.Background(), stmts[i], QueryOptions{})
+		}(i)
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("member %d: %v", i, err)
+		}
+	}
+	// Groups seal on full (the window is 30s), so the whole burst must
+	// have executed as shared-scan groups.
+	if d := grouped.Value() - groupedBefore; d != int64(g) {
+		t.Fatalf("grouped_queries moved by %d, want %d", d, g)
+	}
+	for i, stmt := range stmts {
+		want, err := e.Query(context.Background(), stmt, QueryOptions{DisableBatch: true})
+		if err != nil {
+			t.Fatalf("solo control %d: %v", i, err)
+		}
+		if !reflect.DeepEqual(got[i].Columns, want.Columns) {
+			t.Fatalf("member %d columns: %v vs solo %v", i, got[i].Columns, want.Columns)
+		}
+		if !reflect.DeepEqual(got[i].Rows, want.Rows) {
+			t.Fatalf("member %d rows differ from solo execution\nbatched: %v\nsolo:    %v", i, got[i].Rows, want.Rows)
+		}
 	}
 }
 
@@ -147,7 +164,7 @@ func TestBatchEquivalence(t *testing.T) {
 // compatibility key shares only the predicate class and metric, so one
 // shared pass must honor each member's own radius and column list.
 func TestBatchRangeAndProjectionEquivalence(t *testing.T) {
-	e := equivEngine(t, 4)
+	e := equivEngine(t, 4, equivStrategy)
 	defer e.Close()
 
 	qv := func(i int) string {

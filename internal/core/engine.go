@@ -1,7 +1,7 @@
 // Package core is BlendHouse's engine: it owns the table catalog over
 // the shared blob store, parses and executes the SQL dialect, and
-// wires the planner, executor, virtual warehouses and caches together
-// into the system described in the paper's Figure 1/2.
+// wires the planner, executor and caches together into the system
+// described in the paper's Figure 1/2.
 package core
 
 import (
@@ -17,7 +17,6 @@ import (
 	"blendhouse/internal/batch"
 	"blendhouse/internal/blobtier"
 	"blendhouse/internal/cache"
-	"blendhouse/internal/cluster"
 	"blendhouse/internal/exec"
 	"blendhouse/internal/index"
 	"blendhouse/internal/lsm"
@@ -98,9 +97,6 @@ func stmtKind(st sql.Statement) string {
 type Config struct {
 	// Store is the shared (remote) blob store. Required.
 	Store storage.BlobStore
-	// VW optionally distributes vector search across a virtual
-	// warehouse; nil executes locally in-process.
-	VW *cluster.VW
 	// Planner toggles optimizer features (CBO, plan cache,
 	// short-circuit) for the ablation experiments.
 	Planner plan.PlannerConfig
@@ -279,7 +275,7 @@ func New(cfg Config) (*Engine, error) {
 }
 
 // registerStatGauges publishes the engine's existing stat sources
-// (column cache, VW index caches, planner) as callback gauges: the
+// (column cache, planner, storage stack) as callback gauges: the
 // counters keep living where they are, and the registry evaluates
 // them only when a snapshot is taken — no second bookkeeping path.
 func (e *Engine) registerStatGauges() {
@@ -288,12 +284,6 @@ func (e *Engine) registerStatGauges() {
 		reg.RegisterFunc("bh.cache.column.hits", func() int64 { h, _, _ := cc.Stats(); return h })
 		reg.RegisterFunc("bh.cache.column.misses", func() int64 { _, m, _ := cc.Stats(); return m })
 		reg.RegisterFunc("bh.cache.column.bypasses", func() int64 { _, _, b := cc.Stats(); return b })
-	}
-	if vw := e.cfg.VW; vw != nil {
-		reg.RegisterFunc("bh.cache.index.mem_hits", func() int64 { return vw.CacheStats().MemHits })
-		reg.RegisterFunc("bh.cache.index.disk_hits", func() int64 { return vw.CacheStats().DiskHits })
-		reg.RegisterFunc("bh.cache.index.remote_loads", func() int64 { return vw.CacheStats().RemoteLoads })
-		reg.RegisterFunc("bh.cache.index.failures", func() int64 { return vw.CacheStats().Failures })
 	}
 	pl := e.planner
 	reg.RegisterFunc("bh.plan.cache.hits", func() int64 { h, _, _ := pl.Stats(); return h })
@@ -330,15 +320,12 @@ func (e *Engine) registerTable(t *lsm.Table) error {
 		frac = e.cfg.SemanticFraction
 	}
 	e.execs[t.Name()] = &exec.Executor{
-		Table: t, VW: e.cfg.VW, ColCache: e.colCache,
+		Table: t, ColCache: e.colCache,
 		SemanticFraction: frac, MinSegments: e.cfg.MinSegments,
 		MaxParallelism: e.cfg.MaxParallelism,
 		Stats:          &obs.ScanStats{},
 	}
 	e.mu.Unlock()
-	if e.cfg.VW != nil {
-		e.cfg.VW.RegisterTable(t)
-	}
 	if e.cfg.CompactionInterval > 0 {
 		go e.compactionLoop(t)
 	}

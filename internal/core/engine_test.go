@@ -15,7 +15,6 @@ import (
 
 	"blendhouse/internal/bench/dataset"
 	"blendhouse/internal/cache"
-	"blendhouse/internal/cluster"
 	"blendhouse/internal/exec"
 	"blendhouse/internal/plan"
 	"blendhouse/internal/storage"
@@ -383,28 +382,6 @@ func TestUpdateVisibilityThroughQueries(t *testing.T) {
 		`SELECT id FROM images ORDER BY L2Distance(embedding, %s) LIMIT 1`, vecLit(far)))
 	if res.Rows[0][0].(int64) != 0 {
 		t.Fatalf("new version not found: %v", res.Rows[0][0])
-	}
-}
-
-func TestDistributedEngineOverVW(t *testing.T) {
-	store := storage.NewMemStore()
-	vw := cluster.NewVW(cluster.VWConfig{Name: "read", Serving: true}, store)
-	for i := 0; i < 3; i++ {
-		if _, err := vw.AddWorker(fmt.Sprintf("w%d", i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	e := newEngine(t, Config{Store: store, VW: vw})
-	ds := seedImages(t, e)
-	res := mustExec(t, e, fmt.Sprintf(
-		`SELECT id FROM images WHERE label = 'animal' ORDER BY L2Distance(embedding, %s) LIMIT 10`, vecLit(ds.Queries.Row(0))))
-	if len(res.Rows) != 10 {
-		t.Fatalf("rows = %d", len(res.Rows))
-	}
-	for _, row := range res.Rows {
-		if row[0].(int64)%3 != 0 {
-			t.Fatalf("filter violated: id %v", row[0])
-		}
 	}
 }
 

@@ -10,7 +10,6 @@ import (
 
 	"blendhouse/internal/bitset"
 	"blendhouse/internal/cache"
-	"blendhouse/internal/cluster"
 	"blendhouse/internal/index"
 	"blendhouse/internal/lsm"
 	"blendhouse/internal/obs"
@@ -23,8 +22,7 @@ import (
 // Execution metrics (SHOW METRICS / the -debug-addr endpoint). The
 // plan.* counters record which of the paper's plans A/B/C the
 // optimizer actually ran; widen_rounds counts adaptive semantic-prune
-// retries; segment_scans counts local-mode per-segment ANN/brute scans
-// (VW-mode scans land in the bh.vw.search.* counters).
+// retries; segment_scans counts per-segment ANN and brute-force scans.
 var (
 	mVecQueries  = obs.Default().Counter("bh.query.vector.total")
 	mPlanBrute   = obs.Default().Counter("bh.query.plan.brute_force")
@@ -34,13 +32,11 @@ var (
 	mSegScans    = obs.Default().Counter("bh.exec.segment_scans")
 )
 
-// Executor runs physical plans against one table, either locally
-// (VW == nil, indexes cached in-process) or distributed across a
-// virtual warehouse. Per-segment work within a query runs on a
-// bounded worker pool; see RunOptions.MaxParallelism.
+// Executor runs physical plans against one table, keeping each
+// segment's opened index in-process. Per-segment work within a query
+// runs on a bounded worker pool; see RunOptions.MaxParallelism.
 type Executor struct {
 	Table *lsm.Table
-	VW    *cluster.VW
 	// ColCache is the adaptive column cache (nil = direct reads).
 	ColCache *cache.ColumnCache
 	// SemanticFraction enables semantic segment pruning for vector
@@ -210,6 +206,7 @@ func (e *Executor) RunWith(ctx context.Context, ph *plan.Physical, opts RunOptio
 		memSp.End()
 	}
 
+	partCol := e.partitionColumn()
 	frac := e.SemanticFraction
 	round := 0
 	for {
@@ -218,7 +215,7 @@ func (e *Executor) RunWith(ctx context.Context, ph *plan.Physical, opts RunOptio
 		}
 		total := len(view.Segments)
 		pruneSp := root.Child("prune")
-		metas, prunedSemantically := e.pruneSegments(lg, preds, frac, view.Segments)
+		metas, prunedSemantically := pruneSegments(view.Segments, preds, partCol, lg.Distance.Query, frac, e.MinSegments)
 		pruneSp.SetInt("round", int64(round))
 		pruneSp.SetInt("segments_total", int64(total))
 		pruneSp.SetInt("segments_kept", int64(len(metas)))
@@ -252,7 +249,7 @@ func (e *Executor) RunWith(ctx context.Context, ph *plan.Physical, opts RunOptio
 				continue
 			}
 			frac = 1 // final pass over everything
-			metas, _ := e.pruneSegments(lg, preds, 0, view.Segments)
+			metas, _ := pruneSegments(view.Segments, preds, partCol, nil, 0, 0)
 			finalSp := root.Child("scan")
 			finalSp.Set("strategy", ph.Strategy.String())
 			finalSp.Set("widen", "final")
@@ -304,49 +301,6 @@ func (e *Executor) checkVectorDim(lg *plan.Logical) error {
 		return fmt.Errorf("%w: query vector dim %d != column dim %d", ErrInvalidQuery, len(lg.Distance.Query), def.Dim)
 	}
 	return nil
-}
-
-// pruneSegments applies partition, min/max and semantic pruning to
-// the query's captured segment view.
-func (e *Executor) pruneSegments(lg *plan.Logical, preds []compiledPred, semanticFrac float64, all []*storage.SegmentMeta) ([]*storage.SegmentMeta, bool) {
-	opts := cluster.PruneOptions{
-		IntRanges:   map[string][2]int64{},
-		FloatRanges: map[string][2]float64{},
-	}
-	tOpts := e.Table.Options()
-	for _, p := range preds {
-		if p.intRange != nil {
-			opts.IntRanges[p.col] = mergeInt(opts.IntRanges[p.col], *p.intRange)
-		}
-		if p.floatRange != nil {
-			opts.FloatRanges[p.col] = *p.floatRange
-		}
-		// Partition pruning for single-column string partitions.
-		if p.eqString != nil && len(tOpts.PartitionBy) == 1 && tOpts.PartitionBy[0] == p.col {
-			opts.Partitions = map[string]bool{*p.eqString: true}
-		}
-	}
-	if semanticFrac > 0 && semanticFrac < 1 && lg.Distance != nil {
-		opts.QueryVector = lg.Distance.Query
-		opts.SemanticFraction = semanticFrac
-		opts.MinSegments = e.MinSegments
-	}
-	kept := cluster.PruneSegments(e.Table, all, opts)
-	return kept, opts.SemanticFraction > 0 && len(kept) < len(all)
-}
-
-func mergeInt(existing [2]int64, nw [2]int64) [2]int64 {
-	if existing == ([2]int64{}) {
-		return nw
-	}
-	lo, hi := existing[0], existing[1]
-	if nw[0] > lo {
-		lo = nw[0]
-	}
-	if nw[1] < hi {
-		hi = nw[1]
-	}
-	return [2]int64{lo, hi}
 }
 
 // predicateBitset evaluates the scalar conjuncts over a whole segment
@@ -474,57 +428,20 @@ func (e *Executor) runBruteForce(ctx context.Context, lg *plan.Logical, preds []
 		}
 		s := getScratch()
 		defer putScratch(s)
-		if bs == nil {
-			for i := 0; i < m.Rows; i++ {
-				s.rows = append(s.rows, i)
-			}
-		} else {
-			s.rows = bs.AppendOnes(s.rows)
-		}
-		rows := s.rows
-		ssp.SetInt("filtered_rows", int64(len(rows)))
-		if len(rows) == 0 {
+		s.rows = segmentRows(s.rows, bs, m.Rows)
+		ssp.SetInt("filtered_rows", int64(len(s.rows)))
+		if len(s.rows) == 0 {
 			return nil
 		}
 		rd, err := e.Table.Reader(m.Name)
 		if err != nil {
 			return err
 		}
-		vcol, err := e.readRows(ctx, rd, lg.VectorColumn, rows, len(rows), tr)
+		vcol, err := e.readRows(ctx, rd, lg.VectorColumn, s.rows, len(s.rows), tr)
 		if err != nil {
 			return err
 		}
-		// The fetched rows are compacted contiguously in vcol.Vecs, so
-		// the blocked kernels apply directly; L2 additionally abandons
-		// rows early against the running top-k worst (kept candidates
-		// are bitwise identical to a per-row scan — see internal/vec).
-		t := index.GetTopK(k)
-		defer index.PutTopK(t)
-		q := lg.Distance.Query
-		dim := vcol.Def.Dim
-		data := vcol.Vecs
-		var dists [scanBlock]float32
-		n := len(rows)
-		for base := 0; base < n; base += scanBlock {
-			br := n - base
-			if br > scanBlock {
-				br = scanBlock
-			}
-			block := data[base*dim : (base+br)*dim]
-			if lg.Metric == vec.L2 {
-				thr := float32(math.MaxFloat32)
-				if w, ok := t.Worst(); ok {
-					thr = w
-				}
-				vec.L2SquaredBatchThreshold(q, block, dim, dists[:br], thr)
-			} else {
-				vec.DistancesTo(lg.Metric, q, block, dim, dists[:br])
-			}
-			for j := 0; j < br; j++ {
-				t.Push(index.Candidate{ID: int64(rows[base+j]), Dist: dists[j]})
-			}
-		}
-		s.cands = t.AppendResults(s.cands[:0])
+		s.cands = nearestRows(s.cands[:0], lg.Metric, lg.Distance.Query, vcol, s.rows, k)
 		for _, c := range s.cands {
 			emit(hit{meta: m, offset: int(c.ID), dist: c.Dist})
 		}
@@ -533,46 +450,51 @@ func (e *Executor) runBruteForce(ctx context.Context, lg *plan.Logical, preds []
 	})
 }
 
+// segmentRows appends to dst the offsets of the segment's rows that bs
+// admits: all n of them when bs is nil (no predicates, no deletes).
+func segmentRows(dst []int, bs *bitset.Bitset, n int) []int {
+	if bs != nil {
+		return bs.AppendOnes(dst)
+	}
+	for i := 0; i < n; i++ {
+		dst = append(dst, i)
+	}
+	return dst
+}
+
+// nearestRows scores fetched rows against q and appends the k nearest
+// to dst, identified by segment offset. vcol holds the rows
+// contiguously in rows order, so the blocked kernels apply directly;
+// L2 additionally abandons rows early against the running k-th
+// distance. The kept candidates are bitwise those of a per-row scan
+// (see internal/vec), whichever path — solo or a group member — asks.
+func nearestRows(dst []index.Candidate, metric vec.Metric, q []float32, vcol *storage.ColumnData, rows []int, k int) []index.Candidate {
+	t := index.GetTopK(k)
+	defer index.PutTopK(t)
+	dim := vcol.Def.Dim
+	var dists [scanBlock]float32
+	for base := 0; base < len(rows); base += scanBlock {
+		br := min(len(rows)-base, scanBlock)
+		block := vcol.Vecs[base*dim : (base+br)*dim]
+		if metric == vec.L2 {
+			thr := float32(math.MaxFloat32)
+			if w, ok := t.Worst(); ok {
+				thr = w
+			}
+			vec.L2SquaredBatchThreshold(q, block, dim, dists[:br], thr)
+		} else {
+			vec.DistancesTo(metric, q, block, dim, dists[:br])
+		}
+		for j := 0; j < br; j++ {
+			t.Push(index.Candidate{ID: int64(rows[base+j]), Dist: dists[j]})
+		}
+	}
+	return t.AppendResults(dst)
+}
+
 // --- plan B: pre-filter --------------------------------------------------------
 
 func (e *Executor) runPreFilter(ctx context.Context, lg *plan.Logical, preds []compiledPred, metas []*storage.SegmentMeta, k, par int, params index.SearchParams, sp *obs.Span, tr *obs.Trace) ([]hit, error) {
-	if e.VW != nil {
-		// Distributed mode: the structured scan (per-segment predicate
-		// bitsets) fans out on the local pool, then the VW scatters the
-		// ANN scans across workers.
-		bitsets, err := gatherSegments(ctx, metas, par, func(ctx context.Context, _ int, m *storage.SegmentMeta) (*bitset.Bitset, error) {
-			return e.predicateBitset(ctx, m, preds, tr)
-		})
-		if err != nil {
-			return nil, err
-		}
-		filters := map[string]*bitset.Bitset{}
-		searchable := metas[:0:0]
-		for i, m := range metas {
-			if bs := bitsets[i]; bs == nil || bs.Any() {
-				filters[m.Name] = bitsets[i]
-				searchable = append(searchable, m)
-			}
-		}
-		if len(searchable) == 0 {
-			return nil, nil
-		}
-		cands, err := e.VW.Search(ctx, e.Table, searchable, lg.Distance.Query, k, cluster.SearchOptions{
-			Params: params, Filters: filters,
-			Span: sp, IdxTally: tr.IdxTally(),
-		})
-		if err != nil {
-			return nil, err
-		}
-		byName := metaIndex(searchable)
-		out := make([]hit, len(cands))
-		for i, c := range cands {
-			out[i] = hit{meta: byName[c.Segment], offset: int(c.Offset), dist: c.Dist}
-		}
-		return out, nil
-	}
-	// Local mode: fuse structured scan + ANN scan per segment on the
-	// worker pool.
 	return e.scanSegments(ctx, metas, k, par, sp, func(ctx context.Context, m *storage.SegmentMeta, ssp *obs.Span, emit func(hit)) error {
 		bs, err := e.predicateBitset(ctx, m, preds, tr)
 		if err != nil {
@@ -597,14 +519,6 @@ func (e *Executor) runPreFilter(ctx context.Context, lg *plan.Logical, preds []c
 		ssp.SetInt("candidates", int64(len(cands)))
 		return nil
 	})
-}
-
-func metaIndex(metas []*storage.SegmentMeta) map[string]*storage.SegmentMeta {
-	out := make(map[string]*storage.SegmentMeta, len(metas))
-	for _, m := range metas {
-		out[m.Name] = m
-	}
-	return out
 }
 
 // --- plan C: post-filter --------------------------------------------------------
@@ -632,27 +546,11 @@ func (e *Executor) runPostFilter(ctx context.Context, lg *plan.Logical, preds []
 }
 
 func (e *Executor) postFilterSegment(ctx context.Context, lg *plan.Logical, preds []compiledPred, m *storage.SegmentMeta, k int, params index.SearchParams, ssp *obs.Span, tr *obs.Trace) ([]hit, error) {
-	var it index.Iterator
-	var err error
-	if e.VW != nil {
-		owner := e.VW.Worker(e.VW.Workers()[0])
-		// Iterators are stateful: run on the segment's assigned worker.
-		assign := e.VW.ScheduleSegments(e.Table, []*storage.SegmentMeta{m})
-		for wid := range assign {
-			owner = e.VW.Worker(wid)
-		}
-		if owner == nil {
-			return nil, fmt.Errorf("exec: no worker for segment %s", m.Name)
-		}
-		ssp.Set("worker", owner.ID)
-		it, err = owner.OpenIterator(ctx, e.Table, m, lg.Distance.Query, k, params)
-	} else {
-		ix, ierr := e.segmentIndex(ctx, m, tr)
-		if ierr != nil {
-			return nil, ierr
-		}
-		it, err = index.OpenIterator(ix, lg.Distance.Query, k, params)
+	ix, err := e.segmentIndex(ctx, m, tr)
+	if err != nil {
+		return nil, err
 	}
+	it, err := index.OpenIterator(ix, lg.Distance.Query, k, params)
 	if err != nil {
 		return nil, err
 	}
@@ -742,21 +640,11 @@ func (e *Executor) runRange(ctx context.Context, lg *plan.Logical, preds []compi
 		}
 		ssp.SetInt("rows", int64(m.Rows))
 		mSegScans.Inc()
-		var cands []index.Candidate
-		if e.VW != nil {
-			owner := e.VW.Worker(e.ownerOf(m))
-			if owner == nil {
-				return fmt.Errorf("exec: no worker for segment %s", m.Name)
-			}
-			ssp.Set("worker", owner.ID)
-			cands, err = owner.RangeSegment(ctx, e.Table, m, lg.Distance.Query, radius, params, bs)
-		} else {
-			ix, ierr := e.segmentIndex(ctx, m, tr)
-			if ierr != nil {
-				return ierr
-			}
-			cands, err = ix.SearchWithRange(lg.Distance.Query, radius, bs, params)
+		ix, err := e.segmentIndex(ctx, m, tr)
+		if err != nil {
+			return err
 		}
+		cands, err := ix.SearchWithRange(lg.Distance.Query, radius, bs, params)
 		if err != nil {
 			return err
 		}
@@ -790,18 +678,10 @@ func internalRadius(lg *plan.Logical) float32 {
 	return radius
 }
 
-func (e *Executor) ownerOf(m *storage.SegmentMeta) string {
-	assign := e.VW.ScheduleSegments(e.Table, []*storage.SegmentMeta{m})
-	for wid := range assign {
-		return wid
-	}
-	return ""
-}
-
 // --- scalar-only queries ----------------------------------------------------------
 
 func (e *Executor) runScalar(ctx context.Context, lg *plan.Logical, preds []compiledPred, par int, view lsm.QueryView, tr *obs.Trace) (*Result, error) {
-	metas, _ := e.pruneSegments(lg, preds, 0, view.Segments)
+	metas, _ := pruneSegments(view.Segments, preds, e.partitionColumn(), nil, 0, 0)
 	sp := tr.Span().Child("scalar-scan")
 	sp.SetInt("segments", int64(len(metas)))
 	sp.SetInt("mem_snapshots", int64(len(view.Mem)))
@@ -819,15 +699,10 @@ func (e *Executor) runScalar(ctx context.Context, lg *plan.Logical, preds []comp
 		if err != nil {
 			return nil, err
 		}
-		var offsets []int
-		if bs == nil {
-			offsets = make([]int, m.Rows)
-			for i := range offsets {
-				offsets[i] = i
-			}
-		} else {
-			offsets = bs.Ones()
-		}
+		s := getScratch()
+		defer putScratch(s)
+		s.rows = segmentRows(s.rows, bs, m.Rows)
+		offsets := s.rows
 		if len(offsets) == 0 {
 			return nil, nil
 		}

@@ -11,7 +11,6 @@ import (
 	"blendhouse/internal/obs"
 	"blendhouse/internal/plan"
 	"blendhouse/internal/storage"
-	"blendhouse/internal/vec"
 )
 
 // Shared-scan group execution: the batching scheduler hands a set of
@@ -47,8 +46,8 @@ type GroupResult struct {
 // RunGroup executes a group of compatible plans over one shared
 // per-segment pass. Compatibility (same strategy, vector column,
 // metric, scalar predicates, range-kind) is the caller's contract; an
-// incompatible or unshareable group (VW mode, single member) degrades
-// to per-member solo execution, never to a wrong answer.
+// incompatible or unshareable group (a single member, plan C)
+// degrades to per-member solo execution, never to a wrong answer.
 func (e *Executor) RunGroup(gctx context.Context, qs []GroupQuery) []GroupResult {
 	out := make([]GroupResult, len(qs))
 	if len(qs) == 0 {
@@ -57,7 +56,7 @@ func (e *Executor) RunGroup(gctx context.Context, qs []GroupQuery) []GroupResult
 	if gctx == nil {
 		gctx = context.Background()
 	}
-	if e.VW != nil || len(qs) == 1 || !groupCompatible(qs) {
+	if len(qs) == 1 || !groupCompatible(qs) {
 		for i, q := range qs {
 			ctx := q.Ctx
 			if ctx == nil {
@@ -157,8 +156,6 @@ func (e *Executor) RunGroup(gctx context.Context, qs []GroupQuery) []GroupResult
 		mPlanBrute.Add(int64(n))
 	case plan.PreFilter:
 		mPlanPre.Add(int64(n))
-	case plan.PostFilter:
-		mPlanPost.Add(int64(n))
 	}
 
 	// Memtable snapshots: per-member brute scan, identical to the solo
@@ -178,7 +175,7 @@ func (e *Executor) RunGroup(gctx context.Context, qs []GroupQuery) []GroupResult
 		}
 	}
 
-	metas, _ := e.pruneSegments(lg0, preds, 0, view.Segments)
+	metas, _ := pruneSegments(view.Segments, preds, e.partitionColumn(), nil, 0, 0)
 
 	// The shared pass: one closure invocation per segment, returning the
 	// per-member candidate lists for that segment.
@@ -191,25 +188,6 @@ func (e *Executor) RunGroup(gctx context.Context, qs []GroupQuery) []GroupResult
 		}()
 		mSegScans.Inc()
 		res := make([][]hit, n)
-
-		// Post-filter iterates the index and evaluates predicates on the
-		// candidate stream only — it never builds a whole-segment bitset,
-		// so the shared state is just the cached index handle.
-		if strategy == plan.PostFilter && lg0.Range == nil {
-			for i, q := range qs {
-				if !checkMember(i) {
-					continue
-				}
-				hits, err := e.postFilterSegment(ctx, q.Plan.Logical, preds, m, ks[i], params[i], nil, nil)
-				if err != nil {
-					setErr(i, err)
-					continue
-				}
-				res[i] = hits
-			}
-			return res, nil
-		}
-
 		bs, err := e.predicateBitset(ctx, m, preds, nil)
 		if err != nil {
 			return nil, err
@@ -236,23 +214,17 @@ func (e *Executor) RunGroup(gctx context.Context, qs []GroupQuery) []GroupResult
 				res[i] = candsToHits(m, cands)
 			}
 		case strategy == plan.BruteForce:
-			var rows []int
-			if bs == nil {
-				rows = make([]int, m.Rows)
-				for i := range rows {
-					rows[i] = i
-				}
-			} else {
-				rows = bs.Ones()
-			}
-			if len(rows) == 0 {
+			s := getScratch()
+			defer putScratch(s)
+			s.rows = segmentRows(s.rows, bs, m.Rows)
+			if len(s.rows) == 0 {
 				return res, nil
 			}
 			rd, err := e.Table.Reader(m.Name)
 			if err != nil {
 				return nil, err
 			}
-			vcol, err := e.readRows(ctx, rd, lg0.VectorColumn, rows, len(rows), nil)
+			vcol, err := e.readRows(ctx, rd, lg0.VectorColumn, s.rows, len(s.rows), nil)
 			if err != nil {
 				return nil, err
 			}
@@ -261,12 +233,8 @@ func (e *Executor) RunGroup(gctx context.Context, qs []GroupQuery) []GroupResult
 					continue
 				}
 				lg := q.Plan.Logical
-				t := index.NewTopK(ks[i])
-				for ri := range rows {
-					d := vec.Distance(lg.Metric, lg.Distance.Query, vcol.Vector(ri))
-					t.Push(index.Candidate{ID: int64(rows[ri]), Dist: d})
-				}
-				res[i] = candsToHits(m, t.Results())
+				s.cands = nearestRows(s.cands[:0], lg.Metric, lg.Distance.Query, vcol, s.rows, ks[i])
+				res[i] = candsToHits(m, s.cands)
 			}
 		case strategy == plan.PreFilter:
 			if bs != nil && !bs.Any() {
@@ -345,10 +313,11 @@ func (e *Executor) RunGroup(gctx context.Context, qs []GroupQuery) []GroupResult
 // groupCompatible sanity-checks the caller's compatibility contract on
 // the dimensions that would make a shared pass wrong rather than merely
 // suboptimal. Deep predicate equality is established upstream by the
-// grouping key.
+// grouping key. Plan C shares nothing — each member iterates the index
+// unfiltered — so it never forms a group.
 func groupCompatible(qs []GroupQuery) bool {
 	lg0 := qs[0].Plan.Logical
-	if lg0.Distance == nil {
+	if lg0.Distance == nil || qs[0].Plan.Strategy == plan.PostFilter {
 		return false
 	}
 	for _, q := range qs[1:] {

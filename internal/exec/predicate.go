@@ -28,7 +28,8 @@ type compiledPred struct {
 	intRange   *[2]int64
 	floatRange *[2]float64
 	// eqString holds the value of an equality predicate on a string
-	// column — used for partition pruning.
+	// column — used for partition pruning and to spot two equalities
+	// no row can meet.
 	eqString *string
 }
 

@@ -147,15 +147,3 @@ func TestPruningRangesExtracted(t *testing.T) {
 		t.Fatal("OpNe must not produce a partition hint")
 	}
 }
-
-func TestMergeIntNarrows(t *testing.T) {
-	got := mergeInt([2]int64{0, 100}, [2]int64{50, 200})
-	if got != [2]int64{50, 100} {
-		t.Fatalf("mergeInt = %v", got)
-	}
-	// Zero value means "unset": take the new range verbatim.
-	got = mergeInt([2]int64{}, [2]int64{-3, 3})
-	if got != [2]int64{-3, 3} {
-		t.Fatalf("mergeInt from empty = %v", got)
-	}
-}
