@@ -785,7 +785,8 @@ func (e *Engine) createTable(ct *sql.CreateTable) error {
 	return nil
 }
 
-// dropTable removes the table from the catalog and deletes its blobs.
+// dropTable removes the table from the catalog, then stops its write
+// path and deletes its blobs.
 func (e *Engine) dropTable(name string) error {
 	e.mu.Lock()
 	t, ok := e.tables[name]
@@ -795,14 +796,5 @@ func (e *Engine) dropTable(name string) error {
 	if !ok {
 		return unknownTableErr(name)
 	}
-	keys, err := e.cfg.Store.List("tables/" + t.Name() + "/")
-	if err != nil {
-		return err
-	}
-	for _, k := range keys {
-		if err := e.cfg.Store.Delete(k); err != nil {
-			return err
-		}
-	}
-	return nil
+	return t.Drop()
 }

@@ -296,6 +296,39 @@ func TestAddAllocsBounded(t *testing.T) {
 	}
 }
 
+// A build allocates about what the index holds. Two collections first
+// empty the scratch pool, as the collections of a bulk load do: the
+// borrowed scratch then starts small, and its visited table used to be
+// reallocated one node larger on every insert — 18 MB for 3 000 rows.
+func TestAddBytesBounded(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items under the race detector")
+	}
+	const n, dim = 3000, 128
+	ds := dataset.Small(n, dim, 17)
+	ids := make([]int64, n)
+	for i := range ids {
+		ids[i] = int64(i)
+	}
+	ix, err := New(index.BuildParams{Dim: dim, Metric: vec.L2, M: 8, EfConstruction: 80, Seed: 9}.WithDefaults(), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if err := ix.AddWithIDs(ds.Vectors.Data, ids); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	allocated, held := after.TotalAlloc-before.TotalAlloc, uint64(ix.MemoryBytes())
+	t.Logf("AddWithIDs of %d rows: %d bytes allocated, %d held", n, allocated, held)
+	if allocated > 2*held {
+		t.Errorf("AddWithIDs of %d rows allocates %d bytes for an index of %d, want <= 2x", n, allocated, held)
+	}
+}
+
 // BenchmarkBuild builds the standing benchmark's segment: 3 000 × 128-d
 // rows, M 16, ef_construction 200.
 func BenchmarkBuild(b *testing.B) {

@@ -95,7 +95,8 @@ func (s *searchScratch) reset(n int) {
 }
 
 // visitedTable marks visited node indices. A node is visited iff its
-// tag equals the current epoch, so reset is O(1) amortized.
+// tag equals the current epoch, so reset is O(1) amortized. Tags past
+// len are stale marks of earlier epochs, never newer ones.
 type visitedTable struct {
 	tags  []uint32
 	epoch uint32
@@ -103,15 +104,14 @@ type visitedTable struct {
 
 func (v *visitedTable) reset(n int) {
 	if cap(v.tags) < n {
-		v.tags = make([]uint32, n)
+		// Geometric: a build searches a graph one node larger per insert.
+		v.tags = make([]uint32, n, max(n, 2*cap(v.tags)))
 		v.epoch = 0
 	}
 	v.tags = v.tags[:n]
 	v.epoch++
 	if v.epoch == 0 { // epoch wrapped: stale tags could collide, clear
-		for i := range v.tags {
-			v.tags[i] = 0
-		}
+		clear(v.tags[:cap(v.tags)])
 		v.epoch = 1
 	}
 }

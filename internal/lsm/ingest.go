@@ -63,8 +63,7 @@ func (t *Table) writeBatchSegments(batch *storage.RowBatch) ([]*storage.SegmentM
 			if end > g.batch.Len() {
 				end = g.batch.Len()
 			}
-			part := sliceBatch(g.batch, start, end)
-			meta, err := t.writeSegment(part, g.partition, g.bucket, 0)
+			meta, err := t.writeSegment(g.batch.View(start, end), g.partition, g.bucket, 0)
 			if err != nil {
 				return nil, err
 			}
@@ -84,7 +83,8 @@ type routeGroup struct {
 // routeRows splits the batch by scalar partition key value and
 // semantic bucket. Semantic centroids are trained lazily on the first
 // clustered ingest (paper §IV-B: "the system ... perform[s] k-means
-// clustering during ingestion").
+// clustering during ingestion"). When every row routes to one group,
+// that group's batch is the input itself, not a copy.
 func (t *Table) routeRows(batch *storage.RowBatch) ([]*routeGroup, error) {
 	n := batch.Len()
 	parts := make([]string, n)
@@ -115,21 +115,28 @@ func (t *Table) routeRows(batch *storage.RowBatch) ([]*routeGroup, error) {
 			buckets[i] = -1
 		}
 	}
-	groups := map[string]*routeGroup{}
-	var order []string
+	one := true
+	for r := 1; r < n && one; r++ {
+		one = parts[r] == parts[0] && buckets[r] == buckets[0]
+	}
+	if n > 0 && one {
+		return []*routeGroup{{partition: parts[0], bucket: buckets[0], batch: batch}}, nil
+	}
+	type groupKey struct {
+		partition string
+		bucket    int
+	}
+	groups := map[groupKey]*routeGroup{}
+	var out []*routeGroup
 	for r := 0; r < n; r++ {
-		key := fmt.Sprintf("%s#%d", parts[r], buckets[r])
+		key := groupKey{parts[r], buckets[r]}
 		g, ok := groups[key]
 		if !ok {
 			g = &routeGroup{partition: parts[r], bucket: buckets[r], batch: storage.NewRowBatch(t.opts.Schema)}
 			groups[key] = g
-			order = append(order, key)
+			out = append(out, g)
 		}
 		g.batch.AppendRow(batch, r)
-	}
-	out := make([]*routeGroup, len(order))
-	for i, k := range order {
-		out[i] = groups[k]
 	}
 	return out, nil
 }
@@ -148,17 +155,6 @@ func (t *Table) ensureCentroids(sample *vec.Matrix) error {
 	}
 	t.centroids = res.Centroids
 	return nil
-}
-
-func sliceBatch(b *storage.RowBatch, start, end int) *storage.RowBatch {
-	if start == 0 && end == b.Len() {
-		return b
-	}
-	out := storage.NewRowBatch(b.Schema)
-	for r := start; r < end; r++ {
-		out.AppendRow(b, r)
-	}
-	return out
 }
 
 // writeSegment persists one segment's columns and ANN index, returning

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -12,7 +13,9 @@ import (
 	"blendhouse/internal/wal"
 )
 
-// Real-time write path metrics.
+// Real-time write path metrics. The memtable gauges sum every live
+// memtable, active or sealed, of every table in the process: a row
+// counts from its apply until its memtable is retired.
 var (
 	mFlushRuns  = obs.Default().Counter("bh.lsm.flush.runs")
 	mFlushRows  = obs.Default().Counter("bh.lsm.flush.rows")
@@ -116,7 +119,7 @@ func (t *Table) EnableWAL(cfg WALConfig) error {
 	for _, rec := range pending {
 		switch rec.Type {
 		case wal.RecInsert:
-			t.mem.Append(rec.Batch, rec.LSN)
+			t.appendLocked(rec.Batch, rec.LSN)
 		case wal.RecDelete:
 			t.mem.DeleteByKey(rec.DeleteCol, rec.DeleteKeys)
 			t.mem.NoteLSN(rec.LSN) // sole memtable here, so it is the active one
@@ -150,14 +153,28 @@ func (t *Table) walApply(rec *wal.Record) {
 	defer t.mu.RUnlock()
 	switch rec.Type {
 	case wal.RecInsert:
-		t.mem.Append(rec.Batch, rec.LSN)
-		mMemRows.Set(int64(t.mem.Rows()))
-		mMemBytes.Set(t.mem.Bytes())
+		t.appendLocked(rec.Batch, rec.LSN)
 	case wal.RecDelete:
 		// Memtable + segment application is done by the DeleteByKeyCtx
 		// caller under dmlMu; the hook only orders the ack after
 		// durability.
 	}
+}
+
+// appendLocked applies an acknowledged insert to the active memtable
+// and counts it in the memtable gauges. Caller holds t.mu, read or
+// write: a memtable is retired only under the write lock.
+func (t *Table) appendLocked(batch *storage.RowBatch, lsn int64) {
+	mMemBytes.Add(t.mem.Append(batch, lsn))
+	mMemRows.Add(int64(batch.Len()))
+}
+
+// retire uncounts a memtable that has left the table — flushed into
+// segments, or discarded — and that nothing of the table reaches any
+// more. Caller holds t.mu.
+func retire(m *wal.Memtable) {
+	mMemRows.Add(-int64(m.Rows()))
+	mMemBytes.Add(-m.Bytes())
 }
 
 // InsertCtx ingests a batch through the real-time write path when the
@@ -190,7 +207,8 @@ func (t *Table) InsertCtx(ctx context.Context, batch *storage.RowBatch) error {
 	}
 	mWALInserts.Inc()
 	t.mu.RLock()
-	over := t.mem.Rows() >= ws.cfg.MaxMemRows || t.mem.Bytes() >= ws.cfg.MaxMemBytes
+	// A table dropped since the append holds no memtable.
+	over := t.mem != nil && (t.mem.Rows() >= ws.cfg.MaxMemRows || t.mem.Bytes() >= ws.cfg.MaxMemBytes)
 	t.mu.RUnlock()
 	if over {
 		kickFlush(ws)
@@ -266,8 +284,6 @@ func (t *Table) flushOnce(ws *walState) error {
 		t.sealed = append(t.sealed, t.mem)
 		t.memGen++
 		t.mem = wal.NewMemtable(t.opts.Schema, t.memGen)
-		mMemRows.Set(0)
-		mMemBytes.Set(0)
 	}
 	sealed := append([]*wal.Memtable(nil), t.sealed...)
 	t.mu.Unlock()
@@ -293,11 +309,11 @@ func (t *Table) flushOnce(ws *walState) error {
 		if live.Len() > 0 {
 			t.updateHistogramsLocked(live)
 		}
-		for i, sm := range t.sealed {
-			if sm == m {
-				t.sealed = append(t.sealed[:i], t.sealed[i+1:]...)
-				break
-			}
+		// Delete clears the vacated slot, so the backing array does not
+		// keep the flushed rows alive until a later seal overwrites it.
+		if i := slices.Index(t.sealed, m); i >= 0 {
+			t.sealed = slices.Delete(t.sealed, i, i+1)
+			retire(m)
 		}
 		// Backlog space just freed — wake writers blocked on
 		// backpressure now rather than after the whole run, so a later
@@ -340,14 +356,53 @@ func (t *Table) flushOnce(ws *walState) error {
 // memtable row into segments (after which the WAL directory is
 // empty). The table remains usable on the synchronous paths.
 func (t *Table) CloseWAL() error {
-	ws := t.walRT.Swap(nil)
+	ws := t.stopWAL()
 	if ws == nil {
 		return nil
 	}
-	ws.log.Close() // drains the commit queue; applies land in the memtable
-	close(ws.stopCh)
-	<-ws.doneCh
 	return t.flushOnce(ws)
+}
+
+// stopWAL disables the real-time write path without flushing: in-flight
+// appends commit and the flusher stops. It returns the stopped runtime,
+// nil when the WAL was not enabled.
+func (t *Table) stopWAL() *walState {
+	ws := t.walRT.Swap(nil)
+	if ws != nil {
+		ws.log.Close() // drains the commit queue; applies land in the memtable
+		close(ws.stopCh)
+		<-ws.doneCh
+	}
+	return ws
+}
+
+// Drop stops the table's write path without flushing, retires its
+// memtables and deletes every blob the table stored (DROP TABLE). A
+// flush already under way finishes first; the handle must not be used
+// afterwards.
+func (t *Table) Drop() error {
+	t.stopWAL()
+	t.dmlMu.Lock()
+	t.mu.Lock()
+	for _, m := range t.sealed {
+		retire(m)
+	}
+	if t.mem != nil {
+		retire(t.mem)
+	}
+	t.mem, t.sealed = nil, nil
+	t.mu.Unlock()
+	t.dmlMu.Unlock()
+	keys, err := t.store.List("tables/" + t.opts.Name + "/")
+	if err != nil {
+		return err
+	}
+	for _, k := range keys {
+		if err := t.store.Delete(k); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // FlushWAL forces a synchronous flush of the memtable (tests and

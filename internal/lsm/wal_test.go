@@ -27,12 +27,7 @@ func walTestConfig() WALConfig {
 // committer and flusher WITHOUT the final flush CloseWAL would run, so
 // acknowledged rows exist only in the WAL blobs — exactly the state a
 // SIGKILL leaves behind (the in-memory memtable dies with the process).
-func crashWAL(tab *Table) {
-	ws := tab.walRT.Swap(nil)
-	ws.log.Close()
-	close(ws.stopCh)
-	<-ws.doneCh
-}
+func crashWAL(tab *Table) { tab.stopWAL() }
 
 // tableContents fingerprints every alive row visible to a query —
 // segment rows minus delete bitmaps plus live memtable rows — sorted,

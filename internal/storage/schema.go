@@ -186,6 +186,25 @@ func (c *ColumnData) AppendRow(src *ColumnData, i int) {
 	}
 }
 
+// View returns rows [start, end) of c in place. The view's slices are
+// capacity-capped: appending to one copies instead of writing into c.
+// Readers only — c's rows must not change while the view is in use.
+func (c *ColumnData) View(start, end int) *ColumnData {
+	v := &ColumnData{Def: c.Def}
+	switch c.Def.Type {
+	case Int64Type, DateTimeType:
+		v.Ints = c.Ints[start:end:end]
+	case Float64Type:
+		v.Floats = c.Floats[start:end:end]
+	case StringType:
+		v.Strs = c.Strs[start:end:end]
+	case VectorType:
+		d := c.Def.Dim
+		v.Vecs = c.Vecs[start*d : end*d : end*d]
+	}
+	return v
+}
+
 // Vector returns row i of a vector column as a subslice.
 func (c *ColumnData) Vector(i int) []float32 {
 	d := c.Def.Dim
@@ -238,6 +257,16 @@ func (b *RowBatch) Col(name string) *ColumnData {
 		return nil
 	}
 	return b.Cols[i]
+}
+
+// View returns rows [start, end) of b in place: ColumnData.View of
+// every column.
+func (b *RowBatch) View(start, end int) *RowBatch {
+	v := &RowBatch{Schema: b.Schema, Cols: make([]*ColumnData, len(b.Cols))}
+	for i, c := range b.Cols {
+		v.Cols[i] = c.View(start, end)
+	}
+	return v
 }
 
 // AppendRow copies row i of src (same schema) onto b.

@@ -340,6 +340,23 @@ func TestAppendRowAndValueString(t *testing.T) {
 	}
 }
 
+// A view holds the rows AppendRow would copy, and appending to it copies
+// instead of overwriting the rows that follow it in its source.
+func TestRowBatchView(t *testing.T) {
+	src := testBatch(10)
+	view, want := src.View(2, 5), NewRowBatch(testSchema())
+	for r := 2; r < 5; r++ {
+		want.AppendRow(src, r)
+	}
+	if !reflect.DeepEqual(view, want) {
+		t.Fatalf("view of rows [2, 5) = %+v, want %+v", view, want)
+	}
+	view.AppendRow(src, 9)
+	if !reflect.DeepEqual(src, testBatch(10)) {
+		t.Fatal("appending to a view wrote into its source")
+	}
+}
+
 func TestRemoteBandwidthCharging(t *testing.T) {
 	// 1 MB at 10 MB/s must take >= ~100ms even with zero op latency.
 	rs := NewRemoteStore(NewMemStore(), RemoteConfig{BytesPerSecond: 10 << 20})

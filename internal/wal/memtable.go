@@ -9,10 +9,11 @@ import (
 
 // Memtable buffers acknowledged-but-unflushed rows in columnar form so
 // queries can brute-force scan them. Columns are append-only: a
-// snapshot captures slice headers under the mutex, and later appends
-// either write past the snapshot's length or reallocate — either way
-// the frozen view never changes. Deletes are tracked in a row-index
-// set that snapshots copy (deletes are rare relative to reads).
+// snapshot captures capacity-capped views under the mutex, and later
+// appends either write past the snapshot's length or reallocate —
+// either way the frozen view never changes, and nothing writes through
+// one. Deletes are tracked in a row-index set that snapshots copy
+// (deletes are rare relative to reads).
 type Memtable struct {
 	schema *storage.Schema
 	gen    int64
@@ -55,11 +56,13 @@ func rowBytes(schema *storage.Schema, batch *storage.RowBatch, row int) int64 {
 	return n
 }
 
-// Append adds every row of batch (already WAL-durable at lsn).
-func (m *Memtable) Append(batch *storage.RowBatch, lsn int64) {
+// Append adds every row of batch (already WAL-durable at lsn) and
+// returns how much it added to Bytes.
+func (m *Memtable) Append(batch *storage.RowBatch, lsn int64) int64 {
 	n := batch.Len()
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	before := m.bytes
 	for _, src := range batch.Cols {
 		dst := m.batch.Col(src.Def.Name)
 		switch src.Def.Type {
@@ -79,6 +82,7 @@ func (m *Memtable) Append(batch *storage.RowBatch, lsn int64) {
 	if lsn > m.maxLSN {
 		m.maxLSN = lsn
 	}
+	return m.bytes - before
 }
 
 // DeleteByKey marks rows whose key-column value is in keys as deleted
@@ -173,17 +177,7 @@ func (m *Memtable) Snapshot() *MemSnapshot {
 		deleted: make(map[int]struct{}, len(m.deleted)),
 	}
 	for i, col := range m.batch.Cols {
-		frozen := &storage.ColumnData{Def: col.Def}
-		switch col.Def.Type {
-		case storage.Int64Type, storage.DateTimeType:
-			frozen.Ints = col.Ints[:n:n]
-		case storage.Float64Type:
-			frozen.Floats = col.Floats[:n:n]
-		case storage.StringType:
-			frozen.Strs = col.Strs[:n:n]
-		case storage.VectorType:
-			frozen.Vecs = col.Vecs[: n*col.Def.Dim : n*col.Def.Dim]
-		}
+		frozen := col.View(0, n)
 		s.cols[i] = frozen
 		s.byName[col.Def.Name] = frozen
 	}
@@ -207,11 +201,16 @@ func (s *MemSnapshot) Alive(i int) bool {
 	return !dead
 }
 
-// LiveBatch compacts the snapshot's live rows into a standalone
-// RowBatch — the flusher feeds this through the normal ingest path.
+// LiveBatch returns the snapshot's live rows as a RowBatch — the
+// flusher feeds this through the normal ingest path. With no row
+// deleted it is the frozen columns themselves, read in place; else the
+// live rows are compacted into a batch of their own.
 func (s *MemSnapshot) LiveBatch() *storage.RowBatch {
-	out := storage.NewRowBatch(s.Schema)
 	src := &storage.RowBatch{Schema: s.Schema, Cols: s.cols}
+	if len(s.deleted) == 0 {
+		return src
+	}
+	out := storage.NewRowBatch(s.Schema)
 	for i := 0; i < s.Meta.Rows; i++ {
 		if s.Alive(i) {
 			out.AppendRow(src, i)
