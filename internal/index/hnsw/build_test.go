@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"runtime"
@@ -82,17 +83,20 @@ var fmaProbe = [2][]float32{
 	{1, 0, 0, 0, 1 + 1.0/4096, 0, 0, 0},
 }
 
-func TestBuildBytesUnchanged(t *testing.T) {
-	// Graph choices hang on float comparisons: the hashes are pinned to
-	// the architecture they were written on, with rounded multiply-adds
-	// (GOAMD64=v1; Go 1.24 fuses none at any level, but may one day).
+// buildGolden reads a golden file of build hashes, or skips where its
+// hashes do not hold. Graph choices hang on float comparisons: the
+// hashes are pinned to the architecture they were written on, with
+// rounded multiply-adds (GOAMD64=v1; Go 1.24 fuses none at any level,
+// but may one day).
+func buildGolden(t *testing.T, name string) map[string]string {
+	t.Helper()
 	if runtime.GOARCH != "amd64" {
 		t.Skip("golden build hashes are amd64 bytes")
 	}
 	if vec.Dot(fmaProbe[0], fmaProbe[1]) != 0 {
 		t.Skip("the scalar kernels were compiled with fused multiply-adds")
 	}
-	raw, err := os.ReadFile("testdata/golden_build_sha256.json")
+	raw, err := os.ReadFile(name)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,6 +104,11 @@ func TestBuildBytesUnchanged(t *testing.T) {
 	if err := json.Unmarshal(raw, &want); err != nil {
 		t.Fatal(err)
 	}
+	return want
+}
+
+func TestBuildBytesUnchanged(t *testing.T) {
+	want := buildGolden(t, "testdata/golden_build_sha256.json")
 	cases := []struct {
 		quantized bool
 		offset    float32
@@ -114,6 +123,152 @@ func TestBuildBytesUnchanged(t *testing.T) {
 				t.Errorf("%s: a build of the golden data saves different bytes (sha256 %s, golden %s)", key, got, want[key])
 			}
 		}
+	}
+}
+
+// --- the batched build ---------------------------------------------------------
+//
+// testdata/golden_build_batched_sha256.json holds, for every metric and
+// both stores, the SHA-256 of what Save writes after adding n
+// batchedDim-d goldenFloats rows in one call (M 8, ef_construction 64,
+// the quantizer trained on all n rows first), under the key
+// "<type>/<metric>/<n>". The 2 000-row hashes were written by the
+// batched builder: a call of batchMinRows rows or more links its nodes
+// in batches. The 3 000-row hashes were written by the builder that
+// linked every node alone, before batches existed.
+
+const batchedDim = 32
+
+// batchedBuild adds n rows to a fresh index in calls of at most per
+// rows and returns its golden key and the hex SHA-256 of its blob.
+func batchedBuild(tb testing.TB, m vec.Metric, quantized bool, n, per int) (key, sum string) {
+	tb.Helper()
+	ix, err := New(index.BuildParams{Dim: batchedDim, Metric: m, M: 8, EfConstruction: 64, Seed: 3}.WithDefaults(), quantized)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	data := goldenFloats(n*batchedDim, 6)
+	if err := ix.Train(data); err != nil {
+		tb.Fatal(err)
+	}
+	for lo := 0; lo < n; lo += per {
+		ids := make([]int64, min(per, n-lo))
+		for i := range ids {
+			ids[i] = int64(lo + i)
+		}
+		if err := ix.AddWithIDs(data[lo*batchedDim:(lo+len(ids))*batchedDim], ids); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	var blob bytes.Buffer
+	if err := ix.Save(&blob); err != nil {
+		tb.Fatal(err)
+	}
+	h := sha256.Sum256(blob.Bytes())
+	return fmt.Sprintf("%s/%v/%d", ix.Type(), m, n), hex.EncodeToString(h[:])
+}
+
+// A batched build saves the same bytes at any worker count: batch
+// boundaries depend on node counts only, and no worker reads what
+// another writes within a phase.
+func TestBuildSameBytesAnyWorkerCount(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	got := map[string]string{}
+	for _, m := range buildMetrics {
+		for _, quantized := range []bool{false, true} {
+			for _, procs := range []int{1, 2, 8} {
+				runtime.GOMAXPROCS(procs)
+				key, sum := batchedBuild(t, m, quantized, 2000, 2000)
+				if procs == 1 {
+					got[key] = sum
+				} else if sum != got[key] {
+					t.Errorf("%s: GOMAXPROCS %d saves sha256 %s, GOMAXPROCS 1 %s", key, procs, sum, got[key])
+				}
+			}
+		}
+	}
+	want := buildGolden(t, "testdata/golden_build_batched_sha256.json")
+	for key, sum := range got {
+		if want[key] != sum {
+			t.Errorf("%s: a batched build saves sha256 %s, golden %q", key, sum, want[key])
+		}
+	}
+}
+
+// Calls below batchMinRows link one node at a time: three calls of
+// 1 000 rows save what one call of the same 3 000 rows saved before
+// batches existed.
+func TestBuildSmallCallsMatchUnbatchedBuilder(t *testing.T) {
+	if raceEnabled {
+		t.Skip("one node at a time starts no goroutine: nothing to race, and 18 000 inserts are slow under -race")
+	}
+	want := buildGolden(t, "testdata/golden_build_batched_sha256.json")
+	for _, m := range buildMetrics {
+		for _, quantized := range []bool{false, true} {
+			key, sum := batchedBuild(t, m, quantized, 3000, 1000)
+			if want[key] == "" {
+				t.Fatalf("%s: no golden hash", key)
+			}
+			if sum != want[key] {
+				t.Errorf("%s: three 1 000-row calls save sha256 %s, the unbatched builder %s", key, sum, want[key])
+			}
+		}
+	}
+}
+
+// A batched build finds about what one node at a time finds, on the
+// standing benchmark's segment shape (3 000 × 128-d clustered rows, M 8,
+// ef_construction 80): recall@10 over 200 queries against the same
+// rows added in 1 000-row calls, and the saved size.
+func TestBatchedBuildRecall(t *testing.T) {
+	const n, dim = 3000, 128
+	ds := dataset.Generate(dataset.Spec{N: n, Dim: dim, Queries: 200, Clusters: 8, Seed: 17})
+	truth := ds.GroundTruth(vec.L2, 10, nil)
+	build := func(per int) (*Index, int) {
+		ix, err := New(index.BuildParams{Dim: dim, Metric: vec.L2, M: 8, EfConstruction: 80, Seed: 9}.WithDefaults(), false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for lo := 0; lo < n; lo += per {
+			ids := make([]int64, per)
+			for i := range ids {
+				ids[i] = int64(lo + i)
+			}
+			if err := ix.AddWithIDs(ds.Vectors.Data[lo*dim:(lo+per)*dim], ids); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var blob bytes.Buffer
+		if err := ix.Save(&blob); err != nil {
+			t.Fatal(err)
+		}
+		return ix, blob.Len()
+	}
+	recall := func(ix *Index, ef int) float64 {
+		got := make([][]int64, len(truth))
+		for qi := range got {
+			res, err := ix.SearchWithFilter(ds.Queries.Row(qi), 10, nil, index.SearchParams{Ef: ef})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, c := range res {
+				got[qi] = append(got[qi], c.ID)
+			}
+		}
+		return dataset.Recall(truth, got)
+	}
+	batched, batchedSize := build(n)
+	single, singleSize := build(1000)
+	for _, ef := range []int{16, 64} {
+		rb, rs := recall(batched, ef), recall(single, ef)
+		t.Logf("ef %d: recall@10 %.4f batched, %.4f one node at a time", ef, rb, rs)
+		if math.Abs(rb-rs) > 0.01 {
+			t.Errorf("ef %d: recall@10 %.4f batched, %.4f one node at a time, want within 0.01", ef, rb, rs)
+		}
+	}
+	t.Logf("blob %d bytes batched, %d one node at a time", batchedSize, singleSize)
+	if d := math.Abs(float64(batchedSize - singleSize)); d > 0.01*float64(singleSize) {
+		t.Errorf("blob %d bytes batched, %d one node at a time, want within 1 %%", batchedSize, singleSize)
 	}
 }
 
@@ -253,7 +408,7 @@ func TestHeuristicsMatchPerPairLoop(t *testing.T) {
 				sortScored(cands)
 				keep := 1 + rng.Intn(len(cands)+2)
 				want := selectPerPair(ix, cands, keep)
-				if got := ix.selectHeuristic(cands, keep); !slices.Equal(got, want) {
+				if got := ix.selectHeuristic(&ix.build, cands, keep); !slices.Equal(got, want) {
 					t.Fatalf("%v %s: selectHeuristic of %d for %d keeps %v, per-pair loop %v", m, store, len(cands), keep, got, want)
 				}
 			}
@@ -329,24 +484,29 @@ func TestAddBytesBounded(t *testing.T) {
 	}
 }
 
-// BenchmarkBuild builds the standing benchmark's segment: 3 000 × 128-d
-// rows, M 16, ef_construction 200.
+// BenchmarkBuild builds at the standing benchmark's auto-index
+// parameters (M 8, ef_construction 80): its 3 000 × 128-d segment, and
+// 8 000 × 64-d rows. Both are batched; -cpu 1,2 shows what the second
+// core buys.
 func BenchmarkBuild(b *testing.B) {
-	const n, dim = 3000, 128
-	ds := dataset.Small(n, dim, 17)
-	ids := make([]int64, n)
-	for i := range ids {
-		ids[i] = int64(i)
-	}
-	p := index.BuildParams{Dim: dim, Metric: vec.L2, M: 16, EfConstruction: 200, Seed: 9}.WithDefaults()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		ix, err := New(p, false)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := ix.AddWithIDs(ds.Vectors.Data, ids); err != nil {
-			b.Fatal(err)
-		}
+	for _, c := range []struct{ n, dim int }{{3000, 128}, {8000, 64}} {
+		b.Run(fmt.Sprintf("%dx%d", c.n, c.dim), func(b *testing.B) {
+			ds := dataset.Small(c.n, c.dim, 17)
+			ids := make([]int64, c.n)
+			for i := range ids {
+				ids[i] = int64(i)
+			}
+			p := index.BuildParams{Dim: c.dim, Metric: vec.L2, M: 8, EfConstruction: 80, Seed: 9}.WithDefaults()
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				ix, err := New(p, false)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if err := ix.AddWithIDs(ds.Vectors.Data, ids); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -178,9 +178,10 @@ func (ix *Index) MemoryBytes() int64 {
 	return ix.store.memoryBytes() + int64(graph)
 }
 
-// AddWithIDs inserts vectors one by one (HNSW construction is
-// inherently incremental). If the store needs training and has not
-// been trained, the first batch doubles as the training sample.
+// AddWithIDs appends the vectors as nodes, each with its level drawn in
+// id order and no edges yet, then links them into the graph (link). If
+// the store needs training and has not been trained, the first batch
+// doubles as the training sample.
 func (ix *Index) AddWithIDs(vecs []float32, ids []int64) error {
 	if err := index.ValidateAdd(ix.params.Dim, vecs, ids); err != nil {
 		return err
@@ -203,76 +204,42 @@ func (ix *Index) AddWithIDs(vecs []float32, ids []int64) error {
 	if ix.frozen {
 		ix.thaw(len(ids))
 	}
-	// Size the per-node slabs once for the batch (a segment is built by
-	// a single call); only the upper slab, whose size depends on the
-	// drawn levels, grows by appending. Arrays a load borrowed have
-	// cap == len, so growing them is what makes them the index's own.
+	// Size the per-node arrays once for the call (a segment is built by
+	// a single call); the upper slab takes its size from the levels.
+	// Arrays a load borrowed have cap == len, so growing them is what
+	// makes them the index's own.
+	first := len(ix.ids)
 	ix.store.grow(len(ids))
-	ix.ids = slices.Grow(ix.ids, len(ids))
+	ix.ids = append(ix.ids, ids...)
 	ix.levels = slices.Grow(ix.levels, len(ids))
 	ix.upperOff = slices.Grow(ix.upperOff, len(ids))
 	ix.beg0 = slices.Grow(ix.beg0, len(ids))
 	ix.end0 = slices.Grow(ix.end0, len(ids))
-	ix.nbr0 = slices.Grow(ix.nbr0, len(ids)*ix.stride0)
-	s := borrowScratch()
-	defer s.release()
-	for i, id := range ids {
-		ix.insert(s, vecs[i*dim:i*dim+dim], id)
+	upper := len(ix.upper)
+	for i := range ids {
+		level := int(-math.Log(ix.rng.Float64()) * ix.mL)
+		ix.store.add(vecs[i*dim : i*dim+dim])
+		ix.levels = append(ix.levels, uint32(level))
+		slab := uint32(len(ix.nbr0) + i*ix.stride0)
+		ix.beg0 = append(ix.beg0, slab)
+		ix.end0 = append(ix.end0, slab)
+		ix.upperOff = append(ix.upperOff, uint32(upper))
+		upper += level * ix.strideU
 	}
+	ix.nbr0 = append(ix.nbr0, make([]uint32, len(ids)*ix.stride0)...)
+	ix.upper = append(ix.upper, make([]uint32, upper-len(ix.upper))...)
+	if ix.entry < 0 && first < len(ix.ids) {
+		ix.entry, ix.maxLevel = first, int(ix.levels[first])
+		first++
+	}
+	ix.link(first, len(ix.ids), len(ids) >= batchMinRows)
 	return nil
-}
-
-// insert adds one vector under the write lock, searching on s.
-func (ix *Index) insert(s *searchScratch, v []float32, id int64) {
-	level := int(-math.Log(ix.rng.Float64()) * ix.mL)
-	ni := len(ix.ids)
-	ix.store.add(v)
-	ix.ids = append(ix.ids, id)
-	ix.levels = append(ix.levels, uint32(level))
-	ix.beg0 = append(ix.beg0, uint32(len(ix.nbr0)))
-	ix.end0 = append(ix.end0, uint32(len(ix.nbr0)))
-	ix.nbr0 = append(ix.nbr0, make([]uint32, ix.stride0)...)
-	ix.upperOff = append(ix.upperOff, uint32(len(ix.upper)))
-	ix.upper = append(ix.upper, make([]uint32, level*ix.strideU)...)
-
-	if ix.entry < 0 {
-		ix.entry = ni
-		ix.maxLevel = level
-		return
-	}
-
-	// Greedy descent through layers above the new node's level, then
-	// beam search and connect on each layer from min(level, maxLevel)
-	// down.
-	ix.store.node(&s.q, ni)
-	ep, _ := ix.descend(s, level)
-	for l := min(level, ix.maxLevel); l >= 0; l-- {
-		cands := ix.searchLayer(s, ep, l, ix.params.EfConstruction, nil)
-		selected := ix.selectHeuristic(cands, ix.params.M)
-		slots := ix.slots(ni, l)
-		for j, c := range selected {
-			slots[j] = uint32(c.node)
-		}
-		ix.setDegree(ni, l, len(selected))
-		// The back-edges read the new node's slots: connect reuses the
-		// buffers selected may live in.
-		for _, nb := range slots[:len(selected)] {
-			ix.connect(int(nb), ni, l)
-		}
-		if len(cands) > 0 {
-			ep = cands[0].node
-		}
-	}
-	if level > ix.maxLevel {
-		ix.maxLevel = level
-		ix.entry = ni
-	}
 }
 
 // connect adds back-edge from→to at layer l, pruning with the
 // heuristic when the degree cap is exceeded; from's neighbours and to
-// are scored in one batch.
-func (ix *Index) connect(from, to, l int) {
+// are scored in one batch on b.
+func (ix *Index) connect(b *buildScratch, from, to, l int) {
 	slots := ix.slots(from, l)
 	n := len(ix.neighbors(from, l))
 	if n < len(slots) {
@@ -280,7 +247,6 @@ func (ix *Index) connect(from, to, l int) {
 		ix.setDegree(from, l, n+1)
 		return
 	}
-	b := &ix.build
 	b.nodes = append(append(b.nodes[:0], slots...), uint32(to))
 	ix.store.node(&b.other, from)
 	b.cands = b.cands[:0]
@@ -288,7 +254,7 @@ func (ix *Index) connect(from, to, l int) {
 		b.cands = append(b.cands, scored{node: int(b.nodes[k]), dist: d})
 	}
 	sortScored(b.cands)
-	selected := ix.selectHeuristic(b.cands, len(slots))
+	selected := ix.selectHeuristic(b, b.cands, len(slots))
 	for i, s := range selected {
 		slots[i] = uint32(s.node)
 	}
@@ -315,13 +281,12 @@ func sortScored(s []scored) {
 // already-kept neighbor, which spreads edges across directions. cands
 // must be sorted ascending by distance. Each candidate is scored
 // against the kept set four at a time — one call of the gathered
-// kernel — and tested in kept order. The result lives in the build
-// scratch until the next call.
-func (ix *Index) selectHeuristic(cands []scored, m int) []scored {
+// kernel — and tested in kept order. The result lives in b until the
+// next call.
+func (ix *Index) selectHeuristic(b *buildScratch, cands []scored, m int) []scored {
 	if len(cands) <= m {
 		return cands
 	}
-	b := &ix.build
 	sel, kept, rejected := b.selected[:0], b.nodes[:0], b.marks(len(cands))
 	for i, c := range cands {
 		ix.store.node(&b.other, c.node)

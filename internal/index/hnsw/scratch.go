@@ -57,7 +57,8 @@ func (s *searchScratch) unvisited(st store, nbrs []uint32) ([]uint32, []float32)
 // buildScratch is insertion's working space beyond a search: a second
 // anchor for the heuristic and for pruning a neighbour, the prune's
 // candidates, the heuristic's output and per-candidate rejection marks.
-// The index owns it and uses it under its write lock.
+// Each build worker has one; the caller's is the index's own, kept
+// across calls and used under the write lock.
 type buildScratch struct {
 	other    anchor
 	cands    []scored
@@ -104,7 +105,8 @@ type visitedTable struct {
 
 func (v *visitedTable) reset(n int) {
 	if cap(v.tags) < n {
-		// Geometric: a build searches a graph one node larger per insert.
+		// Geometric: a row-at-a-time build searches a graph one node
+		// larger per call.
 		v.tags = make([]uint32, n, max(n, 2*cap(v.tags)))
 		v.epoch = 0
 	}

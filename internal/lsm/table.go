@@ -433,29 +433,29 @@ func (t *Table) DeleteBitmapCtx(ctx context.Context, seg string) (*bitset.Bitset
 		return d, nil
 	}
 	t.mu.RUnlock()
+	// A miss is cached too: a segment with no deletions would otherwise
+	// pay a remote round trip per query re-probing a blob that isn't
+	// there.
+	var d *bitset.Bitset
 	blob, err := storage.GetCtx(ctx, t.store, storage.DeleteBitmapKey(t.opts.Name, seg))
-	if storage.IsNotFound(err) {
-		// Cache the miss: a segment with no deletions would otherwise pay
-		// a remote round trip per query re-probing a blob that isn't
-		// there. Deletes through this handle overwrite the entry
-		// (markDeleted/compaction), so the negative cache never masks
-		// them.
-		t.mu.Lock()
-		t.deletes[seg] = nil
-		t.mu.Unlock()
-		return nil, nil
-	}
-	if err != nil {
+	switch {
+	case err == nil:
+		d = new(bitset.Bitset)
+		if err := d.UnmarshalBinary(blob); err != nil {
+			return nil, fmt.Errorf("lsm: corrupt delete bitmap of %s: %w", seg, err)
+		}
+	case !storage.IsNotFound(err):
 		return nil, err
 	}
-	var b bitset.Bitset
-	if err := b.UnmarshalBinary(blob); err != nil {
-		return nil, fmt.Errorf("lsm: corrupt delete bitmap of %s: %w", seg, err)
-	}
 	t.mu.Lock()
-	t.deletes[seg] = &b
-	t.mu.Unlock()
-	return &b, nil
+	defer t.mu.Unlock()
+	// A DELETE (markDeleted) or a compaction that installed an entry
+	// while the store was read holds what the store now says, or newer.
+	if cur, ok := t.deletes[seg]; ok {
+		return cur, nil
+	}
+	t.deletes[seg] = d
+	return d, nil
 }
 
 // addSegmentLocked registers a segment with the reader every query of
