@@ -183,7 +183,7 @@ func newHier(t *testing.T) (*IndexCache, *storage.MemStore, *storage.MemStore) {
 	t.Helper()
 	disk := storage.NewMemStore()
 	remote := storage.NewMemStore()
-	c := NewIndexCache(Config{MemBytes: 1 << 20, MetaBytes: 1 << 16, DiskBytes: 1 << 20}, disk, remote)
+	c := NewIndexCache(Config{MemBytes: 1 << 20, DiskBytes: 1 << 20}, disk, remote)
 	return c, disk, remote
 }
 
@@ -242,34 +242,6 @@ func TestIndexCacheLoaderError(t *testing.T) {
 	})
 	if err == nil {
 		t.Fatal("loader error should propagate")
-	}
-}
-
-func TestIndexCacheInvalidate(t *testing.T) {
-	c, disk, remote := newHier(t)
-	remote.Put("idx", []byte("x"))
-	if _, err := c.Get(context.Background(), "idx", fakeLoader); err != nil {
-		t.Fatal(err)
-	}
-	c.Invalidate("idx")
-	if c.ContainsMem("idx") {
-		t.Fatal("mem entry survived invalidate")
-	}
-	if _, err := disk.Get("idx"); !storage.IsNotFound(err) {
-		t.Fatal("disk entry survived invalidate")
-	}
-}
-
-func TestIndexCachePreload(t *testing.T) {
-	c, _, remote := newHier(t)
-	remote.Put("a", []byte("1"))
-	remote.Put("b", []byte("2"))
-	errs := c.Preload([]string{"a", "b", "missing"}, func(string) IndexLoader { return fakeLoader })
-	if len(errs) != 1 {
-		t.Fatalf("errs = %v", errs)
-	}
-	if !c.ContainsMem("a") || !c.ContainsMem("b") {
-		t.Fatal("preload did not warm memory")
 	}
 }
 

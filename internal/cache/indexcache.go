@@ -26,12 +26,9 @@ type HierStats struct {
 // IndexCache is the hierarchical vector-index cache of paper §II-D:
 // an in-memory tier for searchable indexes, a local-disk tier holding
 // raw blobs to avoid repeated remote reads, and the remote shared
-// store as the source of truth. Metadata (segment metas, small
-// per-index headers) lives in a separate memory space from index data
-// so the two access patterns don't evict each other.
+// store as the source of truth.
 type IndexCache struct {
 	mem        *LRU[string] // deserialized indexes, keyed by blob key
-	meta       *LRU[string] // small metadata entries, separate space
 	disk       storage.BlobStore
 	diskBudget *LRU[string] // tracks which keys are on local disk, size-aware
 	remote     storage.BlobStore
@@ -44,13 +41,12 @@ type IndexCache struct {
 // Config sizes the tiers. Zero disables a tier.
 type Config struct {
 	MemBytes  int64
-	MetaBytes int64
 	DiskBytes int64
 }
 
 // DefaultConfig suits a worker with a few GB of RAM.
 func DefaultConfig() Config {
-	return Config{MemBytes: 1 << 30, MetaBytes: 64 << 20, DiskBytes: 4 << 30}
+	return Config{MemBytes: 1 << 30, DiskBytes: 4 << 30}
 }
 
 // NewIndexCache builds the hierarchy. disk may be nil to run
@@ -58,7 +54,6 @@ func DefaultConfig() Config {
 func NewIndexCache(cfg Config, disk, remote storage.BlobStore) *IndexCache {
 	c := &IndexCache{
 		mem:    NewLRU[string](cfg.MemBytes),
-		meta:   NewLRU[string](cfg.MetaBytes),
 		disk:   disk,
 		remote: remote,
 	}
@@ -149,35 +144,6 @@ func (c *IndexCache) fetchBlob(ctx context.Context, key string) (blob []byte, fr
 	}
 	return blob, false, nil
 }
-
-// Preload pulls keys through the hierarchy ahead of queries (the
-// cache-aware preload of paper §II-D). Errors are collected, not
-// fatal: preload is best-effort.
-func (c *IndexCache) Preload(keys []string, loader func(key string) IndexLoader) []error {
-	var errs []error
-	for _, k := range keys {
-		if _, err := c.Get(context.TODO(), k, loader(k)); err != nil {
-			errs = append(errs, fmt.Errorf("preload %s: %w", k, err))
-		}
-	}
-	return errs
-}
-
-// Invalidate drops a key from memory and local disk (used when a
-// segment is compacted away).
-func (c *IndexCache) Invalidate(key string) {
-	c.mem.Remove(key)
-	if c.disk != nil {
-		_ = c.disk.Delete(key)
-		c.diskBudget.Remove(key)
-	}
-}
-
-// PutMeta / GetMeta manage the separate metadata space.
-func (c *IndexCache) PutMeta(key string, v any, size int64) { c.meta.Put(key, v, size) }
-
-// GetMeta returns a metadata entry.
-func (c *IndexCache) GetMeta(key string) (any, bool) { return c.meta.Get(key) }
 
 // DropMem removes only the in-memory entry, keeping the disk copy —
 // simulates a worker restart for the cache-miss experiments.

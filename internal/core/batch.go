@@ -131,26 +131,15 @@ func predKey(p sql.Predicate) string {
 	return b.String()
 }
 
-// runBatchGroup executes one formed group: singletons take the
-// standard solo path (byte-identity by construction), larger groups
-// run the shared-scan executor. Every member gets its result (or its
-// own error) delivered individually; a member's trace gains a
+// runBatchGroup executes one formed group through the executor's
+// RunGroup: a singleton is its solo run, a larger group one shared
+// pass. Every member gets its result (or its own error) delivered
+// individually; in a group of two or more, a member's trace gains a
 // "batch-group" child span attributing formation and gate waits while
 // keeping its own trace ID.
 func (e *Engine) runBatchGroup(gctx context.Context, g *batch.Group) {
 	members := g.Members()
 	if len(members) == 0 {
-		return
-	}
-	if len(members) == 1 {
-		m := members[0]
-		it := m.Payload.(*batchItem)
-		ctx := m.Ctx
-		if ctx == nil {
-			ctx = gctx
-		}
-		res, err := e.runTraced(ctx, it.table, it.ph, it.opts)
-		m.Deliver(res, err)
 		return
 	}
 	it0 := members[0].Payload.(*batchItem)
@@ -172,17 +161,16 @@ func (e *Engine) runBatchGroup(gctx context.Context, g *batch.Group) {
 	}
 	mQueries.Add(int64(len(members)))
 	start := obs.Now()
-	results := ex.RunGroup(gctx, qs)
+	ex.RunGroup(gctx, qs)
 	dur := time.Since(start)
 	for i, m := range members {
 		mQueryLatency.Observe(dur)
 		it := m.Payload.(*batchItem)
-		gr := results[i]
-		err := gr.Err
+		err := qs[i].Err
 		if errors.Is(err, exec.ErrInvalidQuery) {
 			err = planErr(err)
 		}
-		if tr := it.opts.Trace; tr != nil {
+		if tr := it.opts.Trace; tr != nil && len(members) > 1 {
 			sp := tr.Span().ChildDur("batch-group", dur)
 			sp.SetInt("group_id", int64(g.ID))
 			sp.SetInt("group_size", int64(g.Size()))
@@ -190,6 +178,6 @@ func (e *Engine) runBatchGroup(gctx context.Context, g *batch.Group) {
 			sp.SetDur("formation_wait", g.FormationWait)
 			sp.SetDur("gate_wait", g.GateWait)
 		}
-		m.Deliver(gr.Res, err)
+		m.Deliver(qs[i].Res, err)
 	}
 }

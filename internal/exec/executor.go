@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 
@@ -16,7 +17,6 @@ import (
 	"blendhouse/internal/plan"
 	"blendhouse/internal/storage"
 	"blendhouse/internal/vec"
-	"blendhouse/internal/wal"
 )
 
 // Execution metrics (SHOW METRICS / the -debug-addr endpoint). The
@@ -94,6 +94,57 @@ type hit struct {
 	dist   float32
 }
 
+// GroupQuery is one member of a shared-scan group, and its outcome.
+type GroupQuery struct {
+	// Ctx is the member's own context (cancellation/deadline). nil means
+	// the group context governs the member.
+	Ctx  context.Context
+	Plan *plan.Physical
+	Opts RunOptions
+	// Res and Err are the member's outcome, set by RunGroup.
+	Res *Result
+	Err error
+}
+
+// A run is one pass of the executor over a slice of members: a lone
+// query is a run of one, a shared-scan group a run of n. What does not
+// depend on the query vector happens once per segment whatever n is —
+// the predicate bitset (deletes included), the index handle, plan A's
+// read of the vector rows, each projection column fetch. What does —
+// the search, the top-k or range sink, the merge, the result rows — is
+// per member, in member order. A member's own failure (its context
+// firing, its search failing) stays its own; a shared step's failure
+// goes to every member.
+type run struct {
+	strategy plan.Strategy
+	ranged   bool // range search (compatible members share range-ness)
+	members  []member
+	preds    []compiledPred
+	view     lsm.QueryView
+	par      int
+	tr       *obs.Trace // spans of a solo run; a group records none
+
+	mu  sync.Mutex // guards members' err while segments scan concurrently
+	one [1]member  // a solo run's member, inline: RunWith allocates no slice
+}
+
+// member is one query of a run.
+type member struct {
+	ctx    context.Context
+	lg     *plan.Logical
+	k      int // top-k (100 when the statement has no LIMIT)
+	cap    int // heap bound: k, or 0 (keep all) for range search
+	params index.SearchParams
+	radius float32 // internal-space radius of a range search
+	mem    []hit   // memtable hits of a top-k search
+	hits   []hit
+	cols   []string // output columns
+	need   uint64   // the assembly fetch columns it asks for
+	at     []place  // where each hit's row sits in the assembly fetch
+	err    error
+	res    *Result
+}
+
 // Run executes a physical plan under ctx: a fired deadline or cancel
 // stops remaining segment scans, widening rounds and in-flight remote
 // reads promptly, returning the context's error.
@@ -101,17 +152,10 @@ func (e *Executor) Run(ctx context.Context, ph *plan.Physical) (*Result, error) 
 	return e.RunWith(ctx, ph, RunOptions{})
 }
 
-// RunTraced is Run with a span tree and cache tallies recorded on tr
-// when non-nil (the execution half of EXPLAIN ANALYZE). A nil trace
-// makes every instrumentation call a no-op: no allocations, no locks,
-// so untraced bench numbers are unaffected.
-func (e *Executor) RunTraced(ctx context.Context, ph *plan.Physical, tr *obs.Trace) (*Result, error) {
-	return e.RunWith(ctx, ph, RunOptions{Trace: tr})
-}
-
-// RunWith executes a physical plan with explicit per-run options.
-// Results are deterministic: any parallelism degree returns exactly
-// the rows (and ordering) of sequential execution.
+// RunWith executes a physical plan with explicit per-run options: the
+// pipeline with one member. Results are deterministic: any parallelism
+// degree returns exactly the rows (and ordering) of sequential
+// execution.
 func (e *Executor) RunWith(ctx context.Context, ph *plan.Physical, opts RunOptions) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -120,14 +164,12 @@ func (e *Executor) RunWith(ctx context.Context, ph *plan.Physical, opts RunOptio
 		return nil, err
 	}
 	tr := opts.Trace
-	par := e.parallelism(opts.MaxParallelism)
-	lg := ph.Logical
-	root := tr.Span()
 	// Traced queries carry a retry tally through the context: every
 	// storage retry charged to this query surfaces as a root-span
 	// attribute in EXPLAIN ANALYZE, alongside the circuit breaker's
 	// state when the store has one.
 	if tr != nil {
+		root := tr.Span()
 		tally := &storage.RetryTally{}
 		ctx = storage.WithRetryTally(ctx, tally)
 		// An IO tally rides along too: the segment read paths feed it,
@@ -148,137 +190,276 @@ func (e *Executor) RunWith(ctx context.Context, ph *plan.Physical, opts RunOptio
 			}
 		}()
 	}
-	preds, err := compilePredicates(e.Table.Schema(), lg.ScalarPreds)
-	if err != nil {
-		return nil, err
-	}
-	// One consistent view of segments + memtable snapshots for the
-	// whole query: a concurrent memtable flush can't duplicate or drop
-	// rows mid-execution.
-	view := e.Table.View()
-	if !lg.IsVectorQuery() {
-		return e.runScalar(ctx, lg, preds, par, view, tr)
-	}
-	// Defense in depth: the planner validates query dimension on every
-	// SQL path, but plans can also be constructed directly. A mismatch
-	// here would otherwise surface as a slice-bounds panic deep inside
-	// the distance kernels.
-	if err := e.checkVectorDim(lg); err != nil {
-		return nil, err
-	}
-	mVecQueries.Inc()
-	switch ph.Strategy {
-	case plan.BruteForce:
-		mPlanBrute.Inc()
-	case plan.PreFilter:
-		mPlanPre.Inc()
-	case plan.PostFilter:
-		mPlanPost.Inc()
-	}
-	k := lg.K
-	if k <= 0 {
-		k = 100
-	}
-	params := lg.Params.WithDefaults(k)
+	r := &run{strategy: ph.Strategy, par: e.parallelism(opts.MaxParallelism), tr: tr}
+	r.one[0] = member{ctx: ctx, lg: ph.Logical}
+	r.members = r.one[:]
+	e.execute(ctx, r)
+	return r.one[0].res, r.one[0].err
+}
 
-	runStrategy := func(metas []*storage.SegmentMeta, sp *obs.Span) ([]hit, error) {
-		switch ph.Strategy {
-		case plan.BruteForce:
-			return e.runBruteForce(ctx, lg, preds, metas, k, par, sp, tr)
-		case plan.PreFilter:
-			return e.runPreFilter(ctx, lg, preds, metas, k, par, params, sp, tr)
-		case plan.PostFilter:
-			return e.runPostFilter(ctx, lg, preds, metas, k, par, params, sp, tr)
-		default:
-			return nil, fmt.Errorf("exec: unknown strategy %v", ph.Strategy)
+// RunGroup executes a group of compatible plans as one run: each
+// segment is walked once for the whole group, and each member's Res
+// and Err are what RunWith returns for it alone. Compatibility (same
+// strategy, vector column, metric, scalar predicates, range-kind) is
+// the caller's contract; a single member, or a group that fails the
+// sanity check below, runs member by member through RunWith.
+func (e *Executor) RunGroup(gctx context.Context, qs []GroupQuery) {
+	if gctx == nil {
+		gctx = context.Background()
+	}
+	for i := range qs {
+		if qs[i].Ctx == nil {
+			qs[i].Ctx = gctx
 		}
 	}
+	if len(qs) < 2 || !groupCompatible(qs) {
+		for i, q := range qs {
+			qs[i].Res, qs[i].Err = e.RunWith(q.Ctx, q.Plan, q.Opts)
+		}
+		return
+	}
+	r := &run{strategy: qs[0].Plan.Strategy, members: make([]member, len(qs))}
+	for i, q := range qs {
+		r.members[i] = member{ctx: q.Ctx, lg: q.Plan.Logical}
+		r.par = max(r.par, e.parallelism(q.Opts.MaxParallelism))
+	}
+	e.execute(gctx, r)
+	for i, mb := range r.members {
+		qs[i].Res, qs[i].Err = mb.res, mb.err
+	}
+}
+
+// groupCompatible sanity-checks the caller's compatibility contract on
+// the dimensions that would make a shared pass wrong rather than merely
+// suboptimal. Deep predicate equality is established upstream by the
+// grouping key. Plan C shares nothing — each member iterates the index
+// unfiltered — so it never forms a group.
+func groupCompatible(qs []GroupQuery) bool {
+	lg0 := qs[0].Plan.Logical
+	if lg0.Distance == nil || qs[0].Plan.Strategy == plan.PostFilter {
+		return false
+	}
+	for _, q := range qs[1:] {
+		lg := q.Plan.Logical
+		if q.Plan.Strategy != qs[0].Plan.Strategy ||
+			lg.Distance == nil ||
+			lg.VectorColumn != lg0.VectorColumn ||
+			lg.Metric != lg0.Metric ||
+			(lg.Range == nil) != (lg0.Range == nil) ||
+			len(lg.ScalarPreds) != len(lg0.ScalarPreds) {
+			return false
+		}
+	}
+	return true
+}
+
+// execute runs r under ctx, which governs the shared steps: compile the
+// predicates, take one view of segments + memtable snapshots for the
+// whole run (a concurrent flush can't duplicate or drop rows), then
+// the scalar scan or the vector pipeline. A shared step's error goes
+// to each member without one of its own — as its own context's error
+// when that fired — and to a solo run as is.
+func (e *Executor) execute(ctx context.Context, r *run) {
+	lg := r.members[0].lg
+	preds, err := compilePredicates(e.Table.Schema(), lg.ScalarPreds)
+	if err == nil {
+		r.preds, r.view = preds, e.Table.View()
+		if lg.IsVectorQuery() {
+			err = e.runVector(ctx, r)
+		} else {
+			err = e.runScalar(ctx, r)
+		}
+	}
+	for i := range r.members {
+		mb := &r.members[i]
+		switch {
+		case err != nil && len(r.members) == 1:
+			mb.err = err
+		case mb.err != nil:
+		case err != nil:
+			if mb.err = mb.ctx.Err(); mb.err == nil {
+				mb.err = err
+			}
+		}
+		if mb.err != nil {
+			mb.res = nil
+		}
+	}
+}
+
+// dropped reports whether member i is out of the run: it failed, or its
+// context fired (recorded now as its error).
+func (r *run) dropped(i int) bool {
+	mb := &r.members[i]
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if mb.err == nil {
+		mb.err = mb.ctx.Err()
+	}
+	return mb.err != nil
+}
+
+// fail records err as member i's own. It returns err once no member is
+// left to serve, ending the shared pass: a solo run stops at its first
+// failure, exactly as a lone query does.
+func (r *run) fail(i int, err error) error {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.members[i].err == nil {
+		r.members[i].err = err
+	}
+	for j := range r.members {
+		if r.members[j].err == nil {
+			return nil
+		}
+	}
+	return err
+}
+
+// runVector is the vector pipeline: memtable scan, prune, per-segment
+// scan (widening a semantically pruned solo run that came back short),
+// per-member merge, assembly.
+func (e *Executor) runVector(ctx context.Context, r *run) error {
+	r.ranged = r.members[0].lg.Range != nil
+	for i := range r.members {
+		mb := &r.members[i]
+		// Defense in depth: the planner validates query dimension on
+		// every SQL path, but plans can also be constructed directly. A
+		// mismatch here would otherwise surface as a slice-bounds panic
+		// deep inside the distance kernels.
+		if err := e.checkVectorDim(mb.lg); err != nil {
+			if err := r.fail(i, err); err != nil {
+				return err
+			}
+			continue
+		}
+		mb.k = mb.lg.K
+		if mb.k <= 0 {
+			mb.k = 100
+		}
+		mb.cap = mb.k
+		if r.ranged {
+			mb.cap, mb.radius = 0, internalRadius(mb.lg)
+		}
+		mb.params = mb.lg.Params.WithDefaults(mb.k)
+	}
+	n := int64(len(r.members))
+	mVecQueries.Add(n)
+	switch r.strategy {
+	case plan.BruteForce:
+		mPlanBrute.Add(n)
+	case plan.PreFilter:
+		mPlanPre.Add(n)
+	case plan.PostFilter:
+		mPlanPost.Add(n)
+	default:
+		return fmt.Errorf("exec: unknown strategy %v", r.strategy)
+	}
+	root := r.tr.Span()
 
 	// Unflushed rows: brute-force the memtable snapshots once — they
 	// are immune to semantic widening (never pruned) but their hits
 	// count toward k before a widening round is declared necessary.
-	var memHits []hit
-	if len(view.Mem) > 0 && lg.Range == nil {
+	if len(r.view.Mem) > 0 && !r.ranged {
 		memSp := root.Child("mem-scan")
-		memHits = memTopK(lg, preds, view.Mem, k)
-		memSp.SetInt("snapshots", int64(len(view.Mem)))
-		memSp.SetInt("hits", int64(len(memHits)))
+		for i := range r.members {
+			if mb := &r.members[i]; !r.dropped(i) {
+				mb.mem = memHits(mb, r.preds, r.view.Mem)
+			}
+		}
+		memSp.SetInt("snapshots", int64(len(r.view.Mem)))
+		memSp.SetInt("hits", int64(len(r.members[0].mem)))
 		memSp.End()
 	}
 
+	// Semantic pruning ranks segments by one query vector: a solo run's.
 	partCol := e.partitionColumn()
-	frac := e.SemanticFraction
-	round := 0
-	for {
+	frac := 0.0
+	if len(r.members) == 1 {
+		frac = e.SemanticFraction
+	}
+	solo := &r.members[0]
+	for round := 0; ; round++ {
 		if err := ctx.Err(); err != nil {
-			return nil, err
+			return err
 		}
-		total := len(view.Segments)
 		pruneSp := root.Child("prune")
-		metas, prunedSemantically := pruneSegments(view.Segments, preds, partCol, lg.Distance.Query, frac, e.MinSegments)
+		metas, cut := pruneSegments(r.view.Segments, r.preds, partCol, solo.lg.Distance.Query, frac, e.MinSegments)
 		pruneSp.SetInt("round", int64(round))
-		pruneSp.SetInt("segments_total", int64(total))
+		pruneSp.SetInt("segments_total", int64(len(r.view.Segments)))
 		pruneSp.SetInt("segments_kept", int64(len(metas)))
-		pruneSp.SetBool("semantic", prunedSemantically)
-		if prunedSemantically {
+		pruneSp.SetBool("semantic", cut)
+		if cut {
 			pruneSp.SetFloat("fraction", frac)
 		}
 		pruneSp.End()
-
-		scanSp := root.Child("scan")
-		scanSp.Set("strategy", ph.Strategy.String())
-		var hits []hit
-		var err error
-		if lg.Range != nil {
-			hits, err = e.runRange(ctx, lg, preds, metas, par, params, view.Mem, scanSp, tr)
-		} else {
-			hits, err = runStrategy(metas, scanSp)
-		}
-		scanSp.SetInt("hits", int64(len(hits)))
-		scanSp.End()
-		if err != nil {
-			return nil, err
+		if err := e.scan(ctx, r, metas, false); err != nil {
+			return err
 		}
 		// Adaptive semantic widening (paper §IV-B): if pruning cost us
 		// results, re-run over more segments.
-		if prunedSemantically && len(hits)+len(memHits) < k && lg.Range == nil {
-			mWidenRounds.Inc()
-			round++
-			frac = frac * 2
-			if frac < 1 {
-				continue
-			}
-			frac = 1 // final pass over everything
-			metas, _ := pruneSegments(view.Segments, preds, partCol, nil, 0, 0)
-			finalSp := root.Child("scan")
-			finalSp.Set("strategy", ph.Strategy.String())
-			finalSp.Set("widen", "final")
-			finalSp.SetInt("segments_kept", int64(len(metas)))
-			hits, err = runStrategy(metas, finalSp)
-			finalSp.SetInt("hits", int64(len(hits)))
-			finalSp.End()
-			if err != nil {
-				return nil, err
-			}
+		if !cut || r.ranged || len(solo.hits)+len(solo.mem) >= solo.k {
+			break
 		}
-		hits = append(hits, memHits...)
-		sortHits(hits)
-		if lg.Range == nil && len(hits) > k {
-			hits = hits[:k]
+		mWidenRounds.Inc()
+		if frac *= 2; frac < 1 {
+			continue
 		}
-		return e.assemble(ctx, lg, hits, par, view, root, tr)
+		metas, _ = pruneSegments(r.view.Segments, r.preds, partCol, nil, 0, 0) // final pass over everything
+		if err := e.scan(ctx, r, metas, true); err != nil {
+			return err
+		}
+		break
 	}
+	for i := range r.members {
+		if mb := &r.members[i]; mb.err == nil {
+			mb.hits = append(mb.hits, mb.mem...)
+			sortHits(mb.hits)
+			if !r.ranged && len(mb.hits) > mb.k {
+				mb.hits = mb.hits[:mb.k]
+			}
+		}
+	}
+	return e.assemble(ctx, r, root)
 }
 
+// scan runs the per-segment scan over metas into each member's hits,
+// under a "scan" span. A range search also takes in its memtable rows
+// here and truncates to its LIMIT.
+func (e *Executor) scan(ctx context.Context, r *run, metas []*storage.SegmentMeta, final bool) error {
+	sp := r.tr.Span().Child("scan")
+	sp.Set("strategy", r.strategy.String())
+	if final {
+		sp.Set("widen", "final")
+		sp.SetInt("segments_kept", int64(len(metas)))
+	}
+	err := e.scanSegments(ctx, r, metas, sp)
+	if err == nil && r.ranged {
+		for i := range r.members {
+			if mb := &r.members[i]; !r.dropped(i) {
+				mb.hits = append(mb.hits, memHits(mb, r.preds, r.view.Mem)...)
+				if mb.lg.K > 0 && len(mb.hits) > mb.lg.K {
+					sortHits(mb.hits)
+					mb.hits = mb.hits[:mb.lg.K]
+				}
+			}
+		}
+	}
+	sp.SetInt("hits", int64(len(r.members[0].hits)))
+	sp.End()
+	return err
+}
+
+// sortHits orders hits best first by hitWorse's total order.
 func sortHits(hits []hit) {
-	sort.Slice(hits, func(i, j int) bool {
-		if hits[i].dist != hits[j].dist {
-			return hits[i].dist < hits[j].dist
+	slices.SortFunc(hits, func(a, b hit) int {
+		if hitWorse(b, a) {
+			return -1
 		}
-		if hits[i].meta.Name != hits[j].meta.Name {
-			return hits[i].meta.Name < hits[j].meta.Name
+		if hitWorse(a, b) {
+			return 1
 		}
-		return hits[i].offset < hits[j].offset
+		return 0
 	})
 }
 
@@ -286,9 +467,6 @@ func sortHits(hits []hit) {
 // vector column's declared dimension, as a statement fault
 // (ErrInvalidQuery → 4xx), before any kernel sees the data.
 func (e *Executor) checkVectorDim(lg *plan.Logical) error {
-	if lg.Distance == nil {
-		return nil
-	}
 	col := lg.VectorColumn
 	if col == "" {
 		col = lg.Distance.Column
@@ -321,25 +499,30 @@ func (e *Executor) predicateBitset(ctx context.Context, meta *storage.SegmentMet
 		if err != nil {
 			return nil, err
 		}
-		cols := map[string]*storage.ColumnData{}
-		for _, p := range preds {
-			if _, ok := cols[p.col]; ok {
-				continue
-			}
+		var buf [8]*storage.ColumnData
+		cols := buf[:0] // one per predicate, a column read once
+		for i, p := range preds {
 			var c *storage.ColumnData
-			if e.ColCache != nil {
+			for j := 0; j < i && c == nil; j++ {
+				if preds[j].col == p.col {
+					c = cols[j]
+				}
+			}
+			switch {
+			case c != nil:
+			case e.ColCache != nil:
 				c, err = e.ColCache.ReadColumnTally(ctx, rd, p.col, tr.ColTally())
-			} else {
+			default:
 				c, err = rd.ReadColumnCtx(ctx, p.col)
 			}
 			if err != nil {
 				return nil, err
 			}
-			cols[p.col] = c
+			cols = append(cols, c)
 		}
 		for row := 0; row < meta.Rows; row++ {
-			for _, p := range preds {
-				if !p.eval(cols[p.col], row) {
+			for i, p := range preds {
+				if !p.eval(cols[i], row) {
 					bs.Clear(row)
 					break
 				}
@@ -416,38 +599,102 @@ func (e *Executor) InvalidateLocalIndexes() {
 	})
 }
 
-// --- plan A: brute force -----------------------------------------------------
+// --- per-segment scans -------------------------------------------------------
 
-func (e *Executor) runBruteForce(ctx context.Context, lg *plan.Logical, preds []compiledPred, metas []*storage.SegmentMeta, k, par int, sp *obs.Span, tr *obs.Trace) ([]hit, error) {
-	return e.scanSegments(ctx, metas, k, par, sp, func(ctx context.Context, m *storage.SegmentMeta, ssp *obs.Span, emit func(hit)) error {
-		ssp.SetInt("rows", int64(m.Rows))
-		mSegScans.Inc()
-		bs, err := e.predicateBitset(ctx, m, preds, tr)
-		if err != nil {
+// segScan is one segment's share of a run's scan on one worker.
+type segScan struct {
+	meta  *storage.SegmentMeta
+	span  *obs.Span
+	heaps []hitHeap // the worker's heaps, one per member
+}
+
+// emit pushes member i's candidates from s's segment into its heap.
+func (r *run) emit(s *segScan, i int, cands []index.Candidate) {
+	for _, c := range cands {
+		s.heaps[i].push(hit{meta: s.meta, offset: int(c.ID), dist: c.Dist}, r.members[i].cap)
+	}
+	s.span.SetInt("candidates", int64(len(cands)))
+}
+
+// scanSegment runs one segment for every live member. Plans A and B and
+// range search build the predicate bitset (deletes subtracted) once;
+// plan A then reads the admitted vector rows once and scores them per
+// member, while B, C and range open the index once and search it per
+// member.
+func (e *Executor) scanSegment(ctx context.Context, r *run, s *segScan) error {
+	post := r.strategy == plan.PostFilter && !r.ranged
+	brute := r.strategy == plan.BruteForce && !r.ranged
+	var bs *bitset.Bitset
+	if !post {
+		var err error
+		if bs, err = e.predicateBitset(ctx, s.meta, r.preds, r.tr); err != nil {
 			return err
 		}
-		s := getScratch()
-		defer putScratch(s)
-		s.rows = segmentRows(s.rows, bs, m.Rows)
-		ssp.SetInt("filtered_rows", int64(len(s.rows)))
-		if len(s.rows) == 0 {
-			return nil
+		if !brute && bs != nil && !bs.Any() {
+			return nil // nothing qualifies in this segment
 		}
-		rd, err := e.Table.Reader(m.Name)
+	}
+	s.span.SetInt("rows", int64(s.meta.Rows))
+	mSegScans.Inc()
+	if brute {
+		return e.scanRows(ctx, r, s, bs)
+	}
+	ix, err := e.segmentIndex(ctx, s.meta, r.tr)
+	if err != nil {
+		return err
+	}
+	for i := range r.members {
+		if r.dropped(i) {
+			continue
+		}
+		mb := &r.members[i]
+		var cands []index.Candidate
+		switch {
+		case r.ranged:
+			cands, err = ix.SearchWithRange(mb.lg.Distance.Query, mb.radius, bs, mb.params)
+		case post:
+			err = e.postFilter(ctx, r, s, ix, i)
+		default:
+			cands, err = ix.SearchWithFilter(mb.lg.Distance.Query, mb.k, bs, mb.params)
+		}
 		if err != nil {
-			return err
+			if err := r.fail(i, err); err != nil {
+				return err
+			}
+		} else if !post {
+			r.emit(s, i, cands)
 		}
-		vcol, err := e.readRows(ctx, rd, lg.VectorColumn, s.rows, len(s.rows), tr)
-		if err != nil {
-			return err
-		}
-		s.cands = nearestRows(s.cands[:0], lg.Metric, lg.Distance.Query, vcol, s.rows, k)
-		for _, c := range s.cands {
-			emit(hit{meta: m, offset: int(c.ID), dist: c.Dist})
-		}
-		ssp.SetInt("candidates", int64(len(s.cands)))
+	}
+	return nil
+}
+
+// scanRows is plan A's share of a segment: the rows bs admits, their
+// vectors read once, each member's k nearest among them.
+func (e *Executor) scanRows(ctx context.Context, r *run, s *segScan, bs *bitset.Bitset) error {
+	sc := getScratch()
+	defer putScratch(sc)
+	sc.rows = segmentRows(sc.rows, bs, s.meta.Rows)
+	s.span.SetInt("filtered_rows", int64(len(sc.rows)))
+	if len(sc.rows) == 0 {
 		return nil
-	})
+	}
+	rd, err := e.Table.Reader(s.meta.Name)
+	if err != nil {
+		return err
+	}
+	vcol, err := e.readRows(ctx, rd, r.members[0].lg.VectorColumn, sc.rows, len(sc.rows), r.tr)
+	if err != nil {
+		return err
+	}
+	for i := range r.members {
+		if r.dropped(i) {
+			continue
+		}
+		lg := r.members[i].lg
+		sc.cands = nearestRows(sc.cands[:0], lg.Metric, lg.Distance.Query, vcol, sc.rows, r.members[i].k)
+		r.emit(s, i, sc.cands)
+	}
+	return nil
 }
 
 // segmentRows appends to dst the offsets of the segment's rows that bs
@@ -467,7 +714,7 @@ func segmentRows(dst []int, bs *bitset.Bitset, n int) []int {
 // contiguously in rows order, so the blocked kernels apply directly;
 // L2 additionally abandons rows early against the running k-th
 // distance. The kept candidates are bitwise those of a per-row scan
-// (see internal/vec), whichever path — solo or a group member — asks.
+// (see internal/vec).
 func nearestRows(dst []index.Candidate, metric vec.Metric, q []float32, vcol *storage.ColumnData, rows []int, k int) []index.Candidate {
 	t := index.GetTopK(k)
 	defer index.PutTopK(t)
@@ -492,177 +739,80 @@ func nearestRows(dst []index.Candidate, metric vec.Metric, q []float32, vcol *st
 	return t.AppendResults(dst)
 }
 
-// --- plan B: pre-filter --------------------------------------------------------
-
-func (e *Executor) runPreFilter(ctx context.Context, lg *plan.Logical, preds []compiledPred, metas []*storage.SegmentMeta, k, par int, params index.SearchParams, sp *obs.Span, tr *obs.Trace) ([]hit, error) {
-	return e.scanSegments(ctx, metas, k, par, sp, func(ctx context.Context, m *storage.SegmentMeta, ssp *obs.Span, emit func(hit)) error {
-		bs, err := e.predicateBitset(ctx, m, preds, tr)
-		if err != nil {
-			return err
-		}
-		if bs != nil && !bs.Any() {
-			return nil // nothing qualifies in this segment
-		}
-		ssp.SetInt("rows", int64(m.Rows))
-		mSegScans.Inc()
-		ix, err := e.segmentIndex(ctx, m, tr)
-		if err != nil {
-			return err
-		}
-		cands, err := ix.SearchWithFilter(lg.Distance.Query, k, bs, params)
-		if err != nil {
-			return err
-		}
-		for _, c := range cands {
-			emit(hit{meta: m, offset: int(c.ID), dist: c.Dist})
-		}
-		ssp.SetInt("candidates", int64(len(cands)))
-		return nil
-	})
-}
-
-// --- plan C: post-filter --------------------------------------------------------
-
-// runPostFilter opens an incremental search per segment, filters each
-// candidate batch against the scalar predicates (reading only the
-// predicate columns of the candidate rows), and iterates until k
-// qualifying rows per segment or exhaustion — Figure 2's SearchIterator
-// + partial-top-k-before-filter pipeline. Segments run concurrently on
-// the worker pool.
-func (e *Executor) runPostFilter(ctx context.Context, lg *plan.Logical, preds []compiledPred, metas []*storage.SegmentMeta, k, par int, params index.SearchParams, sp *obs.Span, tr *obs.Trace) ([]hit, error) {
-	return e.scanSegments(ctx, metas, k, par, sp, func(ctx context.Context, m *storage.SegmentMeta, ssp *obs.Span, emit func(hit)) error {
-		ssp.SetInt("rows", int64(m.Rows))
-		mSegScans.Inc()
-		hits, err := e.postFilterSegment(ctx, lg, preds, m, k, params, ssp, tr)
-		if err != nil {
-			return err
-		}
-		for _, h := range hits {
-			emit(h)
-		}
-		ssp.SetInt("candidates", int64(len(hits)))
-		return nil
-	})
-}
-
-func (e *Executor) postFilterSegment(ctx context.Context, lg *plan.Logical, preds []compiledPred, m *storage.SegmentMeta, k int, params index.SearchParams, ssp *obs.Span, tr *obs.Trace) ([]hit, error) {
-	ix, err := e.segmentIndex(ctx, m, tr)
+// postFilter is plan C for member i: an incremental search on s's
+// index whose candidate batches are filtered against the scalar
+// predicates (reading only the predicate columns of the candidate
+// rows) until k rows qualify or the index is exhausted — Figure 2's
+// SearchIterator + partial-top-k-before-filter pipeline. Plan C never
+// forms a group, so the delete bitmap and reader are looked up here.
+func (e *Executor) postFilter(ctx context.Context, r *run, s *segScan, ix index.Index, i int) error {
+	mb := &r.members[i]
+	it, err := index.OpenIterator(ix, mb.lg.Distance.Query, mb.k, mb.params)
 	if err != nil {
-		return nil, err
-	}
-	it, err := index.OpenIterator(ix, lg.Distance.Query, k, params)
-	if err != nil {
-		return nil, err
+		return err
 	}
 	defer it.Close()
-
-	del, err := e.Table.DeleteBitmapCtx(ctx, m.Name)
+	del, err := e.Table.DeleteBitmapCtx(ctx, s.meta.Name)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	rd, err := e.Table.Reader(m.Name)
+	rd, err := e.Table.Reader(s.meta.Name)
 	if err != nil {
-		return nil, err
-	}
-	// At most k hits leave a segment, and never more than it has rows.
-	out := make([]hit, 0, min(k, m.Rows))
-	batch := k
-	if batch < 16 {
-		batch = 16
+		return err
 	}
 	// Candidate rows, the candidates they came from and their verdicts
 	// live in pooled scratch, reused across iterator batches.
-	s := getScratch()
-	defer putScratch(s)
-	batches := 0
-	for len(out) < k {
+	sc := getScratch()
+	defer putScratch(sc)
+	found, batches := 0, 0 // at most k hits leave a segment
+	for found < mb.k {
 		if err := ctx.Err(); err != nil {
-			return nil, err
+			return err
 		}
-		cands, err := it.Next(batch)
+		cands, err := it.Next(max(mb.k, 16))
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if len(cands) == 0 {
 			break
 		}
 		batches++
 		// Evaluate predicates only on the candidate rows.
-		s.rows, s.cands, s.pass = s.rows[:0], s.cands[:0], s.pass[:0]
+		sc.rows, sc.cands, sc.pass = sc.rows[:0], sc.cands[:0], sc.pass[:0]
 		for _, c := range cands {
 			if del != nil && del.Test(int(c.ID)) {
 				continue
 			}
-			s.rows = append(s.rows, int(c.ID))
-			s.cands = append(s.cands, c)
-			s.pass = append(s.pass, true)
+			sc.rows = append(sc.rows, int(c.ID))
+			sc.cands = append(sc.cands, c)
+			sc.pass = append(sc.pass, true)
 		}
-		if len(s.rows) == 0 {
+		if len(sc.rows) == 0 {
 			continue
 		}
-		for _, p := range preds {
-			col, err := e.readRows(ctx, rd, p.col, s.rows, len(s.rows), tr)
+		for _, p := range r.preds {
+			col, err := e.readRows(ctx, rd, p.col, sc.rows, len(sc.rows), r.tr)
 			if err != nil {
-				return nil, err
+				return err
 			}
-			for i := range s.rows {
-				if s.pass[i] && !p.eval(col, i) {
-					s.pass[i] = false
+			for j := range sc.rows {
+				if sc.pass[j] && !p.eval(col, j) {
+					sc.pass[j] = false
 				}
 			}
 		}
-		for i, c := range s.cands {
-			if s.pass[i] {
-				out = append(out, hit{meta: m, offset: int(c.ID), dist: c.Dist})
-				if len(out) == k {
+		for j, c := range sc.cands {
+			if sc.pass[j] {
+				s.heaps[i].push(hit{meta: s.meta, offset: int(c.ID), dist: c.Dist}, mb.cap)
+				if found++; found == mb.k {
 					break
 				}
 			}
 		}
 	}
-	ssp.SetInt("batches", int64(batches))
-	return out, nil
-}
-
-// --- range search ---------------------------------------------------------------
-
-func (e *Executor) runRange(ctx context.Context, lg *plan.Logical, preds []compiledPred, metas []*storage.SegmentMeta, par int, params index.SearchParams, mem []*wal.MemSnapshot, sp *obs.Span, tr *obs.Trace) ([]hit, error) {
-	radius := internalRadius(lg)
-	// Range results are unbounded (k = 0): every in-radius hit must
-	// survive the merge before the final truncation.
-	all, err := e.scanSegments(ctx, metas, 0, par, sp, func(ctx context.Context, m *storage.SegmentMeta, ssp *obs.Span, emit func(hit)) error {
-		bs, err := e.predicateBitset(ctx, m, preds, tr)
-		if err != nil {
-			return err
-		}
-		if bs != nil && !bs.Any() {
-			return nil
-		}
-		ssp.SetInt("rows", int64(m.Rows))
-		mSegScans.Inc()
-		ix, err := e.segmentIndex(ctx, m, tr)
-		if err != nil {
-			return err
-		}
-		cands, err := ix.SearchWithRange(lg.Distance.Query, radius, bs, params)
-		if err != nil {
-			return err
-		}
-		for _, c := range cands {
-			emit(hit{meta: m, offset: int(c.ID), dist: c.Dist})
-		}
-		ssp.SetInt("candidates", int64(len(cands)))
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	all = append(all, memRange(lg, preds, mem, radius)...)
-	if lg.K > 0 && len(all) > lg.K {
-		sortHits(all)
-		all = all[:lg.K]
-	}
-	return all, nil
+	s.span.SetInt("batches", int64(batches))
+	s.span.SetInt("candidates", int64(found))
+	return nil
 }
 
 // internalRadius translates a user-facing range radius into index
@@ -680,7 +830,8 @@ func internalRadius(lg *plan.Logical) float32 {
 
 // --- scalar-only queries ----------------------------------------------------------
 
-func (e *Executor) runScalar(ctx context.Context, lg *plan.Logical, preds []compiledPred, par int, view lsm.QueryView, tr *obs.Trace) (*Result, error) {
+func (e *Executor) runScalar(ctx context.Context, r *run) error {
+	lg, preds, view, tr := r.members[0].lg, r.preds, r.view, r.tr
 	metas, _ := pruneSegments(view.Segments, preds, e.partitionColumn(), nil, 0, 0)
 	sp := tr.Span().Child("scalar-scan")
 	sp.SetInt("segments", int64(len(metas)))
@@ -694,7 +845,7 @@ func (e *Executor) runScalar(ctx context.Context, lg *plan.Logical, preds []comp
 	// Segments scan concurrently; the positional gather keeps segment
 	// order, so the concatenation (and therefore the stable sort and
 	// LIMIT below) matches sequential execution exactly.
-	perSeg, err := gatherSegments(ctx, metas, par, func(ctx context.Context, _ int, m *storage.SegmentMeta) ([]scalarRow, error) {
+	perSeg, err := gatherSegments(ctx, metas, r.par, func(ctx context.Context, _ int, m *storage.SegmentMeta) ([]scalarRow, error) {
 		bs, err := e.predicateBitset(ctx, m, preds, tr)
 		if err != nil {
 			return nil, err
@@ -717,25 +868,15 @@ func (e *Executor) runScalar(ctx context.Context, lg *plan.Logical, preds []comp
 				return nil, err
 			}
 		}
-		rows := make([]scalarRow, 0, len(offsets))
+		rows := make([]scalarRow, len(offsets))
 		for i, off := range offsets {
-			r := scalarRow{meta: m, offset: off}
-			if sortCol != nil {
-				switch sortCol.Def.Type {
-				case storage.Int64Type, storage.DateTimeType:
-					r.sortV = float64(sortCol.Ints[i])
-				case storage.Float64Type:
-					r.sortV = sortCol.Floats[i]
-				case storage.StringType:
-					r.sortS = sortCol.Strs[i]
-				}
-			}
-			rows = append(rows, r)
+			rows[i] = scalarRow{meta: m, offset: off}
+			rows[i].sortV, rows[i].sortS = sortKey(sortCol, i)
 		}
 		return rows, nil
 	})
 	if err != nil {
-		return nil, err
+		return err
 	}
 	var rows []scalarRow
 	for _, rs := range perSeg {
@@ -754,18 +895,9 @@ func (e *Executor) runScalar(ctx context.Context, lg *plan.Logical, preds []comp
 			if !snap.Alive(row) || !memPass(preds, snap, row) {
 				continue
 			}
-			r := scalarRow{meta: snap.Meta, offset: row}
-			if sortCol != nil {
-				switch sortCol.Def.Type {
-				case storage.Int64Type, storage.DateTimeType:
-					r.sortV = float64(sortCol.Ints[row])
-				case storage.Float64Type:
-					r.sortV = sortCol.Floats[row]
-				case storage.StringType:
-					r.sortS = sortCol.Strs[row]
-				}
-			}
-			rows = append(rows, r)
+			sr := scalarRow{meta: snap.Meta, offset: row}
+			sr.sortV, sr.sortS = sortKey(sortCol, row)
+			rows = append(rows, sr)
 		}
 	}
 	if lg.OrderColumn != "" {
@@ -786,7 +918,22 @@ func (e *Executor) runScalar(ctx context.Context, lg *plan.Logical, preds []comp
 	}
 	sp.SetInt("hits", int64(len(hits)))
 	sp.End()
-	return e.assemble(ctx, lg, hits, par, view, tr.Span(), tr)
+	r.members[0].hits = hits
+	return e.assemble(ctx, r, tr.Span())
+}
+
+// sortKey reads row's ORDER BY key out of col (nil = unordered).
+func sortKey(col *storage.ColumnData, row int) (float64, string) {
+	switch {
+	case col == nil:
+	case col.Def.Type == storage.Int64Type || col.Def.Type == storage.DateTimeType:
+		return float64(col.Ints[row]), ""
+	case col.Def.Type == storage.Float64Type:
+		return col.Floats[row], ""
+	case col.Def.Type == storage.StringType:
+		return 0, col.Strs[row]
+	}
+	return 0, ""
 }
 
 // --- output assembly ---------------------------------------------------------------
@@ -800,118 +947,190 @@ func (e *Executor) readRows(ctx context.Context, rd *storage.SegmentReader, col 
 	return rd.ReadRowsCtx(ctx, col, rows)
 }
 
-// assemble fetches the projection columns for the final hits and
-// builds result rows in hit order. Column fetches fan out per segment
-// on the worker pool; memtable hits read straight from their frozen
-// snapshots.
-func (e *Executor) assemble(ctx context.Context, lg *plan.Logical, hits []hit, par int, view lsm.QueryView, sp *obs.Span, tr *obs.Trace) (*Result, error) {
+// place locates a hit's row in the assembly fetch: its segment, and
+// its position among the rows fetched from that segment.
+type place struct{ seg, pos int }
+
+// assemble fetches the projection columns for every live member's
+// final hits and builds each member's result rows in hit order. Hits
+// are grouped by segment in first-appearance order across members, and
+// each segment's rows (a row two members share, once) are fetched once
+// per column, concurrently across segments, through the column cache;
+// memtable hits read straight from their frozen snapshots. Everything
+// is positional — a hit's place says where its row sits — so a solo
+// run builds no map; a group dedupes shared rows through one.
+func (e *Executor) assemble(ctx context.Context, r *run, sp *obs.Span) error {
+	total := 0
+	for i := range r.members {
+		if mb := &r.members[i]; mb.err == nil {
+			total += len(mb.hits)
+			mb.cols = e.outputColumns(mb.lg)
+			mb.res = &Result{Columns: mb.cols}
+		}
+	}
 	asp := sp.Child("assemble")
-	asp.SetInt("rows", int64(len(hits)))
+	asp.SetInt("rows", int64(total))
 	defer asp.End()
-	cols := lg.Projection
-	if lg.Star {
-		cols = nil
-		for _, c := range e.Table.Schema().Columns {
-			cols = append(cols, c.Name)
-		}
-		if lg.DistAlias != "" {
-			cols = append(cols, lg.DistAlias)
+	if total == 0 {
+		return nil
+	}
+	// The columns to fetch: every member's output columns less its
+	// distance alias, in first-requested order; a member's need has
+	// bit min(i, 63) set for each fetch column i it asks for.
+	var fetch []string
+	for i := range r.members {
+		mb := &r.members[i]
+		for _, c := range mb.cols { // nil for a member that failed
+			if isDistAlias(mb.lg, c) {
+				continue
+			}
+			fi := slices.Index(fetch, c)
+			if fi < 0 {
+				fi = len(fetch)
+				fetch = append(fetch, c)
+			}
+			mb.need |= 1 << min(fi, 63)
 		}
 	}
-	res := &Result{Columns: cols}
-	if len(hits) == 0 {
-		return res, nil
-	}
-	// Group hits by segment in first-appearance order, fetch each needed
-	// column once per segment (concurrently across segments), then emit
-	// in hit order. Everything is positional — at[i] says which segment
-	// hit i belongs to and where its row sits in that segment's fetch —
-	// so no map is built per query.
 	type segFetch struct {
 		meta *storage.SegmentMeta
-		n    int                   // hits in this segment
-		rows []int                 // their row offsets, in hit order
-		cols []*storage.ColumnData // one per projection column (nil for the distance alias)
+		n    int                   // rows fetched from this segment
+		need uint64                // columns some member with hits here needs
+		rows []int                 // their offsets, in first-appearance order
+		cols []*storage.ColumnData // one per fetch column
 	}
-	type place struct{ seg, pos int }
 	segs := make([]segFetch, 0, 8)
-	at := make([]place, len(hits))
-	for i, h := range hits {
-		si := -1
-		for j := len(segs) - 1; j >= 0; j-- { // newest first: hits grouped by segment match at once
-			if segs[j].meta.Name == h.meta.Name {
-				si = j
-				break
+	at, rows := make([]place, total), 0
+	var seen map[place]int // (segment, offset) -> position, for a group's shared rows
+	if len(r.members) > 1 {
+		seen = make(map[place]int, total)
+	}
+	for i := range r.members {
+		mb := &r.members[i]
+		if mb.err != nil {
+			continue
+		}
+		mb.at, at = at[:len(mb.hits)], at[len(mb.hits):]
+		for j, h := range mb.hits {
+			si := -1
+			for s := len(segs) - 1; s >= 0; s-- { // newest first: hits grouped by segment match at once
+				if segs[s].meta.Name == h.meta.Name {
+					si = s
+					break
+				}
+			}
+			if si < 0 {
+				si = len(segs)
+				segs = append(segs, segFetch{meta: h.meta})
+			}
+			sf := &segs[si]
+			sf.need |= mb.need
+			pos := sf.n
+			if seen != nil {
+				if p, ok := seen[place{si, h.offset}]; ok {
+					pos = p
+				} else {
+					seen[place{si, h.offset}] = pos
+				}
+			}
+			if pos == sf.n {
+				sf.n++
+				rows++
+			}
+			mb.at[j] = place{si, pos}
+		}
+	}
+	offsets := make([]int, rows)
+	fetched := make([]*storage.ColumnData, len(segs)*len(fetch))
+	for si := range segs {
+		segs[si].rows, offsets = offsets[:segs[si].n], offsets[segs[si].n:]
+		segs[si].cols = fetched[si*len(fetch) : (si+1)*len(fetch)]
+	}
+	for i := range r.members {
+		if mb := &r.members[i]; mb.err == nil {
+			for j, h := range mb.hits {
+				segs[mb.at[j].seg].rows[mb.at[j].pos] = h.offset
 			}
 		}
-		if si < 0 {
-			si = len(segs)
-			segs = append(segs, segFetch{meta: h.meta})
-		}
-		at[i] = place{si, segs[si].n}
-		segs[si].n++
 	}
-	offsets := make([]int, len(hits))
-	fetched := make([]*storage.ColumnData, len(segs)*len(cols))
-	off := 0
-	for si := range segs {
-		segs[si].rows = offsets[off : off+segs[si].n]
-		segs[si].cols = fetched[si*len(cols) : (si+1)*len(cols)]
-		off += segs[si].n
-	}
-	for i, h := range hits {
-		segs[at[i].seg].rows[at[i].pos] = h.offset
-	}
-	memSnaps := memSnapshotIndex(view.Mem)
-	err := poolRun(ctx, len(segs), par, func(ctx context.Context, si int) error {
+	err := poolRun(ctx, len(segs), r.par, func(ctx context.Context, si int) error {
 		sf := &segs[si]
-		snap, inMem := memSnaps[sf.meta.Name]
+		snap := memSnapshot(r.view.Mem, sf.meta)
 		var rd *storage.SegmentReader
-		if !inMem {
+		if snap == nil {
 			var err error
 			if rd, err = e.Table.Reader(sf.meta.Name); err != nil {
 				return err
 			}
 		}
-		for ci, c := range cols {
-			if c == lg.DistAlias && lg.DistAlias != "" {
+		for fi, c := range fetch {
+			if sf.need&(1<<min(fi, 63)) == 0 {
 				continue
 			}
-			if inMem {
-				if sf.cols[ci] = memFetchColumn(snap, c, sf.rows); sf.cols[ci] == nil {
+			if snap != nil {
+				if sf.cols[fi] = memFetchColumn(snap, c, sf.rows); sf.cols[fi] == nil {
 					return fmt.Errorf("%w: unknown column %q", ErrInvalidQuery, c)
 				}
 				continue
 			}
-			cd, err := e.readRows(ctx, rd, c, sf.rows, len(hits), tr)
+			cd, err := e.readRows(ctx, rd, c, sf.rows, rows, r.tr)
 			if err != nil {
 				return err
 			}
-			sf.cols[ci] = cd
+			sf.cols[fi] = cd
 		}
 		return nil
 	})
 	if err != nil {
-		return nil, err
+		return err
 	}
-	// One backing array of cells, cut into rows (capacity-limited, so a
-	// caller appending to one row cannot write into the next).
-	nc := len(cols)
-	cells := make([]any, len(hits)*nc)
-	res.Rows = make([][]any, len(hits))
-	for i, h := range hits {
-		row := cells[i*nc : (i+1)*nc : (i+1)*nc]
-		sf := &segs[at[i].seg]
-		for ci, c := range cols {
-			if c == lg.DistAlias && lg.DistAlias != "" {
-				row[ci] = outputDistance(lg.Metric, h.dist)
-				continue
-			}
-			row[ci] = columnValue(sf.cols[ci], at[i].pos)
+	// Each member's rows are cut from one backing array of cells
+	// (capacity-limited, so a caller appending to one row cannot write
+	// into the next).
+	for i := range r.members {
+		mb := &r.members[i]
+		if mb.err != nil || len(mb.hits) == 0 {
+			continue
 		}
-		res.Rows[i] = row
+		nc := len(mb.cols)
+		cells := make([]any, len(mb.hits)*nc)
+		mb.res.Rows = make([][]any, len(mb.hits))
+		for j := range mb.hits {
+			mb.res.Rows[j] = cells[j*nc : (j+1)*nc : (j+1)*nc]
+		}
+		for ci, c := range mb.cols {
+			alias, fi := isDistAlias(mb.lg, c), slices.Index(fetch, c)
+			for j, h := range mb.hits {
+				if alias {
+					mb.res.Rows[j][ci] = outputDistance(mb.lg.Metric, h.dist)
+				} else {
+					mb.res.Rows[j][ci] = columnValue(segs[mb.at[j].seg].cols[fi], mb.at[j].pos)
+				}
+			}
+		}
 	}
-	return res, nil
+	return nil
+}
+
+// outputColumns lists a statement's result columns: its projection, or
+// for SELECT * every table column plus the distance alias.
+func (e *Executor) outputColumns(lg *plan.Logical) []string {
+	if !lg.Star {
+		return lg.Projection
+	}
+	var cols []string
+	for _, c := range e.Table.Schema().Columns {
+		cols = append(cols, c.Name)
+	}
+	if lg.DistAlias != "" {
+		cols = append(cols, lg.DistAlias)
+	}
+	return cols
+}
+
+// isDistAlias reports whether output column c is lg's distance alias.
+func isDistAlias(lg *plan.Logical, c string) bool {
+	return c == lg.DistAlias && lg.DistAlias != ""
 }
 
 // outputDistance converts internal index distances to user-facing

@@ -3,7 +3,6 @@ package exec
 import (
 	"blendhouse/internal/index"
 	"blendhouse/internal/obs"
-	"blendhouse/internal/plan"
 	"blendhouse/internal/storage"
 	"blendhouse/internal/vec"
 	"blendhouse/internal/wal"
@@ -32,28 +31,34 @@ func memPass(preds []compiledPred, snap *wal.MemSnapshot, row int) bool {
 	return true
 }
 
-// memTopK brute-force scans the snapshots for the k nearest
-// qualifying rows (internal-space distances, like every segment
-// candidate source).
-func memTopK(lg *plan.Logical, preds []compiledPred, snaps []*wal.MemSnapshot, k int) []hit {
+// memHits brute-force scans the snapshots for one member: its k
+// nearest qualifying rows per snapshot, or for a range search every
+// qualifying row within its radius (internal-space distances, like
+// every segment candidate source).
+func memHits(mb *member, preds []compiledPred, snaps []*wal.MemSnapshot) []hit {
 	var out []hit
-	t := index.GetTopK(k)
+	t := index.GetTopK(mb.k)
 	defer index.PutTopK(t)
 	s := getScratch()
 	defer putScratch(s)
+	lg := mb.lg
 	for _, snap := range snaps {
 		vcol := snap.Col(lg.VectorColumn)
 		if vcol == nil {
 			continue
 		}
 		mMemScans.Inc()
-		t.Reset(k)
+		t.Reset(mb.k)
 		for row := 0; row < snap.Rows(); row++ {
 			if !snap.Alive(row) || !memPass(preds, snap, row) {
 				continue
 			}
 			d := vec.Distance(lg.Metric, lg.Distance.Query, vcol.Vector(row))
-			t.Push(index.Candidate{ID: int64(row), Dist: d})
+			if lg.Range == nil {
+				t.Push(index.Candidate{ID: int64(row), Dist: d})
+			} else if d <= mb.radius {
+				out = append(out, hit{meta: snap.Meta, offset: row, dist: d})
+			}
 		}
 		s.cands = t.AppendResults(s.cands[:0])
 		for _, c := range s.cands {
@@ -63,39 +68,15 @@ func memTopK(lg *plan.Logical, preds []compiledPred, snaps []*wal.MemSnapshot, k
 	return out
 }
 
-// memRange returns every qualifying snapshot row within the internal-
-// space radius.
-func memRange(lg *plan.Logical, preds []compiledPred, snaps []*wal.MemSnapshot, radius float32) []hit {
-	var out []hit
-	for _, snap := range snaps {
-		vcol := snap.Col(lg.VectorColumn)
-		if vcol == nil {
-			continue
-		}
-		mMemScans.Inc()
-		for row := 0; row < snap.Rows(); row++ {
-			if !snap.Alive(row) || !memPass(preds, snap, row) {
-				continue
-			}
-			if d := vec.Distance(lg.Metric, lg.Distance.Query, vcol.Vector(row)); d <= radius {
-				out = append(out, hit{meta: snap.Meta, offset: row, dist: d})
-			}
-		}
-	}
-	return out
-}
-
-// memSnapshotIndex maps synthetic segment names back to snapshots for
-// result assembly.
-func memSnapshotIndex(snaps []*wal.MemSnapshot) map[string]*wal.MemSnapshot {
-	if len(snaps) == 0 {
-		return nil
-	}
-	out := make(map[string]*wal.MemSnapshot, len(snaps))
+// memSnapshot finds the snapshot behind a memtable hit's synthetic
+// segment (nil for a real segment).
+func memSnapshot(snaps []*wal.MemSnapshot, meta *storage.SegmentMeta) *wal.MemSnapshot {
 	for _, s := range snaps {
-		out[s.Meta.Name] = s
+		if s.Meta.Name == meta.Name {
+			return s
+		}
 	}
-	return out
+	return nil
 }
 
 // memFetchColumn compacts the requested snapshot rows into a fresh

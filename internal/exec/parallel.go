@@ -141,25 +141,19 @@ func gatherSegments[T any](ctx context.Context, metas []*storage.SegmentMeta, pa
 	return out, nil
 }
 
-// scanSegments runs a hit-producing scan over each segment on the
-// worker pool. Each scan emits hits through a callback bound to its
-// goroutine's bounded top-k heap (k <= 0 keeps everything, for range
-// scans) — hits never materialize as a per-segment slice, which is
-// what lets the scans run on pooled scratch buffers. The heaps are
-// concatenated at the barrier and the caller re-sorts with the full
-// deterministic order. Every segment gets its own child span under sp,
-// created inside its goroutine, so EXPLAIN ANALYZE keeps working under
-// concurrency; sp is annotated with the parallelism degree and the
-// per-segment wall overlap (sum of segment spans / elapsed wall).
-func (e *Executor) scanSegments(ctx context.Context, metas []*storage.SegmentMeta, k, par int, sp *obs.Span, fn func(ctx context.Context, m *storage.SegmentMeta, ssp *obs.Span, emit func(hit)) error) ([]hit, error) {
-	if par > len(metas) {
-		par = len(metas)
-	}
-	if par < 1 {
-		par = 1
-	}
+// scanSegments runs scanSegment over each segment on the worker pool
+// and leaves each member's hits in its hits. A scan pushes a member's
+// hits into its worker's bounded top-k heap for that member (cap <= 0
+// keeps everything, for range scans), so hits never materialize per
+// segment; the heaps are concatenated at the barrier and the caller
+// re-sorts. On a traced run each segment gets a child span under sp,
+// which is annotated with the parallelism degree and the per-segment
+// wall overlap (sum of segment spans / elapsed wall).
+func (e *Executor) scanSegments(ctx context.Context, r *run, metas []*storage.SegmentMeta, sp *obs.Span) error {
+	par := max(min(r.par, len(metas)), 1)
+	n := len(r.members)
 	start := obs.Now()
-	heaps := make([]hitHeap, par)
+	heaps := make([]hitHeap, par*n)
 	var segWall atomic.Int64
 	slot := make(chan int, par)
 	for g := 0; g < par; g++ {
@@ -168,13 +162,14 @@ func (e *Executor) scanSegments(ctx context.Context, metas []*storage.SegmentMet
 	err := poolRun(ctx, len(metas), par, func(ctx context.Context, i int) error {
 		g := <-slot
 		defer func() { slot <- g }()
-		m := metas[i]
-		emit := func(h hit) { heaps[g].push(h, k) }
-		ssp := sp.Child("segment " + m.Name)
+		s := segScan{meta: metas[i], heaps: heaps[g*n : (g+1)*n]}
+		if sp != nil {
+			s.span = sp.Child("segment " + s.meta.Name)
+		}
 		segStart := obs.Now()
-		err := fn(ctx, m, ssp, emit)
-		ssp.End()
-		segWall.Add(int64(ssp.Duration()))
+		err := e.scanSegment(ctx, r, &s)
+		s.span.End()
+		segWall.Add(int64(s.span.Duration()))
 		if e.Stats != nil {
 			e.Stats.SegLatency.Observe(time.Since(segStart).Seconds())
 		}
@@ -187,13 +182,16 @@ func (e *Executor) scanSegments(ctx context.Context, metas []*storage.SegmentMet
 		}
 	}
 	if err != nil {
-		return nil, err
+		return err
 	}
-	var all []hit
-	for g := range heaps {
-		all = append(all, heaps[g].hits...)
+	for i := range r.members {
+		mb := &r.members[i]
+		mb.hits = mb.hits[:0]
+		for g := 0; g < par; g++ {
+			mb.hits = append(mb.hits, heaps[g*n+i].hits...)
+		}
 	}
-	return all, nil
+	return nil
 }
 
 // hitWorse reports whether a ranks strictly after b in the

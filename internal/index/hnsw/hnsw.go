@@ -353,7 +353,7 @@ func (ix *Index) searchLayer(s *searchScratch, ep, l, ef int, filter index.Filte
 	d0 := s.dist(ix.store, ep)
 	s.visited.tryVisit(ep)
 	candidates.push(scored{ep, d0})
-	if passes(filter, ix.ids[ep]) {
+	if filter == nil || passes(filter, ix.ids[ep]) {
 		results.push(scored{ep, d0})
 	}
 	for len(*candidates) > 0 {
@@ -368,7 +368,7 @@ func (ix *Index) searchLayer(s *searchScratch, ep, l, ef int, filter index.Filte
 			if len(*results) < ef || d < (*results)[0].dist {
 				ni := int(nodes[k])
 				candidates.push(scored{ni, d})
-				if passes(filter, ix.ids[ni]) {
+				if filter == nil || passes(filter, ix.ids[ni]) {
 					results.push(scored{ni, d})
 					if len(*results) > ef {
 						results.pop()
@@ -385,10 +385,10 @@ func (ix *Index) searchLayer(s *searchScratch, ep, l, ef int, filter index.Filte
 	return out
 }
 
+// passes tests external id against a non-nil filter. Callers test
+// filter == nil first, so an unfiltered search (every build) never
+// loads the id.
 func passes(filter index.Filter, id int64) bool {
-	if filter == nil {
-		return true
-	}
 	return id < int64(filter.Len()) && id >= 0 && filter.Test(int(id))
 }
 
