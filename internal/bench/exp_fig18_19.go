@@ -39,6 +39,8 @@ func runFig18(cfg Config) (*Report, error) {
 	if errs := vw.Preload(tab); len(errs) != 0 {
 		return nil, fmt.Errorf("preload: %v", errs[0])
 	}
+	v, _ := tab.Acquire() // nothing writes the table: v names every segment
+	defer v.Release()
 	metas := tab.Segments()
 	params := index.SearchParams{Ef: 32}
 	// Each query ends by fetching its result rows from the
@@ -53,11 +55,7 @@ func runFig18(cfg Config) (*Report, error) {
 			return err
 		}
 		for _, c := range cands[:minInt(3, len(cands))] {
-			rd, err := tab.Reader(c.Segment)
-			if err != nil {
-				return err
-			}
-			if _, err := rd.ReadRows("id", []int{int(c.Offset)}); err != nil {
+			if _, err := v.Segment(c.Segment).Reader.ReadRows("id", []int{int(c.Offset)}); err != nil {
 				return err
 			}
 		}

@@ -61,12 +61,14 @@ func fixture(t *testing.T, workers int, serving bool) (*VW, *lsm.Table, *dataset
 func globalIDs(t *testing.T, vw *VW, tab *lsm.Table, cands []SegmentCandidate) []int64 {
 	t.Helper()
 	out := make([]int64, 0, len(cands))
+	v, _ := tab.Acquire()
+	defer v.Release()
 	for _, c := range cands {
-		rd, err := tab.Reader(c.Segment)
-		if err != nil {
-			t.Fatal(err)
+		seg := v.Segment(c.Segment)
+		if seg == nil {
+			t.Fatalf("segment %q not live", c.Segment)
 		}
-		col, err := rd.ReadRows("id", []int{int(c.Offset)})
+		col, err := seg.Reader.ReadRows("id", []int{int(c.Offset)})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -333,9 +333,7 @@ func (e *Engine) registerTable(t *lsm.Table) error {
 }
 
 // compactionLoop runs one compaction round per tick until the engine
-// closes. A round that merged retired its input segments, so their
-// index handles are dropped; a round that merged nothing leaves the
-// executor alone. A failed round is retried on the next tick.
+// closes. A failed round is retried on the next tick.
 func (e *Engine) compactionLoop(t *lsm.Table) {
 	ticker := time.NewTicker(e.cfg.CompactionInterval)
 	defer ticker.Stop()
@@ -344,18 +342,8 @@ func (e *Engine) compactionLoop(t *lsm.Table) {
 		case <-e.stopCompaction:
 			return
 		case <-ticker.C:
-			if merged, _ := t.CompactOnce(lsm.CompactionPolicy{}); merged > 0 {
-				e.evictRetiredIndexes(t.Name())
-			}
+			_, _ = t.CompactOnce(lsm.CompactionPolicy{})
 		}
-	}
-}
-
-// evictRetiredIndexes drops the executor's handles for segments a
-// compaction of the named table just retired.
-func (e *Engine) evictRetiredIndexes(table string) {
-	if ex := e.Executor(table); ex != nil {
-		ex.EvictRetiredIndexes()
 	}
 }
 
@@ -445,14 +433,6 @@ type QueryOptions struct {
 // Cancellation and deadline expiry surface as ErrCanceled/ErrTimeout.
 func (e *Engine) Exec(ctx context.Context, src string) (*exec.Result, error) {
 	return e.Query(ctx, src, QueryOptions{})
-}
-
-// ExecString executes one SQL statement without a context.
-//
-// Deprecated: use Exec(ctx, src) or Query(ctx, src, opts); this shim
-// exists for pre-context callers and runs with context.Background().
-func (e *Engine) ExecString(src string) (*exec.Result, error) {
-	return e.Exec(context.Background(), src)
 }
 
 // Query is Exec with per-statement options (timeout, parallelism
@@ -681,8 +661,6 @@ func (e *Engine) optimize(name string) (*exec.Result, error) {
 		return nil, unknownTableErr(name)
 	}
 	merged, err := t.CompactAll(lsm.CompactionPolicy{MinSegments: 2})
-	// Rounds before a failed one have already retired their inputs.
-	e.evictRetiredIndexes(name)
 	if err != nil {
 		return nil, err
 	}

@@ -536,9 +536,9 @@ func TestBackgroundCompaction(t *testing.T) {
 	if got := e.Table("images").SegmentCount(); got != 1 {
 		t.Fatalf("background compaction did not converge: %d segments", got)
 	}
-	// Queries still work on the compacted table, and once the tick that
-	// merged has evicted, the executor holds the merged segment's handle
-	// and nothing retired.
+	// Queries still work on the compacted table, and once the query
+	// that last named the merged inputs has released its Version, the
+	// executor holds the merged segment's handle and nothing retired.
 	live := liveSegmentNames(e, "images")
 	for {
 		res := mustExec(t, e, query)

@@ -21,7 +21,7 @@ func BenchmarkTopKParallelism(b *testing.B) {
 		b.Fatal(err)
 	}
 	const dim, rows = 8, 2000
-	if _, err := e.ExecString(fmt.Sprintf(`CREATE TABLE benchtab (
+	if _, err := e.Exec(context.Background(), fmt.Sprintf(`CREATE TABLE benchtab (
 		id UInt64,
 		label String,
 		embedding Array(Float32),
@@ -40,7 +40,7 @@ func BenchmarkTopKParallelism(b *testing.B) {
 		}
 		buf = append(buf, fmt.Sprintf("(%d, 'l%d', %s)", i, i%5, vecLit(v))...)
 	}
-	if _, err := e.ExecString(string(buf)); err != nil {
+	if _, err := e.Exec(context.Background(), string(buf)); err != nil {
 		b.Fatal(err)
 	}
 	q := make([]float32, dim)

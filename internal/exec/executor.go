@@ -17,6 +17,7 @@ import (
 	"blendhouse/internal/plan"
 	"blendhouse/internal/storage"
 	"blendhouse/internal/vec"
+	"blendhouse/internal/wal"
 )
 
 // Execution metrics (SHOW METRICS / the -debug-addr endpoint). The
@@ -56,7 +57,8 @@ type Executor struct {
 	// which path the scheduler picks.
 	Stats *obs.ScanStats
 
-	localIdx sync.Map // segment name -> index.Index
+	localIdx   sync.Map // segment name -> index.Index
+	retireOnce sync.Once
 }
 
 // RunOptions tunes one execution.
@@ -120,7 +122,8 @@ type run struct {
 	ranged   bool // range search (compatible members share range-ness)
 	members  []member
 	preds    []compiledPred
-	view     lsm.QueryView
+	v        *lsm.Version       // pinned for the whole run
+	mem      []*wal.MemSnapshot // v's memtables as the run acquired them
 	par      int
 	tr       *obs.Trace // spans of a solo run; a group records none
 
@@ -254,16 +257,19 @@ func groupCompatible(qs []GroupQuery) bool {
 }
 
 // execute runs r under ctx, which governs the shared steps: compile the
-// predicates, take one view of segments + memtable snapshots for the
-// whole run (a concurrent flush can't duplicate or drop rows), then
-// the scalar scan or the vector pipeline. A shared step's error goes
+// predicates, acquire one Version with its memtable snapshots for the
+// whole run (a concurrent flush can't duplicate or drop rows, and no
+// segment it names is deleted before the run releases it), then the
+// scalar scan or the vector pipeline. A shared step's error goes
 // to each member without one of its own — as its own context's error
 // when that fired — and to a solo run as is.
 func (e *Executor) execute(ctx context.Context, r *run) {
 	lg := r.members[0].lg
 	preds, err := compilePredicates(e.Table.Schema(), lg.ScalarPreds)
 	if err == nil {
-		r.preds, r.view = preds, e.Table.View()
+		r.preds = preds
+		r.v, r.mem = e.Table.Acquire()
+		defer r.v.Release()
 		if lg.IsVectorQuery() {
 			err = e.runVector(ctx, r)
 		} else {
@@ -360,14 +366,14 @@ func (e *Executor) runVector(ctx context.Context, r *run) error {
 	// Unflushed rows: brute-force the memtable snapshots once — they
 	// are immune to semantic widening (never pruned) but their hits
 	// count toward k before a widening round is declared necessary.
-	if len(r.view.Mem) > 0 && !r.ranged {
+	if len(r.mem) > 0 && !r.ranged {
 		memSp := root.Child("mem-scan")
 		for i := range r.members {
 			if mb := &r.members[i]; !r.dropped(i) {
-				mb.mem = memHits(mb, r.preds, r.view.Mem)
+				mb.mem = memHits(mb, r.preds, r.mem)
 			}
 		}
-		memSp.SetInt("snapshots", int64(len(r.view.Mem)))
+		memSp.SetInt("snapshots", int64(len(r.mem)))
 		memSp.SetInt("hits", int64(len(r.members[0].mem)))
 		memSp.End()
 	}
@@ -384,16 +390,16 @@ func (e *Executor) runVector(ctx context.Context, r *run) error {
 			return err
 		}
 		pruneSp := root.Child("prune")
-		metas, cut := pruneSegments(r.view.Segments, r.preds, partCol, solo.lg.Distance.Query, frac, e.MinSegments)
+		segs, cut := pruneSegments(r.v.Segments, r.preds, partCol, solo.lg.Distance.Query, frac, e.MinSegments)
 		pruneSp.SetInt("round", int64(round))
-		pruneSp.SetInt("segments_total", int64(len(r.view.Segments)))
-		pruneSp.SetInt("segments_kept", int64(len(metas)))
+		pruneSp.SetInt("segments_total", int64(len(r.v.Segments)))
+		pruneSp.SetInt("segments_kept", int64(len(segs)))
 		pruneSp.SetBool("semantic", cut)
 		if cut {
 			pruneSp.SetFloat("fraction", frac)
 		}
 		pruneSp.End()
-		if err := e.scan(ctx, r, metas, false); err != nil {
+		if err := e.scan(ctx, r, segs, false); err != nil {
 			return err
 		}
 		// Adaptive semantic widening (paper §IV-B): if pruning cost us
@@ -405,8 +411,8 @@ func (e *Executor) runVector(ctx context.Context, r *run) error {
 		if frac *= 2; frac < 1 {
 			continue
 		}
-		metas, _ = pruneSegments(r.view.Segments, r.preds, partCol, nil, 0, 0) // final pass over everything
-		if err := e.scan(ctx, r, metas, true); err != nil {
+		segs, _ = pruneSegments(r.v.Segments, r.preds, partCol, nil, 0, 0) // final pass over everything
+		if err := e.scan(ctx, r, segs, true); err != nil {
 			return err
 		}
 		break
@@ -423,21 +429,21 @@ func (e *Executor) runVector(ctx context.Context, r *run) error {
 	return e.assemble(ctx, r, root)
 }
 
-// scan runs the per-segment scan over metas into each member's hits,
+// scan runs the per-segment scan over segs into each member's hits,
 // under a "scan" span. A range search also takes in its memtable rows
 // here and truncates to its LIMIT.
-func (e *Executor) scan(ctx context.Context, r *run, metas []*storage.SegmentMeta, final bool) error {
+func (e *Executor) scan(ctx context.Context, r *run, segs []*lsm.Segment, final bool) error {
 	sp := r.tr.Span().Child("scan")
 	sp.Set("strategy", r.strategy.String())
 	if final {
 		sp.Set("widen", "final")
-		sp.SetInt("segments_kept", int64(len(metas)))
+		sp.SetInt("segments_kept", int64(len(segs)))
 	}
-	err := e.scanSegments(ctx, r, metas, sp)
+	err := e.scanSegments(ctx, r, segs, sp)
 	if err == nil && r.ranged {
 		for i := range r.members {
 			if mb := &r.members[i]; !r.dropped(i) {
-				mb.hits = append(mb.hits, memHits(mb, r.preds, r.view.Mem)...)
+				mb.hits = append(mb.hits, memHits(mb, r.preds, r.mem)...)
 				if mb.lg.K > 0 && len(mb.hits) > mb.lg.K {
 					sortHits(mb.hits)
 					mb.hits = mb.hits[:mb.lg.K]
@@ -485,24 +491,19 @@ func (e *Executor) checkVectorDim(lg *plan.Logical) error {
 // (the structured scan of plans A and B) and subtracts the delete
 // bitmap. Returns nil when the segment has neither predicates nor
 // deletes (= unfiltered).
-func (e *Executor) predicateBitset(ctx context.Context, meta *storage.SegmentMeta, preds []compiledPred, tr *obs.Trace) (*bitset.Bitset, error) {
-	del, err := e.Table.DeleteBitmapCtx(ctx, meta.Name)
-	if err != nil {
-		return nil, err
-	}
+func (e *Executor) predicateBitset(ctx context.Context, seg *lsm.Segment, preds []compiledPred, tr *obs.Trace) (*bitset.Bitset, error) {
+	meta, del := seg.Meta, seg.Deletes
 	if len(preds) == 0 && del == nil {
 		return nil, nil
 	}
 	bs := bitset.NewFull(meta.Rows)
 	if len(preds) > 0 {
-		rd, err := e.Table.Reader(meta.Name)
-		if err != nil {
-			return nil, err
-		}
+		rd := seg.Reader
 		var buf [8]*storage.ColumnData
 		cols := buf[:0] // one per predicate, a column read once
 		for i, p := range preds {
 			var c *storage.ColumnData
+			var err error
 			for j := 0; j < i && c == nil; j++ {
 				if preds[j].col == p.col {
 					c = cols[j]
@@ -541,39 +542,25 @@ func (e *Executor) predicateBitset(ctx context.Context, meta *storage.SegmentMet
 // segmentIndex returns the segment's opened index, opening it on first
 // use. Handles are keyed by segment name, which is immutable and never
 // reused, and nothing query-specific is baked into one (delete bitmaps
-// are fetched per query), so a handle stays valid for as long as its
-// segment is live: writes never invalidate it, and EvictRetiredIndexes
-// drops it once compaction has retired the segment.
-func (e *Executor) segmentIndex(ctx context.Context, meta *storage.SegmentMeta, tr *obs.Trace) (index.Index, error) {
-	if v, ok := e.localIdx.Load(meta.Name); ok {
+// come with each query's Version), so a handle stays valid for as long
+// as its segment is live: writes never invalidate it, and the table's
+// retire hook drops it when the last Version naming the segment is
+// released.
+func (e *Executor) segmentIndex(ctx context.Context, seg *lsm.Segment, tr *obs.Trace) (index.Index, error) {
+	if v, ok := e.localIdx.Load(seg.Meta.Name); ok {
 		tr.IdxTally().Hit()
 		return v.(index.Index), nil
 	}
 	tr.IdxTally().Miss()
-	ix, err := e.Table.OpenIndexCtx(ctx, meta.Name)
+	e.retireOnce.Do(func() {
+		e.Table.OnRetire(func(name string) { e.localIdx.Delete(name) })
+	})
+	ix, err := e.Table.LoadIndex(ctx, seg)
 	if err != nil {
 		return nil, err
 	}
-	actual, _ := e.localIdx.LoadOrStore(meta.Name, ix)
+	actual, _ := e.localIdx.LoadOrStore(seg.Meta.Name, ix)
 	return actual.(index.Index), nil
-}
-
-// EvictRetiredIndexes drops the handles of segments that are no longer
-// in the table's live set; the engine calls it after a compaction
-// merged something. A query that opened an index just before its
-// segment retired may store the handle after this ran; the next
-// eviction collects it.
-func (e *Executor) EvictRetiredIndexes() {
-	live := map[string]bool{}
-	for _, m := range e.Table.Segments() {
-		live[m.Name] = true
-	}
-	e.localIdx.Range(func(k, _ any) bool {
-		if !live[k.(string)] {
-			e.localIdx.Delete(k)
-		}
-		return true
-	})
 }
 
 // LoadedIndexSegments lists, sorted, the segments whose index handle
@@ -603,7 +590,7 @@ func (e *Executor) InvalidateLocalIndexes() {
 
 // segScan is one segment's share of a run's scan on one worker.
 type segScan struct {
-	meta  *storage.SegmentMeta
+	seg   *lsm.Segment
 	span  *obs.Span
 	heaps []hitHeap // the worker's heaps, one per member
 }
@@ -611,7 +598,7 @@ type segScan struct {
 // emit pushes member i's candidates from s's segment into its heap.
 func (r *run) emit(s *segScan, i int, cands []index.Candidate) {
 	for _, c := range cands {
-		s.heaps[i].push(hit{meta: s.meta, offset: int(c.ID), dist: c.Dist}, r.members[i].cap)
+		s.heaps[i].push(hit{meta: s.seg.Meta, offset: int(c.ID), dist: c.Dist}, r.members[i].cap)
 	}
 	s.span.SetInt("candidates", int64(len(cands)))
 }
@@ -627,19 +614,19 @@ func (e *Executor) scanSegment(ctx context.Context, r *run, s *segScan) error {
 	var bs *bitset.Bitset
 	if !post {
 		var err error
-		if bs, err = e.predicateBitset(ctx, s.meta, r.preds, r.tr); err != nil {
+		if bs, err = e.predicateBitset(ctx, s.seg, r.preds, r.tr); err != nil {
 			return err
 		}
 		if !brute && bs != nil && !bs.Any() {
 			return nil // nothing qualifies in this segment
 		}
 	}
-	s.span.SetInt("rows", int64(s.meta.Rows))
+	s.span.SetInt("rows", int64(s.seg.Meta.Rows))
 	mSegScans.Inc()
 	if brute {
 		return e.scanRows(ctx, r, s, bs)
 	}
-	ix, err := e.segmentIndex(ctx, s.meta, r.tr)
+	ix, err := e.segmentIndex(ctx, s.seg, r.tr)
 	if err != nil {
 		return err
 	}
@@ -673,16 +660,12 @@ func (e *Executor) scanSegment(ctx context.Context, r *run, s *segScan) error {
 func (e *Executor) scanRows(ctx context.Context, r *run, s *segScan, bs *bitset.Bitset) error {
 	sc := getScratch()
 	defer putScratch(sc)
-	sc.rows = segmentRows(sc.rows, bs, s.meta.Rows)
+	sc.rows = segmentRows(sc.rows, bs, s.seg.Meta.Rows)
 	s.span.SetInt("filtered_rows", int64(len(sc.rows)))
 	if len(sc.rows) == 0 {
 		return nil
 	}
-	rd, err := e.Table.Reader(s.meta.Name)
-	if err != nil {
-		return err
-	}
-	vcol, err := e.readRows(ctx, rd, r.members[0].lg.VectorColumn, sc.rows, len(sc.rows), r.tr)
+	vcol, err := e.readRows(ctx, s.seg.Reader, r.members[0].lg.VectorColumn, sc.rows, len(sc.rows), r.tr)
 	if err != nil {
 		return err
 	}
@@ -743,8 +726,7 @@ func nearestRows(dst []index.Candidate, metric vec.Metric, q []float32, vcol *st
 // index whose candidate batches are filtered against the scalar
 // predicates (reading only the predicate columns of the candidate
 // rows) until k rows qualify or the index is exhausted — Figure 2's
-// SearchIterator + partial-top-k-before-filter pipeline. Plan C never
-// forms a group, so the delete bitmap and reader are looked up here.
+// SearchIterator + partial-top-k-before-filter pipeline.
 func (e *Executor) postFilter(ctx context.Context, r *run, s *segScan, ix index.Index, i int) error {
 	mb := &r.members[i]
 	it, err := index.OpenIterator(ix, mb.lg.Distance.Query, mb.k, mb.params)
@@ -752,14 +734,7 @@ func (e *Executor) postFilter(ctx context.Context, r *run, s *segScan, ix index.
 		return err
 	}
 	defer it.Close()
-	del, err := e.Table.DeleteBitmapCtx(ctx, s.meta.Name)
-	if err != nil {
-		return err
-	}
-	rd, err := e.Table.Reader(s.meta.Name)
-	if err != nil {
-		return err
-	}
+	del, rd := s.seg.Deletes, s.seg.Reader
 	// Candidate rows, the candidates they came from and their verdicts
 	// live in pooled scratch, reused across iterator batches.
 	sc := getScratch()
@@ -803,7 +778,7 @@ func (e *Executor) postFilter(ctx context.Context, r *run, s *segScan, ix index.
 		}
 		for j, c := range sc.cands {
 			if sc.pass[j] {
-				s.heaps[i].push(hit{meta: s.meta, offset: int(c.ID), dist: c.Dist}, mb.cap)
+				s.heaps[i].push(hit{meta: s.seg.Meta, offset: int(c.ID), dist: c.Dist}, mb.cap)
 				if found++; found == mb.k {
 					break
 				}
@@ -831,11 +806,11 @@ func internalRadius(lg *plan.Logical) float32 {
 // --- scalar-only queries ----------------------------------------------------------
 
 func (e *Executor) runScalar(ctx context.Context, r *run) error {
-	lg, preds, view, tr := r.members[0].lg, r.preds, r.view, r.tr
-	metas, _ := pruneSegments(view.Segments, preds, e.partitionColumn(), nil, 0, 0)
+	lg, preds, tr := r.members[0].lg, r.preds, r.tr
+	segs, _ := pruneSegments(r.v.Segments, preds, e.partitionColumn(), nil, 0, 0)
 	sp := tr.Span().Child("scalar-scan")
-	sp.SetInt("segments", int64(len(metas)))
-	sp.SetInt("mem_snapshots", int64(len(view.Mem)))
+	sp.SetInt("segments", int64(len(segs)))
+	sp.SetInt("mem_snapshots", int64(len(r.mem)))
 	type scalarRow struct {
 		meta   *storage.SegmentMeta
 		offset int
@@ -845,32 +820,28 @@ func (e *Executor) runScalar(ctx context.Context, r *run) error {
 	// Segments scan concurrently; the positional gather keeps segment
 	// order, so the concatenation (and therefore the stable sort and
 	// LIMIT below) matches sequential execution exactly.
-	perSeg, err := gatherSegments(ctx, metas, r.par, func(ctx context.Context, _ int, m *storage.SegmentMeta) ([]scalarRow, error) {
-		bs, err := e.predicateBitset(ctx, m, preds, tr)
+	perSeg, err := gatherSegments(ctx, segs, r.par, func(ctx context.Context, _ int, seg *lsm.Segment) ([]scalarRow, error) {
+		bs, err := e.predicateBitset(ctx, seg, preds, tr)
 		if err != nil {
 			return nil, err
 		}
 		s := getScratch()
 		defer putScratch(s)
-		s.rows = segmentRows(s.rows, bs, m.Rows)
+		s.rows = segmentRows(s.rows, bs, seg.Meta.Rows)
 		offsets := s.rows
 		if len(offsets) == 0 {
 			return nil, nil
 		}
 		var sortCol *storage.ColumnData
 		if lg.OrderColumn != "" {
-			rd, err := e.Table.Reader(m.Name)
-			if err != nil {
-				return nil, err
-			}
-			sortCol, err = e.readRows(ctx, rd, lg.OrderColumn, offsets, len(offsets), tr)
+			sortCol, err = e.readRows(ctx, seg.Reader, lg.OrderColumn, offsets, len(offsets), tr)
 			if err != nil {
 				return nil, err
 			}
 		}
 		rows := make([]scalarRow, len(offsets))
 		for i, off := range offsets {
-			rows[i] = scalarRow{meta: m, offset: off}
+			rows[i] = scalarRow{meta: seg.Meta, offset: off}
 			rows[i].sortV, rows[i].sortS = sortKey(sortCol, i)
 		}
 		return rows, nil
@@ -885,7 +856,7 @@ func (e *Executor) runScalar(ctx context.Context, r *run) error {
 	// Unflushed rows from the memtable snapshots, appended after every
 	// segment's rows (their synthetic names sort last) so unordered
 	// LIMIT results stay deterministic.
-	for _, snap := range view.Mem {
+	for _, snap := range r.mem {
 		mMemScans.Inc()
 		var sortCol *storage.ColumnData
 		if lg.OrderColumn != "" {
@@ -1055,13 +1026,10 @@ func (e *Executor) assemble(ctx context.Context, r *run, sp *obs.Span) error {
 	}
 	err := poolRun(ctx, len(segs), r.par, func(ctx context.Context, si int) error {
 		sf := &segs[si]
-		snap := memSnapshot(r.view.Mem, sf.meta)
+		snap := memSnapshot(r.mem, sf.meta)
 		var rd *storage.SegmentReader
 		if snap == nil {
-			var err error
-			if rd, err = e.Table.Reader(sf.meta.Name); err != nil {
-				return err
-			}
+			rd = r.v.Segment(sf.meta.Name).Reader
 		}
 		for fi, c := range fetch {
 			if sf.need&(1<<min(fi, 63)) == 0 {

@@ -9,8 +9,8 @@ import (
 )
 
 // Memtable candidate source: acknowledged-but-unflushed rows live in
-// frozen wal.MemSnapshots captured with the segment catalog in one
-// Table.View() call, so a query sees each row exactly once across a
+// frozen wal.MemSnapshots taken with the run's Version in one
+// Table.Acquire call, so a query sees each row exactly once across a
 // concurrent flush. Memtables are small (bounded by the flush
 // thresholds) and have no index, so a brute-force scan with inline
 // predicate evaluation merges them into the per-segment candidate

@@ -8,8 +8,8 @@ import (
 	"sync/atomic"
 	"time"
 
+	"blendhouse/internal/lsm"
 	"blendhouse/internal/obs"
-	"blendhouse/internal/storage"
 )
 
 // This file is the intra-query parallelism engine (paper §III-IV: a
@@ -125,10 +125,10 @@ func poolRun(ctx context.Context, n, par int, fn func(ctx context.Context, i int
 // the per-segment results in input order — the positional gather used
 // where downstream code depends on segment order (scalar scans,
 // pre-filter bitsets, assembly).
-func gatherSegments[T any](ctx context.Context, metas []*storage.SegmentMeta, par int, fn func(ctx context.Context, i int, m *storage.SegmentMeta) (T, error)) ([]T, error) {
-	out := make([]T, len(metas))
-	err := poolRun(ctx, len(metas), par, func(ctx context.Context, i int) error {
-		v, err := fn(ctx, i, metas[i])
+func gatherSegments[T any](ctx context.Context, segs []*lsm.Segment, par int, fn func(ctx context.Context, i int, s *lsm.Segment) (T, error)) ([]T, error) {
+	out := make([]T, len(segs))
+	err := poolRun(ctx, len(segs), par, func(ctx context.Context, i int) error {
+		v, err := fn(ctx, i, segs[i])
 		if err != nil {
 			return err
 		}
@@ -149,8 +149,8 @@ func gatherSegments[T any](ctx context.Context, metas []*storage.SegmentMeta, pa
 // re-sorts. On a traced run each segment gets a child span under sp,
 // which is annotated with the parallelism degree and the per-segment
 // wall overlap (sum of segment spans / elapsed wall).
-func (e *Executor) scanSegments(ctx context.Context, r *run, metas []*storage.SegmentMeta, sp *obs.Span) error {
-	par := max(min(r.par, len(metas)), 1)
+func (e *Executor) scanSegments(ctx context.Context, r *run, segs []*lsm.Segment, sp *obs.Span) error {
+	par := max(min(r.par, len(segs)), 1)
 	n := len(r.members)
 	start := obs.Now()
 	heaps := make([]hitHeap, par*n)
@@ -159,12 +159,12 @@ func (e *Executor) scanSegments(ctx context.Context, r *run, metas []*storage.Se
 	for g := 0; g < par; g++ {
 		slot <- g
 	}
-	err := poolRun(ctx, len(metas), par, func(ctx context.Context, i int) error {
+	err := poolRun(ctx, len(segs), par, func(ctx context.Context, i int) error {
 		g := <-slot
 		defer func() { slot <- g }()
-		s := segScan{meta: metas[i], heaps: heaps[g*n : (g+1)*n]}
+		s := segScan{seg: segs[i], heaps: heaps[g*n : (g+1)*n]}
 		if sp != nil {
-			s.span = sp.Child("segment " + s.meta.Name)
+			s.span = sp.Child("segment " + s.seg.Meta.Name)
 		}
 		segStart := obs.Now()
 		err := e.scanSegment(ctx, r, &s)
@@ -177,7 +177,7 @@ func (e *Executor) scanSegments(ctx context.Context, r *run, metas []*storage.Se
 	})
 	if sp != nil {
 		sp.SetInt("parallelism", int64(par))
-		if wall := time.Since(start); wall > 0 && len(metas) > 1 {
+		if wall := time.Since(start); wall > 0 && len(segs) > 1 {
 			sp.SetFloat("wall_overlap", float64(segWall.Load())/float64(wall))
 		}
 	}

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"blendhouse/internal/lsm"
 	"blendhouse/internal/storage"
 )
 
@@ -132,13 +133,13 @@ func TestHitHeapUnbounded(t *testing.T) {
 }
 
 func TestGatherSegmentsOrder(t *testing.T) {
-	metas := make([]*storage.SegmentMeta, 40)
-	for i := range metas {
-		metas[i] = &storage.SegmentMeta{Name: fmt.Sprintf("seg_%02d", i)}
+	segs := make([]*lsm.Segment, 40)
+	for i := range segs {
+		segs[i] = &lsm.Segment{Meta: &storage.SegmentMeta{Name: fmt.Sprintf("seg_%02d", i)}}
 	}
-	got, err := gatherSegments(context.Background(), metas, 8, func(ctx context.Context, i int, m *storage.SegmentMeta) (string, error) {
+	got, err := gatherSegments(context.Background(), segs, 8, func(ctx context.Context, i int, s *lsm.Segment) (string, error) {
 		time.Sleep(time.Duration(rand.Intn(2)) * time.Millisecond)
-		return m.Name, nil
+		return s.Meta.Name, nil
 	})
 	if err != nil {
 		t.Fatal(err)

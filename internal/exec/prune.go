@@ -3,6 +3,7 @@ package exec
 import (
 	"sort"
 
+	"blendhouse/internal/lsm"
 	"blendhouse/internal/storage"
 	"blendhouse/internal/vec"
 )
@@ -19,7 +20,7 @@ import (
 // vector and 0 < frac < 1, semantic pruning then keeps the frac of the
 // survivors (at least minSegs) whose centroids are nearest the query,
 // nearest first; cut reports whether it dropped any.
-func pruneSegments(all []*storage.SegmentMeta, preds []compiledPred, partCol string, q []float32, frac float64, minSegs int) (kept []*storage.SegmentMeta, cut bool) {
+func pruneSegments(all []*lsm.Segment, preds []compiledPred, partCol string, q []float32, frac float64, minSegs int) (kept []*lsm.Segment, cut bool) {
 	for i := range preds {
 		for j := i; j < len(preds); j++ {
 			if disjoint(&preds[i], &preds[j]) {
@@ -27,10 +28,10 @@ func pruneSegments(all []*storage.SegmentMeta, preds []compiledPred, partCol str
 			}
 		}
 	}
-	kept = make([]*storage.SegmentMeta, 0, len(all))
-	for _, m := range all {
-		if admits(m, preds, partCol) {
-			kept = append(kept, m)
+	kept = make([]*lsm.Segment, 0, len(all))
+	for _, s := range all {
+		if admits(s.Meta, preds, partCol) {
+			kept = append(kept, s)
 		}
 	}
 	if q != nil && frac > 0 && frac < 1 && len(kept) > 1 {
@@ -73,25 +74,25 @@ func admits(m *storage.SegmentMeta, preds []compiledPred, partCol string) bool {
 
 // semanticCut keeps the fraction of segments whose centroids are
 // nearest the query vector.
-func semanticCut(metas []*storage.SegmentMeta, q []float32, frac float64, minSegs int) []*storage.SegmentMeta {
+func semanticCut(segs []*lsm.Segment, q []float32, frac float64, minSegs int) []*lsm.Segment {
 	type scored struct {
-		m *storage.SegmentMeta
+		s *lsm.Segment
 		d float32
 	}
-	scoredList := make([]scored, 0, len(metas))
-	var noCentroid []*storage.SegmentMeta
-	for _, m := range metas {
-		if len(m.Centroid) != len(q) {
-			noCentroid = append(noCentroid, m) // can't rank: always keep
+	scoredList := make([]scored, 0, len(segs))
+	var noCentroid []*lsm.Segment
+	for _, s := range segs {
+		if len(s.Meta.Centroid) != len(q) {
+			noCentroid = append(noCentroid, s) // can't rank: always keep
 			continue
 		}
-		scoredList = append(scoredList, scored{m, vec.L2Squared(q, m.Centroid)})
+		scoredList = append(scoredList, scored{s, vec.L2Squared(q, s.Meta.Centroid)})
 	}
 	sort.Slice(scoredList, func(i, j int) bool {
 		if scoredList[i].d != scoredList[j].d {
 			return scoredList[i].d < scoredList[j].d
 		}
-		return scoredList[i].m.Name < scoredList[j].m.Name
+		return scoredList[i].s.Meta.Name < scoredList[j].s.Meta.Name
 	})
 	keep := int(float64(len(scoredList))*frac + 0.5)
 	if keep < minSegs {
@@ -103,9 +104,9 @@ func semanticCut(metas []*storage.SegmentMeta, q []float32, frac float64, minSeg
 	if keep > len(scoredList) {
 		keep = len(scoredList)
 	}
-	out := make([]*storage.SegmentMeta, 0, keep+len(noCentroid))
+	out := make([]*lsm.Segment, 0, keep+len(noCentroid))
 	for i := 0; i < keep; i++ {
-		out = append(out, scoredList[i].m)
+		out = append(out, scoredList[i].s)
 	}
 	return append(out, noCentroid...)
 }

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"blendhouse/internal/bench/dataset"
@@ -14,7 +15,7 @@ import (
 
 // pruneFixture builds a table of 800 rows cut into segments of 100,
 // filled in id order, so each segment holds a disjoint id range.
-func pruneFixture(t *testing.T) (*lsm.Table, *dataset.Dataset) {
+func pruneFixture(t *testing.T) (*lsm.Table, *lsm.Version, *dataset.Dataset) {
 	t.Helper()
 	const dim, n = 16, 800
 	ds := dataset.Small(n, dim, 11)
@@ -38,7 +39,9 @@ func pruneFixture(t *testing.T) (*lsm.Table, *dataset.Dataset) {
 	if err := tab.Insert(batch); err != nil {
 		t.Fatal(err)
 	}
-	return tab, ds
+	v, _ := tab.Acquire()
+	t.Cleanup(v.Release)
+	return tab, v, ds
 }
 
 func compileAll(t *testing.T, schema *storage.Schema, preds ...sql.Predicate) []compiledPred {
@@ -51,55 +54,46 @@ func compileAll(t *testing.T, schema *storage.Schema, preds ...sql.Predicate) []
 }
 
 func TestPruneSegmentsScalar(t *testing.T) {
-	tab, _ := pruneFixture(t)
-	metas := tab.Segments()
+	tab, v, _ := pruneFixture(t)
+	segs := v.Segments
 	// id ranges are disjoint per segment (sequential fill): prune to
 	// ranges covering only low ids.
-	kept, _ := pruneSegments(metas, compileAll(t, tab.Schema(),
+	kept, _ := pruneSegments(segs, compileAll(t, tab.Schema(),
 		sql.Predicate{Column: "id", Op: sql.OpBetween, Value: int64(0), Value2: int64(150)}), "", nil, 0, 0)
-	if len(kept) >= len(metas) {
-		t.Fatalf("no pruning happened: %d of %d", len(kept), len(metas))
+	if len(kept) >= len(segs) {
+		t.Fatalf("no pruning happened: %d of %d", len(kept), len(segs))
 	}
-	for _, m := range kept {
-		if m.MinInt["id"] > 150 {
+	for _, s := range kept {
+		if s.Meta.MinInt["id"] > 150 {
 			t.Fatal("kept a segment entirely above the range")
 		}
 	}
 	// Unknown column: nothing pruned.
-	all, _ := pruneSegments(metas, []compiledPred{{col: "zz", intRange: &[2]int64{0, 1}}}, "", nil, 0, 0)
-	if len(all) != len(metas) {
+	all, _ := pruneSegments(segs, []compiledPred{{col: "zz", intRange: &[2]int64{0, 1}}}, "", nil, 0, 0)
+	if len(all) != len(segs) {
 		t.Fatal("missing stats must not prune")
 	}
 }
 
 func TestPruneSegmentsSemantic(t *testing.T) {
-	tab, ds := pruneFixture(t)
-	metas := tab.Segments()
+	_, v, ds := pruneFixture(t)
+	segs := v.Segments
 	q := ds.Queries.Row(0)
-	kept, cut := pruneSegments(metas, nil, "", q, 0.5, 1)
-	if len(kept) >= len(metas) || len(kept) == 0 || !cut {
-		t.Fatalf("semantic cut kept %d of %d (cut=%v)", len(kept), len(metas), cut)
+	kept, cut := pruneSegments(segs, nil, "", q, 0.5, 1)
+	if len(kept) >= len(segs) || len(kept) == 0 || !cut {
+		t.Fatalf("semantic cut kept %d of %d (cut=%v)", len(kept), len(segs), cut)
 	}
 	// Kept segments must be the nearest-centroid ones.
-	for _, km := range kept {
-		for _, om := range metas {
-			if containsMeta(kept, om) {
+	for _, ks := range kept {
+		for _, os := range segs {
+			if slices.Contains(kept, os) {
 				continue
 			}
-			if centDist(q, om.Centroid) < centDist(q, km.Centroid) {
-				t.Fatalf("pruned a closer segment (%s) while keeping %s", om.Name, km.Name)
+			if centDist(q, os.Meta.Centroid) < centDist(q, ks.Meta.Centroid) {
+				t.Fatalf("pruned a closer segment (%s) while keeping %s", os.Meta.Name, ks.Meta.Name)
 			}
 		}
 	}
-}
-
-func containsMeta(ms []*storage.SegmentMeta, m *storage.SegmentMeta) bool {
-	for _, x := range ms {
-		if x.Name == m.Name {
-			return true
-		}
-	}
-	return false
 }
 
 func centDist(q, c []float32) float32 {
@@ -112,15 +106,15 @@ func centDist(q, c []float32) float32 {
 }
 
 func TestPruneSegmentsPartition(t *testing.T) {
-	tab, _ := pruneFixture(t)
-	metas := tab.Segments()
+	_, v, _ := pruneFixture(t)
+	segs := v.Segments
 	other, own := "elsewhere", ""
-	kept, _ := pruneSegments(metas, []compiledPred{{col: "p", eqString: &other}}, "p", nil, 0, 0)
+	kept, _ := pruneSegments(segs, []compiledPred{{col: "p", eqString: &other}}, "p", nil, 0, 0)
 	if len(kept) != 0 {
 		t.Fatal("another partition's equality should prune everything")
 	}
-	kept, _ = pruneSegments(metas, []compiledPred{{col: "p", eqString: &own}}, "p", nil, 0, 0)
-	if len(kept) != len(metas) {
+	kept, _ = pruneSegments(segs, []compiledPred{{col: "p", eqString: &own}}, "p", nil, 0, 0)
+	if len(kept) != len(segs) {
 		t.Fatal("matching partition should keep all")
 	}
 }
@@ -136,14 +130,14 @@ func TestPruneIntersectsConstraints(t *testing.T) {
 		{Name: "f", Type: storage.Float64Type},
 		{Name: "p", Type: storage.StringType},
 	}}
-	seg := func(name, part string, lo int64) *storage.SegmentMeta {
-		return &storage.SegmentMeta{
+	seg := func(name, part string, lo int64) *lsm.Segment {
+		return &lsm.Segment{Meta: &storage.SegmentMeta{
 			Name: name, Partition: part,
 			MinInt: map[string]int64{"x": lo}, MaxInt: map[string]int64{"x": lo + 9},
 			MinFloat: map[string]float64{"f": float64(lo)}, MaxFloat: map[string]float64{"f": float64(lo + 9)},
-		}
+		}}
 	}
-	metas := []*storage.SegmentMeta{seg("s0", "a", 0), seg("s1", "b", 10), seg("s2", "a", 20)}
+	segs := []*lsm.Segment{seg("s0", "a", 0), seg("s1", "b", 10), seg("s2", "a", 20)}
 	pred := func(col string, op sql.PredOp, v any) sql.Predicate {
 		return sql.Predicate{Column: col, Op: op, Value: v}
 	}
@@ -172,10 +166,10 @@ func TestPruneIntersectsConstraints(t *testing.T) {
 					preds[i], preds[j] = preds[j], preds[i]
 				}
 			}
-			kept, _ := pruneSegments(metas, compileAll(t, schema, preds...), "p", nil, 0, 0)
+			kept, _ := pruneSegments(segs, compileAll(t, schema, preds...), "p", nil, 0, 0)
 			names := make([]string, len(kept))
-			for i, m := range kept {
-				names[i] = m.Name
+			for i, s := range kept {
+				names[i] = s.Meta.Name
 			}
 			if got := fmt.Sprint(names); got != tc.want {
 				t.Errorf("%s (%s): kept %s, want %s", tc.name, order, got, tc.want)

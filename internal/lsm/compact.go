@@ -2,7 +2,7 @@ package lsm
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"blendhouse/internal/bitset"
@@ -47,62 +47,40 @@ func (p CompactionPolicy) withDefaults() CompactionPolicy {
 // of segments merged (0 when nothing qualified).
 func (t *Table) CompactOnce(policy CompactionPolicy) (int, error) {
 	policy = policy.withDefaults()
-	group, metas := t.pickCompactionGroup(policy)
-	if len(metas) < policy.MinSegments {
+	v, _ := t.Acquire()
+	defer v.Release()
+	group := pickCompactionGroup(v, policy)
+	if len(group) < policy.MinSegments {
 		return 0, nil
 	}
-	_ = group
 	compactStart := obs.Now()
-	// Read the group's live rows into one batch, applying deletes.
-	// The MaxMergeRows cap bounds how many segments this round
-	// actually merges; segments beyond the cap stay live untouched.
-	//
-	// Deletes run concurrently with this read, so each segment's bitmap
-	// is snapshotted (cloned under t.mu) and the snapshot drives the
-	// merge, while rowMaps records where every carried row landed in the
-	// merged batch. At swap time, under dmlMu, the live bitmaps are
-	// diffed against the snapshots and any row deleted after its
-	// snapshot was taken is re-marked in the new segment's bitmap —
-	// without this, a DELETE landing between the bitmap read and the
-	// catalog swap was silently dropped when t.deletes[m.Name] was
-	// discarded.
+	// Read the group's live rows into one batch, dropping the rows the
+	// pinned Version's bitmaps delete. The MaxMergeRows cap bounds how
+	// many segments this round actually merges; segments beyond the cap
+	// stay live untouched. rowMaps records where every carried row
+	// landed in the merged batch, for the late deletes below.
 	merged := storage.NewRowBatch(t.opts.Schema)
 	maxLevel := 0
-	var mergedMetas []*storage.SegmentMeta
-	var snapshots []*bitset.Bitset
+	var inputs []*Segment
 	var rowMaps [][]int // old row -> merged row, -1 = dropped as deleted
-	for _, m := range metas {
+	for _, s := range group {
 		if merged.Len() >= policy.MaxMergeRows {
 			break
 		}
-		mergedMetas = append(mergedMetas, m)
-		if m.Level > maxLevel {
-			maxLevel = m.Level
-		}
-		bm, err := t.DeleteBitmap(m.Name)
-		if err != nil {
-			return 0, err
-		}
-		var snap *bitset.Bitset
-		if bm != nil {
-			t.mu.RLock()
-			snap = bm.Clone() // markDeleted mutates the live bitmap under t.mu
-			t.mu.RUnlock()
-		}
-		snapshots = append(snapshots, snap)
-		rd := &storage.SegmentReader{Store: t.store, Meta: m, Schema: t.opts.Schema}
+		inputs = append(inputs, s)
+		maxLevel = max(maxLevel, s.Meta.Level)
 		cols := make([]*storage.ColumnData, len(t.opts.Schema.Columns))
 		for ci, def := range t.opts.Schema.Columns {
-			col, err := rd.ReadColumn(def.Name)
+			col, err := s.Reader.ReadColumn(def.Name)
 			if err != nil {
-				return 0, fmt.Errorf("lsm: compaction reading %s/%s: %w", m.Name, def.Name, err)
+				return 0, fmt.Errorf("lsm: compaction reading %s/%s: %w", s.Meta.Name, def.Name, err)
 			}
 			cols[ci] = col
 		}
 		src := &storage.RowBatch{Schema: t.opts.Schema, Cols: cols}
-		rowMap := make([]int, m.Rows)
-		for r := 0; r < m.Rows; r++ {
-			if snap != nil && snap.Test(r) {
+		rowMap := make([]int, s.Meta.Rows)
+		for r := range rowMap {
+			if s.Deletes != nil && s.Deletes.Test(r) {
 				rowMap[r] = -1
 				continue
 			}
@@ -111,39 +89,25 @@ func (t *Table) CompactOnce(policy CompactionPolicy) (int, error) {
 		}
 		rowMaps = append(rowMaps, rowMap)
 	}
-	if len(mergedMetas) < 2 {
+	if len(inputs) < 2 {
 		return 0, nil // nothing meaningful to merge under the cap
 	}
 	// Write the merged segment (fresh index built inside).
-	newMeta, err := t.writeSegment(merged, mergedMetas[0].Partition, mergedMetas[0].Bucket, maxLevel+1)
+	newMeta, err := t.writeSegment(merged, inputs[0].Meta.Partition, inputs[0].Meta.Bucket, maxLevel+1)
 	if err != nil {
 		return 0, fmt.Errorf("lsm: writing compacted segment: %w", err)
 	}
-	// From here until the catalog swap no new delete may apply: dmlMu
-	// excludes deleteFromSegments, so the late-delete diff below is
-	// complete and the swap is atomic with respect to DML.
+	// From here until the publish no DELETE and no other compaction's
+	// swap may run (both take dmlMu), so the current bitmaps read below
+	// are the ones the merged segment replaces.
 	t.dmlMu.Lock()
-	var newBM *bitset.Bitset
-	for i, m := range mergedMetas {
-		live, berr := t.DeleteBitmap(m.Name)
-		if berr != nil {
-			t.dmlMu.Unlock()
-			return 0, berr
-		}
-		if live == nil {
-			continue
-		}
-		snap, rowMap := snapshots[i], rowMaps[i]
-		t.mu.RLock()
-		for r := 0; r < m.Rows; r++ {
-			if live.Test(r) && rowMap[r] >= 0 && (snap == nil || !snap.Test(r)) {
-				if newBM == nil {
-					newBM = bitset.New(merged.Len())
-				}
-				newBM.Set(rowMap[r])
-			}
-		}
-		t.mu.RUnlock()
+	newBM, live := t.lateDeletes(inputs, rowMaps, merged.Len())
+	if !live {
+		// Another compaction merged an input first (or the table was
+		// dropped): this one's segment retires unpublished.
+		t.dmlMu.Unlock()
+		t.retireSegment(t.newSegment(newMeta, nil))
+		return 0, nil
 	}
 	if newBM != nil {
 		// Persist the carried deletes before the swap: once the manifest
@@ -160,65 +124,80 @@ func (t *Table) CompactOnce(policy CompactionPolicy) (int, error) {
 			return 0, fmt.Errorf("lsm: persisting carried delete bitmap of %s: %w", newMeta.Name, merr)
 		}
 	}
-	// Swap catalog: register the new segment, retire the merged ones.
-	t.mu.Lock()
-	t.addSegmentLocked(newMeta)
-	if newBM != nil {
-		t.deletes[newMeta.Name] = newBM
-	}
-	for _, m := range mergedMetas {
-		delete(t.segments, m.Name)
-		delete(t.readers, m.Name)
-		delete(t.deletes, m.Name)
-	}
-	t.mu.Unlock()
+	t.publish(func(next *Version) {
+		next.Segments = slices.DeleteFunc(next.Segments, func(s *Segment) bool {
+			return slices.ContainsFunc(inputs, func(in *Segment) bool { return in.Meta.Name == s.Meta.Name })
+		})
+		next.Segments = append(next.Segments, t.newSegment(newMeta, newBM))
+	})
 	t.dmlMu.Unlock()
+	// The inputs retire when v, which names them, is released — after
+	// the manifest stopped naming them. If it could not be saved, the
+	// durable manifest still names them, so their blobs stay.
 	if err := t.saveManifest(); err != nil {
+		for _, s := range inputs {
+			s.refs.Add(1)
+		}
 		return 0, err
 	}
-	// Best-effort cleanup of retired blobs; orphans are harmless
-	// because the manifest no longer references them.
-	for _, m := range mergedMetas {
-		prefix := "tables/" + t.opts.Name + "/segments/" + m.Name + "/"
-		if keys, lerr := t.store.List(prefix); lerr == nil {
-			for _, k := range keys {
-				_ = t.store.Delete(k)
-			}
-		}
-	}
 	mCompactRuns.Inc()
-	mCompactSegments.Add(int64(len(mergedMetas)))
+	mCompactSegments.Add(int64(len(inputs)))
 	mCompactRows.Add(int64(merged.Len()))
 	dur := time.Since(compactStart)
 	mCompactDur.Observe(dur)
-	lsmLog.Info("compaction", "table", t.opts.Name, "segments_merged", len(mergedMetas),
+	lsmLog.Info("compaction", "table", t.opts.Name, "segments_merged", len(inputs),
 		"rows_written", merged.Len(), "duration_ms", float64(dur.Microseconds())/1000)
-	return len(mergedMetas), nil
+	return len(inputs), nil
 }
 
-// pickCompactionGroup returns the (partition,bucket) group with the
-// most segments, restricted to segments below the merged-size cap.
-func (t *Table) pickCompactionGroup(policy CompactionPolicy) (string, []*storage.SegmentMeta) {
+// lateDeletes carries into the merged segment the rows a DELETE marked
+// after the pinned Version was acquired. Bitmaps are copy-on-write, so
+// an input whose current bitmap is the one the merge read has none;
+// only a changed one is diffed. live is false when an input is no
+// longer current. Caller holds dmlMu.
+func (t *Table) lateDeletes(inputs []*Segment, rowMaps [][]int, rows int) (bm *bitset.Bitset, live bool) {
 	t.mu.RLock()
-	groups := map[string][]*storage.SegmentMeta{}
-	for _, m := range t.segments {
-		if m.Rows >= policy.MaxMergeRows {
+	cur := t.cur
+	t.mu.RUnlock()
+	for i, in := range inputs {
+		now := cur.Segment(in.Meta.Name)
+		if now == nil {
+			return nil, false
+		}
+		if now.Deletes == in.Deletes {
 			continue
 		}
-		key := fmt.Sprintf("%s#%d", m.Partition, m.Bucket)
-		groups[key] = append(groups[key], m)
-	}
-	t.mu.RUnlock()
-	bestKey, bestLen := "", 0
-	for k, v := range groups {
-		if len(v) > bestLen || (len(v) == bestLen && k < bestKey) {
-			bestKey, bestLen = k, len(v)
+		for r, to := range rowMaps[i] {
+			if to >= 0 && now.Deletes.Test(r) {
+				if bm == nil {
+					bm = bitset.New(rows)
+				}
+				bm.Set(to)
+			}
 		}
 	}
-	metas := groups[bestKey]
-	// Merge oldest (lowest id) first for deterministic behaviour.
-	sort.Slice(metas, func(i, j int) bool { return metas[i].Name < metas[j].Name })
-	return bestKey, metas
+	return bm, true
+}
+
+// pickCompactionGroup returns v's (partition, bucket) group with the
+// most segments, restricted to segments below the merged-size cap,
+// oldest (lowest name) first.
+func pickCompactionGroup(v *Version, policy CompactionPolicy) []*Segment {
+	groups := map[string][]*Segment{}
+	for _, s := range v.Segments {
+		if s.Meta.Rows >= policy.MaxMergeRows {
+			continue
+		}
+		key := fmt.Sprintf("%s#%d", s.Meta.Partition, s.Meta.Bucket)
+		groups[key] = append(groups[key], s)
+	}
+	bestKey, bestLen := "", 0
+	for k, g := range groups {
+		if len(g) > bestLen || (len(g) == bestLen && k < bestKey) {
+			bestKey, bestLen = k, len(g)
+		}
+	}
+	return groups[bestKey]
 }
 
 // CompactAll repeatedly compacts until no group qualifies, returning

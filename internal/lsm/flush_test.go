@@ -18,7 +18,7 @@ import (
 func onRelease(tab *Table) <-chan struct{} {
 	released := make(chan struct{})
 	tab.mu.RLock()
-	runtime.SetFinalizer(tab.mem, func(*wal.Memtable) { close(released) })
+	runtime.SetFinalizer(tab.cur.mem, func(*wal.Memtable) { close(released) })
 	tab.mu.RUnlock()
 	return released
 }
@@ -190,8 +190,7 @@ func TestMemtableGaugesSumEveryMemtable(t *testing.T) {
 		t.Helper()
 		var bytes int64
 		for _, tab := range tabs {
-			all, _ := tab.memtables()
-			for _, m := range all {
+			for _, m := range tab.current().memtables() {
 				bytes += m.Bytes()
 			}
 		}

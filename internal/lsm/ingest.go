@@ -38,12 +38,7 @@ func (t *Table) insertSegments(batch *storage.RowBatch) error {
 	if err != nil {
 		return err
 	}
-	t.mu.Lock()
-	for _, m := range metas {
-		t.addSegmentLocked(m)
-	}
-	t.updateHistogramsLocked(batch)
-	t.mu.Unlock()
+	t.publish(func(next *Version) { t.addLocked(next, metas, batch) })
 	return t.saveManifest()
 }
 

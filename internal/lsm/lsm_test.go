@@ -170,9 +170,9 @@ func TestScalarPartitioning(t *testing.T) {
 		}
 	}
 	// Every segment's rows must share the partition value.
-	for _, m := range tab.Segments() {
-		rd, _ := tab.Reader(m.Name)
-		col, err := rd.ReadColumn("label")
+	for _, seg := range liveSegments(tab) {
+		m := seg.Meta
+		col, err := seg.Reader.ReadColumn("label")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -201,8 +201,7 @@ func TestSemanticBuckets(t *testing.T) {
 		}
 		buckets[m.Bucket] = true
 		// Rows must actually be nearest their bucket's centroid.
-		rd, _ := tab.Reader(m.Name)
-		col, err := rd.ReadColumn("embedding")
+		col, err := tab.current().Segment(m.Name).Reader.ReadColumn("embedding")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -249,14 +248,6 @@ func TestDeleteByKey(t *testing.T) {
 	re, err := Open(tab.Store(), "t")
 	if err != nil {
 		t.Fatal(err)
-	}
-	if re.Rows() != 300 { // deletes are lazy-loaded; force them
-		t.Logf("rows before bitmap load: %d", re.Rows())
-	}
-	for _, m := range re.Segments() {
-		if _, err := re.DeleteBitmap(m.Name); err != nil {
-			t.Fatal(err)
-		}
 	}
 	if re.Rows() != 297 {
 		t.Fatalf("reopened rows = %d, want 297", re.Rows())
@@ -376,9 +367,9 @@ func TestCompactionRespectsGroups(t *testing.T) {
 		t.Fatal(err)
 	}
 	// After compaction no segment may mix partitions.
-	for _, m := range tab.Segments() {
-		rd, _ := tab.Reader(m.Name)
-		col, err := rd.ReadColumn("label")
+	for _, seg := range liveSegments(tab) {
+		m := seg.Meta
+		col, err := seg.Reader.ReadColumn("label")
 		if err != nil {
 			t.Fatal(err)
 		}

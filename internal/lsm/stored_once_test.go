@@ -261,11 +261,8 @@ func goldenL2(a, b []float32) float64 {
 func tableRows(t *testing.T, tab *Table) map[int64][]float32 {
 	t.Helper()
 	out := map[int64][]float32{}
-	for _, m := range tab.Segments() {
-		rd, err := tab.Reader(m.Name)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, s := range liveSegments(tab) {
+		rd, m := s.Reader, s.Meta
 		ids, err := rd.ReadColumn("id")
 		if err != nil {
 			t.Fatal(err)
@@ -284,10 +281,7 @@ func tableRows(t *testing.T, tab *Table) map[int64][]float32 {
 				t.Fatalf("segment %s row %d: ReadRows and ReadColumn disagree", m.Name, r)
 			}
 		}
-		bm, err := tab.DeleteBitmap(m.Name)
-		if err != nil {
-			t.Fatal(err)
-		}
+		bm := s.Deletes
 		for r := 0; r < m.Rows; r++ {
 			if bm == nil || !bm.Test(r) {
 				out[ids.Ints[r]] = vecs.Vector(r)
@@ -393,9 +387,9 @@ func TestGoldenTableFromPR22(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			bm, err := tab.DeleteBitmap(seg)
-			if err != nil || bm == nil {
-				t.Fatalf("delete bitmap of %s: %v, %v", seg, bm, err)
+			bm := tab.current().Segment(seg).Deletes
+			if bm == nil {
+				t.Fatalf("segment %s opened without its delete bitmap", seg)
 			}
 			filter := bitset.New(100)
 			for r := 0; r < 100; r++ {

@@ -13,6 +13,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -23,43 +24,44 @@ import (
 	"blendhouse/internal/wal"
 )
 
-// Options configures a table at creation.
+// Options configures a table at creation. The manifest stores them
+// as they are (the json names are its format).
 type Options struct {
-	Name   string
-	Schema *storage.Schema
+	Name   string          `json:"name"`
+	Schema *storage.Schema `json:"schema"`
 
 	// Vector index definition (the dialect's INDEX ... TYPE clause).
 	// IndexColumn empty means no ANN index.
-	IndexColumn string
-	IndexType   index.Type
-	IndexParams index.BuildParams
+	IndexColumn string            `json:"index_column,omitempty"`
+	IndexType   index.Type        `json:"index_type,omitempty"`
+	IndexParams index.BuildParams `json:"index_params"`
 	// AutoIndex enables rule-based parameter selection per segment
 	// size (paper §III-B "Auto index").
-	AutoIndex bool
+	AutoIndex bool `json:"auto_index"`
 	// TuneOnCompaction runs the offline auto-tuner when compaction
 	// builds a merged segment's index, refining the rule-based
 	// parameters against sample queries drawn from the segment itself
 	// (paper §III-B: "for background compaction tasks, we combine the
 	// rule-based methods with auto-tuning tools"). Ingestion always
 	// stays rule-only — tuning is too slow for the write path.
-	TuneOnCompaction bool
+	TuneOnCompaction bool `json:"tune_on_compaction"`
 
 	// PartitionBy lists scalar partition columns.
-	PartitionBy []string
+	PartitionBy []string `json:"partition_by,omitempty"`
 	// ClusterBuckets > 0 enables semantic partitioning into that many
 	// k-means buckets over the vector column.
-	ClusterBuckets int
+	ClusterBuckets int `json:"cluster_buckets"`
 
 	// SegmentRows caps rows per ingested segment (default 8192).
-	SegmentRows int
+	SegmentRows int `json:"segment_rows"`
 	// BlockRows is the column granule size (default storage.DefaultBlockRows).
-	BlockRows int
+	BlockRows int `json:"block_rows"`
 	// PipelinedBuild overlaps segment writing with index building
 	// (BlendHouse's ingestion advantage in Table IV). Default true;
 	// baselines disable it.
-	PipelinedBuild bool
+	PipelinedBuild bool `json:"pipelined_build"`
 
-	Seed int64
+	Seed int64 `json:"seed"`
 }
 
 func (o Options) withDefaults() Options {
@@ -73,26 +75,24 @@ func (o Options) withDefaults() Options {
 }
 
 // Table is a live LSM table handle. All mutating operations are
-// serialized internally; reads see a consistent snapshot of the
-// segment catalog.
+// serialized internally; a read acquires one immutable Version.
 type Table struct {
 	opts  Options
 	store storage.BlobStore
 
 	mu        sync.RWMutex
-	segments  map[string]*storage.SegmentMeta
-	readers   map[string]*storage.SegmentReader // of each live segment
-	deletes   map[string]*bitset.Bitset         // lazily loaded delete bitmaps
-	centroids *vec.Matrix                       // semantic bucket centroids; nil until trained
+	cur       *Version    // the current Version; replaced by publish
+	centroids *vec.Matrix // semantic bucket centroids; nil until trained
 	nextSeg   int64
 	hist      map[string]*Histogram // per-column histograms for the CBO
+	onRetire  []func(seg string)
 
-	// Real-time write path (nil / zero when the WAL is disabled).
-	// mem is the active memtable; sealed holds memtables awaiting
-	// flush (still query-visible); flushedLSN is the highest WAL LSN
-	// whose effects are fully in segments — all guarded by t.mu.
-	mem        *wal.Memtable
-	sealed     []*wal.Memtable
+	// dropped is set by Drop, which deletes the table's blobs itself.
+	dropped atomic.Bool
+
+	// Real-time write path (zero when the WAL is disabled): memGen
+	// numbers memtables; flushedLSN is the highest WAL LSN whose
+	// effects are fully in segments — both guarded by t.mu.
 	memGen     int64
 	flushedLSN int64
 
@@ -117,7 +117,7 @@ type Table struct {
 
 // manifest is the durable catalog blob.
 type manifest struct {
-	Options   manifestOptions       `json:"options"`
+	Options   Options               `json:"options"`
 	Segments  []string              `json:"segments"`
 	NextSeg   int64                 `json:"next_seg"`
 	Centroids []float32             `json:"centroids,omitempty"`
@@ -129,23 +129,6 @@ type manifest struct {
 	// it are replayed by Open. Updated atomically with Segments (one
 	// manifest Put per flush), and only then is the WAL truncated.
 	FlushedLSN int64 `json:"flushed_lsn,omitempty"`
-}
-
-// manifestOptions is the serializable subset of Options.
-type manifestOptions struct {
-	Name             string            `json:"name"`
-	Schema           *storage.Schema   `json:"schema"`
-	IndexColumn      string            `json:"index_column,omitempty"`
-	IndexType        index.Type        `json:"index_type,omitempty"`
-	IndexParams      index.BuildParams `json:"index_params"`
-	AutoIndex        bool              `json:"auto_index"`
-	TuneOnCompaction bool              `json:"tune_on_compaction"`
-	PartitionBy      []string          `json:"partition_by,omitempty"`
-	ClusterBuckets   int               `json:"cluster_buckets"`
-	SegmentRows      int               `json:"segment_rows"`
-	BlockRows        int               `json:"block_rows"`
-	PipelinedBuild   bool              `json:"pipelined_build"`
-	Seed             int64             `json:"seed"`
 }
 
 func manifestKey(table string) string { return "tables/" + table + "/manifest.json" }
@@ -185,18 +168,19 @@ func Create(store storage.BlobStore, opts Options) (*Table, error) {
 	} else if !storage.IsNotFound(err) {
 		return nil, err
 	}
-	t := &Table{
-		opts:     opts,
-		store:    store,
-		segments: map[string]*storage.SegmentMeta{},
-		readers:  map[string]*storage.SegmentReader{},
-		deletes:  map[string]*bitset.Bitset{},
-		hist:     map[string]*Histogram{},
-	}
+	t := newTable(store, opts)
 	if err := t.saveManifest(); err != nil {
 		return nil, err
 	}
 	return t, nil
+}
+
+// newTable returns a handle whose current Version is empty.
+func newTable(store storage.BlobStore, opts Options) *Table {
+	t := &Table{opts: opts, store: store, hist: map[string]*Histogram{}}
+	t.cur = &Version{t: t}
+	t.cur.pins.Store(1)
+	return t
 }
 
 // Open loads an existing table from its manifest.
@@ -209,36 +193,41 @@ func Open(store storage.BlobStore, name string) (*Table, error) {
 	if err := json.Unmarshal(blob, &m); err != nil {
 		return nil, fmt.Errorf("lsm: parsing manifest of %q: %w", name, err)
 	}
-	t := &Table{
-		opts: Options{
-			Name: m.Options.Name, Schema: m.Options.Schema,
-			IndexColumn: m.Options.IndexColumn, IndexType: m.Options.IndexType,
-			IndexParams: m.Options.IndexParams, AutoIndex: m.Options.AutoIndex,
-			TuneOnCompaction: m.Options.TuneOnCompaction,
-			PartitionBy:      m.Options.PartitionBy, ClusterBuckets: m.Options.ClusterBuckets,
-			SegmentRows: m.Options.SegmentRows, BlockRows: m.Options.BlockRows,
-			PipelinedBuild: m.Options.PipelinedBuild, Seed: m.Options.Seed,
-		},
-		store:    store,
-		segments: map[string]*storage.SegmentMeta{},
-		readers:  map[string]*storage.SegmentReader{},
-		deletes:  map[string]*bitset.Bitset{},
-		nextSeg:  m.NextSeg,
-		hist:     m.Hist,
-	}
-	if t.hist == nil {
-		t.hist = map[string]*Histogram{}
+	t := newTable(store, m.Options)
+	t.nextSeg = m.NextSeg
+	if m.Hist != nil {
+		t.hist = m.Hist
 	}
 	if m.CentDim > 0 {
 		t.centroids = &vec.Matrix{Dim: m.CentDim, Data: m.Centroids}
 	}
+	// One List names every delete bitmap the table has, so a segment
+	// enters the first Version with its bitmap and none is probed.
+	keys, err := store.List(segmentsPrefix(name)) // sorted
+	if err != nil {
+		return nil, fmt.Errorf("lsm: listing segments of %q: %w", name, err)
+	}
+	segs := make([]*Segment, 0, len(m.Segments))
 	for _, seg := range m.Segments {
 		sm, err := storage.ReadMeta(store, name, seg)
 		if err != nil {
 			return nil, fmt.Errorf("lsm: loading segment %s: %w", seg, err)
 		}
-		t.addSegmentLocked(sm) // not yet shared: no lock to hold
+		var del *bitset.Bitset
+		key := storage.DeleteBitmapKey(name, seg)
+		if _, ok := slices.BinarySearch(keys, key); ok {
+			blob, err := store.Get(key)
+			if err != nil {
+				return nil, fmt.Errorf("lsm: loading delete bitmap of %s: %w", seg, err)
+			}
+			del = new(bitset.Bitset)
+			if err := del.UnmarshalBinary(blob); err != nil {
+				return nil, fmt.Errorf("lsm: corrupt delete bitmap of %s: %w", seg, err)
+			}
+		}
+		segs = append(segs, t.newSegment(sm, del))
 	}
+	t.publish(func(next *Version) { next.Segments = segs })
 	t.flushedLSN = m.FlushedLSN
 	// Crash recovery: WAL records past the flushed watermark are the
 	// acknowledged writes a crash interrupted — fold them into
@@ -281,12 +270,7 @@ func (t *Table) replayWAL() error {
 		if err != nil {
 			return err
 		}
-		t.mu.Lock()
-		for _, m := range metas {
-			t.addSegmentLocked(m)
-		}
-		t.updateHistogramsLocked(b)
-		t.mu.Unlock()
+		t.publish(func(next *Version) { t.addLocked(next, metas, b) })
 		return nil
 	}
 	for _, rec := range pending {
@@ -325,21 +309,13 @@ func (t *Table) replayWAL() error {
 // manifestBlobLocked marshals the catalog; caller holds t.mu.
 func (t *Table) manifestBlobLocked() ([]byte, error) {
 	m := manifest{
-		Options: manifestOptions{
-			Name: t.opts.Name, Schema: t.opts.Schema,
-			IndexColumn: t.opts.IndexColumn, IndexType: t.opts.IndexType,
-			IndexParams: t.opts.IndexParams, AutoIndex: t.opts.AutoIndex,
-			TuneOnCompaction: t.opts.TuneOnCompaction,
-			PartitionBy:      t.opts.PartitionBy, ClusterBuckets: t.opts.ClusterBuckets,
-			SegmentRows: t.opts.SegmentRows, BlockRows: t.opts.BlockRows,
-			PipelinedBuild: t.opts.PipelinedBuild, Seed: t.opts.Seed,
-		},
+		Options:    t.opts,
 		NextSeg:    t.nextSeg,
 		Hist:       t.hist,
 		FlushedLSN: t.flushedLSN,
 	}
-	for name := range t.segments {
-		m.Segments = append(m.Segments, name)
+	for _, s := range t.cur.Segments {
+		m.Segments = append(m.Segments, s.Meta.Name)
 	}
 	if t.centroids != nil {
 		m.Centroids = t.centroids.Data
@@ -378,34 +354,24 @@ func (t *Table) Options() Options { return t.opts }
 // Store returns the backing blob store.
 func (t *Table) Store() storage.BlobStore { return t.store }
 
-// Segments snapshots the live segment metadata.
+// Segments lists the live segments' metadata, sorted by name.
 func (t *Table) Segments() []*storage.SegmentMeta {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	out := make([]*storage.SegmentMeta, 0, len(t.segments))
-	for _, m := range t.segments {
-		out = append(out, m)
+	segs := t.current().Segments
+	out := make([]*storage.SegmentMeta, len(segs))
+	for i, s := range segs {
+		out[i] = s.Meta
 	}
 	return out
 }
 
 // SegmentCount returns the number of live segments.
-func (t *Table) SegmentCount() int {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return len(t.segments)
-}
+func (t *Table) SegmentCount() int { return len(t.current().Segments) }
 
 // Rows returns the live row count (total minus deleted).
 func (t *Table) Rows() int {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
 	n := 0
-	for name, m := range t.segments {
-		n += m.Rows
-		if d := t.deletes[name]; d != nil {
-			n -= d.Count()
-		}
+	for _, s := range t.current().Segments {
+		n += s.Meta.Rows - s.deletedRows()
 	}
 	return n
 }
@@ -418,81 +384,52 @@ func (t *Table) Centroids() *vec.Matrix {
 	return t.centroids
 }
 
-// DeleteBitmap returns the segment's delete bitmap, loading it from
-// the store on first use. A nil return means no rows are deleted.
-func (t *Table) DeleteBitmap(seg string) (*bitset.Bitset, error) {
-	return t.DeleteBitmapCtx(nil, seg)
+// addLocked puts freshly written segments (no row deleted yet) into
+// next and folds their rows into the table histograms. Caller holds
+// t.mu: it is a publish edit.
+func (t *Table) addLocked(next *Version, metas []*storage.SegmentMeta, rows *storage.RowBatch) {
+	for _, m := range metas {
+		next.Segments = append(next.Segments, t.newSegment(m, nil))
+	}
+	if rows.Len() > 0 {
+		t.updateHistogramsLocked(rows)
+	}
 }
 
-// DeleteBitmapCtx is DeleteBitmap bounded by a context: a fired
-// deadline aborts the (remote) blob read on a cache miss.
-func (t *Table) DeleteBitmapCtx(ctx context.Context, seg string) (*bitset.Bitset, error) {
-	t.mu.RLock()
-	if d, ok := t.deletes[seg]; ok {
-		t.mu.RUnlock()
-		return d, nil
+// OpenIndex loads a live segment's vector index from the store,
+// bypassing any cache.
+func (t *Table) OpenIndex(seg string) (index.Index, error) {
+	s := t.current().Segment(seg)
+	if s == nil {
+		return nil, fmt.Errorf("lsm: segment %q not live", seg)
 	}
-	t.mu.RUnlock()
-	// A miss is cached too: a segment with no deletions would otherwise
-	// pay a remote round trip per query re-probing a blob that isn't
-	// there.
-	var d *bitset.Bitset
-	blob, err := storage.GetCtx(ctx, t.store, storage.DeleteBitmapKey(t.opts.Name, seg))
-	switch {
-	case err == nil:
-		d = new(bitset.Bitset)
-		if err := d.UnmarshalBinary(blob); err != nil {
-			return nil, fmt.Errorf("lsm: corrupt delete bitmap of %s: %w", seg, err)
-		}
-	case !storage.IsNotFound(err):
+	return t.LoadIndex(nil, s)
+}
+
+// LoadIndex loads the segment's vector index from the store, bounded
+// by ctx: a fired deadline or cancel aborts the blob read.
+func (t *Table) LoadIndex(ctx context.Context, s *Segment) (index.Index, error) {
+	blob, err := storage.GetCtx(ctx, t.store, storage.IndexKey(t.opts.Name, s.Meta.Name, t.opts.IndexColumn))
+	if err != nil {
 		return nil, err
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	// A DELETE (markDeleted) or a compaction that installed an entry
-	// while the store was read holds what the store now says, or newer.
-	if cur, ok := t.deletes[seg]; ok {
-		return cur, nil
+	return t.decodeIndex(s, blob)
+}
+
+// decodeIndex builds the segment's index from its blob, wired to read
+// exact vectors through the segment's reader.
+func (t *Table) decodeIndex(s *Segment, blob []byte) (index.Index, error) {
+	// Auto-index parameters are recomputed from the segment's row
+	// count, which is stable.
+	ix, err := index.New(t.opts.IndexType, t.buildParamsFor(s.Meta.Rows))
+	if err != nil {
+		return nil, err
 	}
-	t.deletes[seg] = d
-	return d, nil
-}
-
-// addSegmentLocked registers a segment with the reader every query of
-// it shares (a reader is immutable); caller holds t.mu.
-func (t *Table) addSegmentLocked(m *storage.SegmentMeta) {
-	t.segments[m.Name] = m
-	t.readers[m.Name] = &storage.SegmentReader{Store: t.store, Meta: m, Schema: t.opts.Schema}
-}
-
-// Reader returns the column reader of a live segment.
-func (t *Table) Reader(seg string) (*storage.SegmentReader, error) {
-	t.mu.RLock()
-	rd, ok := t.readers[seg]
-	t.mu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("lsm: segment %q not live", seg)
+	if err := ix.Load(blob); err != nil {
+		return nil, fmt.Errorf("lsm: loading index of %s: %w", s.Meta.Name, err)
 	}
-	return rd, nil
-}
-
-// OpenIndex loads the per-segment vector index from the store,
-// bypassing any cache (workers wrap this with the hierarchical
-// cache; tests and single-node paths call it directly).
-func (t *Table) OpenIndex(seg string) (index.Index, error) {
-	return t.OpenIndexCtx(nil, seg)
-}
-
-// OpenIndexCtx is OpenIndex bounded by a context: a fired deadline or
-// cancel aborts the index blob read.
-func (t *Table) OpenIndexCtx(ctx context.Context, seg string) (index.Index, error) {
-	t.mu.RLock()
-	m, ok := t.segments[seg]
-	t.mu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("lsm: segment %q not live", seg)
-	}
-	return t.loadIndexForMetaCtx(ctx, m)
+	t.wireRefine(ix, s.Reader)
+	return ix, nil
 }
 
 // IndexKeyOf returns the blob key of a segment's ANN index.
@@ -500,18 +437,18 @@ func (t *Table) IndexKeyOf(seg string) string {
 	return storage.IndexKey(t.opts.Name, seg, t.opts.IndexColumn)
 }
 
-// IndexLoaderFor returns a deserializer closure for the segment's
+// IndexLoaderFor returns a deserializer closure for a live segment's
 // index blob — this is what workers hand to the hierarchical cache.
 func (t *Table) IndexLoaderFor(meta *storage.SegmentMeta) func(blob []byte) (any, int64, error) {
+	s := t.current().Segment(meta.Name)
 	return func(blob []byte) (any, int64, error) {
-		ix, err := t.newIndexFor(meta)
+		if s == nil {
+			return nil, 0, fmt.Errorf("lsm: segment %q not live", meta.Name)
+		}
+		ix, err := t.decodeIndex(s, blob)
 		if err != nil {
 			return nil, 0, err
 		}
-		if err := ix.Load(blob); err != nil {
-			return nil, 0, err
-		}
-		t.wireRefine(ix, meta)
 		return ix, ix.MemoryBytes(), nil
 	}
 }
@@ -526,7 +463,7 @@ type rawRefiner interface {
 // vectors from the segment's vector column — the paper's "RFlat"
 // re-rank. The column is fetched lazily once per loaded index and held
 // for the index's cache lifetime.
-func (t *Table) wireRefine(ix index.Index, meta *storage.SegmentMeta) {
+func (t *Table) wireRefine(ix index.Index, rd *storage.SegmentReader) {
 	rr, ok := ix.(rawRefiner)
 	if !ok {
 		return
@@ -535,7 +472,6 @@ func (t *Table) wireRefine(ix index.Index, meta *storage.SegmentMeta) {
 		once sync.Once
 		col  *storage.ColumnData
 	)
-	rd := &storage.SegmentReader{Store: t.store, Meta: meta, Schema: t.opts.Schema}
 	vcol := t.opts.IndexColumn
 	rr.SetRawProvider(func(id int64, out []float32) bool {
 		once.Do(func() {
@@ -550,32 +486,4 @@ func (t *Table) wireRefine(ix index.Index, meta *storage.SegmentMeta) {
 		copy(out, col.Vector(int(id)))
 		return true
 	})
-}
-
-func (t *Table) loadIndexForMeta(m *storage.SegmentMeta) (index.Index, error) {
-	return t.loadIndexForMetaCtx(nil, m)
-}
-
-func (t *Table) loadIndexForMetaCtx(ctx context.Context, m *storage.SegmentMeta) (index.Index, error) {
-	blob, err := storage.GetCtx(ctx, t.store, storage.IndexKey(t.opts.Name, m.Name, t.opts.IndexColumn))
-	if err != nil {
-		return nil, err
-	}
-	ix, err := t.newIndexFor(m)
-	if err != nil {
-		return nil, err
-	}
-	if err := ix.Load(blob); err != nil {
-		return nil, fmt.Errorf("lsm: loading index of %s: %w", m.Name, err)
-	}
-	t.wireRefine(ix, m)
-	return ix, nil
-}
-
-// newIndexFor constructs an empty index with the same parameters used
-// at build time for the segment (auto-index parameters are recomputed
-// from the segment's row count, which is stable).
-func (t *Table) newIndexFor(m *storage.SegmentMeta) (index.Index, error) {
-	p := t.buildParamsFor(m.Rows)
-	return index.New(t.opts.IndexType, p)
 }

@@ -50,9 +50,11 @@ func (t *Table) DeleteByKeyCtx(ctx context.Context, pkCol string, keys []int64) 
 	if err != nil {
 		return 0, err
 	}
+	// dmlMu keeps the memtable set as it is: only a seal, a flush and
+	// Drop change it, and they hold dmlMu too.
+	v := t.current()
 	marked := 0
-	all, active := t.memtables()
-	for _, m := range all {
+	for _, m := range v.memtables() {
 		marked += m.DeleteByKey(pkCol, keys)
 	}
 	// Only the active memtable's watermark advances to the delete's
@@ -62,25 +64,11 @@ func (t *Table) DeleteByKeyCtx(ctx context.Context, pkCol string, keys []int64) 
 	// only in memory — losing acknowledged rows on crash. The delete
 	// itself needs no watermark protection: its segment bitmaps are
 	// persisted below and replaying a delete is idempotent.
-	if active != nil {
-		active.NoteLSN(lsn)
+	if v.mem != nil {
+		v.mem.NoteLSN(lsn)
 	}
 	n, err := t.deleteFromSegmentsLocked(pkCol, keys)
 	return marked + n, err
-}
-
-// memtables snapshots the live memtable set (sealed + active, oldest
-// first); active is nil when the WAL path has no open memtable.
-func (t *Table) memtables() (all []*wal.Memtable, active *wal.Memtable) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	all = make([]*wal.Memtable, 0, len(t.sealed)+1)
-	all = append(all, t.sealed...)
-	if t.mem != nil {
-		all = append(all, t.mem)
-		active = t.mem
-	}
-	return all, active
 }
 
 func (t *Table) validateKeyCol(pkCol string) error {
@@ -97,15 +85,20 @@ func (t *Table) validateKeyCol(pkCol string) error {
 // deleteFromSegments marks keyed rows deleted in segment bitmaps (the
 // pre-WAL delete path, still used directly by replay and flush-off
 // tables). It takes dmlMu so bitmap application is atomic with respect
-// to both memtable flushes and compaction's bitmap-snapshot→catalog-swap
-// window; callers already under dmlMu use deleteFromSegmentsLocked.
+// to both memtable flushes and compaction's late-delete diff and swap;
+// callers already under dmlMu use deleteFromSegmentsLocked.
 func (t *Table) deleteFromSegments(pkCol string, keys []int64) (int, error) {
 	t.dmlMu.Lock()
 	defer t.dmlMu.Unlock()
 	return t.deleteFromSegmentsLocked(pkCol, keys)
 }
 
-// deleteFromSegmentsLocked is deleteFromSegments with dmlMu held.
+// deleteFromSegmentsLocked is deleteFromSegments with dmlMu held, which
+// keeps the segment set and every bitmap as they are until it
+// publishes. Each segment with a newly deleted row gets a copy of its
+// bitmap with those bits set; every copy is persisted before any is
+// published, so a held Version never changes and a DELETE whose Put
+// fails hides no row.
 func (t *Table) deleteFromSegmentsLocked(pkCol string, keys []int64) (int, error) {
 	if err := t.validateKeyCol(pkCol); err != nil {
 		return 0, err
@@ -114,12 +107,15 @@ func (t *Table) deleteFromSegmentsLocked(pkCol string, keys []int64) (int, error
 	for _, k := range keys {
 		want[k] = true
 	}
+	v, _ := t.Acquire()
+	defer v.Release()
 	marked := 0
-	for _, meta := range t.Segments() {
+	changed := map[string]*bitset.Bitset{}
+	for _, s := range v.Segments {
 		// Min/max pruning: skip segments that can't contain any key.
 		anyInRange := false
 		for k := range want {
-			if !meta.PruneByInt(pkCol, k, k) {
+			if !s.Meta.PruneByInt(pkCol, k, k) {
 				anyInRange = true
 				break
 			}
@@ -127,57 +123,49 @@ func (t *Table) deleteFromSegmentsLocked(pkCol string, keys []int64) (int, error
 		if !anyInRange {
 			continue
 		}
-		rd := &storage.SegmentReader{Store: t.store, Meta: meta, Schema: t.opts.Schema}
-		col, err := rd.ReadColumn(pkCol)
+		col, err := s.Reader.ReadColumn(pkCol)
 		if err != nil {
-			return marked, fmt.Errorf("lsm: reading key column of %s: %w", meta.Name, err)
+			return 0, fmt.Errorf("lsm: reading key column of %s: %w", s.Meta.Name, err)
 		}
-		var hits []int
-		for r, v := range col.Ints {
-			if want[v] {
-				hits = append(hits, r)
+		var bm *bitset.Bitset
+		for r, k := range col.Ints {
+			if !want[k] || s.Deletes != nil && s.Deletes.Test(r) {
+				continue
 			}
+			switch {
+			case bm != nil:
+			case s.Deletes != nil:
+				bm = s.Deletes.Clone()
+			default:
+				bm = bitset.New(s.Meta.Rows)
+			}
+			bm.Set(r)
+			marked++
 		}
-		if len(hits) == 0 {
+		if bm == nil {
 			continue
 		}
-		n, err := t.markDeleted(meta.Name, meta.Rows, hits)
-		if err != nil {
-			return marked, err
+		blob, err := bm.MarshalBinary()
+		if err == nil {
+			err = t.store.Put(storage.DeleteBitmapKey(t.opts.Name, s.Meta.Name), blob)
 		}
-		marked += n
+		if err != nil {
+			return 0, fmt.Errorf("lsm: persisting delete bitmap of %s: %w", s.Meta.Name, err)
+		}
+		changed[s.Meta.Name] = bm
+	}
+	if len(changed) > 0 {
+		t.publish(func(next *Version) {
+			for i, s := range next.Segments {
+				if bm := changed[s.Meta.Name]; bm != nil {
+					c := *s
+					c.Deletes = bm
+					next.Segments[i] = &c
+				}
+			}
+		})
 	}
 	return marked, nil
-}
-
-// markDeleted sets the given row offsets in the segment's delete
-// bitmap and persists it. Rows already deleted are not recounted.
-func (t *Table) markDeleted(seg string, segRows int, rows []int) (int, error) {
-	bm, err := t.DeleteBitmap(seg)
-	if err != nil {
-		return 0, err
-	}
-	t.mu.Lock()
-	if bm == nil {
-		bm = bitset.New(segRows)
-		t.deletes[seg] = bm
-	}
-	n := 0
-	for _, r := range rows {
-		if !bm.Test(r) {
-			bm.Set(r)
-			n++
-		}
-	}
-	blob, err := bm.MarshalBinary()
-	t.mu.Unlock()
-	if err != nil {
-		return n, err
-	}
-	if err := t.store.Put(storage.DeleteBitmapKey(t.opts.Name, seg), blob); err != nil {
-		return n, fmt.Errorf("lsm: persisting delete bitmap of %s: %w", seg, err)
-	}
-	return n, nil
 }
 
 // Update replaces rows by primary key: rows in newRows whose pkCol
@@ -213,13 +201,9 @@ func (t *Table) UpdateCtx(ctx context.Context, pkCol string, newRows *storage.Ro
 // DeletedRows returns the total number of rows currently marked
 // deleted (awaiting compaction).
 func (t *Table) DeletedRows() int {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
 	n := 0
-	for _, d := range t.deletes {
-		if d != nil {
-			n += d.Count()
-		}
+	for _, s := range t.current().Segments {
+		n += s.deletedRows()
 	}
 	return n
 }

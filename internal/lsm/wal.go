@@ -113,26 +113,24 @@ func (t *Table) EnableWAL(cfg WALConfig) error {
 		doneCh:  make(chan struct{}),
 		spaceCh: make(chan struct{}),
 	}
-	t.mu.Lock()
-	t.memGen++
-	t.mem = wal.NewMemtable(t.opts.Schema, t.memGen)
-	for _, rec := range pending {
-		switch rec.Type {
-		case wal.RecInsert:
-			t.appendLocked(rec.Batch, rec.LSN)
-		case wal.RecDelete:
-			t.mem.DeleteByKey(rec.DeleteCol, rec.DeleteKeys)
-			t.mem.NoteLSN(rec.LSN) // sole memtable here, so it is the active one
-		}
-	}
-	t.mu.Unlock()
-	if len(pending) > 0 {
-		// Segment bitmaps for replayed deletes (memtable handled above).
+	t.publish(func(next *Version) {
+		t.memGen++
+		next.mem = wal.NewMemtable(t.opts.Schema, t.memGen)
 		for _, rec := range pending {
-			if rec.Type == wal.RecDelete {
-				if _, err := t.deleteFromSegments(rec.DeleteCol, rec.DeleteKeys); err != nil {
-					return err
-				}
+			switch rec.Type {
+			case wal.RecInsert:
+				appendTo(next.mem, rec.Batch, rec.LSN)
+			case wal.RecDelete:
+				next.mem.DeleteByKey(rec.DeleteCol, rec.DeleteKeys)
+				next.mem.NoteLSN(rec.LSN) // sole memtable here, so it is the active one
+			}
+		}
+	})
+	// Segment bitmaps for replayed deletes (memtable handled above).
+	for _, rec := range pending {
+		if rec.Type == wal.RecDelete {
+			if _, err := t.deleteFromSegments(rec.DeleteCol, rec.DeleteKeys); err != nil {
+				return err
 			}
 		}
 	}
@@ -153,7 +151,7 @@ func (t *Table) walApply(rec *wal.Record) {
 	defer t.mu.RUnlock()
 	switch rec.Type {
 	case wal.RecInsert:
-		t.appendLocked(rec.Batch, rec.LSN)
+		appendTo(t.cur.mem, rec.Batch, rec.LSN)
 	case wal.RecDelete:
 		// Memtable + segment application is done by the DeleteByKeyCtx
 		// caller under dmlMu; the hook only orders the ack after
@@ -161,11 +159,11 @@ func (t *Table) walApply(rec *wal.Record) {
 	}
 }
 
-// appendLocked applies an acknowledged insert to the active memtable
+// appendTo applies an acknowledged insert to the active memtable m
 // and counts it in the memtable gauges. Caller holds t.mu, read or
 // write: a memtable is retired only under the write lock.
-func (t *Table) appendLocked(batch *storage.RowBatch, lsn int64) {
-	mMemBytes.Add(t.mem.Append(batch, lsn))
+func appendTo(m *wal.Memtable, batch *storage.RowBatch, lsn int64) {
+	mMemBytes.Add(m.Append(batch, lsn))
 	mMemRows.Add(int64(batch.Len()))
 }
 
@@ -208,7 +206,8 @@ func (t *Table) InsertCtx(ctx context.Context, batch *storage.RowBatch) error {
 	mWALInserts.Inc()
 	t.mu.RLock()
 	// A table dropped since the append holds no memtable.
-	over := t.mem != nil && (t.mem.Rows() >= ws.cfg.MaxMemRows || t.mem.Bytes() >= ws.cfg.MaxMemBytes)
+	m := t.cur.mem
+	over := m != nil && (m.Rows() >= ws.cfg.MaxMemRows || m.Bytes() >= ws.cfg.MaxMemBytes)
 	t.mu.RUnlock()
 	if over {
 		kickFlush(ws)
@@ -227,7 +226,7 @@ func kickFlush(ws *walState) {
 func (t *Table) waitForSpace(ctx context.Context, ws *walState) error {
 	for {
 		t.mu.RLock()
-		n := len(t.sealed)
+		n := len(t.cur.sealed)
 		ch := ws.spaceCh
 		t.mu.RUnlock()
 		if n < ws.cfg.MaxSealed {
@@ -279,14 +278,16 @@ func (t *Table) flushOnce(ws *walState) error {
 	t.dmlMu.Lock()
 	defer t.dmlMu.Unlock()
 	start := obs.Now()
-	t.mu.Lock()
-	if t.mem != nil && t.mem.Rows() > 0 {
-		t.sealed = append(t.sealed, t.mem)
-		t.memGen++
-		t.mem = wal.NewMemtable(t.opts.Schema, t.memGen)
+	cur := t.current() // dmlMu keeps its memtable set current
+	sealed := cur.sealed
+	if cur.mem != nil && cur.mem.Rows() > 0 {
+		t.publish(func(next *Version) {
+			next.sealed = append(next.sealed, next.mem)
+			t.memGen++
+			next.mem = wal.NewMemtable(t.opts.Schema, t.memGen)
+			sealed = next.sealed
+		})
 	}
-	sealed := append([]*wal.Memtable(nil), t.sealed...)
-	t.mu.Unlock()
 	if len(sealed) == 0 {
 		return nil
 	}
@@ -302,30 +303,27 @@ func (t *Table) flushOnce(ws *walState) error {
 				return err // memtable stays sealed + visible; retried next tick
 			}
 		}
-		t.mu.Lock()
-		for _, meta := range metas {
-			t.addSegmentLocked(meta)
-		}
-		if live.Len() > 0 {
-			t.updateHistogramsLocked(live)
-		}
-		// Delete clears the vacated slot, so the backing array does not
-		// keep the flushed rows alive until a later seal overwrites it.
-		if i := slices.Index(t.sealed, m); i >= 0 {
-			t.sealed = slices.Delete(t.sealed, i, i+1)
-			retire(m)
-		}
-		// Backlog space just freed — wake writers blocked on
-		// backpressure now rather than after the whole run, so a later
-		// memtable's flush error can't strand them behind space that
-		// already exists.
-		close(ws.spaceCh)
-		ws.spaceCh = make(chan struct{})
-		if snap.MaxLSN > t.flushedLSN {
-			t.flushedLSN = snap.MaxLSN
-		}
-		watermark := t.flushedLSN
-		t.mu.Unlock()
+		var watermark int64
+		t.publish(func(next *Version) {
+			t.addLocked(next, metas, live)
+			// Delete clears the vacated slot, so the backing array does
+			// not keep the flushed rows alive until a later seal
+			// overwrites it.
+			if i := slices.Index(next.sealed, m); i >= 0 {
+				next.sealed = slices.Delete(next.sealed, i, i+1)
+				retire(m)
+			}
+			// Backlog space just freed — wake writers blocked on
+			// backpressure now rather than after the whole run, so a
+			// later memtable's flush error can't strand them behind space
+			// that already exists.
+			close(ws.spaceCh)
+			ws.spaceCh = make(chan struct{})
+			if snap.MaxLSN > t.flushedLSN {
+				t.flushedLSN = snap.MaxLSN
+			}
+			watermark = t.flushedLSN
+		})
 		if err := t.saveManifest(); err != nil {
 			return err
 		}
@@ -383,26 +381,15 @@ func (t *Table) stopWAL() *walState {
 func (t *Table) Drop() error {
 	t.stopWAL()
 	t.dmlMu.Lock()
-	t.mu.Lock()
-	for _, m := range t.sealed {
-		retire(m)
-	}
-	if t.mem != nil {
-		retire(t.mem)
-	}
-	t.mem, t.sealed = nil, nil
-	t.mu.Unlock()
-	t.dmlMu.Unlock()
-	keys, err := t.store.List("tables/" + t.opts.Name + "/")
-	if err != nil {
-		return err
-	}
-	for _, k := range keys {
-		if err := t.store.Delete(k); err != nil {
-			return err
+	t.dropped.Store(true)
+	t.publish(func(next *Version) {
+		for _, m := range next.memtables() {
+			retire(m)
 		}
-	}
-	return nil
+		next.Segments, next.sealed, next.mem = nil, nil, nil
+	})
+	t.dmlMu.Unlock()
+	return t.deleteBlobs("tables/" + t.opts.Name + "/")
 }
 
 // FlushWAL forces a synchronous flush of the memtable (tests and
@@ -465,44 +452,9 @@ func (t *Table) FlushedLSN() int64 {
 // MemRows returns the rows currently buffered in memtables (including
 // sealed ones, excluding delete marks).
 func (t *Table) MemRows() int {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
 	n := 0
-	if t.mem != nil {
-		n += t.mem.Rows()
-	}
-	for _, m := range t.sealed {
+	for _, m := range t.current().memtables() {
 		n += m.Rows()
 	}
 	return n
-}
-
-// QueryView is one query's consistent snapshot of the table: the
-// segment catalog plus frozen memtable snapshots, captured under a
-// single lock so a concurrent flush can never show the same row twice
-// (memtable and new segment) or not at all.
-type QueryView struct {
-	Segments []*storage.SegmentMeta
-	Mem      []*wal.MemSnapshot
-}
-
-// View captures a consistent QueryView.
-func (t *Table) View() QueryView {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	v := QueryView{Segments: make([]*storage.SegmentMeta, 0, len(t.segments))}
-	for _, m := range t.segments {
-		v.Segments = append(v.Segments, m)
-	}
-	// Rows only grow: an empty memtable is asked before it is snapshotted
-	// (ten allocations a query for nothing).
-	for _, m := range t.sealed {
-		if m.Rows() > 0 {
-			v.Mem = append(v.Mem, m.Snapshot())
-		}
-	}
-	if t.mem != nil && t.mem.Rows() > 0 {
-		v.Mem = append(v.Mem, t.mem.Snapshot())
-	}
-	return v
 }

@@ -15,6 +15,7 @@ import (
 	"blendhouse/internal/index"
 	"blendhouse/internal/storage"
 	"blendhouse/internal/testutil"
+	"blendhouse/internal/wal"
 )
 
 // walTestConfig disables every automatic flush trigger so tests control
@@ -34,20 +35,20 @@ func crashWAL(tab *Table) { tab.stopWAL() }
 // so two tables can be compared for byte-identical query results.
 func tableContents(t *testing.T, tab *Table) []string {
 	t.Helper()
+	v, mem := tab.Acquire()
+	defer v.Release()
+	return versionContents(t, v, mem)
+}
+
+// versionContents is tableContents read through one acquired Version.
+func versionContents(t *testing.T, v *Version, mem []*wal.MemSnapshot) []string {
+	t.Helper()
 	var out []string
-	view := tab.View()
 	fp := func(id int64, label string, score float64, v []float32) string {
 		return fmt.Sprintf("%d|%s|%.9f|%v", id, label, score, v)
 	}
-	for _, m := range view.Segments {
-		rd, err := tab.Reader(m.Name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		bm, err := tab.DeleteBitmap(m.Name)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, s := range v.Segments {
+		rd, bm, m := s.Reader, s.Deletes, s.Meta
 		ids, err := rd.ReadColumn("id")
 		if err != nil {
 			t.Fatal(err)
@@ -71,7 +72,7 @@ func tableContents(t *testing.T, tab *Table) []string {
 			out = append(out, fp(ids.Ints[r], labels.Strs[r], scores.Floats[r], vecs.Vector(r)))
 		}
 	}
-	for _, snap := range view.Mem {
+	for _, snap := range mem {
 		ids, labels, scores, vecs := snap.Col("id"), snap.Col("label"), snap.Col("score"), snap.Col("embedding")
 		for r := 0; r < snap.Rows(); r++ {
 			if !snap.Alive(r) {
@@ -307,11 +308,8 @@ func TestWALConcurrentInsertsDurable(t *testing.T) {
 	}
 	// No duplicates: every id 0..total-1 appears exactly once.
 	seen := map[int64]int{}
-	for _, m := range tab.Segments() {
-		rd, err := tab.Reader(m.Name)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, s := range liveSegments(tab) {
+		rd := s.Reader
 		ids, err := rd.ReadColumn("id")
 		if err != nil {
 			t.Fatal(err)

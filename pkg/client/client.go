@@ -40,9 +40,9 @@ import (
 	"blendhouse/pkg/api"
 )
 
-// Options is the resolved form of a statement's Option list. Prefer
+// Options is the resolved form of a statement's Option list, built by
 // the functional options (WithTimeout, WithMaxParallelism,
-// WithTraceID); the struct remains for QueryWith-era call sites.
+// WithTraceID).
 type Options struct {
 	// Timeout bounds the statement server-side (sent as timeout_ms and
 	// enforced inside the engine, queue wait included). 0 = the
@@ -128,15 +128,6 @@ const traceIDHeader = api.TraceIDHeader
 // Query executes one statement and materializes the result.
 func (c *Client) Query(ctx context.Context, query string, opts ...Option) (*Result, error) {
 	return c.roundTrip(ctx, "/v1/query", query, resolve(opts), "")
-}
-
-// QueryWith is Query with a resolved Options struct.
-//
-// Deprecated: use Query with functional options — Query(ctx, q,
-// client.WithTimeout(...), ...). This shim remains so pre-redesign
-// call sites keep compiling.
-func (c *Client) QueryWith(ctx context.Context, query string, opts Options) (*Result, error) {
-	return c.roundTrip(ctx, "/v1/query", query, opts, "")
 }
 
 // Exec executes a DDL/DML statement (CREATE TABLE, INSERT, DELETE,

@@ -13,7 +13,7 @@ import "time"
 // Functional options replaced the positional Options struct (PR 3)
 // once it started accreting fields: call sites now name exactly the
 // knobs they set, and new knobs never break existing callers. The
-// Options struct remains as the resolved form behind QueryWith.
+// Options struct is their resolved form.
 type Option func(*Options)
 
 // WithTimeout bounds the statement server-side (sent as timeout_ms

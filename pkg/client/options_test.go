@@ -49,9 +49,9 @@ func TestFunctionalOptions(t *testing.T) {
 	}
 }
 
-// TestQueryWithShimEquivalence: the deprecated struct shim and the
-// functional options produce identical wire requests.
-func TestQueryWithShimEquivalence(t *testing.T) {
+// TestQueryOptionOrderEquivalence: the functional options resolve to
+// one wire request whatever order they are given in.
+func TestQueryOptionOrderEquivalence(t *testing.T) {
 	var reqs []api.QueryRequest
 	srv, _ := fakeServer(t, func(w http.ResponseWriter) { respondResult(w) })
 	defer srv.Close()
@@ -63,9 +63,8 @@ func TestQueryWithShimEquivalence(t *testing.T) {
 	})
 
 	c := newTestClient(t, srv.URL, 0)
-	if _, err := c.QueryWith(context.Background(), "SELECT 1", Options{
-		Timeout: time.Second, MaxParallelism: 2,
-	}); err != nil {
+	if _, err := c.Query(context.Background(), "SELECT 1",
+		WithMaxParallelism(2), WithTimeout(time.Second)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.Query(context.Background(), "SELECT 1",
@@ -73,7 +72,7 @@ func TestQueryWithShimEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(reqs) != 2 || reqs[0] != reqs[1] {
-		t.Fatalf("shim and functional options diverged: %+v", reqs)
+		t.Fatalf("option order changed the request: %+v", reqs)
 	}
 }
 
