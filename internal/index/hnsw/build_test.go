@@ -486,10 +486,11 @@ func TestAddBytesBounded(t *testing.T) {
 
 // BenchmarkBuild builds at the standing benchmark's auto-index
 // parameters (M 8, ef_construction 80): its 3 000 × 128-d segment, and
-// 8 000 × 64-d rows. Both are batched; -cpu 1,2 shows what the second
-// core buys.
+// 8 000 × 64-d rows, both batched (-cpu 1,2 shows what the second core
+// buys); and a 750 × 128-d segment, under the batching threshold, so
+// built serially in one call.
 func BenchmarkBuild(b *testing.B) {
-	for _, c := range []struct{ n, dim int }{{3000, 128}, {8000, 64}} {
+	for _, c := range []struct{ n, dim int }{{3000, 128}, {8000, 64}, {750, 128}} {
 		b.Run(fmt.Sprintf("%dx%d", c.n, c.dim), func(b *testing.B) {
 			ds := dataset.Small(c.n, c.dim, 17)
 			ids := make([]int64, c.n)

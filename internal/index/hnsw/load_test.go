@@ -529,7 +529,7 @@ func TestMemoryBytesTracksSlabs(t *testing.T) {
 
 // smallBlob is a graph small enough to attack byte by byte, with
 // enough nodes to have upper layers.
-func smallBlob(t *testing.T, quantized bool) (index.BuildParams, []byte) {
+func smallBlob(t testing.TB, quantized bool) (index.BuildParams, []byte) {
 	t.Helper()
 	const n, dim = 60, 4
 	p := index.BuildParams{Dim: dim, Metric: vec.L2, M: 4, EfConstruction: 20, Seed: 2}.WithDefaults()

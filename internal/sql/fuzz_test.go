@@ -8,10 +8,12 @@ import (
 	"strconv"
 	"testing"
 	"time"
+	"unicode/utf8"
 )
 
 // FuzzParse: every input parses to a statement or an error — never a
-// panic, never both or neither — in bounded time. The seeds are every
+// panic, never both or neither — in bounded time, and every identifier
+// the lexer reads is valid UTF-8. The seeds are every
 // string literal in this package's other tests (every statement they
 // parse among them) and one statement of each shape the benchmark
 // sends.
@@ -44,6 +46,9 @@ func FuzzParse(f *testing.F) {
 		"SELECT id, ts, d FROM bench WHERE ts BETWEEN 1700000000000 AND 1700000999000 ORDER BY L2Distance(v, [0.5,0.25,-1,2]) AS d LIMIT 10",
 		"SELECT id, cls, d FROM bench WHERE cls < 50 ORDER BY L2Distance(v, [0.5,0.25,-1,2]) AS d LIMIT 10",
 		"DELETE FROM bench WHERE id IN (17,4,99)",
+		"SELECT * FROM tàble",
+		"SELECT id FROM t\u01c5x WHERE \u00a0x = 1",
+		"SELECT id FROM t\xc3 WHERE x\x85 = 1",
 	} {
 		f.Add(s)
 	}
@@ -56,5 +61,23 @@ func FuzzParse(f *testing.F) {
 		if (st == nil) == (err == nil) {
 			t.Fatalf("Parse(%q) = %v, %v: want a statement or an error", src, st, err)
 		}
+		if !identsValid(src) {
+			t.Fatalf("Tokenize(%q) read an identifier that is not valid UTF-8", src)
+		}
 	})
+}
+
+// identsValid reports whether every identifier the lexer reads from
+// src, up to its first error, is valid UTF-8.
+func identsValid(src string) bool {
+	l := NewLexer(src)
+	for {
+		tk, err := l.Next()
+		if err != nil || tk.Kind == TokEOF {
+			return true
+		}
+		if tk.Kind == TokIdent && !utf8.ValidString(tk.Text) {
+			return false
+		}
+	}
 }

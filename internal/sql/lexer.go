@@ -10,8 +10,10 @@ package sql
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // TokenKind classifies lexer output.
@@ -51,14 +53,18 @@ func (l *Lexer) Next() (Token, error) {
 	}
 	start := l.pos
 	c := l.src[l.pos]
+	r, size := l.runeAt(l.pos)
 	switch {
 	case c == '\'':
 		return l.lexString()
-	case isDigit(c) || (c == '-' && l.pos+1 < len(l.src) && isDigit(l.src[l.pos+1])):
-		return l.lexNumber()
-	case isIdentStart(c):
-		for l.pos < len(l.src) && isIdentPart(l.src[l.pos]) {
-			l.pos++
+	case l.atNumber():
+		l.scanNumber()
+		return Token{Kind: TokNumber, Text: l.src[start:l.pos], Pos: start}, nil
+	case isIdentStart(r):
+		for l.pos += size; l.pos < len(l.src); l.pos += size {
+			if r, size = l.runeAt(l.pos); !isIdentPart(r) {
+				break
+			}
 		}
 		return Token{Kind: TokIdent, Text: l.src[start:l.pos], Pos: start}, nil
 	case strings.ContainsRune("(),[];.*", rune(c)):
@@ -80,7 +86,7 @@ func (l *Lexer) Next() (Token, error) {
 		}
 		return Token{Kind: TokOp, Text: l.src[start:l.pos], Pos: start}, nil
 	default:
-		return Token{}, fmt.Errorf("sql: unexpected character %q at %d", c, start)
+		return Token{}, fmt.Errorf("sql: unexpected character %q at %d", r, start)
 	}
 }
 
@@ -89,13 +95,11 @@ func (l *Lexer) Next() (Token, error) {
 // elements separated by spaces alone are undercounted and grow by
 // append.
 func (l *Lexer) listLen(open int) int {
-	n := 1
-	for i := open + 1; i < len(l.src) && l.src[i] != ']'; i++ {
-		if l.src[i] == ',' {
-			n++
-		}
+	list := l.src[open+1:]
+	if end := strings.IndexByte(list, ']'); end >= 0 {
+		list = list[:end]
 	}
-	return n
+	return strings.Count(list, ",") + 1
 }
 
 func (l *Lexer) skipSpace() {
@@ -108,11 +112,29 @@ func (l *Lexer) skipSpace() {
 			}
 			continue
 		}
-		if !unicode.IsSpace(rune(c)) {
+		if c == ' ' || '\t' <= c && c <= '\r' {
+			l.pos++
+			continue
+		}
+		if c < utf8.RuneSelf {
 			return
 		}
-		l.pos++
+		r, size := utf8.DecodeRuneInString(l.src[l.pos:])
+		if !unicode.IsSpace(r) {
+			return
+		}
+		l.pos += size
 	}
+}
+
+// runeAt decodes the rune at src[i] and its width in bytes: a byte
+// is a rune only below utf8.RuneSelf, and an invalid byte is
+// utf8.RuneError, one byte wide.
+func (l *Lexer) runeAt(i int) (rune, int) {
+	if c := l.src[i]; c < utf8.RuneSelf {
+		return rune(c), 1
+	}
+	return utf8.DecodeRuneInString(l.src[i:])
 }
 
 func (l *Lexer) lexString() (Token, error) {
@@ -136,39 +158,106 @@ func (l *Lexer) lexString() (Token, error) {
 	return Token{}, fmt.Errorf("sql: unterminated string starting at %d", start)
 }
 
-func (l *Lexer) lexNumber() (Token, error) {
-	start := l.pos
-	if l.src[l.pos] == '-' {
-		l.pos++
+// atNumber reports whether a number starts at l.pos: a digit, or '-'
+// and a digit.
+func (l *Lexer) atNumber() bool {
+	src, i := l.src, l.pos
+	if i < len(src) && src[i] == '-' {
+		i++
 	}
-	seenDot, seenExp := false, false
-	for l.pos < len(l.src) {
-		c := l.src[l.pos]
-		if isDigit(c) {
-			l.pos++
-			continue
+	return i < len(src) && isDigit(src[i])
+}
+
+// pow10 holds the powers of ten that a float64 represents exactly.
+var pow10 = [...]float64{
+	1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11,
+	1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22,
+}
+
+// scanNumber moves l.pos past the number that starts there (atNumber):
+// digits with at most one '.', then at most one 'e' or 'E', an
+// optional sign and the exponent's digits. In the same pass it returns
+// the text's value as strconv.ParseFloat(text, 32) would, when it can
+// tell that value exactly, and ok false when it cannot.
+//
+// The exact path is Clinger's: a mantissa of at most 19 digits and
+// 2^53, times or over a power of ten of at most 22, is one correctly
+// rounded float64 operation. Its magnitude, 0 or within [1e-22,
+// 2^53·1e22], is inside float32's normal range, so rounding it to
+// float32 gives the correctly rounded float32 unless the float64 is a
+// float32 halfway point (its low 29 mantissa bits are 1<<28). That
+// case, an exponent with no digits (not a number to ParseFloat) and
+// everything past the limits — subnormal and overflowing values among
+// them — are left to ParseFloat.
+func (l *Lexer) scanNumber() (f float32, ok bool) {
+	src, i := l.src, l.pos
+	neg := src[i] == '-'
+	if neg {
+		i++
+	}
+	// The value is mant·10^exp over nd digits, the leading zeros among
+	// them; past 19 mant may wrap, and ok is false.
+	var mant uint64
+	from := i
+	for ; i < len(src) && isDigit(src[i]); i++ {
+		mant = mant*10 + uint64(src[i]-'0')
+	}
+	nd, exp := i-from, 0
+	if i < len(src) && src[i] == '.' {
+		i++
+		from = i
+		for ; i < len(src) && isDigit(src[i]); i++ {
+			mant = mant*10 + uint64(src[i]-'0')
 		}
-		if c == '.' && !seenDot && !seenExp {
-			seenDot = true
-			l.pos++
-			continue
+		exp = from - i
+		nd -= exp
+	}
+	ok = nd <= 19 && mant <= 1<<53
+	if i < len(src) && src[i]|0x20 == 'e' {
+		i++
+		eneg := i < len(src) && src[i] == '-'
+		if eneg || i < len(src) && src[i] == '+' {
+			i++
 		}
-		if (c == 'e' || c == 'E') && !seenExp && l.pos > start {
-			seenExp = true
-			l.pos++
-			if l.pos < len(l.src) && (l.src[l.pos] == '+' || l.src[l.pos] == '-') {
-				l.pos++
+		e, start := 0, i
+		for ; i < len(src) && isDigit(src[i]); i++ {
+			if e < 10000 { // capped far past ±22: a long exponent cannot overflow
+				e = e*10 + int(src[i]-'0')
 			}
-			continue
 		}
-		break
+		if eneg {
+			e = -e
+		}
+		exp += e
+		ok = ok && i > start
 	}
-	return Token{Kind: TokNumber, Text: l.src[start:l.pos], Pos: start}, nil
+	l.pos = i
+	if !ok {
+		return 0, false
+	}
+	v := float64(mant)
+	if mant != 0 {
+		if exp < -22 || exp > 22 {
+			return 0, false
+		}
+		if exp < 0 {
+			v /= pow10[-exp]
+		} else {
+			v *= pow10[exp]
+		}
+		if math.Float64bits(v)&(1<<29-1) == 1<<28 {
+			return 0, false
+		}
+	}
+	if neg {
+		v = -v
+	}
+	return float32(v), true
 }
 
 func isDigit(c byte) bool      { return c >= '0' && c <= '9' }
-func isIdentStart(c byte) bool { return c == '_' || unicode.IsLetter(rune(c)) }
-func isIdentPart(c byte) bool  { return isIdentStart(c) || isDigit(c) }
+func isIdentStart(r rune) bool { return r == '_' || unicode.IsLetter(r) }
+func isIdentPart(r rune) bool  { return isIdentStart(r) || '0' <= r && r <= '9' }
 
 // LeadsWith reports whether the first token of src is the keyword kw
 // (case-insensitive; leading space and comments skipped). It lexes one

@@ -11,9 +11,8 @@ import (
 // Parser is a hand-written recursive-descent parser with one token of
 // lookahead.
 type Parser struct {
-	lex  *Lexer
-	tok  Token
-	peek *Token
+	lex *Lexer
+	tok Token // the current token; lex stands just past it
 }
 
 // mParses counts Parse calls (bh.sql.parses). A served statement is
@@ -45,11 +44,6 @@ func Parse(src string) (Statement, error) {
 }
 
 func (p *Parser) advance() error {
-	if p.peek != nil {
-		p.tok = *p.peek
-		p.peek = nil
-		return nil
-	}
 	t, err := p.lex.Next()
 	if err != nil {
 		return err
@@ -638,29 +632,39 @@ func (p *Parser) literal() (any, error) {
 	}
 }
 
+// vectorLiteral parses [f, f, ...] in one pass over the source: the
+// elements are scanned in place with the lexer's own skipSpace and
+// number grammar, each converted as it is read, and no token is built
+// until the first thing that is neither an element nor a comma. That
+// one is lexed as a token, so a malformed list fails with the error,
+// and at the position, of a token-by-token parse. Separators are
+// optional; listLen sizes the one slice a non-empty list allocates.
 func (p *Parser) vectorLiteral() ([]float32, error) {
-	open := p.tok.Pos
-	if err := p.expectPunct("["); err != nil {
-		return nil, err
+	if p.tok.Kind != TokPunct || p.tok.Text != "[" {
+		return nil, p.expectPunct("[")
 	}
+	open, l := p.tok.Pos, p.lex
 	var out []float32
-	if p.tok.Kind == TokNumber {
-		out = make([]float32, 0, p.lex.listLen(open))
-	}
-	for p.tok.Kind == TokNumber {
-		f, err := strconv.ParseFloat(p.tok.Text, 32)
-		if err != nil {
-			return nil, fmt.Errorf("sql: bad vector element %q", p.tok.Text)
-		}
-		out = append(out, float32(f))
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
-		if p.tok.Kind == TokPunct && p.tok.Text == "," {
-			if err := p.advance(); err != nil {
-				return nil, err
+	for l.skipSpace(); l.atNumber(); l.skipSpace() {
+		start := l.pos
+		f, ok := l.scanNumber()
+		if !ok {
+			f64, err := strconv.ParseFloat(l.src[start:l.pos], 32)
+			if err != nil {
+				return nil, fmt.Errorf("sql: bad vector element %q", l.src[start:l.pos])
 			}
+			f = float32(f64)
 		}
+		if out == nil {
+			out = make([]float32, 0, l.listLen(open))
+		}
+		out = append(out, f)
+		if l.skipSpace(); l.pos < len(l.src) && l.src[l.pos] == ',' {
+			l.pos++
+		}
+	}
+	if err := p.advance(); err != nil {
+		return nil, err
 	}
 	if err := p.expectPunct("]"); err != nil {
 		return nil, err

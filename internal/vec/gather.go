@@ -1,12 +1,14 @@
 package vec
 
-// The 4-row kernel: one query (or anchor) against four rows that may
-// lie anywhere — a graph's neighbours, a heuristic's kept set, or
-// four contiguous rows of a scan. lanes4 (SSE on amd64, lanes4Go
-// elsewhere) keeps each row's four scalar-kernel lanes over the whole
-// groups of four dimensions; sum4 adds the dim%4 tail into lane 0 and
-// sums ((s0+s1)+s2)+s3, as L2Squared and Dot do, so every result is
-// bitwise the per-row Distance (DESIGN.md decision 23).
+// The gathered kernels: one query (or anchor) against rows that may
+// lie anywhere — a graph's neighbours, a heuristic's kept set — or
+// against contiguous rows of a scan. Both keep each row's four
+// scalar-kernel lanes over the whole groups of four dimensions, add
+// the dim%4 tail into lane 0 and sum ((s0+s1)+s2)+s3, as L2Squared and
+// Dot do, so every result is bitwise the per-row Distance (DESIGN.md
+// decision 23). GatherDistances walks its whole row list in one call
+// (gather: one SSE routine on amd64, rows4 elsewhere); the contiguous
+// L2SquaredBatch and DotBatch run rows4, four rows per lanes4 call.
 
 // GatherDistances computes out[k] = Distance(m, q, row rows[k] of
 // data) for every k in [0, len(rows)), where row r is
@@ -16,9 +18,9 @@ func GatherDistances(m Metric, q, data []float32, rows []uint32, out []float32) 
 	out = out[:len(rows)]
 	switch m {
 	case L2:
-		rows4(false, q, data, dim, rows, out)
+		gather(false, q, data, rows, out)
 	case InnerProduct:
-		rows4(true, q, data, dim, rows, out)
+		gather(true, q, data, rows, out)
 		for k := range out {
 			out[k] = -out[k]
 		}
@@ -36,7 +38,8 @@ func GatherDistances(m Metric, q, data []float32, rows []uint32, out []float32) 
 
 // rows4 sets out[k] to the squared L2 distance (with dot set, the inner
 // product) from q to row k of data — row rows[k] unless rows is nil —
-// four rows per kernel call; a short last group repeats its last row.
+// four rows per lanes4 call; a short last group repeats its last row.
+// It is the contiguous kernel everywhere and gather off amd64.
 func rows4(dot bool, q, data []float32, dim int, rows []uint32, out []float32) {
 	n := len(out)
 	for k := 0; k < n; k += 4 {
@@ -73,8 +76,8 @@ func sum4(dot bool, q []float32, xs *[4][]float32, s *[4][4]float32) (out [4]flo
 }
 
 // lanes4Go sets s[j][k] to what the scalar kernel's s_k accumulates for
-// row xs[j] over the whole groups of four dimensions: the kernel off
-// amd64, the test reference on it.
+// row xs[j] over the whole groups of four dimensions: lanes4 off
+// amd64, its test reference on it.
 func lanes4Go(dot bool, q []float32, xs *[4][]float32, s *[4][4]float32) {
 	n := len(q) &^ 3
 	q = q[:n]

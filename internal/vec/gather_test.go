@@ -7,11 +7,12 @@ import (
 	"testing"
 )
 
-// The 4-row kernel must be bitwise the scalar ones: HNSW builds its
-// graph out of its results, and a graph is only the same graph if every
-// accept test sees the same number. On amd64 lanes4 is the SSE loop,
-// checked lane for lane against lanes4Go and, summed, against the
-// scalar kernels; elsewhere it is lanes4Go.
+// The gathered kernels must be bitwise the scalar ones: HNSW builds
+// its graph out of their results, and a graph is only the same graph
+// if every accept test sees the same number. On amd64 gather and
+// lanes4 are SSE, checked against their Go references (rows4 over
+// lanes4Go, lane for lane) and against the scalar kernels; elsewhere
+// they are those references.
 
 var gatherDims = []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 31, 64, 96, 127, 128, 129, 768, 960}
 
@@ -34,15 +35,25 @@ func skipIfFused(t *testing.T) {
 	}
 }
 
-// checkGather4 runs the 4-row kernel and its Go reference over q and
-// four rows, L2 and inner product, and compares their lanes with each
-// other and their sums with the scalar kernel, bit for bit — or, with
-// nanBits unset, any NaN with any NaN.
+// checkGather4 runs the kernels and their Go references over q and
+// four rows, L2 and inner product, and compares lanes4's lanes with
+// lanes4Go's, and every sum — sum4 of either, gather over the four rows
+// (one 4-row step) and over each shorter prefix (1-row steps) — with
+// the scalar kernel, bit for bit — or, with nanBits unset, any NaN with
+// any NaN.
 func checkGather4(t *testing.T, what string, q []float32, xs [4][]float32, nanBits bool) {
 	t.Helper()
 	same := func(a, b float32) bool {
 		return bitsEqual(a, b) || !nanBits && a != a && b != b
 	}
+	// gather reads rows out of one store, one float off the 16-byte grid.
+	dim := len(q)
+	data := make([]float32, 1, 1+4*dim)
+	for _, x := range xs {
+		data = append(data, x...)
+	}
+	data = data[1:]
+	rows := []uint32{0, 1, 2, 3}
 	for _, dot := range []bool{false, true} {
 		scalar, name := L2Squared, "L2Squared"
 		if dot {
@@ -60,10 +71,15 @@ func checkGather4(t *testing.T, what string, q []float32, xs [4][]float32, nanBi
 			}
 		}
 		got, gotRef := sum4(dot, q, &xs, &lanes), sum4(dot, q, &xs, &ref)
-		for j, x := range xs {
-			if want := scalar(q, x); !same(got[j], want) || !same(gotRef[j], want) {
-				t.Fatalf("%s row %d: kernel %v (%#x), Go reference %v (%#x), %s %v (%#x)", what, j,
-					got[j], math.Float32bits(got[j]), gotRef[j], math.Float32bits(gotRef[j]), name, want, math.Float32bits(want))
+		for n := 0; n <= 4; n++ {
+			var gathered [4]float32
+			gather(dot, q, data, rows[:n], gathered[:])
+			for j, x := range xs[:n] {
+				if want := scalar(q, x); !same(gathered[j], want) || !same(got[j], want) || !same(gotRef[j], want) {
+					t.Fatalf("%s %d rows, row %d: gather %v (%#x), lanes4 %v (%#x), Go reference %v (%#x), %s %v (%#x)", what, n, j,
+						gathered[j], math.Float32bits(gathered[j]), got[j], math.Float32bits(got[j]),
+						gotRef[j], math.Float32bits(gotRef[j]), name, want, math.Float32bits(want))
+				}
 			}
 		}
 	}
@@ -143,10 +159,10 @@ func TestGatherDistancesBitwise(t *testing.T) {
 	for _, dim := range gatherDims {
 		data := randVec(rng, nRows*dim+1)[1:] // rows one float off the grid
 		q := randVec(rng, dim)
-		for n := 0; n <= 9; n++ {
+		for n := 0; n <= 17; n++ {
 			rows := make([]uint32, n)
 			for k := range rows {
-				rows[k] = uint32(rng.Intn(nRows / 2)) // repeats are common
+				rows[k] = uint32(rng.Intn(nRows)) // past 12 rows, repeats are certain
 			}
 			out := make([]float32, n)
 			for _, m := range []Metric{L2, InnerProduct, Cosine} {
@@ -163,14 +179,29 @@ func TestGatherDistancesBitwise(t *testing.T) {
 }
 
 // A row past the end of data is a caller bug that must fail as Go
-// slicing fails, never as a read beyond the slice.
+// slicing fails, never as a read beyond the slice: in a 4-row step, in
+// the 1-row tail, for a contiguous batch longer than its data; and so
+// must an out shorter than rows.
 func TestGatherDistancesBoundsChecked(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("gathering a row past the end of data did not panic")
-		}
-	}()
-	GatherDistances(L2, make([]float32, 8), make([]float32, 3*8), []uint32{0, 1, 2, 3}, make([]float32, 4))
+	const dim = 8
+	q, data := make([]float32, dim), make([]float32, 3*dim)
+	for name, call := range map[string]func(){
+		"4-row step":    func() { GatherDistances(L2, q, data, []uint32{0, 1, 2, 3}, make([]float32, 4)) },
+		"1-row tail":    func() { GatherDistances(InnerProduct, q, data, []uint32{0, 1, 2, 0, 3}, make([]float32, 5)) },
+		"beyond 2^32":   func() { GatherDistances(L2, q, data, []uint32{math.MaxUint32}, make([]float32, 1)) },
+		"short row":     func() { GatherDistances(L2, q, data[:3*dim-1:3*dim-1], []uint32{2}, make([]float32, 1)) },
+		"contiguous":    func() { L2SquaredBatch(q, data, dim, make([]float32, 4)) },
+		"out too short": func() { GatherDistances(L2, q, data, []uint32{0, 1}, make([]float32, 1)) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: gathering a row past the end of data did not panic", name)
+				}
+			}()
+			call()
+		}()
+	}
 }
 
 // BenchmarkGather scores 32 rows scattered over a 3 000-row store, the
