@@ -3,7 +3,9 @@
 // LSM engine vary enormously in size across levels, and build
 // parameters — above all K_IVF, the number of coarse centroids — must
 // track the segment's row count N or search performance collapses
-// (paper Figure 7). Two mechanisms are provided, matching the paper:
+// (paper Figure 7). Below MinIndexRows rows no index pays for its
+// build, and SelectType picks an exact flat scan. Two mechanisms size
+// the rest, matching the paper:
 //
 //   - Rules: instant K_IVF/M/ef selection from N via the faiss
 //     guidelines (K ≈ 4·√N, ≥ ~39 training points per centroid),
@@ -20,6 +22,31 @@ import (
 
 	"blendhouse/internal/index"
 )
+
+// MinIndexRows is the row count below which a segment is not worth an
+// approximate index. Measured at M 8, efC 80, ef 64, 128-d, on one core
+// of a 2-vCPU Xeon container: a 750-row HNSW graph searches in 21–25 µs
+// against 19–26 µs for a full exact scan and costs about 1 700 scans to
+// build, while at 3 000 rows the graph is twice as fast (35–45 µs
+// against 84–107 µs); DESIGN.md decision 25 has the table
+// (BenchmarkSmallSegmentSearch). Milvus, the paper's baseline, leaves
+// segments below minSegmentSizeToEnableIndex — 1 024 rows by default —
+// unindexed.
+//
+// It is not hnsw's batchMinRows, which happens to share the value: that
+// constant governs how a graph is built, this one whether it is.
+const MinIndexRows = 1024
+
+// SelectType returns the index type a segment of n rows gets in a table
+// of type t: index.Flat, an exact scan that needs no build, below
+// MinIndexRows, and t from there on. It applies to every type — an IVF
+// with 19 lists over 750 rows is no better a bargain than the graph.
+func SelectType(t index.Type, n int) index.Type {
+	if n < MinIndexRows {
+		return index.Flat
+	}
+	return t
+}
 
 // SelectIVFNlist returns the rule-based K_IVF for a segment of n rows:
 // 4·√N clamped so every centroid keeps at least minPointsPerCentroid

@@ -121,3 +121,20 @@ func TestTuneValidation(t *testing.T) {
 		t.Fatal("misaligned truth should fail")
 	}
 }
+
+// TestSelectType: every table type gives way to an exact flat index
+// below MinIndexRows rows and keeps its own from there on.
+func TestSelectType(t *testing.T) {
+	for _, typ := range []index.Type{index.Flat, index.HNSW, index.HNSWSQ, index.IVFFlat, index.IVFPQ, index.IVFPQFS, index.DiskANN} {
+		for _, n := range []int{0, 1, 750, MinIndexRows - 1} {
+			if got := SelectType(typ, n); got != index.Flat {
+				t.Errorf("SelectType(%s, %d) = %s, want %s", typ, n, got, index.Flat)
+			}
+		}
+		for _, n := range []int{MinIndexRows, 3000, 1 << 20} {
+			if got := SelectType(typ, n); got != typ {
+				t.Errorf("SelectType(%s, %d) = %s, want %s", typ, n, got, typ)
+			}
+		}
+	}
+}

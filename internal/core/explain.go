@@ -3,12 +3,15 @@ package core
 import (
 	"context"
 	"fmt"
+	"sort"
+	"strings"
 	"time"
 
 	"blendhouse/internal/exec"
 	"blendhouse/internal/obs"
 	"blendhouse/internal/plan"
 	"blendhouse/internal/sql"
+	"blendhouse/internal/storage"
 )
 
 // planLetter maps strategies onto the paper's plan letters (§IV-A).
@@ -72,7 +75,8 @@ func (e *Engine) planLines(ph *plan.Physical, maxPar int) []string {
 	} else {
 		lines = append(lines, fmt.Sprintf("plan: %s (%s)", planLetter(ph.Strategy), ph.Strategy))
 	}
-	lines = append(lines, fmt.Sprintf("table: %s (%d segments, %d rows)", lg.Table, t.SegmentCount(), t.Rows()))
+	segs := t.Segments()
+	lines = append(lines, fmt.Sprintf("table: %s (%d segments%s, %d rows)", lg.Table, len(segs), segmentKinds(segs), t.Rows()))
 	if s, a, b, c, ok := e.planner.CostBreakdown(lg, t); ok {
 		lines = append(lines, fmt.Sprintf("selectivity: %.4g", s))
 		if ph.EstCost > 0 {
@@ -94,6 +98,30 @@ func (e *Engine) planLines(ph *plan.Physical, maxPar int) []string {
 		lines = append(lines, fmt.Sprintf("parallelism: %d (per-segment worker pool)", ex.Parallelism(maxPar)))
 	}
 	return lines
+}
+
+// segmentKinds counts segments by the index type each was built with,
+// as ": 12 flat, 4 hnsw"; empty when no segment has an index. Under
+// auto-index a small segment is an exact flat scan.
+func segmentKinds(segs []*storage.SegmentMeta) string {
+	counts := map[string]int{}
+	for _, m := range segs {
+		if m.IndexType != "" {
+			counts[strings.ToLower(m.IndexType)]++
+		}
+	}
+	if len(counts) == 0 {
+		return ""
+	}
+	kinds := make([]string, 0, len(counts))
+	for k := range counts {
+		kinds = append(kinds, k)
+	}
+	sort.Strings(kinds)
+	for i, k := range kinds {
+		kinds[i] = fmt.Sprintf("%d %s", counts[k], k)
+	}
+	return ": " + strings.Join(kinds, ", ")
 }
 
 // showMetrics renders the process-wide registry as a two-column result.

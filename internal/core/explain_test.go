@@ -41,6 +41,27 @@ func TestExplainPlanOnly(t *testing.T) {
 	}
 }
 
+// TestExplainCountsSegmentKinds: the table line says what each segment
+// is. Under auto-index the three segments of 200, 200 and 100 rows are
+// all under autoindex.MinIndexRows, so each is an exact flat scan.
+func TestExplainCountsSegmentKinds(t *testing.T) {
+	for _, c := range []struct {
+		auto bool
+		want string
+	}{
+		{true, "table: images (3 segments: 3 flat, 500 rows)"},
+		{false, "table: images (3 segments: 3 hnsw, 500 rows)"},
+	} {
+		e := newEngine(t, Config{AutoIndex: c.auto})
+		ds := seedImages(t, e)
+		txt := explainText(t, e, fmt.Sprintf(
+			"EXPLAIN SELECT id FROM images ORDER BY L2Distance(embedding, %s) LIMIT 5", vecLit(ds.Queries.Row(0))))
+		if !strings.Contains(txt, c.want+"\n") {
+			t.Fatalf("auto-index %t: want %q in\n%s", c.auto, c.want, txt)
+		}
+	}
+}
+
 func TestExplainAnalyzeMultiSegment(t *testing.T) {
 	ccCfg := cache.DefaultColumnCacheConfig()
 	ccCfg.RowLimit = eN + 1 // admit everything: the tallies must move

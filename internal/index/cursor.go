@@ -162,3 +162,15 @@ func view[T float32 | uint32 | int64](c *Cursor, n int) ([]T, bool) {
 func (c *Cursor) Float32View(n int) ([]float32, bool) { return view[float32](c, n) }
 func (c *Cursor) Uint32View(n int) ([]uint32, bool)   { return view[uint32](c, n) }
 func (c *Cursor) Int64View(n int) ([]int64, bool)     { return view[int64](c, n) }
+
+// Lend returns the next n wire elements as a view of the blob where the
+// host and the address allow one (view, e.g. c.Float32View), and as a
+// copy decoded by decode (e.g. c.Float32s) where not.
+func Lend[T any](n int, view func(int) ([]T, bool), decode func([]T)) []T {
+	if v, ok := view(n); ok {
+		return v
+	}
+	out := make([]T, n)
+	decode(out)
+	return out
+}

@@ -177,9 +177,11 @@ func (ix *Index) SearchWithRange(q []float32, radius float32, filter index.Filte
 	return out, nil
 }
 
-// SearchIterator returns a native exact iterator: it computes and
-// sorts all distances once (on the blocked kernels), then streams them
-// in order.
+// SearchIterator returns a native exact iterator: it scores every row
+// once, on the blocked kernels, and each Next orders only the batch it
+// returns (index.SelectCandidates, then a sort of the batch), so a
+// post-filter search that stops after its first batch never sorts the
+// segment.
 func (ix *Index) SearchIterator(q []float32, _ index.SearchParams) (index.Iterator, error) {
 	if len(q) != ix.params.Dim {
 		return nil, fmt.Errorf("flat: query dim %d != index dim %d", len(q), ix.params.Dim)
@@ -190,16 +192,15 @@ func (ix *Index) SearchIterator(q []float32, _ index.SearchParams) (index.Iterat
 	for i, id := range ix.ids {
 		all[i] = index.Candidate{ID: id, Dist: dists[i]}
 	}
-	index.SortCandidates(all)
 	return &flatIterator{rest: all}, nil
 }
 
 type flatIterator struct{ rest []index.Candidate }
 
 func (it *flatIterator) Next(n int) ([]index.Candidate, error) {
-	if n > len(it.rest) {
-		n = len(it.rest)
-	}
+	n = max(0, min(n, len(it.rest)))
+	index.SelectCandidates(it.rest, n)
+	index.SortCandidates(it.rest[:n])
 	out := it.rest[:n:n]
 	it.rest = it.rest[n:]
 	return out, nil
@@ -237,7 +238,11 @@ func (ix *Index) SavedRows(blobLen int64) (off, length int64, ok bool) {
 	return blobLen - length, length, true
 }
 
-// Load restores an index written by Save.
+// Load restores an index written by Save. The ids and vectors are read
+// where they lie in the blob — ids at offset 16, vectors at 16 + 8n,
+// both aligned in any 8-aligned blob — and copied only where the host
+// or the address rules a view out (index.Lend); either way they have
+// cap == len, so AddWithIDs reallocates and never writes into the blob.
 func (ix *Index) Load(blob []byte) error {
 	c := index.NewCursor(blob)
 	m, dim, count := c.U32(), c.U32(), c.U64()
@@ -256,10 +261,8 @@ func (ix *Index) Load(blob []byte) error {
 		return index.Corruptf("flat: %d rows at dim %d do not match the %d payload bytes", count, dim, c.Remaining())
 	}
 	n := int(count)
-	ix.ids = make([]int64, n)
-	ix.data = make([]float32, n*int(dim))
-	c.Int64s(ix.ids)
-	c.Float32s(ix.data)
+	ix.ids = index.Lend(n, c.Int64View, c.Int64s)
+	ix.data = index.Lend(n*int(dim), c.Float32View, c.Float32s)
 	return nil
 }
 

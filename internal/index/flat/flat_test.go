@@ -143,6 +143,60 @@ func TestIteratorIsExactOrder(t *testing.T) {
 	}
 }
 
+// TestIteratorBatchesMatchFullSort: whatever the batch sizes, the
+// iterator streams exactly the sequence a full SortCandidates of every
+// row gives — ties (duplicate rows) by ID included — bit for bit.
+func TestIteratorBatchesMatchFullSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	const dim = 5
+	for _, n := range []int{0, 1, 2, 63, 64, 65, 300, 1000} {
+		ix := mk(t, dim)
+		data := make([]float32, n*dim)
+		for i := range data {
+			data[i] = float32(rng.Intn(7)) // few values: many exact ties
+		}
+		ids := rng.Perm(n)
+		ids64 := make([]int64, n)
+		for i, id := range ids {
+			ids64[i] = int64(id)
+		}
+		if err := ix.AddWithIDs(data, ids64); err != nil {
+			t.Fatal(err)
+		}
+		q := []float32{3, 1, 4, 1, 5}
+		want := make([]index.Candidate, n)
+		for i := range want {
+			want[i] = index.Candidate{ID: ids64[i], Dist: vec.L2Squared(q, data[i*dim:(i+1)*dim])}
+		}
+		index.SortCandidates(want)
+		for _, sizes := range [][]int{{1}, {16}, {7, 1, 100}, {n + 1}} {
+			it, err := ix.SearchIterator(q, index.SearchParams{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got []index.Candidate
+			for i := 0; ; i++ {
+				b, err := it.Next(sizes[i%len(sizes)])
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(b) == 0 {
+					break
+				}
+				got = append(got, b...)
+			}
+			if len(got) != n {
+				t.Fatalf("n=%d batches %v: %d candidates", n, sizes, len(got))
+			}
+			for i := range got {
+				if got[i].ID != want[i].ID || math.Float32bits(got[i].Dist) != math.Float32bits(want[i].Dist) {
+					t.Fatalf("n=%d batches %v: position %d is %+v, full sort %+v", n, sizes, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}
+
 // The fused blocked/early-abandoning scan must return byte-identical
 // candidates to a naive per-row vec.Distance scan feeding the same
 // top-k heap, across metrics, odd sizes, and filtered variants.

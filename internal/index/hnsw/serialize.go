@@ -179,24 +179,13 @@ func (ix *Index) Load(blob []byte) error {
 	return nil
 }
 
-// lend returns the next n wire elements as a view of the blob where the
-// host and the address allow one, and as a decoded copy where not.
-func lend[T any](n int, view func(int) ([]T, bool), decode func([]T)) []T {
-	if v, ok := view(n); ok {
-		return v
-	}
-	out := make([]T, n)
-	decode(out)
-	return out
-}
-
 // viewGraph takes a v3 graph section: the node columns and the layer-0
 // adjacency stay in the blob, checked but not moved; the upper layers'
 // records are decoded as in every version.
 func (ix *Index) viewGraph(c *index.Cursor, g *graph, n, entry, top int) error {
-	g.ids = lend(n, c.Int64View, c.Int64s)
-	g.levels = lend(n, c.Uint32View, c.Uint32s)
-	off0 := lend(n+1, c.Uint32View, c.Uint32s)
+	g.ids = index.Lend(n, c.Int64View, c.Int64s)
+	g.levels = index.Lend(n, c.Uint32View, c.Uint32s)
+	off0 := index.Lend(n+1, c.Uint32View, c.Uint32s)
 	// A truncated column reads as zeros, which pass; readNodes reports it.
 	if off0[0] != 0 {
 		return index.Corruptf("hnsw: layer 0 starts at offset %d", off0[0])
@@ -206,7 +195,7 @@ func (ix *Index) viewGraph(c *index.Cursor, g *graph, n, entry, top int) error {
 			return index.Corruptf("hnsw: node %d level %d of %d, layer 0 at offsets %d to %d", i, level, top, off0[i], off0[i+1])
 		}
 	}
-	g.nbr0 = lend(c.Count(uint64(off0[n]), 4), c.Uint32View, c.Uint32s)
+	g.nbr0 = index.Lend(c.Count(uint64(off0[n]), 4), c.Uint32View, c.Uint32s)
 	if err := checkLayer(g.nbr0, g.levels, 0); err != nil {
 		return err
 	}
@@ -329,7 +318,7 @@ func (ix *Index) loadStore(c *index.Cursor, n int) error {
 		if c.Remaining() != 4*cnt {
 			return index.Corruptf("hnsw: %d trailing bytes", c.Remaining()-4*cnt)
 		}
-		st.data = lend(cnt, c.Float32View, c.Float32s)
+		st.data = index.Lend(cnt, c.Float32View, c.Float32s)
 		return nil
 	case *sqStore:
 		params := c.Bytes(c.Count(c.U64(), 1))

@@ -171,6 +171,37 @@ func SortCandidates(cs []Candidate) {
 	})
 }
 
+// SelectCandidates reorders cs so that cs[:n] holds the n candidates
+// SortCandidates would put first, in no particular order among
+// themselves: a quickselect on middle pivots, which sorts what is left
+// of cs instead should it take more than 64 rounds.
+func SelectCandidates(cs []Candidate, n int) {
+	lo, hi := 0, len(cs)
+	for round := 0; lo < n && n < hi; round++ {
+		if round == 64 {
+			SortCandidates(cs[lo:hi])
+			return
+		}
+		// Lomuto partition of cs[lo:hi] around its middle element.
+		mid, last := lo+(hi-lo)/2, hi-1
+		cs[mid], cs[last] = cs[last], cs[mid]
+		p := lo
+		for i := lo; i < last; i++ {
+			if candWorse(cs[last], cs[i]) {
+				cs[i], cs[p] = cs[p], cs[i]
+				p++
+			}
+		}
+		cs[p], cs[last] = cs[last], cs[p]
+		// cs[lo:p] rank before the pivot, now at p; cs[p+1:hi] do not.
+		if p >= n {
+			hi = p
+		} else {
+			lo = p + 1
+		}
+	}
+}
+
 // MergeTopK merges several already-sorted candidate lists into the
 // global k best — the final merge of partial per-segment results
 // (paper §II-C "merges the partial top-k results from multiple

@@ -233,3 +233,35 @@ func TestMergeTopKEquivalentToGlobalSort(t *testing.T) {
 		}
 	}
 }
+
+// TestSelectCandidatesPrefix: for every n, SelectCandidates leaves in
+// cs[:n] exactly the candidates a full sort puts there — ties on
+// distance broken by ID — including the already sorted and reversed
+// inputs a middle pivot must not degrade on.
+func TestSelectCandidatesPrefix(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	for _, size := range []int{0, 1, 2, 3, 17, 200} {
+		base := make([]Candidate, size)
+		for i := range base {
+			base[i] = Candidate{ID: int64(rng.Intn(1000)), Dist: float32(rng.Intn(5))}
+		}
+		sorted := append([]Candidate(nil), base...)
+		SortCandidates(sorted)
+		reversed := append([]Candidate(nil), sorted...)
+		for i, j := 0, len(reversed)-1; i < j; i, j = i+1, j-1 {
+			reversed[i], reversed[j] = reversed[j], reversed[i]
+		}
+		for _, in := range [][]Candidate{base, sorted, reversed} {
+			for n := 0; n <= size; n++ {
+				cs := append([]Candidate(nil), in...)
+				SelectCandidates(cs, n)
+				SortCandidates(cs[:n])
+				for i := 0; i < n; i++ {
+					if cs[i] != sorted[i] {
+						t.Fatalf("size %d, n %d: position %d is %+v, full sort %+v", size, n, i, cs[i], sorted[i])
+					}
+				}
+			}
+		}
+	}
+}

@@ -25,7 +25,12 @@ import (
 // memtable — the first three flush the memtable's rows in place, the
 // last compacts its live rows into a new batch. The table keeps its
 // segments in a map, so the manifest is hashed with its segment list
-// sorted.
+// sorted. Every segment there is an HNSW graph: the goldens were
+// written before auto-index gave a segment under
+// autoindex.MinIndexRows a flat index, and they keep that rule off.
+//
+// testdata/golden_flush_exact_sha256.json pins the same ingest with the
+// rule on, where every segment is flat.
 
 // flushGoldenTables shapes each golden table's options by name; the
 // table named "deletes" also deletes rows from its memtable.
@@ -40,8 +45,9 @@ func flushGoldenTables() map[string]func(*Options) {
 
 // flushedBlobHashes ingests 300 rows through the WAL into each golden
 // table, flushes once, and returns the hex SHA-256 of every blob in
-// the store by key.
-func flushedBlobHashes(t *testing.T) map[string]string {
+// the store by key. everySegment keeps the tables' HNSW type on
+// segments of every size.
+func flushedBlobHashes(t *testing.T, everySegment bool) map[string]string {
 	t.Helper()
 	ctx := context.Background()
 	ds := dataset.Small(lN, lDim, 3)
@@ -50,6 +56,7 @@ func flushedBlobHashes(t *testing.T) map[string]string {
 		store := storage.NewMemStore()
 		opts := testOptions(name)
 		opts.AutoIndex = true
+		opts.indexEverySegment = everySegment
 		shape(&opts)
 		tab, err := Create(store, opts)
 		if err != nil {
@@ -106,7 +113,21 @@ func TestFlushBytesUnchanged(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skip("golden flush hashes are amd64 bytes")
 	}
-	raw, err := os.ReadFile("testdata/golden_flush_sha256.json")
+	checkFlushGolden(t, "testdata/golden_flush_sha256.json", flushedBlobHashes(t, true))
+}
+
+// TestFlushExactBytesUnchanged: with every segment flat, no graph search
+// decides a byte of the flushed store (the index blob is the rows as
+// given), so the golden holds on every GOARCH.
+func TestFlushExactBytesUnchanged(t *testing.T) {
+	checkFlushGolden(t, "testdata/golden_flush_exact_sha256.json", flushedBlobHashes(t, false))
+}
+
+// checkFlushGolden compares the hashes of a flushed store with a golden
+// file, key for key in both directions.
+func checkFlushGolden(t *testing.T, golden string, got map[string]string) {
+	t.Helper()
+	raw, err := os.ReadFile(golden)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +135,6 @@ func TestFlushBytesUnchanged(t *testing.T) {
 	if err := json.Unmarshal(raw, &want); err != nil {
 		t.Fatal(err)
 	}
-	got := flushedBlobHashes(t)
 	for k, sum := range want {
 		if got[k] != sum {
 			t.Errorf("%s: a flush of the golden ingest writes sha256 %q, golden %s", k, got[k], sum)

@@ -164,9 +164,10 @@ func (t *Table) writeSegment(batch *storage.RowBatch, partition string, bucket, 
 		Name: segName, Table: t.opts.Name,
 		Partition: partition, Bucket: bucket, Level: level,
 	}
+	typ := t.indexTypeFor(batch.Len())
 	if t.opts.IndexColumn != "" {
 		base.IndexedColumn = t.opts.IndexColumn
-		base.IndexType = string(t.opts.IndexType)
+		base.IndexType = string(typ)
 	}
 
 	// An index type that saves its rows verbatim (index.RowKeeper) makes
@@ -174,7 +175,7 @@ func (t *Table) writeSegment(batch *storage.RowBatch, partition string, bucket, 
 	// and the segment's meta points its granules into the index blob.
 	indexed := t.opts.IndexColumn != "" && batch.Len() > 0
 	shared := ""
-	if indexed && t.indexKeepsRows(batch.Len()) {
+	if indexed && t.indexKeepsRows(typ, batch.Len()) {
 		shared = t.opts.IndexColumn
 	}
 
@@ -198,7 +199,7 @@ func (t *Table) writeSegment(batch *storage.RowBatch, partition string, bucket, 
 		writeColumns()
 	}
 	if indexed && (t.opts.PipelinedBuild || writeErr == nil) {
-		idxBlob, rowsOff, idxErr = t.buildIndexBlob(batch, level)
+		idxBlob, rowsOff, idxErr = t.buildIndexBlob(typ, batch, level)
 	}
 	wg.Wait()
 	if writeErr != nil {
@@ -226,10 +227,10 @@ func (t *Table) writeSegment(batch *storage.RowBatch, partition string, bucket, 
 	return meta, nil
 }
 
-// indexKeepsRows reports whether the table's index type saves the rows
+// indexKeepsRows reports whether an index of type typ saves the rows
 // it is given verbatim; a property of the type, asked of an empty index.
-func (t *Table) indexKeepsRows(n int) bool {
-	ix, _ := index.New(t.opts.IndexType, t.buildParamsFor(n)) // the build reports a failure
+func (t *Table) indexKeepsRows(typ index.Type, n int) bool {
+	ix, _ := index.New(typ, t.buildParamsFor(typ, n)) // the build reports a failure
 	rk, ok := ix.(index.RowKeeper)
 	if ok {
 		_, _, ok = rk.SavedRows(0)
@@ -237,32 +238,43 @@ func (t *Table) indexKeepsRows(n int) bool {
 	return ok
 }
 
-// buildParamsFor applies the auto-index rules for a segment of n rows.
-func (t *Table) buildParamsFor(n int) index.BuildParams {
+// indexTypeFor returns the index type a segment of n rows is built
+// with: under AutoIndex the one autoindex.SelectType picks (an exact
+// flat scan below autoindex.MinIndexRows), otherwise the table's.
+func (t *Table) indexTypeFor(n int) index.Type {
+	if t.opts.AutoIndex && !t.opts.indexEverySegment {
+		return autoindex.SelectType(t.opts.IndexType, n)
+	}
+	return t.opts.IndexType
+}
+
+// buildParamsFor applies the auto-index rules for an index of type typ
+// over n rows.
+func (t *Table) buildParamsFor(typ index.Type, n int) index.BuildParams {
 	p := t.opts.IndexParams
 	p.Seed = t.opts.Seed
 	if t.opts.AutoIndex {
-		p = autoindex.Apply(t.opts.IndexType, n, p)
+		p = autoindex.Apply(typ, n, p)
 	}
 	return p.WithDefaults()
 }
 
-// buildIndexBlob constructs the per-segment index over the batch's
-// vector column, with row offsets as IDs (paper §III-B), and
+// buildIndexBlob constructs the per-segment index of type typ over the
+// batch's vector column, with row offsets as IDs (paper §III-B), and
 // serializes it, returning the blob and where in it the column's rows
 // lie (-1 when the index does not keep them: index.RowKeeper). level > 0
 // marks compaction output, where the offline auto-tuner may refine the
 // rule-based parameters.
-func (t *Table) buildIndexBlob(batch *storage.RowBatch, level int) ([]byte, int64, error) {
+func (t *Table) buildIndexBlob(typ index.Type, batch *storage.RowBatch, level int) ([]byte, int64, error) {
 	vcol := batch.Col(t.opts.IndexColumn)
 	n := vcol.Len()
-	params := t.buildParamsFor(n)
+	params := t.buildParamsFor(typ, n)
 	if level > 0 && t.opts.TuneOnCompaction {
-		if tuned, ok := t.tuneParams(vcol, params); ok {
+		if tuned, ok := t.tuneParams(typ, vcol, params); ok {
 			params = tuned
 		}
 	}
-	ix, err := index.New(t.opts.IndexType, params)
+	ix, err := index.New(typ, params)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -299,8 +311,8 @@ func (t *Table) buildIndexBlob(batch *storage.RowBatch, level int) ([]byte, int6
 // Loading remains compatible because our index formats carry their
 // structural parameters in the blob; the constructed BuildParams only
 // steer construction.
-func (t *Table) tuneParams(vcol *storage.ColumnData, base index.BuildParams) (index.BuildParams, bool) {
-	switch t.opts.IndexType {
+func (t *Table) tuneParams(typ index.Type, vcol *storage.ColumnData, base index.BuildParams) (index.BuildParams, bool) {
+	switch typ {
 	case index.IVFFlat, index.IVFPQ, index.IVFPQFS:
 	default:
 		return base, false
@@ -327,7 +339,7 @@ func (t *Table) tuneParams(vcol *storage.ColumnData, base index.BuildParams) (in
 		}
 		truth[qi] = ids
 	}
-	result, err := autoindex.Tune(t.opts.IndexType, vcol.Def.Dim, vcol.Vecs, queries, truth, autoindex.TunerConfig{
+	result, err := autoindex.Tune(typ, vcol.Def.Dim, vcol.Vecs, queries, truth, autoindex.TunerConfig{
 		K: k, RecallTarget: 0.9,
 		Search: index.SearchParams{Nprobe: 8, RefineFactor: 4},
 	})

@@ -394,11 +394,11 @@ func TestAutoIndexParamsTrackSegmentSize(t *testing.T) {
 	if err := tab.Insert(fillBatch(t, opts, ds, 0, 500)); err != nil {
 		t.Fatal(err)
 	}
-	p := tab.buildParamsFor(500)
+	p := tab.buildParamsFor(index.IVFFlat, 500)
 	if p.Nlist != 12 { // 4*sqrt(500)=89 capped by 500/39=12
 		t.Fatalf("auto Nlist = %d, want 12", p.Nlist)
 	}
-	p2 := tab.buildParamsFor(100000)
+	p2 := tab.buildParamsFor(index.IVFFlat, 100000)
 	if p2.Nlist <= p.Nlist {
 		t.Fatalf("Nlist must grow with N: %d vs %d", p2.Nlist, p.Nlist)
 	}
@@ -523,6 +523,9 @@ func TestTuneOnCompactionRefinesIVFParams(t *testing.T) {
 	opts.TuneOnCompaction = true
 	opts.IndexParams = index.BuildParams{}
 	opts.SegmentRows = 150
+	// The merged 600 rows are under autoindex.MinIndexRows: keep IVF on
+	// every segment so that compaction builds, and tunes, one.
+	opts.indexEverySegment = true
 	tab, ds := newTestTable(t, opts)
 	for i := 0; i < 4; i++ {
 		if err := tab.Insert(fillBatch(t, opts, ds, i*150, 150)); err != nil {
@@ -539,8 +542,8 @@ func TestTuneOnCompactionRefinesIVFParams(t *testing.T) {
 	// The compacted segment's index must load and search fine with the
 	// tuned (non-rule) parameters.
 	m := tab.Segments()[0]
-	if m.Level != 1 {
-		t.Fatalf("level = %d", m.Level)
+	if m.Level != 1 || index.Type(m.IndexType) != index.IVFFlat {
+		t.Fatalf("level = %d, index type %q", m.Level, m.IndexType)
 	}
 	ix, err := tab.OpenIndex(m.Name)
 	if err != nil {

@@ -166,7 +166,7 @@ func TestIndexRowRangeIsTheColumn(t *testing.T) {
 				}
 			}
 			// A loaded index answers the same; an empty one says so up front.
-			empty, err := index.New(typ, tab.buildParamsFor(0))
+			empty, err := index.New(typ, tab.buildParamsFor(typ, 0))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -35,9 +35,16 @@ type Options struct {
 	IndexColumn string            `json:"index_column,omitempty"`
 	IndexType   index.Type        `json:"index_type,omitempty"`
 	IndexParams index.BuildParams `json:"index_params"`
-	// AutoIndex enables rule-based parameter selection per segment
-	// size (paper §III-B "Auto index").
+	// AutoIndex enables rule-based index selection per segment size
+	// (paper §III-B "Auto index"): a segment under
+	// autoindex.MinIndexRows rows gets an exact flat index, a larger one
+	// IndexType with parameters sized to its row count.
 	AutoIndex bool `json:"auto_index"`
+	// indexEverySegment keeps IndexType on segments of every size under
+	// AutoIndex. Only package tests set it: the flush golden pins the
+	// bytes of small graph segments. Being unexported, it never reaches
+	// the manifest.
+	indexEverySegment bool
 	// TuneOnCompaction runs the offline auto-tuner when compaction
 	// builds a merged segment's index, refining the rule-based
 	// parameters against sample queries drawn from the segment itself
@@ -417,12 +424,21 @@ func (t *Table) LoadIndex(ctx context.Context, s *Segment) (index.Index, error) 
 }
 
 // decodeIndex builds the segment's index from its blob, wired to read
-// exact vectors through the segment's reader.
+// exact vectors through the segment's reader. The index is of the type
+// the segment's meta records; a meta written before it recorded one
+// means the table's type.
 func (t *Table) decodeIndex(s *Segment, blob []byte) (index.Index, error) {
+	typ := index.Type(s.Meta.IndexType)
+	if typ == "" {
+		typ = t.opts.IndexType
+	}
 	// Auto-index parameters are recomputed from the segment's row
 	// count, which is stable.
-	ix, err := index.New(t.opts.IndexType, t.buildParamsFor(s.Meta.Rows))
+	ix, err := index.New(typ, t.buildParamsFor(typ, s.Meta.Rows))
 	if err != nil {
+		if s.Meta.IndexType != "" {
+			return nil, fmt.Errorf("lsm: index of %s: %w: %w", s.Meta.Name, err, index.ErrCorrupt)
+		}
 		return nil, err
 	}
 	if err := ix.Load(blob); err != nil {
