@@ -155,7 +155,7 @@ func runFig12(cfg Config) (*Report, error) {
 		})
 		return t.QPS, err
 	}
-	// Warm index caches and planner calibration before any measurement.
+	// Warm index caches before any measurement.
 	if _, err := runReads(); err != nil {
 		return nil, err
 	}
@@ -238,7 +238,7 @@ func runFig14(cfg Config) (*Report, error) {
 		}
 		return t.QPS, dataset.Recall(truth, got), nil
 	}
-	// Warm caches and calibration, then take the baseline.
+	// Warm caches, then take the baseline.
 	if _, _, err := measure(); err != nil {
 		return nil, err
 	}

@@ -196,7 +196,7 @@ func runFig17(cfg Config) (*Report, error) {
 			sel.Columns = []sql.SelectItem{{Name: "id"}, {Name: "similarity"}, {Name: "caption"}}
 			return sel
 		}
-		// Warm one query (calibration etc.) before measuring.
+		// Warm one query (index loads, caches) before measuring.
 		if ph, err := planner.Plan(mkSel(0), tab); err == nil {
 			if _, err := ex.Run(context.Background(), ph); err != nil {
 				return nil, err

@@ -162,7 +162,7 @@ func runFig15(cfg Config) (*Report, error) {
 				return nil, err
 			}
 			p := index.SearchParams{Ef: 32}
-			// Warm (index loads, cost calibration) before measuring.
+			// Warm (index loads) before measuring.
 			if _, err := s.Search(ds.Queries.Row(0), 10, lo, hi, p); err != nil {
 				return nil, err
 			}

@@ -19,12 +19,12 @@ import (
 	"blendhouse/internal/testutil"
 )
 
-// The cost model's strategy choice depends on machine-calibrated
-// constants and on k (at k=1 it prefers post-filter, which is
-// deliberately batch-ineligible — it shares no scan work). The
-// equivalence suite is about the shared passes, so pin a strategy
-// instead of inheriting whatever this machine's calibration picks:
-// pre-filter, and in TestBatchEquivalence brute force as well.
+// The cost model's strategy choice depends on selectivity and on k (at
+// k=1 it prefers post-filter, which is deliberately batch-ineligible —
+// it shares no scan work). The equivalence suite is about the shared
+// passes, so pin a strategy instead of inheriting whatever the cost
+// model picks: pre-filter, and in TestBatchEquivalence brute force as
+// well.
 var equivStrategy = plan.PreFilter
 
 // equivEngine builds a batching engine whose groups seal exactly when

@@ -118,3 +118,24 @@ func TestShowMetricsNonZeroAfterQueries(t *testing.T) {
 		t.Fatalf("plan counters (%d) < vector queries (%d)", plans, vals["bh.query.vector.total"])
 	}
 }
+
+// TestExplainCostsDeterministic: the cost constants are a committed
+// table, so two engines over the same data choose the same plans at
+// byte-identical estimated costs.
+func TestExplainCostsDeterministic(t *testing.T) {
+	var texts [2]string
+	for i := range texts {
+		e := newEngine(t, Config{})
+		ds := seedImages(t, e)
+		for _, where := range []string{"score > 0.99", "score > 0.5", "label = 'city'"} {
+			texts[i] += explainText(t, e, fmt.Sprintf(
+				"EXPLAIN SELECT id FROM images WHERE %s ORDER BY L2Distance(embedding, %s) LIMIT 5", where, vecLit(ds.Queries.Row(0))))
+		}
+	}
+	if strings.Count(texts[0], "est_cost: ") != 3 {
+		t.Fatalf("want an est_cost line per statement:\n%s", texts[0])
+	}
+	if texts[0] != texts[1] {
+		t.Fatalf("two engines over the same data explain differently:\n%s\nvs\n%s", texts[0], texts[1])
+	}
+}

@@ -1,16 +1,7 @@
 package plan
 
-import (
-	"math/rand"
-	"time"
-
-	"blendhouse/internal/bitset"
-	"blendhouse/internal/quant"
-	"blendhouse/internal/vec"
-)
-
-// CostParams carries the calibrated constants of the accuracy-aware
-// cost model (paper Table II). All values are seconds per unit.
+// CostParams carries the constants of the accuracy-aware cost model
+// (paper Table II). All values are seconds per unit.
 type CostParams struct {
 	// Cd: fetch a vector and compute a pairwise distance.
 	Cd float64
@@ -24,94 +15,26 @@ type CostParams struct {
 	Sigma float64
 }
 
-// DefaultCostParams is a reasonable prior (128-d vectors on a modern
-// core) used before calibration.
-func DefaultCostParams() CostParams {
-	return CostParams{Cd: 120e-9, Cc: 12e-9, Cp: 1.5e-9, CScan: 6e-9, Sigma: 2}
-}
+// The committed cost table: the medians of 20 fresh-process timings at
+// 128 dimensions (DESIGN.md decision 3). A plan is a pure function of
+// the statement and the table it reads, never of how fast this process
+// happened to run a loop.
+const (
+	perLane   = 0.53e-9 // Cd per dimension: one exact-distance lane
+	perLookup = 2.1e-9  // Cc per PQ sub-quantizer: one ADC table lookup
+)
 
-// Calibrate micro-measures the constants on this machine for the given
-// vector dimension — the engine runs it once per table at first query.
-func Calibrate(dim int) CostParams {
-	p := DefaultCostParams()
-	rng := rand.New(rand.NewSource(1))
-	const rows = 2000
-	data := make([]float32, rows*dim)
-	for i := range data {
-		data[i] = rng.Float32()
+// CostsFor returns the cost constants for dim-dimensional vectors: Cd
+// grows with the dimensions an exact distance reads, Cc with the
+// dim/4 sub-quantizers of the PQ codes an ADC scan reads.
+func CostsFor(dim int) CostParams {
+	return CostParams{
+		Cd:    float64(dim) * perLane,
+		Cc:    float64(max(1, dim/4)) * perLookup,
+		Cp:    1.13e-9,
+		CScan: 0.71e-9,
+		Sigma: 2,
 	}
-	q := data[:dim]
-
-	// Cd: exact distance over the matrix.
-	start := time.Now()
-	out := make([]float32, rows)
-	vec.DistancesTo(vec.L2, q, data, dim, out)
-	p.Cd = secsPer(start, rows)
-
-	// Cc: ADC over PQ codes (use a modest M so calibration is fast).
-	m := dim / 4
-	if m < 1 {
-		m = 1
-	}
-	for dim%m != 0 {
-		m--
-	}
-	if pq, err := quant.TrainPQ(data[:256*dim], dim, m, 8, 1); err == nil {
-		codes := make([]byte, rows*pq.CodeSize())
-		buf := make([]byte, pq.CodeSize())
-		for r := 0; r < rows; r++ {
-			pq.Encode(data[r*dim:(r+1)*dim], buf)
-			copy(codes[r*pq.CodeSize():], buf)
-		}
-		adc := pq.BuildADC(vec.L2, q)
-		start = time.Now()
-		var acc float32
-		for r := 0; r < rows; r++ {
-			acc += adc.Distance(codes[r*pq.CodeSize() : (r+1)*pq.CodeSize()])
-		}
-		_ = acc
-		p.Cc = secsPer(start, rows)
-	}
-
-	// Cp: bitmap tests.
-	bs := bitset.NewFull(rows)
-	start = time.Now()
-	hits := 0
-	for pass := 0; pass < 64; pass++ {
-		for r := 0; r < rows; r++ {
-			if bs.Test(r) {
-				hits++
-			}
-		}
-	}
-	_ = hits
-	p.Cp = secsPer(start, 64*rows)
-
-	// CScan: integer predicate evaluation.
-	ints := make([]int64, rows)
-	for i := range ints {
-		ints[i] = rng.Int63n(1000)
-	}
-	start = time.Now()
-	n := 0
-	for pass := 0; pass < 64; pass++ {
-		for _, v := range ints {
-			if v >= 100 && v < 900 {
-				n++
-			}
-		}
-	}
-	_ = n
-	p.CScan = secsPer(start, 64*rows)
-	return p
-}
-
-func secsPer(start time.Time, n int) float64 {
-	d := time.Since(start).Seconds() / float64(n)
-	if d <= 0 {
-		d = 1e-10
-	}
-	return d
 }
 
 // CostInputs summarize a query for the cost model.
@@ -244,25 +167,19 @@ func ChooseBatch(in BatchInputs) (bool, float64) {
 // VisitFractions derives β and γ from search parameters and the table
 // shape: graph indexes visit ~ef of n; IVF visits nprobe/nlist of the
 // lists. γ adds the traversal overhead of skipping blocked entries.
-func VisitFractions(params struct {
-	Ef, Nprobe, Nlist, N int
-	Graph                bool
-}) (beta, gamma float64) {
-	if params.N <= 0 {
+func VisitFractions(ef, nprobe, nlist, n int, graph bool) (beta, gamma float64) {
+	if n <= 0 {
 		return 0, 0
 	}
-	if params.Graph {
-		ef := params.Ef
+	if graph {
 		if ef <= 0 {
 			ef = 64
 		}
-		beta = float64(ef) / float64(params.N)
+		beta = float64(ef) / float64(n)
 	} else {
-		nlist := params.Nlist
 		if nlist <= 0 {
 			nlist = 64
 		}
-		nprobe := params.Nprobe
 		if nprobe <= 0 {
 			nprobe = 8
 		}

@@ -124,7 +124,7 @@ func TestBuildLogicalErrors(t *testing.T) {
 }
 
 func TestCostModelRegimes(t *testing.T) {
-	p := DefaultCostParams()
+	p := CostsFor(128)
 	// Tiny qualifying set (s small): brute force must win — the
 	// paper's 99%-filtered workload where "both BlendHouse and Milvus
 	// chose to use the brute force method".
@@ -152,7 +152,7 @@ func TestCostModelRegimes(t *testing.T) {
 }
 
 func TestCostMonotonicity(t *testing.T) {
-	p := DefaultCostParams()
+	p := CostsFor(128)
 	in := CostInputs{N: 100000, S: 0.5, K: 10, Beta: 0.01, Gamma: 0.013}
 	// Plan A cost grows with selectivity (more rows to distance).
 	lo := CostA(CostInputs{N: in.N, S: 0.1, K: in.K, Beta: in.Beta, Gamma: in.Gamma}, p)
@@ -172,37 +172,17 @@ func TestCostMonotonicity(t *testing.T) {
 	}
 }
 
-func TestCalibrateProducesSaneConstants(t *testing.T) {
-	p := Calibrate(16)
-	if p.Cd <= 0 || p.Cc <= 0 || p.Cp <= 0 || p.CScan <= 0 {
-		t.Fatalf("calibration produced non-positive constants: %+v", p)
-	}
-	// An exact distance must cost more than a bitmap test.
-	if p.Cd <= p.Cp {
-		t.Fatalf("Cd (%v) should exceed Cp (%v)", p.Cd, p.Cp)
-	}
-}
-
 func TestVisitFractions(t *testing.T) {
-	beta, gamma := VisitFractions(struct {
-		Ef, Nprobe, Nlist, N int
-		Graph                bool
-	}{Ef: 100, N: 10000, Graph: true})
+	beta, gamma := VisitFractions(100, 0, 0, 10000, true)
 	if beta != 0.01 || gamma <= beta {
 		t.Fatalf("graph fractions: beta=%v gamma=%v", beta, gamma)
 	}
-	beta, _ = VisitFractions(struct {
-		Ef, Nprobe, Nlist, N int
-		Graph                bool
-	}{Nprobe: 8, Nlist: 64, N: 10000})
+	beta, _ = VisitFractions(0, 8, 64, 10000, false)
 	if beta != 0.125 {
 		t.Fatalf("ivf beta = %v", beta)
 	}
 	// Clamped to 1.
-	beta, gamma = VisitFractions(struct {
-		Ef, Nprobe, Nlist, N int
-		Graph                bool
-	}{Ef: 50000, N: 100, Graph: true})
+	beta, gamma = VisitFractions(50000, 0, 0, 100, true)
 	if beta != 1 || gamma != 1 {
 		t.Fatalf("unclamped fractions: %v %v", beta, gamma)
 	}

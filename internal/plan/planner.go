@@ -44,9 +44,7 @@ type PlannerConfig struct {
 // Planner turns parsed SELECTs into physical plans. Safe for
 // concurrent use.
 type Planner struct {
-	cfg   PlannerConfig
-	costs CostParams
-	calib sync.Once
+	cfg PlannerConfig
 
 	cache   sync.Map // fingerprint -> *cachedPlan
 	hits    atomic.Int64
@@ -64,7 +62,7 @@ type cachedPlan struct {
 
 // NewPlanner returns a planner with the given toggles.
 func NewPlanner(cfg PlannerConfig) *Planner {
-	return &Planner{cfg: cfg, costs: DefaultCostParams()}
+	return &Planner{cfg: cfg}
 }
 
 // Stats reports plan-cache hits/misses and short-circuit count.
@@ -81,11 +79,6 @@ func (pl *Planner) Plan(sel *sql.Select, table *lsm.Table) (*Physical, error) {
 	if !lg.IsVectorQuery() {
 		return &Physical{Logical: lg, Strategy: BruteForce, Selectivity: 1}, nil
 	}
-	pl.calib.Do(func() {
-		if dim := len(lg.Distance.Query); dim > 0 {
-			pl.costs = Calibrate(dim)
-		}
-	})
 
 	// Short-circuit: structurally simple queries skip rule re-checking
 	// and full plan enumeration (paper §IV-C).
@@ -136,35 +129,15 @@ func (pl *Planner) decide(lg *Logical, table *lsm.Table) *Physical {
 		ph.Strategy = PreFilter
 		return ph
 	}
-	n := table.Rows()
-	opts := table.Options()
-	graph := opts.IndexType == index.HNSW || opts.IndexType == index.HNSWSQ || opts.IndexType == index.DiskANN
-	k := lg.K
-	if k <= 0 {
-		k = 100
-	}
-	ef := lg.Params.Ef
-	if ef < k {
-		ef = k
-	}
-	beta, gamma := VisitFractions(struct {
-		Ef, Nprobe, Nlist, N int
-		Graph                bool
-	}{Ef: ef, Nprobe: lg.Params.Nprobe, Nlist: opts.IndexParams.Nlist, N: n, Graph: graph})
-	strategy, cost := Choose(CostInputs{N: n, S: s, K: k, Beta: beta, Gamma: gamma}, pl.costs)
+	strategy, cost := Choose(costInputs(lg, table, s), CostsFor(len(lg.Distance.Query)))
 	ph.Strategy = strategy
 	ph.EstCost = cost
 	return ph
 }
 
-// CostBreakdown re-evaluates all three plan costs (Equations 1-3) for
-// EXPLAIN output. ok is false for scalar-only queries, where the cost
-// model never runs. Call after Plan so the constants are calibrated.
-func (pl *Planner) CostBreakdown(lg *Logical, table *lsm.Table) (s, costA, costB, costC float64, ok bool) {
-	if !lg.IsVectorQuery() {
-		return 0, 0, 0, 0, false
-	}
-	s = Selectivity(table, lg.ScalarPreds)
+// costInputs summarizes a vector query against table, at estimated
+// selectivity s, for the cost model.
+func costInputs(lg *Logical, table *lsm.Table, s float64) CostInputs {
 	n := table.Rows()
 	opts := table.Options()
 	graph := opts.IndexType == index.HNSW || opts.IndexType == index.HNSWSQ || opts.IndexType == index.DiskANN
@@ -172,16 +145,21 @@ func (pl *Planner) CostBreakdown(lg *Logical, table *lsm.Table) (s, costA, costB
 	if k <= 0 {
 		k = 100
 	}
-	ef := lg.Params.Ef
-	if ef < k {
-		ef = k
+	ef := max(lg.Params.Ef, k)
+	beta, gamma := VisitFractions(ef, lg.Params.Nprobe, opts.IndexParams.Nlist, n, graph)
+	return CostInputs{N: n, S: s, K: k, Beta: beta, Gamma: gamma}
+}
+
+// CostBreakdown re-evaluates all three plan costs (Equations 1-3) for
+// EXPLAIN output, on the inputs and constants decide chose by. ok is
+// false for scalar-only queries, where the cost model never runs.
+func (pl *Planner) CostBreakdown(lg *Logical, table *lsm.Table) (s, costA, costB, costC float64, ok bool) {
+	if !lg.IsVectorQuery() {
+		return 0, 0, 0, 0, false
 	}
-	beta, gamma := VisitFractions(struct {
-		Ef, Nprobe, Nlist, N int
-		Graph                bool
-	}{Ef: ef, Nprobe: lg.Params.Nprobe, Nlist: opts.IndexParams.Nlist, N: n, Graph: graph})
-	in := CostInputs{N: n, S: s, K: k, Beta: beta, Gamma: gamma}
-	return s, CostA(in, pl.costs), CostB(in, pl.costs), CostC(in, pl.costs), true
+	s = Selectivity(table, lg.ScalarPreds)
+	in, p := costInputs(lg, table, s), CostsFor(len(lg.Distance.Query))
+	return s, CostA(in, p), CostB(in, p), CostC(in, p), true
 }
 
 // isSimple classifies queries eligible for the short-circuit path:

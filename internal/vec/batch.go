@@ -3,8 +3,8 @@ package vec
 // Blocked distance kernels: every brute-force scan path (flat index,
 // exec plan A, IVF coarse probe, k-means assignment, PQ table build)
 // computes distances from ONE query to MANY contiguous rows.
-// L2SquaredBatch and DotBatch take them four at a time through the
-// 4-row kernel of gather.go; the threshold kernels process rows in
+// L2SquaredBatch and DotBatch gather them through the kernel of
+// gather.go, 256 rows per call; the threshold kernels process rows in
 // pairs that share the query-element loads, with exact reslicing for
 // bounds-check elimination. Each row keeps the same 4-accumulator lane
 // pattern as the scalar kernels in vec.go, which makes the results
@@ -28,10 +28,31 @@ package vec
 const abandonStride = 16
 
 // L2SquaredBatch computes out[r] = L2Squared(q, data[r*dim:(r+1)*dim])
-// for every r in [0, len(out)). Results are bitwise identical to the
-// per-row scalar kernel.
+// for every r in [0, len(out)), where dim == len(q). Results are
+// bitwise identical to the per-row scalar kernel.
 func L2SquaredBatch(q, data []float32, dim int, out []float32) {
-	rows4(false, q, data, dim, nil, out)
+	contiguous(false, q, data, dim, out)
+}
+
+// seq lists rows 0..255: the row list a contiguous chunk is gathered by.
+var seq = func() (rows [256]uint32) {
+	for i := range rows {
+		rows[i] = uint32(i)
+	}
+	return rows
+}()
+
+// contiguous runs gather over rows 0..len(out)-1 of data, one call per
+// chunk of up to len(seq) rows. gather strides rows by len(q), so a
+// dim that differs is a caller bug, not a stride.
+func contiguous(dot bool, q, data []float32, dim int, out []float32) {
+	if dim != len(q) {
+		panic("vec: batch kernel dim != len(q)")
+	}
+	for off := 0; off < len(out); off += len(seq) {
+		n := min(len(out)-off, len(seq))
+		gather(dot, q, data[off*dim:], seq[:n], out[off:off+n])
+	}
 }
 
 // L2SquaredBatchThreshold is L2SquaredBatch with early abandonment:
@@ -216,9 +237,10 @@ func L2SquaredThreshold(a, b []float32, thr float32) float32 {
 }
 
 // DotBatch computes out[r] = Dot(q, data[r*dim:(r+1)*dim]) for every
-// r in [0, len(out)), bitwise identical to the scalar kernel.
+// r in [0, len(out)), where dim == len(q), bitwise identical to the
+// scalar kernel.
 func DotBatch(q, data []float32, dim int, out []float32) {
-	rows4(true, q, data, dim, nil, out)
+	contiguous(true, q, data, dim, out)
 }
 
 // dotNorm computes Dot(a, b) and Dot(b, b) in one pass over b, each

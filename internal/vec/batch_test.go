@@ -69,6 +69,47 @@ func TestBatchKernelsDirectEntryPoints(t *testing.T) {
 	}
 }
 
+// TestBatchKernelsAcrossChunkSeam: the contiguous kernels gather 256
+// rows per call, so row counts on either side of one and two chunk
+// seams, over data exactly rows·dim long, must stay bitwise the scalar
+// kernels — no row lost, repeated or read past the end at a seam.
+func TestBatchKernelsAcrossChunkSeam(t *testing.T) {
+	skipIfFused(t)
+	rng := rand.New(rand.NewSource(13))
+	for _, dim := range []int{3, 96, 128, 129} {
+		for _, rows := range []int{255, 256, 257, 513} {
+			q := randVec(rng, dim)
+			data := randVec(rng, rows*dim)
+			data = data[:len(data):len(data)]
+			l2, dot := make([]float32, rows), make([]float32, rows)
+			L2SquaredBatch(q, data, dim, l2)
+			DotBatch(q, data, dim, dot)
+			for r := 0; r < rows; r++ {
+				row := data[r*dim : (r+1)*dim]
+				if want := L2Squared(q, row); !bitsEqual(l2[r], want) {
+					t.Fatalf("dim %d, %d rows, row %d: L2SquaredBatch %v, L2Squared %v", dim, rows, r, l2[r], want)
+				}
+				if want := Dot(q, row); !bitsEqual(dot[r], want) {
+					t.Fatalf("dim %d, %d rows, row %d: DotBatch %v, Dot %v", dim, rows, r, dot[r], want)
+				}
+			}
+		}
+	}
+}
+
+func TestBatchKernelsAllocateNothing(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	const dim, rows = 128, 600
+	q, data := randVec(rng, dim), randVec(rng, rows*dim)
+	out := make([]float32, rows)
+	if n := testing.AllocsPerRun(50, func() { L2SquaredBatch(q, data, dim, out) }); n != 0 {
+		t.Errorf("L2SquaredBatch: %v allocations per call", n)
+	}
+	if n := testing.AllocsPerRun(50, func() { DotBatch(q, data, dim, out) }); n != 0 {
+		t.Errorf("DotBatch: %v allocations per call", n)
+	}
+}
+
 // Threshold kernels: with an infinite threshold they are bitwise equal
 // to the plain kernels; with a finite threshold every non-abandoned
 // entry is exact and every abandoned entry is strictly above the

@@ -2,8 +2,17 @@
 
 package vec
 
+// gather sets out[k] from row rows[k] of data with the scalar kernel,
+// whose lanes the SSE routine of gather_amd64.s reproduces bit for bit.
 func gather(dot bool, q, data []float32, rows []uint32, out []float32) {
-	rows4(dot, q, data, len(q), rows, out)
+	dim := len(q)
+	out = out[:len(rows)]
+	for k, r := range rows {
+		x := data[int(r)*dim : int(r)*dim+dim]
+		if dot {
+			out[k] = Dot(q, x)
+		} else {
+			out[k] = L2Squared(q, x)
+		}
+	}
 }
-
-func lanes4(dot bool, q []float32, xs *[4][]float32, s *[4][4]float32) { lanes4Go(dot, q, xs, s) }

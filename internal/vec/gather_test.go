@@ -9,10 +9,8 @@ import (
 
 // The gathered kernels must be bitwise the scalar ones: HNSW builds
 // its graph out of their results, and a graph is only the same graph
-// if every accept test sees the same number. On amd64 gather and
-// lanes4 are SSE, checked against their Go references (rows4 over
-// lanes4Go, lane for lane) and against the scalar kernels; elsewhere
-// they are those references.
+// if every accept test sees the same number. On amd64 gather is SSE,
+// checked here against the scalar kernels; elsewhere it runs them.
 
 var gatherDims = []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 31, 64, 96, 127, 128, 129, 768, 960}
 
@@ -35,12 +33,10 @@ func skipIfFused(t *testing.T) {
 	}
 }
 
-// checkGather4 runs the kernels and their Go references over q and
-// four rows, L2 and inner product, and compares lanes4's lanes with
-// lanes4Go's, and every sum — sum4 of either, gather over the four rows
-// (one 4-row step) and over each shorter prefix (1-row steps) — with
-// the scalar kernel, bit for bit — or, with nanBits unset, any NaN with
-// any NaN.
+// checkGather4 runs gather over q and four rows, L2 and inner product,
+// as one 4-row step and over each shorter prefix (1-row steps), and
+// compares every result with the scalar kernel, bit for bit — or, with
+// nanBits unset, any NaN with any NaN.
 func checkGather4(t *testing.T, what string, q []float32, xs [4][]float32, nanBits bool) {
 	t.Helper()
 	same := func(a, b float32) bool {
@@ -59,26 +55,13 @@ func checkGather4(t *testing.T, what string, q []float32, xs [4][]float32, nanBi
 		if dot {
 			scalar, name = Dot, "Dot"
 		}
-		var lanes, ref [4][4]float32
-		lanes4(dot, q, &xs, &lanes)
-		lanes4Go(dot, q, &xs, &ref)
-		for j := range lanes {
-			for k := range lanes[j] {
-				if !same(lanes[j][k], ref[j][k]) {
-					t.Fatalf("%s %s row %d lane %d: lanes4 %v (%#x), lanes4Go %v (%#x)", what, name, j, k,
-						lanes[j][k], math.Float32bits(lanes[j][k]), ref[j][k], math.Float32bits(ref[j][k]))
-				}
-			}
-		}
-		got, gotRef := sum4(dot, q, &xs, &lanes), sum4(dot, q, &xs, &ref)
 		for n := 0; n <= 4; n++ {
 			var gathered [4]float32
 			gather(dot, q, data, rows[:n], gathered[:])
 			for j, x := range xs[:n] {
-				if want := scalar(q, x); !same(gathered[j], want) || !same(got[j], want) || !same(gotRef[j], want) {
-					t.Fatalf("%s %d rows, row %d: gather %v (%#x), lanes4 %v (%#x), Go reference %v (%#x), %s %v (%#x)", what, n, j,
-						gathered[j], math.Float32bits(gathered[j]), got[j], math.Float32bits(got[j]),
-						gotRef[j], math.Float32bits(gotRef[j]), name, want, math.Float32bits(want))
+				if want := scalar(q, x); !same(gathered[j], want) {
+					t.Fatalf("%s %d rows, row %d: gather %v (%#x), %s %v (%#x)", what, n, j,
+						gathered[j], math.Float32bits(gathered[j]), name, want, math.Float32bits(want))
 				}
 			}
 		}
@@ -181,7 +164,8 @@ func TestGatherDistancesBitwise(t *testing.T) {
 // A row past the end of data is a caller bug that must fail as Go
 // slicing fails, never as a read beyond the slice: in a 4-row step, in
 // the 1-row tail, for a contiguous batch longer than its data; and so
-// must an out shorter than rows.
+// must an out shorter than rows, and a contiguous stride other than
+// len(q).
 func TestGatherDistancesBoundsChecked(t *testing.T) {
 	const dim = 8
 	q, data := make([]float32, dim), make([]float32, 3*dim)
@@ -191,6 +175,7 @@ func TestGatherDistancesBoundsChecked(t *testing.T) {
 		"beyond 2^32":   func() { GatherDistances(L2, q, data, []uint32{math.MaxUint32}, make([]float32, 1)) },
 		"short row":     func() { GatherDistances(L2, q, data[:3*dim-1:3*dim-1], []uint32{2}, make([]float32, 1)) },
 		"contiguous":    func() { L2SquaredBatch(q, data, dim, make([]float32, 4)) },
+		"dim != len(q)": func() { DotBatch(q, data, dim-1, make([]float32, 2)) },
 		"out too short": func() { GatherDistances(L2, q, data, []uint32{0, 1}, make([]float32, 1)) },
 	} {
 		func() {
