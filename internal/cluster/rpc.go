@@ -12,6 +12,7 @@ import (
 	"blendhouse/internal/index"
 	"blendhouse/internal/lsm"
 	"blendhouse/internal/obs"
+	"blendhouse/internal/retry"
 	"blendhouse/internal/storage"
 )
 
@@ -89,7 +90,7 @@ func (vw *VW) serve(ctx context.Context, pw *Worker, table *lsm.Table, meta *sto
 	case TransportTCP:
 		return vw.serveTCP(ctx, pw, table, meta, q, k, p, filter)
 	default:
-		if err := sleepCtx(ctx, cfg.SimulatedRTT); err != nil {
+		if err := retry.Sleep(ctx, cfg.SimulatedRTT); err != nil {
 			return nil, err
 		}
 		pw.ServedSearches.Add(1)
@@ -255,14 +256,10 @@ func (vw *VW) serveTCP(ctx context.Context, pw *Worker, table *lsm.Table, meta *
 	}
 	var reply SearchReply
 	call := client.Go("Worker.Search", args, &reply, make(chan *rpc.Call, 1))
-	if ctx != nil {
-		select {
-		case <-call.Done:
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-	} else {
-		<-call.Done
+	select {
+	case <-call.Done:
+	case <-ctx.Done():
+		return nil, ctx.Err()
 	}
 	if call.Error != nil {
 		return nil, fmt.Errorf("cluster: rpc search via %s: %w", pw.ID, call.Error)

@@ -17,6 +17,7 @@ import (
 	"blendhouse/internal/index"
 	"blendhouse/internal/lsm"
 	"blendhouse/internal/obs"
+	"blendhouse/internal/retry"
 	"blendhouse/internal/storage"
 	"blendhouse/internal/vec"
 )
@@ -64,45 +65,34 @@ func newWorker(id string, vw *VW, cfg cache.Config, slots int) *Worker {
 	return w
 }
 
-// sleepCtx sleeps for d unless ctx fires first (nil ctx = plain
-// sleep). All simulated service times go through here so a cancelled
+// occupy takes a compute slot (or gives up when ctx fires) and holds
+// it for the simulated service time d; on success the caller owns the
+// slot. Every simulated service time goes through here, so a cancelled
 // query releases worker capacity promptly.
-func sleepCtx(ctx context.Context, d time.Duration) error {
-	if d <= 0 {
-		return nil
-	}
+func (w *Worker) occupy(ctx context.Context, d time.Duration) error {
 	if ctx == nil {
-		time.Sleep(d)
-		return nil
+		ctx = context.Background()
 	}
-	t := time.NewTimer(d)
-	defer t.Stop()
+	if err := ctx.Err(); err != nil {
+		return err
+	}
 	select {
-	case <-t.C:
-		return nil
+	case w.slots <- struct{}{}:
 	case <-ctx.Done():
 		return ctx.Err()
 	}
+	if err := retry.Sleep(ctx, d); err != nil {
+		<-w.slots
+		return err
+	}
+	return nil
 }
 
 // acquire blocks until the worker has a free compute slot (or ctx
 // fires) and charges the simulated per-scan service time, if
 // configured.
 func (w *Worker) acquire(ctx context.Context) (func(), error) {
-	if ctx != nil {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		select {
-		case w.slots <- struct{}{}:
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-	} else {
-		w.slots <- struct{}{}
-	}
-	if err := sleepCtx(ctx, w.vw.cfg.SimulatedScanCost); err != nil {
-		<-w.slots
+	if err := w.occupy(ctx, w.vw.cfg.SimulatedScanCost); err != nil {
 		return nil, err
 	}
 	return func() { <-w.slots }, nil
@@ -111,22 +101,13 @@ func (w *Worker) acquire(ctx context.Context) (func(), error) {
 // chargePost charges the simulated per-segment post-processing time
 // on this worker's capacity (see VWConfig.SimulatedPostCost).
 func (w *Worker) chargePost(ctx context.Context) error {
-	c := w.vw.cfg.SimulatedPostCost
-	if c <= 0 {
-		return nil
-	}
-	if ctx != nil {
-		select {
-		case w.slots <- struct{}{}:
-		case <-ctx.Done():
-			return ctx.Err()
+	if c := w.vw.cfg.SimulatedPostCost; c > 0 {
+		if err := w.occupy(ctx, c); err != nil {
+			return err
 		}
-	} else {
-		w.slots <- struct{}{}
+		<-w.slots
 	}
-	err := sleepCtx(ctx, c)
-	<-w.slots
-	return err
+	return nil
 }
 
 // Alive reports whether the worker is serving.

@@ -21,13 +21,13 @@
 // is forwarded on every shard leg, so one trace ID spans the
 // coordinator and all its fan-out legs.
 //
-// Failure policy: each shard has a circuit breaker (breaker.go); legs
-// to open-breaker shards are skipped. With Replicas copies per key, a
-// query missing fewer than Replicas shards is still complete (every
-// row has a surviving owner) and is served as such; beyond that the
-// query fails closed with UNAVAILABLE unless the session opted in with
-// SET allow_partial = on, in which case the result is served marked
-// Partial.
+// Failure policy: each shard has a circuit breaker (internal/retry,
+// DESIGN decision 12); legs to open-breaker shards are skipped. With
+// Replicas copies per key, a query missing fewer than Replicas shards
+// is still complete (every row has a surviving owner) and is served as
+// such; beyond that the query fails closed with UNAVAILABLE unless the
+// session opted in with SET allow_partial = on, in which case the
+// result is served marked Partial.
 package coord
 
 import (
@@ -38,6 +38,7 @@ import (
 
 	"blendhouse/internal/hashring"
 	"blendhouse/internal/obs"
+	"blendhouse/internal/retry"
 	"blendhouse/pkg/api"
 	"blendhouse/pkg/client"
 )
@@ -71,13 +72,12 @@ type Config struct {
 	// Probes is the hash-ring probe count (0 = hashring.DefaultProbes).
 	Probes int
 
-	// MaxRetries / RetryBase / RetryMax tune the per-leg pkg/client
-	// retry policy. The defaults (2 retries from 10ms) are tighter than
-	// the client's own: a dead shard should trip the breaker quickly,
-	// not stall every query behind long dial backoffs.
+	// MaxRetries / RetryBase tune the per-leg pkg/client retry policy.
+	// The defaults (2 retries from 10ms, capped at 250ms) are tighter
+	// than the client's own: a dead shard should trip the breaker
+	// quickly, not stall every query behind long dial backoffs.
 	MaxRetries int
 	RetryBase  time.Duration
-	RetryMax   time.Duration
 
 	// BreakerThreshold consecutive down-class leg failures open a
 	// shard's breaker for BreakerCooldown (defaults 3, 2s).
@@ -96,7 +96,7 @@ type Config struct {
 type shard struct {
 	name string
 	cli  *client.Client
-	brk  *breaker
+	brk  *retry.Breaker
 }
 
 // Coordinator routes statements across the shard set. It implements
@@ -123,8 +123,11 @@ func New(cfg Config) (*Coordinator, error) {
 	if cfg.RetryBase <= 0 {
 		cfg.RetryBase = 10 * time.Millisecond
 	}
-	if cfg.RetryMax <= 0 {
-		cfg.RetryMax = 250 * time.Millisecond
+	if cfg.BreakerThreshold <= 0 {
+		cfg.BreakerThreshold = 3
+	}
+	if cfg.BreakerCooldown <= 0 {
+		cfg.BreakerCooldown = 2 * time.Second
 	}
 	c := &Coordinator{
 		cfg:    cfg,
@@ -143,12 +146,12 @@ func New(cfg Config) (*Coordinator, error) {
 			BaseURL:    name,
 			MaxRetries: cfg.MaxRetries,
 			RetryBase:  cfg.RetryBase,
-			RetryMax:   cfg.RetryMax,
+			RetryMax:   250 * time.Millisecond,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("coord: shard %s: %w", name, err)
 		}
-		s := &shard{name: name, cli: cli, brk: newBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown)}
+		s := &shard{name: name, cli: cli, brk: retry.NewBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown, nil)}
 		c.shards = append(c.shards, s)
 		c.byName[name] = s
 		c.ring.Add(name)

@@ -6,16 +6,22 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"blendhouse/internal/core"
 	"blendhouse/internal/obs"
+	"blendhouse/internal/retry"
 	"blendhouse/internal/server"
 	"blendhouse/internal/storage"
+	"blendhouse/pkg/api"
 	"blendhouse/pkg/client"
 )
 
@@ -496,7 +502,7 @@ func TestBreakerSkipsDeadShard(t *testing.T) {
 	if dead == nil {
 		t.Fatal("dead shard not found in coordinator")
 	}
-	if !dead.brk.open() {
+	if dead.brk.State() == retry.Closed {
 		t.Fatal("breaker still closed after repeated failures to a dead shard")
 	}
 	// With the breaker open, queries keep succeeding and stay fast.
@@ -508,6 +514,51 @@ func TestBreakerSkipsDeadShard(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed > 2*time.Second {
 		t.Fatalf("5 queries with open breaker took %v — breaker is not skipping the dead shard", elapsed)
+	}
+}
+
+// TestBreakerProbeDeadlineIsNeutral: a half-open probe cut off by the
+// statement's own deadline proves nothing about the shard, so it must
+// not close the breaker. Regression: the client reports the fired
+// deadline as ErrTimeout, which the leg counted as a live shard's
+// answer, closing the breaker on a hung shard.
+func TestBreakerProbeDeadlineIsNeutral(t *testing.T) {
+	var hang atomic.Bool // false: answer 503 DRAINING; true: hang until cancelled
+	var hits atomic.Int32
+	shard := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		hits.Add(1)
+		_, _ = io.Copy(io.Discard, r.Body) // the server sees a client hang-up only once the body is read
+		if hang.Load() {
+			<-r.Context().Done()
+			return
+		}
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(http.StatusServiceUnavailable)
+		_ = json.NewEncoder(w).Encode(api.ErrorBody{Error: api.WireError{
+			Code: api.CodeDraining, Message: "draining", Retryable: true}})
+	}))
+	defer shard.Close()
+	const cooldown = 200 * time.Millisecond
+	co, err := New(Config{Shards: []string{shard.URL}, MaxRetries: -1,
+		BreakerThreshold: 2, BreakerCooldown: cooldown})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer co.Close()
+	query := func(timeout time.Duration) {
+		_, _ = co.Query(context.Background(), "SELECT id FROM t", core.QueryOptions{Timeout: timeout})
+	}
+	query(time.Second) // two DRAINING answers trip the breaker
+	query(time.Second)
+	time.Sleep(cooldown + 50*time.Millisecond)
+	hang.Store(true)
+	query(30 * time.Millisecond) // the probe hangs until the statement's deadline
+	hang.Store(false)
+	before := hits.Load()
+	query(time.Second) // still half-open: this leg is the one probe, and DRAINING reopens
+	query(time.Second) // so this leg is skipped
+	if got := hits.Load() - before; got != 1 {
+		t.Fatalf("%d legs reached the shard after the timed-out probe, want 1: the probe's deadline closed the breaker", got)
 	}
 }
 

@@ -13,6 +13,7 @@ import (
 	"blendhouse/internal/core"
 	"blendhouse/internal/exec"
 	"blendhouse/internal/obs"
+	"blendhouse/internal/retry"
 	"blendhouse/internal/server"
 	"blendhouse/internal/sql"
 	"blendhouse/pkg/api"
@@ -154,17 +155,17 @@ func stmtKind(st sql.Statement) string {
 
 // legResult is one shard leg's outcome.
 type legResult struct {
-	shard   *shard
-	res     *client.Result
-	err     error
-	skipped bool // breaker open: counted as a down shard without a call
+	shard *shard
+	res   *client.Result
+	err   error
 }
 
 // down reports whether the leg failed in a way that means the shard
 // process is unreachable or going away (as opposed to the statement
-// being rejected by a live shard).
+// being rejected by a live shard). A leg skipped by an open breaker is
+// down.
 func (lr legResult) down() bool {
-	return lr.err != nil && (lr.skipped || legDown(lr.err))
+	return lr.err != nil && legDown(lr.err)
 }
 
 // legDown classifies a pkg/client error: network-level failures and
@@ -187,14 +188,14 @@ func legDown(err error) bool {
 // forwarding the statement's trace ID and remaining deadline.
 func (c *Coordinator) leg(ctx context.Context, s *shard, stmt string, execRoute bool, opts core.QueryOptions, tr *obs.Trace) legResult {
 	mLegs.Inc()
-	if !s.brk.allow() {
+	if ok, _ := s.brk.Allow(); !ok {
 		mLegSkips.Inc()
 		if tr != nil {
 			sp := tr.Span().Child("leg " + s.name)
 			sp.Set("skipped", "breaker open")
 			sp.End()
 		}
-		return legResult{shard: s, err: fmt.Errorf("%w: %s", errBreakerOpen, s.name), skipped: true}
+		return legResult{shard: s, err: fmt.Errorf("%w: %s", errBreakerOpen, s.name)}
 	}
 	var sp *obs.Span
 	if tr != nil {
@@ -226,21 +227,24 @@ func (c *Coordinator) leg(ctx context.Context, s *shard, stmt string, execRoute 
 		}
 		sp.End()
 	}
-	if err == nil {
-		s.brk.success()
-		return legResult{shard: s, res: res}
+	// A shard that answered is alive, even when it rejected the
+	// statement; the statement's own deadline firing proves nothing.
+	o := retry.Success
+	switch {
+	case err == nil:
+	case ctx.Err() != nil:
+		o = retry.Neutral
+	case legDown(err):
+		o = retry.Failure
 	}
-	mLegErrs.Inc()
-	if legDown(err) && ctx.Err() == nil {
-		if s.brk.failure() {
-			mBreakerTrip.Inc()
-			coordLog.WarnContext(ctx, "shard breaker opened",
-				"shard", s.name, "error", err.Error())
-		}
-	} else if !legDown(err) {
-		s.brk.success() // the shard answered; the statement failed
+	if t := s.brk.Record(o); t.Changed() && t.To == retry.Open {
+		mBreakerTrip.Inc()
+		coordLog.WarnContext(ctx, "shard breaker opened", "shard", s.name, "error", err.Error())
 	}
-	return legResult{shard: s, err: err}
+	if err != nil {
+		mLegErrs.Inc()
+	}
+	return legResult{shard: s, res: res, err: err}
 }
 
 // runLegs fans per-shard statements out concurrently, one leg each.

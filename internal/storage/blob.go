@@ -22,6 +22,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"blendhouse/internal/retry"
 )
 
 // ErrNotFound is returned for missing keys.
@@ -404,10 +406,6 @@ func (s *RemoteStore) Snapshot() Stats {
 	}
 }
 
-func (s *RemoteStore) charge(nbytes int64) {
-	_ = s.chargeCtx(nil, nbytes)
-}
-
 // chargeCtx models the operation cost but gives up early when ctx
 // fires — the mechanism that lets a canceled query abandon an
 // in-flight "network" transfer instead of waiting it out.
@@ -416,26 +414,12 @@ func (s *RemoteStore) chargeCtx(ctx context.Context, nbytes int64) error {
 	if s.cfg.BytesPerSecond > 0 {
 		d += time.Duration(float64(nbytes) / float64(s.cfg.BytesPerSecond) * float64(time.Second))
 	}
-	if d <= 0 {
-		return nil
-	}
-	if ctx == nil {
-		time.Sleep(d)
-		return nil
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
+	return retry.Sleep(ctx, d)
 }
 
 // Put implements BlobStore.
 func (s *RemoteStore) Put(key string, data []byte) error {
-	s.charge(int64(len(data)))
+	_ = s.chargeCtx(nil, int64(len(data))) // a nil ctx never fires
 	s.puts.Add(1)
 	s.bytesWritten.Add(int64(len(data)))
 	return s.backing.Put(key, data)
@@ -476,20 +460,20 @@ func (s *RemoteStore) GetRangeCtx(ctx context.Context, key string, off, length i
 
 // Size implements BlobStore.
 func (s *RemoteStore) Size(key string) (int64, error) {
-	s.charge(0)
+	_ = s.chargeCtx(nil, 0)
 	return s.backing.Size(key)
 }
 
 // Delete implements BlobStore.
 func (s *RemoteStore) Delete(key string) error {
-	s.charge(0)
+	_ = s.chargeCtx(nil, 0)
 	s.deletes.Add(1)
 	return s.backing.Delete(key)
 }
 
 // List implements BlobStore.
 func (s *RemoteStore) List(prefix string) ([]string, error) {
-	s.charge(0)
+	_ = s.chargeCtx(nil, 0)
 	s.lists.Add(1)
 	return s.backing.List(prefix)
 }

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"blendhouse/internal/obs"
+	"blendhouse/internal/retry"
 )
 
 var mFaultsInjected = obs.Default().Counter("bh.storage.faults_injected")
@@ -199,7 +200,7 @@ func (s *FaultStore) inject(ctx context.Context, op FaultOp, key string) error {
 		}
 	}
 	err, delay := s.decide(op, key)
-	if serr := sleepCtx(ctx, delay); serr != nil {
+	if serr := retry.Sleep(ctx, delay); serr != nil {
 		return serr
 	}
 	return err

@@ -4,6 +4,8 @@ import (
 	"context"
 	"testing"
 	"time"
+
+	"blendhouse/internal/retry"
 )
 
 // TestBreakerTransitionCounter checks every breaker state edge bumps
@@ -22,7 +24,7 @@ func TestBreakerTransitionCounter(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		_ = rs.Put("a", []byte("v"))
 	}
-	if rs.BreakerState() != BreakerOpen {
+	if rs.BreakerState() != retry.Open {
 		t.Fatalf("state = %v, want open", rs.BreakerState())
 	}
 	if got := mBreakerTransitions.Value() - before; got != 1 {
@@ -34,7 +36,7 @@ func TestBreakerTransitionCounter(t *testing.T) {
 	if err := rs.Put("a", []byte("v")); err != nil {
 		t.Fatalf("probe = %v, want success", err)
 	}
-	if rs.BreakerState() != BreakerClosed {
+	if rs.BreakerState() != retry.Closed {
 		t.Fatalf("state = %v, want closed", rs.BreakerState())
 	}
 	if got := mBreakerTransitions.Value() - before; got != 3 {
@@ -58,7 +60,7 @@ func TestBreakerTransitionCounterFailedProbe(t *testing.T) {
 	if err := rs.Put("a", []byte("v")); err == nil {
 		t.Fatal("probe should fail")
 	}
-	if rs.BreakerState() != BreakerOpen {
+	if rs.BreakerState() != retry.Open {
 		t.Fatalf("state = %v, want open again", rs.BreakerState())
 	}
 	// closed→open, open→half-open, half-open→open.

@@ -1,12 +1,11 @@
 // Fault-tolerant storage: the paper's architecture rests on remote
 // shared storage (§II-A), where transient faults — throttling, timeouts,
 // connection resets — are the norm rather than the exception. RetryStore
-// is the single fault-tolerance layer every subsystem above the LSM
-// shares: bounded jittered exponential backoff for transient errors,
-// strict no-retry for permanent ones (a missing key never becomes
-// present by asking again), and a per-backend circuit breaker that
-// sheds fast when the store is actually down instead of stacking
-// timeouts on a dead backend.
+// is the fault-tolerance layer every subsystem above the LSM shares: it
+// classifies blob-store errors (IsTransient) and applies the shared
+// policy of internal/retry — bounded jittered backoff for transient
+// errors, no retry for permanent ones, and a per-backend circuit
+// breaker (DESIGN decision 12).
 package storage
 
 import (
@@ -19,6 +18,7 @@ import (
 	"time"
 
 	"blendhouse/internal/obs"
+	"blendhouse/internal/retry"
 )
 
 // Fault-tolerance metrics (SHOW METRICS / the -debug-addr endpoint).
@@ -91,36 +91,10 @@ func IsTransient(err error) bool {
 }
 
 // isContextErr reports whether err is a context cancellation or
-// deadline expiry. These are non-retryable (the caller gave up) but
-// also prove nothing about the backend's health: a timeout on a dead
-// backend must not be mistaken for a successful answer, or the breaker
-// would never open in exactly the stacking-timeouts scenario it exists
-// to shed. The breaker treats them as neutral.
+// deadline expiry: not retried (the caller gave up) and neutral to the
+// breaker (retry.Neutral).
 func isContextErr(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
-}
-
-// BreakerState is the circuit breaker's position.
-type BreakerState int32
-
-const (
-	// BreakerClosed: requests flow normally.
-	BreakerClosed BreakerState = iota
-	// BreakerOpen: requests fail fast with ErrBreakerOpen.
-	BreakerOpen
-	// BreakerHalfOpen: one probe request is allowed through.
-	BreakerHalfOpen
-)
-
-func (s BreakerState) String() string {
-	switch s {
-	case BreakerOpen:
-		return "open"
-	case BreakerHalfOpen:
-		return "half_open"
-	default:
-		return "closed"
-	}
 }
 
 // ErrBreakerOpen is returned (fast, without touching the backend) while
@@ -130,8 +104,6 @@ var ErrBreakerOpen = errors.New("storage: circuit breaker open")
 
 // BreakerConfig tunes the per-backend circuit breaker.
 type BreakerConfig struct {
-	// Disabled turns the breaker off entirely.
-	Disabled bool
 	// FailureThreshold is the number of consecutive transient failures
 	// that opens the circuit (default 8).
 	FailureThreshold int
@@ -140,138 +112,20 @@ type BreakerConfig struct {
 	Cooldown time.Duration
 }
 
-func (c BreakerConfig) withDefaults() BreakerConfig {
-	if c.FailureThreshold <= 0 {
-		c.FailureThreshold = 8
+// noteTransition counts and logs one breaker edge, so an operator can
+// reconstruct the breaker's full history (not just how often it
+// opened).
+func noteTransition(t retry.Transition) {
+	if !t.Changed() {
+		return
 	}
-	if c.Cooldown <= 0 {
-		c.Cooldown = 2 * time.Second
-	}
-	return c
-}
-
-// breaker is a classic closed → open → half-open circuit breaker.
-// Consecutive transient failures open it; after the cooldown exactly
-// one probe is let through, whose outcome closes or re-opens it.
-type breaker struct {
-	cfg BreakerConfig
-	now func() time.Time
-
-	mu       sync.Mutex
-	state    BreakerState
-	fails    int
-	openedAt time.Time
-	probing  bool
-}
-
-func newBreaker(cfg BreakerConfig, now func() time.Time) *breaker {
-	if now == nil {
-		now = time.Now
-	}
-	return &breaker{cfg: cfg.withDefaults(), now: now}
-}
-
-// transition records one state-machine edge: every edge bumps
-// bh.storage.breaker_transitions and emits a structured log event, so
-// an operator can reconstruct the breaker's full history (not just how
-// often it opened). Called with b.mu held; transitions are rare enough
-// that logging under the lock is harmless.
-func (b *breaker) transition(from, to BreakerState) {
 	mBreakerTransitions.Inc()
-	if to == BreakerOpen {
-		storageLog.Warn("breaker transition", "from", from.String(), "to", to.String(), "fails", b.fails)
+	if t.To == retry.Open {
+		mBreakerOpens.Inc()
+		storageLog.Warn("breaker transition", "from", t.From.String(), "to", t.To.String(), "fails", t.Fails)
 	} else {
-		storageLog.Info("breaker transition", "from", from.String(), "to", to.String())
+		storageLog.Info("breaker transition", "from", t.From.String(), "to", t.To.String())
 	}
-}
-
-// allow reports whether a request may proceed right now.
-func (b *breaker) allow() error {
-	if b.cfg.Disabled {
-		return nil
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	switch b.state {
-	case BreakerClosed:
-		return nil
-	case BreakerOpen:
-		if b.now().Sub(b.openedAt) < b.cfg.Cooldown {
-			return ErrBreakerOpen
-		}
-		b.state = BreakerHalfOpen
-		b.probing = true
-		b.transition(BreakerOpen, BreakerHalfOpen)
-		return nil
-	default: // half-open
-		if b.probing {
-			return ErrBreakerOpen // someone else's probe is in flight
-		}
-		b.probing = true
-		return nil
-	}
-}
-
-// onSuccess records a backend response that proves the store is up
-// (including permanent errors like not-found: the backend answered).
-func (b *breaker) onSuccess() {
-	if b.cfg.Disabled {
-		return
-	}
-	b.mu.Lock()
-	prev := b.state
-	b.state = BreakerClosed
-	b.fails = 0
-	b.probing = false
-	if prev != BreakerClosed {
-		b.transition(prev, BreakerClosed)
-	}
-	b.mu.Unlock()
-}
-
-// onNeutral records an outcome that proves nothing about the backend:
-// the caller's context fired mid-call (cancellation or deadline). It
-// neither closes the breaker nor counts toward opening it — but it must
-// release a half-open probe slot, or a probe that died to a deadline
-// would wedge the breaker half-open with every later request shed.
-func (b *breaker) onNeutral() {
-	if b.cfg.Disabled {
-		return
-	}
-	b.mu.Lock()
-	b.probing = false
-	b.mu.Unlock()
-}
-
-// onFailure records a transient failure.
-func (b *breaker) onFailure() {
-	if b.cfg.Disabled {
-		return
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.state == BreakerHalfOpen {
-		// Probe failed: back to open, restart the cooldown.
-		b.state = BreakerOpen
-		b.openedAt = b.now()
-		b.probing = false
-		mBreakerOpens.Inc()
-		b.transition(BreakerHalfOpen, BreakerOpen)
-		return
-	}
-	b.fails++
-	if b.state == BreakerClosed && b.fails >= b.cfg.FailureThreshold {
-		b.state = BreakerOpen
-		b.openedAt = b.now()
-		mBreakerOpens.Inc()
-		b.transition(BreakerClosed, BreakerOpen)
-	}
-}
-
-func (b *breaker) current() BreakerState {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.state
 }
 
 // RetryConfig tunes the retry layer.
@@ -283,11 +137,6 @@ type RetryConfig struct {
 	BaseBackoff time.Duration
 	// MaxBackoff caps the exponential growth (default 250ms).
 	MaxBackoff time.Duration
-	// Multiplier is the exponential growth factor (default 2).
-	Multiplier float64
-	// Jitter is the ± fraction of random spread applied to each backoff
-	// (default 0.25): de-synchronizes retry storms from concurrent ops.
-	Jitter float64
 	// Seed makes the jitter sequence deterministic in tests (0 seeds
 	// from the clock).
 	Seed int64
@@ -305,11 +154,11 @@ func (c RetryConfig) withDefaults() RetryConfig {
 	if c.MaxBackoff <= 0 {
 		c.MaxBackoff = 250 * time.Millisecond
 	}
-	if c.Multiplier < 1 {
-		c.Multiplier = 2
+	if c.Breaker.FailureThreshold <= 0 {
+		c.Breaker.FailureThreshold = 8
 	}
-	if c.Jitter <= 0 || c.Jitter > 1 {
-		c.Jitter = 0.25
+	if c.Breaker.Cooldown <= 0 {
+		c.Breaker.Cooldown = 2 * time.Second
 	}
 	return c
 }
@@ -365,7 +214,7 @@ type RetryStats struct {
 type RetryStore struct {
 	backing BlobStore
 	cfg     RetryConfig
-	br      *breaker
+	br      *retry.Breaker
 
 	rngMu sync.Mutex
 	rng   *rand.Rand
@@ -383,7 +232,7 @@ func NewRetryStore(backing BlobStore, cfg RetryConfig) *RetryStore {
 	return &RetryStore{
 		backing: backing,
 		cfg:     cfg,
-		br:      newBreaker(cfg.Breaker, nil),
+		br:      retry.NewBreaker(cfg.Breaker.FailureThreshold, cfg.Breaker.Cooldown, nil),
 		rng:     rand.New(rand.NewSource(seed)),
 	}
 }
@@ -392,7 +241,7 @@ func NewRetryStore(backing BlobStore, cfg RetryConfig) *RetryStore {
 func (s *RetryStore) Backing() BlobStore { return s.backing }
 
 // BreakerState reports the circuit breaker's current position.
-func (s *RetryStore) BreakerState() BreakerState { return s.br.current() }
+func (s *RetryStore) BreakerState() retry.State { return s.br.State() }
 
 // Stats snapshots this instance's retry counters.
 func (s *RetryStore) Stats() RetryStats {
@@ -407,50 +256,16 @@ func (s *RetryStore) Stats() RetryStats {
 // breaker; the executor uses it to stamp breaker state onto query
 // trace spans without knowing the concrete wrapper type.
 type BreakerReporter interface {
-	BreakerState() BreakerState
+	BreakerState() retry.State
 }
 
-// backoffFor returns the jittered backoff before retry #attempt
-// (0-based).
-func (s *RetryStore) backoffFor(attempt int) time.Duration {
-	d := float64(s.cfg.BaseBackoff)
-	for i := 0; i < attempt; i++ {
-		d *= s.cfg.Multiplier
-		if d >= float64(s.cfg.MaxBackoff) {
-			d = float64(s.cfg.MaxBackoff)
-			break
-		}
-	}
+// backoff is the shared backoff before retry #attempt (0-based), its
+// jitter drawn from the store's seeded source.
+func (s *RetryStore) backoff(attempt int) time.Duration {
 	s.rngMu.Lock()
-	f := 1 + s.cfg.Jitter*(2*s.rng.Float64()-1)
+	u := s.rng.Float64()
 	s.rngMu.Unlock()
-	d *= f
-	if d > float64(s.cfg.MaxBackoff) {
-		d = float64(s.cfg.MaxBackoff)
-	}
-	if d < 0 {
-		d = 0
-	}
-	return time.Duration(d)
-}
-
-// sleep waits d honoring ctx (nil ctx sleeps unconditionally).
-func sleepCtx(ctx context.Context, d time.Duration) error {
-	if d <= 0 {
-		return nil
-	}
-	if ctx == nil {
-		time.Sleep(d)
-		return nil
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
+	return retry.Backoff(s.cfg.BaseBackoff, s.cfg.MaxBackoff, attempt, u)
 }
 
 // do runs fn with the retry + breaker policy. ctx may be nil (write
@@ -464,7 +279,9 @@ func (s *RetryStore) do(ctx context.Context, op string, fn func() error) error {
 				return err
 			}
 		}
-		if err := s.br.allow(); err != nil {
+		ok, t := s.br.Allow()
+		noteTransition(t)
+		if !ok {
 			// Shed fast: the backend is known-down; don't stack timeouts.
 			s.sheds.Add(1)
 			mBreakerShed.Inc()
@@ -475,20 +292,16 @@ func (s *RetryStore) do(ctx context.Context, op string, fn func() error) error {
 		}
 		err := fn()
 		if err == nil || !IsTransient(err) {
+			// Permanent errors prove the backend answered; the caller's
+			// context firing mid-call proves nothing.
+			o := retry.Success
 			if isContextErr(err) {
-				// The caller's context fired mid-call: says nothing about
-				// backend health, so neither success nor failure for the
-				// breaker — a dead backend surfacing as deadline timeouts
-				// must not keep resetting the failure count.
-				s.br.onNeutral()
-				return err
+				o = retry.Neutral
 			}
-			// Permanent errors prove the backend answered: the breaker
-			// counts them as successes.
-			s.br.onSuccess()
+			noteTransition(s.br.Record(o))
 			return err
 		}
-		s.br.onFailure()
+		noteTransition(s.br.Record(retry.Failure))
 		lastErr = err
 		if attempt == s.cfg.MaxAttempts-1 {
 			break
@@ -496,7 +309,7 @@ func (s *RetryStore) do(ctx context.Context, op string, fn func() error) error {
 		s.retries.Add(1)
 		mRetries.Inc()
 		TallyFrom(ctx).Add(1)
-		if serr := sleepCtx(ctx, s.backoffFor(attempt)); serr != nil {
+		if serr := retry.Sleep(ctx, s.backoff(attempt)); serr != nil {
 			return serr
 		}
 	}

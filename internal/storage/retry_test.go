@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"testing"
 	"time"
+
+	"blendhouse/internal/retry"
 )
 
 // failNStore fails the first n calls of every operation with a
@@ -197,7 +199,7 @@ func TestBreakerOpensShedsAndRecovers(t *testing.T) {
 		Seed:        1,
 		Breaker:     BreakerConfig{FailureThreshold: 3, Cooldown: 30 * time.Millisecond},
 	})
-	if rs.BreakerState() != BreakerClosed {
+	if rs.BreakerState() != retry.Closed {
 		t.Fatalf("initial state = %v", rs.BreakerState())
 	}
 	// Three consecutive failures trip it.
@@ -206,7 +208,7 @@ func TestBreakerOpensShedsAndRecovers(t *testing.T) {
 			t.Fatal("expected failure")
 		}
 	}
-	if rs.BreakerState() != BreakerOpen {
+	if rs.BreakerState() != retry.Open {
 		t.Fatalf("state after threshold failures = %v, want open", rs.BreakerState())
 	}
 	// While open: shed fast, never touching the backend.
@@ -227,7 +229,7 @@ func TestBreakerOpensShedsAndRecovers(t *testing.T) {
 	if err := rs.Put("a", []byte("v")); err != nil {
 		t.Fatalf("post-cooldown probe = %v, want success", err)
 	}
-	if rs.BreakerState() != BreakerClosed {
+	if rs.BreakerState() != retry.Closed {
 		t.Errorf("state after successful probe = %v, want closed", rs.BreakerState())
 	}
 }
@@ -243,7 +245,7 @@ func TestBreakerFailedProbeReopens(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		_ = rs.Put("a", []byte("v"))
 	}
-	if rs.BreakerState() != BreakerOpen {
+	if rs.BreakerState() != retry.Open {
 		t.Fatalf("state = %v, want open", rs.BreakerState())
 	}
 	time.Sleep(40 * time.Millisecond)
@@ -251,7 +253,7 @@ func TestBreakerFailedProbeReopens(t *testing.T) {
 	if err := rs.Put("a", []byte("v")); err == nil {
 		t.Fatal("probe should fail")
 	}
-	if rs.BreakerState() != BreakerOpen {
+	if rs.BreakerState() != retry.Open {
 		t.Errorf("state after failed probe = %v, want open again", rs.BreakerState())
 	}
 }
@@ -269,7 +271,7 @@ func TestBreakerCountsNotFoundAsSuccess(t *testing.T) {
 			t.Fatalf("Get = %v", err)
 		}
 	}
-	if rs.BreakerState() != BreakerClosed {
+	if rs.BreakerState() != retry.Closed {
 		t.Errorf("state = %v, want closed after permanent errors", rs.BreakerState())
 	}
 }
@@ -279,8 +281,6 @@ func TestBackoffGrowsAndCaps(t *testing.T) {
 		MaxAttempts: 8,
 		BaseBackoff: time.Millisecond,
 		MaxBackoff:  8 * time.Millisecond,
-		Multiplier:  2,
-		Jitter:      0.25,
 		Seed:        42,
 	})
 	prevMax := time.Duration(0)
@@ -293,7 +293,7 @@ func TestBackoffGrowsAndCaps(t *testing.T) {
 			ideal = float64(8 * time.Millisecond)
 		}
 		for trial := 0; trial < 20; trial++ {
-			d := rs.backoffFor(attempt)
+			d := rs.backoff(attempt)
 			if d > 8*time.Millisecond {
 				t.Fatalf("attempt %d backoff %v exceeds MaxBackoff", attempt, d)
 			}
@@ -350,7 +350,7 @@ func TestBreakerTimeoutsAreNeutral(t *testing.T) {
 			t.Fatalf("Put %d should fail", i)
 		}
 	}
-	if rs.BreakerState() != BreakerOpen {
+	if rs.BreakerState() != retry.Open {
 		t.Fatalf("state = %v, want open: the interleaved timeout reset the failure count", rs.BreakerState())
 	}
 }
@@ -373,14 +373,14 @@ func TestBreakerProbeTimeoutReleasesSlot(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		_ = rs.Put("a", []byte("v"))
 	}
-	if rs.BreakerState() != BreakerOpen {
+	if rs.BreakerState() != retry.Open {
 		t.Fatalf("state = %v, want open", rs.BreakerState())
 	}
 	time.Sleep(20 * time.Millisecond)
 	if err := rs.Put("a", []byte("v")); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("probe = %v, want DeadlineExceeded", err)
 	}
-	if rs.BreakerState() != BreakerHalfOpen {
+	if rs.BreakerState() != retry.HalfOpen {
 		t.Fatalf("state after neutral probe = %v, want half-open", rs.BreakerState())
 	}
 	// No cooldown wait needed: the slot is free, the next call probes
@@ -388,7 +388,7 @@ func TestBreakerProbeTimeoutReleasesSlot(t *testing.T) {
 	if err := rs.Put("a", []byte("v")); err != nil {
 		t.Fatalf("second probe = %v, want success", err)
 	}
-	if rs.BreakerState() != BreakerClosed {
+	if rs.BreakerState() != retry.Closed {
 		t.Errorf("state after successful probe = %v, want closed", rs.BreakerState())
 	}
 }

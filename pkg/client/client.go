@@ -5,10 +5,10 @@
 //   - connection reuse — one http.Transport pool per Client, so
 //     sequential statements ride one TCP connection and server-side
 //     SET session variables persist across them;
-//   - retries with jittered exponential backoff, but only on failures
-//     the server promises never executed the statement (429 SHED, 503
-//     DRAINING) or where the request never reached it (dial errors) —
-//     safe even for INSERT/DELETE;
+//   - retries under the repository's shared backoff (internal/retry),
+//     but only on failures the server promises never executed the
+//     statement (429 SHED, 503 DRAINING) or where the request never
+//     reached it (dial errors) — safe even for INSERT/DELETE;
 //   - typed errors mirroring the engine taxonomy (errors.go), so
 //     remote callers branch on errors.Is(err, client.ErrTimeout)
 //     exactly like in-process callers do on core.ErrTimeout;
@@ -18,9 +18,10 @@
 // Per-statement tuning uses functional options (options.go):
 // Query(ctx, q, client.WithTimeout(...), client.WithTraceID(...)).
 //
-// The package's dependency closure is deliberately stdlib-only plus
-// pkg/api — the shared wire-DTO package the server consumes too, so
-// the two sides cannot drift.
+// The package's dependency closure is deliberately the standard
+// library plus pkg/api — the shared wire-DTO package the server
+// consumes too, so the two sides cannot drift — and internal/retry, a
+// leaf that imports only the standard library (CI checks both).
 package client
 
 import (
@@ -34,9 +35,9 @@ import (
 	"net"
 	"net/http"
 	"strings"
-	"sync"
 	"time"
 
+	"blendhouse/internal/retry"
 	"blendhouse/pkg/api"
 )
 
@@ -70,7 +71,7 @@ type Config struct {
 	// (default 4; negative disables retries).
 	MaxRetries int
 	// RetryBase is the first backoff delay (default 50ms); each retry
-	// doubles it, jittered ±50%, capped at RetryMax (default 2s).
+	// doubles it up to RetryMax (default 2s), jittered (retry.Backoff).
 	RetryBase time.Duration
 	RetryMax  time.Duration
 }
@@ -79,9 +80,6 @@ type Config struct {
 type Client struct {
 	cfg  Config
 	http *http.Client
-
-	mu  sync.Mutex
-	rng *rand.Rand
 }
 
 // New builds a client. The default transport keeps idle connections
@@ -111,7 +109,7 @@ func New(cfg Config) (*Client, error) {
 			IdleConnTimeout:     90 * time.Second,
 		}}
 	}
-	return &Client{cfg: cfg, http: hc, rng: rand.New(rand.NewSource(time.Now().UnixNano()))}, nil
+	return &Client{cfg: cfg, http: hc}, nil
 }
 
 // Result is a materialized remote query result — the wire
@@ -228,14 +226,11 @@ func (c *Client) doRetry(ctx context.Context, route, query string, opts Options,
 		fmt.Errorf("%w (after %d attempts)", lastErr, c.cfg.MaxRetries+1), traceID)
 }
 
-// newTraceID mints a 16-hex-char trace ID from the client's rng (the
-// package stays stdlib-only, so it mirrors the server's format rather
-// than importing it).
+// newTraceID mints a 16-hex-char trace ID (the package stays
+// stdlib-only, so it mirrors the server's format rather than importing
+// it).
 func (c *Client) newTraceID() string {
-	c.mu.Lock()
-	v := c.rng.Uint64()
-	c.mu.Unlock()
-	return fmt.Sprintf("%016x", v)
+	return fmt.Sprintf("%016x", rand.Uint64())
 }
 
 func (c *Client) post(ctx context.Context, route string, body []byte, accept, traceID string) (*http.Response, error) {
@@ -251,27 +246,10 @@ func (c *Client) post(ctx context.Context, route string, body []byte, accept, tr
 	return c.http.Do(hreq)
 }
 
-// backoff sleeps the jittered exponential delay for attempt (1-based),
+// backoff sleeps the shared backoff before retry attempt (1-based),
 // or returns early with the context's error.
 func (c *Client) backoff(ctx context.Context, attempt int) error {
-	d := c.cfg.RetryBase << uint(attempt-1)
-	if d > c.cfg.RetryMax {
-		d = c.cfg.RetryMax
-	}
-	// Full ±50% jitter decorrelates clients that were shed together —
-	// without it they all come back in lockstep and get shed again.
-	c.mu.Lock()
-	jitter := 0.5 + c.rng.Float64()
-	c.mu.Unlock()
-	d = time.Duration(float64(d) * jitter)
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
+	return retry.Sleep(ctx, retry.Backoff(c.cfg.RetryBase, c.cfg.RetryMax, attempt-1, rand.Float64()))
 }
 
 // wrapCtxErr maps the caller's context errors onto the client

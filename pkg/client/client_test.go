@@ -137,7 +137,7 @@ func TestRetriesDialFailure(t *testing.T) {
 	if err == nil {
 		t.Fatal("want error against dead server")
 	}
-	// 2 retries × ≤7.5ms jittered backoff: fail fast, not hang.
+	// 2 retries × ≤5ms jittered backoff: fail fast, not hang.
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Fatalf("dead-server query took %v", elapsed)
 	}
@@ -167,7 +167,7 @@ func TestBackoffBounds(t *testing.T) {
 			t.Fatal(err)
 		}
 		d := time.Since(start)
-		// Jitter is ±50% around min(base<<(n-1), max); sleeping is
+		// Jitter is ±25% around min(base<<(n-1), max); sleeping is
 		// allowed to overshoot, never to undershoot the jitter floor.
 		base := c.cfg.RetryBase << uint(attempt-1)
 		if base > c.cfg.RetryMax {
@@ -178,6 +178,24 @@ func TestBackoffBounds(t *testing.T) {
 		}
 		if d > 4*base {
 			t.Fatalf("attempt %d slept %v, way over cap", attempt, d)
+		}
+	}
+}
+
+// TestBackoffPastShiftWidth: a late retry still waits near the cap.
+// Regression: the delay was RetryBase<<(attempt-1), which overflows
+// int64 nanoseconds and slept zero from attempt 64 on.
+func TestBackoffPastShiftWidth(t *testing.T) {
+	c := newTestClient(t, "http://127.0.0.1:1", 0)
+	c.cfg.RetryBase = time.Millisecond
+	c.cfg.RetryMax = 4 * time.Millisecond
+	for _, attempt := range []int{45, 64, 70} {
+		start := time.Now()
+		if err := c.backoff(context.Background(), attempt); err != nil {
+			t.Fatal(err)
+		}
+		if d := time.Since(start); d < 2*time.Millisecond {
+			t.Errorf("attempt %d slept %v, want at least 2ms", attempt, d)
 		}
 	}
 }
