@@ -50,7 +50,10 @@ func (e *Engine) insert(ctx context.Context, ins *sql.Insert) (int, error) {
 // rejected (no implicit parsing), vectors must match the column
 // dimension.
 func BuildBatch(schema *storage.Schema, rows [][]any) (*storage.RowBatch, error) {
-	batch := storage.NewRowBatch(schema)
+	batch := &storage.RowBatch{Schema: schema, Cols: make([]*storage.ColumnData, len(schema.Columns))}
+	for ci, def := range schema.Columns {
+		batch.Cols[ci] = storage.NewColumnDataCap(def, len(rows))
+	}
 	for ri, row := range rows {
 		if len(row) != len(schema.Columns) {
 			return nil, fmt.Errorf("core: row %d has %d values, schema has %d columns", ri, len(row), len(schema.Columns))

@@ -5,7 +5,6 @@
 package flat
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -213,22 +212,23 @@ func (it *flatIterator) Close() error {
 
 const magic = uint32(0xB1F1A700)
 
-// Save writes the index: magic, dim, count, ids, raw vectors.
+// Save writes the index: magic, dim, count, ids, raw vectors, encoded
+// into one buffer of exactly the blob's size and written at once.
 func (ix *Index) Save(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	hdr := []any{magic, uint32(ix.params.Dim), uint64(len(ix.ids))}
-	for _, h := range hdr {
-		if err := binary.Write(bw, binary.LittleEndian, h); err != nil {
-			return fmt.Errorf("flat: writing header: %w", err)
-		}
+	b := make([]byte, 0, 16+8*len(ix.ids)+4*len(ix.data))
+	b = binary.LittleEndian.AppendUint32(b, magic)
+	b = binary.LittleEndian.AppendUint32(b, uint32(ix.params.Dim))
+	b = binary.LittleEndian.AppendUint64(b, uint64(len(ix.ids)))
+	for _, id := range ix.ids {
+		b = binary.LittleEndian.AppendUint64(b, uint64(id))
 	}
-	if err := binary.Write(bw, binary.LittleEndian, ix.ids); err != nil {
-		return fmt.Errorf("flat: writing ids: %w", err)
+	for _, v := range ix.data {
+		b = binary.LittleEndian.AppendUint32(b, math.Float32bits(v))
 	}
-	if err := binary.Write(bw, binary.LittleEndian, ix.data); err != nil {
-		return fmt.Errorf("flat: writing vectors: %w", err)
+	if _, err := w.Write(b); err != nil {
+		return fmt.Errorf("flat: writing index: %w", err)
 	}
-	return bw.Flush()
+	return nil
 }
 
 // SavedRows implements index.RowKeeper: the vectors end the blob as

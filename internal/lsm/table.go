@@ -103,6 +103,10 @@ type Table struct {
 	memGen     int64
 	flushedLSN int64
 
+	// walKeys is the wal/ listing Open recovered from, until the first
+	// EnableWAL takes it; nil when there is none. Guarded by t.mu.
+	walKeys []string
+
 	// walPins counts active PinWALTruncate holders (backups copying
 	// the WAL tail); while nonzero the flusher skips TruncateBelow so
 	// no tail blob vanishes mid-copy. Guarded by t.mu.
@@ -190,9 +194,26 @@ func newTable(store storage.BlobStore, opts Options) *Table {
 	return t
 }
 
-// Open loads an existing table from its manifest.
+// openFanOut bounds the reads Open has in flight at once.
+const openFanOut = 32
+
+// Open loads an existing table from its manifest. Its reads go out in
+// a fixed number of round trips whatever the segment count: the
+// manifest GET overlaps the segments/ and wal/ listings, then every
+// segment's meta.json and delete bitmap is read at once, at most
+// openFanOut in flight (openSegments).
 func Open(store storage.BlobStore, name string) (*Table, error) {
-	blob, err := store.Get(manifestKey(name))
+	var (
+		blob                []byte
+		segKeys, walKeys    []string
+		err, segErr, walErr error
+	)
+	runAll(openFanOut,
+		func() { blob, err = store.Get(manifestKey(name)) },
+		// One List names every delete bitmap the table has, so a segment
+		// enters the first Version with its bitmap and none is probed.
+		func() { segKeys, segErr = store.List(segmentsPrefix(name)) }, // sorted
+		func() { walKeys, walErr = store.List(wal.Prefix(name)) })
 	if err != nil {
 		return nil, fmt.Errorf("lsm: opening table %q: %w", name, err)
 	}
@@ -208,31 +229,12 @@ func Open(store storage.BlobStore, name string) (*Table, error) {
 	if m.CentDim > 0 {
 		t.centroids = &vec.Matrix{Dim: m.CentDim, Data: m.Centroids}
 	}
-	// One List names every delete bitmap the table has, so a segment
-	// enters the first Version with its bitmap and none is probed.
-	keys, err := store.List(segmentsPrefix(name)) // sorted
-	if err != nil {
-		return nil, fmt.Errorf("lsm: listing segments of %q: %w", name, err)
+	if segErr != nil {
+		return nil, fmt.Errorf("lsm: listing segments of %q: %w", name, segErr)
 	}
-	segs := make([]*Segment, 0, len(m.Segments))
-	for _, seg := range m.Segments {
-		sm, err := storage.ReadMeta(store, name, seg)
-		if err != nil {
-			return nil, fmt.Errorf("lsm: loading segment %s: %w", seg, err)
-		}
-		var del *bitset.Bitset
-		key := storage.DeleteBitmapKey(name, seg)
-		if _, ok := slices.BinarySearch(keys, key); ok {
-			blob, err := store.Get(key)
-			if err != nil {
-				return nil, fmt.Errorf("lsm: loading delete bitmap of %s: %w", seg, err)
-			}
-			del = new(bitset.Bitset)
-			if err := del.UnmarshalBinary(blob); err != nil {
-				return nil, fmt.Errorf("lsm: corrupt delete bitmap of %s: %w", seg, err)
-			}
-		}
-		segs = append(segs, t.newSegment(sm, del))
+	segs, err := t.openSegments(m.Segments, segKeys)
+	if err != nil {
+		return nil, err
 	}
 	t.publish(func(next *Version) { next.Segments = segs })
 	t.flushedLSN = m.FlushedLSN
@@ -241,10 +243,78 @@ func Open(store storage.BlobStore, name string) (*Table, error) {
 	// segments before the table goes live. Runs even when the caller
 	// won't re-enable the WAL, so no acknowledged write is ever
 	// stranded in an unread log.
-	if err := t.replayWAL(); err != nil {
-		return nil, fmt.Errorf("lsm: recovering table %q: %w", name, err)
+	if walErr == nil {
+		walErr = t.replayWAL(walKeys)
+	}
+	if walErr != nil {
+		return nil, fmt.Errorf("lsm: recovering table %q: %w", name, walErr)
 	}
 	return t, nil
+}
+
+// openSegments reads the named segments' meta.json and the delete
+// bitmaps keys (the segments/ listing) holds, all at once with at most
+// openFanOut in flight, and returns the segments in names' order. A
+// failure is the first failing segment's in that order — the error a
+// serial read would stop at — and no read outlives the call.
+func (t *Table) openSegments(names, keys []string) ([]*Segment, error) {
+	type read struct {
+		meta    *storage.SegmentMeta
+		metaErr error
+		hasDel  bool
+		delBlob []byte
+		delErr  error
+	}
+	reads := make([]read, len(names))
+	var jobs []func()
+	for i, seg := range names {
+		r := &reads[i]
+		jobs = append(jobs, func() { r.meta, r.metaErr = storage.ReadMeta(t.store, t.opts.Name, seg) })
+		key := storage.DeleteBitmapKey(t.opts.Name, seg)
+		if _, ok := slices.BinarySearch(keys, key); ok {
+			r.hasDel = true
+			jobs = append(jobs, func() { r.delBlob, r.delErr = t.store.Get(key) })
+		}
+	}
+	runAll(openFanOut, jobs...)
+	segs := make([]*Segment, len(names))
+	for i, seg := range names {
+		r := &reads[i]
+		if r.metaErr != nil {
+			return nil, fmt.Errorf("lsm: loading segment %s: %w", seg, r.metaErr)
+		}
+		var del *bitset.Bitset
+		if r.hasDel {
+			if r.delErr != nil {
+				return nil, fmt.Errorf("lsm: loading delete bitmap of %s: %w", seg, r.delErr)
+			}
+			del = new(bitset.Bitset)
+			if err := del.UnmarshalBinary(r.delBlob); err != nil {
+				return nil, fmt.Errorf("lsm: corrupt delete bitmap of %s: %w", seg, err)
+			}
+		}
+		segs[i] = t.newSegment(r.meta, del)
+	}
+	return segs, nil
+}
+
+// runAll runs jobs on at most n goroutines and returns when every one
+// has finished.
+func runAll(n int, jobs ...func()) {
+	var (
+		next atomic.Int64
+		wg   sync.WaitGroup
+	)
+	for range min(n, len(jobs)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := next.Add(1) - 1; j < int64(len(jobs)); j = next.Add(1) - 1 {
+				jobs[j]()
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // replayWAL applies WAL records with LSN > flushedLSN directly to
@@ -257,11 +327,15 @@ func Open(store storage.BlobStore, name string) (*Table, error) {
 // swap: a crash mid-recovery leaves the old manifest untouched, so
 // the next Open replays the same records onto the same deterministic
 // segment names instead of registering the rows twice.
-func (t *Table) replayWAL() error {
-	log, pending, err := wal.Open(t.store, t.opts.Name, t.opts.Schema, t.flushedLSN, 0)
+//
+// keys is the wal/ listing Open took; it is kept for the first
+// EnableWAL, which positions its log from it instead of listing again.
+func (t *Table) replayWAL(keys []string) error {
+	log, pending, err := wal.OpenListed(t.store, t.opts.Name, t.opts.Schema, keys, t.flushedLSN, 0)
 	if err != nil {
 		return err
 	}
+	t.walKeys = append(make([]string, 0, len(keys)), keys...) // non-nil: listed
 	if len(pending) == 0 {
 		return nil
 	}

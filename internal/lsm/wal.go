@@ -94,10 +94,23 @@ func (t *Table) EnableWAL(cfg WALConfig) error {
 	if t.walRT.Load() != nil {
 		return fmt.Errorf("lsm: WAL already enabled on %q", t.opts.Name)
 	}
-	t.mu.RLock()
-	afterLSN := t.flushedLSN
-	t.mu.RUnlock()
-	log, pending, err := wal.Open(t.store, t.opts.Name, t.opts.Schema, afterLSN, cfg.MaxCommitRecords)
+	t.mu.Lock()
+	afterLSN, keys := t.flushedLSN, t.walKeys
+	t.walKeys = nil
+	t.mu.Unlock()
+	// A handle Open recovered positions its log from Open's listing:
+	// every blob it names past afterLSN was replayed, and the log has
+	// had no writer since. Any other handle lists the log.
+	var (
+		log     *wal.Log
+		pending []*wal.Record
+		err     error
+	)
+	if keys != nil {
+		log, pending, err = wal.OpenListed(t.store, t.opts.Name, t.opts.Schema, keys, afterLSN, cfg.MaxCommitRecords)
+	} else {
+		log, pending, err = wal.Open(t.store, t.opts.Name, t.opts.Schema, afterLSN, cfg.MaxCommitRecords)
+	}
 	if err != nil {
 		return err
 	}

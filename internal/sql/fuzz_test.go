@@ -6,6 +6,7 @@ import (
 	"go/token"
 	"path/filepath"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 	"unicode/utf8"
@@ -13,7 +14,9 @@ import (
 
 // FuzzParse: every input parses to a statement or an error — never a
 // panic, never both or neither — in bounded time, and every identifier
-// the lexer reads is valid UTF-8. The seeds are every
+// the lexer reads is valid UTF-8. Padded past deferMinBytes, it parses
+// with the vectors deferred to the serial parse's statement, bitwise,
+// or its error string (sameParse). The seeds are every
 // string literal in this package's other tests (every statement they
 // parse among them) and one statement of each shape the benchmark
 // sends.
@@ -63,6 +66,12 @@ func FuzzParse(f *testing.F) {
 		}
 		if !identsValid(src) {
 			t.Fatalf("Tokenize(%q) read an identifier that is not valid UTF-8", src)
+		}
+		padded := src + strings.Repeat(" ", max(0, deferMinBytes-len(src)))
+		serial, serr := parse(padded, nil)
+		st, err = parseForced(padded)
+		if diff := sameParse(serial, serr, st, err); diff != "" {
+			t.Fatalf("%q padded past the deferral threshold: %s", src, diff)
 		}
 	})
 }

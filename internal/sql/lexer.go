@@ -11,6 +11,7 @@ package sql
 import (
 	"fmt"
 	"math"
+	"strconv"
 	"strings"
 	"unicode"
 	"unicode/utf8"
@@ -102,6 +103,36 @@ func (l *Lexer) listLen(open int) int {
 	return strings.Count(list, ",") + 1
 }
 
+// vectorElems converts the elements of the list whose '[' is at
+// src[open], from l.pos on: each is scanned with skipSpace and the
+// number grammar and converted as it is read, up to the first thing
+// that is neither an element nor a comma, where l.pos stops.
+// Separators are optional; listLen sizes the one slice a non-empty
+// list allocates. The serial parse and the deferred workers both
+// convert with it.
+func (l *Lexer) vectorElems(open int) ([]float32, error) {
+	var out []float32
+	for l.skipSpace(); l.atNumber(); l.skipSpace() {
+		start := l.pos
+		f, ok := l.scanNumber()
+		if !ok {
+			f64, err := strconv.ParseFloat(l.src[start:l.pos], 32)
+			if err != nil {
+				return nil, fmt.Errorf("sql: bad vector element %q", l.src[start:l.pos])
+			}
+			f = float32(f64)
+		}
+		if out == nil {
+			out = make([]float32, 0, l.listLen(open))
+		}
+		out = append(out, f)
+		if l.skipSpace(); l.pos < len(l.src) && l.src[l.pos] == ',' {
+			l.pos++
+		}
+	}
+	return out, nil
+}
+
 func (l *Lexer) skipSpace() {
 	for l.pos < len(l.src) {
 		c := l.src[l.pos]
@@ -137,25 +168,28 @@ func (l *Lexer) runeAt(i int) (rune, int) {
 	return utf8.DecodeRuneInString(l.src[i:])
 }
 
+// lexString reads a quoted string, in which a doubled quote stands for
+// one: each run up to the next quote is found with IndexByte and
+// copied whole.
 func (l *Lexer) lexString() (Token, error) {
 	start := l.pos
 	l.pos++ // opening quote
 	var sb strings.Builder
-	for l.pos < len(l.src) {
-		c := l.src[l.pos]
-		if c == '\'' {
-			if l.pos+1 < len(l.src) && l.src[l.pos+1] == '\'' {
-				sb.WriteByte('\'') // escaped quote
-				l.pos += 2
-				continue
-			}
-			l.pos++
-			return Token{Kind: TokString, Text: sb.String(), Pos: start}, nil
+	for {
+		n := strings.IndexByte(l.src[l.pos:], '\'')
+		if n < 0 {
+			l.pos = len(l.src)
+			return Token{}, fmt.Errorf("sql: unterminated string starting at %d", start)
 		}
-		sb.WriteByte(c)
-		l.pos++
+		sb.WriteString(l.src[l.pos : l.pos+n])
+		l.pos += n + 1
+		if l.pos < len(l.src) && l.src[l.pos] == '\'' {
+			sb.WriteByte('\'') // escaped quote
+			l.pos++
+			continue
+		}
+		return Token{Kind: TokString, Text: sb.String(), Pos: start}, nil
 	}
-	return Token{}, fmt.Errorf("sql: unterminated string starting at %d", start)
 }
 
 // atNumber reports whether a number starts at l.pos: a digit, or '-'

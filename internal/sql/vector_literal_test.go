@@ -1,6 +1,7 @@
 package sql
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"strconv"
@@ -235,23 +236,34 @@ func insertSQL(rows, dim int, payload bool) string {
 	return string(b)
 }
 
-// BenchmarkParseInsert parses one 500-row, 128-d INSERT, with and
-// without a string payload column.
+// BenchmarkParseInsert parses benchmark-shaped INSERTs (128-d vectors
+// and a string payload) of 8, 64 and 500 rows, serially and with the
+// vectors converted on GOMAXPROCS workers: the numbers that set
+// deferMinBytes. Run at -cpu 1,2.
 func BenchmarkParseInsert(b *testing.B) {
-	for _, payload := range []bool{false, true} {
-		name := "vectors"
-		if payload {
-			name = "with-payload"
-		}
-		src := insertSQL(500, 128, payload)
-		b.Run(name, func(b *testing.B) {
-			b.SetBytes(int64(len(src)))
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := Parse(src); err != nil {
-					b.Fatal(err)
+	for _, rows := range []int{8, 64, 500} {
+		src := insertSQL(rows, 128, true)
+		for _, path := range []struct {
+			name  string
+			parse func(string) (Statement, error)
+		}{
+			{"serial", func(src string) (Statement, error) { return parse(src, nil) }},
+			{"deferred", func(src string) (Statement, error) {
+				if st, ok := parseDeferred(src); ok {
+					return st, nil
 				}
-			}
-		})
+				return nil, errDeferred
+			}},
+		} {
+			b.Run(fmt.Sprintf("rows=%d/%s", rows, path.name), func(b *testing.B) {
+				b.SetBytes(int64(len(src)))
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, err := path.parse(src); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
 	}
 }

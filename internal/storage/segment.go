@@ -1,7 +1,6 @@
 package storage
 
 import (
-	"bytes"
 	"context"
 	"encoding/binary"
 	"encoding/json"
@@ -274,9 +273,9 @@ func centroidOf(col *ColumnData) []float32 {
 }
 
 // encodeColumn serializes a column into granules and returns the blob
-// plus the mark index.
+// plus the mark index. The blob is one buffer of exactly its size.
 func encodeColumn(col *ColumnData, blockRows int) ([]byte, []BlockMeta, error) {
-	var buf bytes.Buffer
+	buf := make([]byte, 0, col.EncodedSize())
 	var blocks []BlockMeta
 	n := col.Len()
 	for start := 0; start < n || (n == 0 && start == 0); start += blockRows {
@@ -284,37 +283,66 @@ func encodeColumn(col *ColumnData, blockRows int) ([]byte, []BlockMeta, error) {
 		if end > n {
 			end = n
 		}
-		off := int64(buf.Len())
-		if err := encodeBlock(&buf, col, start, end); err != nil {
+		off := int64(len(buf))
+		var err error
+		if buf, err = AppendValues(buf, col, start, end); err != nil {
 			return nil, nil, err
 		}
-		blocks = append(blocks, BlockMeta{Rows: end - start, Offset: off, Length: int64(buf.Len()) - off})
+		blocks = append(blocks, BlockMeta{Rows: end - start, Offset: off, Length: int64(len(buf)) - off})
 		if n == 0 {
 			break
 		}
 	}
-	return buf.Bytes(), blocks, nil
+	return buf, blocks, nil
 }
 
-func encodeBlock(buf *bytes.Buffer, col *ColumnData, start, end int) error {
+// EncodedSize is the length of AppendValues over all of c's rows.
+func (c *ColumnData) EncodedSize() int {
+	switch c.Def.Type {
+	case Int64Type, DateTimeType:
+		return 8 * len(c.Ints)
+	case Float64Type:
+		return 8 * len(c.Floats)
+	case StringType:
+		size := 4 * len(c.Strs)
+		for _, s := range c.Strs {
+			size += len(s)
+		}
+		return size
+	case VectorType:
+		return 4 * len(c.Vecs)
+	}
+	return 0
+}
+
+// AppendValues appends rows [start, end) of col to buf, little-endian:
+// an int or float as 8 bytes, a string as its uint32 length and its
+// bytes, a vector as its float32s. A granule is this encoding, and so
+// is each column of a WAL insert record.
+func AppendValues(buf []byte, col *ColumnData, start, end int) ([]byte, error) {
 	switch col.Def.Type {
 	case Int64Type, DateTimeType:
-		return binary.Write(buf, binary.LittleEndian, col.Ints[start:end])
+		for _, v := range col.Ints[start:end] {
+			buf = binary.LittleEndian.AppendUint64(buf, uint64(v))
+		}
 	case Float64Type:
-		return binary.Write(buf, binary.LittleEndian, col.Floats[start:end])
+		for _, v := range col.Floats[start:end] {
+			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
+		}
 	case StringType:
 		for _, s := range col.Strs[start:end] {
-			if err := binary.Write(buf, binary.LittleEndian, uint32(len(s))); err != nil {
-				return err
-			}
-			buf.WriteString(s)
+			buf = binary.LittleEndian.AppendUint32(buf, uint32(len(s)))
+			buf = append(buf, s...)
 		}
-		return nil
 	case VectorType:
 		d := col.Def.Dim
-		return binary.Write(buf, binary.LittleEndian, col.Vecs[start*d:end*d])
+		for _, v := range col.Vecs[start*d : end*d] {
+			buf = binary.LittleEndian.AppendUint32(buf, math.Float32bits(v))
+		}
+	default:
+		return nil, fmt.Errorf("storage: unknown column type %d", col.Def.Type)
 	}
-	return fmt.Errorf("storage: unknown column type %d", col.Def.Type)
+	return buf, nil
 }
 
 // ErrCorruptGranule is wrapped by every granule decode failure: the

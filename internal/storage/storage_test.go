@@ -1,7 +1,6 @@
 package storage
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"os"
@@ -521,11 +520,11 @@ func TestReadRowsManyGranules(t *testing.T) {
 // encodeGranule serializes rows [0, n) of col as one granule.
 func encodeGranule(t *testing.T, col *ColumnData) []byte {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := encodeBlock(&buf, col, 0, col.Len()); err != nil {
+	buf, err := AppendValues(nil, col, 0, col.Len())
+	if err != nil {
 		t.Fatal(err)
 	}
-	return buf.Bytes()
+	return buf
 }
 
 func TestDecodeBlockRoundTripAndTruncation(t *testing.T) {

@@ -90,6 +90,17 @@ func parseBlobKey(key string) (first, last int64, ok bool) {
 // for replay (in LSN order), and the log's next LSN is positioned past
 // everything on disk. Call Start before Append.
 func Open(store storage.BlobStore, table string, schema *storage.Schema, afterLSN int64, maxCommitRecords int) (*Log, []*Record, error) {
+	keys, err := store.List(logPrefix(table))
+	if err != nil {
+		return nil, nil, err
+	}
+	return OpenListed(store, table, schema, keys, afterLSN, maxCommitRecords)
+}
+
+// OpenListed is Open over keys, a listing of the table's Prefix the
+// caller already holds: the log is positioned past every blob keys
+// names, and only blobs holding records past afterLSN are read.
+func OpenListed(store storage.BlobStore, table string, schema *storage.Schema, keys []string, afterLSN int64, maxCommitRecords int) (*Log, []*Record, error) {
 	if maxCommitRecords <= 0 {
 		maxCommitRecords = DefaultMaxCommitRecords
 	}
@@ -102,11 +113,6 @@ func Open(store storage.BlobStore, table string, schema *storage.Schema, afterLS
 		reqCh:    make(chan *appendReq, 4*maxCommitRecords),
 		done:     make(chan struct{}),
 	}
-	keys, err := store.List(logPrefix(table))
-	if err != nil {
-		return nil, nil, err
-	}
-	sort.Strings(keys)
 	var pending []*Record
 	for _, k := range keys {
 		first, last, ok := parseBlobKey(k)

@@ -126,7 +126,9 @@ func (r *walReader) u64() (uint64, error) {
 }
 
 // encodePayload serializes a record's body (everything after the
-// per-record header).
+// per-record header). An insert is its row count, then each column's
+// values as a granule encodes them (storage.AppendValues), in one
+// buffer sized from the batch.
 func encodePayload(rec *Record) ([]byte, error) {
 	var w walBuf
 	switch rec.Type {
@@ -134,29 +136,16 @@ func encodePayload(rec *Record) ([]byte, error) {
 		if err := rec.Batch.Validate(); err != nil {
 			return nil, err
 		}
-		n := rec.Batch.Len()
-		w.u32(uint32(n))
+		size := 4
 		for _, col := range rec.Batch.Cols {
-			switch col.Def.Type {
-			case storage.Int64Type, storage.DateTimeType:
-				for _, v := range col.Ints {
-					w.u64(uint64(v))
-				}
-			case storage.Float64Type:
-				for _, v := range col.Floats {
-					w.u64(math.Float64bits(v))
-				}
-			case storage.StringType:
-				for _, s := range col.Strs {
-					w.u32(uint32(len(s)))
-					w.str(s)
-				}
-			case storage.VectorType:
-				for _, v := range col.Vecs {
-					w.u32(math.Float32bits(v))
-				}
-			default:
-				return nil, fmt.Errorf("wal: unknown column type %d", col.Def.Type)
+			size += col.EncodedSize()
+		}
+		w.b = make([]byte, 0, size)
+		w.u32(uint32(rec.Batch.Len()))
+		for _, col := range rec.Batch.Cols {
+			var err error
+			if w.b, err = storage.AppendValues(w.b, col, 0, col.Len()); err != nil {
+				return nil, err
 			}
 		}
 	case RecDelete:
@@ -267,14 +256,21 @@ func decodePayload(schema *storage.Schema, typ RecordType, payload []byte) (*Rec
 
 // EncodeBlob serializes one group commit's records into a WAL blob.
 func EncodeBlob(recs []*Record) ([]byte, error) {
-	var w walBuf
-	w.u32(walMagic)
-	w.u8(walVersion)
-	for _, rec := range recs {
+	payloads := make([][]byte, len(recs))
+	size := 5 // magic, version
+	for i, rec := range recs {
 		payload, err := encodePayload(rec)
 		if err != nil {
 			return nil, err
 		}
+		payloads[i] = payload
+		size += 17 + len(payload) // LSN, type, length, checksum, payload
+	}
+	w := walBuf{b: make([]byte, 0, size)}
+	w.u32(walMagic)
+	w.u8(walVersion)
+	for i, rec := range recs {
+		payload := payloads[i]
 		w.u64(uint64(rec.LSN))
 		w.u8(byte(rec.Type))
 		w.u32(uint32(len(payload)))
