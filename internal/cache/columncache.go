@@ -74,6 +74,9 @@ func (c *ColumnCache) ReadRows(reader *storage.SegmentReader, col string, rows [
 // (nil = untraced) recording hit/miss per block and admission-control
 // bypasses.
 func (c *ColumnCache) ReadRowsTally(ctx context.Context, reader *storage.SegmentReader, col string, rows []int, queryRows int, tally *obs.CacheTally) (*storage.ColumnData, error) {
+	if reader.InMemory() { // a memtable segment: its name does not name its rows
+		return reader.ReadRowsCtx(ctx, col, rows)
+	}
 	if c.cfg.RowLimit > 0 && queryRows > c.cfg.RowLimit {
 		// Too big: bypass so we don't thrash the hot set.
 		c.bypasses.Add(1)
@@ -115,6 +118,9 @@ func (c *ColumnCache) ReadColumn(reader *storage.SegmentReader, col string) (*st
 // ReadColumnTally is ReadColumn with a context bounding the blob read
 // and an optional per-query trace tally.
 func (c *ColumnCache) ReadColumnTally(ctx context.Context, reader *storage.SegmentReader, col string, tally *obs.CacheTally) (*storage.ColumnData, error) {
+	if reader.InMemory() {
+		return reader.ReadColumnCtx(ctx, col)
+	}
 	key := granuleKey{table: reader.Meta.Table, seg: reader.Meta.Name, col: col, block: wholeColumn}
 	if v, ok := c.data.Get(key); ok {
 		tally.Hit()

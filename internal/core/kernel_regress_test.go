@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -102,6 +103,62 @@ func TestVectorQueryAllocsBounded(t *testing.T) {
 	const budget = 81
 	if allocs > budget {
 		t.Fatalf("steady-state vector query allocates %v, budget %v", allocs, budget)
+	}
+}
+
+// A memtable is read as one more flat segment, so the same steady-state
+// top-10 over a table with unflushed rows pays only for that segment:
+// its snapshot (meta, columns, reader, flat view, delete bitmap), one
+// index search and its column fetch. Set-up: seedImages, flushed, then
+// 24 INSERTs of 32 rows left in the memtable with three of them
+// deleted. The bound is the measured delta of the per-row memtable
+// scan this replaced (54 → 79 allocations, +25); the segment measures
+// 54 → 72.
+func TestMemtableQueryAllocsBounded(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items under -race; the bound holds only without it")
+	}
+	e := newEngine(t, Config{WAL: noFlushWAL()})
+	defer e.Close()
+	ds := seedImages(t, e)
+	if err := e.Table("images").FlushWAL(); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	src := "SELECT id FROM images ORDER BY L2Distance(embedding, " + vecLit(ds.Queries.Row(0)) + ") LIMIT 10"
+	steady := func() float64 {
+		for i := 0; i < 3; i++ { // warm index handles, column cache, pools
+			if _, err := e.Query(ctx, src, QueryOptions{}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return testing.AllocsPerRun(50, func() {
+			if _, err := e.Query(ctx, src, QueryOptions{}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	flushed := steady()
+	for b := 0; b < 24; b++ {
+		var sb strings.Builder
+		sb.WriteString("INSERT INTO images VALUES ")
+		for r := 0; r < 32; r++ {
+			id := 1000 + 32*b + r
+			if r > 0 {
+				sb.WriteByte(',')
+			}
+			fmt.Fprintf(&sb, "(%d, 'fresh', %d, 0.5, %s)", id, 2000+id, vecLit(ds.Vectors.Row(id%eN)))
+		}
+		mustExec(t, e, sb.String())
+	}
+	mustExec(t, e, "DELETE FROM images WHERE id IN (1001, 1400, 1767)")
+	if n := e.Table("images").MemRows(); n != 24*32 {
+		t.Fatalf("memtable holds %d rows, want %d", n, 24*32)
+	}
+	withMem := steady()
+	const budget = 25
+	if d := withMem - flushed; d > budget {
+		t.Fatalf("a memtable adds %v allocations to a steady-state query (%v → %v), budget %v", d, flushed, withMem, budget)
 	}
 }
 

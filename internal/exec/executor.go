@@ -17,13 +17,14 @@ import (
 	"blendhouse/internal/plan"
 	"blendhouse/internal/storage"
 	"blendhouse/internal/vec"
-	"blendhouse/internal/wal"
 )
 
 // Execution metrics (SHOW METRICS / the -debug-addr endpoint). The
 // plan.* counters record which of the paper's plans A/B/C the
 // optimizer actually ran; widen_rounds counts adaptive semantic-prune
-// retries; segment_scans counts per-segment ANN and brute-force scans.
+// retries; segment_scans and memtable_scans count the per-segment ANN
+// and brute-force scans of a vector run, of stored segments and of
+// memtable segments.
 var (
 	mVecQueries  = obs.Default().Counter("bh.query.vector.total")
 	mPlanBrute   = obs.Default().Counter("bh.query.plan.brute_force")
@@ -31,6 +32,7 @@ var (
 	mPlanPost    = obs.Default().Counter("bh.query.plan.post_filter")
 	mWidenRounds = obs.Default().Counter("bh.query.widen_rounds")
 	mSegScans    = obs.Default().Counter("bh.exec.segment_scans")
+	mMemScans    = obs.Default().Counter("bh.exec.memtable_scans")
 )
 
 // Executor runs physical plans against one table, keeping each
@@ -91,7 +93,7 @@ type Result struct {
 
 // hit is one ANN candidate qualified by segment.
 type hit struct {
-	meta   *storage.SegmentMeta
+	seg    *lsm.Segment
 	offset int
 	dist   float32
 }
@@ -122,8 +124,8 @@ type run struct {
 	ranged   bool // range search (compatible members share range-ness)
 	members  []member
 	preds    []compiledPred
-	v        *lsm.Version       // pinned for the whole run
-	mem      []*wal.MemSnapshot // v's memtables as the run acquired them
+	v        *lsm.Version   // pinned for the whole run
+	segs     []*lsm.Segment // v's segments, then its memtables' as the run acquired them
 	par      int
 	tr       *obs.Trace // spans of a solo run; a group records none
 
@@ -139,7 +141,6 @@ type member struct {
 	cap    int // heap bound: k, or 0 (keep all) for range search
 	params index.SearchParams
 	radius float32 // internal-space radius of a range search
-	mem    []hit   // memtable hits of a top-k search
 	hits   []hit
 	cols   []string // output columns
 	need   uint64   // the assembly fetch columns it asks for
@@ -257,7 +258,7 @@ func groupCompatible(qs []GroupQuery) bool {
 }
 
 // execute runs r under ctx, which governs the shared steps: compile the
-// predicates, acquire one Version with its memtable snapshots for the
+// predicates, acquire one Version and its memtable segments for the
 // whole run (a concurrent flush can't duplicate or drop rows, and no
 // segment it names is deleted before the run releases it), then the
 // scalar scan or the vector pipeline. A shared step's error goes
@@ -268,7 +269,7 @@ func (e *Executor) execute(ctx context.Context, r *run) {
 	preds, err := compilePredicates(e.Table.Schema(), lg.ScalarPreds)
 	if err == nil {
 		r.preds = preds
-		r.v, r.mem = e.Table.Acquire()
+		r.v, r.segs = e.Table.Acquire()
 		defer r.v.Release()
 		if lg.IsVectorQuery() {
 			err = e.runVector(ctx, r)
@@ -322,9 +323,10 @@ func (r *run) fail(i int, err error) error {
 	return err
 }
 
-// runVector is the vector pipeline: memtable scan, prune, per-segment
-// scan (widening a semantically pruned solo run that came back short),
-// per-member merge, assembly.
+// runVector is the vector pipeline: prune, per-segment scan (widening a
+// semantically pruned solo run that came back short), per-member merge,
+// assembly. Memtable segments go through it like stored ones: with no
+// statistics and no centroid, pruning always keeps them.
 func (e *Executor) runVector(ctx context.Context, r *run) error {
 	r.ranged = r.members[0].lg.Range != nil
 	for i := range r.members {
@@ -363,21 +365,6 @@ func (e *Executor) runVector(ctx context.Context, r *run) error {
 	}
 	root := r.tr.Span()
 
-	// Unflushed rows: brute-force the memtable snapshots once — they
-	// are immune to semantic widening (never pruned) but their hits
-	// count toward k before a widening round is declared necessary.
-	if len(r.mem) > 0 && !r.ranged {
-		memSp := root.Child("mem-scan")
-		for i := range r.members {
-			if mb := &r.members[i]; !r.dropped(i) {
-				mb.mem = memHits(mb, r.preds, r.mem)
-			}
-		}
-		memSp.SetInt("snapshots", int64(len(r.mem)))
-		memSp.SetInt("hits", int64(len(r.members[0].mem)))
-		memSp.End()
-	}
-
 	// Semantic pruning ranks segments by one query vector: a solo run's.
 	partCol := e.partitionColumn()
 	frac := 0.0
@@ -390,9 +377,9 @@ func (e *Executor) runVector(ctx context.Context, r *run) error {
 			return err
 		}
 		pruneSp := root.Child("prune")
-		segs, cut := pruneSegments(r.v.Segments, r.preds, partCol, solo.lg.Distance.Query, frac, e.MinSegments)
+		segs, cut := pruneSegments(r.segs, r.preds, partCol, solo.lg.Distance.Query, frac, e.MinSegments)
 		pruneSp.SetInt("round", int64(round))
-		pruneSp.SetInt("segments_total", int64(len(r.v.Segments)))
+		pruneSp.SetInt("segments_total", int64(len(r.segs)))
 		pruneSp.SetInt("segments_kept", int64(len(segs)))
 		pruneSp.SetBool("semantic", cut)
 		if cut {
@@ -404,24 +391,24 @@ func (e *Executor) runVector(ctx context.Context, r *run) error {
 		}
 		// Adaptive semantic widening (paper §IV-B): if pruning cost us
 		// results, re-run over more segments.
-		if !cut || r.ranged || len(solo.hits)+len(solo.mem) >= solo.k {
+		if !cut || r.ranged || len(solo.hits) >= solo.k {
 			break
 		}
 		mWidenRounds.Inc()
 		if frac *= 2; frac < 1 {
 			continue
 		}
-		segs, _ = pruneSegments(r.v.Segments, r.preds, partCol, nil, 0, 0) // final pass over everything
+		segs, _ = pruneSegments(r.segs, r.preds, partCol, nil, 0, 0) // final pass over everything
 		if err := e.scan(ctx, r, segs, true); err != nil {
 			return err
 		}
 		break
 	}
+	// A top-k keeps its k best, a range search its LIMIT if it has one.
 	for i := range r.members {
 		if mb := &r.members[i]; mb.err == nil {
-			mb.hits = append(mb.hits, mb.mem...)
 			sortHits(mb.hits)
-			if !r.ranged && len(mb.hits) > mb.k {
+			if (!r.ranged || mb.lg.K > 0) && len(mb.hits) > mb.k {
 				mb.hits = mb.hits[:mb.k]
 			}
 		}
@@ -430,8 +417,7 @@ func (e *Executor) runVector(ctx context.Context, r *run) error {
 }
 
 // scan runs the per-segment scan over segs into each member's hits,
-// under a "scan" span. A range search also takes in its memtable rows
-// here and truncates to its LIMIT.
+// under a "scan" span.
 func (e *Executor) scan(ctx context.Context, r *run, segs []*lsm.Segment, final bool) error {
 	sp := r.tr.Span().Child("scan")
 	sp.Set("strategy", r.strategy.String())
@@ -440,17 +426,6 @@ func (e *Executor) scan(ctx context.Context, r *run, segs []*lsm.Segment, final 
 		sp.SetInt("segments_kept", int64(len(segs)))
 	}
 	err := e.scanSegments(ctx, r, segs, sp)
-	if err == nil && r.ranged {
-		for i := range r.members {
-			if mb := &r.members[i]; !r.dropped(i) {
-				mb.hits = append(mb.hits, memHits(mb, r.preds, r.mem)...)
-				if mb.lg.K > 0 && len(mb.hits) > mb.lg.K {
-					sortHits(mb.hits)
-					mb.hits = mb.hits[:mb.lg.K]
-				}
-			}
-		}
-	}
 	sp.SetInt("hits", int64(len(r.members[0].hits)))
 	sp.End()
 	return err
@@ -545,8 +520,12 @@ func (e *Executor) predicateBitset(ctx context.Context, seg *lsm.Segment, preds 
 // come with each query's Version), so a handle stays valid for as long
 // as its segment is live: writes never invalidate it, and the table's
 // retire hook drops it when the last Version naming the segment is
-// released.
+// released. A memtable segment's name outlives its contents, so its
+// own index is used and never stored.
 func (e *Executor) segmentIndex(ctx context.Context, seg *lsm.Segment, tr *obs.Trace) (index.Index, error) {
+	if seg.Index != nil {
+		return seg.Index, nil
+	}
 	if v, ok := e.localIdx.Load(seg.Meta.Name); ok {
 		tr.IdxTally().Hit()
 		return v.(index.Index), nil
@@ -598,7 +577,7 @@ type segScan struct {
 // emit pushes member i's candidates from s's segment into its heap.
 func (r *run) emit(s *segScan, i int, cands []index.Candidate) {
 	for _, c := range cands {
-		s.heaps[i].push(hit{meta: s.seg.Meta, offset: int(c.ID), dist: c.Dist}, r.members[i].cap)
+		s.heaps[i].push(hit{seg: s.seg, offset: int(c.ID), dist: c.Dist}, r.members[i].cap)
 	}
 	s.span.SetInt("candidates", int64(len(cands)))
 }
@@ -622,7 +601,11 @@ func (e *Executor) scanSegment(ctx context.Context, r *run, s *segScan) error {
 		}
 	}
 	s.span.SetInt("rows", int64(s.seg.Meta.Rows))
-	mSegScans.Inc()
+	if s.seg.Reader.InMemory() {
+		mMemScans.Inc()
+	} else {
+		mSegScans.Inc()
+	}
 	if brute {
 		return e.scanRows(ctx, r, s, bs)
 	}
@@ -778,7 +761,7 @@ func (e *Executor) postFilter(ctx context.Context, r *run, s *segScan, ix index.
 		}
 		for j, c := range sc.cands {
 			if sc.pass[j] {
-				s.heaps[i].push(hit{meta: s.seg.Meta, offset: int(c.ID), dist: c.Dist}, mb.cap)
+				s.heaps[i].push(hit{seg: s.seg, offset: int(c.ID), dist: c.Dist}, mb.cap)
 				if found++; found == mb.k {
 					break
 				}
@@ -807,19 +790,19 @@ func internalRadius(lg *plan.Logical) float32 {
 
 func (e *Executor) runScalar(ctx context.Context, r *run) error {
 	lg, preds, tr := r.members[0].lg, r.preds, r.tr
-	segs, _ := pruneSegments(r.v.Segments, preds, e.partitionColumn(), nil, 0, 0)
+	segs, _ := pruneSegments(r.segs, preds, e.partitionColumn(), nil, 0, 0)
 	sp := tr.Span().Child("scalar-scan")
 	sp.SetInt("segments", int64(len(segs)))
-	sp.SetInt("mem_snapshots", int64(len(r.mem)))
 	type scalarRow struct {
-		meta   *storage.SegmentMeta
+		seg    *lsm.Segment
 		offset int
 		sortV  float64
 		sortS  string
 	}
 	// Segments scan concurrently; the positional gather keeps segment
-	// order, so the concatenation (and therefore the stable sort and
-	// LIMIT below) matches sequential execution exactly.
+	// order (memtable segments last), so the concatenation (and
+	// therefore the stable sort and LIMIT below) matches sequential
+	// execution exactly.
 	perSeg, err := gatherSegments(ctx, segs, r.par, func(ctx context.Context, _ int, seg *lsm.Segment) ([]scalarRow, error) {
 		bs, err := e.predicateBitset(ctx, seg, preds, tr)
 		if err != nil {
@@ -841,7 +824,7 @@ func (e *Executor) runScalar(ctx context.Context, r *run) error {
 		}
 		rows := make([]scalarRow, len(offsets))
 		for i, off := range offsets {
-			rows[i] = scalarRow{meta: seg.Meta, offset: off}
+			rows[i] = scalarRow{seg: seg, offset: off}
 			rows[i].sortV, rows[i].sortS = sortKey(sortCol, i)
 		}
 		return rows, nil
@@ -852,24 +835,6 @@ func (e *Executor) runScalar(ctx context.Context, r *run) error {
 	var rows []scalarRow
 	for _, rs := range perSeg {
 		rows = append(rows, rs...)
-	}
-	// Unflushed rows from the memtable snapshots, appended after every
-	// segment's rows (their synthetic names sort last) so unordered
-	// LIMIT results stay deterministic.
-	for _, snap := range r.mem {
-		mMemScans.Inc()
-		var sortCol *storage.ColumnData
-		if lg.OrderColumn != "" {
-			sortCol = snap.Col(lg.OrderColumn)
-		}
-		for row := 0; row < snap.Rows(); row++ {
-			if !snap.Alive(row) || !memPass(preds, snap, row) {
-				continue
-			}
-			sr := scalarRow{meta: snap.Meta, offset: row}
-			sr.sortV, sr.sortS = sortKey(sortCol, row)
-			rows = append(rows, sr)
-		}
 	}
 	if lg.OrderColumn != "" {
 		sort.SliceStable(rows, func(i, j int) bool {
@@ -885,7 +850,7 @@ func (e *Executor) runScalar(ctx context.Context, r *run) error {
 	}
 	hits := make([]hit, len(rows))
 	for i, r := range rows {
-		hits[i] = hit{meta: r.meta, offset: r.offset, dist: float32(math.NaN())}
+		hits[i] = hit{seg: r.seg, offset: r.offset, dist: float32(math.NaN())}
 	}
 	sp.SetInt("hits", int64(len(hits)))
 	sp.End()
@@ -926,10 +891,10 @@ type place struct{ seg, pos int }
 // final hits and builds each member's result rows in hit order. Hits
 // are grouped by segment in first-appearance order across members, and
 // each segment's rows (a row two members share, once) are fetched once
-// per column, concurrently across segments, through the column cache;
-// memtable hits read straight from their frozen snapshots. Everything
-// is positional — a hit's place says where its row sits — so a solo
-// run builds no map; a group dedupes shared rows through one.
+// per column, concurrently across segments, through the hit's own
+// segment reader and the column cache. Everything is positional — a
+// hit's place says where its row sits — so a solo run builds no map; a
+// group dedupes shared rows through one.
 func (e *Executor) assemble(ctx context.Context, r *run, sp *obs.Span) error {
 	total := 0
 	for i := range r.members {
@@ -964,7 +929,7 @@ func (e *Executor) assemble(ctx context.Context, r *run, sp *obs.Span) error {
 		}
 	}
 	type segFetch struct {
-		meta *storage.SegmentMeta
+		seg  *lsm.Segment
 		n    int                   // rows fetched from this segment
 		need uint64                // columns some member with hits here needs
 		rows []int                 // their offsets, in first-appearance order
@@ -985,14 +950,14 @@ func (e *Executor) assemble(ctx context.Context, r *run, sp *obs.Span) error {
 		for j, h := range mb.hits {
 			si := -1
 			for s := len(segs) - 1; s >= 0; s-- { // newest first: hits grouped by segment match at once
-				if segs[s].meta.Name == h.meta.Name {
+				if segs[s].seg == h.seg {
 					si = s
 					break
 				}
 			}
 			if si < 0 {
 				si = len(segs)
-				segs = append(segs, segFetch{meta: h.meta})
+				segs = append(segs, segFetch{seg: h.seg})
 			}
 			sf := &segs[si]
 			sf.need |= mb.need
@@ -1026,22 +991,11 @@ func (e *Executor) assemble(ctx context.Context, r *run, sp *obs.Span) error {
 	}
 	err := poolRun(ctx, len(segs), r.par, func(ctx context.Context, si int) error {
 		sf := &segs[si]
-		snap := memSnapshot(r.mem, sf.meta)
-		var rd *storage.SegmentReader
-		if snap == nil {
-			rd = r.v.Segment(sf.meta.Name).Reader
-		}
 		for fi, c := range fetch {
 			if sf.need&(1<<min(fi, 63)) == 0 {
 				continue
 			}
-			if snap != nil {
-				if sf.cols[fi] = memFetchColumn(snap, c, sf.rows); sf.cols[fi] == nil {
-					return fmt.Errorf("%w: unknown column %q", ErrInvalidQuery, c)
-				}
-				continue
-			}
-			cd, err := e.readRows(ctx, rd, c, sf.rows, rows, r.tr)
+			cd, err := e.readRows(ctx, sf.seg.Reader, c, sf.rows, rows, r.tr)
 			if err != nil {
 				return err
 			}

@@ -203,8 +203,8 @@ func hitWorse(a, b hit) bool {
 	if a.dist != b.dist {
 		return a.dist > b.dist
 	}
-	if a.meta.Name != b.meta.Name {
-		return a.meta.Name > b.meta.Name
+	if a.seg != b.seg {
+		return a.seg.Meta.Name > b.seg.Meta.Name
 	}
 	return a.offset > b.offset
 }

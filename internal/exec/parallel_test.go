@@ -90,14 +90,14 @@ func TestPoolRunParentCancel(t *testing.T) {
 // keep exactly the k best under the full deterministic order.
 func TestHitHeapMatchesSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	metas := []*storage.SegmentMeta{{Name: "seg_a"}, {Name: "seg_b"}, {Name: "seg_c"}}
+	segs := []*lsm.Segment{{Meta: &storage.SegmentMeta{Name: "seg_a"}}, {Meta: &storage.SegmentMeta{Name: "seg_b"}}, {Meta: &storage.SegmentMeta{Name: "seg_c"}}}
 	for trial := 0; trial < 50; trial++ {
 		n := 1 + rng.Intn(200)
 		k := 1 + rng.Intn(30)
 		all := make([]hit, n)
 		for i := range all {
 			all[i] = hit{
-				meta:   metas[rng.Intn(len(metas))],
+				seg:    segs[rng.Intn(len(segs))],
 				offset: rng.Intn(50),
 				// Few distinct distances to force tie-breaking.
 				dist: float32(rng.Intn(5)),
@@ -123,9 +123,9 @@ func TestHitHeapMatchesSort(t *testing.T) {
 
 func TestHitHeapUnbounded(t *testing.T) {
 	var hp hitHeap
-	m := &storage.SegmentMeta{Name: "s"}
+	seg := &lsm.Segment{Meta: &storage.SegmentMeta{Name: "s"}}
 	for i := 0; i < 100; i++ {
-		hp.push(hit{meta: m, offset: i, dist: float32(100 - i)}, 0)
+		hp.push(hit{seg: seg, offset: i, dist: float32(100 - i)}, 0)
 	}
 	if len(hp.hits) != 100 {
 		t.Fatalf("unbounded heap dropped hits: %d", len(hp.hits))

@@ -13,6 +13,7 @@ import (
 	"regexp"
 	"strings"
 
+	"blendhouse/internal/plan"
 	"blendhouse/internal/sql"
 	"blendhouse/internal/storage"
 )
@@ -67,17 +68,6 @@ func compileOne(schema *storage.Schema, p sql.Predicate) (*compiledPred, error) 
 	}
 }
 
-func asInt(v any) (int64, error) {
-	switch x := v.(type) {
-	case int64:
-		return x, nil
-	case float64:
-		return int64(x), nil
-	default:
-		return 0, fmt.Errorf("exec: expected integer literal, got %T", v)
-	}
-}
-
 func asFloat(v any) (float64, error) {
 	switch x := v.(type) {
 	case float64:
@@ -89,56 +79,42 @@ func asFloat(v any) (float64, error) {
 	}
 }
 
+// compileInt compiles a predicate on an integer column through
+// plan.IntBounds, so a float literal admits exactly the values a
+// float64 comparison does: a fractional = or IN member matches no row,
+// a fractional != every row, and a range rounds inward.
 func compileInt(cp *compiledPred, p sql.Predicate) (*compiledPred, error) {
 	switch p.Op {
 	case sql.OpIn:
 		set := map[int64]bool{}
 		for _, v := range p.Values {
-			n, err := asInt(v)
+			n, _, ok, err := plan.IntBounds(sql.Predicate{Op: sql.OpEq, Value: v})
 			if err != nil {
-				return nil, err
+				return nil, fmt.Errorf("exec: %w", err)
 			}
-			set[n] = true
+			if ok {
+				set[n] = true
+			}
 		}
 		cp.eval = func(c *storage.ColumnData, row int) bool { return set[c.Ints[row]] }
-		return cp, nil
-	case sql.OpBetween:
-		lo, err := asInt(p.Value)
+	case sql.OpNe:
+		v, _, ok, err := plan.IntBounds(sql.Predicate{Op: sql.OpEq, Value: p.Value})
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("exec: %w", err)
 		}
-		hi, err := asInt(p.Value2)
+		cp.eval = func(c *storage.ColumnData, row int) bool { return !ok || c.Ints[row] != v }
+	case sql.OpEq, sql.OpLt, sql.OpLe, sql.OpGt, sql.OpGe, sql.OpBetween:
+		lo, hi, ok, err := plan.IntBounds(p)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("exec: %w", err)
+		}
+		if !ok {
+			lo, hi = math.MaxInt64, math.MinInt64 // empty: no row passes, every segment prunes
 		}
 		cp.intRange = &[2]int64{lo, hi}
 		cp.eval = func(c *storage.ColumnData, row int) bool { v := c.Ints[row]; return v >= lo && v <= hi }
-		return cp, nil
 	case sql.OpRegexp, sql.OpLike:
 		return nil, fmt.Errorf("exec: %s unsupported on integer column %q", p.Op, p.Column)
-	}
-	v, err := asInt(p.Value)
-	if err != nil {
-		return nil, err
-	}
-	switch p.Op {
-	case sql.OpEq:
-		cp.intRange = &[2]int64{v, v}
-		cp.eval = func(c *storage.ColumnData, row int) bool { return c.Ints[row] == v }
-	case sql.OpNe:
-		cp.eval = func(c *storage.ColumnData, row int) bool { return c.Ints[row] != v }
-	case sql.OpLt:
-		cp.intRange = &[2]int64{math.MinInt64, v - 1}
-		cp.eval = func(c *storage.ColumnData, row int) bool { return c.Ints[row] < v }
-	case sql.OpLe:
-		cp.intRange = &[2]int64{math.MinInt64, v}
-		cp.eval = func(c *storage.ColumnData, row int) bool { return c.Ints[row] <= v }
-	case sql.OpGt:
-		cp.intRange = &[2]int64{v + 1, math.MaxInt64}
-		cp.eval = func(c *storage.ColumnData, row int) bool { return c.Ints[row] > v }
-	case sql.OpGe:
-		cp.intRange = &[2]int64{v, math.MaxInt64}
-		cp.eval = func(c *storage.ColumnData, row int) bool { return c.Ints[row] >= v }
 	default:
 		return nil, fmt.Errorf("exec: operator %s unsupported on integers", p.Op)
 	}

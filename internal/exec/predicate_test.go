@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"math"
 	"testing"
 
 	"blendhouse/internal/sql"
@@ -145,5 +146,54 @@ func TestPruningRangesExtracted(t *testing.T) {
 	cp, _ = compileOne(predSchema(), sql.Predicate{Column: "s", Op: sql.OpNe, Value: "cat"})
 	if cp.eqString != nil {
 		t.Fatal("OpNe must not produce a partition hint")
+	}
+}
+
+// TestIntPredicateFloatLiterals: a float literal against an integer
+// column admits exactly the values a float64 comparison does, for
+// every operator, with the segment-pruning range holding every row the
+// predicate passes (and none when nothing can pass).
+func TestIntPredicateFloatLiterals(t *testing.T) {
+	col := storage.NewColumnData(storage.ColumnDef{Name: "i", Type: storage.Int64Type})
+	col.Ints = []int64{math.MinInt64, -3, -2, -1, 0, 1, 2, 3, math.MaxInt64}
+	cmp := map[sql.PredOp]func(x, v float64) bool{
+		sql.OpEq: func(x, v float64) bool { return x == v },
+		sql.OpNe: func(x, v float64) bool { return x != v },
+		sql.OpLt: func(x, v float64) bool { return x < v },
+		sql.OpLe: func(x, v float64) bool { return x <= v },
+		sql.OpGt: func(x, v float64) bool { return x > v },
+		sql.OpGe: func(x, v float64) bool { return x >= v },
+	}
+	for _, v := range []float64{2.5, -2.5, 2.0, 1e30, -1e30} {
+		cases := []struct {
+			p    sql.Predicate
+			want func(x float64) bool
+		}{
+			{sql.Predicate{Op: sql.OpIn, Values: []any{v, 3.0}}, func(x float64) bool { return x == v || x == 3 }},
+			{sql.Predicate{Op: sql.OpBetween, Value: v, Value2: 3.0}, func(x float64) bool { return x >= v && x <= 3 }},
+			{sql.Predicate{Op: sql.OpBetween, Value: -3.0, Value2: v}, func(x float64) bool { return x >= -3 && x <= v }},
+		}
+		for op, f := range cmp {
+			cases = append(cases, struct {
+				p    sql.Predicate
+				want func(x float64) bool
+			}{sql.Predicate{Op: op, Value: v}, func(x float64) bool { return f(x, v) }})
+		}
+		for _, tc := range cases {
+			tc.p.Column = "i"
+			cp, err := compileOne(predSchema(), tc.p)
+			if err != nil {
+				t.Fatalf("compile %+v: %v", tc.p, err)
+			}
+			for r, x := range col.Ints {
+				got, want := cp.eval(col, r), tc.want(float64(x))
+				if got != want {
+					t.Errorf("%d %s %v (%v): got %v, want %v", x, tc.p.Op, tc.p.Value, tc.p.Value2, got, want)
+				}
+				if got && cp.intRange != nil && (x < cp.intRange[0] || x > cp.intRange[1]) {
+					t.Errorf("%d passes %s %v but is outside its pruning range %v", x, tc.p.Op, tc.p.Value, *cp.intRange)
+				}
+			}
+		}
 	}
 }

@@ -30,7 +30,9 @@ func pruneSegments(all []*lsm.Segment, preds []compiledPred, partCol string, q [
 	}
 	kept = make([]*lsm.Segment, 0, len(all))
 	for _, s := range all {
-		if admits(s.Meta, preds, partCol) {
+		// A memtable segment has no statistics and holds rows of every
+		// partition: nothing prunes it.
+		if s.Reader.InMemory() || admits(s.Meta, preds, partCol) {
 			kept = append(kept, s)
 		}
 	}

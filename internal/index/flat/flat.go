@@ -35,6 +35,14 @@ func New(p index.BuildParams) (*Index, error) {
 	return &Index{params: p}, nil
 }
 
+// View returns a flat index over data (rows × dim) and ids in place,
+// with no copy. They are lent under index.Lend's contract: the index
+// only reads them, and capped at their length so AddWithIDs reallocates
+// instead of writing into them.
+func View(p index.BuildParams, data []float32, ids []int64) *Index {
+	return &Index{params: p, data: data[:len(data):len(data)], ids: ids[:len(ids):len(ids)]}
+}
+
 // Train is a no-op: flat indexes have no learned state.
 func (ix *Index) Train([]float32) error { return nil }
 

@@ -6,6 +6,8 @@ import (
 	"sync/atomic"
 
 	"blendhouse/internal/bitset"
+	"blendhouse/internal/index"
+	"blendhouse/internal/index/flat"
 	"blendhouse/internal/storage"
 	"blendhouse/internal/wal"
 )
@@ -26,13 +28,17 @@ type Version struct {
 	pins atomic.Int32 // one while current, one per Acquire
 }
 
-// Segment is one live segment as a Version names it. It never changes:
-// a DELETE publishes a new Segment with a new bitmap, sharing the
-// reader and the lifetime count of the one it replaces.
+// Segment is one live segment as a Version names it, or one memtable
+// snapshot as Acquire serves it. It never changes: a DELETE publishes a
+// new Segment with a new bitmap, sharing the reader and the lifetime
+// count of the one it replaces.
 type Segment struct {
 	Meta    *storage.SegmentMeta
 	Reader  *storage.SegmentReader // shared by every query of the segment
 	Deletes *bitset.Bitset         // nil: no row deleted
+	// Index is a memtable segment's flat index over its frozen rows; a
+	// stored segment's (nil here) is loaded from its blob.
+	Index index.Index
 
 	refs *atomic.Int32 // Versions alive that name the segment
 }
@@ -74,27 +80,46 @@ func (v *Version) Segment(name string) *Segment {
 	return v.Segments[i]
 }
 
-// Acquire pins the current Version and snapshots its memtables under
-// one read lock, so a concurrent flush can never show a row twice
-// (memtable and new segment) or not at all. The caller must Release
-// the Version; until then none of its segments' blobs is deleted.
-func (t *Table) Acquire() (*Version, []*wal.MemSnapshot) {
+// Acquire pins the current Version and returns it with the segments a
+// query of it reads: v.Segments, then one memtable segment per
+// non-empty memtable (sealed ones oldest first, then the active one),
+// all under one read lock, so a concurrent flush can never show a row
+// twice (memtable and new segment) or not at all. The caller must
+// Release the Version; until then none of its segments' blobs is
+// deleted.
+func (t *Table) Acquire() (*Version, []*Segment) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	v := t.cur
 	v.pins.Add(1)
-	// Rows only grow: an empty memtable is asked before it is
-	// snapshotted (ten allocations a query for nothing).
-	var mem []*wal.MemSnapshot
+	segs := slices.Clip(v.Segments) // an append copies: v's slice is shared
 	for _, m := range v.sealed {
-		if m.Rows() > 0 {
-			mem = append(mem, m.Snapshot())
-		}
+		segs = t.appendMem(segs, m)
 	}
-	if v.mem != nil && v.mem.Rows() > 0 {
-		mem = append(mem, v.mem.Snapshot())
+	if v.mem != nil {
+		segs = t.appendMem(segs, v.mem)
 	}
-	return v, mem
+	return v, segs
+}
+
+// appendMem appends m's snapshot to segs as a memtable segment: its
+// frozen columns served from memory, its deleted rows as the bitmap,
+// and a flat index that views the frozen vectors and row offsets. Its
+// "~mem" name stays the same while the memtable's rows and deletes
+// change, so nothing keyed by segment name may hold it: it is in no
+// Version, never retires, and the column cache and the executor's
+// index handles pass it by. Rows only grow: an empty memtable is asked
+// before it is snapshotted.
+func (t *Table) appendMem(segs []*Segment, m *wal.Memtable) []*Segment {
+	if m.Rows() == 0 {
+		return segs
+	}
+	s := m.Snapshot()
+	seg := &Segment{Meta: s.Meta, Reader: storage.MemReader(s.Meta, s.Schema, s.Cols), Deletes: s.Deletes}
+	if vcol := s.Col(t.opts.IndexColumn); vcol != nil {
+		seg.Index = flat.View(t.buildParamsFor(index.Flat, s.Meta.Rows), vcol.Vecs, s.IDs)
+	}
+	return append(segs, seg)
 }
 
 // current returns the current Version unpinned, for a caller that

@@ -64,14 +64,14 @@ func TestVersionPinsReads(t *testing.T) {
 		retired = append(retired, seg)
 	})
 
-	v, mem := tab.Acquire()
-	want := versionContents(t, v, mem)
+	v, segs := tab.Acquire()
+	want := versionContents(t, segs)
 	var inputs []string
 	for _, s := range v.Segments {
 		inputs = append(inputs, s.Meta.Name)
 	}
-	if len(inputs) != 4 || len(mem) != 1 {
-		t.Fatalf("acquired %d segments and %d memtables, want 4 and 1", len(inputs), len(mem))
+	if len(inputs) != 4 || len(segs) != 5 {
+		t.Fatalf("acquired %d segments and %d memtables, want 4 and 1", len(inputs), len(segs)-len(inputs))
 	}
 	if n, err := tab.CompactAll(CompactionPolicy{MinSegments: 2}); err != nil || n != 4 {
 		t.Fatalf("compaction merged %d (%v), want 4", n, err)
@@ -85,7 +85,7 @@ func TestVersionPinsReads(t *testing.T) {
 	if err := tab.FlushWAL(); err != nil {
 		t.Fatal(err)
 	}
-	equalContents(t, want, versionContents(t, v, mem), "held Version after compaction, DELETE and flush")
+	equalContents(t, want, versionContents(t, segs), "held Version after compaction, DELETE and flush")
 	segBlobs := func(seg string) int {
 		keys, err := store.List(segmentsPrefix(opts.Name) + seg + "/")
 		if err != nil {

@@ -15,7 +15,6 @@ import (
 	"blendhouse/internal/index"
 	"blendhouse/internal/storage"
 	"blendhouse/internal/testutil"
-	"blendhouse/internal/wal"
 )
 
 // walTestConfig disables every automatic flush trigger so tests control
@@ -35,50 +34,31 @@ func crashWAL(tab *Table) { tab.stopWAL() }
 // so two tables can be compared for byte-identical query results.
 func tableContents(t *testing.T, tab *Table) []string {
 	t.Helper()
-	v, mem := tab.Acquire()
+	v, segs := tab.Acquire()
 	defer v.Release()
-	return versionContents(t, v, mem)
+	return versionContents(t, segs)
 }
 
-// versionContents is tableContents read through one acquired Version.
-func versionContents(t *testing.T, v *Version, mem []*wal.MemSnapshot) []string {
+// versionContents is tableContents read through the segments one
+// Acquire returned: stored and memtable segments alike, each through
+// its reader, less its delete bitmap.
+func versionContents(t *testing.T, segs []*Segment) []string {
 	t.Helper()
 	var out []string
-	fp := func(id int64, label string, score float64, v []float32) string {
-		return fmt.Sprintf("%d|%s|%.9f|%v", id, label, score, v)
-	}
-	for _, s := range v.Segments {
-		rd, bm, m := s.Reader, s.Deletes, s.Meta
-		ids, err := rd.ReadColumn("id")
-		if err != nil {
-			t.Fatal(err)
+	for _, s := range segs {
+		var cols [4]*storage.ColumnData
+		for i, name := range []string{"id", "label", "score", "embedding"} {
+			c, err := s.Reader.ReadColumn(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cols[i] = c
 		}
-		labels, err := rd.ReadColumn("label")
-		if err != nil {
-			t.Fatal(err)
-		}
-		scores, err := rd.ReadColumn("score")
-		if err != nil {
-			t.Fatal(err)
-		}
-		vecs, err := rd.ReadColumn("embedding")
-		if err != nil {
-			t.Fatal(err)
-		}
-		for r := 0; r < m.Rows; r++ {
-			if bm != nil && bm.Test(r) {
+		for r := 0; r < s.Meta.Rows; r++ {
+			if s.Deletes != nil && s.Deletes.Test(r) {
 				continue
 			}
-			out = append(out, fp(ids.Ints[r], labels.Strs[r], scores.Floats[r], vecs.Vector(r)))
-		}
-	}
-	for _, snap := range mem {
-		ids, labels, scores, vecs := snap.Col("id"), snap.Col("label"), snap.Col("score"), snap.Col("embedding")
-		for r := 0; r < snap.Rows(); r++ {
-			if !snap.Alive(r) {
-				continue
-			}
-			out = append(out, fp(ids.Ints[r], labels.Strs[r], scores.Floats[r], vecs.Vector(r)))
+			out = append(out, fmt.Sprintf("%d|%s|%.9f|%v", cols[0].Ints[r], cols[1].Strs[r], cols[2].Floats[r], cols[3].Vector(r)))
 		}
 	}
 	sort.Strings(out)

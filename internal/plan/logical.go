@@ -240,7 +240,10 @@ func predicateSelectivity(t *lsm.Table, p sql.Predicate) float64 {
 	}
 	switch def.Type {
 	case storage.Int64Type, storage.DateTimeType:
-		lo, hi := intBounds(p)
+		lo, hi, ok, _ := IntBounds(p)
+		if !ok {
+			return 0
+		}
 		return t.EstimateIntSelectivity(p.Column, lo, hi)
 	case storage.Float64Type:
 		lo, hi := floatBounds(p)
@@ -260,27 +263,6 @@ func predicateSelectivity(t *lsm.Table, p sql.Predicate) float64 {
 	return 1
 }
 
-func intBounds(p sql.Predicate) (int64, int64) {
-	v, _ := toInt(p.Value)
-	switch p.Op {
-	case sql.OpEq:
-		return v, v
-	case sql.OpLt:
-		return math.MinInt64, v - 1
-	case sql.OpLe:
-		return math.MinInt64, v
-	case sql.OpGt:
-		return v + 1, math.MaxInt64
-	case sql.OpGe:
-		return v, math.MaxInt64
-	case sql.OpBetween:
-		v2, _ := toInt(p.Value2)
-		return v, v2
-	default:
-		return math.MinInt64, math.MaxInt64
-	}
-}
-
 func floatBounds(p sql.Predicate) (float64, float64) {
 	v, _ := toFloat(p.Value)
 	switch p.Op {
@@ -298,13 +280,70 @@ func floatBounds(p sql.Predicate) (float64, float64) {
 	}
 }
 
-func toInt(v any) (int64, bool) {
+// IntBounds maps a predicate on an integer column to the closed
+// interval [lo, hi] of the int64 values it admits, exactly those for
+// which comparing the value with the literal as float64 holds: a lower
+// bound rounds up, an upper bound rounds down, and a literal beyond
+// the int64 range clamps to it. ok is false when no value qualifies (a
+// fractional =, an empty BETWEEN, a bound past the range). An operator
+// without an interval (!=, IN, ...) yields the whole range; callers
+// pass IN members and a != literal one at a time as =.
+func IntBounds(p sql.Predicate) (lo, hi int64, ok bool, err error) {
+	lo, hi = math.MinInt64, math.MaxInt64
+	okLo, okHi := true, true
+	switch p.Op {
+	case sql.OpEq:
+		if lo, okLo, err = intBound(p.Value, true, false); err == nil {
+			hi, okHi, err = intBound(p.Value, false, false)
+		}
+	case sql.OpLt, sql.OpLe:
+		hi, okHi, err = intBound(p.Value, false, p.Op == sql.OpLt)
+	case sql.OpGt, sql.OpGe:
+		lo, okLo, err = intBound(p.Value, true, p.Op == sql.OpGt)
+	case sql.OpBetween:
+		if lo, okLo, err = intBound(p.Value, true, false); err == nil {
+			hi, okHi, err = intBound(p.Value2, false, false)
+		}
+	}
+	return lo, hi, err == nil && okLo && okHi && lo <= hi, err
+}
+
+// intBound is the least int64 >= v (> v when strict) for a lower
+// bound, else the greatest int64 <= v (< v when strict); ok is false
+// when there is none (NaN, or v past the end of the range it bounds).
+func intBound(v any, lower, strict bool) (int64, bool, error) {
 	switch x := v.(type) {
 	case int64:
-		return x, true
+		if !strict {
+			return x, true, nil
+		} else if lower {
+			return x + 1, x != math.MaxInt64, nil
+		}
+		return x - 1, x != math.MinInt64, nil
 	case float64:
-		return int64(x), true
-	default:
-		return 0, false
+		const limit = 1 << 63 // -limit is MinInt64, limit is one past MaxInt64
+		if lower {
+			c := math.Ceil(x)
+			switch {
+			case !(c < limit):
+				return 0, false, nil // NaN, or above every int64
+			case c < -limit:
+				return math.MinInt64, true, nil
+			case strict && c == x:
+				return int64(c) + 1, true, nil // c < limit - 1 024: no overflow
+			}
+			return int64(c), true, nil
+		}
+		f := math.Floor(x)
+		switch {
+		case !(f >= -limit), strict && x == -limit:
+			return 0, false, nil // NaN, or below every int64
+		case f >= limit:
+			return math.MaxInt64, true, nil
+		case strict && f == x:
+			return int64(f) - 1, true, nil
+		}
+		return int64(f), true, nil
 	}
+	return 0, false, fmt.Errorf("expected integer literal, got %T", v)
 }

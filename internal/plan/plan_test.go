@@ -319,3 +319,47 @@ func TestScalarOnlyQuery(t *testing.T) {
 		t.Fatal("scalar query misclassified as vector query")
 	}
 }
+
+// TestIntBounds: the interval an integer-column predicate admits rounds
+// a lower bound up and an upper bound down, clamps a literal beyond the
+// int64 range, and is empty, never wrapped, past either end.
+func TestIntBounds(t *testing.T) {
+	const lim = float64(1 << 63)
+	for _, tc := range []struct {
+		op     sql.PredOp
+		v, v2  any
+		lo, hi int64
+		ok     bool
+	}{
+		{sql.OpLt, 2.5, nil, math.MinInt64, 2, true},
+		{sql.OpLt, 2.0, nil, math.MinInt64, 1, true},
+		{sql.OpLe, -2.5, nil, math.MinInt64, -3, true},
+		{sql.OpGt, -2.5, nil, -2, math.MaxInt64, true},
+		{sql.OpGe, 2.5, nil, 3, math.MaxInt64, true},
+		{sql.OpEq, 2.0, nil, 2, 2, true},
+		{sql.OpEq, 2.5, nil, 0, 0, false},
+		{sql.OpBetween, 2.2, 2.8, 0, 0, false},
+		{sql.OpBetween, -2.5, 2.5, -2, 2, true},
+		{sql.OpLt, 1e30, nil, math.MinInt64, math.MaxInt64, true},
+		{sql.OpGe, -1e30, nil, math.MinInt64, math.MaxInt64, true},
+		{sql.OpGt, 1e30, nil, 0, 0, false},
+		{sql.OpLe, -1e30, nil, 0, 0, false},
+		{sql.OpEq, 1e30, nil, 0, 0, false},
+		{sql.OpLt, -lim, nil, 0, 0, false},
+		{sql.OpLe, -lim, nil, math.MinInt64, math.MinInt64, true},
+		{sql.OpGe, lim, nil, 0, 0, false},
+		{sql.OpLt, int64(math.MinInt64), nil, 0, 0, false},
+		{sql.OpGt, int64(math.MaxInt64), nil, 0, 0, false},
+		{sql.OpLe, int64(math.MaxInt64), nil, math.MinInt64, math.MaxInt64, true},
+		{sql.OpLt, math.NaN(), nil, 0, 0, false},
+		{sql.OpNe, 2.5, nil, math.MinInt64, math.MaxInt64, true},
+	} {
+		lo, hi, ok, err := IntBounds(sql.Predicate{Op: tc.op, Value: tc.v, Value2: tc.v2})
+		if err != nil || ok != tc.ok || ok && (lo != tc.lo || hi != tc.hi) {
+			t.Errorf("%s %v %v: [%d, %d] ok=%v err=%v, want [%d, %d] ok=%v", tc.op, tc.v, tc.v2, lo, hi, ok, err, tc.lo, tc.hi, tc.ok)
+		}
+	}
+	if _, _, _, err := IntBounds(sql.Predicate{Op: sql.OpLt, Value: "x"}); err == nil {
+		t.Error("a string literal against an integer column must be an error")
+	}
+}

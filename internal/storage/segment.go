@@ -426,11 +426,36 @@ func ReadMeta(store BlobStore, table, seg string) (*SegmentMeta, error) {
 	return &m, m.buildGranuleDirectory()
 }
 
-// SegmentReader reads columns of one segment, whole or block-wise.
+// SegmentReader reads columns of one segment, whole or block-wise: a
+// stored segment's from its blobs, an in-memory one's (MemReader) from
+// its columns.
 type SegmentReader struct {
 	Store  BlobStore
 	Meta   *SegmentMeta
 	Schema *Schema
+
+	mem []*ColumnData // an in-memory segment's columns, in schema order
+}
+
+// MemReader returns a reader that serves cols, one per schema column
+// in schema order, from memory: a memtable snapshot read as a segment.
+func MemReader(meta *SegmentMeta, schema *Schema, cols []*ColumnData) *SegmentReader {
+	return &SegmentReader{Meta: meta, Schema: schema, mem: cols}
+}
+
+// InMemory reports whether r serves its columns from memory (false for
+// a nil r). Every snapshot of one memtable has the same name while its
+// rows change, so nothing may cache what such a reader returns under
+// that name.
+func (r *SegmentReader) InMemory() bool { return r != nil && r.mem != nil }
+
+// memColumn returns an in-memory segment's column itself.
+func (r *SegmentReader) memColumn(name string) (*ColumnData, error) {
+	ci, _ := r.Schema.Col(name)
+	if ci < 0 {
+		return nil, fmt.Errorf("storage: column %q not in schema", name)
+	}
+	return r.mem[ci], nil
 }
 
 // OpenSegment loads metadata and returns a reader.
@@ -464,6 +489,9 @@ func (r *SegmentReader) ReadColumn(name string) (*ColumnData, error) {
 // cancel aborts the (remote) blob read. Of a shared blob it fetches
 // only the span the column's granules cover, not the index around it.
 func (r *SegmentReader) ReadColumnCtx(ctx context.Context, name string) (*ColumnData, error) {
+	if r.mem != nil {
+		return r.memColumn(name) // read-only: the caller shares it
+	}
 	cm, def, err := r.colMeta(name)
 	if err != nil {
 		return nil, err
@@ -503,6 +531,17 @@ func (r *SegmentReader) ReadRows(name string, rows []int) (*ColumnData, error) {
 // ReadRowsCtx is ReadRows bounded by a context: each granule fetch
 // checks for cancellation and aborts in-flight remote range reads.
 func (r *SegmentReader) ReadRowsCtx(ctx context.Context, name string, rows []int) (*ColumnData, error) {
+	if r.mem != nil {
+		src, err := r.memColumn(name)
+		if err != nil {
+			return nil, err
+		}
+		out := NewColumnDataCap(src.Def, len(rows))
+		for _, row := range rows {
+			out.AppendRow(src, row)
+		}
+		return out, nil
+	}
 	return r.GatherRows(name, rows, func(block int) (*ColumnData, error) {
 		cd, _, err := r.ReadGranuleCtx(ctx, name, block)
 		return cd, err

@@ -4,22 +4,26 @@ import (
 	"fmt"
 	"sync"
 
+	"blendhouse/internal/bitset"
 	"blendhouse/internal/storage"
 )
 
-// Memtable buffers acknowledged-but-unflushed rows in columnar form so
-// queries can brute-force scan them. Columns are append-only: a
+// Memtable buffers acknowledged-but-unflushed rows in columnar form,
+// the layout of a segment's columns, so a query reads a snapshot of it
+// as one more segment. Columns and row offsets are append-only: a
 // snapshot captures capacity-capped views under the mutex, and later
 // appends either write past the snapshot's length or reallocate —
 // either way the frozen view never changes, and nothing writes through
-// one. Deletes are tracked in a row-index set that snapshots copy
-// (deletes are rare relative to reads).
+// one. Deletes are tracked in a row-index set that each snapshot turns
+// into a bitmap (deletes are rare relative to reads).
 type Memtable struct {
 	schema *storage.Schema
 	gen    int64
+	name   string
 
 	mu      sync.Mutex
 	batch   *storage.RowBatch
+	ids     []int64 // row offsets 0..n-1: the ids of a flat index over the rows
 	deleted map[int]struct{}
 	bytes   int64
 	maxLSN  int64
@@ -32,6 +36,7 @@ func NewMemtable(schema *storage.Schema, gen int64) *Memtable {
 	return &Memtable{
 		schema:  schema,
 		gen:     gen,
+		name:    fmt.Sprintf("~mem%06d", gen),
 		batch:   storage.NewRowBatch(schema),
 		deleted: make(map[int]struct{}),
 	}
@@ -78,6 +83,7 @@ func (m *Memtable) Append(batch *storage.RowBatch, lsn int64) int64 {
 	}
 	for i := 0; i < n; i++ {
 		m.bytes += rowBytes(m.schema, batch, i)
+		m.ids = append(m.ids, int64(len(m.ids)))
 	}
 	if lsn > m.maxLSN {
 		m.maxLSN = lsn
@@ -147,16 +153,17 @@ func (m *Memtable) MaxLSN() int64 {
 	return m.maxLSN
 }
 
-// MemSnapshot is a frozen, race-free view of a memtable for one query.
-// Meta is synthetic: its "~mem" name prefix sorts after every real
-// segment name, keeping merged result order deterministic.
+// MemSnapshot is a frozen, race-free view of a memtable for one query,
+// in the parts a segment has (the table serves it as one). Meta is
+// synthetic: its "~mem" name prefix sorts after every real segment
+// name, keeping merged result order deterministic.
 type MemSnapshot struct {
 	Meta    *storage.SegmentMeta
 	Schema  *storage.Schema
 	MaxLSN  int64
-	cols    []*storage.ColumnData
-	byName  map[string]*storage.ColumnData
-	deleted map[int]struct{}
+	Cols    []*storage.ColumnData // frozen, in schema order
+	IDs     []int64               // row offsets 0..Rows-1, frozen
+	Deletes *bitset.Bitset        // rows deleted at snapshot time; nil when none
 }
 
 // Snapshot freezes the memtable's current contents.
@@ -165,49 +172,46 @@ func (m *Memtable) Snapshot() *MemSnapshot {
 	defer m.mu.Unlock()
 	n := m.batch.Len()
 	s := &MemSnapshot{
+		Meta:   &storage.SegmentMeta{Name: m.name, Rows: n, Level: -1},
 		Schema: m.schema,
 		MaxLSN: m.maxLSN,
-		Meta: &storage.SegmentMeta{
-			Name:  fmt.Sprintf("~mem%06d", m.gen),
-			Rows:  n,
-			Level: -1,
-		},
-		cols:    make([]*storage.ColumnData, len(m.batch.Cols)),
-		byName:  make(map[string]*storage.ColumnData, len(m.batch.Cols)),
-		deleted: make(map[int]struct{}, len(m.deleted)),
+		Cols:   make([]*storage.ColumnData, len(m.batch.Cols)),
+		IDs:    m.ids[:n:n],
 	}
+	frozen := make([]storage.ColumnData, len(m.batch.Cols)) // one allocation for every column
 	for i, col := range m.batch.Cols {
-		frozen := col.View(0, n)
-		s.cols[i] = frozen
-		s.byName[col.Def.Name] = frozen
+		frozen[i] = *col.View(0, n)
+		s.Cols[i] = &frozen[i]
 	}
-	for i := range m.deleted {
-		if i < n {
-			s.deleted[i] = struct{}{}
+	if len(m.deleted) > 0 {
+		s.Deletes = bitset.New(n)
+		for i := range m.deleted {
+			s.Deletes.Set(i)
 		}
 	}
 	return s
 }
 
-// Rows returns the snapshot's total row count (including deleted).
-func (s *MemSnapshot) Rows() int { return s.Meta.Rows }
-
 // Col returns a frozen column by name, or nil.
-func (s *MemSnapshot) Col(name string) *storage.ColumnData { return s.byName[name] }
+func (s *MemSnapshot) Col(name string) *storage.ColumnData {
+	for _, c := range s.Cols {
+		if c.Def.Name == name {
+			return c
+		}
+	}
+	return nil
+}
 
 // Alive reports whether row i was not deleted at snapshot time.
-func (s *MemSnapshot) Alive(i int) bool {
-	_, dead := s.deleted[i]
-	return !dead
-}
+func (s *MemSnapshot) Alive(i int) bool { return s.Deletes == nil || !s.Deletes.Test(i) }
 
 // LiveBatch returns the snapshot's live rows as a RowBatch — the
 // flusher feeds this through the normal ingest path. With no row
 // deleted it is the frozen columns themselves, read in place; else the
 // live rows are compacted into a batch of their own.
 func (s *MemSnapshot) LiveBatch() *storage.RowBatch {
-	src := &storage.RowBatch{Schema: s.Schema, Cols: s.cols}
-	if len(s.deleted) == 0 {
+	src := &storage.RowBatch{Schema: s.Schema, Cols: s.Cols}
+	if s.Deletes == nil {
 		return src
 	}
 	out := storage.NewRowBatch(s.Schema)

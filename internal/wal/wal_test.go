@@ -255,8 +255,8 @@ func TestMemtableSnapshotIsolation(t *testing.T) {
 	}
 	m.NoteLSN(2)
 	snap := m.Snapshot()
-	if snap.Rows() != 10 || snap.MaxLSN != 2 {
-		t.Fatalf("snapshot rows=%d maxLSN=%d", snap.Rows(), snap.MaxLSN)
+	if snap.Meta.Rows != 10 || snap.MaxLSN != 2 {
+		t.Fatalf("snapshot rows=%d maxLSN=%d", snap.Meta.Rows, snap.MaxLSN)
 	}
 	if snap.Alive(3) || snap.Alive(7) || !snap.Alive(0) {
 		t.Fatal("snapshot delete set wrong")
@@ -268,7 +268,7 @@ func TestMemtableSnapshotIsolation(t *testing.T) {
 	// Mutations after the snapshot must not leak into it.
 	m.Append(testBatch(schema, 10, 5), 3)
 	m.DeleteByKey("id", []int64{0})
-	if snap.Rows() != 10 || len(snap.Col("id").Ints) != 10 {
+	if snap.Meta.Rows != 10 || len(snap.Col("id").Ints) != 10 {
 		t.Fatal("snapshot grew after append")
 	}
 	if !snap.Alive(0) {
@@ -312,7 +312,7 @@ func TestMemtableConcurrentSnapshot(t *testing.T) {
 	}()
 	for i := 0; i < 200; i++ {
 		snap := m.Snapshot()
-		n := snap.Rows()
+		n := snap.Meta.Rows
 		if len(snap.Col("id").Ints) != n || len(snap.Col("embedding").Vecs) != n*wDim {
 			t.Fatalf("torn snapshot: rows=%d ids=%d vecs=%d", n, len(snap.Col("id").Ints), len(snap.Col("embedding").Vecs))
 		}

@@ -6,7 +6,9 @@
 #
 #   bash scripts/lines.sh          print the table (regenerate LINES)
 #   bash scripts/lines.sh -check   fail if a package has more lines than
-#                                  its LINES entry, or has no entry
+#                                  its LINES entry, or has no entry, or
+#                                  DESIGN.md has more lines than the
+#                                  "<lines> DESIGN.md" entry
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -33,4 +35,10 @@ while read -r n dir; do
 		status=1
 	fi
 done < <(count)
+n=$(wc -l < DESIGN.md)
+max=$(awk '$1 !~ /^#/ && $2 == "DESIGN.md" { print $1 }' LINES)
+if [ -z "$max" ] || [ "$n" -gt "$max" ]; then
+	echo "DESIGN.md: $n lines, LINES allows ${max:-none}" >&2
+	status=1
+fi
 exit $status
