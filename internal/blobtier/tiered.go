@@ -165,10 +165,6 @@ func (s *TieredStore) TierStats() Stats {
 	return st
 }
 
-// Backing returns the wrapped store (so callers can reach counters on
-// an inner RemoteStore or the breaker on a RetryStore).
-func (s *TieredStore) Backing() storage.BlobStore { return s.backing }
-
 func (s *TieredStore) cacheable(key string) bool {
 	for _, sub := range s.skip {
 		if sub != "" && containsSub(key, sub) {

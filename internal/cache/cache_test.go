@@ -282,7 +282,7 @@ func colCacheFixture(t *testing.T) (*ColumnCache, *storage.SegmentReader, *stora
 	if err != nil {
 		t.Fatal(err)
 	}
-	cc := NewColumnCache(ColumnCacheConfig{DataBytes: 1 << 20, MetaBytes: 1 << 16, RowLimit: 10})
+	cc := NewColumnCache(ColumnCacheConfig{DataBytes: 1 << 20, RowLimit: 10})
 	return cc, rd, rs
 }
 
@@ -342,18 +342,6 @@ func TestColumnCacheCrossBlock(t *testing.T) {
 	}
 	if _, err := cc.ReadRows(rd, "nope", []int{0}, 1); err == nil {
 		t.Error("unknown column should fail")
-	}
-}
-
-func TestColumnCacheMetaSpace(t *testing.T) {
-	cc, rd, _ := colCacheFixture(t)
-	cc.PutMeta("t", "s", rd.Meta, 100)
-	if m, ok := cc.GetMeta("t", "s"); !ok || m.Name != "s" {
-		t.Fatal("meta space roundtrip failed")
-	}
-	cc.InvalidateSegment("t", "s")
-	if _, ok := cc.GetMeta("t", "s"); ok {
-		t.Fatal("meta survived invalidate")
 	}
 }
 

@@ -13,8 +13,6 @@ import (
 type ColumnCacheConfig struct {
 	// DataBytes bounds the block-data space.
 	DataBytes int64
-	// MetaBytes bounds the small-metadata space (marks, segment metas).
-	MetaBytes int64
 	// RowLimit is the paper's thrash guard (§IV-C): a query reading
 	// more than this many rows bypasses the cache entirely, so one
 	// analytical scan can't evict the hot working set of point-ish
@@ -22,10 +20,10 @@ type ColumnCacheConfig struct {
 	RowLimit int
 }
 
-// DefaultColumnCacheConfig mirrors the paper's separation of
-// frequently-accessed small metadata from larger data chunks.
+// DefaultColumnCacheConfig holds 256 MiB of decoded granules and
+// bypasses queries reading more than 100 000 rows.
 func DefaultColumnCacheConfig() ColumnCacheConfig {
-	return ColumnCacheConfig{DataBytes: 256 << 20, MetaBytes: 32 << 20, RowLimit: 100_000}
+	return ColumnCacheConfig{DataBytes: 256 << 20, RowLimit: 100_000}
 }
 
 // granuleKey addresses one cached piece of a column. It is a struct,
@@ -45,14 +43,13 @@ const wholeColumn = -1
 type ColumnCache struct {
 	cfg  ColumnCacheConfig
 	data *LRU[granuleKey]
-	meta *LRU[string]
 
 	bypasses atomic.Int64
 }
 
-// NewColumnCache builds the two cache spaces.
+// NewColumnCache builds an empty cache.
 func NewColumnCache(cfg ColumnCacheConfig) *ColumnCache {
-	return &ColumnCache{cfg: cfg, data: NewLRU[granuleKey](cfg.DataBytes), meta: NewLRU[string](cfg.MetaBytes)}
+	return &ColumnCache{cfg: cfg, data: NewLRU[granuleKey](cfg.DataBytes)}
 }
 
 // Stats exposes hit/miss/bypass counters for the workload-aware
@@ -141,26 +138,4 @@ func approxColumnBytes(cd *storage.ColumnData) int64 {
 		n += int64(len(s)) + 16
 	}
 	return n
-}
-
-// InvalidateSegment drops all cached blocks of a segment (called when
-// compaction retires it). The LRU has no prefix scan, so we simply let
-// stale entries age out — the segment name is never reused, so stale
-// entries are unreachable, not incorrect. Metadata entries are removed
-// eagerly because they are looked up by segment name.
-func (c *ColumnCache) InvalidateSegment(table, seg string) {
-	c.meta.Remove(table + "/" + seg)
-}
-
-// PutMeta caches a segment's metadata in the separate small space.
-func (c *ColumnCache) PutMeta(table, seg string, meta *storage.SegmentMeta, size int64) {
-	c.meta.Put(table+"/"+seg, meta, size)
-}
-
-// GetMeta fetches cached segment metadata.
-func (c *ColumnCache) GetMeta(table, seg string) (*storage.SegmentMeta, bool) {
-	if v, ok := c.meta.Get(table + "/" + seg); ok {
-		return v.(*storage.SegmentMeta), true
-	}
-	return nil, false
 }

@@ -230,9 +230,3 @@ func (w *Worker) Preload(table *lsm.Table, metas []*storage.SegmentMeta) []error
 	}
 	return errs
 }
-
-// DropIndexFromMem evicts one segment's index from memory (test and
-// experiment hook for forcing cache misses).
-func (w *Worker) DropIndexFromMem(table *lsm.Table, seg string) {
-	w.cache.DropMem(table.IndexKeyOf(seg))
-}

@@ -199,12 +199,13 @@ func TestIteratorBatchesMatchFullSort(t *testing.T) {
 
 // The fused blocked/early-abandoning scan must return byte-identical
 // candidates to a naive per-row vec.Distance scan feeding the same
-// top-k heap, across metrics, odd sizes, and filtered variants.
+// top-k heap, across metrics, odd sizes, and filtered variants; dim 192
+// with n 1 000 is the shape of the scaled OpenAI-like dataset.
 func TestFusedScanMatchesReferenceBitwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for _, metric := range []vec.Metric{vec.L2, vec.InnerProduct, vec.Cosine} {
-		for _, n := range []int{0, 1, 7, 63, 64, 65, 200} {
-			for _, dim := range []int{3, 8, 96} {
+		for _, n := range []int{0, 1, 7, 63, 64, 65, 200, 1000} {
+			for _, dim := range []int{3, 8, 96, 192} {
 				ix, err := New(index.BuildParams{Dim: dim, Metric: metric}.WithDefaults())
 				if err != nil {
 					t.Fatal(err)

@@ -103,4 +103,17 @@ func TestGoldenBlobsProbe(t *testing.T) {
 			t.Fatalf("%s does not load into variant %d", name, v)
 		}
 	}
+	// Relabelled (header byte 4 is the variant): IVFPQ takes the 4-bit
+	// codes of an IVFPQFS blob, but IVFPQFS, trained 4-bit only, must
+	// reject the 8-bit codebook of an IVFPQ blob.
+	for _, c := range []struct{ from, to Variant }{{VariantPQFS, VariantPQ}, {VariantPQ, VariantPQFS}} {
+		blob, err := os.ReadFile(goldenBlobs[c.from])
+		if err != nil {
+			t.Fatal(err)
+		}
+		blob[4] = uint8(c.to)
+		if got, want := loadAndProbe(t, "relabelled "+goldenBlobs[c.from], c.to, blob), c.to == VariantPQ; got != want {
+			t.Fatalf("%s relabelled as variant %d: loaded = %v, want %v", goldenBlobs[c.from], c.to, got, want)
+		}
+	}
 }

@@ -102,6 +102,11 @@ func (ix *Index) Load(blob []byte) error {
 		if pq.Dim != dim {
 			return index.Corruptf("ivf: PQ codebook for dim %d, index dim %d", pq.Dim, dim)
 		}
+		// Train gives IVFPQFS 4-bit codes whatever PQNbits says;
+		// IVFPQ takes either width.
+		if ix.variant == VariantPQFS && pq.Nbits != 4 {
+			return index.Corruptf("ivf: IVFPQFS with a %d-bit PQ codebook", pq.Nbits)
+		}
 	}
 	if err := c.Err(); err != nil {
 		return fmt.Errorf("ivf: reading codebooks: %w", err)

@@ -415,9 +415,6 @@ func (t *Table) FlushWAL() error {
 	return t.flushOnce(ws)
 }
 
-// WALEnabled reports whether the real-time write path is active.
-func (t *Table) WALEnabled() bool { return t.walRT.Load() != nil }
-
 // PinWALTruncate suspends WAL truncation until the returned release
 // func runs (idempotent). Backups hold a pin while copying the WAL
 // tail so a concurrent flush can't delete tail blobs mid-copy; flushes

@@ -214,9 +214,6 @@ func (s *Server) Drain() error {
 	return s.lc.drain(s.cfg.DrainTimeout)
 }
 
-// Draining reports whether drain has begun.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
 // Kill closes the listener and every open connection immediately — no
 // drain, no 503s, in-flight statements see their connections reset.
 // It exists so chaos tests and the cluster bench can model a shard

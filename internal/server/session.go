@@ -68,26 +68,6 @@ func (s *Session) AllowPartial() bool {
 	return s.allowPartial
 }
 
-// Vars renders the current settings (SHOW SESSION, status responses).
-func (s *Session) Vars() map[string]string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	ap := "off"
-	if s.allowPartial {
-		ap = "on"
-	}
-	b := "on"
-	if s.batchOff {
-		b = "off"
-	}
-	return map[string]string{
-		"statement_timeout": strconv.FormatInt(s.timeout.Milliseconds(), 10),
-		"max_parallelism":   strconv.Itoa(s.maxPar),
-		"allow_partial":     ap,
-		"batch":             b,
-	}
-}
-
 // HandleSet intercepts a SET statement. It returns handled=false when
 // stmt is not a SET (the statement then goes to the engine verbatim),
 // and otherwise a confirmation message or an error for an unknown

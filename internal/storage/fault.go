@@ -118,9 +118,6 @@ func NewFaultStore(backing BlobStore, cfg FaultConfig) *FaultStore {
 	}
 }
 
-// Backing returns the wrapped store.
-func (s *FaultStore) Backing() BlobStore { return s.backing }
-
 // SetHook installs a synchronous callback run before every operation
 // (nil uninstalls). A non-nil returned error is injected as the op's
 // result. Hooks are how tests pin down exact interleavings — e.g. "run

@@ -237,9 +237,6 @@ func NewRetryStore(backing BlobStore, cfg RetryConfig) *RetryStore {
 	}
 }
 
-// Backing returns the wrapped store (tests, layering introspection).
-func (s *RetryStore) Backing() BlobStore { return s.backing }
-
 // BreakerState reports the circuit breaker's current position.
 func (s *RetryStore) BreakerState() retry.State { return s.br.State() }
 

@@ -644,6 +644,3 @@ func (m *SegmentMeta) PruneByFloat(col string, lo, hi float64) bool {
 	}
 	return mx < lo || mn > hi
 }
-
-// OpenEndInt are the sentinels for open-ended integer ranges.
-var OpenEndInt = struct{ Lo, Hi int64 }{math.MinInt64, math.MaxInt64}

@@ -18,7 +18,6 @@ import (
 // into a bitmap (deletes are rare relative to reads).
 type Memtable struct {
 	schema *storage.Schema
-	gen    int64
 	name   string
 
 	mu      sync.Mutex
@@ -35,15 +34,11 @@ type Memtable struct {
 func NewMemtable(schema *storage.Schema, gen int64) *Memtable {
 	return &Memtable{
 		schema:  schema,
-		gen:     gen,
 		name:    fmt.Sprintf("~mem%06d", gen),
 		batch:   storage.NewRowBatch(schema),
 		deleted: make(map[int]struct{}),
 	}
 }
-
-// Gen returns the memtable's generation number.
-func (m *Memtable) Gen() int64 { return m.gen }
 
 // rowBytes estimates the in-memory footprint of one row.
 func rowBytes(schema *storage.Schema, batch *storage.RowBatch, row int) int64 {
