@@ -55,19 +55,15 @@ func main() {
 	}
 	fmt.Printf("table: %d rows in %d segments on shared storage\n", tab.Rows(), tab.SegmentCount())
 
-	// A read VW with vector search serving over real TCP RPC.
-	vw := cluster.NewVW(cluster.VWConfig{Name: "read-vw", Serving: true}, remote)
-	vw.SetServingConfig(cluster.ServingConfig{Transport: cluster.TransportTCP})
+	// A read VW whose workers serve scans to each other over loopback
+	// net/rpc.
+	vw := cluster.NewVW(cluster.VWConfig{Name: "read-vw"}, remote)
+	defer vw.Close()
 	vw.RegisterTable(tab)
 	for _, id := range []string{"w0", "w1"} {
-		w, err := vw.AddWorker(id)
-		if err != nil {
+		if _, err := vw.AddWorker(id); err != nil {
 			log.Fatal(err)
 		}
-		if _, err := w.StartRPC(); err != nil {
-			log.Fatal(err)
-		}
-		defer w.StopRPC()
 	}
 	// Cache-aware preload: each worker pulls exactly the segments the
 	// consistent-hash scheduler will route to it.
@@ -77,7 +73,7 @@ func main() {
 	fmt.Println("VW started with 2 preloaded workers")
 
 	search := func(tag string) {
-		cands, err := vw.Search(context.Background(), tab, tab.Segments(), ds.Queries.Row(0), 5,
+		cands, err := vw.Search(context.Background(), tab, ds.Queries.Row(0), 5,
 			cluster.SearchOptions{Params: index.SearchParams{Ef: 64}})
 		if err != nil {
 			log.Fatal(err)
@@ -90,14 +86,9 @@ func main() {
 	// Scale up WITHOUT preloading: w2 joins cold. Its segments are
 	// proxied to their previous owners — no brute-force fallback, no
 	// waiting for index loads.
-	w2, err := vw.AddWorker("w2")
-	if err != nil {
+	if _, err := vw.AddWorker("w2"); err != nil {
 		log.Fatal(err)
 	}
-	if _, err := w2.StartRPC(); err != nil {
-		log.Fatal(err)
-	}
-	defer w2.StopRPC()
 	fmt.Println("scaled up: w2 joined with a cold cache")
 	search("immediately after scale-up")
 

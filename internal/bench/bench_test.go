@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -179,6 +180,16 @@ func TestExperimentSmoke(t *testing.T) {
 		}
 		if len(rep.Rows) == 0 {
 			t.Fatalf("%s produced no rows", id)
+		}
+		if id == "fig18" {
+			// Serving covers every cold worker's scans: Fig 18's claim,
+			// which no timing moves.
+			col := slices.Index(rep.Headers, "brute-force fallbacks")
+			for _, row := range rep.Rows {
+				if col < 0 || row[col] != "0" {
+					t.Fatalf("fig18 row %v: want 0 brute-force fallbacks (headers %v)", row, rep.Headers)
+				}
+			}
 		}
 	}
 }

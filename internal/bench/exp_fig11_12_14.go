@@ -23,14 +23,10 @@ func init() {
 }
 
 // clusterFixture builds a table over a latency-modeled shared store
-// and a VW on top of it.
-func clusterFixture(cfg Config, workers int, serving bool, ds *dataset.Dataset) (*cluster.VW, *lsm.Table, error) {
-	return clusterFixtureScan(cfg, workers, serving, ds, 0, 0)
-}
-
-// clusterFixtureScan additionally sets the simulated per-scan service
-// time (used only by the elasticity experiment; see VWConfig docs).
-func clusterFixtureScan(cfg Config, workers int, serving bool, ds *dataset.Dataset, scanCost, postCost time.Duration) (*cluster.VW, *lsm.Table, error) {
+// and a VW of that many workers on top of it, with the simulated
+// per-scan and post-processing service times (non-zero only in the
+// elasticity experiment; see VWConfig docs).
+func clusterFixture(cfg Config, workers int, ds *dataset.Dataset, scanCost, postCost time.Duration) (*cluster.VW, *lsm.Table, error) {
 	segRows := 1000
 	if postCost > 0 {
 		// The elasticity run wants enough segments for the hash ring to
@@ -60,10 +56,11 @@ func clusterFixtureScan(cfg Config, workers int, serving bool, ds *dataset.Datas
 	if err := tab.Insert(batch); err != nil {
 		return nil, nil, err
 	}
-	vw := cluster.NewVW(cluster.VWConfig{Name: "read", Serving: serving, SimulatedScanCost: scanCost, SimulatedPostCost: postCost}, remote)
+	vw := cluster.NewVW(cluster.VWConfig{Name: "read", SimulatedScanCost: scanCost, SimulatedPostCost: postCost}, remote)
 	vw.RegisterTable(tab)
 	for i := 0; i < workers; i++ {
 		if _, err := vw.AddWorker(fmt.Sprintf("w%d", i)); err != nil {
+			vw.Close()
 			return nil, nil, err
 		}
 	}
@@ -81,25 +78,18 @@ func runFig11(cfg Config) (*Report, error) {
 		Headers: []string{"mode", "mean latency", "vs local"}}
 	rep.Note("paper Fig 11: brute force = 14.5x local; serving = +16.6%%; shape check = brute >> serving ≳ local")
 	ds := dataset.Generate(dataset.Spec{Name: "fig11", N: cfg.n(8000), Dim: 96, Queries: cfg.Queries, Seed: cfg.Seed})
-	vw, tab, err := clusterFixture(cfg, 2, true, ds)
+	vw, tab, err := clusterFixture(cfg, 2, ds, 0, 0)
 	if err != nil {
 		return nil, err
 	}
-	vw.SetServingConfig(cluster.ServingConfig{Transport: cluster.TransportTCP})
-	for _, wid := range vw.Workers() {
-		if _, err := vw.Worker(wid).StartRPC(); err != nil {
-			return nil, err
-		}
-		defer vw.Worker(wid).StopRPC()
-	}
+	defer vw.Close()
 	if errs := vw.Preload(tab); len(errs) != 0 {
 		return nil, fmt.Errorf("preload: %v", errs[0])
 	}
-	metas := tab.Segments()
 	params := index.SearchParams{Ef: 64}
 	measure := func(opts cluster.SearchOptions) (time.Duration, error) {
 		t, err := MeasureSerial(cfg.Queries, func(qi int) error {
-			_, err := vw.Search(context.Background(), tab, metas, ds.Queries.Row(qi%ds.Queries.Rows()), 10, opts)
+			_, err := vw.Search(context.Background(), tab, ds.Queries.Row(qi%ds.Queries.Rows()), 10, opts)
 			return err
 		})
 		return t.Mean, err
@@ -113,10 +103,6 @@ func runFig11(cfg Config) (*Report, error) {
 	if _, err := vw.AddWorker("w2"); err != nil {
 		return nil, err
 	}
-	if _, err := vw.Worker("w2").StartRPC(); err != nil {
-		return nil, err
-	}
-	defer vw.Worker("w2").StopRPC()
 	serving, err := measure(cluster.SearchOptions{Params: params})
 	if err != nil {
 		return nil, err

@@ -30,18 +30,18 @@ func runFig18(cfg Config) (*Report, error) {
 	rep := &Report{ID: "fig18", Title: "Immediate QPS in response to scaling",
 		Headers: []string{"workers", "QPS", "scaling vs 1 worker", "brute-force fallbacks"}}
 	rep.Note("paper Fig 18: QPS grows ~linearly as workers join; serving lets cold workers contribute immediately")
-	rep.Note("worker capacity is simulated (2 slots; 0.2ms per ANN scan + 1ms per-segment post-processing) because the host has one core; the serving behaviour — cold workers contributing immediately, zero brute-force fallbacks — is real")
+	rep.Note("worker capacity is simulated (2 slots; 0.2ms per ANN scan + 1ms per-segment post-processing) because the host has one core; the serving behaviour — cold workers contributing immediately, zero brute-force fallbacks, scans served over loopback net/rpc — is real")
 	ds := dataset.Generate(dataset.Spec{Name: "fig18", N: cfg.n(8000), Dim: 48, Queries: cfg.Queries, Seed: cfg.Seed})
-	vw, tab, err := clusterFixtureScan(cfg, 1, true, ds, 200*time.Microsecond, time.Millisecond)
+	vw, tab, err := clusterFixture(cfg, 1, ds, 200*time.Microsecond, time.Millisecond)
 	if err != nil {
 		return nil, err
 	}
+	defer vw.Close()
 	if errs := vw.Preload(tab); len(errs) != 0 {
 		return nil, fmt.Errorf("preload: %v", errs[0])
 	}
 	v, _ := tab.Acquire() // nothing writes the table: v names every segment
 	defer v.Release()
-	metas := tab.Segments()
 	params := index.SearchParams{Ef: 32}
 	// Each query ends by fetching its result rows from the
 	// latency-modeled remote store (the end-to-end query of the
@@ -50,7 +50,7 @@ func runFig18(cfg Config) (*Report, error) {
 	// adding workers is what raises it.
 	const clientConcurrency = 16
 	runQuery := func(qi int) error {
-		cands, err := vw.Search(context.Background(), tab, metas, ds.Queries.Row(qi%ds.Queries.Rows()), 10, cluster.SearchOptions{Params: params})
+		cands, err := vw.Search(context.Background(), tab, ds.Queries.Row(qi%ds.Queries.Rows()), 10, cluster.SearchOptions{Params: params})
 		if err != nil {
 			return err
 		}

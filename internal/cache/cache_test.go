@@ -1,8 +1,6 @@
 package cache
 
 import (
-	"context"
-	"fmt"
 	"testing"
 	"time"
 
@@ -167,97 +165,6 @@ func TestLRUEvictCallbackMultipleAtOnce(t *testing.T) {
 	}
 	if c.SizeBytes() != 90 || c.Len() != 1 {
 		t.Fatalf("size=%d len=%d after multi-evict", c.SizeBytes(), c.Len())
-	}
-}
-
-// --- hierarchical index cache ---------------------------------------------
-
-// fakeIndex is a stand-in searchable object.
-type fakeIndex struct{ payload string }
-
-func fakeLoader(blob []byte) (any, int64, error) {
-	return &fakeIndex{string(blob)}, int64(len(blob)), nil
-}
-
-func newHier(t *testing.T) (*IndexCache, *storage.MemStore, *storage.MemStore) {
-	t.Helper()
-	disk := storage.NewMemStore()
-	remote := storage.NewMemStore()
-	c := NewIndexCache(Config{MemBytes: 1 << 20, DiskBytes: 1 << 20}, disk, remote)
-	return c, disk, remote
-}
-
-func TestIndexCacheTierTraversal(t *testing.T) {
-	c, disk, remote := newHier(t)
-	remote.Put("idx1", []byte("graph-bytes"))
-
-	// First get: remote load, populates disk + mem.
-	v, err := c.Get(context.Background(), "idx1", fakeLoader)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v.(*fakeIndex).payload != "graph-bytes" {
-		t.Fatal("wrong payload")
-	}
-	if st := c.Stats(); st.RemoteLoads != 1 || st.MemHits != 0 || st.DiskHits != 0 {
-		t.Fatalf("stats = %+v", st)
-	}
-	if _, err := disk.Get("idx1"); err != nil {
-		t.Fatal("disk tier not populated")
-	}
-
-	// Second get: memory hit.
-	if _, err := c.Get(context.Background(), "idx1", fakeLoader); err != nil {
-		t.Fatal(err)
-	}
-	if st := c.Stats(); st.MemHits != 1 {
-		t.Fatalf("stats = %+v", st)
-	}
-
-	// Drop memory, keep disk: disk hit.
-	c.DropMem("idx1")
-	if _, err := c.Get(context.Background(), "idx1", fakeLoader); err != nil {
-		t.Fatal(err)
-	}
-	if st := c.Stats(); st.DiskHits != 1 || st.RemoteLoads != 1 {
-		t.Fatalf("stats = %+v", st)
-	}
-}
-
-func TestIndexCacheMissingKey(t *testing.T) {
-	c, _, _ := newHier(t)
-	if _, err := c.Get(context.Background(), "nope", fakeLoader); err == nil {
-		t.Fatal("missing key should error")
-	}
-	if st := c.Stats(); st.Failures != 1 {
-		t.Fatalf("stats = %+v", st)
-	}
-}
-
-func TestIndexCacheLoaderError(t *testing.T) {
-	c, _, remote := newHier(t)
-	remote.Put("bad", []byte("zzz"))
-	_, err := c.Get(context.Background(), "bad", func([]byte) (any, int64, error) {
-		return nil, 0, fmt.Errorf("corrupt")
-	})
-	if err == nil {
-		t.Fatal("loader error should propagate")
-	}
-}
-
-func TestIndexCacheWithoutDiskTier(t *testing.T) {
-	remote := storage.NewMemStore()
-	remote.Put("k", []byte("v"))
-	c := NewIndexCache(Config{MemBytes: 1 << 20}, nil, remote)
-	if _, err := c.Get(context.Background(), "k", fakeLoader); err != nil {
-		t.Fatal(err)
-	}
-	c.DropMem("k")
-	if _, err := c.Get(context.Background(), "k", fakeLoader); err != nil {
-		t.Fatal(err)
-	}
-	if st := c.Stats(); st.RemoteLoads != 2 {
-		t.Fatalf("want 2 remote loads without disk tier, got %+v", st)
 	}
 }
 

@@ -54,8 +54,8 @@ func NewLRU[K comparable](capBytes int64) *LRU[K] {
 // assume the key still refers to the evicted entry; deleting shared
 // per-key state would destroy the freshly re-inserted live entry's
 // backing. Callers that cannot scope cleanup to the value must
-// serialize Put and the cleanup externally (as IndexCache does with
-// its load lock).
+// serialize Put and the cleanup externally (as blobtier.TieredStore
+// does with its disk lock).
 func (c *LRU[K]) SetOnEvict(fn func(key K, value any)) {
 	c.mu.Lock()
 	c.onEvict = fn

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"blendhouse/internal/lsm"
-	"blendhouse/internal/storage"
 )
 
 // MirroredVW implements paper §II-E's "multiple VW replicas for
@@ -29,9 +28,6 @@ func NewMirroredVW(replicas ...*VW) (*MirroredVW, error) {
 	return &MirroredVW{replicas: replicas}, nil
 }
 
-// Replicas returns the underlying VWs in priority order.
-func (m *MirroredVW) Replicas() []*VW { return m.replicas }
-
 // RegisterTable registers the table with every replica.
 func (m *MirroredVW) RegisterTable(t *lsm.Table) {
 	for _, vw := range m.replicas {
@@ -53,10 +49,10 @@ func (m *MirroredVW) Preload(t *lsm.Table) []error {
 // valid answer and is returned as-is. A cancelled or timed-out ctx
 // stops the fail-over chain — later replicas would just re-observe
 // the same dead context.
-func (m *MirroredVW) Search(ctx context.Context, table *lsm.Table, metas []*storage.SegmentMeta, q []float32, k int, opts SearchOptions) ([]SegmentCandidate, error) {
+func (m *MirroredVW) Search(ctx context.Context, table *lsm.Table, q []float32, k int, opts SearchOptions) ([]SegmentCandidate, error) {
 	var firstErr error
 	for _, vw := range m.replicas {
-		res, err := vw.Search(ctx, table, metas, q, k, opts)
+		res, err := vw.Search(ctx, table, q, k, opts)
 		if err == nil {
 			return res, nil
 		}

@@ -5,19 +5,14 @@ import (
 	"fmt"
 	"net"
 	"net/rpc"
-	"sync"
-	"time"
 
 	"blendhouse/internal/bitset"
 	"blendhouse/internal/index"
 	"blendhouse/internal/lsm"
 	"blendhouse/internal/obs"
-	"blendhouse/internal/retry"
-	"blendhouse/internal/storage"
 )
 
-// Serving-RPC metrics: proxy hop count and round-trip latency
-// (in-process simulated RTT and real TCP RPCs both observe here).
+// Serving-RPC metrics: proxy hop count and round-trip latency.
 var (
 	mServingHops = obs.Default().Counter("bh.vw.serving.hops")
 	mServingRTT  = obs.Default().Histogram("bh.vw.serving.rtt")
@@ -29,77 +24,7 @@ var (
 // instead of brute-forcing or blocking on an index load. The ANN scan
 // is cheap relative to the end-to-end query, so lending a slice of the
 // old owner's CPU converts a 14x latency cliff into a ~17% bump
-// (paper Fig 11).
-//
-// Two transports are provided: an in-process call with a configurable
-// simulated round-trip (default, deterministic, used by tests), and a
-// real net/rpc-over-TCP loopback server (used by the Fig 11 benchmark
-// for honest RPC overhead).
-
-// ServingTransport selects how serve() reaches the previous owner.
-type ServingTransport int
-
-// Transports.
-const (
-	// TransportInProcess calls the owning worker directly, charging
-	// SimulatedRTT per call.
-	TransportInProcess ServingTransport = iota
-	// TransportTCP uses net/rpc over a loopback listener per worker.
-	TransportTCP
-)
-
-// ServingConfig tunes the serving path. Zero value = in-process with
-// a 200µs simulated round trip.
-type ServingConfig struct {
-	Transport    ServingTransport
-	SimulatedRTT time.Duration
-}
-
-var defaultRTT = 200 * time.Microsecond
-
-// SetServingConfig installs the transport on the VW. Must be called
-// before queries run.
-func (vw *VW) SetServingConfig(cfg ServingConfig) {
-	vw.mu.Lock()
-	defer vw.mu.Unlock()
-	if cfg.SimulatedRTT == 0 {
-		cfg.SimulatedRTT = defaultRTT
-	}
-	vw.serving = cfg
-}
-
-// servingConfig returns the effective config.
-func (vw *VW) servingConfig() ServingConfig {
-	vw.mu.RLock()
-	defer vw.mu.RUnlock()
-	cfg := vw.serving
-	if cfg.SimulatedRTT == 0 {
-		cfg.SimulatedRTT = defaultRTT
-	}
-	return cfg
-}
-
-// serve executes the ANN scan for (table, meta) on the previous owner
-// pw on behalf of the requesting worker. ctx bounds the simulated
-// round trip (in-process transport) or the in-flight RPC wait (TCP
-// transport).
-func (vw *VW) serve(ctx context.Context, pw *Worker, table *lsm.Table, meta *storage.SegmentMeta, q []float32, k int, p index.SearchParams, filter *bitset.Bitset) ([]index.Candidate, error) {
-	cfg := vw.servingConfig()
-	mServingHops.Inc()
-	switch cfg.Transport {
-	case TransportTCP:
-		return vw.serveTCP(ctx, pw, table, meta, q, k, p, filter)
-	default:
-		if err := retry.Sleep(ctx, cfg.SimulatedRTT); err != nil {
-			return nil, err
-		}
-		pw.ServedSearches.Add(1)
-		mServedSearches.Inc()
-		return pw.SearchSegment(ctx, table, meta, q, k, p, filter)
-	}
-}
-
-// --- net/rpc transport -----------------------------------------------------
+// (paper Fig 11). Every worker serves net/rpc on a loopback listener.
 
 // SearchArgs is the wire request of the serving RPC.
 type SearchArgs struct {
@@ -107,16 +32,13 @@ type SearchArgs struct {
 	Segment string
 	Query   []float32
 	K       int
-	Ef      int
-	Nprobe  int
-	Refine  int
-	Filter  []byte // marshaled bitset; nil = unfiltered
+	Params  index.SearchParams
+	Filter  []byte // marshaled allow bitset; nil = every row
 }
 
 // SearchReply is the wire response.
 type SearchReply struct {
-	IDs   []int64
-	Dists []float32
+	Cands []index.Candidate
 }
 
 // SearchService is the RPC receiver registered on each worker's
@@ -125,26 +47,23 @@ type SearchService struct {
 	w *Worker
 }
 
-// Search executes a segment ANN scan on the receiving worker.
+// Search executes a segment ANN scan on the receiving worker, over the
+// segment as the table's current Version names it.
 func (s *SearchService) Search(args *SearchArgs, reply *SearchReply) error {
 	table := s.w.vw.lookupTable(args.Table)
 	if table == nil {
 		return fmt.Errorf("cluster: rpc search on unknown table %q", args.Table)
 	}
-	var meta *storage.SegmentMeta
-	for _, m := range table.Segments() {
-		if m.Name == args.Segment {
-			meta = m
-			break
-		}
-	}
-	if meta == nil {
+	v, _ := table.Acquire()
+	defer v.Release()
+	seg := v.Segment(args.Segment)
+	if seg == nil {
 		return fmt.Errorf("cluster: rpc search on unknown segment %q", args.Segment)
 	}
-	var filter *bitset.Bitset
+	var allow *bitset.Bitset
 	if len(args.Filter) > 0 {
-		filter = &bitset.Bitset{}
-		if err := filter.UnmarshalBinary(args.Filter); err != nil {
+		allow = &bitset.Bitset{}
+		if err := allow.UnmarshalBinary(args.Filter); err != nil {
 			return fmt.Errorf("cluster: rpc filter: %w", err)
 		}
 	}
@@ -152,41 +71,26 @@ func (s *SearchService) Search(args *SearchArgs, reply *SearchReply) error {
 	mServedSearches.Inc()
 	// net/rpc carries no context across the wire; the server side runs
 	// unbounded and the caller abandons the wait on cancellation.
-	res, err := s.w.SearchSegment(nil, table, meta, args.Query, args.K,
-		index.SearchParams{Ef: args.Ef, Nprobe: args.Nprobe, RefineFactor: args.Refine}, filter)
-	if err != nil {
-		return err
-	}
-	reply.IDs = make([]int64, len(res))
-	reply.Dists = make([]float32, len(res))
-	for i, c := range res {
-		reply.IDs[i] = c.ID
-		reply.Dists[i] = c.Dist
-	}
-	return nil
+	var err error
+	reply.Cands, err = s.w.SearchSegment(context.Background(), table, seg, args.Query, args.K, args.Params, allow, false)
+	return err
 }
 
-// rpcEndpoint is a worker's live TCP listener state.
-type rpcEndpoint struct {
-	addr     string
-	listener net.Listener
-	clientMu sync.Mutex
-	client   *rpc.Client
-}
-
-// StartRPC opens a loopback net/rpc listener for the worker and
-// registers its SearchService. Returns the bound address.
-func (w *Worker) StartRPC() (string, error) {
+// listen opens the worker's loopback listener and serves its
+// SearchService on it until closeRPC.
+func (w *Worker) listen() error {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
-		return "", fmt.Errorf("cluster: worker %s rpc listen: %w", w.ID, err)
+		return fmt.Errorf("cluster: worker %s rpc listen: %w", w.ID, err)
 	}
 	srv := rpc.NewServer()
 	if err := srv.RegisterName("Worker", &SearchService{w: w}); err != nil {
 		ln.Close()
-		return "", err
+		return err
 	}
+	w.ln, w.accepting = ln, make(chan struct{})
 	go func() {
+		defer close(w.accepting)
 		for {
 			conn, err := ln.Accept()
 			if err != nil {
@@ -195,64 +99,52 @@ func (w *Worker) StartRPC() (string, error) {
 			go srv.ServeConn(conn)
 		}
 	}()
-	ep := &rpcEndpoint{addr: ln.Addr().String(), listener: ln}
-	w.vw.mu.Lock()
-	if w.vw.endpoints == nil {
-		w.vw.endpoints = map[string]*rpcEndpoint{}
-	}
-	w.vw.endpoints[w.ID] = ep
-	w.vw.mu.Unlock()
-	return ep.addr, nil
+	return nil
 }
 
-// StopRPC closes the worker's listener.
-func (w *Worker) StopRPC() {
-	w.vw.mu.Lock()
-	ep := w.vw.endpoints[w.ID]
-	delete(w.vw.endpoints, w.ID)
-	w.vw.mu.Unlock()
-	if ep != nil {
-		if ep.client != nil {
-			ep.client.Close()
-		}
-		ep.listener.Close()
+// closeRPC closes the worker's listener, waits for its accept loop to
+// exit, and closes the client that reaches it, which ends the one
+// connection the worker serves.
+func (w *Worker) closeRPC() {
+	w.ln.Close()
+	<-w.accepting
+	w.clientMu.Lock()
+	defer w.clientMu.Unlock()
+	if w.client != nil {
+		w.client.Close()
+		w.client = nil
 	}
 }
 
-// serveTCP issues the RPC to the previous owner's listener. The wait
-// on the in-flight call is abandoned when ctx fires (the server keeps
-// computing — net/rpc has no cross-wire cancellation — but the query
-// returns promptly).
-func (vw *VW) serveTCP(ctx context.Context, pw *Worker, table *lsm.Table, meta *storage.SegmentMeta, q []float32, k int, p index.SearchParams, filter *bitset.Bitset) ([]index.Candidate, error) {
-	vw.mu.RLock()
-	ep := vw.endpoints[pw.ID]
-	vw.mu.RUnlock()
-	if ep == nil {
-		return nil, fmt.Errorf("cluster: worker %s has no RPC endpoint", pw.ID)
-	}
-	ep.clientMu.Lock()
-	if ep.client == nil {
-		c, err := rpc.Dial("tcp", ep.addr)
+// rpcClient returns the client that reaches w, dialling it once.
+func (w *Worker) rpcClient() (*rpc.Client, error) {
+	w.clientMu.Lock()
+	defer w.clientMu.Unlock()
+	if w.client == nil {
+		c, err := rpc.Dial("tcp", w.ln.Addr().String())
 		if err != nil {
-			ep.clientMu.Unlock()
-			return nil, fmt.Errorf("cluster: dialing %s: %w", pw.ID, err)
+			return nil, fmt.Errorf("cluster: dialing %s: %w", w.ID, err)
 		}
-		ep.client = c
+		w.client = c
 	}
-	client := ep.client
-	ep.clientMu.Unlock()
+	return w.client, nil
+}
 
-	p = p.WithDefaults(k)
-	args := &SearchArgs{
-		Table: table.Name(), Segment: meta.Name, Query: q, K: k,
-		Ef: p.Ef, Nprobe: p.Nprobe, Refine: p.RefineFactor,
+// serve runs the scan of seg on its previous owner pw over the
+// serving RPC. The wait on the in-flight call is abandoned when ctx
+// fires (the server keeps computing — net/rpc has no cross-wire
+// cancellation — but the query returns promptly).
+func (vw *VW) serve(ctx context.Context, pw *Worker, table *lsm.Table, seg *lsm.Segment, q []float32, k int, p index.SearchParams, allow *bitset.Bitset) ([]index.Candidate, error) {
+	mServingHops.Inc()
+	client, err := pw.rpcClient()
+	if err != nil {
+		return nil, err
 	}
-	if filter != nil {
-		fb, err := filter.MarshalBinary()
-		if err != nil {
+	args := &SearchArgs{Table: table.Name(), Segment: seg.Meta.Name, Query: q, K: k, Params: p}
+	if allow != nil {
+		if args.Filter, err = allow.MarshalBinary(); err != nil {
 			return nil, err
 		}
-		args.Filter = fb
 	}
 	var reply SearchReply
 	call := client.Go("Worker.Search", args, &reply, make(chan *rpc.Call, 1))
@@ -264,19 +156,12 @@ func (vw *VW) serveTCP(ctx context.Context, pw *Worker, table *lsm.Table, meta *
 	if call.Error != nil {
 		return nil, fmt.Errorf("cluster: rpc search via %s: %w", pw.ID, call.Error)
 	}
-	out := make([]index.Candidate, len(reply.IDs))
-	for i := range reply.IDs {
-		out[i] = index.Candidate{ID: reply.IDs[i], Dist: reply.Dists[i]}
-	}
-	return out, nil
+	return reply.Cands, nil
 }
 
 // RegisterTable makes a table resolvable by name for RPC requests.
 func (vw *VW) RegisterTable(t *lsm.Table) {
 	vw.mu.Lock()
-	if vw.tables == nil {
-		vw.tables = map[string]*lsm.Table{}
-	}
 	vw.tables[t.Name()] = t
 	vw.mu.Unlock()
 }

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"blendhouse/internal/bitset"
-	"blendhouse/internal/cache"
 	"blendhouse/internal/hashring"
 	"blendhouse/internal/index"
 	"blendhouse/internal/lsm"
@@ -20,19 +19,6 @@ import (
 // VWConfig configures a virtual warehouse.
 type VWConfig struct {
 	Name string
-	// Cache sizes each worker's hierarchical cache.
-	Cache cache.Config
-	// Serving enables the vector-search-serving RPC: a worker that
-	// lacks a segment's index proxies the scan to the segment's
-	// previous owner instead of brute-forcing (paper §II-D).
-	Serving bool
-	// Replicas is the number of candidate workers per segment used
-	// for fault-tolerant retry (>=1).
-	Replicas int
-	// WorkerSlots caps concurrent segment scans per worker — each
-	// worker models a node with fixed compute capacity, which is what
-	// makes VW scaling raise aggregate throughput (default 2).
-	WorkerSlots int
 	// SimulatedScanCost, when positive, charges each ANN scan a fixed
 	// service time while it holds a slot on the worker whose index
 	// cache executes it. On a single-core host the real CPU is shared
@@ -50,22 +36,13 @@ type VWConfig struct {
 	SimulatedPostCost time.Duration
 }
 
-func (c VWConfig) withDefaults() VWConfig {
-	if c.Cache == (cache.Config{}) {
-		c.Cache = cache.DefaultConfig()
-	}
-	if c.Replicas <= 0 {
-		c.Replicas = 2
-	}
-	if c.WorkerSlots <= 0 {
-		c.WorkerSlots = 2
-	}
-	return c
-}
+// replicas is the number of candidate workers per segment that
+// query-level retry tries (paper §II-E).
+const replicas = 2
 
 // VW is a virtual warehouse: an elastic group of stateless workers
-// sharing one remote store. Search scheduling, pruning, serving and
-// retry all live here.
+// sharing one remote store. Search scheduling, serving and retry all
+// live here.
 type VW struct {
 	cfg    VWConfig
 	remote storage.BlobStore
@@ -75,25 +52,21 @@ type VW struct {
 	ring          *hashring.Ring
 	prevAssign    map[string]string // segment key -> owner before the last topology change
 	knownSegments map[string]bool   // every segment key ever scheduled
-	serving       ServingConfig
-	endpoints     map[string]*rpcEndpoint
 	tables        map[string]*lsm.Table
 }
 
 // NewVW creates an empty virtual warehouse over the shared store.
 func NewVW(cfg VWConfig, remote storage.BlobStore) *VW {
 	return &VW{
-		cfg:           cfg.withDefaults(),
+		cfg:           cfg,
 		remote:        remote,
 		workers:       map[string]*Worker{},
 		ring:          hashring.New(0),
 		prevAssign:    map[string]string{},
 		knownSegments: map[string]bool{},
+		tables:        map[string]*lsm.Table{},
 	}
 }
-
-// Name returns the VW name.
-func (vw *VW) Name() string { return vw.cfg.Name }
 
 // Workers returns the live worker IDs, sorted.
 func (vw *VW) Workers() []string {
@@ -114,39 +87,54 @@ func (vw *VW) Worker(id string) *Worker {
 	return vw.workers[id]
 }
 
-// AddWorker scales the VW up. Before changing the ring it snapshots
-// the current assignment of every known segment so the serving path
-// can find each segment's previous owner.
+// AddWorker scales the VW up and opens the new worker's serving
+// listener. Before changing the ring it snapshots the current
+// assignment of every known segment so the serving path can find each
+// segment's previous owner.
 func (vw *VW) AddWorker(id string) (*Worker, error) {
 	vw.mu.Lock()
 	defer vw.mu.Unlock()
 	if _, dup := vw.workers[id]; dup {
 		return nil, fmt.Errorf("cluster: worker %q already in VW %s", id, vw.cfg.Name)
 	}
+	w, err := newWorker(id, vw)
+	if err != nil {
+		return nil, err
+	}
 	vw.snapshotAssignLocked()
-	w := newWorker(id, vw, vw.cfg.Cache, vw.cfg.WorkerSlots)
 	vw.workers[id] = w
 	vw.ring.Add(id)
 	return w, nil
 }
 
-// RemoveWorker scales the VW down.
+// RemoveWorker scales the VW down and closes the worker's listener.
 func (vw *VW) RemoveWorker(id string) error {
 	vw.mu.Lock()
-	defer vw.mu.Unlock()
-	if _, ok := vw.workers[id]; !ok {
+	w, ok := vw.workers[id]
+	if !ok {
+		vw.mu.Unlock()
 		return fmt.Errorf("cluster: worker %q not in VW %s", id, vw.cfg.Name)
 	}
 	vw.snapshotAssignLocked()
 	delete(vw.workers, id)
 	vw.ring.Remove(id)
+	vw.mu.Unlock()
+	w.closeRPC()
 	return nil
 }
 
+// Close closes every worker's serving listener and client.
+func (vw *VW) Close() {
+	for _, id := range vw.Workers() {
+		if w := vw.Worker(id); w != nil {
+			w.closeRPC()
+		}
+	}
+}
+
 // snapshotAssignLocked records the pre-change owner of every segment
-// key currently resident in any worker's memory. It deliberately
-// over-records (all keys ever assigned): stale entries are validated
-// against actual cache residency at serving time.
+// key ever scheduled. It deliberately over-records: stale entries are
+// validated against actual cache residency at serving time.
 func (vw *VW) snapshotAssignLocked() {
 	if vw.ring.Len() == 0 {
 		return
@@ -156,28 +144,22 @@ func (vw *VW) snapshotAssignLocked() {
 	}
 }
 
-// rememberSegmentLocked records a segment key for future pre-scale
-// snapshots. Caller holds mu.
-func (vw *VW) rememberSegmentLocked(key string) {
-	vw.knownSegments[key] = true
-}
-
 // ScheduleSegments maps segments to live workers via the ring.
 // Segments owned by dead workers fall over to the next replica.
-func (vw *VW) ScheduleSegments(table *lsm.Table, metas []*storage.SegmentMeta) map[string][]*storage.SegmentMeta {
+func (vw *VW) ScheduleSegments(table *lsm.Table, segs []*lsm.Segment) map[string][]*lsm.Segment {
 	vw.mu.Lock()
-	for _, m := range metas {
-		vw.rememberSegmentLocked(segKey(table, m.Name))
+	for _, seg := range segs {
+		vw.knownSegments[segKey(table, seg.Meta.Name)] = true
 	}
 	vw.mu.Unlock()
 
-	out := map[string][]*storage.SegmentMeta{}
-	for _, m := range metas {
-		id := vw.ownerOf(table, m.Name)
+	out := map[string][]*lsm.Segment{}
+	for _, seg := range segs {
+		id := vw.ownerOf(table, seg.Meta.Name)
 		if id == "" {
 			continue
 		}
-		out[id] = append(out[id], m)
+		out[id] = append(out[id], seg)
 	}
 	return out
 }
@@ -187,7 +169,7 @@ func (vw *VW) ScheduleSegments(table *lsm.Table, metas []*storage.SegmentMeta) m
 func (vw *VW) ownerOf(table *lsm.Table, seg string) string {
 	vw.mu.RLock()
 	defer vw.mu.RUnlock()
-	for _, id := range vw.ring.GetN(segKey(table, seg), vw.cfg.Replicas) {
+	for _, id := range vw.ring.GetN(segKey(table, seg), replicas) {
 		if w := vw.workers[id]; w != nil && w.Alive() {
 			return id
 		}
@@ -217,37 +199,34 @@ func (vw *VW) PreviousOwner(table *lsm.Table, seg string) string {
 // SearchOptions tunes a distributed search.
 type SearchOptions struct {
 	Params index.SearchParams
-	// Filters maps segment name to the offset bitset of rows passing
-	// scalar predicates (nil entry or missing key = unfiltered).
-	Filters map[string]*bitset.Bitset
-	// DisableServing forces local execution even on cache miss
-	// (ablation knob for the Fig 11/18 experiments).
-	DisableServing bool
 	// ForceBruteForce skips the index entirely (Fig 11's worst case).
 	ForceBruteForce bool
 }
 
-// Search runs a distributed top-k over the given segments: schedule,
-// per-segment ANN scan (local, served, or brute-force), global merge.
-// Failed workers are retried on replicas (query-level retry, §II-E).
-// ctx bounds every leg of the fan-out — slot waits, simulated service
-// times, index loads and serving RPC waits; cancelling it stops
-// pending per-segment scans before they start.
-func (vw *VW) Search(ctx context.Context, table *lsm.Table, metas []*storage.SegmentMeta, q []float32, k int, opts SearchOptions) ([]SegmentCandidate, error) {
+// Search runs a distributed top-k over the table's current Version:
+// schedule its segments, scan each (local, served, or brute-force)
+// over its live rows, merge. Failed workers are retried on replicas
+// (query-level retry, §II-E). ctx bounds every leg of the fan-out —
+// slot waits, simulated service times, index loads and serving RPC
+// waits; cancelling it stops pending per-segment scans before they
+// start.
+func (vw *VW) Search(ctx context.Context, table *lsm.Table, q []float32, k int, opts SearchOptions) ([]SegmentCandidate, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	assign := vw.ScheduleSegments(table, metas)
+	v, segs := table.Acquire()
+	defer v.Release()
+	assign := vw.ScheduleSegments(table, segs)
 	assigned := 0
-	for _, segs := range assign {
-		assigned += len(segs)
+	for _, ss := range assign {
+		assigned += len(ss)
 	}
-	if assigned < len(metas) {
+	if assigned < len(segs) {
 		return nil, fmt.Errorf("cluster: %d of %d segments unassignable (no live workers in VW %s)",
-			len(metas)-assigned, len(metas), vw.cfg.Name)
+			len(segs)-assigned, len(segs), vw.cfg.Name)
 	}
 	// Per-query cancel: the first failing worker goroutine stops the
 	// rest of the fan-out instead of letting it run to completion.
@@ -258,24 +237,21 @@ func (vw *VW) Search(ctx context.Context, table *lsm.Table, metas []*storage.Seg
 		err   error
 	}
 	ch := make(chan result, len(assign))
-	jobs := 0
-	for workerID, segs := range assign {
-		workerID, segs := workerID, segs
-		jobs++
+	for workerID, ss := range assign {
 		go func() {
 			var all []SegmentCandidate
-			for _, m := range segs {
+			for _, seg := range ss {
 				if err := gctx.Err(); err != nil {
 					ch <- result{nil, err}
 					return
 				}
-				cands, err := vw.searchOneWithRetry(gctx, table, m, workerID, q, k, opts)
+				cands, err := vw.searchOneWithRetry(gctx, table, seg, workerID, q, k, opts)
 				if err != nil {
 					ch <- result{nil, err}
 					return
 				}
 				for _, c := range cands {
-					all = append(all, SegmentCandidate{Segment: m.Name, Offset: c.ID, Dist: c.Dist})
+					all = append(all, SegmentCandidate{Segment: seg.Meta.Name, Offset: c.ID, Dist: c.Dist})
 				}
 			}
 			ch <- result{all, nil}
@@ -283,7 +259,7 @@ func (vw *VW) Search(ctx context.Context, table *lsm.Table, metas []*storage.Seg
 	}
 	var merged []SegmentCandidate
 	var firstErr error
-	for i := 0; i < jobs; i++ {
+	for range assign {
 		r := <-ch
 		if r.err != nil {
 			// Prefer a root-cause error over cancellations induced by
@@ -332,32 +308,40 @@ func sortSegmentCandidates(cs []SegmentCandidate) {
 	})
 }
 
+// liveRows is the allow bitset of a segment's rows that no delete
+// removed, nil when none is deleted.
+func liveRows(seg *lsm.Segment) *bitset.Bitset {
+	if seg.Deletes == nil {
+		return nil
+	}
+	allow := bitset.NewFull(seg.Meta.Rows)
+	allow.AndNot(seg.Deletes)
+	return allow
+}
+
 // searchOneWithRetry searches one segment on the designated worker,
 // applying the serving path on cache miss and retrying on a replica
 // if the worker dies mid-query.
-func (vw *VW) searchOneWithRetry(ctx context.Context, table *lsm.Table, m *storage.SegmentMeta, workerID string, q []float32, k int, opts SearchOptions) ([]index.Candidate, error) {
-	filter := opts.Filters[m.Name]
+func (vw *VW) searchOneWithRetry(ctx context.Context, table *lsm.Table, seg *lsm.Segment, workerID string, q []float32, k int, opts SearchOptions) ([]index.Candidate, error) {
+	allow := liveRows(seg)
 	tryWorker := func(id string) ([]index.Candidate, error) {
 		w := vw.Worker(id)
 		if w == nil || !w.Alive() {
 			return nil, fmt.Errorf("cluster: worker %s unavailable", id)
 		}
-		if opts.ForceBruteForce {
-			return w.BruteForceSearch(ctx, table, m, q, k, filter)
-		}
 		// Vector search serving: if this worker lacks the index in
 		// memory, proxy to the previous owner that still has it warm.
-		if vw.cfg.Serving && !opts.DisableServing && !w.HasIndexInMem(table, m.Name) {
-			if prev := vw.PreviousOwner(table, m.Name); prev != "" && prev != id {
-				if pw := vw.Worker(prev); pw != nil && pw.Alive() && pw.HasIndexInMem(table, m.Name) {
+		if !opts.ForceBruteForce && !w.HasIndexInMem(table, seg) {
+			if prev := vw.PreviousOwner(table, seg.Meta.Name); prev != "" && prev != id {
+				if pw := vw.Worker(prev); pw != nil && pw.Alive() && pw.HasIndexInMem(table, seg) {
 					rpcStart := obs.Now()
-					res, err := vw.serve(ctx, pw, table, m, q, k, opts.Params, filter)
+					res, err := vw.serve(ctx, pw, table, seg, q, k, opts.Params, allow)
 					mServingRTT.Observe(time.Since(rpcStart))
 					return res, err
 				}
 			}
 		}
-		return w.SearchSegment(ctx, table, m, q, k, opts.Params, filter)
+		return w.SearchSegment(ctx, table, seg, q, k, opts.Params, allow, opts.ForceBruteForce)
 	}
 	res, err := tryWorker(workerID)
 	if err == nil {
@@ -376,7 +360,7 @@ func (vw *VW) searchOneWithRetry(ctx context.Context, table *lsm.Table, m *stora
 		return nil, cerr
 	}
 	// Query-level retry on replicas (paper §II-E).
-	for _, id := range vw.replicasFor(table, m.Name) {
+	for _, id := range vw.replicasFor(table, seg.Meta.Name) {
 		if id == workerID {
 			continue
 		}
@@ -393,18 +377,19 @@ func (vw *VW) searchOneWithRetry(ctx context.Context, table *lsm.Table, m *stora
 func (vw *VW) replicasFor(table *lsm.Table, seg string) []string {
 	vw.mu.RLock()
 	defer vw.mu.RUnlock()
-	return vw.ring.GetN(segKey(table, seg), vw.cfg.Replicas)
+	return vw.ring.GetN(segKey(table, seg), replicas)
 }
 
 // Preload warms every worker's cache with the indexes of the segments
 // the ring assigns to it — the same consistent hashing the query
 // scheduler uses, so preload and scheduling agree (paper §II-D).
 func (vw *VW) Preload(table *lsm.Table) []error {
-	assign := vw.ScheduleSegments(table, table.Segments())
+	v, segs := table.Acquire()
+	defer v.Release()
 	var errs []error
-	for workerID, segs := range assign {
+	for workerID, ss := range vw.ScheduleSegments(table, segs) {
 		if w := vw.Worker(workerID); w != nil {
-			errs = append(errs, w.Preload(table, segs)...)
+			errs = append(errs, w.Preload(table, ss)...)
 		}
 	}
 	return errs

@@ -9,17 +9,20 @@ package cluster
 import (
 	"context"
 	"fmt"
+	"net"
+	"net/rpc"
+	"sync"
 	"sync/atomic"
 	"time"
 
 	"blendhouse/internal/bitset"
+	"blendhouse/internal/blobtier"
 	"blendhouse/internal/cache"
 	"blendhouse/internal/index"
 	"blendhouse/internal/lsm"
 	"blendhouse/internal/obs"
 	"blendhouse/internal/retry"
 	"blendhouse/internal/storage"
-	"blendhouse/internal/vec"
 )
 
 // VW-wide search counters (SHOW METRICS / the -debug-addr endpoint).
@@ -31,13 +34,28 @@ var (
 	mBruteSearches  = obs.Default().Counter("bh.vw.search.brute_force")
 )
 
+// A worker models a node of fixed size: workerSlots concurrent segment
+// scans, indexBytes of decoded indexes in memory, and a blob tier of
+// tierMemBytes in memory over tierDiskBytes of local disk.
+const (
+	workerSlots   = 2
+	indexBytes    = 1 << 30
+	tierMemBytes  = 256 << 20
+	tierDiskBytes = 4 << 30
+)
+
 // Worker is one stateless compute node: it owns only caches; all
 // durable state lives in the shared store. Killing a worker loses
 // nothing but cache warmth.
 type Worker struct {
-	ID    string
-	cache *cache.IndexCache
-	vw    *VW
+	ID string
+	vw *VW
+	// tier reads index blobs: memory, then the node's local disk, then
+	// the VW's remote store. indexes holds the decoded ones; loadMu
+	// makes a miss load each index once.
+	tier    *blobtier.TieredStore
+	indexes *cache.LRU[string]
+	loadMu  sync.Mutex
 	// slots bounds concurrent segment scans — the worker's compute
 	// capacity. Scans block here when the worker is saturated, which
 	// is how adding workers raises VW throughput.
@@ -45,24 +63,41 @@ type Worker struct {
 
 	alive atomic.Bool
 
+	// The serving RPC's listener and its accept loop (closed when the
+	// loop exits), and the client other workers reach this one
+	// through, dialled on first use.
+	ln        net.Listener
+	accepting chan struct{}
+	clientMu  sync.Mutex
+	client    *rpc.Client
+
 	// Counters for the benchmarks.
-	LocalSearches  atomic.Int64
 	ServedSearches atomic.Int64 // searches executed on behalf of another worker
 	BruteSearches  atomic.Int64
 }
 
-// newWorker wires a worker with its own local-disk tier (an isolated
-// MemStore standing in for the node's SSD) over the VW's shared
-// remote store.
-func newWorker(id string, vw *VW, cfg cache.Config, slots int) *Worker {
+// newWorker wires a worker with its own local disk (an isolated
+// MemStore standing in for the node's SSD) under a blob tier over the
+// VW's shared remote store, and opens its serving listener.
+func newWorker(id string, vw *VW) (*Worker, error) {
+	tier, err := blobtier.NewTiered(vw.remote, blobtier.Config{
+		MemBytes: tierMemBytes, DiskBytes: tierDiskBytes, DiskStore: storage.NewMemStore(),
+	})
+	if err != nil {
+		return nil, err
+	}
 	w := &Worker{
-		ID:    id,
-		vw:    vw,
-		cache: cache.NewIndexCache(cfg, storage.NewMemStore(), vw.remote),
-		slots: make(chan struct{}, slots),
+		ID:      id,
+		vw:      vw,
+		tier:    tier,
+		indexes: cache.NewLRU[string](indexBytes),
+		slots:   make(chan struct{}, workerSlots),
+	}
+	if err := w.listen(); err != nil {
+		return nil, err
 	}
 	w.alive.Store(true)
-	return w
+	return w, nil
 }
 
 // occupy takes a compute slot (or gives up when ctx fires) and holds
@@ -70,9 +105,6 @@ func newWorker(id string, vw *VW, cfg cache.Config, slots int) *Worker {
 // slot. Every simulated service time goes through here, so a cancelled
 // query releases worker capacity promptly.
 func (w *Worker) occupy(ctx context.Context, d time.Duration) error {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	if err := ctx.Err(); err != nil {
 		return err
 	}
@@ -114,79 +146,57 @@ func (w *Worker) chargePost(ctx context.Context) error {
 func (w *Worker) Alive() bool { return w.alive.Load() }
 
 // Fail simulates a crash: the worker stops serving and loses its
-// in-memory cache (the local disk tier survives, as a restarted pod's
-// volume would).
+// decoded indexes (the blob tier survives, as a restarted pod's volume
+// would).
 func (w *Worker) Fail() {
 	w.alive.Store(false)
-	w.cache.PurgeMem()
+	w.indexes.Purge()
 }
 
 // Recover brings a failed worker back (cold in-memory cache).
 func (w *Worker) Recover() { w.alive.Store(true) }
 
-// CacheStats exposes the hierarchical cache counters.
-func (w *Worker) CacheStats() cache.HierStats { return w.cache.Stats() }
-
-// CacheStats aggregates the hierarchical index-cache counters across
-// all live and dead workers — the VW-level view that SHOW METRICS and
-// the debug endpoint report.
-func (vw *VW) CacheStats() cache.HierStats {
-	vw.mu.RLock()
-	defer vw.mu.RUnlock()
-	var agg cache.HierStats
-	for _, w := range vw.workers {
-		s := w.cache.Stats()
-		agg.MemHits += s.MemHits
-		agg.DiskHits += s.DiskHits
-		agg.RemoteLoads += s.RemoteLoads
-		agg.Failures += s.Failures
-	}
-	return agg
+// HasIndexInMem reports whether the segment's index is at hand — the
+// serving path consults this without triggering a load.
+func (w *Worker) HasIndexInMem(table *lsm.Table, seg *lsm.Segment) bool {
+	return seg.Index != nil || w.indexes.Contains(table.IndexKeyOf(seg.Meta.Name))
 }
 
-// HasIndexInMem reports whether the segment's index is resident —
-// the scheduler and the serving path consult this without triggering
-// a load.
-func (w *Worker) HasIndexInMem(table *lsm.Table, seg string) bool {
-	return w.cache.ContainsMem(table.IndexKeyOf(seg))
-}
-
-// SearchSegment runs an ANN scan over one segment on this worker,
-// loading the index through the hierarchical cache as needed. filter
-// is offset-indexed over the segment's rows; deleted rows must
-// already be cleared in it (or pass nil and handle deletes upstream).
-// ctx bounds the slot wait, the simulated service time and the index
-// load (nil = unbounded).
-func (w *Worker) SearchSegment(ctx context.Context, table *lsm.Table, meta *storage.SegmentMeta, q []float32, k int, p index.SearchParams, filter *bitset.Bitset) ([]index.Candidate, error) {
-	if !w.Alive() {
-		return nil, fmt.Errorf("cluster: worker %s is down", w.ID)
+// index returns the segment's index: a memtable segment's own, or a
+// stored segment's decoded from its blob, read through the tier on a
+// miss. ctx bounds the blob read.
+func (w *Worker) index(ctx context.Context, table *lsm.Table, seg *lsm.Segment) (index.Index, error) {
+	if seg.Index != nil {
+		return seg.Index, nil
 	}
-	release, err := w.acquire(ctx)
+	key := table.IndexKeyOf(seg.Meta.Name)
+	if v, ok := w.indexes.Get(key); ok {
+		return v.(index.Index), nil
+	}
+	w.loadMu.Lock()
+	defer w.loadMu.Unlock()
+	if v, ok := w.indexes.Get(key); ok {
+		return v.(index.Index), nil
+	}
+	blob, err := w.tier.GetCtx(ctx, key)
 	if err != nil {
 		return nil, err
 	}
-	key := table.IndexKeyOf(meta.Name)
-	v, err := w.cache.Get(ctx, key, table.IndexLoaderFor(meta))
+	ix, err := table.DecodeIndex(seg, blob)
 	if err != nil {
-		release() // BruteForceSearch acquires its own slot
-		if storage.IsNotFound(err) {
-			// Segment has no index (e.g. table without INDEX clause):
-			// brute-force fallback.
-			return w.BruteForceSearch(ctx, table, meta, q, k, filter)
-		}
 		return nil, err
 	}
-	defer release()
-	ix := v.(index.Index)
-	w.LocalSearches.Add(1)
-	mLocalSearches.Inc()
-	return ix.SearchWithFilter(q, k, filter, p)
+	w.indexes.Put(key, ix, ix.MemoryBytes())
+	return ix, nil
 }
 
-// BruteForceSearch is the fallback of paper §II-D: read the vector
-// column from (remote) storage and compute exact distances. This is
-// what vector search serving exists to avoid.
-func (w *Worker) BruteForceSearch(ctx context.Context, table *lsm.Table, meta *storage.SegmentMeta, q []float32, k int, filter *bitset.Bitset) ([]index.Candidate, error) {
+// SearchSegment runs a top-k scan of one segment on this worker over
+// the rows allow admits (nil: every row). It searches the segment's
+// index, or, when brute is set or the segment has no index blob, the
+// exact scan of its vector column read from the store — the fallback
+// of paper §II-D that serving exists to avoid. ctx bounds the slot
+// wait, the simulated service time and the reads.
+func (w *Worker) SearchSegment(ctx context.Context, table *lsm.Table, seg *lsm.Segment, q []float32, k int, p index.SearchParams, allow *bitset.Bitset, brute bool) ([]index.Candidate, error) {
 	if !w.Alive() {
 		return nil, fmt.Errorf("cluster: worker %s is down", w.ID)
 	}
@@ -195,37 +205,34 @@ func (w *Worker) BruteForceSearch(ctx context.Context, table *lsm.Table, meta *s
 		return nil, err
 	}
 	defer release()
-	w.BruteSearches.Add(1)
-	mBruteSearches.Inc()
-	rd := &storage.SegmentReader{Store: table.Store(), Meta: meta, Schema: table.Schema()}
-	vcolName := table.Options().IndexColumn
-	if vcolName == "" {
-		vcolName = table.Schema().VectorColumn().Name
-	}
-	col, err := rd.ReadColumnCtx(ctx, vcolName)
-	if err != nil {
-		return nil, fmt.Errorf("cluster: brute-force read of %s: %w", meta.Name, err)
-	}
-	metric := table.Options().IndexParams.Metric
-	t := index.NewTopK(k)
-	for r := 0; r < col.Len(); r++ {
-		if filter != nil && !filter.Test(r) {
-			continue
+	var ix index.Index
+	if !brute {
+		ix, err = w.index(ctx, table, seg)
+		brute = storage.IsNotFound(err)
+		if err != nil && !brute {
+			return nil, err
 		}
-		t.Push(index.Candidate{ID: int64(r), Dist: vec.Distance(metric, q, col.Vector(r))})
 	}
-	return t.Results(), nil
+	if brute {
+		w.BruteSearches.Add(1)
+		mBruteSearches.Inc()
+		if ix, err = table.ExactIndex(ctx, seg); err != nil {
+			return nil, fmt.Errorf("cluster: exact scan of %s: %w", seg.Meta.Name, err)
+		}
+	} else {
+		mLocalSearches.Inc()
+	}
+	return ix.SearchWithFilter(q, k, allow, p)
 }
 
 // Preload pulls the given segments' indexes through the cache tiers
 // (paper §II-D "Cache-aware vector index preload"). Best-effort and
 // unbounded: preload runs ahead of queries, not inside one.
-func (w *Worker) Preload(table *lsm.Table, metas []*storage.SegmentMeta) []error {
+func (w *Worker) Preload(table *lsm.Table, segs []*lsm.Segment) []error {
 	var errs []error
-	for _, m := range metas {
-		key := table.IndexKeyOf(m.Name)
-		if _, err := w.cache.Get(context.TODO(), key, table.IndexLoaderFor(m)); err != nil {
-			errs = append(errs, fmt.Errorf("preload %s: %w", m.Name, err))
+	for _, seg := range segs {
+		if _, err := w.index(context.Background(), table, seg); err != nil {
+			errs = append(errs, fmt.Errorf("preload %s: %w", seg.Meta.Name, err))
 		}
 	}
 	return errs

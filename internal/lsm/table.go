@@ -494,14 +494,14 @@ func (t *Table) LoadIndex(ctx context.Context, s *Segment) (index.Index, error) 
 	if err != nil {
 		return nil, err
 	}
-	return t.decodeIndex(s, blob)
+	return t.DecodeIndex(s, blob)
 }
 
-// decodeIndex builds the segment's index from its blob, wired to read
+// DecodeIndex builds the segment's index from its blob, wired to read
 // exact vectors through the segment's reader. The index is of the type
 // the segment's meta records; a meta written before it recorded one
 // means the table's type.
-func (t *Table) decodeIndex(s *Segment, blob []byte) (index.Index, error) {
+func (t *Table) DecodeIndex(s *Segment, blob []byte) (index.Index, error) {
 	typ := index.Type(s.Meta.IndexType)
 	if typ == "" {
 		typ = t.opts.IndexType
@@ -525,22 +525,6 @@ func (t *Table) decodeIndex(s *Segment, blob []byte) (index.Index, error) {
 // IndexKeyOf returns the blob key of a segment's ANN index.
 func (t *Table) IndexKeyOf(seg string) string {
 	return storage.IndexKey(t.opts.Name, seg, t.opts.IndexColumn)
-}
-
-// IndexLoaderFor returns a deserializer closure for a live segment's
-// index blob — this is what workers hand to the hierarchical cache.
-func (t *Table) IndexLoaderFor(meta *storage.SegmentMeta) func(blob []byte) (any, int64, error) {
-	s := t.current().Segment(meta.Name)
-	return func(blob []byte) (any, int64, error) {
-		if s == nil {
-			return nil, 0, fmt.Errorf("lsm: segment %q not live", meta.Name)
-		}
-		ix, err := t.decodeIndex(s, blob)
-		if err != nil {
-			return nil, 0, err
-		}
-		return ix, ix.MemoryBytes(), nil
-	}
 }
 
 // rawRefiner is implemented by quantized indexes that support an

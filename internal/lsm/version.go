@@ -1,6 +1,7 @@
 package lsm
 
 import (
+	"context"
 	"slices"
 	"strings"
 	"sync/atomic"
@@ -120,6 +121,21 @@ func (t *Table) appendMem(segs []*Segment, m *wal.Memtable) []*Segment {
 		seg.Index = flat.View(t.buildParamsFor(index.Flat, s.Meta.Rows), vcol.Vecs, s.IDs)
 	}
 	return append(segs, seg)
+}
+
+// ExactIndex returns a flat index over s's vector column, read through
+// its reader, with the row offsets as ids: the exact kernel flat
+// segments and memtables run on, for a caller that has no index of s.
+func (t *Table) ExactIndex(ctx context.Context, s *Segment) (index.Index, error) {
+	col, err := s.Reader.ReadColumnCtx(ctx, t.opts.IndexColumn)
+	if err != nil {
+		return nil, err
+	}
+	ids := make([]int64, col.Len())
+	for i := range ids {
+		ids[i] = int64(i)
+	}
+	return flat.View(t.buildParamsFor(index.Flat, s.Meta.Rows), col.Vecs, ids), nil
 }
 
 // current returns the current Version unpinned, for a caller that
