@@ -66,50 +66,32 @@ func main() {
 		return
 	}
 	var (
-		dataDir     = flag.String("data", "./bhdata", "blob store directory")
-		oneShot     = flag.String("e", "", "execute one statement and exit")
-		script      = flag.String("f", "", "execute statements from a file (semicolon-separated)")
-		debugAddr   = flag.String("debug-addr", "", "serve /metrics, /vars and pprof on this address (e.g. localhost:6060)")
-		timeout     = flag.Duration("timeout", 0, "per-statement timeout (0 = none); also settable at runtime with SET statement_timeout = <ms>")
-		maxPar      = flag.Int("max-parallelism", 0, "per-query segment fan-out (0 = GOMAXPROCS)")
-		useWAL      = flag.Bool("wal", true, "real-time write path: group-committed WAL + searchable memtable (off = cut segments synchronously per INSERT)")
-		flushRows   = flag.Int("flush-rows", 0, "seal and flush the memtable after this many rows (0 = default)")
-		flushMS     = flag.Duration("flush-interval", 0, "background flush period for partial memtables (0 = default)")
-		retries     = flag.Int("store-retries", 4, "attempts per storage operation for transient errors (1 = no retries, 0 = disable the fault-tolerance layer)")
-		backoff     = flag.Duration("store-backoff", 0, "base backoff before the first storage retry (0 = default 5ms; grows exponentially, jittered)")
-		chaos       = flag.Bool("chaos", false, "inject seeded transient storage faults under the retry layer (smoke-testing fault tolerance)")
-		logLevel    = flag.String("log-level", "warn", "structured log level: debug|info|warn|error")
-		logFormat   = flag.String("log-format", "text", "structured log format: text|json")
-		traceSample = flag.Int("trace-sample", 1, "record a span tree for 1-in-N statements into the trace ring (SHOW TRACES, /debug/traces; 0 = off)")
-		slowQuery   = flag.Duration("slow-query", 0, "log statements slower than this at WARN with their trace ID (0 = off)")
-		useBatch    = flag.Bool("batch", false, "multi-query batching: group compatible concurrent SELECTs into shared segment scans (pointless in a single-session shell, hence off)")
-		batchWindow = flag.Duration("batch-window", 0, "batch formation window (0 = default 2ms)")
-		batchGroup  = flag.Int("batch-max-group", 0, "max queries per shared-scan group (0 = default 16)")
-		batchAdapt  = flag.Bool("batch-adaptive", true, "batched-vs-solo per query via the cost model over observed per-segment stats (off = always batch compatible queries)")
+		oneShot = flag.String("e", "", "execute one statement and exit")
+		script  = flag.String("f", "", "execute statements from a file (semicolon-separated)")
 	)
-	sf := registerStoreFlags(flag.CommandLine)
+	ef := registerEngineFlags(flag.CommandLine, false)
 	flag.Parse()
-	configureLogging(*logLevel, *logFormat)
+	configureLogging(ef.logLevel, ef.logFormat)
 
 	// The debug endpoint binds synchronously so a bad address fails the
 	// process here instead of dying silently inside a goroutine, and it
 	// drains cleanly when the shell exits.
 	var debug *server.DebugServer
-	if *debugAddr != "" {
+	if ef.debugAddr != "" {
 		var err error
-		if debug, err = server.NewDebug(*debugAddr); err != nil {
+		if debug, err = server.NewDebug(ef.debugAddr); err != nil {
 			fatal(err)
 		}
 		defer debug.Drain(time.Second)
 	}
 
-	engine, err := openEngine(*dataDir, *maxPar, walConfig(*useWAL, *flushRows, *flushMS), retryConfig(*retries, *backoff), *chaos, *traceSample, *slowQuery, batchConfig(*useBatch, *batchWindow, *batchGroup, *batchAdapt), sf)
+	engine, err := ef.openEngine()
 	if err != nil {
 		fatal(err)
 	}
 	defer engine.Close() // drain the WAL flushers so acked rows reach segments
 
-	sess := &session{engine: engine, vars: server.NewSession(*timeout, 0)}
+	sess := &session{engine: engine, vars: server.NewSession(ef.timeout, 0)}
 	switch {
 	case *oneShot != "":
 		if err := sess.runStatement(*oneShot); err != nil {
@@ -131,40 +113,88 @@ func main() {
 	}
 }
 
+// engineFlags holds the flags the shell and serve modes share: the
+// data directory, the engine's settings, logging, the debug endpoint
+// and the storage stack.
+type engineFlags struct {
+	dataDir, debugAddr, logLevel, logFormat                 string
+	timeout, flushInterval, backoff, slowQuery, batchWindow time.Duration
+	maxPar, flushRows, retries, traceSample, batchGroup     int
+	wal, chaos, batch, batchAdaptive                        bool
+	store                                                   *storeFlags
+}
+
+// registerEngineFlags installs the shared flags on fs and returns the
+// struct their values land in. Two defaults follow the mode: serve
+// batches concurrent SELECTs and logs at info, the single-session
+// shell does neither and logs at warn.
+func registerEngineFlags(fs *flag.FlagSet, serve bool) *engineFlags {
+	ef := &engineFlags{store: registerStoreFlags(fs)}
+	logLevel, batchHelp := "warn", "multi-query batching: group compatible concurrent SELECTs into shared segment scans (pointless in a single-session shell, hence off)"
+	if serve {
+		logLevel, batchHelp = "info", "multi-query batching: group compatible concurrent SELECTs into shared segment scans, one admission slot per group (sessions opt out with SET batch = off)"
+	}
+	fs.StringVar(&ef.dataDir, "data", "./bhdata", "blob store directory")
+	fs.StringVar(&ef.debugAddr, "debug-addr", "", "serve /metrics, /vars and pprof on this address (e.g. localhost:6060)")
+	fs.DurationVar(&ef.timeout, "timeout", 0, "per-statement timeout (0 = none); sessions adjust it with SET statement_timeout = <ms>")
+	fs.IntVar(&ef.maxPar, "max-parallelism", 0, "per-query segment fan-out (0 = GOMAXPROCS)")
+	fs.BoolVar(&ef.wal, "wal", true, "real-time write path: group-committed WAL + searchable memtable (off = cut segments synchronously per INSERT)")
+	fs.IntVar(&ef.flushRows, "flush-rows", 0, "seal and flush the memtable after this many rows (0 = default)")
+	fs.DurationVar(&ef.flushInterval, "flush-interval", 0, "background flush period for partial memtables (0 = default)")
+	fs.IntVar(&ef.retries, "store-retries", 4, "attempts per storage operation for transient errors (1 = no retries, 0 = disable the fault-tolerance layer)")
+	fs.DurationVar(&ef.backoff, "store-backoff", 0, "base backoff before the first storage retry (0 = default 5ms; grows exponentially, jittered)")
+	fs.BoolVar(&ef.chaos, "chaos", false, "inject seeded transient storage faults under the retry layer (smoke-testing fault tolerance)")
+	fs.StringVar(&ef.logLevel, "log-level", logLevel, "structured log level: debug|info|warn|error")
+	fs.StringVar(&ef.logFormat, "log-format", "text", "structured log format: text|json")
+	fs.IntVar(&ef.traceSample, "trace-sample", 1, "record a span tree for 1-in-N statements into the trace ring (SHOW TRACES, /debug/traces; 0 = off)")
+	fs.DurationVar(&ef.slowQuery, "slow-query", 0, "log statements slower than this at WARN with their trace ID (0 = off)")
+	fs.BoolVar(&ef.batch, "batch", serve, batchHelp)
+	fs.DurationVar(&ef.batchWindow, "batch-window", 0, "batch formation window (0 = default 2ms)")
+	fs.IntVar(&ef.batchGroup, "batch-max-group", 0, "max queries per shared-scan group (0 = default 16)")
+	fs.BoolVar(&ef.batchAdaptive, "batch-adaptive", true, "batched-vs-solo per query via the cost model over observed per-segment stats (off = always batch compatible queries)")
+	return ef
+}
+
 // openEngine builds the standard shell/server engine over a
 // filesystem store, with the storage fault-tolerance layer (and
 // optionally chaos injection) between the engine and the disk, and —
 // when the tier flags are set — the tiered blob cache outermost.
-func openEngine(dataDir string, maxPar int, wal *lsm.WALConfig, retry *storage.RetryConfig, chaos bool, traceSample int, slowQuery time.Duration, batchCfg *batch.Config, sf *storeFlags) (*core.Engine, error) {
-	store, err := sf.openDataStore(dataDir)
+// -wal off cuts segments synchronously, -store-retries 0 drops the
+// retry layer, and -batch off the batching scheduler.
+func (ef *engineFlags) openEngine() (*core.Engine, error) {
+	store, err := ef.store.openDataStore(ef.dataDir)
 	if err != nil {
 		return nil, err
 	}
 	ccCfg := cache.DefaultColumnCacheConfig()
-	return core.New(core.Config{
+	cfg := core.Config{
 		Store:            store,
 		ColumnCache:      &ccCfg,
 		SemanticFraction: 0.5,
 		AutoIndex:        true,
-		MaxParallelism:   maxPar,
-		WAL:              wal,
-		Retry:            retry,
-		Chaos:            chaos,
-		TraceSample:      traceSample,
-		SlowQuery:        slowQuery,
-		Batch:            batchCfg,
-		Tier:             sf.tierConfig(dataDir),
-		Backup:           core.BackupConfig{Key: sf.backupKey},
-	})
-}
-
-// batchConfig translates the -batch* flags (nil disables the batching
-// scheduler entirely).
-func batchConfig(enabled bool, window time.Duration, maxGroup int, adaptive bool) *batch.Config {
-	if !enabled {
-		return nil
+		MaxParallelism:   ef.maxPar,
+		Chaos:            ef.chaos,
+		TraceSample:      ef.traceSample,
+		SlowQuery:        ef.slowQuery,
+		Tier:             ef.store.tierConfig(ef.dataDir),
+		Backup:           core.BackupConfig{Key: ef.store.backupKey},
 	}
-	return &batch.Config{Window: window, MaxGroup: maxGroup, Adaptive: adaptive}
+	if ef.wal {
+		cfg.WAL = &lsm.WALConfig{
+			MaxMemRows:    ef.flushRows,
+			FlushInterval: ef.flushInterval,
+			OnError: func(err error) {
+				fmt.Fprintln(os.Stderr, "wal flush:", err)
+			},
+		}
+	}
+	if ef.retries > 0 {
+		cfg.Retry = &storage.RetryConfig{MaxAttempts: ef.retries, BaseBackoff: ef.backoff}
+	}
+	if ef.batch {
+		cfg.Batch = &batch.Config{Window: ef.batchWindow, MaxGroup: ef.batchGroup, Adaptive: ef.batchAdaptive}
+	}
+	return core.New(cfg)
 }
 
 // configureLogging applies the -log-level/-log-format flags
@@ -180,31 +210,6 @@ func configureLogging(level, format string) {
 	}
 }
 
-// retryConfig translates the -store-retries/-store-backoff flags (nil
-// disables the retry layer entirely).
-func retryConfig(retries int, backoff time.Duration) *storage.RetryConfig {
-	if retries <= 0 {
-		return nil
-	}
-	return &storage.RetryConfig{MaxAttempts: retries, BaseBackoff: backoff}
-}
-
-// walConfig translates the -wal/-flush-* flags into the engine's
-// write-path config (nil = synchronous segment cutting, the pre-WAL
-// behaviour).
-func walConfig(enabled bool, flushRows int, flushInterval time.Duration) *lsm.WALConfig {
-	if !enabled {
-		return nil
-	}
-	return &lsm.WALConfig{
-		MaxMemRows:    flushRows,
-		FlushInterval: flushInterval,
-		OnError: func(err error) {
-			fmt.Fprintln(os.Stderr, "wal flush:", err)
-		},
-	}
-}
-
 // runServe hosts the network query server (and optionally the debug
 // endpoint) under one lifecycle: SIGTERM/SIGINT starts a graceful
 // drain — stop accepting, finish in-flight statements up to
@@ -212,35 +217,17 @@ func walConfig(enabled bool, flushRows int, flushInterval time.Duration) *lsm.WA
 func runServe(args []string) {
 	fs := flag.NewFlagSet("blendhouse serve", flag.ExitOnError)
 	var (
-		dataDir      = fs.String("data", "./bhdata", "blob store directory")
 		addr         = fs.String("addr", "127.0.0.1:8428", "query API listen address (POST /v1/query, /v1/exec)")
-		debugAddr    = fs.String("debug-addr", "", "also serve /metrics, /vars and pprof on this address")
 		maxConc      = fs.Int("max-concurrent", 0, "statements executing at once (0 = 2×GOMAXPROCS)")
 		maxQueue     = fs.Int("max-queue", 0, "admission wait-queue bound; beyond it statements shed with 429 (0 = 4×max-concurrent, negative = no queue)")
 		queueTimeout = fs.Duration("queue-timeout", 0, "shed statements queued longer than this (0 = wait for the statement deadline)")
 		drainTimeout = fs.Duration("drain-timeout", 10*time.Second, "grace for in-flight statements on shutdown")
-		timeout      = fs.Duration("timeout", 0, "default per-session statement timeout (sessions adjust with SET statement_timeout)")
-		maxPar       = fs.Int("max-parallelism", 0, "per-query segment fan-out (0 = GOMAXPROCS)")
-		useWAL       = fs.Bool("wal", true, "real-time write path: group-committed WAL + searchable memtable (off = cut segments synchronously per INSERT)")
-		flushRows    = fs.Int("flush-rows", 0, "seal and flush the memtable after this many rows (0 = default)")
-		flushMS      = fs.Duration("flush-interval", 0, "background flush period for partial memtables (0 = default)")
-		retries      = fs.Int("store-retries", 4, "attempts per storage operation for transient errors (1 = no retries, 0 = disable the fault-tolerance layer)")
-		backoff      = fs.Duration("store-backoff", 0, "base backoff before the first storage retry (0 = default 5ms; grows exponentially, jittered)")
-		chaos        = fs.Bool("chaos", false, "inject seeded transient storage faults under the retry layer (smoke-testing fault tolerance)")
-		logLevel     = fs.String("log-level", "info", "structured log level: debug|info|warn|error")
-		logFormat    = fs.String("log-format", "text", "structured log format: text|json")
-		traceSample  = fs.Int("trace-sample", 1, "record a span tree for 1-in-N statements into the trace ring (SHOW TRACES, /debug/traces; 0 = off)")
-		slowQuery    = fs.Duration("slow-query", 0, "log statements slower than this at WARN with their trace ID (0 = off)")
-		useBatch     = fs.Bool("batch", true, "multi-query batching: group compatible concurrent SELECTs into shared segment scans, one admission slot per group (sessions opt out with SET batch = off)")
-		batchWindow  = fs.Duration("batch-window", 0, "batch formation window (0 = default 2ms)")
-		batchGroup   = fs.Int("batch-max-group", 0, "max queries per shared-scan group (0 = default 16)")
-		batchAdapt   = fs.Bool("batch-adaptive", true, "batched-vs-solo per query via the cost model over observed per-segment stats (off = always batch compatible queries)")
 	)
-	sf := registerStoreFlags(fs)
+	ef := registerEngineFlags(fs, true)
 	fs.Parse(args)
-	configureLogging(*logLevel, *logFormat)
+	configureLogging(ef.logLevel, ef.logFormat)
 
-	engine, err := openEngine(*dataDir, *maxPar, walConfig(*useWAL, *flushRows, *flushMS), retryConfig(*retries, *backoff), *chaos, *traceSample, *slowQuery, batchConfig(*useBatch, *batchWindow, *batchGroup, *batchAdapt), sf)
+	engine, err := ef.openEngine()
 	if err != nil {
 		fatal(err)
 	}
@@ -253,7 +240,7 @@ func runServe(args []string) {
 			QueueTimeout:  *queueTimeout,
 		},
 		DrainTimeout:   *drainTimeout,
-		SessionTimeout: *timeout,
+		SessionTimeout: ef.timeout,
 	})
 	if err != nil {
 		fatal(err)
@@ -263,8 +250,8 @@ func runServe(args []string) {
 	}
 	var debug *server.DebugServer
 	debugErr := make(<-chan error) // nil-like: blocks forever when unused
-	if *debugAddr != "" {
-		if debug, err = server.NewDebug(*debugAddr); err != nil {
+	if ef.debugAddr != "" {
+		if debug, err = server.NewDebug(ef.debugAddr); err != nil {
 			fatal(err)
 		}
 		debugErr = debug.Err()

@@ -39,7 +39,7 @@ func main() {
 		}},
 		IndexColumn: "embedding", IndexType: index.HNSW,
 		IndexParams: index.BuildParams{M: 12, EfConstruction: 100, Seed: 1},
-		SegmentRows: 500, PipelinedBuild: true, Seed: 1,
+		SegmentRows: 500, Seed: 1,
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -10,9 +10,12 @@
 //   - Rules: instant K_IVF/M/ef selection from N via the faiss
 //     guidelines (K ≈ 4·√N, ≥ ~39 training points per centroid),
 //     used on the ingestion path where latency matters.
-//   - Tuner: an offline sweep in the spirit of autofaiss, used by
-//     background compaction to refine parameters against a recall
-//     target using actual sample queries.
+//   - Tuner: an offline sweep in the spirit of autofaiss that refines
+//     parameters against a recall target using actual sample queries.
+//     The paper runs it in background compaction; here the abl-tuner
+//     experiment measures it against the rules, and compaction builds
+//     with the rules, since the tuner picks by wall-clock latency and
+//     would make a compacted segment's bytes depend on timing.
 package autoindex
 
 import (
@@ -105,11 +108,9 @@ func Apply(t index.Type, n int, p index.BuildParams) index.BuildParams {
 	return p
 }
 
-// TunerConfig drives the offline sweep.
+// TunerConfig drives the offline sweep over a ladder of candidates
+// derived from the rule-based choice.
 type TunerConfig struct {
-	// Candidates lists parameter sets to evaluate. Empty selects a
-	// default ladder derived from the rule-based choice.
-	Candidates []index.BuildParams
 	// K is the top-k used in evaluation queries.
 	K int
 	// RecallTarget is the floor a candidate must reach to qualify.
@@ -131,8 +132,8 @@ type TuneResult struct {
 // (against the provided ground truth) and mean query latency on the
 // sample queries, and returns the fastest candidate meeting the recall
 // target — falling back to the highest-recall candidate when none
-// qualifies. It is deliberately brute force: it runs in background
-// compaction, not on the query path.
+// qualifies. It is deliberately brute force: it runs offline, never
+// on the query path.
 func Tune(t index.Type, dim int, vectors []float32, queries [][]float32, truth [][]int64, cfg TunerConfig) (*TuneResult, error) {
 	n := len(vectors) / dim
 	if n == 0 || len(queries) == 0 || len(queries) != len(truth) {
@@ -144,10 +145,7 @@ func Tune(t index.Type, dim int, vectors []float32, queries [][]float32, truth [
 	if cfg.RecallTarget <= 0 {
 		cfg.RecallTarget = 0.95
 	}
-	cands := cfg.Candidates
-	if len(cands) == 0 {
-		cands = defaultLadder(t, dim, n)
-	}
+	cands := ladder(t, dim, n)
 	ids := make([]int64, n)
 	for i := range ids {
 		ids[i] = int64(i)
@@ -207,9 +205,9 @@ func Tune(t index.Type, dim int, vectors []float32, queries [][]float32, truth [
 	return best, nil
 }
 
-// defaultLadder proposes a small sweep bracketing the rule-based
+// ladder proposes a small sweep bracketing the rule-based
 // choice.
-func defaultLadder(t index.Type, dim, n int) []index.BuildParams {
+func ladder(t index.Type, dim, n int) []index.BuildParams {
 	switch t {
 	case index.IVFFlat, index.IVFPQ, index.IVFPQFS:
 		base := SelectIVFNlist(n)

@@ -34,9 +34,6 @@ type Config struct {
 	Planner     plan.PlannerConfig
 	ColumnCache bool
 	AutoIndex   bool
-	// PipelinedBuild defaults to true (that's BlendHouse); Table IV's
-	// ablation can disable it.
-	DisablePipeline bool
 	// ClusterBuckets enables semantic partitioning.
 	ClusterBuckets   int
 	SemanticFraction float64
@@ -97,7 +94,6 @@ func (s *Store) Load(vectors []float32, dim int, attrs []int64) error {
 		},
 		AutoIndex:      s.cfg.AutoIndex,
 		SegmentRows:    s.cfg.SegmentRows,
-		PipelinedBuild: !s.cfg.DisablePipeline,
 		ClusterBuckets: s.cfg.ClusterBuckets,
 		Seed:           s.cfg.Seed,
 	})

@@ -131,7 +131,7 @@ func runAblHashring(cfg Config) (*Report, error) {
 		return h % workers
 	}
 	for _, w := range []int{2, 4, 8} {
-		ring := hashring.New(0)
+		ring := hashring.New()
 		for i := 0; i < w; i++ {
 			ring.Add(fmt.Sprintf("w%d", i))
 		}

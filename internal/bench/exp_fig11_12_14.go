@@ -42,7 +42,7 @@ func clusterFixture(cfg Config, workers int, ds *dataset.Dataset, scanCost, post
 		}},
 		IndexColumn: "embedding", IndexType: index.HNSW,
 		IndexParams: index.BuildParams{M: 12, EfConstruction: 120, Seed: cfg.Seed},
-		SegmentRows: segRows, PipelinedBuild: true, Seed: cfg.Seed,
+		SegmentRows: segRows, Seed: cfg.Seed,
 	})
 	if err != nil {
 		return nil, nil, err

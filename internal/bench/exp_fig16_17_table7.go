@@ -47,7 +47,7 @@ func laionTable(cfg Config, ds *dataset.Dataset, name string, scalarPart bool, b
 		Name: name, Schema: schema,
 		IndexColumn: "embedding", IndexType: index.HNSW,
 		IndexParams: index.BuildParams{M: 12, EfConstruction: 120, Seed: cfg.Seed},
-		SegmentRows: segRows, PipelinedBuild: true, Seed: cfg.Seed,
+		SegmentRows: segRows, Seed: cfg.Seed,
 		ClusterBuckets: buckets,
 	}
 	if scalarPart {
@@ -439,7 +439,7 @@ func prodTable(cfg Config, ds *dataset.Dataset, part bool) (*lsm.Table, *exec.Ex
 		Name: "t", Schema: schema,
 		IndexColumn: "embedding", IndexType: index.HNSW,
 		IndexParams: index.BuildParams{M: 12, EfConstruction: 120, Seed: cfg.Seed},
-		SegmentRows: 800, PipelinedBuild: true, Seed: cfg.Seed,
+		SegmentRows: 800, Seed: cfg.Seed,
 	}
 	if part {
 		opts.PartitionBy = []string{"category"}

@@ -40,10 +40,11 @@ var (
 	mSpillErrs = obs.Default().Counter("bh.storage.tier.spill_errors")
 )
 
-// DefaultSkipSubstrings lists key fragments the tier must never cache:
-// mutable blobs (the table manifest, delete bitmaps) and the WAL,
-// whose blobs are written once and read once on recovery. Caching any
-// of these would either serve stale catalog state or waste budget.
+// DefaultSkipSubstrings lists the key fragments the tier never caches
+// (reads and writes of such a key pass straight through): mutable blobs
+// (the table manifest, delete bitmaps) and the WAL, whose blobs are
+// written once and read once on recovery. Caching any of these would
+// either serve stale catalog state or waste budget.
 var DefaultSkipSubstrings = []string{"manifest.json", "/wal/", "delete.bmp"}
 
 // Config sizes the cache tiers.
@@ -58,10 +59,6 @@ type Config struct {
 	// DiskStore overrides the spill backend (tests inject fault
 	// wrappers here); nil uses an FSStore at DiskDir.
 	DiskStore storage.BlobStore
-	// SkipSubstrings: keys containing any of these are never cached
-	// (reads and writes pass straight through). nil means
-	// DefaultSkipSubstrings; an empty non-nil slice caches everything.
-	SkipSubstrings []string
 }
 
 // TieredStore layers a memory LRU and a local-disk spill tier over a
@@ -69,7 +66,7 @@ type Config struct {
 // write-through (backing first — durability never depends on the
 // cache), reads fill on miss, and blobs evicted from memory spill to
 // disk instead of being dropped. Only immutable blobs are cached (see
-// Config.SkipSubstrings), so a cached entry can never go stale.
+// DefaultSkipSubstrings), so a cached entry can never go stale.
 //
 // Reads lend rather than copy (the storage.BlobStore contract): the
 // slice a read returns is the one the memory tier holds, shared with
@@ -78,7 +75,6 @@ type Config struct {
 // a slice stays valid for as long as its holder keeps it.
 type TieredStore struct {
 	backing storage.BlobStore
-	skip    []string
 
 	mem      *cache.LRU[string] // key -> []byte
 	memBytes int64
@@ -106,12 +102,8 @@ func NewTiered(backing storage.BlobStore, cfg Config) (*TieredStore, error) {
 	}
 	s := &TieredStore{
 		backing:  backing,
-		skip:     cfg.SkipSubstrings,
 		mem:      cache.NewLRU[string](cfg.MemBytes),
 		memBytes: cfg.MemBytes,
-	}
-	if s.skip == nil {
-		s.skip = DefaultSkipSubstrings
 	}
 	if cfg.DiskBytes > 0 {
 		s.diskFS = cfg.DiskStore
@@ -166,8 +158,8 @@ func (s *TieredStore) TierStats() Stats {
 }
 
 func (s *TieredStore) cacheable(key string) bool {
-	for _, sub := range s.skip {
-		if sub != "" && containsSub(key, sub) {
+	for _, sub := range DefaultSkipSubstrings {
+		if containsSub(key, sub) {
 			return false
 		}
 	}

@@ -41,7 +41,7 @@ func fixtureOf(t *testing.T, workers int, typ index.Type) (*VW, *lsm.Table, *dat
 			{Name: "embedding", Type: storage.VectorType, Dim: cDim},
 		}},
 		IndexColumn: "embedding", IndexType: typ,
-		SegmentRows: 100, PipelinedBuild: true, Seed: 5,
+		SegmentRows: 100, Seed: 5,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -533,6 +533,37 @@ func TestPreviousOwnerTracking(t *testing.T) {
 	}
 	if got := vw.PreviousOwner(tab, seg.Meta.Name); got != ownerBefore {
 		t.Fatalf("PreviousOwner = %q, want %q", got, ownerBefore)
+	}
+}
+
+// TestServingSurvivesCompaction: a requester's pinned Version may name
+// a segment that a compaction has since retired from the current one.
+// The previous owner still holds its index and answers the served scan
+// as it answers the same scan locally.
+func TestServingSurvivesCompaction(t *testing.T) {
+	vw, tab, ds := fixture(t, 2)
+	ctx := context.Background()
+	pw := vw.Worker("w0")
+	v, segs := tab.Acquire()
+	defer v.Release()
+	seg := segs[0]
+	q, p := ds.Queries.Row(1), index.SearchParams{Ef: 64}
+	want, err := pw.SearchSegment(ctx, tab, seg, q, 10, p, nil, false) // loads the index into pw
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, err := tab.CompactAll(lsm.CompactionPolicy{MinSegments: 2}); err != nil || n == 0 {
+		t.Fatalf("compaction merged %d (%v)", n, err)
+	}
+	if slices.ContainsFunc(tab.Segments(), func(m *storage.SegmentMeta) bool { return m.Name == seg.Meta.Name }) {
+		t.Fatalf("%s still live after compaction", seg.Meta.Name)
+	}
+	got, err := vw.serve(ctx, pw, tab, seg, q, 10, p, nil)
+	if err != nil {
+		t.Fatalf("serving a retired but pinned segment: %v", err)
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("served %v, local %v", got, want)
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"blendhouse/internal/index"
 	"blendhouse/internal/lsm"
 	"blendhouse/internal/obs"
+	"blendhouse/internal/storage"
 )
 
 // Serving-RPC metrics: proxy hop count and round-trip latency.
@@ -47,18 +48,25 @@ type SearchService struct {
 	w *Worker
 }
 
-// Search executes a segment ANN scan on the receiving worker, over the
-// segment as the table's current Version names it.
+// Search executes a segment ANN scan on the receiving worker. A
+// requester proxies a scan only to a worker that holds the segment's
+// index, and its pinned Version may name a segment a compaction has
+// since retired: so a cached index stands in for the segment, which is
+// looked up in the table's current Version only on a miss.
 func (s *SearchService) Search(args *SearchArgs, reply *SearchReply) error {
 	table := s.w.vw.lookupTable(args.Table)
 	if table == nil {
 		return fmt.Errorf("cluster: rpc search on unknown table %q", args.Table)
 	}
-	v, _ := table.Acquire()
-	defer v.Release()
-	seg := v.Segment(args.Segment)
-	if seg == nil {
-		return fmt.Errorf("cluster: rpc search on unknown segment %q", args.Segment)
+	var seg *lsm.Segment
+	if ix, ok := s.w.indexes.Get(table.IndexKeyOf(args.Segment)); ok {
+		seg = &lsm.Segment{Meta: &storage.SegmentMeta{Name: args.Segment}, Index: ix.(index.Index)}
+	} else {
+		v, _ := table.Acquire()
+		defer v.Release()
+		if seg = v.Segment(args.Segment); seg == nil {
+			return fmt.Errorf("cluster: rpc search on unknown segment %q", args.Segment)
+		}
 	}
 	var allow *bitset.Bitset
 	if len(args.Filter) > 0 {

@@ -47,24 +47,22 @@ type VW struct {
 	cfg    VWConfig
 	remote storage.BlobStore
 
-	mu            sync.RWMutex
-	workers       map[string]*Worker
-	ring          *hashring.Ring
-	prevAssign    map[string]string // segment key -> owner before the last topology change
-	knownSegments map[string]bool   // every segment key ever scheduled
-	tables        map[string]*lsm.Table
+	mu       sync.RWMutex
+	workers  map[string]*Worker
+	ring     *hashring.Ring
+	prevRing *hashring.Ring // ring before the last topology change
+	tables   map[string]*lsm.Table
 }
 
 // NewVW creates an empty virtual warehouse over the shared store.
 func NewVW(cfg VWConfig, remote storage.BlobStore) *VW {
 	return &VW{
-		cfg:           cfg,
-		remote:        remote,
-		workers:       map[string]*Worker{},
-		ring:          hashring.New(0),
-		prevAssign:    map[string]string{},
-		knownSegments: map[string]bool{},
-		tables:        map[string]*lsm.Table{},
+		cfg:      cfg,
+		remote:   remote,
+		workers:  map[string]*Worker{},
+		ring:     hashring.New(),
+		prevRing: hashring.New(),
+		tables:   map[string]*lsm.Table{},
 	}
 }
 
@@ -88,9 +86,8 @@ func (vw *VW) Worker(id string) *Worker {
 }
 
 // AddWorker scales the VW up and opens the new worker's serving
-// listener. Before changing the ring it snapshots the current
-// assignment of every known segment so the serving path can find each
-// segment's previous owner.
+// listener. The ring before the change is kept, so the serving path
+// can find each segment's previous owner.
 func (vw *VW) AddWorker(id string) (*Worker, error) {
 	vw.mu.Lock()
 	defer vw.mu.Unlock()
@@ -101,7 +98,7 @@ func (vw *VW) AddWorker(id string) (*Worker, error) {
 	if err != nil {
 		return nil, err
 	}
-	vw.snapshotAssignLocked()
+	vw.prevRing = vw.ring.Clone()
 	vw.workers[id] = w
 	vw.ring.Add(id)
 	return w, nil
@@ -115,7 +112,7 @@ func (vw *VW) RemoveWorker(id string) error {
 		vw.mu.Unlock()
 		return fmt.Errorf("cluster: worker %q not in VW %s", id, vw.cfg.Name)
 	}
-	vw.snapshotAssignLocked()
+	vw.prevRing = vw.ring.Clone()
 	delete(vw.workers, id)
 	vw.ring.Remove(id)
 	vw.mu.Unlock()
@@ -132,27 +129,9 @@ func (vw *VW) Close() {
 	}
 }
 
-// snapshotAssignLocked records the pre-change owner of every segment
-// key ever scheduled. It deliberately over-records: stale entries are
-// validated against actual cache residency at serving time.
-func (vw *VW) snapshotAssignLocked() {
-	if vw.ring.Len() == 0 {
-		return
-	}
-	for key := range vw.knownSegments {
-		vw.prevAssign[key] = vw.ring.Get(key)
-	}
-}
-
 // ScheduleSegments maps segments to live workers via the ring.
 // Segments owned by dead workers fall over to the next replica.
 func (vw *VW) ScheduleSegments(table *lsm.Table, segs []*lsm.Segment) map[string][]*lsm.Segment {
-	vw.mu.Lock()
-	for _, seg := range segs {
-		vw.knownSegments[segKey(table, seg.Meta.Name)] = true
-	}
-	vw.mu.Unlock()
-
 	out := map[string][]*lsm.Segment{}
 	for _, seg := range segs {
 		id := vw.ownerOf(table, seg.Meta.Name)
@@ -188,12 +167,13 @@ func segKey(table *lsm.Table, seg string) string {
 	return table.Name() + "/" + seg
 }
 
-// PreviousOwner returns the worker that owned the segment before the
-// last topology change ("" when unknown or unchanged).
+// PreviousOwner returns the worker the ring assigned the segment to
+// before the last topology change ("" before the first). The serving
+// path checks that worker's cache before proxying to it.
 func (vw *VW) PreviousOwner(table *lsm.Table, seg string) string {
 	vw.mu.RLock()
 	defer vw.mu.RUnlock()
-	return vw.prevAssign[segKey(table, seg)]
+	return vw.prevRing.Get(segKey(table, seg))
 }
 
 // SearchOptions tunes a distributed search.

@@ -69,8 +69,6 @@ type Config struct {
 	// [1, len(Shards)]). Replicas > 1 lets reads survive shard loss:
 	// a query missing fewer than Replicas shards is still complete.
 	Replicas int
-	// Probes is the hash-ring probe count (0 = hashring.DefaultProbes).
-	Probes int
 
 	// MaxRetries / RetryBase tune the per-leg pkg/client retry policy.
 	// The defaults (2 retries from 10ms, capped at 250ms) are tighter
@@ -132,7 +130,7 @@ func New(cfg Config) (*Coordinator, error) {
 	c := &Coordinator{
 		cfg:    cfg,
 		byName: make(map[string]*shard, len(cfg.Shards)),
-		ring:   hashring.New(cfg.Probes),
+		ring:   hashring.New(),
 	}
 	for _, raw := range cfg.Shards {
 		name := NormalizeShardAddr(raw)

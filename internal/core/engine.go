@@ -114,14 +114,8 @@ type Config struct {
 	MinSegments int
 	// SegmentRows caps ingest segment size (default 8192).
 	SegmentRows int
-	// PipelinedBuild toggles pipelined index construction (default
-	// true; the Table IV baselines turn it off).
-	PipelinedBuild *bool
 	// AutoIndex enables rule-based per-segment parameter selection.
 	AutoIndex bool
-	// TuneOnCompaction refines index parameters with the offline
-	// auto-tuner when compaction rebuilds merged segments.
-	TuneOnCompaction bool
 	// CompactionInterval > 0 starts a background compaction loop per
 	// table — the dedicated compaction VW of the paper's Figure 1,
 	// collapsed into a goroutine for the single-process deployment.
@@ -720,13 +714,11 @@ func (e *Engine) createTable(ct *sql.CreateTable) error {
 	}
 	opts := lsm.Options{
 		Name: ct.Name, Schema: schema,
-		PartitionBy:      ct.PartitionBy,
-		ClusterBuckets:   ct.ClusterBuckets,
-		SegmentRows:      e.cfg.SegmentRows,
-		PipelinedBuild:   e.cfg.PipelinedBuild == nil || *e.cfg.PipelinedBuild,
-		AutoIndex:        e.cfg.AutoIndex,
-		TuneOnCompaction: e.cfg.TuneOnCompaction,
-		Seed:             e.cfg.Seed,
+		PartitionBy:    ct.PartitionBy,
+		ClusterBuckets: ct.ClusterBuckets,
+		SegmentRows:    e.cfg.SegmentRows,
+		AutoIndex:      e.cfg.AutoIndex,
+		Seed:           e.cfg.Seed,
 	}
 	if len(ct.Indexes) > 1 {
 		return fmt.Errorf("core: at most one vector index per table (got %d)", len(ct.Indexes))

@@ -26,7 +26,7 @@ func pruneFixture(t *testing.T) (*lsm.Table, *lsm.Version, *dataset.Dataset) {
 			{Name: "embedding", Type: storage.VectorType, Dim: dim},
 		}},
 		IndexColumn: "embedding", IndexType: index.HNSW,
-		SegmentRows: 100, PipelinedBuild: true, Seed: 5,
+		SegmentRows: 100, Seed: 5,
 	})
 	if err != nil {
 		t.Fatal(err)

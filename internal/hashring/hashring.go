@@ -17,15 +17,13 @@ import (
 	"sync"
 )
 
-// DefaultProbes matches the paper's illustration of several hash
-// functions per segment; 21 probes gives ~1.05 peak-to-average load
-// per the multi-probe paper.
-const DefaultProbes = 21
+// probes is the number of hash probes per key. It matches the paper's
+// illustration of several hash functions per segment; 21 probes gives
+// ~1.05 peak-to-average load per the multi-probe paper.
+const probes = 21
 
 // Ring is a multi-probe consistent hash ring. Safe for concurrent use.
 type Ring struct {
-	probes int
-
 	mu     sync.RWMutex
 	points []point // sorted by pos
 }
@@ -35,14 +33,8 @@ type point struct {
 	node string
 }
 
-// New returns an empty ring using the given number of probes
-// (<= 0 selects DefaultProbes).
-func New(probes int) *Ring {
-	if probes <= 0 {
-		probes = DefaultProbes
-	}
-	return &Ring{probes: probes}
-}
+// New returns an empty ring.
+func New() *Ring { return &Ring{} }
 
 func hashOf(s string, salt uint64) uint64 {
 	h := fnv.New64a()
@@ -106,6 +98,14 @@ func (r *Ring) Remove(node string) {
 	}
 }
 
+// Clone returns a ring of the same workers; later Adds and Removes on
+// either ring leave the other alone (neither changes points in place).
+func (r *Ring) Clone() *Ring {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	return &Ring{points: r.points}
+}
+
 // Nodes returns the current workers in ring order.
 func (r *Ring) Nodes() []string {
 	r.mu.RLock()
@@ -148,7 +148,7 @@ func (r *Ring) getLocked(key string) string {
 	}
 	bestNode := ""
 	bestDist := ^uint64(0)
-	for probe := 0; probe < r.probes; probe++ {
+	for probe := 0; probe < probes; probe++ {
 		h := hashOf(key, uint64(probe))
 		si := r.successor(h)
 		dist := r.points[si].pos - h // wraps correctly in uint64 arithmetic
@@ -179,7 +179,7 @@ func (r *Ring) getNLocked(key string, n int) []string {
 	// Winning probe as in Get.
 	bestIdx := 0
 	bestDist := ^uint64(0)
-	for probe := 0; probe < r.probes; probe++ {
+	for probe := 0; probe < probes; probe++ {
 		h := hashOf(key, uint64(probe))
 		si := r.successor(h)
 		dist := r.points[si].pos - h

@@ -16,7 +16,7 @@ func keys(n int) []string {
 }
 
 func TestEmptyRing(t *testing.T) {
-	r := New(0)
+	r := New()
 	if got := r.Get("k"); got != "" {
 		t.Fatalf("empty ring returned %q", got)
 	}
@@ -26,7 +26,7 @@ func TestEmptyRing(t *testing.T) {
 }
 
 func TestSingleNodeTakesAll(t *testing.T) {
-	r := New(0)
+	r := New()
 	r.Add("w0")
 	for _, k := range keys(50) {
 		if r.Get(k) != "w0" {
@@ -36,8 +36,8 @@ func TestSingleNodeTakesAll(t *testing.T) {
 }
 
 func TestDeterministicAssignment(t *testing.T) {
-	r1 := New(0)
-	r2 := New(0)
+	r1 := New()
+	r2 := New()
 	for _, w := range []string{"w0", "w1", "w2"} {
 		r1.Add(w)
 		r2.Add(w)
@@ -49,8 +49,28 @@ func TestDeterministicAssignment(t *testing.T) {
 	}
 }
 
+// A clone assigns every key as its original did when cloned, whatever
+// either ring is changed to afterwards.
+func TestCloneKeepsItsTopology(t *testing.T) {
+	r := New()
+	for _, w := range []string{"w0", "w1", "w2"} {
+		r.Add(w)
+	}
+	before := r.Assign(keys(200))
+	c := r.Clone()
+	r.Add("w3")
+	r.Remove("w0")
+	c.Add("w4")
+	c.Remove("w4")
+	for k, owner := range before {
+		if got := c.Get(k); got != owner {
+			t.Fatalf("clone assigns %s to %s, the ring it was cloned from to %s", k, got, owner)
+		}
+	}
+}
+
 func TestAddIdempotent(t *testing.T) {
-	r := New(0)
+	r := New()
 	r.Add("w0")
 	r.Add("w0")
 	if r.Len() != 1 {
@@ -63,7 +83,7 @@ func TestAddIdempotent(t *testing.T) {
 }
 
 func TestBalanceAcrossWorkers(t *testing.T) {
-	r := New(0)
+	r := New()
 	n := 8
 	for i := 0; i < n; i++ {
 		r.Add(fmt.Sprintf("w%d", i))
@@ -87,7 +107,7 @@ func TestBalanceAcrossWorkers(t *testing.T) {
 }
 
 func TestMinimalMovementOnScaleUp(t *testing.T) {
-	r := New(0)
+	r := New()
 	n := 5
 	for i := 0; i < n; i++ {
 		r.Add(fmt.Sprintf("w%d", i))
@@ -118,7 +138,7 @@ func TestMinimalMovementOnScaleUp(t *testing.T) {
 }
 
 func TestMinimalMovementOnScaleDown(t *testing.T) {
-	r := New(0)
+	r := New()
 	for i := 0; i < 6; i++ {
 		r.Add(fmt.Sprintf("w%d", i))
 	}
@@ -137,7 +157,7 @@ func TestMinimalMovementOnScaleDown(t *testing.T) {
 }
 
 func TestGetNDistinct(t *testing.T) {
-	r := New(0)
+	r := New()
 	for i := 0; i < 4; i++ {
 		r.Add(fmt.Sprintf("w%d", i))
 	}
@@ -170,7 +190,7 @@ func TestGetNDistinct(t *testing.T) {
 // shifting the shared backing array readers may be iterating).
 func TestRemoveUnderLiveLookups(t *testing.T) {
 	const workers = 6
-	r := New(0)
+	r := New()
 	for i := 0; i < workers; i++ {
 		r.Add(fmt.Sprintf("w%d", i))
 	}
@@ -249,7 +269,7 @@ func TestRemoveUnderLiveLookups(t *testing.T) {
 // the victim" with "still on the victim" for keys the victim owned.
 func TestAssignConsistentUnderRebalance(t *testing.T) {
 	for round := 0; round < 50; round++ {
-		r := New(0)
+		r := New()
 		for i := 0; i < 5; i++ {
 			r.Add(fmt.Sprintf("w%d", i))
 		}
@@ -289,7 +309,7 @@ func TestAssignConsistentUnderRebalance(t *testing.T) {
 }
 
 func TestNodesSortedStable(t *testing.T) {
-	r := New(0)
+	r := New()
 	r.Add("b")
 	r.Add("a")
 	r.Add("c")

@@ -17,19 +17,19 @@ import (
 
 // Config controls a k-means run.
 type Config struct {
-	K        int     // number of centroids; must be >= 1
-	MaxIters int     // Lloyd iterations; default 15
-	Seed     int64   // RNG seed for reproducible training
-	MinDelta float64 // early-stop when relative inertia improvement drops below this; default 1e-4
+	K        int   // number of centroids; must be >= 1
+	MaxIters int   // Lloyd iterations; default 15
+	Seed     int64 // RNG seed for reproducible training
 }
+
+// minDelta stops Lloyd iterations early once the relative inertia
+// improvement drops below it.
+const minDelta = 1e-4
 
 func (c *Config) withDefaults() Config {
 	out := *c
 	if out.MaxIters <= 0 {
 		out.MaxIters = 15
-	}
-	if out.MinDelta <= 0 {
-		out.MinDelta = 1e-4
 	}
 	return out
 }
@@ -102,7 +102,7 @@ func Train(data *vec.Matrix, cfg Config) (*Result, error) {
 				crow[d] = float32(sums[c*dim+d] * inv)
 			}
 		}
-		if prevInertia-inertia < cfg.MinDelta*math.Max(prevInertia, 1) {
+		if prevInertia-inertia < minDelta*math.Max(prevInertia, 1) {
 			break
 		}
 		prevInertia = inertia

@@ -31,6 +31,12 @@ import (
 //
 // testdata/golden_flush_exact_sha256.json pins the same ingest with the
 // rule on, where every segment is flat.
+//
+// testdata/golden_flush_manifest_sha256.json is laid over both: the four
+// manifests as written once the table options stopped carrying
+// pipelined_build and tune_on_compaction (the column write always runs
+// beside the index build, and compaction builds with the rules). Every
+// other blob keeps the hash its golden gives it.
 
 // flushGoldenTables shapes each golden table's options by name; the
 // table named "deletes" also deletes rows from its memtable.
@@ -124,16 +130,15 @@ func TestFlushExactBytesUnchanged(t *testing.T) {
 }
 
 // checkFlushGolden compares the hashes of a flushed store with a golden
-// file, key for key in both directions.
+// file under the manifest overlay, key for key in both directions.
 func checkFlushGolden(t *testing.T, golden string, got map[string]string) {
 	t.Helper()
-	raw, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var want map[string]string
-	if err := json.Unmarshal(raw, &want); err != nil {
-		t.Fatal(err)
+	want := readHashes(t, golden)
+	for k, sum := range readHashes(t, "testdata/golden_flush_manifest_sha256.json") {
+		if want[k] == "" {
+			t.Fatalf("%s: in the manifest overlay but not in %s", k, golden)
+		}
+		want[k] = sum
 	}
 	for k, sum := range want {
 		if got[k] != sum {
@@ -145,4 +150,18 @@ func checkFlushGolden(t *testing.T, golden string, got map[string]string) {
 			t.Errorf("%s: written by the flush but not in the golden file", k)
 		}
 	}
+}
+
+// readHashes reads a golden file of blob key -> hex SHA-256.
+func readHashes(t *testing.T, golden string) map[string]string {
+	t.Helper()
+	raw, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var hashes map[string]string
+	if err := json.Unmarshal(raw, &hashes); err != nil {
+		t.Fatal(err)
+	}
+	return hashes
 }

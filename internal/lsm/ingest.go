@@ -15,12 +15,11 @@ import (
 
 // Insert ingests a batch synchronously: rows are routed by scalar
 // partition key and semantic bucket, split into segments of at most
-// SegmentRows, and each segment's columns and ANN index are written —
-// concurrently when PipelinedBuild is on (BlendHouse's pipelined
-// ingestion, the source of its Table IV win), strictly serially
-// otherwise (the baselines). When the table's WAL is enabled, use
-// InsertCtx instead: it group-commits through the log and defers
-// segment cutting to the background flusher.
+// SegmentRows, and each segment's columns are written beside the build
+// of its ANN index (BlendHouse's pipelined ingestion, the source of its
+// Table IV win). When the table's WAL is enabled, use InsertCtx
+// instead: it group-commits through the log and defers segment cutting
+// to the background flusher.
 func (t *Table) Insert(batch *storage.RowBatch) error {
 	if err := batch.Validate(); err != nil {
 		return err
@@ -179,6 +178,8 @@ func (t *Table) writeSegment(batch *storage.RowBatch, partition string, bucket, 
 		shared = t.opts.IndexColumn
 	}
 
+	// Column serialization runs beside index construction; the slower
+	// of the two bounds latency instead of their sum.
 	var (
 		meta             *storage.SegmentMeta
 		idxBlob          []byte
@@ -186,20 +187,13 @@ func (t *Table) writeSegment(batch *storage.RowBatch, partition string, bucket, 
 		writeErr, idxErr error
 		wg               sync.WaitGroup
 	)
-	writeColumns := func() {
+	wg.Add(1)
+	go func() {
 		defer wg.Done()
 		meta, writeErr = storage.WriteColumns(t.store, base, batch, t.opts.BlockRows, shared)
-	}
-	wg.Add(1)
-	if t.opts.PipelinedBuild {
-		// Pipelined: column serialization runs beside index construction;
-		// the slower of the two bounds latency instead of their sum.
-		go writeColumns()
-	} else {
-		writeColumns()
-	}
-	if indexed && (t.opts.PipelinedBuild || writeErr == nil) {
-		idxBlob, rowsOff, idxErr = t.buildIndexBlob(typ, batch, level)
+	}()
+	if indexed {
+		idxBlob, rowsOff, idxErr = t.buildIndexBlob(typ, batch)
 	}
 	wg.Wait()
 	if writeErr != nil {
@@ -262,19 +256,11 @@ func (t *Table) buildParamsFor(typ index.Type, n int) index.BuildParams {
 // buildIndexBlob constructs the per-segment index of type typ over the
 // batch's vector column, with row offsets as IDs (paper §III-B), and
 // serializes it, returning the blob and where in it the column's rows
-// lie (-1 when the index does not keep them: index.RowKeeper). level > 0
-// marks compaction output, where the offline auto-tuner may refine the
-// rule-based parameters.
-func (t *Table) buildIndexBlob(typ index.Type, batch *storage.RowBatch, level int) ([]byte, int64, error) {
+// lie (-1 when the index does not keep them: index.RowKeeper).
+func (t *Table) buildIndexBlob(typ index.Type, batch *storage.RowBatch) ([]byte, int64, error) {
 	vcol := batch.Col(t.opts.IndexColumn)
 	n := vcol.Len()
-	params := t.buildParamsFor(typ, n)
-	if level > 0 && t.opts.TuneOnCompaction {
-		if tuned, ok := t.tuneParams(typ, vcol, params); ok {
-			params = tuned
-		}
-	}
-	ix, err := index.New(typ, params)
+	ix, err := index.New(typ, t.buildParamsFor(typ, n))
 	if err != nil {
 		return nil, 0, err
 	}
@@ -301,52 +287,4 @@ func (t *Table) buildIndexBlob(typ index.Type, batch *storage.RowBatch, level in
 		}
 	}
 	return buf.Bytes(), rowsOff, nil
-}
-
-// tuneParams runs the offline auto-tuner (paper §III-B's background
-// compaction path) over the merged segment's own vectors: a handful of
-// rows double as sample queries, exact scan provides the truth, and
-// the fastest candidate meeting the recall target wins. Only the
-// IVF family benefits — graph parameters are stable across sizes.
-// Loading remains compatible because our index formats carry their
-// structural parameters in the blob; the constructed BuildParams only
-// steer construction.
-func (t *Table) tuneParams(typ index.Type, vcol *storage.ColumnData, base index.BuildParams) (index.BuildParams, bool) {
-	switch typ {
-	case index.IVFFlat, index.IVFPQ, index.IVFPQFS:
-	default:
-		return base, false
-	}
-	n := vcol.Len()
-	const nq, k = 12, 10
-	if n < 4*nq {
-		return base, false
-	}
-	// Sample evenly spaced rows as queries and compute exact truth.
-	queries := make([][]float32, nq)
-	truth := make([][]int64, nq)
-	for qi := 0; qi < nq; qi++ {
-		q := vcol.Vector(qi * (n / nq))
-		queries[qi] = q
-		top := index.NewTopK(k)
-		for r := 0; r < n; r++ {
-			top.Push(index.Candidate{ID: int64(r), Dist: vec.L2Squared(q, vcol.Vector(r))})
-		}
-		res := top.Results()
-		ids := make([]int64, len(res))
-		for i, c := range res {
-			ids[i] = c.ID
-		}
-		truth[qi] = ids
-	}
-	result, err := autoindex.Tune(typ, vcol.Def.Dim, vcol.Vecs, queries, truth, autoindex.TunerConfig{
-		K: k, RecallTarget: 0.9,
-		Search: index.SearchParams{Nprobe: 8, RefineFactor: 4},
-	})
-	if err != nil {
-		return base, false
-	}
-	tuned := base
-	tuned.Nlist = result.Params.Nlist
-	return tuned, true
 }

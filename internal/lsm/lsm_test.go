@@ -1,7 +1,6 @@
 package lsm
 
 import (
-	"fmt"
 	"math"
 	"testing"
 
@@ -28,12 +27,11 @@ func testOptions(name string) Options {
 			{Name: "score", Type: storage.Float64Type},
 			{Name: "embedding", Type: storage.VectorType, Dim: lDim},
 		}},
-		IndexColumn:    "embedding",
-		IndexType:      index.HNSW,
-		SegmentRows:    200,
-		BlockRows:      64,
-		PipelinedBuild: true,
-		Seed:           7,
+		IndexColumn: "embedding",
+		IndexType:   index.HNSW,
+		SegmentRows: 200,
+		BlockRows:   64,
+		Seed:        7,
 	}
 }
 
@@ -459,30 +457,6 @@ func TestTableHistogramsFeedEstimates(t *testing.T) {
 	}
 }
 
-func TestPipelinedVsSerialProduceSameData(t *testing.T) {
-	for _, pipelined := range []bool{true, false} {
-		name := fmt.Sprintf("t_%v", pipelined)
-		opts := testOptions(name)
-		opts.PipelinedBuild = pipelined
-		tab, err := Create(storage.NewMemStore(), opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ds := dataset.Small(lN, lDim, 3)
-		if err := tab.Insert(fillBatch(t, opts, ds, 0, 250)); err != nil {
-			t.Fatal(err)
-		}
-		if tab.Rows() != 250 {
-			t.Fatalf("pipelined=%v rows=%d", pipelined, tab.Rows())
-		}
-		for _, m := range tab.Segments() {
-			if _, err := tab.OpenIndex(m.Name); err != nil {
-				t.Fatalf("pipelined=%v: %v", pipelined, err)
-			}
-		}
-	}
-}
-
 func TestEmptyInsertIsNoop(t *testing.T) {
 	tab, _ := newTestTable(t, testOptions("t"))
 	if err := tab.Insert(storage.NewRowBatch(tab.Schema())); err != nil {
@@ -516,15 +490,14 @@ func TestCompactionCapKeepsUnmergedSegmentsLive(t *testing.T) {
 	}
 }
 
-func TestTuneOnCompactionRefinesIVFParams(t *testing.T) {
+func TestCompactionBuildsIVFIndex(t *testing.T) {
 	opts := testOptions("t")
 	opts.IndexType = index.IVFFlat
 	opts.AutoIndex = true
-	opts.TuneOnCompaction = true
 	opts.IndexParams = index.BuildParams{}
 	opts.SegmentRows = 150
 	// The merged 600 rows are under autoindex.MinIndexRows: keep IVF on
-	// every segment so that compaction builds, and tunes, one.
+	// every segment so that compaction builds one.
 	opts.indexEverySegment = true
 	tab, ds := newTestTable(t, opts)
 	for i := 0; i < 4; i++ {
@@ -540,7 +513,7 @@ func TestTuneOnCompactionRefinesIVFParams(t *testing.T) {
 		t.Fatalf("merged %d", merged)
 	}
 	// The compacted segment's index must load and search fine with the
-	// tuned (non-rule) parameters.
+	// rule-based parameters for its merged row count.
 	m := tab.Segments()[0]
 	if m.Level != 1 || index.Type(m.IndexType) != index.IVFFlat {
 		t.Fatalf("level = %d, index type %q", m.Level, m.IndexType)
@@ -554,14 +527,6 @@ func TestTuneOnCompactionRefinesIVFParams(t *testing.T) {
 	}
 	res, err := ix.SearchWithFilter(ds.Queries.Row(0), 5, nil, index.SearchParams{Nprobe: 8})
 	if err != nil || len(res) != 5 {
-		t.Fatalf("tuned-index search: %d results, %v", len(res), err)
-	}
-	// Reopen from the manifest: the option must persist.
-	re, err := Open(tab.Store(), "t")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !re.Options().TuneOnCompaction {
-		t.Fatal("TuneOnCompaction lost on reopen")
+		t.Fatalf("compacted-index search: %d results, %v", len(res), err)
 	}
 }

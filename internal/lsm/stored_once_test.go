@@ -5,7 +5,6 @@ import (
 	"encoding/base64"
 	"encoding/binary"
 	"encoding/json"
-	"fmt"
 	"math"
 	"os"
 	"reflect"
@@ -42,7 +41,7 @@ func idVecOptions(name string, typ index.Type, dim int) Options {
 			{Name: "v", Type: storage.VectorType, Dim: dim},
 		}},
 		IndexColumn: "v", IndexType: typ, IndexParams: index.BuildParams{M: 6, Nlist: 8, PQM: 4},
-		SegmentRows: 1000, BlockRows: 64, PipelinedBuild: true, Seed: 7,
+		SegmentRows: 1000, BlockRows: 64, Seed: 7,
 	}
 }
 
@@ -182,42 +181,39 @@ func TestIndexRowRangeIsTheColumn(t *testing.T) {
 // leaves no meta.json behind and the manifest never names the segment.
 func TestMetaIsTheLastBlob(t *testing.T) {
 	for _, failing := range []string{"/idx_v.bin", "/col_id.bin"} {
-		for _, pipelined := range []bool{true, false} {
-			t.Run(fmt.Sprintf("%s/pipelined=%t", failing[1:], pipelined), func(t *testing.T) {
-				mem := storage.NewMemStore()
-				fs := storage.NewFaultStore(mem, storage.FaultConfig{Seed: 1, Rules: []storage.FaultRule{
-					{Op: storage.FaultOpPut, KeySubstr: failing, Permanent: true},
-				}})
-				opts := idVecOptions("ml", index.HNSWSQ, 16) // a type that writes col_v.bin too
-				opts.PipelinedBuild = pipelined
-				tab, err := Create(fs, opts)
-				if err != nil {
-					t.Fatal(err)
+		t.Run(failing[1:], func(t *testing.T) {
+			mem := storage.NewMemStore()
+			fs := storage.NewFaultStore(mem, storage.FaultConfig{Seed: 1, Rules: []storage.FaultRule{
+				{Op: storage.FaultOpPut, KeySubstr: failing, Permanent: true},
+			}})
+			opts := idVecOptions("ml", index.HNSWSQ, 16) // a type that writes col_v.bin too
+			tab, err := Create(fs, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := tab.Insert(lcgBatch(opts, 100, 3)); err == nil {
+				t.Fatal("insert succeeded although a blob of its segment was refused")
+			}
+			keys, err := mem.List("")
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, k := range keys {
+				if strings.HasSuffix(k, "/meta.json") {
+					t.Fatalf("%s describes a segment whose %s was never written (store: %v)", k, failing[1:], keys)
 				}
-				if err := tab.Insert(lcgBatch(opts, 100, 3)); err == nil {
-					t.Fatal("insert succeeded although a blob of its segment was refused")
-				}
-				keys, err := mem.List("")
-				if err != nil {
-					t.Fatal(err)
-				}
-				for _, k := range keys {
-					if strings.HasSuffix(k, "/meta.json") {
-						t.Fatalf("%s describes a segment whose %s was never written (store: %v)", k, failing[1:], keys)
-					}
-				}
-				if tab.SegmentCount() != 0 {
-					t.Fatal("the failed segment is live")
-				}
-				reopened, err := Open(mem, "ml")
-				if err != nil {
-					t.Fatal(err)
-				}
-				if reopened.SegmentCount() != 0 {
-					t.Fatal("the manifest names the failed segment")
-				}
-			})
-		}
+			}
+			if tab.SegmentCount() != 0 {
+				t.Fatal("the failed segment is live")
+			}
+			reopened, err := Open(mem, "ml")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if reopened.SegmentCount() != 0 {
+				t.Fatal("the manifest names the failed segment")
+			}
+		})
 	}
 }
 

@@ -25,7 +25,9 @@ import (
 )
 
 // Options configures a table at creation. The manifest stores them
-// as they are (the json names are its format).
+// as they are (the json names are its format); a key an older build
+// wrote that no field names any more (pipelined_build,
+// tune_on_compaction) is ignored when the manifest is read.
 type Options struct {
 	Name   string          `json:"name"`
 	Schema *storage.Schema `json:"schema"`
@@ -45,13 +47,6 @@ type Options struct {
 	// bytes of small graph segments. Being unexported, it never reaches
 	// the manifest.
 	indexEverySegment bool
-	// TuneOnCompaction runs the offline auto-tuner when compaction
-	// builds a merged segment's index, refining the rule-based
-	// parameters against sample queries drawn from the segment itself
-	// (paper §III-B: "for background compaction tasks, we combine the
-	// rule-based methods with auto-tuning tools"). Ingestion always
-	// stays rule-only — tuning is too slow for the write path.
-	TuneOnCompaction bool `json:"tune_on_compaction"`
 
 	// PartitionBy lists scalar partition columns.
 	PartitionBy []string `json:"partition_by,omitempty"`
@@ -63,10 +58,6 @@ type Options struct {
 	SegmentRows int `json:"segment_rows"`
 	// BlockRows is the column granule size (default storage.DefaultBlockRows).
 	BlockRows int `json:"block_rows"`
-	// PipelinedBuild overlaps segment writing with index building
-	// (BlendHouse's ingestion advantage in Table IV). Default true;
-	// baselines disable it.
-	PipelinedBuild bool `json:"pipelined_build"`
 
 	Seed int64 `json:"seed"`
 }
@@ -478,9 +469,13 @@ func (t *Table) addLocked(next *Version, metas []*storage.SegmentMeta, rows *sto
 }
 
 // OpenIndex loads a live segment's vector index from the store,
-// bypassing any cache.
+// bypassing any cache. The Version that names the segment stays pinned
+// until the load is done, so a compaction that retires the segment
+// meanwhile cannot delete the blob under the read.
 func (t *Table) OpenIndex(seg string) (index.Index, error) {
-	s := t.current().Segment(seg)
+	v, _ := t.Acquire()
+	defer v.Release()
+	s := v.Segment(seg)
 	if s == nil {
 		return nil, fmt.Errorf("lsm: segment %q not live", seg)
 	}

@@ -227,3 +227,55 @@ func TestFailedDeleteIsInvisible(t *testing.T) {
 		t.Fatalf("after reopen %d rows visible, want 598 without ids 7 and 450", len(rows))
 	}
 }
+
+// OpenIndex holds the Version that names its segment until the load is
+// done: a compaction that retires the segment the moment the index
+// blob's GET starts deletes nothing under the read, and the segment's
+// blobs go once the load lets the Version go.
+func TestOpenIndexPinsItsSegment(t *testing.T) {
+	ds := dataset.Small(lN, lDim, 3)
+	opts := testOptions("openidx")
+	fault := storage.NewFaultStore(storage.NewMemStore(), storage.FaultConfig{Seed: 1})
+	tab, err := Create(fault, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if err := tab.Insert(fillBatch(t, opts, ds, 200*i, 200)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	seg := tab.Segments()[0].Name
+	var (
+		fired      atomic.Bool
+		merged     int
+		compactErr error
+	)
+	fault.SetHook(func(op storage.FaultOp, key string) error {
+		if op == storage.FaultOpGet && key == tab.IndexKeyOf(seg) && fired.CompareAndSwap(false, true) {
+			merged, compactErr = tab.CompactAll(CompactionPolicy{MinSegments: 2})
+		}
+		return nil
+	})
+	ix, err := tab.OpenIndex(seg)
+	fault.SetHook(nil)
+	if !fired.Load() {
+		t.Fatal("OpenIndex never read the index blob")
+	}
+	if compactErr != nil || merged != 3 {
+		t.Fatalf("compaction merged %d (%v), want 3", merged, compactErr)
+	}
+	if err != nil {
+		t.Fatalf("OpenIndex under a compaction that retired its segment: %v", err)
+	}
+	if ix.Count() != 200 {
+		t.Fatalf("loaded index holds %d rows, want 200", ix.Count())
+	}
+	keys, err := fault.List(segmentsPrefix(opts.Name) + seg + "/")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(keys) != 0 {
+		t.Fatalf("%d blobs of retired %s left after the load", len(keys), seg)
+	}
+}

@@ -41,9 +41,6 @@ type WALConfig struct {
 	// MaxSealed caps the flush backlog; writers block (ctx-cancellable)
 	// when this many sealed memtables await flushing (default 2).
 	MaxSealed int
-	// MaxCommitRecords caps one group commit's coalescing
-	// (default wal.DefaultMaxCommitRecords).
-	MaxCommitRecords int
 	// OnError observes background flush failures (may be nil). The
 	// failed memtable stays sealed and query-visible; the flusher
 	// retries on the next tick.
@@ -107,9 +104,9 @@ func (t *Table) EnableWAL(cfg WALConfig) error {
 		err     error
 	)
 	if keys != nil {
-		log, pending, err = wal.OpenListed(t.store, t.opts.Name, t.opts.Schema, keys, afterLSN, cfg.MaxCommitRecords)
+		log, pending, err = wal.OpenListed(t.store, t.opts.Name, t.opts.Schema, keys, afterLSN, 0)
 	} else {
-		log, pending, err = wal.Open(t.store, t.opts.Name, t.opts.Schema, afterLSN, cfg.MaxCommitRecords)
+		log, pending, err = wal.Open(t.store, t.opts.Name, t.opts.Schema, afterLSN, 0)
 	}
 	if err != nil {
 		return err

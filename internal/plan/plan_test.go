@@ -28,7 +28,7 @@ func planTable(t *testing.T, n int) *lsm.Table {
 	tab, err := lsm.Create(storage.NewMemStore(), lsm.Options{
 		Name: "t", Schema: planSchema(),
 		IndexColumn: "embedding", IndexType: index.HNSW,
-		SegmentRows: 1 << 20, PipelinedBuild: true, Seed: 1,
+		SegmentRows: 1 << 20, Seed: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
