@@ -639,7 +639,8 @@ func (e *Executor) scanSegment(ctx context.Context, r *run, s *segScan) error {
 }
 
 // scanRows is plan A's share of a segment: the rows bs admits, their
-// vectors read once, each member's k nearest among them.
+// vectors read once, each member's k nearest among them by
+// index.ExactScan.
 func (e *Executor) scanRows(ctx context.Context, r *run, s *segScan, bs *bitset.Bitset) error {
 	sc := getScratch()
 	defer putScratch(sc)
@@ -652,12 +653,21 @@ func (e *Executor) scanRows(ctx context.Context, r *run, s *segScan, bs *bitset.
 	if err != nil {
 		return err
 	}
+	data := vcol.Vecs[:len(sc.rows)*vcol.Def.Dim]
 	for i := range r.members {
 		if r.dropped(i) {
 			continue
 		}
 		lg := r.members[i].lg
-		sc.cands = nearestRows(sc.cands[:0], lg.Metric, lg.Distance.Query, vcol, sc.rows, r.members[i].k)
+		t := index.GetTopK(r.members[i].k)
+		index.ExactScan(lg.Metric, lg.Distance.Query, data, nil, nil, t, 0, nil)
+		sc.cands = t.AppendResults(sc.cands[:0])
+		index.PutTopK(t)
+		// The scan's ids are positions in data; sc.rows ascends, so
+		// mapping them to segment offsets keeps the (Dist, ID) order.
+		for j := range sc.cands {
+			sc.cands[j].ID = int64(sc.rows[sc.cands[j].ID])
+		}
 		r.emit(s, i, sc.cands)
 	}
 	return nil
@@ -673,36 +683,6 @@ func segmentRows(dst []int, bs *bitset.Bitset, n int) []int {
 		dst = append(dst, i)
 	}
 	return dst
-}
-
-// nearestRows scores fetched rows against q and appends the k nearest
-// to dst, identified by segment offset. vcol holds the rows
-// contiguously in rows order, so the blocked kernels apply directly;
-// L2 additionally abandons rows early against the running k-th
-// distance. The kept candidates are bitwise those of a per-row scan
-// (see internal/vec).
-func nearestRows(dst []index.Candidate, metric vec.Metric, q []float32, vcol *storage.ColumnData, rows []int, k int) []index.Candidate {
-	t := index.GetTopK(k)
-	defer index.PutTopK(t)
-	dim := vcol.Def.Dim
-	var dists [scanBlock]float32
-	for base := 0; base < len(rows); base += scanBlock {
-		br := min(len(rows)-base, scanBlock)
-		block := vcol.Vecs[base*dim : (base+br)*dim]
-		if metric == vec.L2 {
-			thr := float32(math.MaxFloat32)
-			if w, ok := t.Worst(); ok {
-				thr = w
-			}
-			vec.L2SquaredBatchThreshold(q, block, dim, dists[:br], thr)
-		} else {
-			vec.DistancesTo(metric, q, block, dim, dists[:br])
-		}
-		for j := 0; j < br; j++ {
-			t.Push(index.Candidate{ID: int64(rows[base+j]), Dist: dists[j]})
-		}
-	}
-	return t.AppendResults(dst)
 }
 
 // postFilter is plan C for member i: an incremental search on s's

@@ -28,9 +28,3 @@ func putScratch(s *scanScratch) {
 	s.pass = s.pass[:0]
 	scratchPool.Put(s)
 }
-
-// scanBlock is the number of rows the fused brute-force scan feeds to
-// one blocked kernel call — matches the flat index's blocking, big
-// enough to amortize the heap-threshold refresh, small enough for a
-// stack buffer.
-const scanBlock = 64

@@ -24,7 +24,7 @@ func init() {
 type Index struct {
 	params index.BuildParams
 	data   []float32
-	ids    []int64
+	ids    []int64 // nil: row i's id is i (a View over row offsets)
 }
 
 // New returns an empty flat index.
@@ -36,11 +36,15 @@ func New(p index.BuildParams) (*Index, error) {
 }
 
 // View returns a flat index over data (rows × dim) and ids in place,
-// with no copy. They are lent under index.Lend's contract: the index
-// only reads them, and capped at their length so AddWithIDs reallocates
-// instead of writing into them.
+// with no copy; nil ids make each row's id its offset. They are lent
+// under index.Lend's contract: the index only reads them, and capped
+// at their length so AddWithIDs reallocates instead of writing into
+// them.
 func View(p index.BuildParams, data []float32, ids []int64) *Index {
-	return &Index{params: p, data: data[:len(data):len(data)], ids: ids[:len(ids):len(ids)]}
+	if ids != nil {
+		ids = ids[:len(ids):len(ids)]
+	}
+	return &Index{params: p, data: data[:len(data):len(data)], ids: ids}
 }
 
 // Train is a no-op: flat indexes have no learned state.
@@ -54,6 +58,12 @@ func (ix *Index) AddWithIDs(vecs []float32, ids []int64) error {
 	if err := index.ValidateAdd(ix.params.Dim, vecs, ids); err != nil {
 		return err
 	}
+	if ix.ids == nil {
+		ix.ids = make([]int64, ix.Count(), ix.Count()+len(ids))
+		for i := range ix.ids {
+			ix.ids[i] = int64(i)
+		}
+	}
 	ix.data = append(ix.data, vecs...)
 	ix.ids = append(ix.ids, ids...)
 	return nil
@@ -66,120 +76,32 @@ func (ix *Index) Type() index.Type { return index.Flat }
 func (ix *Index) Dim() int { return ix.params.Dim }
 
 // Count returns the number of stored vectors.
-func (ix *Index) Count() int { return len(ix.ids) }
+func (ix *Index) Count() int { return len(ix.data) / ix.params.Dim }
 
 // MemoryBytes returns the resident size of the raw vectors and IDs.
 func (ix *Index) MemoryBytes() int64 {
 	return int64(4*len(ix.data) + 8*len(ix.ids))
 }
 
-// scanBlock is the number of rows the fused scans process per blocked
-// kernel call: big enough to amortize the heap-threshold lookup, small
-// enough to live in a stack buffer.
-const scanBlock = 64
-
-// SearchWithFilter scans every stored vector (skipping filtered-out
-// IDs) and returns the exact k nearest. Unfiltered scans run on the
-// blocked kernels; L2 scans additionally abandon rows early against
-// the current top-k worst (sound because squared-L2 partial sums are
-// monotone, and abandoned rows can never enter the heap — kept
-// candidates are bitwise identical to a full per-row scan).
+// SearchWithFilter returns the exact k nearest of the rows filter
+// admits (index.ExactScan).
 func (ix *Index) SearchWithFilter(q []float32, k int, filter index.Filter, _ index.SearchParams) ([]index.Candidate, error) {
 	if len(q) != ix.params.Dim {
 		return nil, fmt.Errorf("flat: query dim %d != index dim %d", len(q), ix.params.Dim)
 	}
 	t := index.GetTopK(k)
 	defer index.PutTopK(t)
-	dim := ix.params.Dim
-	if filter == nil {
-		var dists [scanBlock]float32
-		n := len(ix.ids)
-		for base := 0; base < n; base += scanBlock {
-			rows := n - base
-			if rows > scanBlock {
-				rows = scanBlock
-			}
-			block := ix.data[base*dim : (base+rows)*dim]
-			if ix.params.Metric == vec.L2 {
-				thr := float32(math.MaxFloat32)
-				if w, ok := t.Worst(); ok {
-					thr = w
-				}
-				vec.L2SquaredBatchThreshold(q, block, dim, dists[:rows], thr)
-			} else {
-				vec.DistancesTo(ix.params.Metric, q, block, dim, dists[:rows])
-			}
-			for j := 0; j < rows; j++ {
-				t.Push(index.Candidate{ID: ix.ids[base+j], Dist: dists[j]})
-			}
-		}
-		return t.AppendResults(nil), nil
-	}
-	for i, id := range ix.ids {
-		if id >= int64(filter.Len()) || !filter.Test(int(id)) {
-			continue
-		}
-		var d float32
-		if ix.params.Metric == vec.L2 {
-			thr := float32(math.MaxFloat32)
-			if w, ok := t.Worst(); ok {
-				thr = w
-			}
-			d = vec.L2SquaredThreshold(q, ix.data[i*dim:i*dim+dim], thr)
-		} else {
-			d = vec.Distance(ix.params.Metric, q, ix.data[i*dim:i*dim+dim])
-		}
-		t.Push(index.Candidate{ID: id, Dist: d})
-	}
+	index.ExactScan(ix.params.Metric, q, ix.data, ix.ids, filter, t, 0, nil)
 	return t.AppendResults(nil), nil
 }
 
-// SearchWithRange returns all candidates within radius, closest first.
-// L2 scans abandon rows against the fixed radius: an abandoned partial
-// is already > radius, so the row is correctly excluded.
+// SearchWithRange returns all candidates within radius, closest first
+// (index.ExactScan).
 func (ix *Index) SearchWithRange(q []float32, radius float32, filter index.Filter, _ index.SearchParams) ([]index.Candidate, error) {
 	if len(q) != ix.params.Dim {
 		return nil, fmt.Errorf("flat: query dim %d != index dim %d", len(q), ix.params.Dim)
 	}
-	var out []index.Candidate
-	dim := ix.params.Dim
-	if filter == nil {
-		var dists [scanBlock]float32
-		n := len(ix.ids)
-		for base := 0; base < n; base += scanBlock {
-			rows := n - base
-			if rows > scanBlock {
-				rows = scanBlock
-			}
-			block := ix.data[base*dim : (base+rows)*dim]
-			if ix.params.Metric == vec.L2 {
-				vec.L2SquaredBatchThreshold(q, block, dim, dists[:rows], radius)
-			} else {
-				vec.DistancesTo(ix.params.Metric, q, block, dim, dists[:rows])
-			}
-			for j := 0; j < rows; j++ {
-				if dists[j] <= radius {
-					out = append(out, index.Candidate{ID: ix.ids[base+j], Dist: dists[j]})
-				}
-			}
-		}
-		index.SortCandidates(out)
-		return out, nil
-	}
-	for i, id := range ix.ids {
-		if id >= int64(filter.Len()) || !filter.Test(int(id)) {
-			continue
-		}
-		var d float32
-		if ix.params.Metric == vec.L2 {
-			d = vec.L2SquaredThreshold(q, ix.data[i*dim:i*dim+dim], radius)
-		} else {
-			d = vec.Distance(ix.params.Metric, q, ix.data[i*dim:i*dim+dim])
-		}
-		if d <= radius {
-			out = append(out, index.Candidate{ID: id, Dist: d})
-		}
-	}
+	out := index.ExactScan(ix.params.Metric, q, ix.data, ix.ids, filter, nil, radius, nil)
 	index.SortCandidates(out)
 	return out, nil
 }
@@ -193,11 +115,11 @@ func (ix *Index) SearchIterator(q []float32, _ index.SearchParams) (index.Iterat
 	if len(q) != ix.params.Dim {
 		return nil, fmt.Errorf("flat: query dim %d != index dim %d", len(q), ix.params.Dim)
 	}
-	dists := make([]float32, len(ix.ids))
+	dists := make([]float32, ix.Count())
 	vec.DistancesTo(ix.params.Metric, q, ix.data, ix.params.Dim, dists)
-	all := make([]index.Candidate, len(ix.ids))
-	for i, id := range ix.ids {
-		all[i] = index.Candidate{ID: id, Dist: dists[i]}
+	all := make([]index.Candidate, len(dists))
+	for i, d := range dists {
+		all[i] = index.Candidate{ID: index.RowID(ix.ids, i), Dist: d}
 	}
 	return &flatIterator{rest: all}, nil
 }
@@ -223,12 +145,13 @@ const magic = uint32(0xB1F1A700)
 // Save writes the index: magic, dim, count, ids, raw vectors, encoded
 // into one buffer of exactly the blob's size and written at once.
 func (ix *Index) Save(w io.Writer) error {
-	b := make([]byte, 0, 16+8*len(ix.ids)+4*len(ix.data))
+	n := ix.Count()
+	b := make([]byte, 0, 16+8*n+4*len(ix.data))
 	b = binary.LittleEndian.AppendUint32(b, magic)
 	b = binary.LittleEndian.AppendUint32(b, uint32(ix.params.Dim))
-	b = binary.LittleEndian.AppendUint64(b, uint64(len(ix.ids)))
-	for _, id := range ix.ids {
-		b = binary.LittleEndian.AppendUint64(b, uint64(id))
+	b = binary.LittleEndian.AppendUint64(b, uint64(n))
+	for i := 0; i < n; i++ {
+		b = binary.LittleEndian.AppendUint64(b, uint64(index.RowID(ix.ids, i)))
 	}
 	for _, v := range ix.data {
 		b = binary.LittleEndian.AppendUint32(b, math.Float32bits(v))

@@ -2,6 +2,7 @@ package flat
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -199,14 +200,17 @@ func TestIteratorBatchesMatchFullSort(t *testing.T) {
 
 // The fused blocked/early-abandoning scan must return byte-identical
 // candidates to a naive per-row vec.Distance scan feeding the same
-// top-k heap, across metrics, odd sizes, and filtered variants; dim 192
-// with n 1 000 is the shape of the scaled OpenAI-like dataset.
+// top-k heap, across metrics, odd sizes, filtered variants and range
+// search, for an index built with ids and for a View whose ids are the
+// row offsets; dim 192 with n 1 000 is the shape of the scaled
+// OpenAI-like dataset.
 func TestFusedScanMatchesReferenceBitwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for _, metric := range []vec.Metric{vec.L2, vec.InnerProduct, vec.Cosine} {
 		for _, n := range []int{0, 1, 7, 63, 64, 65, 200, 1000} {
 			for _, dim := range []int{3, 8, 96, 192} {
-				ix, err := New(index.BuildParams{Dim: dim, Metric: metric}.WithDefaults())
+				p := index.BuildParams{Dim: dim, Metric: metric}.WithDefaults()
+				ix, err := New(p)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -228,78 +232,141 @@ func TestFusedScanMatchesReferenceBitwise(t *testing.T) {
 					q[i] = rng.Float32()*2 - 1
 				}
 				k := 10
-
-				ref := index.NewTopK(k)
-				for i := range ids {
-					ref.Push(index.Candidate{ID: ids[i], Dist: vec.Distance(metric, q, data[i*dim:(i+1)*dim])})
+				// Filtered variants keep every third id.
+				third := bitset.New(n)
+				for i := 0; i < n; i += 3 {
+					third.Set(i)
 				}
-				want := ref.Results()
-
-				got, err := ix.SearchWithFilter(q, k, nil, index.SearchParams{})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if len(got) != len(want) {
-					t.Fatalf("%v n=%d dim=%d: len %d != %d", metric, n, dim, len(got), len(want))
-				}
-				for i := range got {
-					if got[i].ID != want[i].ID || math.Float32bits(got[i].Dist) != math.Float32bits(want[i].Dist) {
-						t.Fatalf("%v n=%d dim=%d: got[%d]=%v want %v", metric, n, dim, i, got[i], want[i])
-					}
-				}
-
-				// Filtered variant: keep every third id.
-				if n > 0 {
-					bs := bitset.New(n)
-					for i := 0; i < n; i += 3 {
-						bs.Set(i)
-					}
-					refF := index.NewTopK(k)
+				for _, filter := range []index.Filter{nil, third} {
+					ref := index.NewTopK(k)
+					var scored []index.Candidate
 					for i := range ids {
-						if i%3 != 0 {
+						if filter != nil && !filter.Test(i) {
 							continue
 						}
-						refF.Push(index.Candidate{ID: ids[i], Dist: vec.Distance(metric, q, data[i*dim:(i+1)*dim])})
+						c := index.Candidate{ID: ids[i], Dist: vec.Distance(metric, q, data[i*dim:(i+1)*dim])}
+						ref.Push(c)
+						scored = append(scored, c)
 					}
-					wantF := refF.Results()
-					gotF, err := ix.SearchWithFilter(q, k, bs, index.SearchParams{})
-					if err != nil {
-						t.Fatal(err)
-					}
-					if len(gotF) != len(wantF) {
-						t.Fatalf("%v filtered n=%d dim=%d: len %d != %d", metric, n, dim, len(gotF), len(wantF))
-					}
-					for i := range gotF {
-						if gotF[i].ID != wantF[i].ID || math.Float32bits(gotF[i].Dist) != math.Float32bits(wantF[i].Dist) {
-							t.Fatalf("%v filtered: gotF[%d]=%v want %v", metric, i, gotF[i], wantF[i])
-						}
-					}
-				}
-
-				// Range variant at a mid-scan radius.
-				if n > 0 && metric == vec.L2 {
-					radius := want[len(want)/2].Dist
-					gotR, err := ix.SearchWithRange(q, radius, nil, index.SearchParams{})
-					if err != nil {
-						t.Fatal(err)
-					}
+					want := ref.Results()
+					// Range at a mid-scan radius.
 					var wantR []index.Candidate
-					for i := range ids {
-						if d := vec.L2Squared(q, data[i*dim:(i+1)*dim]); d <= radius {
-							wantR = append(wantR, index.Candidate{ID: ids[i], Dist: d})
+					if len(want) > 0 {
+						radius := want[len(want)/2].Dist
+						for _, c := range scored {
+							if c.Dist <= radius {
+								wantR = append(wantR, c)
+							}
 						}
+						index.SortCandidates(wantR)
 					}
-					index.SortCandidates(wantR)
-					if len(gotR) != len(wantR) {
-						t.Fatalf("range n=%d dim=%d: len %d != %d", n, dim, len(gotR), len(wantR))
-					}
-					for i := range gotR {
-						if gotR[i] != wantR[i] {
-							t.Fatalf("range: gotR[%d]=%v want %v", i, gotR[i], wantR[i])
+					for _, x := range []struct {
+						name string
+						ix   *Index
+					}{{"built", ix}, {"offsets view", View(p, data, nil)}} {
+						label := fmt.Sprintf("%s %v n=%d dim=%d filtered=%v", x.name, metric, n, dim, filter != nil)
+						got, err := x.ix.SearchWithFilter(q, k, filter, index.SearchParams{})
+						if err != nil {
+							t.Fatal(err)
 						}
+						sameBits(t, label, got, want)
+						if len(want) == 0 {
+							continue
+						}
+						gotR, err := x.ix.SearchWithRange(q, want[len(want)/2].Dist, filter, index.SearchParams{})
+						if err != nil {
+							t.Fatal(err)
+						}
+						sameBits(t, label+" range", gotR, wantR)
 					}
 				}
 			}
 		}
+	}
+}
+
+// sameBits fails unless got and want hold the same ids and the same
+// distance bits in the same order.
+func sameBits(t *testing.T, label string, got, want []index.Candidate) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d candidates, want %d", label, len(got), len(want))
+	}
+	for i := range got {
+		if got[i].ID != want[i].ID || math.Float32bits(got[i].Dist) != math.Float32bits(want[i].Dist) {
+			t.Fatalf("%s: [%d] = %v, want %v", label, i, got[i], want[i])
+		}
+	}
+}
+
+// A filtered search admits only ids in [0, filter.Len()): a negative
+// id is filtered out, not a panic, in an index built with it and in
+// one loaded from a blob that holds it.
+func TestFilterSkipsNegativeIDs(t *testing.T) {
+	ix := mk(t, 2)
+	if err := ix.AddWithIDs([]float32{0, 0, 1, 1}, []int64{-65, 1}); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := ix.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	loaded := mk(t, 2)
+	if err := loaded.Load(buf.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	f := bitset.New(2)
+	f.Set(0)
+	f.Set(1)
+	for name, x := range map[string]*Index{"built": ix, "loaded": loaded} {
+		top, err := x.SearchWithFilter([]float32{0, 0}, 10, f, index.SearchParams{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(top) != 1 || top[0].ID != 1 {
+			t.Fatalf("%s: top-k = %v, want only id 1", name, top)
+		}
+		in, err := x.SearchWithRange([]float32{0, 0}, 10, f, index.SearchParams{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(in) != 1 || in[0].ID != 1 {
+			t.Fatalf("%s: range = %v, want only id 1", name, in)
+		}
+	}
+}
+
+// A View over row offsets answers with the offsets and saves them, so
+// its blob is the one an index built with ids 0..n-1 saves; an add
+// appends after the offsets.
+func TestOffsetsViewSavesOffsets(t *testing.T) {
+	data := []float32{0, 0, 1, 1, 2, 2}
+	built := mk(t, 2)
+	if err := built.AddWithIDs(data, []int64{0, 1, 2}); err != nil {
+		t.Fatal(err)
+	}
+	view := View(built.params, data, nil)
+	if view.Count() != 3 {
+		t.Fatalf("Count = %d, want 3", view.Count())
+	}
+	var a, b bytes.Buffer
+	if err := built.Save(&a); err != nil {
+		t.Fatal(err)
+	}
+	if err := view.Save(&b); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a.Bytes(), b.Bytes()) {
+		t.Fatal("offsets view saves a different blob than ids 0..n-1")
+	}
+	if err := view.AddWithIDs([]float32{3, 3}, []int64{9}); err != nil {
+		t.Fatal(err)
+	}
+	res, err := view.SearchWithFilter([]float32{3, 3}, 4, nil, index.SearchParams{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res) != 4 || res[0].ID != 9 || res[1].ID != 2 || res[2].ID != 1 || res[3].ID != 0 {
+		t.Fatalf("after add: %v, want ids 9, 2, 1, 0", res)
 	}
 }

@@ -14,7 +14,6 @@ package ivf
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"sync"
 
@@ -251,12 +250,9 @@ func (ix *Index) SearchWithFilter(q []float32, k int, filter index.Filter, p ind
 	return t.Results(), nil
 }
 
-// scanBlock is the number of rows the fused flat-list scan feeds to
-// one blocked kernel call (matches the flat index's blocking).
-const scanBlock = 64
-
-// scanLists is the shared probing loop. radius < 0 means top-k mode;
-// radius >= 0 collects everything within it instead.
+// scanLists is the shared probing loop: the k nearest when radiusPtr
+// is nil, else everything within *radiusPtr. Flat lists are scored by
+// index.ExactScan.
 func (ix *Index) scanLists(q []float32, k, nprobe int, filter index.Filter, radiusPtr *float32) []index.Candidate {
 	order := ix.probeOrder(q)
 	if nprobe > len(order) {
@@ -267,15 +263,18 @@ func (ix *Index) scanLists(q []float32, k, nprobe int, filter index.Filter, radi
 		adc = ix.pq.BuildADC(ix.params.Metric, q)
 	}
 	var t *index.TopK
+	var radius float32
 	var rangeOut []index.Candidate
 	if radiusPtr == nil {
 		t = index.GetTopK(k)
 		defer index.PutTopK(t)
+	} else {
+		radius = *radiusPtr
 	}
 	for pi := 0; pi < nprobe; pi++ {
 		l := &ix.lists[order[pi]]
 		if ix.variant == VariantFlat {
-			ix.scanFlatList(q, l, filter, radiusPtr, t, &rangeOut)
+			rangeOut = index.ExactScan(ix.params.Metric, q, l.data, l.ids, filter, t, radius, rangeOut)
 			continue
 		}
 		for i, id := range l.ids {
@@ -283,8 +282,8 @@ func (ix *Index) scanLists(q []float32, k, nprobe int, filter index.Filter, radi
 				continue
 			}
 			d := adc.Distance(l.code[i*ix.pq.CodeSize() : (i+1)*ix.pq.CodeSize()])
-			if radiusPtr != nil {
-				if d <= *radiusPtr {
+			if t == nil {
+				if d <= radius {
 					rangeOut = append(rangeOut, index.Candidate{ID: id, Dist: d})
 				}
 			} else {
@@ -292,69 +291,11 @@ func (ix *Index) scanLists(q []float32, k, nprobe int, filter index.Filter, radi
 			}
 		}
 	}
-	if radiusPtr != nil {
+	if t == nil {
 		index.SortCandidates(rangeOut)
 		return rangeOut
 	}
 	return t.AppendResults(nil)
-}
-
-// scanFlatList scores one flat list on the blocked kernels. L2 scans
-// abandon rows early against the current top-k worst (or the fixed
-// radius) — kept candidates are bitwise identical to a per-row scan,
-// see internal/vec.
-func (ix *Index) scanFlatList(q []float32, l *list, filter index.Filter, radiusPtr *float32, t *index.TopK, rangeOut *[]index.Candidate) {
-	dim := ix.params.Dim
-	n := len(l.ids)
-	threshold := func() float32 {
-		if radiusPtr != nil {
-			return *radiusPtr
-		}
-		if w, ok := t.Worst(); ok {
-			return w
-		}
-		return float32(math.MaxFloat32)
-	}
-	emit := func(id int64, d float32) {
-		if radiusPtr != nil {
-			if d <= *radiusPtr {
-				*rangeOut = append(*rangeOut, index.Candidate{ID: id, Dist: d})
-			}
-		} else {
-			t.Push(index.Candidate{ID: id, Dist: d})
-		}
-	}
-	if filter == nil {
-		var dists [scanBlock]float32
-		for base := 0; base < n; base += scanBlock {
-			rows := n - base
-			if rows > scanBlock {
-				rows = scanBlock
-			}
-			block := l.data[base*dim : (base+rows)*dim]
-			if ix.params.Metric == vec.L2 {
-				vec.L2SquaredBatchThreshold(q, block, dim, dists[:rows], threshold())
-			} else {
-				vec.DistancesTo(ix.params.Metric, q, block, dim, dists[:rows])
-			}
-			for j := 0; j < rows; j++ {
-				emit(l.ids[base+j], dists[j])
-			}
-		}
-		return
-	}
-	for i, id := range l.ids {
-		if id >= int64(filter.Len()) || id < 0 || !filter.Test(int(id)) {
-			continue
-		}
-		var d float32
-		if ix.params.Metric == vec.L2 {
-			d = vec.L2SquaredThreshold(q, l.data[i*dim:i*dim+dim], threshold())
-		} else {
-			d = vec.Distance(ix.params.Metric, q, l.data[i*dim:i*dim+dim])
-		}
-		emit(id, d)
-	}
 }
 
 // SearchWithRange returns candidates within radius among the probed

@@ -2,9 +2,12 @@ package ivf
 
 import (
 	"bytes"
+	"fmt"
+	"math"
 	"testing"
 
 	"blendhouse/internal/bench/dataset"
+	"blendhouse/internal/bitset"
 	"blendhouse/internal/index"
 	"blendhouse/internal/vec"
 )
@@ -176,5 +179,79 @@ func TestSaveLoadPreservesRefineability(t *testing.T) {
 func TestPQMValidation(t *testing.T) {
 	if _, err := New(index.BuildParams{Dim: 10, Nlist: 4, PQM: 3, PQNbits: 8}, VariantPQ); err == nil {
 		t.Fatal("PQM not dividing dim should fail")
+	}
+}
+
+// At nprobe = nlist every list is scanned, so IVF-Flat's answers are
+// exact: the ids and distance bits of a per-row vec.Distance scan, for
+// top-k and range, filtered and not.
+func TestFlatListsMatchReferenceBitwise(t *testing.T) {
+	ds := dataset.Small(vN, vDim, 33)
+	data, q := ds.Vectors.Data, ds.Queries.Row(0)
+	ids := make([]int64, vN)
+	for i := range ids {
+		ids[i] = int64(i)
+	}
+	third := bitset.New(vN)
+	for i := 0; i < vN; i += 3 {
+		third.Set(i)
+	}
+	const nlist, k = 24, 10
+	p := index.SearchParams{Nprobe: nlist}
+	for _, metric := range []vec.Metric{vec.L2, vec.InnerProduct, vec.Cosine} {
+		ix, err := New(index.BuildParams{Dim: vDim, Metric: metric, Nlist: nlist, Seed: 2}.WithDefaults(), VariantFlat)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ix.AddWithIDs(data, ids); err != nil {
+			t.Fatal(err)
+		}
+		for _, filter := range []index.Filter{nil, third} {
+			label := fmt.Sprintf("%v filtered=%v", metric, filter != nil)
+			ref := index.NewTopK(k)
+			var dists []index.Candidate
+			for i := 0; i < vN; i++ {
+				if filter != nil && !filter.Test(i) {
+					continue
+				}
+				c := index.Candidate{ID: int64(i), Dist: vec.Distance(metric, q, data[i*vDim:(i+1)*vDim])}
+				ref.Push(c)
+				dists = append(dists, c)
+			}
+			want := ref.Results()
+			got, err := ix.SearchWithFilter(q, k, filter, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameBits(t, label+" top-k", got, want)
+
+			radius := want[k/2].Dist
+			var wantR []index.Candidate
+			for _, c := range dists {
+				if c.Dist <= radius {
+					wantR = append(wantR, c)
+				}
+			}
+			index.SortCandidates(wantR)
+			gotR, err := ix.SearchWithRange(q, radius, filter, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameBits(t, label+" range", gotR, wantR)
+		}
+	}
+}
+
+// sameBits fails unless got and want hold the same ids and the same
+// distance bits in the same order.
+func sameBits(t *testing.T, label string, got, want []index.Candidate) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d candidates, want %d", label, len(got), len(want))
+	}
+	for i := range got {
+		if got[i].ID != want[i].ID || math.Float32bits(got[i].Dist) != math.Float32bits(want[i].Dist) {
+			t.Fatalf("%s: [%d] = %v, want %v", label, i, got[i], want[i])
+		}
 	}
 }

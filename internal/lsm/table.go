@@ -322,7 +322,7 @@ func runAll(n int, jobs ...func()) {
 // keys is the wal/ listing Open took; it is kept for the first
 // EnableWAL, which positions its log from it instead of listing again.
 func (t *Table) replayWAL(keys []string) error {
-	log, pending, err := wal.OpenListed(t.store, t.opts.Name, t.opts.Schema, keys, t.flushedLSN, 0)
+	log, pending, err := wal.OpenListed(t.store, t.opts.Name, t.opts.Schema, keys, t.flushedLSN)
 	if err != nil {
 		return err
 	}

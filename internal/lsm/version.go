@@ -105,12 +105,12 @@ func (t *Table) Acquire() (*Version, []*Segment) {
 
 // appendMem appends m's snapshot to segs as a memtable segment: its
 // frozen columns served from memory, its deleted rows as the bitmap,
-// and a flat index that views the frozen vectors and row offsets. Its
-// "~mem" name stays the same while the memtable's rows and deletes
-// change, so nothing keyed by segment name may hold it: it is in no
-// Version, never retires, and the column cache and the executor's
-// index handles pass it by. Rows only grow: an empty memtable is asked
-// before it is snapshotted.
+// and a flat index that views the frozen vectors with the row offsets
+// as ids. Its "~mem" name stays the same while the memtable's rows and
+// deletes change, so nothing keyed by segment name may hold it: it is
+// in no Version, never retires, and the column cache and the
+// executor's index handles pass it by. Rows only grow: an empty
+// memtable is asked before it is snapshotted.
 func (t *Table) appendMem(segs []*Segment, m *wal.Memtable) []*Segment {
 	if m.Rows() == 0 {
 		return segs
@@ -118,7 +118,7 @@ func (t *Table) appendMem(segs []*Segment, m *wal.Memtable) []*Segment {
 	s := m.Snapshot()
 	seg := &Segment{Meta: s.Meta, Reader: storage.MemReader(s.Meta, s.Schema, s.Cols), Deletes: s.Deletes}
 	if vcol := s.Col(t.opts.IndexColumn); vcol != nil {
-		seg.Index = flat.View(t.buildParamsFor(index.Flat, s.Meta.Rows), vcol.Vecs, s.IDs)
+		seg.Index = flat.View(t.buildParamsFor(index.Flat, s.Meta.Rows), vcol.Vecs, nil)
 	}
 	return append(segs, seg)
 }
@@ -131,11 +131,7 @@ func (t *Table) ExactIndex(ctx context.Context, s *Segment) (index.Index, error)
 	if err != nil {
 		return nil, err
 	}
-	ids := make([]int64, col.Len())
-	for i := range ids {
-		ids[i] = int64(i)
-	}
-	return flat.View(t.buildParamsFor(index.Flat, s.Meta.Rows), col.Vecs, ids), nil
+	return flat.View(t.buildParamsFor(index.Flat, s.Meta.Rows), col.Vecs, nil), nil
 }
 
 // current returns the current Version unpinned, for a caller that

@@ -104,9 +104,9 @@ func (t *Table) EnableWAL(cfg WALConfig) error {
 		err     error
 	)
 	if keys != nil {
-		log, pending, err = wal.OpenListed(t.store, t.opts.Name, t.opts.Schema, keys, afterLSN, 0)
+		log, pending, err = wal.OpenListed(t.store, t.opts.Name, t.opts.Schema, keys, afterLSN)
 	} else {
-		log, pending, err = wal.Open(t.store, t.opts.Name, t.opts.Schema, afterLSN, 0)
+		log, pending, err = wal.Open(t.store, t.opts.Name, t.opts.Schema, afterLSN)
 	}
 	if err != nil {
 		return err

@@ -29,9 +29,9 @@ var walLog = obs.Logger("wal")
 // ErrClosed is returned by Append after Close.
 var ErrClosed = errors.New("wal: log closed")
 
-// DefaultMaxCommitRecords caps how many statements one group commit
+// maxCommitRecords caps how many statements one group commit
 // coalesces into a single blob append.
-const DefaultMaxCommitRecords = 64
+const maxCommitRecords = 64
 
 // Log is a per-table write-ahead log over a blob store. Each group
 // commit writes one immutable blob named by its LSN range; the blob
@@ -43,8 +43,7 @@ type Log struct {
 	table  string
 	schema *storage.Schema
 
-	maxBatch int
-	apply    func(*Record) // called in LSN order after the durable write
+	apply func(*Record) // called in LSN order after the durable write
 
 	reqCh chan *appendReq
 	done  chan struct{}
@@ -89,29 +88,25 @@ func parseBlobKey(key string) (first, last int64, ok bool) {
 // Open loads a table's WAL: records with LSN > afterLSN are returned
 // for replay (in LSN order), and the log's next LSN is positioned past
 // everything on disk. Call Start before Append.
-func Open(store storage.BlobStore, table string, schema *storage.Schema, afterLSN int64, maxCommitRecords int) (*Log, []*Record, error) {
+func Open(store storage.BlobStore, table string, schema *storage.Schema, afterLSN int64) (*Log, []*Record, error) {
 	keys, err := store.List(logPrefix(table))
 	if err != nil {
 		return nil, nil, err
 	}
-	return OpenListed(store, table, schema, keys, afterLSN, maxCommitRecords)
+	return OpenListed(store, table, schema, keys, afterLSN)
 }
 
 // OpenListed is Open over keys, a listing of the table's Prefix the
 // caller already holds: the log is positioned past every blob keys
 // names, and only blobs holding records past afterLSN are read.
-func OpenListed(store storage.BlobStore, table string, schema *storage.Schema, keys []string, afterLSN int64, maxCommitRecords int) (*Log, []*Record, error) {
-	if maxCommitRecords <= 0 {
-		maxCommitRecords = DefaultMaxCommitRecords
-	}
+func OpenListed(store storage.BlobStore, table string, schema *storage.Schema, keys []string, afterLSN int64) (*Log, []*Record, error) {
 	l := &Log{
-		store:    store,
-		table:    table,
-		schema:   schema,
-		maxBatch: maxCommitRecords,
-		nextLSN:  afterLSN + 1,
-		reqCh:    make(chan *appendReq, 4*maxCommitRecords),
-		done:     make(chan struct{}),
+		store:   store,
+		table:   table,
+		schema:  schema,
+		nextLSN: afterLSN + 1,
+		reqCh:   make(chan *appendReq, 4*maxCommitRecords),
+		done:    make(chan struct{}),
 	}
 	var pending []*Record
 	for _, k := range keys {
@@ -191,7 +186,7 @@ func (l *Log) commitLoop() {
 	defer close(l.done)
 	for req := range l.reqCh {
 		batch := []*appendReq{req}
-		for len(batch) < l.maxBatch {
+		for len(batch) < maxCommitRecords {
 			select {
 			case r, ok := <-l.reqCh:
 				if !ok {

@@ -10,11 +10,10 @@ import (
 
 // Memtable buffers acknowledged-but-unflushed rows in columnar form,
 // the layout of a segment's columns, so a query reads a snapshot of it
-// as one more segment. Columns and row offsets are append-only: a
-// snapshot captures capacity-capped views under the mutex, and later
-// appends either write past the snapshot's length or reallocate —
-// either way the frozen view never changes, and nothing writes through
-// one. Deletes are tracked in a row-index set that each snapshot turns
+// as one more segment. Columns are append-only: a snapshot captures
+// capacity-capped views under the mutex, and later appends either
+// write past the snapshot's length or reallocate — either way the
+// frozen view never changes, and nothing writes through one. Deletes are tracked in a row-index set that each snapshot turns
 // into a bitmap (deletes are rare relative to reads).
 type Memtable struct {
 	schema *storage.Schema
@@ -22,7 +21,6 @@ type Memtable struct {
 
 	mu      sync.Mutex
 	batch   *storage.RowBatch
-	ids     []int64 // row offsets 0..n-1: the ids of a flat index over the rows
 	deleted map[int]struct{}
 	bytes   int64
 	maxLSN  int64
@@ -78,7 +76,6 @@ func (m *Memtable) Append(batch *storage.RowBatch, lsn int64) int64 {
 	}
 	for i := 0; i < n; i++ {
 		m.bytes += rowBytes(m.schema, batch, i)
-		m.ids = append(m.ids, int64(len(m.ids)))
 	}
 	if lsn > m.maxLSN {
 		m.maxLSN = lsn
@@ -157,7 +154,6 @@ type MemSnapshot struct {
 	Schema  *storage.Schema
 	MaxLSN  int64
 	Cols    []*storage.ColumnData // frozen, in schema order
-	IDs     []int64               // row offsets 0..Rows-1, frozen
 	Deletes *bitset.Bitset        // rows deleted at snapshot time; nil when none
 }
 
@@ -171,7 +167,6 @@ func (m *Memtable) Snapshot() *MemSnapshot {
 		Schema: m.schema,
 		MaxLSN: m.maxLSN,
 		Cols:   make([]*storage.ColumnData, len(m.batch.Cols)),
-		IDs:    m.ids[:n:n],
 	}
 	frozen := make([]storage.ColumnData, len(m.batch.Cols)) // one allocation for every column
 	for i, col := range m.batch.Cols {

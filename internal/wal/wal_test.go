@@ -92,7 +92,7 @@ func TestRecordCorruptionDetected(t *testing.T) {
 func TestGroupCommitCoalesces(t *testing.T) {
 	schema := testSchema()
 	store := storage.NewMemStore()
-	log, pending, err := Open(store, "t", schema, 0, 0)
+	log, pending, err := Open(store, "t", schema, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func TestGroupCommitCoalesces(t *testing.T) {
 func TestOpenReplaysAndFilters(t *testing.T) {
 	schema := testSchema()
 	store := storage.NewMemStore()
-	log, _, err := Open(store, "t", schema, 0, 0)
+	log, _, err := Open(store, "t", schema, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +173,7 @@ func TestOpenReplaysAndFilters(t *testing.T) {
 	}
 
 	// Reopen from scratch: all 6 records replay.
-	log2, pending, err := Open(store, "t", schema, 0, 0)
+	log2, pending, err := Open(store, "t", schema, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +191,7 @@ func TestOpenReplaysAndFilters(t *testing.T) {
 
 	// Reopen as-if flushed through LSN 4: only 5 and 6 replay, and new
 	// appends continue past the existing tail.
-	log3, pending, err := Open(store, "t", schema, 4, 0)
+	log3, pending, err := Open(store, "t", schema, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +213,7 @@ func TestOpenReplaysAndFilters(t *testing.T) {
 func TestTruncateBelow(t *testing.T) {
 	schema := testSchema()
 	store := storage.NewMemStore()
-	log, _, err := Open(store, "t", schema, 0, 1) // batch size 1: one blob per record
+	log, _, err := Open(store, "t", schema, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,11 +223,15 @@ func TestTruncateBelow(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// Sequential appends commit one at a time: one blob per record.
+	if keys, err := store.List(Prefix("t")); err != nil || len(keys) != 4 {
+		t.Fatalf("blobs before truncate = %v (%v), want 4", keys, err)
+	}
 	if err := log.TruncateBelow(2); err != nil {
 		t.Fatal(err)
 	}
 	log.Close()
-	_, pending, err := Open(store, "t", schema, 0, 0)
+	_, pending, err := Open(store, "t", schema, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
