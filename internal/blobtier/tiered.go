@@ -5,8 +5,9 @@
 //
 //   - TieredStore: memory LRU → local-disk spill → backing store.
 //     Write-through puts, read-through fills, per-tier byte budgets,
-//     singleflight fill dedup. Hot segment blobs never pay the remote
-//     round trip twice (the warehouse-side cache of ByteHouse).
+//     singleflight fill dedup, and a frequency gate on the memory tier
+//     that keeps what is read often (the warehouse-side cache of
+//     ByteHouse).
 //   - EncryptingStore: AES-GCM at-rest encryption with a per-blob
 //     nonce, composable anywhere in the stack (including as a backup
 //     destination).
@@ -19,6 +20,7 @@ import (
 	"context"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"blendhouse/internal/cache"
 	"blendhouse/internal/obs"
@@ -33,6 +35,7 @@ var (
 	mDiskHits  = obs.Default().Counter("bh.storage.tier.disk_hits")
 	mMisses    = obs.Default().Counter("bh.storage.tier.misses")
 	mFills     = obs.Default().Counter("bh.storage.tier.fills")
+	mDeclined  = obs.Default().Counter("bh.storage.tier.declined")
 	mBypass    = obs.Default().Counter("bh.storage.tier.bypass")
 	mEvictMem  = obs.Default().Counter("bh.storage.tier.evict_mem")
 	mEvictDisk = obs.Default().Counter("bh.storage.tier.evict_disk")
@@ -68,6 +71,12 @@ type Config struct {
 // disk instead of being dropped. Only immutable blobs are cached (see
 // DefaultSkipSubstrings), so a cached entry can never go stale.
 //
+// A fill or disk promotion that fits in the memory tier's free space
+// is admitted; one that would evict is admitted only if its key has
+// been read more often than every key it would evict (see freq), and
+// otherwise goes to the disk tier, as an evicted blob does. A Put is
+// admitted whatever its count: a just-written blob is the newest data.
+//
 // Reads lend rather than copy (the storage.BlobStore contract): the
 // slice a read returns is the one the memory tier holds, shared with
 // every other reader of that key. Nobody writes to it — not the tier,
@@ -92,7 +101,14 @@ type TieredStore struct {
 	disk   *cache.LRU[string]
 	diskFS storage.BlobStore
 
-	sf singleflight
+	sf   singleflight
+	freq *freq
+	// gen counts invalidations (Put, Delete). A read snapshots it before
+	// it reads the disk tier or the backing store and admits what it
+	// read only if no invalidation has begun since, so a read racing an
+	// overwrite or delete cannot cache the old bytes after it.
+	gen      atomic.Uint64
+	declined atomic.Int64
 }
 
 // NewTiered builds a TieredStore over backing.
@@ -104,6 +120,7 @@ func NewTiered(backing storage.BlobStore, cfg Config) (*TieredStore, error) {
 		backing:  backing,
 		mem:      cache.NewLRU[string](cfg.MemBytes),
 		memBytes: cfg.MemBytes,
+		freq:     newFreq(),
 	}
 	if cfg.DiskBytes > 0 {
 		s.diskFS = cfg.DiskStore
@@ -125,9 +142,11 @@ func NewTiered(backing storage.BlobStore, cfg Config) (*TieredStore, error) {
 	}
 	// Memory evictions cascade to the disk tier rather than vanishing —
 	// the blob is still one local read away instead of a remote fetch.
+	// An evicted entry was current when it was evicted; the spill
+	// checks for invalidations from here on.
 	s.mem.SetOnEvict(func(key string, v any) {
 		mEvictMem.Inc()
-		s.spill(key, v.([]byte))
+		s.spill(key, v.([]byte), s.gen.Load())
 	})
 	return s, nil
 }
@@ -140,6 +159,9 @@ type Stats struct {
 	DiskEntries          int
 	MemHits, MemMisses   int64
 	DiskHits, DiskMisses int64
+	// Declined counts fills and disk promotions the memory tier's
+	// admission gate refused.
+	Declined int64
 }
 
 // TierStats returns current tier occupancy and hit counters.
@@ -147,6 +169,7 @@ func (s *TieredStore) TierStats() Stats {
 	st := Stats{
 		MemBytes:   s.mem.SizeBytes(),
 		MemEntries: s.mem.Len(),
+		Declined:   s.declined.Load(),
 	}
 	st.MemHits, st.MemMisses = s.mem.Stats()
 	if s.disk != nil {
@@ -193,9 +216,7 @@ func (s *TieredStore) Put(key string, data []byte) error {
 	// Remove before re-admit: if the new value is too large for the
 	// budget, Put below rejects it and a stale cached copy must not
 	// survive the overwrite.
-	s.mem.Remove(key)
-	s.invalidateDisk(key)
-	s.tooBig.Delete(key)
+	s.invalidate(key)
 	if s.noteSize(key, int64(len(data))) {
 		s.mem.Put(key, clone(data), int64(len(data)))
 	}
@@ -216,17 +237,19 @@ func (s *TieredStore) GetCtx(ctx context.Context, key string) ([]byte, error) {
 		mBypass.Inc()
 		return storage.GetCtx(ctx, s.backing, key)
 	}
+	s.count(key)
 	if v, ok := s.mem.Get(key); ok {
 		mMemHits.Inc()
 		return v.([]byte), nil
 	}
+	gen := s.gen.Load()
 	if data, ok := s.diskGet(key); ok {
 		mDiskHits.Inc()
-		s.admit(key, data)
+		s.admit(key, data, gen)
 		return data, nil
 	}
 	mMisses.Inc()
-	return s.fill(ctx, key)
+	return s.fill(ctx, key, gen)
 }
 
 // GetRange implements BlobStore. A range miss fills the WHOLE blob
@@ -250,6 +273,7 @@ func (s *TieredStore) GetRangeCtx(ctx context.Context, key string, off, length i
 		mBypass.Inc()
 		return storage.GetRangeCtx(ctx, s.backing, key, off, length)
 	}
+	s.count(key)
 	if v, ok := s.mem.Get(key); ok {
 		mMemHits.Inc()
 		return sliceRange(v.([]byte), off, length), nil
@@ -258,13 +282,14 @@ func (s *TieredStore) GetRangeCtx(ctx context.Context, key string, off, length i
 		mBypass.Inc()
 		return storage.GetRangeCtx(ctx, s.backing, key, off, length)
 	}
+	gen := s.gen.Load()
 	if data, ok := s.diskGet(key); ok {
 		mDiskHits.Inc()
-		s.admit(key, data)
+		s.admit(key, data, gen)
 		return sliceRange(data, off, length), nil
 	}
 	mMisses.Inc()
-	data, err := s.fill(ctx, key)
+	data, err := s.fill(ctx, key, gen)
 	if err != nil {
 		return nil, err
 	}
@@ -286,7 +311,8 @@ func sliceRange(v []byte, off, length int64) []byte {
 }
 
 // Size implements BlobStore. It is a probe, not a read: a cached blob
-// answers without moving in the eviction order or counting as a hit.
+// answers without moving in the eviction order, counting as a hit or
+// counting toward admission.
 func (s *TieredStore) Size(key string) (int64, error) {
 	if s.cacheable(key) {
 		if v, ok := s.mem.Peek(key); ok {
@@ -305,10 +331,19 @@ func (s *TieredStore) Delete(key string) error {
 	if err := s.backing.Delete(key); err != nil {
 		return err
 	}
+	s.invalidate(key)
+	return nil
+}
+
+// invalidate drops key from both tiers after an overwrite or delete of
+// the backing copy. The generation moves first: a read that started
+// before it and admits after it is refused (see admit), and one that
+// admits before it is undone by the removals that follow.
+func (s *TieredStore) invalidate(key string) {
+	s.gen.Add(1)
 	s.mem.Remove(key)
 	s.invalidateDisk(key)
 	s.tooBig.Delete(key)
-	return nil
 }
 
 // List implements BlobStore (always authoritative from the backing).
@@ -322,14 +357,14 @@ func (s *TieredStore) List(prefix string) ([]string, error) {
 // that shared a failed flight retries directly rather than inheriting
 // an error that may be specific to the leader (its context, a
 // transient fault the retry layer below would have absorbed again).
-func (s *TieredStore) fill(ctx context.Context, key string) ([]byte, error) {
+func (s *TieredStore) fill(ctx context.Context, key string, gen uint64) ([]byte, error) {
 	data, err, shared := s.sf.do(key, func() ([]byte, error) {
 		d, err := storage.GetCtx(ctx, s.backing, key)
 		if err != nil {
 			return nil, err
 		}
 		mFills.Inc()
-		s.admit(key, d)
+		s.admit(key, d, gen)
 		return d, nil
 	})
 	if err != nil && shared {
@@ -338,20 +373,43 @@ func (s *TieredStore) fill(ctx context.Context, key string) ([]byte, error) {
 			return nil, derr
 		}
 		mFills.Inc()
-		s.admit(key, d)
+		s.admit(key, d, gen)
 		return d, nil
 	}
 	return data, err
 }
 
-// admit inserts a blob into the memory tier. data comes straight from
-// a read of the backing store or the disk tier, which by the BlobStore
-// contract nobody will modify; from here on the tier and every reader
-// it is handed to share it, read-only.
-func (s *TieredStore) admit(key string, data []byte) {
-	if s.noteSize(key, int64(len(data))) {
-		s.mem.Put(key, data, int64(len(data)))
+// count records a read of key for the admission gate.
+func (s *TieredStore) count(key string) {
+	if s.freq.touch(key) {
+		s.freq.age(s.mem.Len())
 	}
+}
+
+// admit offers a blob read from the disk tier or the backing store to
+// the memory tier. data is never modified, by the BlobStore contract;
+// from here on the tier and every reader it is handed to share it,
+// read-only. gen is the invalidation generation the read began at:
+// if it has moved, the bytes may be stale and are not cached at all.
+// A blob the gate declines (see TieredStore) goes to the disk tier.
+func (s *TieredStore) admit(key string, data []byte, gen uint64) {
+	if !s.noteSize(key, int64(len(data))) {
+		return
+	}
+	declined := false
+	s.mem.PutIf(key, data, int64(len(data)), func(victims []string) bool {
+		if s.gen.Load() != gen {
+			return false
+		}
+		declined = !s.freq.admits(key, victims)
+		return !declined
+	})
+	if !declined {
+		return
+	}
+	mDeclined.Inc()
+	s.declined.Add(1)
+	s.spill(key, data, gen)
 }
 
 // noteSize reports whether a blob of size bytes fits the memory tier,
@@ -364,16 +422,18 @@ func (s *TieredStore) noteSize(key string, size int64) bool {
 	return false
 }
 
-// spill moves a memory-evicted blob to the disk tier. Failures are
-// counted and the blob dropped — the backing store still has it, so a
-// spill failure degrades to a future remote re-fetch, never data loss.
-func (s *TieredStore) spill(key string, data []byte) {
+// spill moves a blob evicted from, or declined by, the memory tier to
+// the disk tier, unless an invalidation has begun since generation
+// gen. Failures are counted and the blob dropped — the backing store
+// still has it, so a spill failure degrades to a future remote
+// re-fetch, never data loss.
+func (s *TieredStore) spill(key string, data []byte, gen uint64) {
 	if s.disk == nil {
 		return
 	}
 	s.diskMu.Lock()
 	defer s.diskMu.Unlock()
-	if s.disk.Contains(key) {
+	if s.gen.Load() != gen || s.disk.Contains(key) {
 		return
 	}
 	if err := s.diskFS.Put(key, data); err != nil {

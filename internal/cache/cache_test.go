@@ -51,6 +51,42 @@ func TestLRUReplaceAdjustsSize(t *testing.T) {
 	}
 }
 
+// PutIf shows its gate the entries a Put would evict, oldest first and
+// none when the entry fits; a refused entry leaves the cache as it was.
+func TestLRUPutIfListsVictims(t *testing.T) {
+	c := NewLRU[string](100)
+	var seen [][]string
+	gate := func(ok bool) func([]string) bool {
+		return func(v []string) bool { seen = append(seen, v); return ok }
+	}
+	if !c.PutIf("a", 1, 30, gate(true)) || !c.PutIf("b", 2, 30, gate(true)) || !c.PutIf("c", 3, 30, gate(true)) {
+		t.Fatal("admitted puts within budget must store")
+	}
+	for i, v := range seen {
+		if v != nil {
+			t.Fatalf("put %d fits in free space, gate saw victims %v", i, v)
+		}
+	}
+	seen = nil
+	if c.PutIf("d", 4, 50, gate(false)) {
+		t.Fatal("refused put reported stored")
+	}
+	if len(seen) != 1 || len(seen[0]) != 2 || seen[0][0] != "a" || seen[0][1] != "b" {
+		t.Fatalf("gate saw victims %v, want [a b]", seen)
+	}
+	if c.Len() != 3 || c.SizeBytes() != 90 || !c.Contains("a") {
+		t.Fatalf("refused put changed the cache: len=%d size=%d", c.Len(), c.SizeBytes())
+	}
+	// Replacing an entry counts only the growth and never lists itself.
+	seen = nil
+	if !c.PutIf("a", 5, 50, gate(true)) || len(seen[0]) != 1 || seen[0][0] != "b" {
+		t.Fatalf("replace: gate saw %v, want [b]", seen)
+	}
+	if c.Contains("b") || c.SizeBytes() != 80 {
+		t.Fatalf("admitted replace did not evict b: size=%d", c.SizeBytes())
+	}
+}
+
 func TestLRUEvictCallback(t *testing.T) {
 	c := NewLRU[string](50)
 	var evicted []string

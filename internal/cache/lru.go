@@ -107,8 +107,21 @@ func (c *LRU[K]) Contains(key K) bool {
 // a callback can interleave with a concurrent re-insert of the same
 // key — see the SetOnEvict contract.
 func (c *LRU[K]) Put(key K, value any, size int64) bool {
+	return c.PutIf(key, value, size, nil)
+}
+
+// PutIf is Put behind an admission gate: under c.mu it lists the
+// entries Put would evict to make room, least recently used first (nil
+// when the entry fits in free space), and stores the entry only if
+// admit(victims) returns true. A nil admit admits everything. admit
+// must not call back into c.
+func (c *LRU[K]) PutIf(key K, value any, size int64, admit func(victims []K) bool) bool {
 	c.mu.Lock()
 	if c.capBytes <= 0 || size > c.capBytes {
+		c.mu.Unlock()
+		return false
+	}
+	if admit != nil && !admit(c.victims(key, size)) {
 		c.mu.Unlock()
 		return false
 	}
@@ -138,6 +151,23 @@ func (c *LRU[K]) Put(key K, value any, size int64) bool {
 		}
 	}
 	return true
+}
+
+// victims lists, under c.mu, the keys that storing key at size would
+// evict: the oldest entries other than key until the budget holds.
+func (c *LRU[K]) victims(key K, size int64) []K {
+	need := c.size + size - c.capBytes
+	if el, ok := c.items[key]; ok {
+		need -= el.Value.(*lruEntry[K]).size
+	}
+	var out []K
+	for el := c.ll.Back(); need > 0 && el != nil; el = el.Prev() {
+		if e := el.Value.(*lruEntry[K]); e.key != key {
+			out = append(out, e.key)
+			need -= e.size
+		}
+	}
+	return out
 }
 
 // Remove drops an entry without invoking the eviction callback.

@@ -194,10 +194,14 @@ func TestPreloadWarmsAssignedWorkers(t *testing.T) {
 	}
 	// Preload must agree with scheduling: each segment's blob is
 	// fetched from the remote store exactly once, by one worker's tier
-	// (a miss of its disk level).
+	// (a miss of its disk level), and a tier with room for it keeps it.
 	var remoteLoads int64
 	for _, wid := range vw.Workers() {
-		remoteLoads += vw.Worker(wid).tier.TierStats().DiskMisses
+		st := vw.Worker(wid).tier.TierStats()
+		remoteLoads += st.DiskMisses
+		if st.Declined != 0 {
+			t.Fatalf("worker %s's tier declined %d preloaded blobs", wid, st.Declined)
+		}
 	}
 	if remoteLoads != int64(tab.SegmentCount()) {
 		t.Fatalf("remote loads = %d, want %d", remoteLoads, tab.SegmentCount())

@@ -159,7 +159,7 @@ func TestTieredEngineMetrics(t *testing.T) {
 	}
 	for _, want := range []string{
 		"bh.storage.tier.mem_bytes", "bh.storage.tier.mem_hits",
-		"bh.storage.tier.misses", "bh.backup.runs",
+		"bh.storage.tier.misses", "bh.storage.tier.declined", "bh.backup.runs",
 	} {
 		if !found[want] {
 			t.Fatalf("SHOW METRICS missing %s (got tier keys %v)", want, found)
