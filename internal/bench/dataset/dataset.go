@@ -179,12 +179,6 @@ func LAION(n int, seed int64) *Dataset {
 	return Generate(Spec{Name: "laion", N: n, Dim: 512, Seed: seed, WithFloats: true, WithCaptions: true})
 }
 
-// Prod mirrors the ByteDance image-search production workload:
-// multi-column filtered top-k over image embeddings.
-func Prod(n int, seed int64) *Dataset {
-	return Generate(Spec{Name: "prod", N: n, Dim: 128, Seed: seed, WithProdCols: true, WithInts: true})
-}
-
 // Small returns a low-dimensional dataset for unit tests.
 func Small(n, dim int, seed int64) *Dataset {
 	return Generate(Spec{Name: "small", N: n, Dim: dim, Seed: seed, Clusters: 8, WithInts: true})

@@ -158,7 +158,4 @@ func TestPresets(t *testing.T) {
 	if d := LAION(100, 1); d.Spec.Dim != 512 || d.Captions == nil || d.Floats == nil {
 		t.Fatal("LAION preset wrong")
 	}
-	if d := Prod(100, 1); d.Category == nil || d.TSMillis == nil {
-		t.Fatal("Prod preset wrong")
-	}
 }

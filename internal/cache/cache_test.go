@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -232,7 +233,7 @@ func colCacheFixture(t *testing.T) (*ColumnCache, *storage.SegmentReader, *stora
 func TestColumnCacheHitsAvoidRemoteReads(t *testing.T) {
 	cc, rd, rs := colCacheFixture(t)
 	before := rs.Snapshot().Gets
-	col, err := cc.ReadRows(rd, "id", []int{3, 5}, 2)
+	col, err := cc.ReadRows(context.Background(), rd, "id", []int{3, 5}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +245,7 @@ func TestColumnCacheHitsAvoidRemoteReads(t *testing.T) {
 		t.Fatal("first read should hit remote")
 	}
 	// Same block again: served from cache, no new remote reads.
-	if _, err := cc.ReadRows(rd, "id", []int{4}, 1); err != nil {
+	if _, err := cc.ReadRows(context.Background(), rd, "id", []int{4}, 1); err != nil {
 		t.Fatal(err)
 	}
 	if after := rs.Snapshot().Gets; after != mid {
@@ -258,7 +259,7 @@ func TestColumnCacheRowLimitBypass(t *testing.T) {
 	for i := range rows {
 		rows[i] = i
 	}
-	if _, err := cc.ReadRows(rd, "id", rows, 20); err != nil { // 20 > RowLimit 10
+	if _, err := cc.ReadRows(context.Background(), rd, "id", rows, 20); err != nil { // 20 > RowLimit 10
 		t.Fatal(err)
 	}
 	if _, _, byp := cc.Stats(); byp != 1 {
@@ -273,17 +274,17 @@ func TestColumnCacheRowLimitBypass(t *testing.T) {
 
 func TestColumnCacheCrossBlock(t *testing.T) {
 	cc, rd, _ := colCacheFixture(t)
-	col, err := cc.ReadRows(rd, "v", []int{0, 63, 8}, 3)
+	col, err := cc.ReadRows(context.Background(), rd, "v", []int{0, 63, 8}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if col.Vector(1)[0] != 63 || col.Vector(2)[0] != 8 {
 		t.Fatalf("cross-block vectors wrong: %v", col.Vecs)
 	}
-	if _, err := cc.ReadRows(rd, "id", []int{64}, 1); err == nil {
+	if _, err := cc.ReadRows(context.Background(), rd, "id", []int{64}, 1); err == nil {
 		t.Error("out-of-range row should fail")
 	}
-	if _, err := cc.ReadRows(rd, "nope", []int{0}, 1); err == nil {
+	if _, err := cc.ReadRows(context.Background(), rd, "nope", []int{0}, 1); err == nil {
 		t.Error("unknown column should fail")
 	}
 }
@@ -306,8 +307,8 @@ func TestColumnCacheTalliesDistinctGranules(t *testing.T) {
 	} {
 		h0, m0, _ := cc.Stats()
 		gets0 := rs.Snapshot().Gets
-		var tally obs.CacheTally
-		col, err := cc.ReadRowsTally(nil, rd, "id", tc.rows, len(tc.rows), &tally)
+		tr := obs.NewTrace("q")
+		col, err := cc.ReadRows(obs.WithTrace(context.Background(), tr), rd, "id", tc.rows, len(tc.rows))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -316,7 +317,7 @@ func TestColumnCacheTalliesDistinctGranules(t *testing.T) {
 				t.Fatalf("rows %v: value %d is %d", tc.rows, i, col.Ints[i])
 			}
 		}
-		th, tm, _ := tally.Values()
+		th, tm, _ := tr.ColCache.Values()
 		h1, m1, _ := cc.Stats()
 		if th != tc.wantHit || tm != tc.wantMis || h1-h0 != tc.wantHit || m1-m0 != tc.wantMis {
 			t.Fatalf("rows %v: tally hits=%d misses=%d, cache +%d/+%d, want %d/%d",
@@ -333,7 +334,7 @@ func TestColumnCacheTalliesDistinctGranules(t *testing.T) {
 // neither answers for the other.
 func TestColumnCacheWholeColumnAndGranulesDoNotCollide(t *testing.T) {
 	cc, rd, _ := colCacheFixture(t)
-	whole, err := cc.ReadColumn(rd, "id")
+	whole, err := cc.ReadColumn(context.Background(), rd, "id")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -344,7 +345,7 @@ func TestColumnCacheWholeColumnAndGranulesDoNotCollide(t *testing.T) {
 		t.Fatalf("after whole-column read: hits=%d misses=%d, want 0/1", h, m)
 	}
 	// Granule 0 is not in the cache just because the whole column is.
-	piece, err := cc.ReadRows(rd, "id", []int{2}, 1)
+	piece, err := cc.ReadRows(context.Background(), rd, "id", []int{2}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -355,7 +356,7 @@ func TestColumnCacheWholeColumnAndGranulesDoNotCollide(t *testing.T) {
 		t.Fatalf("after granule read: hits=%d misses=%d, want 0/2", h, m)
 	}
 	// And the whole column is still the whole column.
-	again, err := cc.ReadColumn(rd, "id")
+	again, err := cc.ReadColumn(context.Background(), rd, "id")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -363,7 +364,7 @@ func TestColumnCacheWholeColumnAndGranulesDoNotCollide(t *testing.T) {
 		t.Fatal("whole-column entry was replaced by a granule entry")
 	}
 	// Same granule number, different column: a different key.
-	if _, err := cc.ReadRows(rd, "v", []int{2}, 1); err != nil {
+	if _, err := cc.ReadRows(context.Background(), rd, "v", []int{2}, 1); err != nil {
 		t.Fatal(err)
 	}
 	if h, m, _ := cc.Stats(); h != 1 || m != 3 {
@@ -385,9 +386,9 @@ func TestColumnCacheWarmReadAllocs(t *testing.T) {
 		{"10 rows / 7 granules", "id", []int{0, 9, 17, 25, 33, 41, 49, 50, 51, 1}},
 		{"10 vectors / 7 granules", "v", []int{0, 9, 17, 25, 33, 41, 49, 50, 51, 1}},
 	} {
-		var tally obs.CacheTally
+		ctx := obs.WithTrace(context.Background(), obs.NewTrace("q"))
 		read := func() {
-			if _, err := cc.ReadRowsTally(nil, rd, tc.col, tc.rows, len(tc.rows), &tally); err != nil {
+			if _, err := cc.ReadRows(ctx, rd, tc.col, tc.rows, len(tc.rows)); err != nil {
 				t.Fatal(err)
 			}
 		}

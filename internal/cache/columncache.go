@@ -62,32 +62,28 @@ func (c *ColumnCache) Stats() (dataHits, dataMisses, bypasses int64) {
 // ReadRows reads the requested rows of a column through the cache.
 // reader is the underlying segment reader; queryRows is the total
 // number of rows the query is fetching, used for admission control.
-func (c *ColumnCache) ReadRows(reader *storage.SegmentReader, col string, rows []int, queryRows int) (*storage.ColumnData, error) {
-	return c.ReadRowsTally(nil, reader, col, rows, queryRows, nil)
-}
-
-// ReadRowsTally is ReadRows with a context bounding the underlying
-// blob reads (nil = unbounded) and an optional per-query trace tally
-// (nil = untraced) recording hit/miss per block and admission-control
+// ctx bounds the underlying blob reads (nil = unbounded); a trace on it
+// (obs.TraceFrom) tallies hit/miss per granule and admission-control
 // bypasses.
-func (c *ColumnCache) ReadRowsTally(ctx context.Context, reader *storage.SegmentReader, col string, rows []int, queryRows int, tally *obs.CacheTally) (*storage.ColumnData, error) {
+func (c *ColumnCache) ReadRows(ctx context.Context, reader *storage.SegmentReader, col string, rows []int, queryRows int) (*storage.ColumnData, error) {
 	if reader.InMemory() { // a memtable segment: its name does not name its rows
 		return reader.ReadRowsCtx(ctx, col, rows)
 	}
 	if c.cfg.RowLimit > 0 && queryRows > c.cfg.RowLimit {
 		// Too big: bypass so we don't thrash the hot set.
 		c.bypasses.Add(1)
-		tally.Bypass()
+		obs.TraceFrom(ctx).ColTally().Bypass()
 		return reader.ReadRowsCtx(ctx, col, rows)
 	}
-	return c.readRowsCached(ctx, reader, col, rows, tally)
+	return c.readRowsCached(ctx, reader, col, rows)
 }
 
 // readRowsCached assembles the rows from per-granule pieces held in
 // the data space, loading a missing granule with one range read. Each
 // distinct granule the rows touch is looked up — and tallied as hit or
 // miss — exactly once per read; a warm read allocates only its output.
-func (c *ColumnCache) readRowsCached(ctx context.Context, reader *storage.SegmentReader, col string, rows []int, tally *obs.CacheTally) (*storage.ColumnData, error) {
+func (c *ColumnCache) readRowsCached(ctx context.Context, reader *storage.SegmentReader, col string, rows []int) (*storage.ColumnData, error) {
+	tally := obs.TraceFrom(ctx).ColTally()
 	key := granuleKey{table: reader.Meta.Table, seg: reader.Meta.Name, col: col}
 	return reader.GatherRows(col, rows, func(block int) (*storage.ColumnData, error) {
 		key.block = int32(block)
@@ -108,16 +104,12 @@ func (c *ColumnCache) readRowsCached(ctx context.Context, reader *storage.Segmen
 // ReadColumn reads a whole column through the cache — the structured
 // scan path of the pre-filter strategy reads entire predicate columns,
 // and caching their decoded form is part of §IV-C's adaptive caching.
-func (c *ColumnCache) ReadColumn(reader *storage.SegmentReader, col string) (*storage.ColumnData, error) {
-	return c.ReadColumnTally(nil, reader, col, nil)
-}
-
-// ReadColumnTally is ReadColumn with a context bounding the blob read
-// and an optional per-query trace tally.
-func (c *ColumnCache) ReadColumnTally(ctx context.Context, reader *storage.SegmentReader, col string, tally *obs.CacheTally) (*storage.ColumnData, error) {
+// ctx bounds the blob read; a trace on it tallies the hit or miss.
+func (c *ColumnCache) ReadColumn(ctx context.Context, reader *storage.SegmentReader, col string) (*storage.ColumnData, error) {
 	if reader.InMemory() {
 		return reader.ReadColumnCtx(ctx, col)
 	}
+	tally := obs.TraceFrom(ctx).ColTally()
 	key := granuleKey{table: reader.Meta.Table, seg: reader.Meta.Name, col: col, block: wholeColumn}
 	if v, ok := c.data.Get(key); ok {
 		tally.Hit()

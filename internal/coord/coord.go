@@ -33,7 +33,6 @@ package coord
 import (
 	"fmt"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"blendhouse/internal/hashring"
@@ -105,7 +104,7 @@ type Coordinator struct {
 	byName   map[string]*shard
 	ring     *hashring.Ring
 	replicas int
-	traceSeq atomic.Uint64
+	traces   obs.Sampler // 1-in-TraceSample statement tracing
 }
 
 // New builds a coordinator over the configured shard set. It does not
@@ -132,6 +131,7 @@ func New(cfg Config) (*Coordinator, error) {
 		byName: make(map[string]*shard, len(cfg.Shards)),
 		ring:   hashring.New(),
 	}
+	c.traces.Every = cfg.TraceSample
 	for _, raw := range cfg.Shards {
 		name := NormalizeShardAddr(raw)
 		if name == "" {
@@ -217,26 +217,4 @@ func (c *Coordinator) Close() {
 	for _, s := range c.shards {
 		s.cli.Close()
 	}
-}
-
-// sampleTrace decides 1-in-TraceSample coordinator tracing (0 = off).
-func (c *Coordinator) sampleTrace() bool {
-	n := c.cfg.TraceSample
-	if n <= 0 {
-		return false
-	}
-	if n == 1 {
-		return true
-	}
-	return c.traceSeq.Add(1)%uint64(n) == 1
-}
-
-// truncateQuery bounds statement text retained in logs and the trace
-// ring (same bound as the engine's).
-func truncateQuery(s string) string {
-	const max = 200
-	if len(s) > max {
-		return s[:max] + "..."
-	}
-	return s
 }

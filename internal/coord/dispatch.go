@@ -52,21 +52,11 @@ func (c *Coordinator) Query(ctx context.Context, src string, opts core.QueryOpti
 	}
 	kind := stmtKind(st)
 
-	tr := opts.Trace
-	if tr == nil && c.sampleTrace() {
-		tr = obs.NewTrace("coordinate")
-	}
+	ctx, tr := c.traces.StartStatement(ctx, "coordinate", kind, opts.QueueWait)
+	tr.Span().Set("role", "coordinator")
 	start := obs.Now()
-	if tr != nil {
-		tr.SetID(obs.TraceIDFrom(ctx))
-		tr.Span().Set("statement", kind)
-		tr.Span().Set("role", "coordinator")
-		if opts.QueueWait > 0 {
-			tr.Span().ChildDur("queue", opts.QueueWait)
-		}
-	}
 
-	res, qerr := c.dispatch(ctx, st, src, opts, tr)
+	res, qerr := c.dispatch(ctx, st, src, opts)
 	dur := time.Since(start)
 	mLatency.Observe(dur)
 	if qerr != nil {
@@ -77,40 +67,25 @@ func (c *Coordinator) Query(ctx context.Context, src string, opts core.QueryOpti
 		}
 		mMergedRows.Add(int64(len(res.Rows)))
 	}
-	if tr != nil {
-		tr.Finish()
-		errStr := ""
-		if qerr != nil {
-			errStr = qerr.Error()
-		}
-		obs.Traces().Add(&obs.TraceRecord{
-			TraceID:   tr.ID(),
-			Statement: kind,
-			Query:     truncateQuery(src),
-			Start:     start,
-			Duration:  dur,
-			Error:     errStr,
-			Root:      tr.Span(),
-		})
-	}
+	tr.EndStatement(kind, src, dur, qerr, false)
 	return res, qerr
 }
 
 // dispatch routes one parsed statement.
-func (c *Coordinator) dispatch(ctx context.Context, st sql.Statement, src string, opts core.QueryOptions, tr *obs.Trace) (*exec.Result, error) {
+func (c *Coordinator) dispatch(ctx context.Context, st sql.Statement, src string, opts core.QueryOptions) (*exec.Result, error) {
 	switch s := st.(type) {
 	case *sql.Select:
-		return c.scatterSelect(ctx, s, opts, tr)
+		return c.scatterSelect(ctx, s, opts)
 	case *sql.Insert:
-		return c.scatterInsert(ctx, s, opts, tr)
+		return c.scatterInsert(ctx, s, opts)
 	case *sql.Delete:
-		return c.scatterDelete(ctx, s, opts, tr)
+		return c.scatterDelete(ctx, s, opts)
 	case *sql.CreateTable:
-		return c.broadcast(ctx, src, "created table "+s.Name, opts, tr)
+		return c.broadcast(ctx, src, "created table "+s.Name, opts)
 	case *sql.DropTable:
-		return c.broadcast(ctx, src, "dropped table "+s.Name, opts, tr)
+		return c.broadcast(ctx, src, "dropped table "+s.Name, opts)
 	case *sql.Optimize:
-		return c.broadcast(ctx, src, "compacted "+s.Name, opts, tr)
+		return c.broadcast(ctx, src, "compacted "+s.Name, opts)
 	case *sql.ShowMetrics:
 		// The coordinator's own registry (bh.coord.* + bh.server.*):
 		// cluster-wide engine metrics live on the shards' endpoints.
@@ -121,7 +96,7 @@ func (c *Coordinator) dispatch(ctx context.Context, st sql.Statement, src string
 		// SHOW TABLES, DESCRIBE, EXPLAIN [ANALYZE], and anything the
 		// coordinator has no cluster semantics for: every shard holds
 		// the same catalog, so any one healthy shard can answer.
-		return c.forwardAny(ctx, src, opts, tr)
+		return c.forwardAny(ctx, src, opts)
 	}
 }
 
@@ -186,20 +161,21 @@ func legDown(err error) bool {
 
 // leg runs one statement against one shard, honoring its breaker and
 // forwarding the statement's trace ID and remaining deadline.
-func (c *Coordinator) leg(ctx context.Context, s *shard, stmt string, execRoute bool, opts core.QueryOptions, tr *obs.Trace) legResult {
+func (c *Coordinator) leg(ctx context.Context, s *shard, stmt string, execRoute bool, opts core.QueryOptions) legResult {
 	mLegs.Inc()
+	root := obs.TraceFrom(ctx).Span()
 	if ok, _ := s.brk.Allow(); !ok {
 		mLegSkips.Inc()
-		if tr != nil {
-			sp := tr.Span().Child("leg " + s.name)
+		if root != nil {
+			sp := root.Child("leg " + s.name)
 			sp.Set("skipped", "breaker open")
 			sp.End()
 		}
 		return legResult{shard: s, err: fmt.Errorf("%w: %s", errBreakerOpen, s.name)}
 	}
 	var sp *obs.Span
-	if tr != nil {
-		sp = tr.Span().Child("leg " + s.name)
+	if root != nil {
+		sp = root.Child("leg " + s.name)
 	}
 	legOpts := []client.Option{client.WithTraceID(obs.TraceIDFrom(ctx))}
 	if dl, ok := ctx.Deadline(); ok {
@@ -248,14 +224,14 @@ func (c *Coordinator) leg(ctx context.Context, s *shard, stmt string, execRoute 
 }
 
 // runLegs fans per-shard statements out concurrently, one leg each.
-func (c *Coordinator) runLegs(ctx context.Context, shards []*shard, stmts []string, execRoute bool, opts core.QueryOptions, tr *obs.Trace) []legResult {
+func (c *Coordinator) runLegs(ctx context.Context, shards []*shard, stmts []string, execRoute bool, opts core.QueryOptions) []legResult {
 	out := make([]legResult, len(shards))
 	var wg sync.WaitGroup
 	for i := range shards {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			out[i] = c.leg(ctx, shards[i], stmts[i], execRoute, opts, tr)
+			out[i] = c.leg(ctx, shards[i], stmts[i], execRoute, opts)
 		}(i)
 	}
 	wg.Wait()
@@ -326,12 +302,12 @@ func wrapCtx(ctx context.Context, fallback error) error {
 // start, walking past open breakers and down shards). A live shard's
 // error is the statement's answer; only unreachable shards are walked
 // past.
-func (c *Coordinator) forwardAny(ctx context.Context, src string, opts core.QueryOptions, tr *obs.Trace) (*exec.Result, error) {
+func (c *Coordinator) forwardAny(ctx context.Context, src string, opts core.QueryOptions) (*exec.Result, error) {
 	start := int(rr.Add(1)) % len(c.shards)
 	var lastDown legResult
 	for i := 0; i < len(c.shards); i++ {
 		s := c.shards[(start+i)%len(c.shards)]
-		lr := c.leg(ctx, s, src, false, opts, tr)
+		lr := c.leg(ctx, s, src, false, opts)
 		if lr.err == nil {
 			return clientResult(lr.res), nil
 		}
@@ -351,12 +327,12 @@ func (c *Coordinator) forwardAny(ctx context.Context, src string, opts core.Quer
 // diverge the shards' catalogs). A live shard's rejection (table
 // exists, unknown table) is deterministic across shards and propagates
 // as-is.
-func (c *Coordinator) broadcast(ctx context.Context, src, okMsg string, opts core.QueryOptions, tr *obs.Trace) (*exec.Result, error) {
+func (c *Coordinator) broadcast(ctx context.Context, src, okMsg string, opts core.QueryOptions) (*exec.Result, error) {
 	stmts := make([]string, len(c.shards))
 	for i := range stmts {
 		stmts[i] = src
 	}
-	legs := c.runLegs(ctx, c.shards, stmts, true, opts, tr)
+	legs := c.runLegs(ctx, c.shards, stmts, true, opts)
 	okCount := 0
 	var downLeg legResult
 	for _, lr := range legs {
@@ -382,7 +358,7 @@ func (c *Coordinator) broadcast(ctx context.Context, src, okMsg string, opts cor
 // first column) hashes to Replicas owner shards on the ring — and runs
 // one INSERT leg per owning shard, preserving statement row order
 // within each leg.
-func (c *Coordinator) scatterInsert(ctx context.Context, ins *sql.Insert, opts core.QueryOptions, tr *obs.Trace) (*exec.Result, error) {
+func (c *Coordinator) scatterInsert(ctx context.Context, ins *sql.Insert, opts core.QueryOptions) (*exec.Result, error) {
 	if ins.Infile != "" {
 		return nil, planErrf("INSERT ... INFILE is not supported in coordinate mode (the file is local to the coordinator); use VALUES, or load shards directly")
 	}
@@ -414,7 +390,7 @@ func (c *Coordinator) scatterInsert(ctx context.Context, ins *sql.Insert, opts c
 		shards[i] = c.byName[n]
 		stmts[i] = renderInsert(ins.Table, perShard[n])
 	}
-	legs := c.runLegs(ctx, shards, stmts, true, opts, tr)
+	legs := c.runLegs(ctx, shards, stmts, true, opts)
 	return c.dmlOutcome(ctx, legs, fmt.Sprintf(
 		"OK: inserted %d rows into %s across %d shards (replicas=%d)",
 		len(ins.Rows), ins.Table, len(legs), c.replicas))
@@ -423,7 +399,7 @@ func (c *Coordinator) scatterInsert(ctx context.Context, ins *sql.Insert, opts c
 // scatterDelete routes each key to its Replicas owner shards (the same
 // placement as scatterInsert, so deletes find the rows inserts put
 // there) and runs one DELETE leg per owning shard.
-func (c *Coordinator) scatterDelete(ctx context.Context, del *sql.Delete, opts core.QueryOptions, tr *obs.Trace) (*exec.Result, error) {
+func (c *Coordinator) scatterDelete(ctx context.Context, del *sql.Delete, opts core.QueryOptions) (*exec.Result, error) {
 	if len(del.Keys) == 0 {
 		return nil, planErrf("DELETE with no keys")
 	}
@@ -449,7 +425,7 @@ func (c *Coordinator) scatterDelete(ctx context.Context, del *sql.Delete, opts c
 		shards[i] = c.byName[n]
 		stmts[i] = renderDelete(del.Table, del.Column, perShard[n])
 	}
-	legs := c.runLegs(ctx, shards, stmts, true, opts, tr)
+	legs := c.runLegs(ctx, shards, stmts, true, opts)
 	return c.dmlOutcome(ctx, legs, fmt.Sprintf(
 		"OK: deleted %d keys from %s across %d shards (replicas=%d)",
 		len(del.Keys), del.Table, len(legs), c.replicas))
@@ -515,14 +491,14 @@ func (c *Coordinator) dmlOutcome(ctx context.Context, legs []legResult, okMsg st
 // answered); at R or more missing, the result would silently drop
 // rows, so the query fails closed with UNAVAILABLE unless the session
 // opted in via SET allow_partial = on.
-func (c *Coordinator) scatterSelect(ctx context.Context, sel *sql.Select, opts core.QueryOptions, tr *obs.Trace) (*exec.Result, error) {
+func (c *Coordinator) scatterSelect(ctx context.Context, sel *sql.Select, opts core.QueryOptions) (*exec.Result, error) {
 	plan := buildMergePlan(sel)
 	stmt := renderSelect(sel)
 	stmts := make([]string, len(c.shards))
 	for i := range stmts {
 		stmts[i] = stmt
 	}
-	legs := c.runLegs(ctx, c.shards, stmts, false, opts, tr)
+	legs := c.runLegs(ctx, c.shards, stmts, false, opts)
 
 	var results []*client.Result
 	downCount := 0

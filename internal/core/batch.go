@@ -156,7 +156,7 @@ func (e *Engine) runBatchGroup(gctx context.Context, g *batch.Group) {
 		qs[i] = exec.GroupQuery{
 			Ctx:  m.Ctx,
 			Plan: it.ph,
-			Opts: exec.RunOptions{Trace: it.opts.Trace, MaxParallelism: it.opts.MaxParallelism},
+			Opts: exec.RunOptions{MaxParallelism: it.opts.MaxParallelism},
 		}
 	}
 	mQueries.Add(int64(len(members)))
@@ -165,12 +165,11 @@ func (e *Engine) runBatchGroup(gctx context.Context, g *batch.Group) {
 	dur := time.Since(start)
 	for i, m := range members {
 		mQueryLatency.Observe(dur)
-		it := m.Payload.(*batchItem)
 		err := qs[i].Err
 		if errors.Is(err, exec.ErrInvalidQuery) {
 			err = planErr(err)
 		}
-		if tr := it.opts.Trace; tr != nil && len(members) > 1 {
+		if tr := obs.TraceFrom(m.Ctx); tr != nil && len(members) > 1 {
 			sp := tr.Span().ChildDur("batch-group", dur)
 			sp.SetInt("group_id", int64(g.ID))
 			sp.SetInt("group_size", int64(g.Size()))

@@ -11,7 +11,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"blendhouse/internal/batch"
@@ -178,7 +177,7 @@ type Engine struct {
 	tables map[string]*lsm.Table
 	execs  map[string]*exec.Executor
 
-	traceSeq       atomic.Uint64 // 1-in-N trace sampling cursor
+	traces         obs.Sampler // 1-in-TraceSample statement tracing
 	stopCompaction chan struct{}
 	closeOnce      sync.Once
 
@@ -237,6 +236,7 @@ func New(cfg Config) (*Engine, error) {
 		retryStore:     retryStore,
 		tier:           tier,
 	}
+	e.traces.Every = cfg.TraceSample
 	if cfg.ColumnCache != nil {
 		e.colCache = cache.NewColumnCache(*cfg.ColumnCache)
 	}
@@ -402,9 +402,6 @@ type QueryOptions struct {
 	// MaxParallelism overrides the engine's per-query segment fan-out
 	// for this statement (0 = engine default).
 	MaxParallelism int
-	// Trace, when non-nil, records the span tree and cache tallies of
-	// the execution (the programmatic form of EXPLAIN ANALYZE).
-	Trace *obs.Trace
 	// QueueWait is how long the statement waited in the caller's
 	// admission queue before reaching the engine; when tracing it
 	// materializes as a "queue" span so tail-latency attribution
@@ -430,7 +427,8 @@ func (e *Engine) Exec(ctx context.Context, src string) (*exec.Result, error) {
 }
 
 // Query is Exec with per-statement options (timeout, parallelism
-// override, trace). All statement errors are classified by the
+// override). A trace on ctx (obs.WithTrace) records the statement's
+// span tree and tallies. All statement errors are classified by the
 // taxonomy in errors.go.
 func (e *Engine) Query(ctx context.Context, src string, opts QueryOptions) (*exec.Result, error) {
 	if ctx == nil {
@@ -450,38 +448,14 @@ func (e *Engine) Query(ctx context.Context, src string, opts QueryOptions) (*exe
 	}
 	kind := stmtKind(st)
 
-	// Sampling: when the caller didn't bring a trace (EXPLAIN ANALYZE
-	// does), the engine may record one anyway for the trace ring. An
-	// untraced statement (sample = 0 or not selected) keeps opts.Trace
-	// nil all the way down — the zero-allocation discipline.
-	tr := opts.Trace
-	if tr == nil && e.sampleTrace() {
-		tr = obs.NewTrace("query")
-		opts.Trace = tr
-	}
+	// An untraced statement (sample = 0 or not selected) carries no
+	// trace on ctx all the way down — the zero-allocation discipline.
+	ctx, tr := e.traces.StartStatement(ctx, "query", kind, opts.QueueWait)
 	start := obs.Now()
-	if tr != nil {
-		id := obs.TraceIDFrom(ctx)
-		if id == "" {
-			id = obs.NewTraceID()
-			ctx = obs.WithTraceID(ctx, id)
-		}
-		tr.SetID(id)
-		tr.Span().Set("statement", kind)
-		if opts.QueueWait > 0 {
-			tr.Span().ChildDur("queue", opts.QueueWait)
-		}
-	}
 
-	var res *exec.Result
-	var qerr error
-	if tr != nil {
-		es := tr.Span().Child("exec")
-		res, qerr = e.dispatch(ctx, st, opts)
-		es.End()
-	} else {
-		res, qerr = e.dispatch(ctx, st, opts)
-	}
+	es := tr.Span().Child("exec")
+	res, qerr := e.dispatch(ctx, st, opts)
+	es.End()
 	qerr = wrapCtxErr(qerr)
 	dur := time.Since(start)
 	if h := mStmtLatency[kind]; h != nil {
@@ -494,54 +468,15 @@ func (e *Engine) Query(ctx context.Context, src string, opts QueryOptions) (*exe
 		attrs := []any{
 			"statement", kind,
 			"duration_ms", float64(dur.Microseconds()) / 1000,
-			"query", truncateQuery(src),
+			"query", obs.TruncateQuery(src),
 		}
 		if qerr != nil {
 			attrs = append(attrs, "error", qerr.Error())
 		}
 		coreLog.WarnContext(ctx, "slow query", attrs...)
 	}
-	if tr != nil {
-		tr.Finish()
-		errStr := ""
-		if qerr != nil {
-			errStr = qerr.Error()
-		}
-		obs.Traces().Add(&obs.TraceRecord{
-			TraceID:   tr.ID(),
-			Statement: kind,
-			Query:     truncateQuery(src),
-			Start:     start,
-			Duration:  dur,
-			Error:     errStr,
-			Slow:      slow,
-			Root:      tr.Span(),
-		})
-	}
+	tr.EndStatement(kind, src, dur, qerr, slow)
 	return res, qerr
-}
-
-// sampleTrace decides whether the engine records a trace for this
-// statement (1-in-TraceSample; 0 disables).
-func (e *Engine) sampleTrace() bool {
-	n := e.cfg.TraceSample
-	if n <= 0 {
-		return false
-	}
-	if n == 1 {
-		return true
-	}
-	return e.traceSeq.Add(1)%uint64(n) == 1
-}
-
-// truncateQuery bounds statement text retained in logs and the trace
-// ring.
-func truncateQuery(s string) string {
-	const max = 200
-	if len(s) > max {
-		return s[:max] + "..."
-	}
-	return s
 }
 
 // dispatch executes one parsed statement.
@@ -682,13 +617,11 @@ func (e *Engine) query(ctx context.Context, sel *sql.Select, opts QueryOptions) 
 }
 
 // runTraced executes a planned query, feeding the engine-level query
-// counter and latency histogram (opts.Trace may be nil = untraced).
+// counter and latency histogram (traced when ctx carries a trace).
 func (e *Engine) runTraced(ctx context.Context, table string, ph *plan.Physical, opts QueryOptions) (*exec.Result, error) {
 	mQueries.Inc()
 	start := obs.Now()
-	res, err := e.Executor(table).RunWith(ctx, ph, exec.RunOptions{
-		Trace: opts.Trace, MaxParallelism: opts.MaxParallelism,
-	})
+	res, err := e.Executor(table).RunWith(ctx, ph, exec.RunOptions{MaxParallelism: opts.MaxParallelism})
 	mQueryLatency.Observe(time.Since(start))
 	if errors.Is(err, exec.ErrInvalidQuery) {
 		// Execution-time statement validation (unknown predicate

@@ -45,9 +45,7 @@ func (e *Engine) explain(ctx context.Context, ex *sql.Explain, opts QueryOptions
 	if ex.Analyze {
 		tr := obs.NewTrace("query")
 		start := obs.Now()
-		tracedOpts := opts
-		tracedOpts.Trace = tr
-		res, err := e.runTraced(ctx, ex.Query.Table, ph, tracedOpts)
+		res, err := e.runTraced(obs.WithTrace(ctx, tr), ex.Query.Table, ph, opts)
 		if err != nil {
 			return nil, err
 		}

@@ -1,11 +1,18 @@
 package core
 
 import (
+	"errors"
 	"fmt"
+	"regexp"
+	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"blendhouse/internal/cache"
+	"blendhouse/internal/storage"
 )
 
 // explainText flattens a one-column explain result for matching.
@@ -87,6 +94,80 @@ func TestExplainAnalyzeMultiSegment(t *testing.T) {
 	// Column cache was exercised by predicate + projection reads.
 	if strings.Contains(txt, "cache: column hits=0 misses=0") {
 		t.Fatalf("column cache tallies all zero:\n%s", txt)
+	}
+}
+
+// readCountStore counts every read beneath the engine's store stack.
+type readCountStore struct {
+	storage.BlobStore
+	reads atomic.Int64
+}
+
+func (s *readCountStore) Get(key string) ([]byte, error) {
+	s.reads.Add(1)
+	return s.BlobStore.Get(key)
+}
+
+func (s *readCountStore) GetRange(key string, off, n int64) ([]byte, error) {
+	s.reads.Add(1)
+	return s.BlobStore.GetRange(key, off, n)
+}
+
+// spanInt reads the integer attribute key from the first EXPLAIN
+// ANALYZE line that starts (after indentation) with span.
+func spanInt(t *testing.T, txt, span, key string) int64 {
+	t.Helper()
+	m := regexp.MustCompile(`(?m)^\s*` + regexp.QuoteMeta(span) + `  \(.*\b` + key + `=(\d+)`).FindStringSubmatch(txt)
+	if m == nil {
+		t.Fatalf("no %s=N on a %q span:\n%s", key, span, txt)
+	}
+	n, _ := strconv.ParseInt(m[1], 10, 64)
+	return n
+}
+
+// TestStorageSpanCountsIndexLoads: a cold query's "storage" span counts
+// every store read the query made, the index blobs it opens included.
+func TestStorageSpanCountsIndexLoads(t *testing.T) {
+	store := &readCountStore{BlobStore: storage.NewMemStore()}
+	e := newEngine(t, Config{Store: store})
+	ds := seedImages(t, e)
+	e.Executor("images").InvalidateLocalIndexes()
+	before := store.reads.Load()
+	txt := explainText(t, e, fmt.Sprintf(
+		"EXPLAIN ANALYZE SELECT id FROM images ORDER BY L2Distance(embedding, %s) LIMIT 10", vecLit(ds.Queries.Row(0))))
+	made := store.reads.Load() - before
+	if got := spanInt(t, txt, "storage", "reads"); got != made {
+		t.Fatalf("storage span reads=%d, the store served %d:\n%s", got, made, txt)
+	}
+	if made < 3 {
+		t.Fatalf("a cold query over 3 segments made %d store reads, want its index loads among them", made)
+	}
+}
+
+// TestExplainAnalyzeShowsRetries: a column read that the retry layer
+// repeats shows up as store_retries on EXPLAIN ANALYZE's root span.
+func TestExplainAnalyzeShowsRetries(t *testing.T) {
+	fault := storage.NewFaultStore(storage.NewMemStore(), storage.FaultConfig{Seed: 1})
+	e := newEngine(t, Config{Store: fault, Retry: &storage.RetryConfig{MaxAttempts: 3, BaseBackoff: time.Microsecond, Seed: 1}})
+	ds := seedImages(t, e)
+	var mu sync.Mutex
+	failed := map[string]bool{}
+	fault.SetHook(func(op storage.FaultOp, key string) error {
+		if (op != storage.FaultOpGet && op != storage.FaultOpGetRange) || !strings.Contains(key, "/col_") {
+			return nil
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		if failed[key] {
+			return nil
+		}
+		failed[key] = true // each column blob's first GET fails once
+		return &storage.TransientError{Err: errors.New("injected")}
+	})
+	txt := explainText(t, e, fmt.Sprintf(
+		"EXPLAIN ANALYZE SELECT id FROM images WHERE score > 0.1 ORDER BY L2Distance(embedding, %s) LIMIT 5", vecLit(ds.Queries.Row(0))))
+	if got := spanInt(t, txt, "query", "store_retries"); got < 1 {
+		t.Fatalf("store_retries=%d after %d failed column reads:\n%s", got, len(failed), txt)
 	}
 }
 

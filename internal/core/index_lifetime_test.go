@@ -83,9 +83,9 @@ func TestIndexHandlesOutliveWrites(t *testing.T) {
 		t.Helper()
 		floor := deletedBelow.Load()
 		tr := obs.NewTrace("q")
-		res, err := e.Query(ctx, fmt.Sprintf(
+		res, err := e.Query(obs.WithTrace(ctx, tr), fmt.Sprintf(
 			`SELECT id FROM images ORDER BY L2Distance(embedding, %s) LIMIT 10 SETTINGS ef_search=64`,
-			vecLit(ds.Vectors.Row(qi%20))), QueryOptions{Trace: tr})
+			vecLit(ds.Vectors.Row(qi%20))), QueryOptions{})
 		if err != nil {
 			t.Fatalf("query %d: %v", qi, err)
 		}

@@ -63,11 +63,9 @@ type Executor struct {
 	retireOnce sync.Once
 }
 
-// RunOptions tunes one execution.
+// RunOptions tunes one execution. A trace on the run's context
+// (obs.WithTrace) records its span tree and tallies.
 type RunOptions struct {
-	// Trace records a span tree and cache tallies for EXPLAIN ANALYZE
-	// (nil = untraced; instrumentation is then a no-op).
-	Trace *obs.Trace
 	// MaxParallelism overrides the executor's segment fan-out for this
 	// run (0 = executor default).
 	MaxParallelism int
@@ -167,37 +165,25 @@ func (e *Executor) RunWith(ctx context.Context, ph *plan.Physical, opts RunOptio
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	tr := opts.Trace
-	// Traced queries carry a retry tally through the context: every
-	// storage retry charged to this query surfaces as a root-span
-	// attribute in EXPLAIN ANALYZE, alongside the circuit breaker's
-	// state when the store has one.
-	if tr != nil {
-		root := tr.Span()
-		tally := &storage.RetryTally{}
-		ctx = storage.WithRetryTally(ctx, tally)
-		// An IO tally rides along too: the segment read paths feed it,
-		// and it materializes as a "storage" span so the trace attributes
-		// tail latency to remote blob reads (summed across parallel
-		// workers) without instrumenting every store implementation.
-		io := &storage.IOTally{}
-		ctx = storage.WithIOTally(ctx, io)
-		defer func() {
-			root.SetInt("store_retries", tally.Retries())
-			if br, ok := e.Table.Store().(storage.BreakerReporter); ok {
-				root.Set("store_breaker", br.BreakerState().String())
-			}
-			if reads, bytes, dur := io.Values(); reads > 0 {
-				sp := root.ChildDur("storage", dur)
-				sp.SetInt("reads", reads)
-				sp.SetInt("bytes", bytes)
-			}
-		}()
-	}
-	r := &run{strategy: ph.Strategy, par: e.parallelism(opts.MaxParallelism), tr: tr}
+	r := &run{strategy: ph.Strategy, par: e.parallelism(opts.MaxParallelism), tr: obs.TraceFrom(ctx)}
 	r.one[0] = member{ctx: ctx, lg: ph.Logical}
 	r.members = r.one[:]
 	e.execute(ctx, r)
+	if root := r.tr.Span(); root != nil {
+		// The store work the trace counted: its retries and the
+		// breaker's state on the root span, and its reads (summed across
+		// parallel workers) as a "storage" span, so the trace attributes
+		// tail latency to remote blob reads.
+		root.SetInt("store_retries", r.tr.Retries())
+		if br, ok := e.Table.Store().(storage.BreakerReporter); ok {
+			root.Set("store_breaker", br.BreakerState().String())
+		}
+		if reads, bytes, dur := r.tr.Reads(); reads > 0 {
+			sp := root.ChildDur("storage", dur)
+			sp.SetInt("reads", reads)
+			sp.SetInt("bytes", bytes)
+		}
+	}
 	return r.one[0].res, r.one[0].err
 }
 
@@ -466,7 +452,7 @@ func (e *Executor) checkVectorDim(lg *plan.Logical) error {
 // (the structured scan of plans A and B) and subtracts the delete
 // bitmap. Returns nil when the segment has neither predicates nor
 // deletes (= unfiltered).
-func (e *Executor) predicateBitset(ctx context.Context, seg *lsm.Segment, preds []compiledPred, tr *obs.Trace) (*bitset.Bitset, error) {
+func (e *Executor) predicateBitset(ctx context.Context, seg *lsm.Segment, preds []compiledPred) (*bitset.Bitset, error) {
 	meta, del := seg.Meta, seg.Deletes
 	if len(preds) == 0 && del == nil {
 		return nil, nil
@@ -487,7 +473,7 @@ func (e *Executor) predicateBitset(ctx context.Context, seg *lsm.Segment, preds 
 			switch {
 			case c != nil:
 			case e.ColCache != nil:
-				c, err = e.ColCache.ReadColumnTally(ctx, rd, p.col, tr.ColTally())
+				c, err = e.ColCache.ReadColumn(ctx, rd, p.col)
 			default:
 				c, err = rd.ReadColumnCtx(ctx, p.col)
 			}
@@ -522,15 +508,16 @@ func (e *Executor) predicateBitset(ctx context.Context, seg *lsm.Segment, preds 
 // retire hook drops it when the last Version naming the segment is
 // released. A memtable segment's name outlives its contents, so its
 // own index is used and never stored.
-func (e *Executor) segmentIndex(ctx context.Context, seg *lsm.Segment, tr *obs.Trace) (index.Index, error) {
+func (e *Executor) segmentIndex(ctx context.Context, seg *lsm.Segment) (index.Index, error) {
 	if seg.Index != nil {
 		return seg.Index, nil
 	}
+	tally := obs.TraceFrom(ctx).IdxTally()
 	if v, ok := e.localIdx.Load(seg.Meta.Name); ok {
-		tr.IdxTally().Hit()
+		tally.Hit()
 		return v.(index.Index), nil
 	}
-	tr.IdxTally().Miss()
+	tally.Miss()
 	e.retireOnce.Do(func() {
 		e.Table.OnRetire(func(name string) { e.localIdx.Delete(name) })
 	})
@@ -593,7 +580,7 @@ func (e *Executor) scanSegment(ctx context.Context, r *run, s *segScan) error {
 	var bs *bitset.Bitset
 	if !post {
 		var err error
-		if bs, err = e.predicateBitset(ctx, s.seg, r.preds, r.tr); err != nil {
+		if bs, err = e.predicateBitset(ctx, s.seg, r.preds); err != nil {
 			return err
 		}
 		if !brute && bs != nil && !bs.Any() {
@@ -609,7 +596,7 @@ func (e *Executor) scanSegment(ctx context.Context, r *run, s *segScan) error {
 	if brute {
 		return e.scanRows(ctx, r, s, bs)
 	}
-	ix, err := e.segmentIndex(ctx, s.seg, r.tr)
+	ix, err := e.segmentIndex(ctx, s.seg)
 	if err != nil {
 		return err
 	}
@@ -649,7 +636,7 @@ func (e *Executor) scanRows(ctx context.Context, r *run, s *segScan, bs *bitset.
 	if len(sc.rows) == 0 {
 		return nil
 	}
-	vcol, err := e.readRows(ctx, s.seg.Reader, r.members[0].lg.VectorColumn, sc.rows, len(sc.rows), r.tr)
+	vcol, err := e.readRows(ctx, s.seg.Reader, r.members[0].lg.VectorColumn, sc.rows, len(sc.rows))
 	if err != nil {
 		return err
 	}
@@ -729,7 +716,7 @@ func (e *Executor) postFilter(ctx context.Context, r *run, s *segScan, ix index.
 			continue
 		}
 		for _, p := range r.preds {
-			col, err := e.readRows(ctx, rd, p.col, sc.rows, len(sc.rows), r.tr)
+			col, err := e.readRows(ctx, rd, p.col, sc.rows, len(sc.rows))
 			if err != nil {
 				return err
 			}
@@ -784,7 +771,7 @@ func (e *Executor) runScalar(ctx context.Context, r *run) error {
 	// therefore the stable sort and LIMIT below) matches sequential
 	// execution exactly.
 	perSeg, err := gatherSegments(ctx, segs, r.par, func(ctx context.Context, _ int, seg *lsm.Segment) ([]scalarRow, error) {
-		bs, err := e.predicateBitset(ctx, seg, preds, tr)
+		bs, err := e.predicateBitset(ctx, seg, preds)
 		if err != nil {
 			return nil, err
 		}
@@ -797,7 +784,7 @@ func (e *Executor) runScalar(ctx context.Context, r *run) error {
 		}
 		var sortCol *storage.ColumnData
 		if lg.OrderColumn != "" {
-			sortCol, err = e.readRows(ctx, seg.Reader, lg.OrderColumn, offsets, len(offsets), tr)
+			sortCol, err = e.readRows(ctx, seg.Reader, lg.OrderColumn, offsets, len(offsets))
 			if err != nil {
 				return nil, err
 			}
@@ -856,9 +843,9 @@ func sortKey(col *storage.ColumnData, row int) (float64, string) {
 
 // readRows fetches rows of one column, through the adaptive column
 // cache when configured.
-func (e *Executor) readRows(ctx context.Context, rd *storage.SegmentReader, col string, rows []int, queryRows int, tr *obs.Trace) (*storage.ColumnData, error) {
+func (e *Executor) readRows(ctx context.Context, rd *storage.SegmentReader, col string, rows []int, queryRows int) (*storage.ColumnData, error) {
 	if e.ColCache != nil {
-		return e.ColCache.ReadRowsTally(ctx, rd, col, rows, queryRows, tr.ColTally())
+		return e.ColCache.ReadRows(ctx, rd, col, rows, queryRows)
 	}
 	return rd.ReadRowsCtx(ctx, col, rows)
 }
@@ -975,7 +962,7 @@ func (e *Executor) assemble(ctx context.Context, r *run, sp *obs.Span) error {
 			if sf.need&(1<<min(fi, 63)) == 0 {
 				continue
 			}
-			cd, err := e.readRows(ctx, sf.seg.Reader, c, sf.rows, rows, r.tr)
+			cd, err := e.readRows(ctx, sf.seg.Reader, c, sf.rows, rows)
 			if err != nil {
 				return err
 			}

@@ -106,17 +106,6 @@ func (r *Ring) Clone() *Ring {
 	return &Ring{points: r.points}
 }
 
-// Nodes returns the current workers in ring order.
-func (r *Ring) Nodes() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]string, len(r.points))
-	for i, p := range r.points {
-		out[i] = p.node
-	}
-	return out
-}
-
 // Len returns the number of workers.
 func (r *Ring) Len() int {
 	r.mu.RLock()
@@ -166,10 +155,6 @@ func (r *Ring) getLocked(key string) string {
 func (r *Ring) GetN(key string, n int) []string {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	return r.getNLocked(key, n)
-}
-
-func (r *Ring) getNLocked(key string, n int) []string {
 	if len(r.points) == 0 || n <= 0 {
 		return nil
 	}
@@ -214,19 +199,6 @@ func (r *Ring) Assign(keys []string) map[string]string {
 	out := make(map[string]string, len(keys))
 	for _, k := range keys {
 		out[k] = r.getLocked(k)
-	}
-	return out
-}
-
-// AssignN maps each key to its n replica workers in one pass, against
-// one consistent ring view (see Assign). The coordinator's bulk
-// insert-placement entry point.
-func (r *Ring) AssignN(keys []string, n int) map[string][]string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make(map[string][]string, len(keys))
-	for _, k := range keys {
-		out[k] = r.getNLocked(k, n)
 	}
 	return out
 }

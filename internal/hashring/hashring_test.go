@@ -2,6 +2,7 @@ package hashring
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -250,10 +251,10 @@ func TestRemoveUnderLiveLookups(t *testing.T) {
 				t.Fatalf("Assign(%s) returned removed node", k)
 			}
 		}
-		for k, ws := range r.AssignN(ks[:50], 2) {
-			for _, w := range ws {
+		for _, k := range ks[:50] {
+			for _, w := range r.GetN(k, 2) {
 				if w == victim {
-					t.Fatalf("AssignN(%s) returned removed node", k)
+					t.Fatalf("GetN(%s) returned removed node", k)
 				}
 			}
 		}
@@ -316,9 +317,13 @@ func TestNodesSortedStable(t *testing.T) {
 	if r.Len() != 3 {
 		t.Fatal("Len != 3")
 	}
-	nodes := r.Nodes()
-	if len(nodes) != 3 {
-		t.Fatalf("Nodes = %v", nodes)
+	s := r.String()
+	for _, n := range []string{"a@", "b@", "c@"} {
+		if strings.Count(s, n) != 1 {
+			t.Fatalf("String() = %q, want each worker once", s)
+		}
 	}
-	_ = r.String() // smoke: must not panic
+	if c := r.Clone().String(); c != s {
+		t.Fatalf("a clone renders %q, the ring %q", c, s)
+	}
 }

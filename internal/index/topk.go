@@ -68,8 +68,7 @@ func (t *TopK) Push(c Candidate) bool {
 // kept — lets scans skip heap operations (and exact re-ranks) early.
 // At dist == worst the answer is true: a candidate with a smaller ID
 // than the current worst still displaces it under the (Dist, ID)
-// order, which is what keeps merge early-breaks from dropping tie
-// candidates at the k boundary.
+// order.
 func (t *TopK) WouldAccept(dist float32) bool {
 	return len(t.heap) < t.k || dist <= t.heap[0].Dist
 }
@@ -200,26 +199,4 @@ func SelectCandidates(cs []Candidate, n int) {
 			lo = p + 1
 		}
 	}
-}
-
-// MergeTopK merges several already-sorted candidate lists into the
-// global k best — the final merge of partial per-segment results
-// (paper §II-C "merges the partial top-k results from multiple
-// workers"). Equivalent to SortCandidates(concat(lists))[:k],
-// including the ID tie-break at the k boundary: WouldAccept is
-// non-strict at dist == worst, so a later list's tie candidate with a
-// smaller ID still displaces the kept one instead of being dropped by
-// the early break.
-func MergeTopK(k int, lists ...[]Candidate) []Candidate {
-	t := GetTopK(k)
-	defer PutTopK(t)
-	for _, l := range lists {
-		for _, c := range l {
-			if !t.WouldAccept(c.Dist) {
-				break // lists are sorted; the rest can't enter either
-			}
-			t.Push(c)
-		}
-	}
-	return t.AppendResults(nil)
 }

@@ -102,73 +102,6 @@ func TestSortCandidatesTieBreak(t *testing.T) {
 	}
 }
 
-func TestMergeTopK(t *testing.T) {
-	a := []Candidate{{1, 0.1}, {2, 0.5}, {3, 0.9}}
-	b := []Candidate{{4, 0.2}, {5, 0.6}}
-	c := []Candidate{{6, 0.05}}
-	merged := MergeTopK(3, a, b, c)
-	wantIDs := []int64{6, 1, 4}
-	if len(merged) != 3 {
-		t.Fatalf("len = %d", len(merged))
-	}
-	for i, w := range wantIDs {
-		if merged[i].ID != w {
-			t.Fatalf("merged[%d].ID = %d, want %d", i, merged[i].ID, w)
-		}
-	}
-}
-
-// Regression: a later list's candidate with Dist == worst but a
-// smaller ID must displace the kept candidate (SortCandidates breaks
-// distance ties by ID). The pre-fix strict WouldAccept broke out of
-// the list early and kept {11, 5} instead of {3, 5}.
-func TestMergeTopKTieAtBoundary(t *testing.T) {
-	a := []Candidate{{ID: 10, Dist: 1}, {ID: 11, Dist: 5}}
-	b := []Candidate{{ID: 3, Dist: 5}, {ID: 20, Dist: 9}}
-	merged := MergeTopK(2, a, b)
-	var union []Candidate
-	union = append(union, a...)
-	union = append(union, b...)
-	SortCandidates(union)
-	want := union[:2]
-	if len(merged) != 2 || merged[0] != want[0] || merged[1] != want[1] {
-		t.Fatalf("merged = %v, want %v", merged, want)
-	}
-	if merged[1].ID != 3 {
-		t.Fatalf("tie at k boundary kept ID %d, want 3", merged[1].ID)
-	}
-}
-
-// With heavily quantized distances (many exact ties) a parallel-style
-// merge must still equal the global sort — the determinism contract
-// of the (Dist, ID) heap order.
-func TestMergeTopKTiesEquivalentToGlobalSort(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 50; trial++ {
-		var lists [][]Candidate
-		var all []Candidate
-		id := int64(0)
-		for l := 0; l < 4; l++ {
-			var list []Candidate
-			for i := 0; i < 30; i++ {
-				c := Candidate{ID: id, Dist: float32(rng.Intn(5))} // only 5 distinct distances
-				id++
-				list = append(list, c)
-				all = append(all, c)
-			}
-			SortCandidates(list)
-			lists = append(lists, list)
-		}
-		merged := MergeTopK(10, lists...)
-		SortCandidates(all)
-		for i := 0; i < 10; i++ {
-			if merged[i] != all[i] {
-				t.Fatalf("trial %d: merge diverges at %d: %v != %v", trial, i, merged[i], all[i])
-			}
-		}
-	}
-}
-
 // TopK itself must keep the smaller IDs at distance ties regardless of
 // insertion order.
 func TestTopKTieBreakByID(t *testing.T) {
@@ -207,31 +140,6 @@ func TestTopKResetAndAppendResults(t *testing.T) {
 		t.Fatalf("after Reset: %v", got)
 	}
 	PutTopK(tk)
-}
-
-func TestMergeTopKEquivalentToGlobalSort(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	var lists [][]Candidate
-	var all []Candidate
-	id := int64(0)
-	for l := 0; l < 5; l++ {
-		var list []Candidate
-		for i := 0; i < 50; i++ {
-			c := Candidate{ID: id, Dist: rng.Float32()}
-			id++
-			list = append(list, c)
-			all = append(all, c)
-		}
-		SortCandidates(list)
-		lists = append(lists, list)
-	}
-	merged := MergeTopK(20, lists...)
-	SortCandidates(all)
-	for i := 0; i < 20; i++ {
-		if merged[i] != all[i] {
-			t.Fatalf("merge diverges at %d: %v != %v", i, merged[i], all[i])
-		}
-	}
 }
 
 // TestSelectCandidatesPrefix: for every n, SelectCandidates leaves in

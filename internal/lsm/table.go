@@ -483,9 +483,9 @@ func (t *Table) OpenIndex(seg string) (index.Index, error) {
 }
 
 // LoadIndex loads the segment's vector index from the store, bounded
-// by ctx: a fired deadline or cancel aborts the blob read.
+// by ctx; a trace on ctx counts the blob read among the query's reads.
 func (t *Table) LoadIndex(ctx context.Context, s *Segment) (index.Index, error) {
-	blob, err := storage.GetCtx(ctx, t.store, storage.IndexKey(t.opts.Name, s.Meta.Name, t.opts.IndexColumn))
+	blob, err := storage.TracedGet(ctx, t.store, storage.IndexKey(t.opts.Name, s.Meta.Name, t.opts.IndexColumn))
 	if err != nil {
 		return nil, err
 	}

@@ -9,10 +9,9 @@ import "sync"
 // the planner's batched-vs-solo decision runs on what the engine
 // actually measured rather than static estimates.
 //
-// The zero value is ready to use with DefaultEWMAAlpha.
+// The zero value is ready to use; it weighs samples by DefaultEWMAAlpha.
 type EWMA struct {
 	mu    sync.Mutex
-	alpha float64
 	value float64
 	count int64
 }
@@ -22,30 +21,16 @@ type EWMA struct {
 // average by more than a fifth.
 const DefaultEWMAAlpha = 0.2
 
-// NewEWMA returns an average with an explicit smoothing factor in
-// (0, 1]; out-of-range values fall back to DefaultEWMAAlpha.
-func NewEWMA(alpha float64) *EWMA {
-	e := &EWMA{}
-	if alpha > 0 && alpha <= 1 {
-		e.alpha = alpha
-	}
-	return e
-}
-
 // Observe folds one sample into the average. The first observation
 // seeds the value directly so the average never has to warm up from
 // zero.
 func (e *EWMA) Observe(v float64) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	a := e.alpha
-	if a == 0 {
-		a = DefaultEWMAAlpha
-	}
 	if e.count == 0 {
 		e.value = v
 	} else {
-		e.value = a*v + (1-a)*e.value
+		e.value = DefaultEWMAAlpha*v + (1-DefaultEWMAAlpha)*e.value
 	}
 	e.count++
 }

@@ -25,23 +25,6 @@ func TestEWMASeedsFromFirstObservation(t *testing.T) {
 	}
 }
 
-func TestEWMACustomAlphaAndFallback(t *testing.T) {
-	e := NewEWMA(0.5)
-	e.Observe(0)
-	e.Observe(8)
-	if e.Value() != 4 {
-		t.Fatalf("alpha=0.5: value = %v, want 4", e.Value())
-	}
-	// Out-of-range alphas fall back to the default instead of freezing
-	// the average.
-	bad := NewEWMA(7)
-	bad.Observe(10)
-	bad.Observe(0)
-	if bad.Value() != 8 {
-		t.Fatalf("fallback alpha: value = %v, want 8", bad.Value())
-	}
-}
-
 func TestEWMATracksShiftedStream(t *testing.T) {
 	var e EWMA
 	for i := 0; i < 100; i++ {

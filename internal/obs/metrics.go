@@ -15,7 +15,6 @@ package obs
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 	"math/bits"
 	"sort"
@@ -245,17 +244,6 @@ func (r *Registry) Snapshot() []KV {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
 	return out
-}
-
-// WriteText renders the snapshot as "key value" lines (the /metrics
-// debug endpoint).
-func (r *Registry) WriteText(w io.Writer) error {
-	for _, kv := range r.Snapshot() {
-		if _, err := fmt.Fprintf(w, "%s %d\n", kv.Key, kv.Value); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // WriteJSON renders the snapshot as a flat JSON object (the /vars

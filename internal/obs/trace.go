@@ -59,12 +59,36 @@ func TraceIDFrom(ctx context.Context) string {
 	return id
 }
 
+// traceKey carries the statement's *Trace in a context.Context beside
+// its ID: the executor's spans, the caches' tallies and the storage
+// layer's read and retry counters all find it there.
+type traceKey struct{}
+
+// WithTrace attaches a statement's trace to ctx (a nil trace attaches
+// nothing).
+func WithTrace(ctx context.Context, t *Trace) context.Context {
+	if t == nil {
+		return ctx
+	}
+	return context.WithValue(ctx, traceKey{}, t)
+}
+
+// TraceFrom returns the trace ctx carries (nil when the statement is
+// untraced; nil ctx is safe). It allocates nothing.
+func TraceFrom(ctx context.Context) *Trace {
+	if ctx == nil {
+		return nil
+	}
+	t, _ := ctx.Value(traceKey{}).(*Trace)
+	return t
+}
+
 // Trace is the per-query span tree behind EXPLAIN ANALYZE, the trace
-// ring buffer and /debug/traces. It is carried as a *Trace on the
-// query path; a nil *Trace means tracing is off, and every method
-// (including the tally accessors and all Span methods) is a no-op on a
-// nil receiver — untraced queries pay zero allocations for the
-// instrumentation.
+// ring buffer and /debug/traces, and the one carrier of the query's
+// accounting: it rides the query's context (WithTrace). A nil *Trace
+// means tracing is off, and every method (including the tallies and all
+// Span methods) is a no-op on a nil receiver — untraced queries pay
+// zero allocations for the instrumentation.
 type Trace struct {
 	root *Span
 	id   string
@@ -73,6 +97,11 @@ type Trace struct {
 	ColCache CacheTally
 	// IdxCache tallies vector-index-cache hit/miss per load.
 	IdxCache CacheTally
+	// The blob-store work charged to the query: reads (counted at one
+	// layer, the segment and index reads, so a read retried below counts
+	// once), their bytes and summed wall time across concurrent scans,
+	// and the retries the store layer made.
+	reads, readBytes, readNanos, retries atomic.Int64
 }
 
 // NewTrace starts a trace whose root span is named name.
@@ -126,6 +155,40 @@ func (t *Trace) IdxTally() *CacheTally {
 		return nil
 	}
 	return &t.IdxCache
+}
+
+// AddRead records one blob read of n bytes taking d.
+func (t *Trace) AddRead(n int64, d time.Duration) {
+	if t == nil {
+		return
+	}
+	t.reads.Add(1)
+	t.readBytes.Add(n)
+	t.readNanos.Add(d.Nanoseconds())
+}
+
+// Reads returns the blob reads recorded: how many, their bytes and
+// their summed time (zeros on nil).
+func (t *Trace) Reads() (reads, bytes int64, dur time.Duration) {
+	if t == nil {
+		return 0, 0, 0
+	}
+	return t.reads.Load(), t.readBytes.Load(), time.Duration(t.readNanos.Load())
+}
+
+// AddRetry records one store retry.
+func (t *Trace) AddRetry() {
+	if t != nil {
+		t.retries.Add(1)
+	}
+}
+
+// Retries returns the store retries recorded (0 on nil).
+func (t *Trace) Retries() int64 {
+	if t == nil {
+		return 0
+	}
+	return t.retries.Load()
 }
 
 // Lines renders the executed span tree plus the cache tallies as

@@ -1,6 +1,8 @@
 package obs
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"math"
 	"strings"
@@ -94,6 +96,92 @@ func TestNilTraceZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("nil-trace instrumentation allocated %v per run, want 0", allocs)
+	}
+}
+
+// TestTraceCountsStoreWork checks the trace's store counters and its
+// ctx carrier: nil-safe, additive, found only where attached, and free
+// of allocations on an untraced ctx.
+func TestTraceCountsStoreWork(t *testing.T) {
+	var nilTr *Trace
+	nilTr.AddRead(10, time.Millisecond) // must not panic
+	nilTr.AddRetry()
+	if r, b, d := nilTr.Reads(); r != 0 || b != 0 || d != 0 || nilTr.Retries() != 0 {
+		t.Fatalf("nil trace reads = %d/%d/%v, retries %d", r, b, d, nilTr.Retries())
+	}
+
+	tr := NewTrace("q")
+	tr.AddRead(100, 2*time.Millisecond)
+	tr.AddRead(50, time.Millisecond)
+	tr.AddRetry()
+	if r, b, d := tr.Reads(); r != 2 || b != 150 || d != 3*time.Millisecond {
+		t.Fatalf("reads = %d / %d bytes / %v, want 2/150/3ms", r, b, d)
+	}
+	if got := tr.Retries(); got != 1 {
+		t.Fatalf("retries = %d, want 1", got)
+	}
+
+	bg := context.Background()
+	if got := TraceFrom(WithTrace(bg, tr)); got != tr {
+		t.Fatal("TraceFrom did not return the attached trace")
+	}
+	var nilCtx context.Context
+	if TraceFrom(bg) != nil || TraceFrom(nilCtx) != nil {
+		t.Fatal("TraceFrom on a bare or nil ctx should be nil")
+	}
+	if WithTrace(bg, nil) != bg {
+		t.Fatal("WithTrace(nil) should return ctx unchanged")
+	}
+	ctx := WithTraceID(bg, "abc")
+	if allocs := testing.AllocsPerRun(100, func() { TraceFrom(ctx).AddRetry() }); allocs != 0 {
+		t.Fatalf("TraceFrom on an untraced ctx allocated %v per run, want 0", allocs)
+	}
+}
+
+// TestStatementLifecycle: a statement is traced when ctx brings a trace
+// or the sampler picks it, gets an ID either way, and lands in the ring
+// when it ends; a statement left out gets its ctx back unchanged,
+// without allocating.
+func TestStatementLifecycle(t *testing.T) {
+	off := &Sampler{}
+	bg := context.Background()
+	if allocs := testing.AllocsPerRun(100, func() {
+		ctx, tr := off.StartStatement(bg, "query", "select", time.Millisecond)
+		tr.EndStatement("select", "SELECT 1", time.Millisecond, nil, false)
+		if ctx != bg || tr != nil {
+			t.Fatal("a statement the sampler skips must stay untraced")
+		}
+	}); allocs != 0 {
+		t.Fatalf("untraced statement allocated %v per run, want 0", allocs)
+	}
+
+	brought := NewTrace("query")
+	ctx, tr := off.StartStatement(WithTrace(bg, brought), "query", "select", time.Millisecond)
+	if tr != brought || TraceFrom(ctx) != brought {
+		t.Fatal("a trace ctx brings must be the statement's, sampled or not")
+	}
+	if tr.ID() == "" || TraceIDFrom(ctx) != tr.ID() {
+		t.Fatalf("trace ID %q, ctx ID %q: want one minted and attached", tr.ID(), TraceIDFrom(ctx))
+	}
+	if tr.Span().Attr("statement") != "select" || len(tr.Span().Children()) != 1 {
+		t.Fatalf("root attrs %v, children %d: want statement and a queue span", tr.Span().Attrs(), len(tr.Span().Children()))
+	}
+	tr.EndStatement("select", strings.Repeat("x", 300), 5*time.Millisecond, errors.New("boom"), true)
+	rec := Traces().Snapshot()[0]
+	if rec.TraceID != tr.ID() || rec.Statement != "select" || rec.Error != "boom" || !rec.Slow ||
+		rec.Duration != 5*time.Millisecond || len(rec.Query) != 203 || rec.Root != tr.Span() {
+		t.Fatalf("ring record = %+v", rec)
+	}
+
+	every3 := &Sampler{Every: 3}
+	traced := 0
+	for i := 0; i < 9; i++ {
+		if _, tr := every3.StartStatement(bg, "query", "select", 0); tr != nil {
+			traced++
+		}
+	}
+	if traced != 3 {
+		t.Fatalf("Every=3 traced %d of 9 statements, want 3", traced)
 	}
 }
 

@@ -1,9 +1,81 @@
 package obs
 
 import (
+	"context"
 	"sync"
+	"sync/atomic"
 	"time"
 )
+
+// Sampler picks the statements an engine or coordinator traces: every
+// one when Every is 1, one in Every otherwise, none when Every <= 0.
+type Sampler struct {
+	Every int
+	seq   atomic.Uint64
+}
+
+// StartStatement opens the trace of one statement of kind: the trace
+// ctx already carries (EXPLAIN ANALYZE's, a caller's), else a new one
+// whose root span is named root when s samples the statement, else
+// none — an untraced statement gets ctx back as it came. A traced
+// statement's ctx carries the trace and its ID (the one already on ctx,
+// or a new one); the root span records the statement kind and, when
+// queueWait is positive, a "queue" child span of that length.
+func (s *Sampler) StartStatement(ctx context.Context, root, kind string, queueWait time.Duration) (context.Context, *Trace) {
+	t := TraceFrom(ctx)
+	if t == nil {
+		if s.Every <= 0 || s.Every > 1 && s.seq.Add(1)%uint64(s.Every) != 1 {
+			return ctx, nil // sampled out
+		}
+		t = NewTrace(root)
+		ctx = WithTrace(ctx, t)
+	}
+	id := TraceIDFrom(ctx)
+	if id == "" {
+		id = NewTraceID()
+		ctx = WithTraceID(ctx, id)
+	}
+	t.SetID(id)
+	t.root.Set("statement", kind)
+	if queueWait > 0 {
+		t.root.ChildDur("queue", queueWait)
+	}
+	return ctx, t
+}
+
+// EndStatement ends a statement's root span and adds the statement to
+// the trace ring: its kind, its text, how long it took, its error and
+// whether it crossed the slow-query threshold. No-op on nil.
+func (t *Trace) EndStatement(kind, query string, dur time.Duration, err error, slow bool) {
+	if t == nil {
+		return
+	}
+	t.Finish()
+	errStr := ""
+	if err != nil {
+		errStr = err.Error()
+	}
+	Traces().Add(&TraceRecord{
+		TraceID:   t.id,
+		Statement: kind,
+		Query:     TruncateQuery(query),
+		Start:     t.root.start,
+		Duration:  dur,
+		Error:     errStr,
+		Slow:      slow,
+		Root:      t.root,
+	})
+}
+
+// TruncateQuery bounds the statement text kept in logs and the trace
+// ring.
+func TruncateQuery(s string) string {
+	const max = 200
+	if len(s) > max {
+		return s[:max] + "..."
+	}
+	return s
+}
 
 // TraceRecord is one finished query trace as retained by the in-process
 // ring buffer. Records are immutable after Add (the engine only

@@ -23,6 +23,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"blendhouse/internal/obs"
 	"blendhouse/internal/retry"
 )
 
@@ -106,6 +107,34 @@ func GetRangeCtx(ctx context.Context, s BlobStore, key string, off, length int64
 		}
 	}
 	return s.GetRange(key, off, length)
+}
+
+// TracedGet is GetCtx that charges the read to the trace ctx carries
+// (obs.TraceFrom): a segment's column blobs (SegmentReader) and its
+// index blob (lsm.Table.LoadIndex) are counted here and nowhere else,
+// so a read retried or served by a wrapper below counts once. On an
+// untraced ctx it adds nothing but the lookup — no clock, no allocation.
+func TracedGet(ctx context.Context, s BlobStore, key string) ([]byte, error) {
+	t := obs.TraceFrom(ctx)
+	if t == nil {
+		return GetCtx(ctx, s, key)
+	}
+	start := time.Now()
+	b, err := GetCtx(ctx, s, key)
+	t.AddRead(int64(len(b)), time.Since(start))
+	return b, err
+}
+
+// tracedGetRange is TracedGet for range reads.
+func tracedGetRange(ctx context.Context, s BlobStore, key string, off, length int64) ([]byte, error) {
+	t := obs.TraceFrom(ctx)
+	if t == nil {
+		return GetRangeCtx(ctx, s, key, off, length)
+	}
+	start := time.Now()
+	b, err := GetRangeCtx(ctx, s, key, off, length)
+	t.AddRead(int64(len(b)), time.Since(start))
+	return b, err
 }
 
 // MemStore is an in-memory BlobStore for tests and single-process use.

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"blendhouse/internal/obs"
 	"blendhouse/internal/retry"
 )
 
@@ -69,36 +70,9 @@ func TestBreakerTransitionCounterFailedProbe(t *testing.T) {
 	}
 }
 
-// TestIOTally checks the ctx-carried IO tally: nil-safe, additive, and
-// only counted when a tally actually rides the context.
-func TestIOTally(t *testing.T) {
-	var nilTally *IOTally
-	nilTally.Add(10, time.Millisecond) // must not panic
-	r, b, d := nilTally.Values()
-	if r != 0 || b != 0 || d != 0 {
-		t.Fatalf("nil tally values = %d/%d/%v", r, b, d)
-	}
-
-	tally := &IOTally{}
-	tally.Add(100, 2*time.Millisecond)
-	tally.Add(50, time.Millisecond)
-	r, b, d = tally.Values()
-	if r != 2 || b != 150 || d != 3*time.Millisecond {
-		t.Fatalf("tally = %d reads / %d bytes / %v, want 2/150/3ms", r, b, d)
-	}
-
-	ctx := WithIOTally(context.Background(), tally)
-	if got := IOTallyFrom(ctx); got != tally {
-		t.Fatal("IOTallyFrom did not return the attached tally")
-	}
-	if got := IOTallyFrom(context.Background()); got != nil {
-		t.Fatal("IOTallyFrom on a bare ctx should be nil")
-	}
-}
-
 // TestIOTallyFedBySegmentReads checks reads through SegmentReader feed
-// an attached tally exactly once per blob fetch (the retry layer below
-// must not double-count).
+// the read counters of the trace on ctx exactly once per blob fetch
+// (the retry layer below must not double-count).
 func TestIOTallyFedBySegmentReads(t *testing.T) {
 	store := NewRetryStore(NewMemStore(), fastRetryConfig())
 	batch := testBatch(8)
@@ -110,12 +84,12 @@ func TestIOTallyFedBySegmentReads(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	tally := &IOTally{}
-	ctx := WithIOTally(context.Background(), tally)
+	tr := obs.NewTrace("q")
+	ctx := obs.WithTrace(context.Background(), tr)
 	if _, err := r.ReadColumnCtx(ctx, "id"); err != nil {
 		t.Fatal(err)
 	}
-	reads, bytes, dur := tally.Values()
+	reads, bytes, dur := tr.Reads()
 	if reads != 1 {
 		t.Fatalf("reads = %d, want 1 (one column blob)", reads)
 	}
@@ -123,11 +97,11 @@ func TestIOTallyFedBySegmentReads(t *testing.T) {
 		t.Fatalf("bytes/dur = %d/%v, want positive", bytes, dur)
 	}
 
-	// Without a tally on the ctx the same read is untallied (and cheap).
+	// Without a trace on the ctx the same read is uncounted (and cheap).
 	if _, err := r.ReadColumnCtx(context.Background(), "id"); err != nil {
 		t.Fatal(err)
 	}
-	if r2, _, _ := tally.Values(); r2 != reads {
-		t.Fatalf("tally advanced to %d without being attached", r2)
+	if r2, _, _ := tr.Reads(); r2 != reads {
+		t.Fatalf("trace counted %d reads without being attached", r2)
 	}
 }

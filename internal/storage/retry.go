@@ -163,44 +163,6 @@ func (c RetryConfig) withDefaults() RetryConfig {
 	return c
 }
 
-// RetryTally accumulates the retries charged to one query; attach it to
-// the query context with WithRetryTally and the retry layer feeds it,
-// which is how EXPLAIN ANALYZE shows per-query store_retries. All
-// methods are nil-receiver-safe.
-type RetryTally struct{ retries atomic.Int64 }
-
-// Add records n retries.
-func (t *RetryTally) Add(n int64) {
-	if t != nil {
-		t.retries.Add(n)
-	}
-}
-
-// Retries reads the tally (0 on nil).
-func (t *RetryTally) Retries() int64 {
-	if t == nil {
-		return 0
-	}
-	return t.retries.Load()
-}
-
-type retryTallyKey struct{}
-
-// WithRetryTally attaches a per-query retry tally to ctx.
-func WithRetryTally(ctx context.Context, t *RetryTally) context.Context {
-	return context.WithValue(ctx, retryTallyKey{}, t)
-}
-
-// TallyFrom extracts the retry tally from ctx (nil when absent; nil is
-// safe to use).
-func TallyFrom(ctx context.Context) *RetryTally {
-	if ctx == nil {
-		return nil
-	}
-	t, _ := ctx.Value(retryTallyKey{}).(*RetryTally)
-	return t
-}
-
 // RetryStats counts this store's retry activity (per-instance; the
 // bh.storage.* metrics aggregate across instances).
 type RetryStats struct {
@@ -305,7 +267,7 @@ func (s *RetryStore) do(ctx context.Context, op string, fn func() error) error {
 		}
 		s.retries.Add(1)
 		mRetries.Inc()
-		TallyFrom(ctx).Add(1)
+		obs.TraceFrom(ctx).AddRetry()
 		if serr := retry.Sleep(ctx, s.backoff(attempt)); serr != nil {
 			return serr
 		}

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"blendhouse/internal/obs"
 	"blendhouse/internal/retry"
 )
 
@@ -176,18 +177,26 @@ func TestRetryTallyFlowsThroughContext(t *testing.T) {
 	inner.calls = 0
 	inner.n = 2
 
-	tally := &RetryTally{}
-	ctx := WithRetryTally(context.Background(), tally)
-	if _, err := rs.GetCtx(ctx, "a"); err != nil {
+	tr := obs.NewTrace("q")
+	if _, err := rs.GetCtx(obs.WithTrace(context.Background(), tr), "a"); err != nil {
 		t.Fatal(err)
 	}
-	if got := tally.Retries(); got != 2 {
-		t.Errorf("tally = %d retries, want 2", got)
+	if got := tr.Retries(); got != 2 {
+		t.Errorf("trace = %d retries, want 2", got)
 	}
-	// Nil-safety: both directions.
-	TallyFrom(context.Background()).Add(5)
-	if TallyFrom(nil).Retries() != 0 {
-		t.Error("nil-context tally should read 0")
+	// Untraced and nil contexts still retry, and charge no trace.
+	before := rs.Stats().Retries
+	for _, ctx := range []context.Context{context.Background(), nil} {
+		inner.calls, inner.n = 0, 1
+		if _, err := rs.GetCtx(ctx, "a"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := rs.Stats().Retries - before; got != 2 {
+		t.Errorf("store retried %d times for the untraced reads, want 2", got)
+	}
+	if got := tr.Retries(); got != 2 {
+		t.Errorf("trace = %d retries after untraced reads, want 2", got)
 	}
 }
 

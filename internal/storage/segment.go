@@ -499,10 +499,10 @@ func (r *SegmentReader) ReadColumnCtx(ctx context.Context, name string) (*Column
 	var blob []byte
 	var lo int64
 	if n := len(cm.Blocks); cm.Blob == "" || n == 0 {
-		blob, err = tallyGet(ctx, r.Store, r.Meta.columnKey(cm))
+		blob, err = TracedGet(ctx, r.Store, r.Meta.columnKey(cm))
 	} else {
 		lo = cm.Blocks[0].Offset
-		blob, err = tallyGetRange(ctx, r.Store, r.Meta.columnKey(cm), lo, cm.Blocks[n-1].Offset+cm.Blocks[n-1].Length-lo)
+		blob, err = tracedGetRange(ctx, r.Store, r.Meta.columnKey(cm), lo, cm.Blocks[n-1].Offset+cm.Blocks[n-1].Length-lo)
 	}
 	if err != nil {
 		return nil, err
@@ -560,7 +560,7 @@ func (r *SegmentReader) ReadGranuleCtx(ctx context.Context, name string, block i
 		return nil, 0, fmt.Errorf("storage: granule %d out of range [0,%d) in column %q", block, len(cm.Blocks), name)
 	}
 	b := cm.Blocks[block]
-	blob, err := tallyGetRange(ctx, r.Store, r.Meta.columnKey(cm), b.Offset, b.Length)
+	blob, err := tracedGetRange(ctx, r.Store, r.Meta.columnKey(cm), b.Offset, b.Length)
 	if err == nil && int64(len(blob)) < b.Length {
 		err = fmt.Errorf("%w: column %q granule %d runs off its blob", ErrCorruptGranule, name, block)
 	}

@@ -63,8 +63,7 @@ func ParseMetric(name string) (Metric, error) {
 }
 
 // Distance computes the metric distance between a and b.
-// The slices must have equal length; this is the caller's invariant
-// and is only checked in debug builds via DistanceChecked.
+// The slices must have equal length; this is the caller's invariant.
 func Distance(m Metric, a, b []float32) float32 {
 	switch m {
 	case L2:
@@ -76,15 +75,6 @@ func Distance(m Metric, a, b []float32) float32 {
 	default:
 		panic("vec: invalid metric")
 	}
-}
-
-// DistanceChecked is Distance with an explicit dimension check,
-// returning an error instead of relying on the caller's invariant.
-func DistanceChecked(m Metric, a, b []float32) (float32, error) {
-	if len(a) != len(b) {
-		return 0, fmt.Errorf("vec: dimension mismatch %d != %d", len(a), len(b))
-	}
-	return Distance(m, a, b), nil
 }
 
 // L2Squared returns the squared Euclidean distance between a and b.
@@ -146,20 +136,6 @@ func cosine(dot, na, nb float32) float32 {
 		return 1
 	}
 	return 1 - dot/float32(math.Sqrt(float64(na)*float64(nb)))
-}
-
-// Normalize scales a in place to unit length. Zero vectors are left
-// unchanged. It returns the original norm.
-func Normalize(a []float32) float32 {
-	n := Norm(a)
-	if n == 0 {
-		return 0
-	}
-	inv := 1 / n
-	for i := range a {
-		a[i] *= inv
-	}
-	return n
 }
 
 // Add accumulates src into dst element-wise. Panics on length mismatch.

@@ -150,12 +150,6 @@ func TestDistanceMetricDispatch(t *testing.T) {
 	}
 }
 
-func TestDistanceCheckedMismatch(t *testing.T) {
-	if _, err := DistanceChecked(L2, []float32{1}, []float32{1, 2}); err == nil {
-		t.Fatal("want dimension mismatch error")
-	}
-}
-
 func TestParseMetric(t *testing.T) {
 	cases := map[string]Metric{
 		"L2Distance":     L2,
@@ -171,21 +165,6 @@ func TestParseMetric(t *testing.T) {
 	}
 	if _, err := ParseMetric("Hamming"); err == nil {
 		t.Error("want error for unknown metric")
-	}
-}
-
-func TestNormalize(t *testing.T) {
-	a := []float32{3, 4}
-	n := Normalize(a)
-	if n != 5 {
-		t.Fatalf("original norm = %v, want 5", n)
-	}
-	if !almostEqual(float64(Norm(a)), 1, 1e-6) {
-		t.Fatalf("normalized norm = %v, want 1", Norm(a))
-	}
-	zero := []float32{0, 0}
-	if Normalize(zero) != 0 {
-		t.Fatal("zero vector should report norm 0")
 	}
 }
 
