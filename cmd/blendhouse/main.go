@@ -46,6 +46,7 @@ import (
 	"blendhouse/internal/obs"
 	"blendhouse/internal/server"
 	"blendhouse/internal/storage"
+	"blendhouse/pkg/api"
 )
 
 func main() {
@@ -476,22 +477,14 @@ func (sess *session) runStatement(stmt string) error {
 	return nil
 }
 
-// classifyError prefixes engine taxonomy errors distinctly so a shell
-// user can tell a timeout from a cancel from a bad statement at a
+// classifyError prefixes an error with its failure class, the wire
+// code of the taxonomy's table in lower case ("timeout: ", "plan: ",
+// "unknown table: "; "internal: " for an error of no class), so a
+// shell user tells a timeout from a cancel from a bad statement at a
 // glance.
 func classifyError(err error) string {
-	switch {
-	case errors.Is(err, core.ErrTimeout):
-		return "timeout: " + err.Error()
-	case errors.Is(err, core.ErrCanceled):
-		return "canceled: " + err.Error()
-	case errors.Is(err, core.ErrUnknownTable):
-		return "unknown table: " + err.Error()
-	case errors.Is(err, core.ErrPlan):
-		return "plan error: " + err.Error()
-	default:
-		return "error: " + err.Error()
-	}
+	_, code := api.StatusFor(err)
+	return strings.ToLower(strings.ReplaceAll(code, "_", " ")) + ": " + err.Error()
 }
 
 func printResult(res *exec.Result) {

@@ -397,7 +397,7 @@ func TestPartialResultPolicy(t *testing.T) {
 	cl.shardSrvs[2].Kill()
 
 	_, err = cl.cli.Query(ctx, "SELECT id FROM items")
-	if !errors.Is(err, client.ErrUnavailable) {
+	if !errors.Is(err, api.ErrUnavailable) {
 		t.Fatalf("want ErrUnavailable fail-closed, got %v", err)
 	}
 
@@ -567,11 +567,73 @@ func TestBreakerProbeDeadlineIsNeutral(t *testing.T) {
 func TestUnknownTablePropagates(t *testing.T) {
 	cl := startCluster(t, 2, 1)
 	_, err := cl.cli.Query(context.Background(), "SELECT id FROM nope")
-	if !errors.Is(err, client.ErrUnknownTable) {
+	if !errors.Is(err, api.ErrUnknownTable) {
 		t.Fatalf("want ErrUnknownTable through the coordinator, got %v", err)
 	}
 	_, err = cl.cli.Query(context.Background(), "SELEKT broken")
-	if !errors.Is(err, client.ErrPlan) {
+	if !errors.Is(err, api.ErrPlan) {
 		t.Fatalf("want ErrPlan for parse failure, got %v", err)
+	}
+}
+
+// TestShedLegAnswersUnavailable: a shard that sheds its leg (429 SHED,
+// retryable) must reach the coordinator's client as 502 UNAVAILABLE,
+// not as SHED: the client would retry a SHED, and the coordinator may
+// already have run the other legs. The shed keeps its text but not its
+// class on the error chain. When another shard applied its INSERT leg,
+// the statement is partially applied: 500 INTERNAL, never retryable.
+func TestShedLegAnswersUnavailable(t *testing.T) {
+	shed := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		_, _ = io.Copy(io.Discard, r.Body)
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(http.StatusTooManyRequests)
+		_ = json.NewEncoder(w).Encode(api.ErrorBody{Error: api.WireError{
+			Code: api.CodeShed, Message: "wait queue full", Retryable: true}})
+	}))
+	defer shed.Close()
+	ok := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		_, _ = io.Copy(io.Discard, r.Body)
+		w.Header().Set("Content-Type", "application/json")
+		_ = json.NewEncoder(w).Encode(api.QueryResponse{Columns: []string{"status"}, Rows: [][]any{{"OK"}}, RowCount: 1})
+	}))
+	defer ok.Close()
+	co, err := New(Config{Shards: []string{shed.URL, ok.URL}, MaxRetries: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer co.Close()
+	srv, err := server.New(server.Config{Backend: co, Addr: "127.0.0.1:0", DrainTimeout: 2 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = srv.Drain() }()
+	cli, err := client.New(client.Config{BaseURL: "http://" + srv.Addr(), MaxRetries: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+
+	_, err = cli.Query(context.Background(), "SELECT id FROM t")
+	var apiErr *client.APIError
+	if !errors.As(err, &apiErr) || apiErr.StatusCode != http.StatusBadGateway || apiErr.Code != api.CodeUnavailable || apiErr.Retryable {
+		t.Fatalf("SELECT: want 502 UNAVAILABLE, not retryable, got %v", err)
+	}
+	if !errors.Is(err, api.ErrUnavailable) || errors.Is(err, api.ErrShed) {
+		t.Fatalf("SELECT: want ErrUnavailable and not ErrShed, got %v", err)
+	}
+	if !strings.Contains(apiErr.Message, "wait queue full") {
+		t.Fatalf("SELECT: message %q lost the shard's cause", apiErr.Message)
+	}
+
+	rows := make([]string, 20) // 20 keys land on both shards
+	for i := range rows {
+		rows[i] = fmt.Sprintf("(%d, 'x')", i)
+	}
+	_, err = cli.Exec(context.Background(), "INSERT INTO t VALUES "+strings.Join(rows, ", "))
+	if !errors.As(err, &apiErr) || apiErr.StatusCode != http.StatusInternalServerError || apiErr.Code != api.CodeInternal || apiErr.Retryable {
+		t.Fatalf("INSERT on one shard of two: want 500 INTERNAL, not retryable, got %v", err)
 	}
 }

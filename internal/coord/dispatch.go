@@ -14,7 +14,6 @@ import (
 	"blendhouse/internal/exec"
 	"blendhouse/internal/obs"
 	"blendhouse/internal/retry"
-	"blendhouse/internal/server"
 	"blendhouse/internal/sql"
 	"blendhouse/pkg/api"
 	"blendhouse/pkg/client"
@@ -30,8 +29,8 @@ var rr atomic.Uint64
 
 // Query implements server.Backend: parse the statement, route it
 // across the shard set, and return a merged result whose errors match
-// the core taxonomy (so server.StatusFor maps them exactly like a
-// single-engine node's).
+// the taxonomy of pkg/api (so the serving layer maps them exactly like
+// a single-engine node's).
 func (c *Coordinator) Query(ctx context.Context, src string, opts core.QueryOptions) (*exec.Result, error) {
 	if opts.Timeout > 0 {
 		var cancel context.CancelFunc
@@ -48,9 +47,9 @@ func (c *Coordinator) Query(ctx context.Context, src string, opts core.QueryOpti
 	st, err := sql.Parse(src)
 	if err != nil {
 		mStmtErrs.Inc()
-		return nil, planErr(err)
+		return nil, fmt.Errorf("coord: %w: %w", api.ErrPlan, err)
 	}
-	kind := stmtKind(st)
+	kind := sql.Kind(st)
 
 	ctx, tr := c.traces.StartStatement(ctx, "coordinate", kind, opts.QueueWait)
 	tr.Span().Set("role", "coordinator")
@@ -89,41 +88,15 @@ func (c *Coordinator) dispatch(ctx context.Context, st sql.Statement, src string
 	case *sql.ShowMetrics:
 		// The coordinator's own registry (bh.coord.* + bh.server.*):
 		// cluster-wide engine metrics live on the shards' endpoints.
-		return showMetrics(), nil
+		return core.ShowMetrics(), nil
 	case *sql.ShowTraces:
-		return showTraces(), nil
+		return core.ShowTraces(), nil
 	default:
 		// SHOW TABLES, DESCRIBE, EXPLAIN [ANALYZE], and anything the
 		// coordinator has no cluster semantics for: every shard holds
 		// the same catalog, so any one healthy shard can answer.
 		return c.forwardAny(ctx, src, opts)
 	}
-}
-
-// stmtKind mirrors the engine's statement classification for traces
-// and logs.
-func stmtKind(st sql.Statement) string {
-	switch st.(type) {
-	case *sql.Select:
-		return "select"
-	case *sql.Insert:
-		return "insert"
-	case *sql.Delete:
-		return "delete"
-	case *sql.CreateTable:
-		return "create_table"
-	case *sql.DropTable:
-		return "drop_table"
-	case *sql.ShowTables, *sql.ShowMetrics, *sql.ShowTraces:
-		return "show"
-	case *sql.Explain:
-		return "explain"
-	case *sql.Describe:
-		return "describe"
-	case *sql.Optimize:
-		return "optimize"
-	}
-	return "other"
 }
 
 // ---- shard legs -----------------------------------------------------
@@ -149,7 +122,7 @@ func (lr legResult) down() bool {
 // error — plan errors, unknown table, shed, timeout — came from a live
 // shard executing (or rejecting) the statement.
 func legDown(err error) bool {
-	if errors.Is(err, client.ErrTimeout) || errors.Is(err, client.ErrCanceled) {
+	if errors.Is(err, api.ErrTimeout) || errors.Is(err, api.ErrCanceled) {
 		return false // deadline/cancel is the statement's fault, not the shard's
 	}
 	var apiErr *client.APIError
@@ -240,60 +213,29 @@ func (c *Coordinator) runLegs(ctx context.Context, shards []*shard, stmts []stri
 
 // ---- error mapping --------------------------------------------------
 
-// planErr wraps a coordinator-side parse/validation failure so it maps
-// to 400 PLAN like the engine's.
-func planErr(err error) error {
-	return fmt.Errorf("coord: %w: %w", core.ErrPlan, err)
-}
-
-func planErrf(format string, args ...any) error {
-	return planErr(fmt.Errorf(format, args...))
-}
-
-// unavailable wraps a coverage-loss failure so the serving layer
-// answers 502 UNAVAILABLE.
-func unavailable(err error, format string, args ...any) error {
+// unavailable builds a coverage-loss failure (502 UNAVAILABLE). The
+// cause keeps its text but not its class: a DRAINING leg must not
+// turn the statement into a retryable 503.
+func unavailable(cause error, format string, args ...any) error {
 	msg := fmt.Sprintf(format, args...)
-	if err == nil {
-		return fmt.Errorf("coord: %s: %w", msg, server.ErrUnavailable)
+	if cause == nil {
+		return fmt.Errorf("coord: %s: %w", msg, api.ErrUnavailable)
 	}
-	return fmt.Errorf("coord: %s: %w: %w", msg, server.ErrUnavailable, err)
+	return fmt.Errorf("coord: %s: %w: %v", msg, api.ErrUnavailable, cause)
 }
 
-// mapLegErr translates a pkg/client error from a shard leg into the
-// core taxonomy, so the coordinator's serving layer answers with the
-// same status/code the shard did — a coordinator in front of the
-// cluster is transparent to error-classifying clients.
+// mapLegErr prefixes a live shard's rejection of a leg with the shard
+// name. The leg's error already carries its taxonomy class (pkg/client
+// reads it off the wire), so a coordinator in front of the cluster
+// answers with the status and code the shard did — except a shard
+// that shed or refused the leg: the coordinator may already have run
+// the other legs, so it answers 502 UNAVAILABLE, never a retryable
+// SHED or DRAINING.
 func mapLegErr(shardName string, err error) error {
-	var sentinel error
-	switch {
-	case errors.Is(err, client.ErrTimeout):
-		sentinel = core.ErrTimeout
-	case errors.Is(err, client.ErrCanceled):
-		sentinel = core.ErrCanceled
-	case errors.Is(err, client.ErrUnknownTable):
-		sentinel = core.ErrUnknownTable
-	case errors.Is(err, client.ErrPlan):
-		sentinel = core.ErrPlan
-	case errors.Is(err, client.ErrShed), errors.Is(err, client.ErrDraining),
-		errors.Is(err, client.ErrUnavailable):
-		sentinel = server.ErrUnavailable
-	default:
-		return fmt.Errorf("coord: shard %s: %w", shardName, err)
+	if errors.Is(err, api.ErrShed) || errors.Is(err, api.ErrDraining) || errors.Is(err, api.ErrUnavailable) {
+		return unavailable(err, "shard %s", shardName)
 	}
-	return fmt.Errorf("coord: shard %s: %w: %w", shardName, sentinel, err)
-}
-
-// wrapCtx maps the statement context's own expiry onto the core
-// taxonomy (mirrors the engine's wrapCtxErr).
-func wrapCtx(ctx context.Context, fallback error) error {
-	switch {
-	case errors.Is(ctx.Err(), context.DeadlineExceeded):
-		return fmt.Errorf("coord: %w: %w", core.ErrTimeout, ctx.Err())
-	case errors.Is(ctx.Err(), context.Canceled):
-		return fmt.Errorf("coord: %w: %w", core.ErrCanceled, ctx.Err())
-	}
-	return fallback
+	return fmt.Errorf("coord: shard %s: %w", shardName, err)
 }
 
 // ---- statement routing ----------------------------------------------
@@ -316,7 +258,7 @@ func (c *Coordinator) forwardAny(ctx context.Context, src string, opts core.Quer
 		}
 		lastDown = lr
 		if ctx.Err() != nil {
-			return nil, wrapCtx(ctx, mapLegErr(s.name, lr.err))
+			return nil, api.ContextErr(ctx.Err())
 		}
 	}
 	return nil, unavailable(lastDown.err, "no shard reachable (%d tried)", len(c.shards))
@@ -347,7 +289,7 @@ func (c *Coordinator) broadcast(ctx context.Context, src, okMsg string, opts cor
 	}
 	if okCount < len(legs) {
 		if ctx.Err() != nil {
-			return nil, wrapCtx(ctx, downLeg.err)
+			return nil, api.ContextErr(ctx.Err())
 		}
 		return nil, unavailable(downLeg.err, "DDL reached %d/%d shards", okCount, len(legs))
 	}
@@ -360,15 +302,15 @@ func (c *Coordinator) broadcast(ctx context.Context, src, okMsg string, opts cor
 // within each leg.
 func (c *Coordinator) scatterInsert(ctx context.Context, ins *sql.Insert, opts core.QueryOptions) (*exec.Result, error) {
 	if ins.Infile != "" {
-		return nil, planErrf("INSERT ... INFILE is not supported in coordinate mode (the file is local to the coordinator); use VALUES, or load shards directly")
+		return nil, fmt.Errorf("coord: %w: INSERT ... INFILE is not supported in coordinate mode (the file is local to the coordinator); use VALUES, or load shards directly", api.ErrPlan)
 	}
 	if len(ins.Rows) == 0 {
-		return nil, planErrf("INSERT with no rows")
+		return nil, fmt.Errorf("coord: %w: INSERT with no rows", api.ErrPlan)
 	}
 	perShard := make(map[string][][]any)
 	for _, row := range ins.Rows {
 		if len(row) == 0 {
-			return nil, planErrf("INSERT with an empty row")
+			return nil, fmt.Errorf("coord: %w: INSERT with an empty row", api.ErrPlan)
 		}
 		key := renderValue(row[0])
 		owners := c.ring.GetN(key, c.replicas)
@@ -401,7 +343,7 @@ func (c *Coordinator) scatterInsert(ctx context.Context, ins *sql.Insert, opts c
 // there) and runs one DELETE leg per owning shard.
 func (c *Coordinator) scatterDelete(ctx context.Context, del *sql.Delete, opts core.QueryOptions) (*exec.Result, error) {
 	if len(del.Keys) == 0 {
-		return nil, planErrf("DELETE with no keys")
+		return nil, fmt.Errorf("coord: %w: DELETE with no keys", api.ErrPlan)
 	}
 	perShard := make(map[string][]int64)
 	for _, k := range del.Keys {
@@ -468,18 +410,19 @@ func (c *Coordinator) dmlOutcome(ctx context.Context, legs []legResult, okMsg st
 		return nil, mapLegErr(aliveShard, aliveErr)
 	case okCount == 0:
 		if ctx.Err() != nil {
-			return nil, wrapCtx(ctx, downLeg.err)
+			return nil, api.ContextErr(ctx.Err())
 		}
 		return nil, unavailable(downLeg.err, "DML reached 0/%d shards", len(legs))
 	default:
 		// Mixed outcome: some shards applied the statement, some did
 		// not. Retrying could double-apply on the shards that succeeded,
-		// so this is a non-retryable internal failure; the client sees
-		// 500 INTERNAL and must reconcile.
+		// so this is a non-retryable internal failure whatever the legs
+		// answered (the first leg error keeps its text, not its class);
+		// the client sees 500 INTERNAL and must reconcile.
 		if ctx.Err() != nil {
-			return nil, wrapCtx(ctx, firstErr)
+			return nil, api.ContextErr(ctx.Err())
 		}
-		return nil, fmt.Errorf("coord: DML partially applied (%d/%d shard legs succeeded): %w",
+		return nil, fmt.Errorf("coord: DML partially applied (%d/%d shard legs succeeded): %v",
 			okCount, len(legs), firstErr)
 	}
 }
@@ -519,7 +462,7 @@ func (c *Coordinator) scatterSelect(ctx context.Context, sel *sql.Select, opts c
 	}
 	if len(results) == 0 {
 		if ctx.Err() != nil {
-			return nil, wrapCtx(ctx, downLeg.err)
+			return nil, api.ContextErr(ctx.Err())
 		}
 		return nil, unavailable(downLeg.err, "no shard answered (%d down)", downCount)
 	}
@@ -551,40 +494,4 @@ func clientResult(r *client.Result) *exec.Result {
 
 func statusResult(msg string) *exec.Result {
 	return &exec.Result{Columns: []string{"status"}, Rows: [][]any{{msg}}}
-}
-
-// showMetrics renders the coordinator's process registry, same shape
-// as the engine's SHOW METRICS.
-func showMetrics() *exec.Result {
-	res := &exec.Result{Columns: []string{"metric", "value"}}
-	for _, kv := range obs.Default().Snapshot() {
-		res.Rows = append(res.Rows, []any{kv.Key, kv.Value})
-	}
-	return res
-}
-
-// showTraces renders the coordinator's trace ring, same shape as the
-// engine's SHOW TRACES.
-func showTraces() *exec.Result {
-	res := &exec.Result{Columns: []string{"trace_id", "start", "duration_ms", "statement", "status", "slow", "query"}}
-	for _, r := range obs.Traces().Snapshot() {
-		status := "ok"
-		if r.Error != "" {
-			status = "error: " + r.Error
-		}
-		slow := ""
-		if r.Slow {
-			slow = "slow"
-		}
-		res.Rows = append(res.Rows, []any{
-			r.TraceID,
-			r.Start.Format(time.RFC3339Nano),
-			float64(r.Duration.Microseconds()) / 1000,
-			r.Statement,
-			status,
-			slow,
-			r.Query,
-		})
-	}
-	return res
 }

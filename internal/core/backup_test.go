@@ -9,6 +9,7 @@ import (
 
 	"blendhouse/internal/blobtier"
 	"blendhouse/internal/storage"
+	"blendhouse/pkg/api"
 )
 
 // destMap is a BackupConfig.OpenDest that resolves destination strings
@@ -86,7 +87,7 @@ func TestSQLBackupRestorePITR(t *testing.T) {
 	}
 
 	// Restoring over a live table is refused as a plan error.
-	if _, err := e2.Exec(context.Background(), "RESTORE TABLE images FROM 'bk1'"); !errors.Is(err, ErrPlan) {
+	if _, err := e2.Exec(context.Background(), "RESTORE TABLE images FROM 'bk1'"); !errors.Is(err, api.ErrPlan) {
 		t.Fatalf("restore over existing table: err = %v, want ErrPlan", err)
 	}
 	e1.Close()
@@ -109,7 +110,7 @@ func TestSQLBackupEncrypted(t *testing.T) {
 	}
 
 	e2 := newEngine(t, Config{Backup: BackupConfig{OpenDest: dests.open}})
-	if _, err := e2.Exec(context.Background(), "RESTORE TABLE images FROM 'vault' WITH KEY 'wrong'"); !errors.Is(err, ErrPlan) {
+	if _, err := e2.Exec(context.Background(), "RESTORE TABLE images FROM 'vault' WITH KEY 'wrong'"); !errors.Is(err, api.ErrPlan) {
 		t.Fatalf("wrong key: err = %v, want ErrPlan", err)
 	}
 	res := mustExec(t, e2, "RESTORE TABLE images FROM 'vault' WITH KEY 'open sesame'")
@@ -128,7 +129,7 @@ func TestSQLBackupEncrypted(t *testing.T) {
 // unknown-table error.
 func TestSQLBackupUnknownTable(t *testing.T) {
 	e := newEngine(t, Config{})
-	if _, err := e.Exec(context.Background(), "BACKUP TABLE nope TO 'x'"); !errors.Is(err, ErrUnknownTable) {
+	if _, err := e.Exec(context.Background(), "BACKUP TABLE nope TO 'x'"); !errors.Is(err, api.ErrUnknownTable) {
 		t.Fatalf("err = %v, want ErrUnknownTable", err)
 	}
 	e.Close()

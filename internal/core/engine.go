@@ -24,6 +24,7 @@ import (
 	"blendhouse/internal/sql"
 	"blendhouse/internal/storage"
 	"blendhouse/internal/vec"
+	"blendhouse/pkg/api"
 
 	// Register all pluggable index types with the virtual-index
 	// registry; the engine itself never names a concrete type.
@@ -45,52 +46,17 @@ var (
 
 var coreLog = obs.Logger("core")
 
-// stmtKinds are the statement classes with dedicated latency
-// histograms (bh.statement.latency.<kind>): per-type tail latency is
-// what separates "inserts are slow" from "selects are slow" on a
-// shared /metrics scrape.
-var stmtKinds = []string{
-	"select", "insert", "delete", "create_table", "drop_table",
-	"show", "explain", "describe", "optimize", "backup", "restore", "other",
-}
-
+// mStmtLatency holds the per-statement-class latency histograms
+// (bh.statement.latency.<kind>, one per sql.Kinds): per-type tail
+// latency is what separates "inserts are slow" from "selects are
+// slow" on a shared /metrics scrape.
 var mStmtLatency = func() map[string]*obs.Histogram {
-	m := make(map[string]*obs.Histogram, len(stmtKinds))
-	for _, k := range stmtKinds {
+	m := make(map[string]*obs.Histogram, len(sql.Kinds))
+	for _, k := range sql.Kinds {
 		m[k] = obs.Default().Histogram("bh.statement.latency." + k)
 	}
 	return m
 }()
-
-// stmtKind classifies a parsed statement for the per-type histograms
-// and the trace ring.
-func stmtKind(st sql.Statement) string {
-	switch st.(type) {
-	case *sql.Select:
-		return "select"
-	case *sql.Insert:
-		return "insert"
-	case *sql.Delete:
-		return "delete"
-	case *sql.CreateTable:
-		return "create_table"
-	case *sql.DropTable:
-		return "drop_table"
-	case *sql.ShowTables, *sql.ShowMetrics, *sql.ShowTraces:
-		return "show"
-	case *sql.Explain:
-		return "explain"
-	case *sql.Describe:
-		return "describe"
-	case *sql.Optimize:
-		return "optimize"
-	case *sql.Backup:
-		return "backup"
-	case *sql.Restore:
-		return "restore"
-	}
-	return "other"
-}
 
 // Config assembles an engine.
 type Config struct {
@@ -429,7 +395,7 @@ func (e *Engine) Exec(ctx context.Context, src string) (*exec.Result, error) {
 // Query is Exec with per-statement options (timeout, parallelism
 // override). A trace on ctx (obs.WithTrace) records the statement's
 // span tree and tallies. All statement errors are classified by the
-// taxonomy in errors.go.
+// failure taxonomy of pkg/api (errors.go).
 func (e *Engine) Query(ctx context.Context, src string, opts QueryOptions) (*exec.Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -440,13 +406,13 @@ func (e *Engine) Query(ctx context.Context, src string, opts QueryOptions) (*exe
 		defer cancel()
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, wrapCtxErr(err)
+		return nil, api.ContextErr(err)
 	}
 	st, err := sql.Parse(src)
 	if err != nil {
-		return nil, wrapCtxErr(planErr(err))
+		return nil, planErr(err)
 	}
-	kind := stmtKind(st)
+	kind := sql.Kind(st)
 
 	// An untraced statement (sample = 0 or not selected) carries no
 	// trace on ctx all the way down — the zero-allocation discipline.
@@ -456,7 +422,7 @@ func (e *Engine) Query(ctx context.Context, src string, opts QueryOptions) (*exe
 	es := tr.Span().Child("exec")
 	res, qerr := e.dispatch(ctx, st, opts)
 	es.End()
-	qerr = wrapCtxErr(qerr)
+	qerr = api.ContextErr(qerr)
 	dur := time.Since(start)
 	if h := mStmtLatency[kind]; h != nil {
 		h.Observe(dur)
@@ -503,9 +469,9 @@ func (e *Engine) dispatch(ctx context.Context, st sql.Statement, opts QueryOptio
 	case *sql.ShowTables:
 		return e.showTables(), nil
 	case *sql.ShowMetrics:
-		return e.showMetrics(), nil
+		return ShowMetrics(), nil
 	case *sql.ShowTraces:
-		return e.showTraces(), nil
+		return ShowTraces(), nil
 	case *sql.Explain:
 		return e.explain(ctx, s, opts)
 	case *sql.Describe:

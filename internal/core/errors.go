@@ -1,59 +1,22 @@
 package core
 
 import (
-	"context"
-	"errors"
 	"fmt"
+
+	"blendhouse/pkg/api"
 )
 
-// Engine error taxonomy. Every error returned from the public entry
-// points (Exec, Query) matches at most one of these sentinels under
-// errors.Is, so callers can branch on failure class without string
-// matching:
-//
-//	ErrCanceled     — the caller's context was canceled mid-query
-//	ErrTimeout      — the context deadline (or QueryOptions.Timeout) fired
-//	ErrUnknownTable — the statement references a table not in the catalog
-//	ErrPlan         — the statement failed to parse or plan
-//
-// The original cause stays in the chain (both the sentinel and the
-// cause are wrapped), so errors.Is(err, context.Canceled) keeps
-// working alongside errors.Is(err, ErrCanceled).
-var (
-	ErrCanceled     = errors.New("query canceled")
-	ErrTimeout      = errors.New("query timed out")
-	ErrUnknownTable = errors.New("unknown table")
-	ErrPlan         = errors.New("planning failed")
-)
-
-// Taxonomy returns every sentinel of the engine error taxonomy. It is
-// the single source of truth for layers that must handle each failure
-// class exhaustively (the HTTP status mapping in internal/server tests
-// itself against this list).
-func Taxonomy() []error {
-	return []error{ErrCanceled, ErrTimeout, ErrUnknownTable, ErrPlan}
-}
-
-// wrapCtxErr tags context cancellations/deadlines with the engine
-// taxonomy; every other error passes through unchanged.
-func wrapCtxErr(err error) error {
-	switch {
-	case err == nil:
-		return nil
-	case errors.Is(err, context.DeadlineExceeded):
-		return fmt.Errorf("core: %w (%w)", ErrTimeout, err)
-	case errors.Is(err, context.Canceled):
-		return fmt.Errorf("core: %w (%w)", ErrCanceled, err)
-	}
-	return err
-}
+// Every error returned from the public entry points (Exec, Query)
+// matches at most one sentinel of the failure taxonomy in pkg/api
+// under errors.Is: the context's expiry is tagged by api.ContextErr,
+// and the two classes the engine itself decides are built here.
 
 // unknownTableErr builds the taxonomy error for a missing table.
 func unknownTableErr(name string) error {
-	return fmt.Errorf("core: %w: %q does not exist", ErrUnknownTable, name)
+	return fmt.Errorf("core: %w: %q does not exist", api.ErrUnknownTable, name)
 }
 
 // planErr tags a parse/plan failure.
 func planErr(err error) error {
-	return fmt.Errorf("core: %w: %w", ErrPlan, err)
+	return fmt.Errorf("core: %w: %w", api.ErrPlan, err)
 }

@@ -11,6 +11,7 @@ import (
 	"blendhouse/internal/plan"
 	"blendhouse/internal/sql"
 	"blendhouse/internal/vec"
+	"blendhouse/pkg/api"
 )
 
 // A query vector whose length differs from the column's declared
@@ -27,7 +28,7 @@ func TestDimMismatchIsPlanError(t *testing.T) {
 		"SELECT id FROM images ORDER BY L2Distance(embedding, [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0]) LIMIT 5",
 	} {
 		_, err := e.Query(context.Background(), src, QueryOptions{})
-		if !errors.Is(err, ErrPlan) {
+		if !errors.Is(err, api.ErrPlan) {
 			t.Fatalf("%s: err = %v, want ErrPlan", src, err)
 		}
 		if !strings.Contains(err.Error(), "dim") {

@@ -12,6 +12,7 @@ import (
 
 	"blendhouse/internal/storage"
 	"blendhouse/internal/testutil"
+	"blendhouse/pkg/api"
 )
 
 // TestSequentialParallelEquivalence is the determinism contract of the
@@ -110,7 +111,7 @@ func TestQueryCancellation(t *testing.T) {
 	if err == nil {
 		t.Fatal("cancelled query returned nil error")
 	}
-	if !errors.Is(err, ErrCanceled) {
+	if !errors.Is(err, api.ErrCanceled) {
 		t.Fatalf("want ErrCanceled, got %v", err)
 	}
 	if !errors.Is(err, context.Canceled) {
@@ -130,7 +131,7 @@ func TestQueryCancellation(t *testing.T) {
 func TestQueryTimeout(t *testing.T) {
 	e, query := slowEngine(t, 10*time.Millisecond)
 	_, err := e.Query(context.Background(), query(), QueryOptions{Timeout: 5 * time.Millisecond})
-	if !errors.Is(err, ErrTimeout) {
+	if !errors.Is(err, api.ErrTimeout) {
 		t.Fatalf("want ErrTimeout, got %v", err)
 	}
 	if !errors.Is(err, context.DeadlineExceeded) {
@@ -145,15 +146,15 @@ func TestQueryTimeout(t *testing.T) {
 // TestErrorTaxonomy checks the remaining sentinel classes.
 func TestErrorTaxonomy(t *testing.T) {
 	e := newEngine(t, Config{})
-	if _, err := e.Exec(context.Background(), `SELECT id FROM nosuch LIMIT 1`); !errors.Is(err, ErrUnknownTable) {
+	if _, err := e.Exec(context.Background(), `SELECT id FROM nosuch LIMIT 1`); !errors.Is(err, api.ErrUnknownTable) {
 		t.Fatalf("want ErrUnknownTable, got %v", err)
 	}
-	if _, err := e.Exec(context.Background(), `SELEKT garbage`); !errors.Is(err, ErrPlan) {
+	if _, err := e.Exec(context.Background(), `SELEKT garbage`); !errors.Is(err, api.ErrPlan) {
 		t.Fatalf("want ErrPlan, got %v", err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := e.Exec(ctx, `SHOW TABLES`); !errors.Is(err, ErrCanceled) {
+	if _, err := e.Exec(ctx, `SHOW TABLES`); !errors.Is(err, api.ErrCanceled) {
 		t.Fatalf("pre-cancelled ctx: want ErrCanceled, got %v", err)
 	}
 }

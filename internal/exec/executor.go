@@ -73,8 +73,8 @@ type RunOptions struct {
 
 // ErrInvalidQuery tags execution-time validation failures that are the
 // statement's fault (unknown column in a predicate, type mismatch), as
-// opposed to engine faults. The core layer folds it into its ErrPlan
-// class so network servers answer 4xx, not 5xx.
+// opposed to engine faults. The core layer folds it into the
+// api.ErrPlan class so network servers answer 4xx, not 5xx.
 var ErrInvalidQuery = errors.New("exec: invalid query")
 
 // Result is a materialized query result.

@@ -64,15 +64,6 @@ func (t *TopK) Push(c Candidate) bool {
 	return true
 }
 
-// WouldAccept reports whether a candidate at dist could currently be
-// kept — lets scans skip heap operations (and exact re-ranks) early.
-// At dist == worst the answer is true: a candidate with a smaller ID
-// than the current worst still displaces it under the (Dist, ID)
-// order.
-func (t *TopK) WouldAccept(dist float32) bool {
-	return len(t.heap) < t.k || dist <= t.heap[0].Dist
-}
-
 // Worst returns the distance of the worst kept candidate, or +Inf-like
 // behaviour via ok=false when fewer than k candidates are held.
 func (t *TopK) Worst() (float32, bool) {

@@ -12,6 +12,9 @@ func TestTopKKeepsSmallest(t *testing.T) {
 	for _, d := range []float32{5, 1, 9, 3, 7, 2} {
 		tk.Push(Candidate{ID: int64(d * 10), Dist: d})
 	}
+	if w, ok := tk.Worst(); !ok || w != 3 {
+		t.Fatalf("Worst = %v, %v", w, ok)
+	}
 	res := tk.Results()
 	want := []float32{1, 2, 3}
 	if len(res) != 3 {
@@ -28,27 +31,12 @@ func TestTopKFewerThanK(t *testing.T) {
 	tk := NewTopK(10)
 	tk.Push(Candidate{1, 2.0})
 	tk.Push(Candidate{2, 1.0})
+	if _, ok := tk.Worst(); ok {
+		t.Fatal("Worst reports a bound with fewer than k held")
+	}
 	res := tk.Results()
 	if len(res) != 2 || res[0].ID != 2 {
 		t.Fatalf("res = %v", res)
-	}
-}
-
-func TestTopKWouldAccept(t *testing.T) {
-	tk := NewTopK(2)
-	if !tk.WouldAccept(100) {
-		t.Fatal("under-filled collector must accept anything")
-	}
-	tk.Push(Candidate{1, 1})
-	tk.Push(Candidate{2, 2})
-	if tk.WouldAccept(3) {
-		t.Fatal("3 should not beat worst=2")
-	}
-	if !tk.WouldAccept(1.5) {
-		t.Fatal("1.5 should beat worst=2")
-	}
-	if w, ok := tk.Worst(); !ok || w != 2 {
-		t.Fatalf("Worst = %v, %v", w, ok)
 	}
 }
 

@@ -2,13 +2,13 @@ package server
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"runtime"
 	"sync"
 	"time"
 
 	"blendhouse/internal/obs"
+	"blendhouse/pkg/api"
 )
 
 // Admission-control metrics. The gauges are levels (current in-flight
@@ -24,12 +24,6 @@ var (
 	mAdmQueueWait    = obs.Default().Histogram("bh.server.admission.queue_wait")
 	mAdmCtxAbandoned = obs.Default().Counter("bh.server.admission.ctx_abandoned")
 )
-
-// ErrShed is returned by Admission.Acquire when the statement cannot
-// be admitted without exceeding the bounded wait queue (or waited past
-// QueueTimeout). It maps to HTTP 429; clients should back off with
-// jitter and retry — the statement was never started.
-var ErrShed = errors.New("server: overloaded, request shed")
 
 // AdmissionConfig sizes the controller.
 type AdmissionConfig struct {
@@ -61,7 +55,7 @@ func (c AdmissionConfig) withDefaults() AdmissionConfig {
 
 // Admission is a semaphore with a bounded wait queue in front of the
 // engine. Acquire either admits (returning a release func), sheds
-// (ErrShed) when the queue is full or the wait times out, or fails
+// (api.ErrShed) when the queue is full or the wait times out, or fails
 // with the caller's context error.
 type Admission struct {
 	cfg   AdmissionConfig
@@ -87,7 +81,7 @@ func (a *Admission) QueueBound() int { return a.cfg.MaxQueue }
 // slots are busy. On success the returned release func MUST be called
 // exactly once when the statement finishes. Failure modes:
 //
-//	ErrShed       — queue full on arrival, or queued past QueueTimeout
+//	api.ErrShed       — queue full on arrival, or queued past QueueTimeout
 //	ctx.Err()     — the caller's context fired while queued (the
 //	                statement never started; surfaces as timeout/cancel)
 func (a *Admission) Acquire(ctx context.Context) (release func(), err error) {
@@ -127,7 +121,7 @@ func (a *Admission) AcquireTimed(ctx context.Context) (release func(), wait time
 	if a.queued >= a.cfg.MaxQueue {
 		a.mu.Unlock()
 		mAdmShedFull.Inc()
-		return nil, 0, fmt.Errorf("%w: wait queue full (%d queued, %d slots)", ErrShed, a.cfg.MaxQueue, a.cfg.MaxConcurrent)
+		return nil, 0, fmt.Errorf("%w: wait queue full (%d queued, %d slots)", api.ErrShed, a.cfg.MaxQueue, a.cfg.MaxConcurrent)
 	}
 	a.queued++
 	mAdmQueued.Inc()
@@ -161,7 +155,7 @@ func (a *Admission) AcquireTimed(ctx context.Context) (release func(), wait time
 		return a.admit(), wait, nil
 	case <-timeout:
 		mAdmShedTimeout.Inc()
-		return nil, time.Since(start), fmt.Errorf("%w: queued longer than %v", ErrShed, a.cfg.QueueTimeout)
+		return nil, time.Since(start), fmt.Errorf("%w: queued longer than %v", api.ErrShed, a.cfg.QueueTimeout)
 	case <-ctx.Done():
 		mAdmCtxAbandoned.Inc()
 		return nil, time.Since(start), ctx.Err()

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"blendhouse/internal/testutil"
+	"blendhouse/pkg/api"
 	"blendhouse/pkg/client"
 )
 
@@ -40,8 +41,8 @@ func TestAdmissionCapAndQueue(t *testing.T) {
 	waitFor(t, time.Second, func() bool { return a.Queued() == 1 })
 
 	// Queue is now full (MaxQueue=1): the fourth acquire sheds.
-	if _, err := a.Acquire(ctx); !errors.Is(err, ErrShed) {
-		t.Fatalf("want ErrShed with full queue, got %v", err)
+	if _, err := a.Acquire(ctx); !errors.Is(err, api.ErrShed) {
+		t.Fatalf("want api.ErrShed with full queue, got %v", err)
 	}
 
 	r1()
@@ -63,8 +64,8 @@ func TestAdmissionQueueTimeout(t *testing.T) {
 	}
 	defer release()
 	start := time.Now()
-	if _, err := a.Acquire(context.Background()); !errors.Is(err, ErrShed) {
-		t.Fatalf("want ErrShed after queue timeout, got %v", err)
+	if _, err := a.Acquire(context.Background()); !errors.Is(err, api.ErrShed) {
+		t.Fatalf("want api.ErrShed after queue timeout, got %v", err)
 	}
 	if e := time.Since(start); e > 2*time.Second {
 		t.Fatalf("queue-timeout shed took %v", e)
@@ -208,7 +209,7 @@ func TestServerShedsUnderSaturation(t *testing.T) {
 			switch {
 			case err == nil:
 				ok++
-			case errors.Is(err, client.ErrShed):
+			case errors.Is(err, api.ErrShed):
 				var apiErr *client.APIError
 				if errors.As(err, &apiErr) && apiErr.StatusCode != http.StatusTooManyRequests {
 					unexpected = err

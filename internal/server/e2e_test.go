@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"blendhouse/internal/core"
+	"blendhouse/pkg/api"
 	"blendhouse/pkg/client"
 )
 
@@ -83,8 +84,8 @@ func TestEndToEndClientTimeout(t *testing.T) {
 	start := time.Now()
 	_, err := c.Query(context.Background(), testQuery(), client.WithTimeout(30*time.Millisecond))
 	elapsed := time.Since(start)
-	if !errors.Is(err, client.ErrTimeout) {
-		t.Fatalf("want client.ErrTimeout, got %v", err)
+	if !errors.Is(err, api.ErrTimeout) {
+		t.Fatalf("want api.ErrTimeout, got %v", err)
 	}
 	// The deadline must cancel the engine's remote reads, not just the
 	// HTTP response: the full scan would take far longer than this.
@@ -109,8 +110,8 @@ func TestEndToEndContextCancel(t *testing.T) {
 	cancel()
 	select {
 	case err := <-done:
-		if !errors.Is(err, client.ErrCanceled) {
-			t.Fatalf("want client.ErrCanceled, got %v", err)
+		if !errors.Is(err, api.ErrCanceled) {
+			t.Fatalf("want api.ErrCanceled, got %v", err)
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("canceled query did not return within 5s")

@@ -16,6 +16,7 @@ import (
 	"blendhouse/internal/core"
 	"blendhouse/internal/plan"
 	"blendhouse/internal/storage"
+	"blendhouse/pkg/api"
 )
 
 // testdata/golden_bodies.json holds the /v1/query response bodies of
@@ -116,7 +117,7 @@ func postQuery(t testing.TB, h http.Handler, body string) string {
 // differ per request.
 func goldenBody(t testing.TB, h http.Handler, stmt string) string {
 	t.Helper()
-	body, _ := json.Marshal(QueryRequest{Query: stmt})
+	body, _ := json.Marshal(api.QueryRequest{Query: stmt})
 	return perRequestFields.ReplaceAllStringFunc(postQuery(t, h, string(body)), func(m string) string {
 		return m[:strings.IndexByte(m, ':')+1] + "0"
 	})

@@ -7,34 +7,6 @@ import (
 	"blendhouse/pkg/api"
 )
 
-// The wire DTOs live in pkg/api — the one place the JSON shapes are
-// declared, shared by this server, pkg/client and internal/coord. The
-// aliases below keep the server-side names that predate the shared
-// package working (they are the same types, not copies).
-type (
-	// QueryRequest is the POST body of /v1/query and /v1/exec.
-	QueryRequest = api.QueryRequest
-	// QueryResponse is the non-streaming (application/json) result.
-	QueryResponse = api.QueryResponse
-	// StreamHeader is the first NDJSON line of a streaming response.
-	StreamHeader = api.StreamHeader
-	// StreamTrailer is the last NDJSON line (row count, or the
-	// post-header error).
-	StreamTrailer = api.StreamTrailer
-	// WireError is the machine-readable error body (see status.go for
-	// the status mapping).
-	WireError = api.WireError
-	// ErrorBody wraps WireError as the top-level JSON error response.
-	ErrorBody = api.ErrorBody
-)
-
-// NDJSONContentType mirrors api.NDJSONContentType for server-side
-// callers.
-const NDJSONContentType = api.NDJSONContentType
-
-// TraceIDHeader mirrors api.TraceIDHeader for server-side callers.
-const TraceIDHeader = api.TraceIDHeader
-
 // writeJSON writes v with the given status as application/json.
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
@@ -43,14 +15,17 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = enc.Encode(v)
 }
 
-// writeError maps err and writes the standard error body. Sheds get a
-// Retry-After hint so well-behaved clients pace their backoff.
+// writeError maps err through the taxonomy's status table
+// (api.StatusFor) and writes the standard error body. A retryable
+// failure (SHED, DRAINING) gets a Retry-After hint so well-behaved
+// clients pace their backoff.
 func writeError(w http.ResponseWriter, err error, traceID string) {
-	status, code := StatusFor(err)
-	if code == CodeShed || code == CodeDraining {
+	status, code := api.StatusFor(err)
+	retryable := api.Retryable(code)
+	if retryable {
 		w.Header().Set("Retry-After", "1")
 	}
-	writeJSON(w, status, ErrorBody{Error: WireError{
-		Code: code, Message: err.Error(), Retryable: Retryable(code), TraceID: traceID,
+	writeJSON(w, status, api.ErrorBody{Error: api.WireError{
+		Code: code, Message: err.Error(), Retryable: retryable, TraceID: traceID,
 	}})
 }

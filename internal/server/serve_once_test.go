@@ -11,6 +11,7 @@ import (
 	"blendhouse/internal/core"
 	"blendhouse/internal/obs"
 	"blendhouse/internal/plan"
+	"blendhouse/pkg/api"
 )
 
 // TestServedSelectParsesOnce is the served twin of core's
@@ -28,7 +29,7 @@ func TestServedSelectParsesOnce(t *testing.T) {
 			t.Fatal(err)
 		}
 		h := s.Handler()
-		raw, _ := json.Marshal(QueryRequest{Query: goldenStatements()["sel50"]})
+		raw, _ := json.Marshal(api.QueryRequest{Query: goldenStatements()["sel50"]})
 		body := string(raw)
 		for i := 0; i < 3; i++ {
 			postQuery(t, h, body) // open indexes, fill the column cache and the pools
@@ -79,8 +80,8 @@ func TestRoutedSelectThatFailsToParseHoldsNoSlot(t *testing.T) {
 	rec := httptest.NewRecorder()
 	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/query",
 		strings.NewReader(`{"query":"SELECT id FROM items WHERE ("}`)))
-	if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), CodePlan) {
-		t.Fatalf("status %d body %s, want 400 %s", rec.Code, rec.Body.String(), CodePlan)
+	if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), api.CodePlan) {
+		t.Fatalf("status %d body %s, want 400 %s", rec.Code, rec.Body.String(), api.CodePlan)
 	}
 	if admitted.Value() != a0 || queries.Value() != q0 {
 		t.Fatalf("a SELECT that failed to parse was admitted (%d) or submitted (%d)",

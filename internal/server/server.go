@@ -9,8 +9,8 @@
 //	              queue wait, and propagates into Engine.Query
 //	execution   → core.Engine.Query (PR 2 context-first API)
 //	encoding    → application/json, or NDJSON streaming for large results
-//	errors      → the engine taxonomy mapped to distinct HTTP statuses
-//	              with machine-readable bodies (status.go)
+//	errors      → the failure taxonomy mapped to distinct HTTP statuses
+//	              with machine-readable bodies (pkg/api's status table)
 //
 // Graceful drain (Server.Drain, wired to SIGTERM in cmd/blendhouse)
 // stops accepting statements, answers new ones 503 DRAINING, and lets
@@ -20,7 +20,6 @@ package server
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net"
 	"net/http"
@@ -42,7 +41,7 @@ import (
 // way; only statement execution differs.
 type Backend interface {
 	// Query parses and executes one statement (core.Engine.Query's
-	// contract: errors match the core taxonomy sentinels).
+	// contract: errors match the sentinels of pkg/api's taxonomy).
 	Query(ctx context.Context, stmt string, opts core.QueryOptions) (*exec.Result, error)
 	// Info describes the node for GET /v1/info.
 	Info() api.NodeInfo
@@ -276,11 +275,11 @@ func (s *Server) statementHandler(route string) http.HandlerFunc {
 		// keeps it stable across retries) or mint one, echo it in the
 		// response header immediately, and carry it in the request
 		// context so every layer's logs and the span tree share it.
-		traceID := r.Header.Get(TraceIDHeader)
+		traceID := r.Header.Get(api.TraceIDHeader)
 		if !obs.ValidTraceID(traceID) {
 			traceID = obs.NewTraceID()
 		}
-		w.Header().Set(TraceIDHeader, traceID)
+		w.Header().Set(api.TraceIDHeader, traceID)
 		ctx := obs.WithTraceID(r.Context(), traceID)
 
 		status := http.StatusOK
@@ -306,41 +305,41 @@ func (s *Server) statementHandler(route string) http.HandlerFunc {
 		}()
 		fail := func(err error) {
 			mErrs.Inc()
-			status, code = StatusFor(err)
+			status, code = api.StatusFor(err)
 			writeError(w, err, traceID)
 		}
 		badRequest := func(httpStatus int, wireCode, msg string) {
 			mErrs.Inc()
 			status, code = httpStatus, wireCode
-			writeJSON(w, httpStatus, ErrorBody{Error: WireError{
+			writeJSON(w, httpStatus, api.ErrorBody{Error: api.WireError{
 				Code: wireCode, Message: msg, TraceID: traceID,
 			}})
 		}
 
 		if r.Method != http.MethodPost {
 			w.Header().Set("Allow", http.MethodPost)
-			badRequest(http.StatusMethodNotAllowed, CodeBadRequest, "use POST with a JSON body")
+			badRequest(http.StatusMethodNotAllowed, api.CodeBadRequest, "use POST with a JSON body")
 			return
 		}
 		if s.draining.Load() {
-			fail(ErrDraining)
+			fail(api.ErrDraining)
 			return
 		}
-		var req QueryRequest
+		var req api.QueryRequest
 		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody))
 		if err := dec.Decode(&req); err != nil {
-			badRequest(http.StatusBadRequest, CodeBadRequest, "bad request body: "+err.Error())
+			badRequest(http.StatusBadRequest, api.CodeBadRequest, "bad request body: "+err.Error())
 			return
 		}
 		if strings.TrimSpace(req.Query) == "" {
-			badRequest(http.StatusBadRequest, CodeBadRequest, `"query" must be a non-empty SQL statement`)
+			badRequest(http.StatusBadRequest, api.CodeBadRequest, `"query" must be a non-empty SQL statement`)
 			return
 		}
 		// Version gate: 0 (field omitted, every pre-versioned client)
 		// reads as version 1; anything newer than this build is refused
 		// loudly instead of silently dropping fields it can't know about.
 		if req.V > api.Version {
-			badRequest(http.StatusBadRequest, CodeBadRequest,
+			badRequest(http.StatusBadRequest, api.CodeBadRequest,
 				fmt.Sprintf("wire version %d not supported (this server speaks ≤ %d)", req.V, api.Version))
 			return
 		}
@@ -350,7 +349,7 @@ func (s *Server) statementHandler(route string) http.HandlerFunc {
 		sess := s.sessionFrom(r.Context())
 		if handled, msg, err := sess.HandleSet(req.Query); handled {
 			if err != nil {
-				badRequest(http.StatusBadRequest, CodeSession, err.Error())
+				badRequest(http.StatusBadRequest, api.CodeSession, err.Error())
 				return
 			}
 			rows = 1
@@ -388,7 +387,10 @@ func (s *Server) statementHandler(route string) http.HandlerFunc {
 			release, wait, err = s.adm.AcquireTimed(ctx)
 			queueWait = wait
 			if err != nil {
-				fail(queueErr(err))
+				// A deadline or cancel that fired while queued is the same
+				// class as one that fired mid-query: the statement just never
+				// got started.
+				fail(api.ContextErr(fmt.Errorf("server: queued for admission: %w", err)))
 				return
 			}
 		}
@@ -410,19 +412,6 @@ func (s *Server) statementHandler(route string) http.HandlerFunc {
 	}
 }
 
-// queueErr maps an admission failure onto the response taxonomy: a
-// deadline/cancel that fired while queued is the same class as one
-// that fired mid-query (the statement just never got started).
-func queueErr(err error) error {
-	switch {
-	case errors.Is(err, context.DeadlineExceeded):
-		return fmt.Errorf("server: %w (deadline fired while queued for admission)", core.ErrTimeout)
-	case errors.Is(err, context.Canceled):
-		return fmt.Errorf("server: %w (client went away while queued for admission)", core.ErrCanceled)
-	}
-	return err
-}
-
 // resultPayload is what writeResult encodes (the engine result, or a
 // synthesized status row).
 type resultPayload struct {
@@ -435,8 +424,8 @@ type resultPayload struct {
 // client asked for it (Accept: application/x-ndjson), one JSON object
 // otherwise.
 func (s *Server) writeResult(w http.ResponseWriter, r *http.Request, res *resultPayload, start time.Time, traceID string) {
-	if !strings.Contains(r.Header.Get("Accept"), NDJSONContentType) {
-		writeJSON(w, http.StatusOK, QueryResponse{
+	if !strings.Contains(r.Header.Get("Accept"), api.NDJSONContentType) {
+		writeJSON(w, http.StatusOK, api.QueryResponse{
 			Columns:   res.Columns,
 			Rows:      res.Rows,
 			RowCount:  len(res.Rows),
@@ -446,11 +435,11 @@ func (s *Server) writeResult(w http.ResponseWriter, r *http.Request, res *result
 		})
 		return
 	}
-	w.Header().Set("Content-Type", NDJSONContentType)
+	w.Header().Set("Content-Type", api.NDJSONContentType)
 	w.WriteHeader(http.StatusOK)
 	enc := json.NewEncoder(w)
 	fl, _ := w.(http.Flusher)
-	if err := enc.Encode(StreamHeader{Columns: res.Columns, TraceID: traceID}); err != nil {
+	if err := enc.Encode(api.StreamHeader{Columns: res.Columns, TraceID: traceID}); err != nil {
 		return
 	}
 	for i, row := range res.Rows {
@@ -461,7 +450,7 @@ func (s *Server) writeResult(w http.ResponseWriter, r *http.Request, res *result
 			fl.Flush()
 		}
 	}
-	_ = enc.Encode(StreamTrailer{
+	_ = enc.Encode(api.StreamTrailer{
 		Done:      true,
 		RowCount:  len(res.Rows),
 		ElapsedMS: float64(time.Since(start).Microseconds()) / 1000,

@@ -15,6 +15,7 @@ import (
 	"blendhouse/internal/core"
 	"blendhouse/internal/storage"
 	"blendhouse/internal/testutil"
+	"blendhouse/pkg/api"
 	"blendhouse/pkg/client"
 )
 
@@ -158,15 +159,15 @@ func TestErrorMappingOverWire(t *testing.T) {
 	ctx := context.Background()
 
 	_, err := c.Query(ctx, "SELECT id FROM no_such_table LIMIT 1")
-	assertAPIErr(t, err, http.StatusNotFound, client.ErrUnknownTable)
+	assertAPIErr(t, err, http.StatusNotFound, api.ErrUnknownTable)
 
 	_, err = c.Query(ctx, "SELEC nonsense")
-	assertAPIErr(t, err, http.StatusBadRequest, client.ErrPlan)
+	assertAPIErr(t, err, http.StatusBadRequest, api.ErrPlan)
 
 	// Execution-time validation (unknown predicate column) folds into
 	// the plan class → 400, not 500.
 	_, err = c.Query(ctx, `SELECT id FROM items WHERE nope = 'x' ORDER BY L2Distance(embedding, `+vecLit(make([]float32, tDim))+`) AS dist LIMIT 1`)
-	assertAPIErr(t, err, http.StatusBadRequest, client.ErrPlan)
+	assertAPIErr(t, err, http.StatusBadRequest, api.ErrPlan)
 }
 
 func assertAPIErr(t testing.TB, err error, wantStatus int, wantSentinel error) {
@@ -206,13 +207,13 @@ func TestSessionSetOverConnection(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, err = c.Query(ctx, testQuery())
-	if !errors.Is(err, client.ErrTimeout) {
+	if !errors.Is(err, api.ErrTimeout) {
 		t.Fatalf("want ErrTimeout from session statement_timeout, got %v", err)
 	}
 
 	// Unknown variables are rejected without touching the engine.
 	err = c.Set(ctx, "bogus_var", "1")
-	assertAPIErr(t, err, http.StatusBadRequest, client.ErrPlan)
+	assertAPIErr(t, err, http.StatusBadRequest, api.ErrPlan)
 
 	// Disabling the timeout on the same connection unblocks it.
 	if err := c.Set(ctx, "statement_timeout", "0"); err != nil {
@@ -355,10 +356,10 @@ func TestBadRequests(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var eb ErrorBody
+		var eb api.ErrorBody
 		_ = json.NewDecoder(resp.Body).Decode(&eb)
 		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest || eb.Error.Code != CodeBadRequest {
+		if resp.StatusCode != http.StatusBadRequest || eb.Error.Code != api.CodeBadRequest {
 			t.Fatalf("body %q → %d %q, want 400 BAD_REQUEST", body, resp.StatusCode, eb.Error.Code)
 		}
 	}
@@ -376,10 +377,10 @@ func TestDimMismatchMapsToPlanError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var eb ErrorBody
+	var eb api.ErrorBody
 	_ = json.NewDecoder(resp.Body).Decode(&eb)
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest || eb.Error.Code != CodePlan {
+	if resp.StatusCode != http.StatusBadRequest || eb.Error.Code != api.CodePlan {
 		t.Fatalf("dim mismatch → %d %q, want 400 PLAN (%s)", resp.StatusCode, eb.Error.Code, eb.Error.Message)
 	}
 	if !strings.Contains(eb.Error.Message, "dim") {

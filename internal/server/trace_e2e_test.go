@@ -17,6 +17,7 @@ import (
 	"blendhouse/internal/core"
 	"blendhouse/internal/obs"
 	"blendhouse/internal/storage"
+	"blendhouse/pkg/api"
 	"blendhouse/pkg/client"
 )
 
@@ -250,7 +251,7 @@ func TestServerMintsTraceID(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	hdr := resp.Header.Get(TraceIDHeader)
+	hdr := resp.Header.Get(api.TraceIDHeader)
 	if hdr == "" {
 		t.Fatal("server did not mint a trace ID header")
 	}

@@ -8,6 +8,42 @@ import (
 // Statement is any parsed SQL statement.
 type Statement interface{ stmt() }
 
+// Kinds lists every statement class Kind returns.
+var Kinds = []string{
+	"select", "insert", "delete", "create_table", "drop_table",
+	"show", "explain", "describe", "optimize", "backup", "restore", "other",
+}
+
+// Kind classifies a statement for the per-type latency histograms,
+// the trace ring and the logs of the engine and the coordinator.
+func Kind(st Statement) string {
+	switch st.(type) {
+	case *Select:
+		return "select"
+	case *Insert:
+		return "insert"
+	case *Delete:
+		return "delete"
+	case *CreateTable:
+		return "create_table"
+	case *DropTable:
+		return "drop_table"
+	case *ShowTables, *ShowMetrics, *ShowTraces:
+		return "show"
+	case *Explain:
+		return "explain"
+	case *Describe:
+		return "describe"
+	case *Optimize:
+		return "optimize"
+	case *Backup:
+		return "backup"
+	case *Restore:
+		return "restore"
+	}
+	return "other"
+}
+
 // CreateTable mirrors the dialect of paper Example 1.
 type CreateTable struct {
 	Name    string

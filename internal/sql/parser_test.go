@@ -1,6 +1,7 @@
 package sql
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
@@ -398,5 +399,37 @@ func TestLeadsWith(t *testing.T) {
 	src := benchSelect(128)
 	if allocs := testing.AllocsPerRun(50, func() { LeadsWith(src, "SELECT") }); allocs != 0 {
 		t.Fatalf("LeadsWith allocated %.0f times, want 0", allocs)
+	}
+}
+
+// TestKind pins the statement class of each statement type and that
+// every class Kind returns is listed in Kinds (the engine keys its
+// per-class latency histograms by it).
+func TestKind(t *testing.T) {
+	for src, want := range map[string]string{
+		`SELECT id FROM t LIMIT 1`:               "select",
+		`INSERT INTO t VALUES (1, 'a')`:          "insert",
+		`DELETE FROM t WHERE id IN (1)`:          "delete",
+		`CREATE TABLE t (id UInt64) ORDER BY id`: "create_table",
+		`DROP TABLE t`:                           "drop_table",
+		`SHOW TABLES`:                            "show",
+		`SHOW METRICS`:                           "show",
+		`SHOW TRACES`:                            "show",
+		`EXPLAIN SELECT id FROM t LIMIT 1`:       "explain",
+		`DESCRIBE t`:                             "describe",
+		`OPTIMIZE TABLE t`:                       "optimize",
+		`BACKUP TABLE t TO 'x'`:                  "backup",
+		`RESTORE TABLE t FROM 'x'`:               "restore",
+	} {
+		got := Kind(mustParse(t, src))
+		if got != want {
+			t.Errorf("Kind(%s) = %s, want %s", src, got, want)
+		}
+		if !slices.Contains(Kinds, got) {
+			t.Errorf("Kind(%s) = %s is not in Kinds", src, got)
+		}
+	}
+	if !slices.Contains(Kinds, Kind(nil)) {
+		t.Errorf("the fallback class %q is not in Kinds", Kind(nil))
 	}
 }

@@ -1,11 +1,12 @@
 // Package api is the single source of truth for BlendHouse's wire
 // protocol: the typed request/response/error DTOs exchanged by
 // internal/server (the shard/query server), pkg/client (the Go
-// client) and internal/coord (the scatter-gather coordinator). Before
-// this package each side mirrored the JSON shapes by hand; now every
-// participant imports the same structs, so a field added here shows
-// up on both ends of the wire — and in the coordinator's shard RPC —
-// at compile time.
+// client) and internal/coord (the scatter-gather coordinator), and
+// the failure taxonomy (errors.go) that the engine, those three and
+// the shell share. Every participant imports the same structs and
+// sentinels, so a field or failure class added here shows up on both
+// ends of the wire — and in the coordinator's shard RPC — at compile
+// time.
 //
 // The package deliberately depends only on the standard library so
 // pkg/client (which promises a stdlib-only dependency closure to
@@ -85,8 +86,8 @@ type StreamTrailer struct {
 }
 
 // WireError is the machine-readable error body. Code is one of the
-// Code* constants below; clients branch on it (or on the HTTP status)
-// instead of parsing messages.
+// Code* constants (errors.go); clients branch on it (or on the HTTP
+// status) instead of parsing messages.
 type WireError struct {
 	Code    string `json:"code"`
 	Message string `json:"message"`
@@ -100,32 +101,6 @@ type WireError struct {
 // ErrorBody wraps WireError as the top-level JSON error response.
 type ErrorBody struct {
 	Error WireError `json:"error"`
-}
-
-// Machine-readable error codes carried in WireError.Code. The HTTP
-// status mapping lives server-side (internal/server.StatusFor); the
-// vocabulary lives here because every wire participant needs it.
-const (
-	CodeTimeout      = "TIMEOUT"
-	CodeCanceled     = "CANCELED"
-	CodeUnknownTable = "UNKNOWN_TABLE"
-	CodePlan         = "PLAN"
-	CodeShed         = "SHED"
-	CodeDraining     = "DRAINING"
-	CodeBadRequest   = "BAD_REQUEST"
-	CodeSession      = "SESSION"
-	CodeInternal     = "INTERNAL"
-	// CodeUnavailable is the coordinator's "coverage lost" failure:
-	// enough shards are unreachable that the result would silently
-	// miss rows, and the session did not opt into partial results.
-	CodeUnavailable = "UNAVAILABLE"
-)
-
-// Retryable reports whether an error code promises the statement was
-// never executed, making a retry safe even for DML. This is the
-// server-side contract pkg/client's retry policy leans on.
-func Retryable(code string) bool {
-	return code == CodeShed || code == CodeDraining
 }
 
 // Node roles reported by /v1/info.

@@ -9,9 +9,10 @@
 //     but only on failures the server promises never executed the
 //     statement (429 SHED, 503 DRAINING) or where the request never
 //     reached it (dial errors) — safe even for INSERT/DELETE;
-//   - typed errors mirroring the engine taxonomy (errors.go), so
-//     remote callers branch on errors.Is(err, client.ErrTimeout)
-//     exactly like in-process callers do on core.ErrTimeout;
+//   - typed errors: every failure matches a sentinel of the one
+//     taxonomy in pkg/api, so remote callers branch on
+//     errors.Is(err, api.ErrTimeout) exactly like in-process callers
+//     of the engine do;
 //   - NDJSON streaming (QueryStream) for results too large to
 //     materialize a JSON body for.
 //
@@ -120,9 +121,6 @@ func New(cfg Config) (*Client, error) {
 // assembled from a subset of shards under SET allow_partial = on.
 type Result = api.QueryResponse
 
-// traceIDHeader is the shared wire header name.
-const traceIDHeader = api.TraceIDHeader
-
 // Query executes one statement and materializes the result.
 func (c *Client) Query(ctx context.Context, query string, opts ...Option) (*Result, error) {
 	return c.roundTrip(ctx, "/v1/query", query, resolve(opts), "")
@@ -195,13 +193,13 @@ func (c *Client) doRetry(ctx context.Context, route, query string, opts Options,
 	for attempt := 0; attempt <= c.cfg.MaxRetries; attempt++ {
 		if attempt > 0 {
 			if err := c.backoff(ctx, attempt); err != nil {
-				return nil, traceID, withTraceID(wrapCtxErr(err), traceID)
+				return nil, traceID, withTraceID(api.ContextErr(err), traceID)
 			}
 		}
 		resp, err := c.post(ctx, route, body, accept, traceID)
 		if err != nil {
 			if ctx.Err() != nil {
-				return nil, traceID, withTraceID(wrapCtxErr(ctx.Err()), traceID)
+				return nil, traceID, withTraceID(api.ContextErr(ctx.Err()), traceID)
 			}
 			if !dialFailure(err) {
 				return nil, traceID, withTraceID(fmt.Errorf("client: %w", err), traceID)
@@ -239,7 +237,7 @@ func (c *Client) post(ctx context.Context, route string, body []byte, accept, tr
 		return nil, err
 	}
 	hreq.Header.Set("Content-Type", "application/json")
-	hreq.Header.Set(traceIDHeader, traceID)
+	hreq.Header.Set(api.TraceIDHeader, traceID)
 	if accept != "" {
 		hreq.Header.Set("Accept", accept)
 	}
@@ -250,18 +248,6 @@ func (c *Client) post(ctx context.Context, route string, body []byte, accept, tr
 // or returns early with the context's error.
 func (c *Client) backoff(ctx context.Context, attempt int) error {
 	return retry.Sleep(ctx, retry.Backoff(c.cfg.RetryBase, c.cfg.RetryMax, attempt-1, rand.Float64()))
-}
-
-// wrapCtxErr maps the caller's context errors onto the client
-// taxonomy.
-func wrapCtxErr(err error) error {
-	switch {
-	case errors.Is(err, context.DeadlineExceeded):
-		return fmt.Errorf("%w: %w", ErrTimeout, err)
-	case errors.Is(err, context.Canceled):
-		return fmt.Errorf("%w: %w", ErrCanceled, err)
-	}
-	return err
 }
 
 // dialFailure reports whether the request never reached the server
@@ -283,12 +269,12 @@ func decodeAPIError(resp *http.Response) *APIError {
 			StatusCode: resp.StatusCode,
 			Code:       api.CodeInternal,
 			Message:    strings.TrimSpace(string(data)),
-			TraceID:    resp.Header.Get(traceIDHeader),
+			TraceID:    resp.Header.Get(api.TraceIDHeader),
 		}
 	}
 	traceID := eb.Error.TraceID
 	if traceID == "" {
-		traceID = resp.Header.Get(traceIDHeader)
+		traceID = resp.Header.Get(api.TraceIDHeader)
 	}
 	return &APIError{
 		StatusCode: resp.StatusCode,

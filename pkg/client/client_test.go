@@ -77,7 +77,7 @@ func TestRetriesExhaustSurfaceShed(t *testing.T) {
 	srv, calls := fakeServer(t, shedResponse)
 	c := newTestClient(t, srv.URL, 2)
 	_, err := c.Query(context.Background(), "SELECT 1")
-	if !errors.Is(err, ErrShed) {
+	if !errors.Is(err, api.ErrShed) {
 		t.Fatalf("want ErrShed after exhausting retries, got %v", err)
 	}
 	var apiErr *APIError
@@ -100,9 +100,9 @@ func TestNoRetryOnNonRetryable(t *testing.T) {
 		sentinel error
 	}{
 		{"internal", http.StatusInternalServerError, "INTERNAL", nil},
-		{"plan", http.StatusBadRequest, "PLAN", ErrPlan},
-		{"timeout", http.StatusGatewayTimeout, "TIMEOUT", ErrTimeout},
-		{"unknown_table", http.StatusNotFound, "UNKNOWN_TABLE", ErrUnknownTable},
+		{"plan", http.StatusBadRequest, "PLAN", api.ErrPlan},
+		{"timeout", http.StatusGatewayTimeout, "TIMEOUT", api.ErrTimeout},
+		{"unknown_table", http.StatusNotFound, "UNKNOWN_TABLE", api.ErrUnknownTable},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			srv, calls := fakeServer(t, func(w http.ResponseWriter) {
@@ -152,7 +152,7 @@ func TestContextDeadlineMapsToTimeout(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
 	_, err := c.Query(ctx, "SELECT 1")
-	if !errors.Is(err, ErrTimeout) {
+	if !errors.Is(err, api.ErrTimeout) {
 		t.Fatalf("want ErrTimeout from ctx deadline, got %v", err)
 	}
 }
@@ -218,21 +218,22 @@ func TestBackoffRespectsContext(t *testing.T) {
 
 func TestAPIErrorUnwrapTable(t *testing.T) {
 	for code, want := range map[string]error{
-		"TIMEOUT":       ErrTimeout,
-		"CANCELED":      ErrCanceled,
-		"UNKNOWN_TABLE": ErrUnknownTable,
-		"PLAN":          ErrPlan,
-		"BAD_REQUEST":   ErrPlan,
-		"SESSION":       ErrPlan,
-		"SHED":          ErrShed,
-		"DRAINING":      ErrDraining,
+		"TIMEOUT":       api.ErrTimeout,
+		"CANCELED":      api.ErrCanceled,
+		"UNKNOWN_TABLE": api.ErrUnknownTable,
+		"PLAN":          api.ErrPlan,
+		"BAD_REQUEST":   api.ErrPlan,
+		"SESSION":       api.ErrPlan,
+		"SHED":          api.ErrShed,
+		"DRAINING":      api.ErrDraining,
+		"UNAVAILABLE":   api.ErrUnavailable,
 	} {
 		err := &APIError{StatusCode: 400, Code: code, Message: "m"}
 		if !errors.Is(err, want) {
 			t.Errorf("code %s does not unwrap to %v", code, want)
 		}
 	}
-	if err := (&APIError{Code: "INTERNAL"}); errors.Is(err, ErrPlan) || errors.Is(err, ErrShed) {
+	if err := (&APIError{Code: "INTERNAL"}); errors.Is(err, api.ErrPlan) || errors.Is(err, api.ErrShed) {
 		t.Error("INTERNAL must not unwrap to a taxonomy sentinel")
 	}
 }

@@ -7,34 +7,14 @@ import (
 	"blendhouse/pkg/api"
 )
 
-// Client-side error taxonomy, mirroring the engine taxonomy of PR 2
-// plus the two serving-layer classes. Every error returned by Query /
-// Exec / QueryStream matches at most one sentinel under errors.Is, so
-// callers branch on failure class without string matching:
-//
-//	ErrTimeout      — the statement deadline fired (server 504 TIMEOUT,
-//	                  or the client-side context deadline)
-//	ErrCanceled     — the caller's context was canceled (or server 499)
-//	ErrUnknownTable — 404 UNKNOWN_TABLE
-//	ErrPlan         — 400 PLAN: the statement failed to parse/plan
-//	ErrShed         — 429 SHED: admission queue full; retried
-//	                  automatically, surfaced only once retries exhaust
-//	ErrDraining     — 503 DRAINING: server shutting down; also retried
-//	ErrUnavailable  — 502 UNAVAILABLE: a coordinator lost shard
-//	                  coverage and the session didn't allow partials
-var (
-	ErrTimeout      = errors.New("client: query timed out")
-	ErrCanceled     = errors.New("client: query canceled")
-	ErrUnknownTable = errors.New("client: unknown table")
-	ErrPlan         = errors.New("client: planning failed")
-	ErrShed         = errors.New("client: request shed by admission control")
-	ErrDraining     = errors.New("client: server draining")
-	ErrUnavailable  = errors.New("client: shards unavailable")
-)
-
 // APIError is a structured server error response. Unwrap yields the
-// matching taxonomy sentinel, so errors.Is(err, client.ErrPlan) and
-// errors.As(err, *APIError) both work on the same value.
+// sentinel of the failure taxonomy in pkg/api that its code stands
+// for, so errors.Is(err, api.ErrPlan) and errors.As(err, *APIError)
+// both work on the same value. Every other error returned by Query /
+// Exec / QueryStream matches a sentinel too where it has a class: the
+// caller's context deadline is api.ErrTimeout, its cancellation
+// api.ErrCanceled. SHED and DRAINING are retried automatically and
+// surface only once retries exhaust.
 type APIError struct {
 	// StatusCode is the HTTP status the server answered with.
 	StatusCode int
@@ -56,26 +36,8 @@ func (e *APIError) Error() string {
 	return fmt.Sprintf("client: server %d %s: %s", e.StatusCode, e.Code, e.Message)
 }
 
-// Unwrap maps the wire code onto the client taxonomy.
-func (e *APIError) Unwrap() error {
-	switch e.Code {
-	case api.CodeTimeout:
-		return ErrTimeout
-	case api.CodeCanceled:
-		return ErrCanceled
-	case api.CodeUnknownTable:
-		return ErrUnknownTable
-	case api.CodePlan, api.CodeBadRequest, api.CodeSession:
-		return ErrPlan
-	case api.CodeShed:
-		return ErrShed
-	case api.CodeDraining:
-		return ErrDraining
-	case api.CodeUnavailable:
-		return ErrUnavailable
-	}
-	return nil
-}
+// Unwrap maps the wire code onto the taxonomy (api.ErrorFor).
+func (e *APIError) Unwrap() error { return api.ErrorFor(e.Code) }
 
 // tracedError wraps a failure that is not an *APIError (context
 // expiry, dial failure, retry exhaustion) with the statement's trace

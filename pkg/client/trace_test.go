@@ -106,8 +106,8 @@ func TestTraceIDOnErrors(t *testing.T) {
 		})
 		c := newTestClient(t, srv.URL, 0)
 		_, err := c.Query(context.Background(), "SELEC 1")
-		if !errors.Is(err, ErrPlan) {
-			t.Fatalf("want ErrPlan, got %v", err)
+		if !errors.Is(err, api.ErrPlan) {
+			t.Fatalf("want api.ErrPlan, got %v", err)
 		}
 		if got := TraceID(err); got != "server-echoed-id" {
 			t.Fatalf("TraceID(err) = %q, want server-echoed-id", got)
@@ -117,8 +117,8 @@ func TestTraceIDOnErrors(t *testing.T) {
 		srv, headers := traceRecorder(t, shedResponse)
 		c := newTestClient(t, srv.URL, 1)
 		_, err := c.Query(context.Background(), "SELECT 1")
-		if !errors.Is(err, ErrShed) {
-			t.Fatalf("want ErrShed, got %v", err)
+		if !errors.Is(err, api.ErrShed) {
+			t.Fatalf("want api.ErrShed, got %v", err)
 		}
 		seen := headers()
 		if got := TraceID(err); got == "" || got != seen[0] {
