@@ -121,7 +121,7 @@ type engineFlags struct {
 	dataDir, debugAddr, logLevel, logFormat                 string
 	timeout, flushInterval, backoff, slowQuery, batchWindow time.Duration
 	maxPar, flushRows, retries, traceSample, batchGroup     int
-	wal, chaos, batch, batchAdaptive                        bool
+	chaos, batch, batchAdaptive                             bool
 	store                                                   *storeFlags
 }
 
@@ -139,7 +139,6 @@ func registerEngineFlags(fs *flag.FlagSet, serve bool) *engineFlags {
 	fs.StringVar(&ef.debugAddr, "debug-addr", "", "serve /metrics, /vars and pprof on this address (e.g. localhost:6060)")
 	fs.DurationVar(&ef.timeout, "timeout", 0, "per-statement timeout (0 = none); sessions adjust it with SET statement_timeout = <ms>")
 	fs.IntVar(&ef.maxPar, "max-parallelism", 0, "per-query segment fan-out (0 = GOMAXPROCS)")
-	fs.BoolVar(&ef.wal, "wal", true, "real-time write path: group-committed WAL + searchable memtable (off = cut segments synchronously per INSERT)")
 	fs.IntVar(&ef.flushRows, "flush-rows", 0, "seal and flush the memtable after this many rows (0 = default)")
 	fs.DurationVar(&ef.flushInterval, "flush-interval", 0, "background flush period for partial memtables (0 = default)")
 	fs.IntVar(&ef.retries, "store-retries", 4, "attempts per storage operation for transient errors (1 = no retries, 0 = disable the fault-tolerance layer)")
@@ -160,8 +159,8 @@ func registerEngineFlags(fs *flag.FlagSet, serve bool) *engineFlags {
 // filesystem store, with the storage fault-tolerance layer (and
 // optionally chaos injection) between the engine and the disk, and —
 // when the tier flags are set — the tiered blob cache outermost.
-// -wal off cuts segments synchronously, -store-retries 0 drops the
-// retry layer, and -batch off the batching scheduler.
+// -store-retries 0 drops the retry layer, and -batch off the batching
+// scheduler.
 func (ef *engineFlags) openEngine() (*core.Engine, error) {
 	store, err := ef.store.openDataStore(ef.dataDir)
 	if err != nil {
@@ -179,15 +178,13 @@ func (ef *engineFlags) openEngine() (*core.Engine, error) {
 		SlowQuery:        ef.slowQuery,
 		Tier:             ef.store.tierConfig(ef.dataDir),
 		Backup:           core.BackupConfig{Key: ef.store.backupKey},
-	}
-	if ef.wal {
-		cfg.WAL = &lsm.WALConfig{
+		WAL: &lsm.WALConfig{
 			MaxMemRows:    ef.flushRows,
 			FlushInterval: ef.flushInterval,
 			OnError: func(err error) {
 				fmt.Fprintln(os.Stderr, "wal flush:", err)
 			},
-		}
+		},
 	}
 	if ef.retries > 0 {
 		cfg.Retry = &storage.RetryConfig{MaxAttempts: ef.retries, BaseBackoff: ef.backoff}

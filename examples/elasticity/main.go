@@ -10,6 +10,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"log"
 
@@ -50,7 +51,11 @@ func main() {
 		batch.Col("id").Ints = append(batch.Col("id").Ints, int64(i))
 	}
 	batch.Col("embedding").Vecs = append(batch.Col("embedding").Vecs, ds.Vectors.Data...)
-	if err := tab.Insert(batch); err != nil {
+	// Rows go in through the write-ahead log; closing it flushes them.
+	if err := tab.EnableWAL(lsm.WALConfig{}); err != nil {
+		log.Fatal(err)
+	}
+	if err := errors.Join(tab.Insert(context.Background(), batch), tab.CloseWAL()); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("table: %d rows in %d segments on shared storage\n", tab.Rows(), tab.SegmentCount())

@@ -33,6 +33,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer engine.Close() // drain the write-ahead log into segments
 
 	// The paper's Example 1 shape: scalar partitioning (by label) plus
 	// semantic similarity-based partitioning (CLUSTER BY ... BUCKETS).
@@ -64,7 +65,11 @@ func main() {
 	}
 	mustExec(engine, sb.String())
 
+	// Cut the logged rows into segments now, not on the flusher's timer.
 	tab := engine.Table("images")
+	if err := tab.FlushWAL(); err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("ingested %d rows into %d segments (scalar partitions x semantic buckets)\n\n",
 		tab.Rows(), tab.SegmentCount())
 

@@ -22,6 +22,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer engine.Close() // drain the write-ahead log into segments
 
 	// The dialect of the paper's Example 1: vector columns are plain
 	// Array(Float32); the INDEX clause declares the ANN index and the

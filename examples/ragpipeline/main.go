@@ -25,6 +25,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer engine.Close() // drain the write-ahead log into segments
 	mustExec(engine, fmt.Sprintf(`
 		CREATE TABLE chunks (
 			chunk_id UInt64,
@@ -47,6 +48,10 @@ func main() {
 		fmt.Fprintf(&sb, "(%d, '%s', %d, %s)", i, sources[i%3], 1_000_000+i, vecLit(ds.Vectors.Row(i)))
 	}
 	mustExec(engine, sb.String())
+	// Cut the logged rows into segments now, not on the flusher's timer.
+	if err := engine.Table("chunks").FlushWAL(); err != nil {
+		log.Fatal(err)
+	}
 
 	q := ds.Queries.Row(0)
 
@@ -85,7 +90,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if _, err := tab.Update("chunk_id", upd); err != nil {
+	if _, err := tab.Update(context.Background(), "chunk_id", upd); err != nil {
 		log.Fatal(err)
 	}
 	engine.Executor("chunks").InvalidateLocalIndexes()

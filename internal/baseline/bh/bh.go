@@ -8,6 +8,7 @@ package bh
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
 	"blendhouse/internal/baseline"
@@ -74,7 +75,8 @@ func (s *Store) Planner() *plan.Planner { return s.planner }
 
 // Load creates the table and ingests everything in one batch —
 // BlendHouse splits it into segments and builds per-segment indexes
-// pipelined.
+// pipelined. The table is read-only afterwards: a writer re-enables
+// its WAL.
 func (s *Store) Load(vectors []float32, dim int, attrs []int64) error {
 	n := len(vectors) / dim
 	if len(attrs) != n {
@@ -109,7 +111,11 @@ func (s *Store) Load(vectors []float32, dim int, attrs []int64) error {
 		ac.Ints = append(ac.Ints, attrs[i])
 	}
 	vc.Vecs = append(vc.Vecs, vectors...)
-	if err := tab.Insert(batch); err != nil {
+	// As serve ingests: through the WAL, whose closing flush cuts segments.
+	if err := tab.EnableWAL(lsm.WALConfig{}); err != nil {
+		return err
+	}
+	if err := errors.Join(tab.Insert(context.Background(), batch), tab.CloseWAL()); err != nil {
 		return err
 	}
 	s.tab = tab

@@ -1,6 +1,8 @@
 package bench
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"time"
 
@@ -9,6 +11,7 @@ import (
 	"blendhouse/internal/baseline/milvuslike"
 	"blendhouse/internal/baseline/pgvectorlike"
 	"blendhouse/internal/bench/dataset"
+	"blendhouse/internal/lsm"
 	"blendhouse/internal/storage"
 	"blendhouse/internal/vec"
 
@@ -121,3 +124,13 @@ func fmtDur(d time.Duration) string {
 func fmtQPS(q float64) string { return fmt.Sprintf("%.1f", q) }
 
 func fmtRecall(r float64) string { return fmt.Sprintf("%.4f", r) }
+
+// ingest loads batch into a fresh table as serve does: through its
+// write-ahead log, whose closing flush cuts the segments and builds
+// their indexes. The table is read-only afterwards.
+func ingest(tab *lsm.Table, batch *storage.RowBatch) error {
+	if err := tab.EnableWAL(lsm.WALConfig{}); err != nil {
+		return err
+	}
+	return errors.Join(tab.Insert(context.Background(), batch), tab.CloseWAL())
+}

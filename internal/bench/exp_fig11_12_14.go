@@ -53,7 +53,7 @@ func clusterFixture(cfg Config, workers int, ds *dataset.Dataset, scanCost, post
 		batch.Col("id").Ints = append(batch.Col("id").Ints, int64(i))
 	}
 	batch.Col("embedding").Vecs = append(batch.Col("embedding").Vecs, ds.Vectors.Data...)
-	if err := tab.Insert(batch); err != nil {
+	if err := ingest(tab, batch); err != nil {
 		return nil, nil, err
 	}
 	vw := cluster.NewVW(cluster.VWConfig{Name: "read", SimulatedScanCost: scanCost, SimulatedPostCost: postCost}, remote)
@@ -236,6 +236,11 @@ func runFig14(cfg Config) (*Report, error) {
 
 	tab := s.Table()
 	schema := tab.Schema()
+	// Each round's new versions are flushed into segments at once.
+	if err := tab.EnableWAL(lsm.WALConfig{FlushInterval: time.Hour}); err != nil {
+		return nil, err
+	}
+	defer tab.CloseWAL()
 	updated := 0
 	for _, frac := range []float64{0.05, 0.10, 0.20} {
 		target := int(frac * float64(n))
@@ -247,7 +252,10 @@ func runFig14(cfg Config) (*Report, error) {
 			batch.Col("attr").Ints = append(batch.Col("attr").Ints, int64(i))
 			batch.Col("embedding").Vecs = append(batch.Col("embedding").Vecs, ds.Vectors.Row(i)...)
 		}
-		if _, err := tab.Update("id", batch); err != nil {
+		if _, err := tab.Update(context.Background(), "id", batch); err != nil {
+			return nil, err
+		}
+		if err := tab.FlushWAL(); err != nil {
 			return nil, err
 		}
 		updated = target

@@ -69,7 +69,7 @@ func laionTable(cfg Config, ds *dataset.Dataset, name string, scalarPart bool, b
 		batch.Col("caption").Strs = append(batch.Col("caption").Strs, ds.Captions[i])
 	}
 	batch.Col("embedding").Vecs = append(batch.Col("embedding").Vecs, ds.Vectors.Data...)
-	if err := tab.Insert(batch); err != nil {
+	if err := ingest(tab, batch); err != nil {
 		return nil, err
 	}
 	return tab, nil
@@ -458,7 +458,7 @@ func prodTable(cfg Config, ds *dataset.Dataset, part bool) (*lsm.Table, *exec.Ex
 		batch.Col("ts").Ints = append(batch.Col("ts").Ints, ds.TSMillis[i])
 	}
 	batch.Col("embedding").Vecs = append(batch.Col("embedding").Vecs, ds.Vectors.Data...)
-	if err := tab.Insert(batch); err != nil {
+	if err := ingest(tab, batch); err != nil {
 		return nil, nil, nil, err
 	}
 	frac := 0.0

@@ -51,7 +51,16 @@ func fixtureOf(t *testing.T, workers int, typ index.Type) (*VW, *lsm.Table, *dat
 		batch.Col("id").Ints = append(batch.Col("id").Ints, int64(i))
 		batch.Col("embedding").Vecs = append(batch.Col("embedding").Vecs, ds.Vectors.Row(i)...)
 	}
-	if err := tab.Insert(batch); err != nil {
+	// The rows go in through the table's write-ahead log, flushed into
+	// segments; the log keeps running for the tests that write.
+	if err := tab.EnableWAL(lsm.WALConfig{FlushInterval: time.Hour}); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { tab.CloseWAL() })
+	if err := tab.Insert(context.Background(), batch); err != nil {
+		t.Fatal(err)
+	}
+	if err := tab.FlushWAL(); err != nil {
 		t.Fatal(err)
 	}
 	vw := NewVW(VWConfig{Name: "vw-read"}, remote)
@@ -305,7 +314,7 @@ func TestDeletedRowsNeverResurface(t *testing.T) {
 		return vw.Worker("w0").ServedSearches.Load() + vw.Worker("w1").ServedSearches.Load()
 	}
 	top := search(false)[0]
-	if n, err := tab.DeleteByKey("id", []int64{top}); err != nil || n != 1 {
+	if n, err := tab.DeleteByKey(context.Background(), "id", []int64{top}); err != nil || n != 1 {
 		t.Fatalf("delete %d: n=%d err=%v", top, n, err)
 	}
 	check := func(what string, ids []int64) {
@@ -334,15 +343,11 @@ func TestDeletedRowsNeverResurface(t *testing.T) {
 // own flat index, its deletes subtracted, on the index and exact paths.
 func TestUnflushedRowsAreSearched(t *testing.T) {
 	vw, tab, ds := fixture(t, 2)
-	if err := tab.EnableWAL(lsm.WALConfig{FlushInterval: time.Hour}); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { tab.CloseWAL() })
 	q := ds.Queries.Row(0)
 	batch := storage.NewRowBatch(tab.Schema())
 	batch.Col("id").Ints = append(batch.Col("id").Ints, 9999)
 	batch.Col("embedding").Vecs = append(batch.Col("embedding").Vecs, q...)
-	if err := tab.InsertCtx(context.Background(), batch); err != nil {
+	if err := tab.Insert(context.Background(), batch); err != nil {
 		t.Fatal(err)
 	}
 	top := func(brute bool) SegmentCandidate {
@@ -360,7 +365,7 @@ func TestUnflushedRowsAreSearched(t *testing.T) {
 			t.Fatalf("brute=%v: top hit %+v, want the unflushed row", brute, c)
 		}
 	}
-	if n, err := tab.DeleteByKey("id", []int64{9999}); err != nil || n != 1 {
+	if n, err := tab.DeleteByKey(context.Background(), "id", []int64{9999}); err != nil || n != 1 {
 		t.Fatalf("delete: n=%d err=%v", n, err)
 	}
 	for _, brute := range []bool{false, true} {

@@ -37,11 +37,11 @@ func equivEngine(t *testing.T, maxGroup int, strategy plan.Strategy) *Engine {
 	t.Helper()
 	e := newEngine(t, Config{
 		SegmentRows: 100,
-		WAL:         &lsm.WALConfig{MaxMemRows: 150, MaxMemBytes: 1 << 40, FlushInterval: time.Hour},
+		WAL:         &lsm.WALConfig{MaxMemRows: 150, FlushInterval: time.Hour},
 		Batch:       &batch.Config{Window: 30 * time.Second, MaxGroup: maxGroup},
 		Planner:     plan.PlannerConfig{ForceStrategy: &strategy},
 	})
-	seedImages(t, e)
+	logImages(t, e)
 	// The seed tripped the memtable cap, so a background flush is in
 	// flight; wait for it to land in segments, then write a fresh tail
 	// that stays memtable-resident (40 rows < MaxMemRows).

@@ -75,7 +75,7 @@ func soakWorkload(t *testing.T, e *Engine) []string {
 func soakWAL() *lsm.WALConfig {
 	// Flushes only when the test says so, keeping the two runs' segment
 	// layouts aligned.
-	return &lsm.WALConfig{MaxMemRows: 1 << 20, MaxMemBytes: 1 << 40, FlushInterval: time.Hour}
+	return &lsm.WALConfig{MaxMemRows: 1 << 20, FlushInterval: time.Hour}
 }
 
 func metricsMap() map[string]int64 {

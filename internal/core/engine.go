@@ -86,10 +86,10 @@ type Config struct {
 	// collapsed into a goroutine for the single-process deployment.
 	// Stop it with Engine.Close.
 	CompactionInterval time.Duration
-	// WAL, when non-nil, enables the real-time write path on every
-	// table: INSERT/DELETE group-commit to a durable per-table log and
-	// become query-visible immediately via the memtable; a background
-	// flusher cuts L0 segments. Engine.Close drains it.
+	// WAL tunes every table's write path (nil: lsm.WALConfig's
+	// defaults). INSERT/DELETE group-commit to a durable per-table log
+	// and become query-visible immediately via the memtable; a
+	// background flusher cuts L0 segments. Engine.Close drains it.
 	WAL *lsm.WALConfig
 	// Retry, when non-nil, wraps Store in the fault-tolerance layer
 	// (transient-error retries with jittered backoff + circuit breaker)
@@ -162,6 +162,9 @@ type Engine struct {
 func New(cfg Config) (*Engine, error) {
 	if cfg.Store == nil {
 		return nil, fmt.Errorf("core: Config.Store is required")
+	}
+	if cfg.WAL == nil {
+		cfg.WAL = &lsm.WALConfig{}
 	}
 	// Fault-tolerance layering (outermost first): retries+breaker over
 	// the fault injector over the real store. Wrapped before recovery
@@ -268,10 +271,8 @@ func (e *Engine) registerStatGauges() {
 }
 
 func (e *Engine) registerTable(t *lsm.Table) error {
-	if e.cfg.WAL != nil {
-		if err := t.EnableWAL(*e.cfg.WAL); err != nil {
-			return err
-		}
+	if err := t.EnableWAL(*e.cfg.WAL); err != nil {
+		return err
 	}
 	e.mu.Lock()
 	e.tables[t.Name()] = t
@@ -310,8 +311,8 @@ func (e *Engine) compactionLoop(t *lsm.Table) {
 // Close stops background compaction loops and drains every table's
 // WAL: in-flight group commits land, the memtables flush into
 // segments, and the logs truncate to empty. Safe to call multiple
-// times; the engine remains usable for queries afterwards (DML falls
-// back to the synchronous segment path).
+// times; the engine remains usable for queries afterwards, and DML
+// fails with lsm.ErrReadOnly.
 func (e *Engine) Close() {
 	e.closeOnce.Do(func() {
 		if e.batcher != nil {
@@ -535,16 +536,16 @@ func (e *Engine) describe(name string) (*exec.Result, error) {
 }
 
 // delete marks rows deleted by key (multi-version path: delete bitmap
-// now, physical removal at the next compaction). With the WAL enabled
-// the delete record is durable before this acks.
+// now, physical removal at the next compaction). The delete record is
+// durable before this acks.
 func (e *Engine) delete(ctx context.Context, d *sql.Delete) (*exec.Result, error) {
 	t := e.Table(d.Table)
 	if t == nil {
 		return nil, unknownTableErr(d.Table)
 	}
-	n, err := t.DeleteByKeyCtx(ctx, d.Column, d.Keys)
+	n, err := t.DeleteByKey(ctx, d.Column, d.Keys)
 	if err != nil {
-		return nil, err
+		return nil, e.writeErr(t, err)
 	}
 	return statusResult(fmt.Sprintf("OK: marked %d rows deleted in %s", n, d.Table)), nil
 }

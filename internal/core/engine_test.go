@@ -36,11 +36,25 @@ func newEngine(t *testing.T, cfg Config) *Engine {
 	if cfg.SegmentRows == 0 {
 		cfg.SegmentRows = 200
 	}
+	if cfg.WAL == nil {
+		// Segments are cut where a test flushes, never by a timer or a
+		// size trigger.
+		cfg.WAL = noFlushWAL()
+	}
 	e, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(e.Close)
 	return e
+}
+
+// flush cuts table's logged rows into segments.
+func flush(t *testing.T, e *Engine, table string) {
+	t.Helper()
+	if err := e.Table(table).FlushWAL(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func vecLit(v []float32) string {
@@ -51,8 +65,18 @@ func vecLit(v []float32) string {
 	return "[" + strings.Join(parts, ",") + "]"
 }
 
-// seedImages creates the paper-Example-1-style table and loads eN rows.
+// seedImages creates the paper-Example-1-style table and loads eN rows
+// into segments.
 func seedImages(t *testing.T, e *Engine) *dataset.Dataset {
+	t.Helper()
+	ds := logImages(t, e)
+	flush(t, e, "images")
+	return ds
+}
+
+// logImages is seedImages without the flush: the rows stay in the
+// table's memtable.
+func logImages(t *testing.T, e *Engine) *dataset.Dataset {
 	t.Helper()
 	mustExec(t, e, fmt.Sprintf(`CREATE TABLE images (
 		id UInt64,
@@ -367,7 +391,7 @@ func TestUpdateVisibilityThroughQueries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tab.Update("id", upd); err != nil {
+	if _, err := tab.Update(context.Background(), "id", upd); err != nil {
 		t.Fatal(err)
 	}
 	res = mustExec(t, e, fmt.Sprintf(

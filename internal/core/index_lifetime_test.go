@@ -40,9 +40,9 @@ func TestIndexHandlesOutliveWrites(t *testing.T) {
 	ex := e.Executor("images")
 	ctx := context.Background()
 
-	// The writer alternates a 3-row INSERT (one new segment each) with
-	// a DELETE of the next-lowest id; deletedBelow is published after
-	// the DELETE is acknowledged.
+	// The writer alternates a 3-row INSERT, flushed into one new
+	// segment, with a DELETE of the next-lowest id; deletedBelow is
+	// published after the DELETE is acknowledged.
 	const writerOps = 200
 	var deletedBelow atomic.Int64
 	var writer sync.WaitGroup
@@ -69,6 +69,12 @@ func TestIndexHandlesOutliveWrites(t *testing.T) {
 			if _, err := e.Exec(ctx, src); err != nil {
 				t.Errorf("writer op %d: %v", op, err)
 				return
+			}
+			if op%2 == 0 {
+				if err := e.Table("images").FlushWAL(); err != nil {
+					t.Errorf("writer op %d: %v", op, err)
+					return
+				}
 			}
 			if op%2 == 1 {
 				deletedBelow.Add(1)
@@ -160,6 +166,7 @@ func TestReopenThroughTierBorrowsBlob(t *testing.T) {
 			fmt.Fprintf(&sb, "(%d, %s)", i, vecLit(ds.Vectors.Row(i)))
 		}
 		mustExec(t, e, sb.String())
+		flush(t, e, "docs")
 		return e
 	}
 	plain := build(Config{})

@@ -3,11 +3,13 @@ package core
 import (
 	"context"
 	"encoding/csv"
+	"errors"
 	"fmt"
 	"os"
 	"strconv"
 	"strings"
 
+	"blendhouse/internal/lsm"
 	"blendhouse/internal/sql"
 	"blendhouse/internal/storage"
 )
@@ -17,9 +19,9 @@ import (
 // performs partitioning, semantic bucketing and pipelined index
 // building automatically, exactly as the paper's Example 1 promises
 // ("BlendHouse handles partitioning and index building
-// automatically"). With the WAL enabled the batch is group-committed
-// to the durable log and is query-visible when this returns; segment
-// cutting happens in the background flusher.
+// automatically"). The batch is group-committed to the table's durable
+// log and is query-visible when this returns; segment cutting happens
+// in the background flusher.
 func (e *Engine) insert(ctx context.Context, ins *sql.Insert) (int, error) {
 	t := e.Table(ins.Table)
 	if t == nil {
@@ -39,10 +41,20 @@ func (e *Engine) insert(ctx context.Context, ins *sql.Insert) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	if err := t.InsertCtx(ctx, batch); err != nil {
-		return 0, err
+	if err := t.Insert(ctx, batch); err != nil {
+		return 0, e.writeErr(t, err)
 	}
 	return batch.Len(), nil
+}
+
+// writeErr classes a write's failure on table t: a write that lost
+// the race with DROP TABLE (the catalog no longer holds t, whose log
+// Drop stopped) names an unknown table.
+func (e *Engine) writeErr(t *lsm.Table, err error) error {
+	if errors.Is(err, lsm.ErrReadOnly) && e.Table(t.Name()) != t {
+		return unknownTableErr(t.Name())
+	}
+	return err
 }
 
 // BuildBatch converts literal rows (schema order) into a columnar

@@ -28,7 +28,7 @@ func TestMemtableAnswersMatchFlushed(t *testing.T) {
 				Planner:     plan.PlannerConfig{ForceStrategy: &strategy},
 			})
 			defer e.Close()
-			ds := seedImages(t, e)
+			ds := logImages(t, e)
 			mustExec(t, e, "DELETE FROM images WHERE id IN (3, 40, 41, 250, 499)")
 			tab := e.Table("images")
 			q := func(i int) string { return vecLit(ds.Queries.Row(i)) }

@@ -75,6 +75,7 @@ func slowEngine(t *testing.T, opLatency time.Duration) (*Engine, func() string) 
 		b = append(b, fmt.Sprintf("(%d, 'l%d', %s)", i, i%4, vecLit(vecParts))...)
 	}
 	mustExec(t, e, string(b))
+	flush(t, e, "slowtab")
 	q := make([]float32, eDim)
 	for d := range q {
 		q[d] = 0.5

@@ -16,7 +16,7 @@ import (
 // noFlushWAL keeps every row in the memtable until the engine closes,
 // so tests can observe the pre-flush state.
 func noFlushWAL() *lsm.WALConfig {
-	return &lsm.WALConfig{MaxMemRows: 1 << 20, MaxMemBytes: 1 << 40, FlushInterval: time.Hour}
+	return &lsm.WALConfig{MaxMemRows: 1 << 20, FlushInterval: time.Hour}
 }
 
 // TestWALFreshRowsInTopK: with the real-time write path on, an INSERT
@@ -25,7 +25,7 @@ func noFlushWAL() *lsm.WALConfig {
 func TestWALFreshRowsInTopK(t *testing.T) {
 	before := runtime.NumGoroutine()
 	e := newEngine(t, Config{WAL: noFlushWAL()})
-	ds := seedImages(t, e)
+	ds := logImages(t, e)
 	// Everything acknowledged, nothing flushed.
 	tab := e.Table("images")
 	if tab.MemRows() != eN || tab.SegmentCount() != 0 {

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"context"
 	"fmt"
 	"slices"
 	"testing"
@@ -36,9 +37,7 @@ func pruneFixture(t *testing.T) (*lsm.Table, *lsm.Version, *dataset.Dataset) {
 		batch.Col("id").Ints = append(batch.Col("id").Ints, int64(i))
 		batch.Col("embedding").Vecs = append(batch.Col("embedding").Vecs, ds.Vectors.Row(i)...)
 	}
-	if err := tab.Insert(batch); err != nil {
-		t.Fatal(err)
-	}
+	ingest(t, tab, batch)
 	v, _ := tab.Acquire()
 	t.Cleanup(v.Release)
 	return tab, v, ds
@@ -175,5 +174,21 @@ func TestPruneIntersectsConstraints(t *testing.T) {
 				t.Errorf("%s (%s): kept %s, want %s", tc.name, order, got, tc.want)
 			}
 		}
+	}
+}
+
+// ingest writes b through tab's write-ahead log, as serve does; closing
+// the log flushes the rows into segments and leaves tab read-only.
+func ingest(t testing.TB, tab *lsm.Table, b *storage.RowBatch) {
+	t.Helper()
+	if err := tab.EnableWAL(lsm.WALConfig{}); err != nil {
+		t.Fatal(err)
+	}
+	err := tab.Insert(context.Background(), b)
+	if cerr := tab.CloseWAL(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		t.Fatal(err)
 	}
 }

@@ -17,7 +17,7 @@ func TestPinWALTruncate(t *testing.T) {
 	if err := tab.EnableWAL(walTestConfig()); err != nil {
 		t.Fatal(err)
 	}
-	if err := tab.InsertCtx(context.Background(), fillBatch(t, tab.Options(), ds, 0, 100)); err != nil {
+	if err := tab.Insert(context.Background(), fillBatch(t, tab.Options(), ds, 0, 100)); err != nil {
 		t.Fatal(err)
 	}
 	unpin := tab.PinWALTruncate()
@@ -57,14 +57,14 @@ func TestBackupPITRRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	if err := tab.InsertCtx(ctx, fillBatch(t, tab.Options(), ds, 0, 200)); err != nil {
+	if err := tab.Insert(ctx, fillBatch(t, tab.Options(), ds, 0, 200)); err != nil {
 		t.Fatal(err)
 	}
 	if err := tab.FlushWAL(); err != nil { // establishes the watermark
 		t.Fatal(err)
 	}
 	// These rows live only in the WAL + memtable: the PITR payload.
-	if err := tab.InsertCtx(ctx, fillBatch(t, tab.Options(), ds, 200, 60)); err != nil {
+	if err := tab.Insert(ctx, fillBatch(t, tab.Options(), ds, 200, 60)); err != nil {
 		t.Fatal(err)
 	}
 	want := tableContents(t, tab)
@@ -102,13 +102,13 @@ func TestBackupUnderConcurrentWrites(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	if err := tab.InsertCtx(ctx, fillBatch(t, tab.Options(), ds, 0, 200)); err != nil {
+	if err := tab.Insert(ctx, fillBatch(t, tab.Options(), ds, 0, 200)); err != nil {
 		t.Fatal(err)
 	}
 	if err := tab.FlushWAL(); err != nil {
 		t.Fatal(err)
 	}
-	if err := tab.InsertCtx(ctx, fillBatch(t, tab.Options(), ds, 200, 40)); err != nil {
+	if err := tab.Insert(ctx, fillBatch(t, tab.Options(), ds, 200, 40)); err != nil {
 		t.Fatal(err)
 	}
 	want := tableContents(t, tab) // acked before the backup starts
@@ -125,7 +125,7 @@ func TestBackupUnderConcurrentWrites(t *testing.T) {
 				return
 			default:
 			}
-			if err := tab.InsertCtx(ctx, fillBatch(t, tab.Options(), ds, id, 10)); err != nil {
+			if err := tab.Insert(ctx, fillBatch(t, tab.Options(), ds, id, 10)); err != nil {
 				t.Error(err)
 				return
 			}

@@ -1,6 +1,7 @@
 package lsm
 
 import (
+	"context"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -25,9 +26,7 @@ func TestCompactCarriesConcurrentDelete(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tab.Insert(fillBatch(t, opts, ds, 0, 600)); err != nil {
-		t.Fatal(err)
-	}
+	ingest(t, tab, fillBatch(t, opts, ds, 0, 600))
 	if got := tab.SegmentCount(); got != 3 {
 		t.Fatalf("segments = %d, want 3", got)
 	}
@@ -41,7 +40,7 @@ func TestCompactCarriesConcurrentDelete(t *testing.T) {
 		// (CompareAndSwap also keeps the DELETE's own bitmap Put from
 		// re-entering.)
 		if op == storage.FaultOpPut && strings.Contains(key, "/segments/") && fired.CompareAndSwap(false, true) {
-			n, derr := tab.DeleteByKey("id", []int64{victim})
+			n, derr := tab.DeleteByKey(context.Background(), "id", []int64{victim})
 			if derr != nil {
 				t.Errorf("concurrent delete: %v", derr)
 			}
@@ -101,16 +100,14 @@ func TestCompactDeleteStress(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tab.Insert(fillBatch(t, opts, ds, 0, 600)); err != nil {
-		t.Fatal(err)
-	}
+	ingest(t, tab, fillBatch(t, opts, ds, 0, 600))
 
 	deleted := make(chan int64, 600)
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
 		for id := int64(0); id < 300; id += 3 {
-			if _, err := tab.DeleteByKey("id", []int64{id}); err != nil {
+			if _, err := tab.DeleteByKey(context.Background(), "id", []int64{id}); err != nil {
 				t.Errorf("delete %d: %v", id, err)
 				return
 			}

@@ -72,12 +72,12 @@ func flushedBlobHashes(t *testing.T, everySegment bool) map[string]string {
 			t.Fatal(err)
 		}
 		for i := 0; i < 3; i++ {
-			if err := tab.InsertCtx(ctx, fillBatch(t, opts, ds, i*100, 100)); err != nil {
+			if err := tab.Insert(ctx, fillBatch(t, opts, ds, i*100, 100)); err != nil {
 				t.Fatal(err)
 			}
 		}
 		if name == "deletes" {
-			if n, err := tab.DeleteByKeyCtx(ctx, "id", []int64{3, 150, 299}); err != nil || n != 3 {
+			if n, err := tab.DeleteByKey(ctx, "id", []int64{3, 150, 299}); err != nil || n != 3 {
 				t.Fatalf("delete: n=%d err=%v", n, err)
 			}
 		}

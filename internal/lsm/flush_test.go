@@ -71,7 +71,7 @@ func TestFlushReleasesMemtable(t *testing.T) {
 			if err := tab.EnableWAL(walTestConfig()); err != nil {
 				t.Fatal(err)
 			}
-			if err := tab.InsertCtx(context.Background(), fillBatch(t, opts, ds, 0, 250)); err != nil {
+			if err := tab.Insert(context.Background(), fillBatch(t, opts, ds, 0, 250)); err != nil {
 				t.Fatal(err)
 			}
 			released := onRelease(tab)
@@ -123,13 +123,13 @@ func TestFlushAllocatesWhatItWrites(t *testing.T) {
 	// encoding/json's per-type encoders for the segment meta and the
 	// manifest.
 	ctx := context.Background()
-	if err := tab.InsertCtx(ctx, lcgBatch(opts, 10, 5)); err != nil {
+	if err := tab.Insert(ctx, lcgBatch(opts, 10, 5)); err != nil {
 		t.Fatal(err)
 	}
 	if err := tab.FlushWAL(); err != nil {
 		t.Fatal(err)
 	}
-	if err := tab.InsertCtx(ctx, lcgBatch(opts, n, 5)); err != nil {
+	if err := tab.Insert(ctx, lcgBatch(opts, n, 5)); err != nil {
 		t.Fatal(err)
 	}
 	rowBytes := uint64(n * (8 + 4*dim))
@@ -182,7 +182,7 @@ func TestMemtableGaugesSumEveryMemtable(t *testing.T) {
 	a, b := tabs["a"], tabs["b"]
 	insert := func(tab *Table, start, n int) {
 		t.Helper()
-		if err := tab.InsertCtx(ctx, fillBatch(t, tab.Options(), ds, start, n)); err != nil {
+		if err := tab.Insert(ctx, fillBatch(t, tab.Options(), ds, start, n)); err != nil {
 			t.Fatal(err)
 		}
 	}

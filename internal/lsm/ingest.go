@@ -13,38 +13,14 @@ import (
 	"blendhouse/internal/vec"
 )
 
-// Insert ingests a batch synchronously: rows are routed by scalar
-// partition key and semantic bucket, split into segments of at most
-// SegmentRows, and each segment's columns are written beside the build
-// of its ANN index (BlendHouse's pipelined ingestion, the source of its
-// Table IV win). When the table's WAL is enabled, use InsertCtx
-// instead: it group-commits through the log and defers segment cutting
-// to the background flusher.
-func (t *Table) Insert(batch *storage.RowBatch) error {
-	if err := batch.Validate(); err != nil {
-		return err
-	}
-	if batch.Len() == 0 {
-		return nil
-	}
-	return t.insertSegments(batch)
-}
-
-// insertSegments is the synchronous segment-cutting path shared by
-// direct inserts, the memtable flusher, and WAL replay.
-func (t *Table) insertSegments(batch *storage.RowBatch) error {
-	metas, err := t.writeBatchSegments(batch)
-	if err != nil {
-		return err
-	}
-	t.publish(func(next *Version) { t.addLocked(next, metas, batch) })
-	return t.saveManifest()
-}
-
-// writeBatchSegments routes and writes a batch's segments without
-// registering them in the catalog — callers decide what else must
-// swap atomically with registration (the flusher retires its memtable
-// in the same critical section).
+// writeBatchSegments routes a batch by partition and semantic bucket,
+// splits it into segments of at most SegmentRows, and writes each
+// segment's columns beside the build of its ANN index (BlendHouse's
+// pipelined ingestion, the source of its Table IV win). It registers
+// nothing in the catalog — callers decide what else must swap
+// atomically with registration (the flusher retires its memtable in
+// the same critical section). The memtable flusher and Open's WAL
+// replay are its only callers: a user write reaches it through the log.
 func (t *Table) writeBatchSegments(batch *storage.RowBatch) ([]*storage.SegmentMeta, error) {
 	groups, err := t.routeRows(batch)
 	if err != nil {

@@ -1,6 +1,7 @@
 package lsm
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -91,9 +92,7 @@ func TestCreateValidation(t *testing.T) {
 
 func TestInsertCreatesSegmentsAndIndexes(t *testing.T) {
 	tab, ds := newTestTable(t, testOptions("t"))
-	if err := tab.Insert(fillBatch(t, tab.Options(), ds, 0, 500)); err != nil {
-		t.Fatal(err)
-	}
+	ingest(t, tab, fillBatch(t, tab.Options(), ds, 0, 500))
 	// 500 rows / 200 per segment = 3 segments.
 	if got := tab.SegmentCount(); got != 3 {
 		t.Fatalf("segments = %d, want 3", got)
@@ -130,9 +129,7 @@ func TestOpenRestoresCatalog(t *testing.T) {
 		t.Fatal(err)
 	}
 	ds := dataset.Small(lN, lDim, 3)
-	if err := tab.Insert(fillBatch(t, opts, ds, 0, 450)); err != nil {
-		t.Fatal(err)
-	}
+	ingest(t, tab, fillBatch(t, opts, ds, 0, 450))
 	re, err := Open(store, "t")
 	if err != nil {
 		t.Fatal(err)
@@ -152,9 +149,7 @@ func TestScalarPartitioning(t *testing.T) {
 	opts := testOptions("t")
 	opts.PartitionBy = []string{"label"}
 	tab, ds := newTestTable(t, opts)
-	if err := tab.Insert(fillBatch(t, opts, ds, 0, 300)); err != nil {
-		t.Fatal(err)
-	}
+	ingest(t, tab, fillBatch(t, opts, ds, 0, 300))
 	parts := map[string]int{}
 	for _, m := range tab.Segments() {
 		parts[m.Partition] += m.Rows
@@ -186,9 +181,7 @@ func TestSemanticBuckets(t *testing.T) {
 	opts := testOptions("t")
 	opts.ClusterBuckets = 4
 	tab, ds := newTestTable(t, opts)
-	if err := tab.Insert(fillBatch(t, opts, ds, 0, 400)); err != nil {
-		t.Fatal(err)
-	}
+	ingest(t, tab, fillBatch(t, opts, ds, 0, 400))
 	if tab.Centroids() == nil || tab.Centroids().Rows() != 4 {
 		t.Fatal("centroids not trained")
 	}
@@ -224,10 +217,8 @@ func TestSemanticBuckets(t *testing.T) {
 
 func TestDeleteByKey(t *testing.T) {
 	tab, ds := newTestTable(t, testOptions("t"))
-	if err := tab.Insert(fillBatch(t, tab.Options(), ds, 0, 300)); err != nil {
-		t.Fatal(err)
-	}
-	n, err := tab.DeleteByKey("id", []int64{5, 10, 250})
+	ingest(t, tab, fillBatch(t, tab.Options(), ds, 0, 300))
+	n, err := tab.DeleteByKey(context.Background(), "id", []int64{5, 10, 250})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +229,7 @@ func TestDeleteByKey(t *testing.T) {
 		t.Fatalf("rows=%d deleted=%d", tab.Rows(), tab.DeletedRows())
 	}
 	// Idempotent.
-	n, err = tab.DeleteByKey("id", []int64{5})
+	n, err = tab.DeleteByKey(context.Background(), "id", []int64{5})
 	if err != nil || n != 0 {
 		t.Fatalf("re-delete: n=%d err=%v", n, err)
 	}
@@ -250,10 +241,10 @@ func TestDeleteByKey(t *testing.T) {
 	if re.Rows() != 297 {
 		t.Fatalf("reopened rows = %d, want 297", re.Rows())
 	}
-	if _, err := tab.DeleteByKey("label", []int64{1}); err == nil {
+	if _, err := tab.DeleteByKey(context.Background(), "label", []int64{1}); err == nil {
 		t.Fatal("delete by non-integer column should fail")
 	}
-	if _, err := tab.DeleteByKey("nope", []int64{1}); err == nil {
+	if _, err := tab.DeleteByKey(context.Background(), "nope", []int64{1}); err == nil {
 		t.Fatal("delete by missing column should fail")
 	}
 }
@@ -261,21 +252,22 @@ func TestDeleteByKey(t *testing.T) {
 func TestUpdateSupersedesRows(t *testing.T) {
 	opts := testOptions("t")
 	tab, ds := newTestTable(t, opts)
-	if err := tab.Insert(fillBatch(t, opts, ds, 0, 200)); err != nil {
-		t.Fatal(err)
-	}
+	ingest(t, tab, fillBatch(t, opts, ds, 0, 200))
 	before := tab.SegmentCount()
 	// Update rows 0..49 with new embeddings (shifted ids map to other vectors).
 	upd := fillBatch(t, opts, ds, 0, 50)
 	for i := range upd.Col("score").Floats {
 		upd.Col("score").Floats[i] = 9.99
 	}
-	superseded, err := tab.Update("id", upd)
+	superseded, err := tab.Update(context.Background(), "id", upd)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if superseded != 50 {
 		t.Fatalf("superseded = %d, want 50", superseded)
+	}
+	if err := tab.FlushWAL(); err != nil {
+		t.Fatal(err)
 	}
 	if tab.Rows() != 200 {
 		t.Fatalf("rows = %d, want 200 (old deleted, new inserted)", tab.Rows())
@@ -294,11 +286,9 @@ func TestCompactionMergesAndDropsDeletes(t *testing.T) {
 	tab, ds := newTestTable(t, opts)
 	// 5 inserts of 100 rows → 5 segments in one group.
 	for i := 0; i < 5; i++ {
-		if err := tab.Insert(fillBatch(t, opts, ds, i*100, 100)); err != nil {
-			t.Fatal(err)
-		}
+		ingest(t, tab, fillBatch(t, opts, ds, i*100, 100))
 	}
-	if _, err := tab.DeleteByKey("id", []int64{1, 101, 201}); err != nil {
+	if _, err := tab.DeleteByKey(context.Background(), "id", []int64{1, 101, 201}); err != nil {
 		t.Fatal(err)
 	}
 	merged, err := tab.CompactOnce(CompactionPolicy{MinSegments: 4})
@@ -357,9 +347,7 @@ func TestCompactionRespectsGroups(t *testing.T) {
 	opts.SegmentRows = 50
 	tab, ds := newTestTable(t, opts)
 	for i := 0; i < 4; i++ {
-		if err := tab.Insert(fillBatch(t, opts, ds, i*90, 90)); err != nil {
-			t.Fatal(err)
-		}
+		ingest(t, tab, fillBatch(t, opts, ds, i*90, 90))
 	}
 	if _, err := tab.CompactAll(CompactionPolicy{MinSegments: 2}); err != nil {
 		t.Fatal(err)
@@ -389,9 +377,7 @@ func TestAutoIndexParamsTrackSegmentSize(t *testing.T) {
 	opts.IndexParams = index.BuildParams{} // let rules pick Nlist
 	opts.SegmentRows = 500
 	tab, ds := newTestTable(t, opts)
-	if err := tab.Insert(fillBatch(t, opts, ds, 0, 500)); err != nil {
-		t.Fatal(err)
-	}
+	ingest(t, tab, fillBatch(t, opts, ds, 0, 500))
 	p := tab.buildParamsFor(index.IVFFlat, 500)
 	if p.Nlist != 12 { // 4*sqrt(500)=89 capped by 500/39=12
 		t.Fatalf("auto Nlist = %d, want 12", p.Nlist)
@@ -437,9 +423,7 @@ func TestHistogramSelectivity(t *testing.T) {
 
 func TestTableHistogramsFeedEstimates(t *testing.T) {
 	tab, ds := newTestTable(t, testOptions("t"))
-	if err := tab.Insert(fillBatch(t, tab.Options(), ds, 0, 400)); err != nil {
-		t.Fatal(err)
-	}
+	ingest(t, tab, fillBatch(t, tab.Options(), ds, 0, 400))
 	s := tab.EstimateIntSelectivity("id", 0, 39) // 40 of 400 = 10%
 	if math.Abs(s-0.1) > 0.05 {
 		t.Fatalf("id selectivity = %v, want ~0.1", s)
@@ -459,9 +443,7 @@ func TestTableHistogramsFeedEstimates(t *testing.T) {
 
 func TestEmptyInsertIsNoop(t *testing.T) {
 	tab, _ := newTestTable(t, testOptions("t"))
-	if err := tab.Insert(storage.NewRowBatch(tab.Schema())); err != nil {
-		t.Fatal(err)
-	}
+	ingest(t, tab, storage.NewRowBatch(tab.Schema()))
 	if tab.SegmentCount() != 0 {
 		t.Fatal("empty insert created segments")
 	}
@@ -472,9 +454,7 @@ func TestCompactionCapKeepsUnmergedSegmentsLive(t *testing.T) {
 	opts.SegmentRows = 100
 	tab, ds := newTestTable(t, opts)
 	for i := 0; i < 6; i++ {
-		if err := tab.Insert(fillBatch(t, opts, ds, i*100, 100)); err != nil {
-			t.Fatal(err)
-		}
+		ingest(t, tab, fillBatch(t, opts, ds, i*100, 100))
 	}
 	// Cap the merge at ~2 segments' worth of rows.
 	merged, err := tab.CompactOnce(CompactionPolicy{MinSegments: 2, MaxMergeRows: 150})
@@ -501,9 +481,7 @@ func TestCompactionBuildsIVFIndex(t *testing.T) {
 	opts.indexEverySegment = true
 	tab, ds := newTestTable(t, opts)
 	for i := 0; i < 4; i++ {
-		if err := tab.Insert(fillBatch(t, opts, ds, i*150, 150)); err != nil {
-			t.Fatal(err)
-		}
+		ingest(t, tab, fillBatch(t, opts, ds, i*150, 150))
 	}
 	merged, err := tab.CompactOnce(CompactionPolicy{MinSegments: 2})
 	if err != nil {
@@ -528,5 +506,24 @@ func TestCompactionBuildsIVFIndex(t *testing.T) {
 	res, err := ix.SearchWithFilter(ds.Queries.Row(0), 5, nil, index.SearchParams{Nprobe: 8})
 	if err != nil || len(res) != 5 {
 		t.Fatalf("compacted-index search: %d results, %v", len(res), err)
+	}
+}
+
+// ingest writes b to tab as serve does — through the table's WAL,
+// started on first use and stopped when the test ends — and flushes
+// it, so b's rows are in segments when it returns.
+func ingest(t testing.TB, tab *Table, b *storage.RowBatch) {
+	t.Helper()
+	if tab.walRT.Load() == nil {
+		if err := tab.EnableWAL(walTestConfig()); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { tab.CloseWAL() })
+	}
+	if err := tab.Insert(context.Background(), b); err != nil {
+		t.Fatal(err)
+	}
+	if err := tab.FlushWAL(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -1,6 +1,7 @@
 package lsm
 
 import (
+	"context"
 	"errors"
 	"reflect"
 	"runtime"
@@ -29,14 +30,12 @@ func segmentedTable(t testing.TB, segs int) (*storage.MemStore, []string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tab.Insert(idBatch(opts, 0, 10*segs)); err != nil {
-		t.Fatal(err)
-	}
+	ingest(t, tab, idBatch(opts, 0, 10*segs))
 	var gone []int64
 	for s := 0; s < segs; s += 3 {
 		gone = append(gone, int64(10*s+s%10))
 	}
-	if _, err := tab.DeleteByKey("id", gone); err != nil {
+	if _, err := tab.DeleteByKey(context.Background(), "id", gone); err != nil {
 		t.Fatal(err)
 	}
 	var names []string
@@ -229,7 +228,7 @@ func TestRecoveryListsWALOnce(t *testing.T) {
 	if err := tab.EnableWAL(walTestConfig()); err != nil {
 		t.Fatal(err)
 	}
-	if err := tab.InsertCtx(t.Context(), idBatch(opts, 0, 20)); err != nil {
+	if err := tab.Insert(t.Context(), idBatch(opts, 0, 20)); err != nil {
 		t.Fatal(err)
 	}
 	if err := tab.CloseWAL(); err != nil {
@@ -248,7 +247,7 @@ func TestRecoveryListsWALOnce(t *testing.T) {
 	if n := store.lists[wal.Prefix("w")]; n != 1 {
 		t.Fatalf("wal/ listed %d times, want once", n)
 	}
-	if err := re.InsertCtx(t.Context(), idBatch(opts, 20, 5)); err != nil {
+	if err := re.Insert(t.Context(), idBatch(opts, 20, 5)); err != nil {
 		t.Fatal(err)
 	}
 	if err := re.CloseWAL(); err != nil {

@@ -69,7 +69,7 @@ func TestSmallSegmentIsFlat(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer tab.CloseWAL()
-			if err := tab.InsertCtx(context.Background(), idBatch(opts, 0, c.n)); err != nil {
+			if err := tab.Insert(context.Background(), idBatch(opts, 0, c.n)); err != nil {
 				t.Fatal(err)
 			}
 			if err := tab.FlushWAL(); err != nil {
@@ -93,9 +93,7 @@ func TestCompactSmallSegmentsBuildsGraph(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 2; i++ {
-		if err := tab.Insert(idBatch(opts, i*600, 600)); err != nil {
-			t.Fatal(err)
-		}
+		ingest(t, tab, idBatch(opts, i*600, 600))
 	}
 	for _, m := range tab.Segments() {
 		checkSegmentType(t, tab, m, index.Flat)
@@ -163,9 +161,7 @@ func TestMixedSegmentsAnswerExactly(t *testing.T) {
 		for i, id := range b.Col("id").Ints {
 			rows[id] = b.Col("v").Vector(i)
 		}
-		if err := tab.Insert(b); err != nil {
-			t.Fatal(err)
-		}
+		ingest(t, tab, b)
 		start += n
 	}
 	types := map[string]int{}
@@ -216,7 +212,11 @@ func TestMixedSegmentsAnswerExactly(t *testing.T) {
 	// Delete the nearest rows of the first queries, from flat and graph
 	// segments alike.
 	del := []int64{7, 950, 1999, 0, 1, 1500}
-	if n, err := reopened.DeleteByKey("id", del); err != nil || n != len(del) {
+	if err := reopened.EnableWAL(walTestConfig()); err != nil {
+		t.Fatal(err)
+	}
+	defer reopened.CloseWAL()
+	if n, err := reopened.DeleteByKey(context.Background(), "id", del); err != nil || n != len(del) {
 		t.Fatalf("delete: %d rows, %v", n, err)
 	}
 	for _, id := range del {
@@ -239,9 +239,7 @@ func TestUnknownIndexTypeIsCorrupt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tab.Insert(idBatch(opts, 0, 100)); err != nil {
-		t.Fatal(err)
-	}
+	ingest(t, tab, idBatch(opts, 0, 100))
 	seg := tab.Segments()[0].Name
 	key := storage.MetaKey(opts.Name, seg)
 	raw, err := store.Get(key)

@@ -2,6 +2,7 @@ package lsm
 
 import (
 	"bytes"
+	"context"
 	"encoding/base64"
 	"encoding/binary"
 	"encoding/json"
@@ -76,9 +77,7 @@ func TestVectorsStoredOnce(t *testing.T) {
 				t.Fatal(err)
 			}
 			const n = 2000
-			if err := tab.Insert(lcgBatch(opts, n, 1)); err != nil {
-				t.Fatal(err)
-			}
+			ingest(t, tab, lcgBatch(opts, n, 1))
 			if _, err := tab.CompactAll(CompactionPolicy{MinSegments: 2}); err != nil {
 				t.Fatal(err)
 			}
@@ -112,9 +111,7 @@ func TestIndexRowRangeIsTheColumn(t *testing.T) {
 				t.Fatal(err)
 			}
 			batch := lcgBatch(opts, 300, 9)
-			if err := tab.Insert(batch); err != nil {
-				t.Fatal(err)
-			}
+			ingest(t, tab, batch)
 			// The same rows written by the column writer alone.
 			ref := storage.NewMemStore()
 			classic, err := storage.WriteSegment(ref, storage.SegmentMeta{Name: "s", Table: "rr", Bucket: -1}, batch, opts.BlockRows)
@@ -177,7 +174,7 @@ func TestIndexRowRangeIsTheColumn(t *testing.T) {
 }
 
 // TestMetaIsTheLastBlob: a segment's meta.json names its index, so it
-// is written after it. A failed index Put, or a failed column Put,
+// is written after it. A flush whose index Put, or column Put, fails
 // leaves no meta.json behind and the manifest never names the segment.
 func TestMetaIsTheLastBlob(t *testing.T) {
 	for _, failing := range []string{"/idx_v.bin", "/col_id.bin"} {
@@ -191,8 +188,17 @@ func TestMetaIsTheLastBlob(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := tab.Insert(lcgBatch(opts, 100, 3)); err == nil {
-				t.Fatal("insert succeeded although a blob of its segment was refused")
+			if err := tab.EnableWAL(walTestConfig()); err != nil {
+				t.Fatal(err)
+			}
+			if err := tab.Insert(context.Background(), lcgBatch(opts, 100, 3)); err != nil {
+				t.Fatal(err)
+			}
+			if err := tab.FlushWAL(); err == nil {
+				t.Fatal("flush succeeded although a blob of its segment was refused")
+			}
+			if err := tab.CloseWAL(); err == nil {
+				t.Fatal("closing flush succeeded although a blob of its segment was refused")
 			}
 			keys, err := mem.List("")
 			if err != nil {
@@ -206,12 +212,23 @@ func TestMetaIsTheLastBlob(t *testing.T) {
 			if tab.SegmentCount() != 0 {
 				t.Fatal("the failed segment is live")
 			}
+			var m manifest
+			if blob, err := mem.Get(manifestKey("ml")); err != nil {
+				t.Fatal(err)
+			} else if err := json.Unmarshal(blob, &m); err != nil {
+				t.Fatal(err)
+			}
+			if len(m.Segments) != 0 {
+				t.Fatalf("the manifest names the failed segment: %v", m.Segments)
+			}
+			// The rows were acknowledged, so the log still holds them:
+			// a reopen over a healthy store replays them into a segment.
 			reopened, err := Open(mem, "ml")
 			if err != nil {
 				t.Fatal(err)
 			}
-			if reopened.SegmentCount() != 0 {
-				t.Fatal("the manifest names the failed segment")
+			if reopened.SegmentCount() != 1 || reopened.Rows() != 100 {
+				t.Fatalf("reopen holds %d rows in %d segments, want the 100 logged rows", reopened.Rows(), reopened.SegmentCount())
 			}
 		})
 	}

@@ -19,33 +19,26 @@ import (
 // drops the bitmaps.
 
 // DeleteByKey marks every row whose pkCol value appears in keys as
-// deleted. It returns the number of rows marked.
-func (t *Table) DeleteByKey(pkCol string, keys []int64) (int, error) {
-	return t.DeleteByKeyCtx(context.Background(), pkCol, keys)
-}
-
-// DeleteByKeyCtx deletes by key through the WAL when it is enabled:
-// the delete record is group-committed (durable before the statement
-// acks), then applied to the memtables and segment bitmaps. dmlMu
-// keeps the whole application atomic with respect to memtable flushes
-// — a delete can never land between a flush's snapshot and its
-// segment registration, which would lose it.
-func (t *Table) DeleteByKeyCtx(ctx context.Context, pkCol string, keys []int64) (int, error) {
+// deleted and returns the number of rows marked. The delete record is
+// group-committed through the log (durable before the statement acks),
+// then applied to the memtables and segment bitmaps; a table whose log
+// is not running returns ErrReadOnly. dmlMu keeps the whole
+// application atomic with respect to memtable flushes — a delete can
+// never land between a flush's snapshot and its segment registration,
+// which would lose it.
+func (t *Table) DeleteByKey(ctx context.Context, pkCol string, keys []int64) (int, error) {
 	if err := t.validateKeyCol(pkCol); err != nil {
 		return 0, err
 	}
 	ws := t.walRT.Load()
 	if ws == nil {
-		return t.deleteFromSegments(pkCol, keys)
+		return 0, t.errReadOnly()
 	}
 	t.dmlMu.Lock()
 	defer t.dmlMu.Unlock()
 	lsn, err := ws.log.Append(ctx, &wal.Record{Type: wal.RecDelete, DeleteCol: pkCol, DeleteKeys: keys})
 	if errors.Is(err, wal.ErrClosed) {
-		// WAL raced a CloseWAL: fall back to the synchronous path.
-		// dmlMu is already held (deferred unlock above) and sync.Mutex
-		// is non-reentrant, so the Locked variant is required here.
-		return t.deleteFromSegmentsLocked(pkCol, keys)
+		return 0, t.errReadOnly()
 	}
 	if err != nil {
 		return 0, err
@@ -82,11 +75,11 @@ func (t *Table) validateKeyCol(pkCol string) error {
 	return nil
 }
 
-// deleteFromSegments marks keyed rows deleted in segment bitmaps (the
-// pre-WAL delete path, still used directly by replay and flush-off
-// tables). It takes dmlMu so bitmap application is atomic with respect
-// to both memtable flushes and compaction's late-delete diff and swap;
-// callers already under dmlMu use deleteFromSegmentsLocked.
+// deleteFromSegments marks keyed rows deleted in segment bitmaps: WAL
+// replay's delete, for records already in the log. It takes dmlMu so
+// bitmap application is atomic with respect to both memtable flushes
+// and compaction's late-delete diff and swap; callers already under
+// dmlMu use deleteFromSegmentsLocked.
 func (t *Table) deleteFromSegments(pkCol string, keys []int64) (int, error) {
 	t.dmlMu.Lock()
 	defer t.dmlMu.Unlock()
@@ -171,14 +164,9 @@ func (t *Table) deleteFromSegmentsLocked(pkCol string, keys []int64) (int, error
 // Update replaces rows by primary key: rows in newRows whose pkCol
 // value matches an existing live row supersede it (old row marked
 // deleted, new row inserted as a fresh version); unmatched rows are
-// plain inserts. Returns the number of superseded rows.
-func (t *Table) Update(pkCol string, newRows *storage.RowBatch) (int, error) {
-	return t.UpdateCtx(context.Background(), pkCol, newRows)
-}
-
-// UpdateCtx is Update routed through the WAL when enabled (both the
-// delete and the insert are logged as separate records).
-func (t *Table) UpdateCtx(ctx context.Context, pkCol string, newRows *storage.RowBatch) (int, error) {
+// plain inserts. The delete and the insert are logged as separate
+// records. Returns the number of superseded rows.
+func (t *Table) Update(ctx context.Context, pkCol string, newRows *storage.RowBatch) (int, error) {
 	if err := newRows.Validate(); err != nil {
 		return 0, err
 	}
@@ -188,11 +176,11 @@ func (t *Table) UpdateCtx(ctx context.Context, pkCol string, newRows *storage.Ro
 	}
 	keys := make([]int64, pk.Len())
 	copy(keys, pk.Ints)
-	deleted, err := t.DeleteByKeyCtx(ctx, pkCol, keys)
+	deleted, err := t.DeleteByKey(ctx, pkCol, keys)
 	if err != nil {
 		return deleted, err
 	}
-	if err := t.InsertCtx(ctx, newRows); err != nil {
+	if err := t.Insert(ctx, newRows); err != nil {
 		return deleted, err
 	}
 	return deleted, nil

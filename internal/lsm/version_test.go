@@ -46,14 +46,14 @@ func TestVersionPinsReads(t *testing.T) {
 	defer tab.CloseWAL()
 	ctx := context.Background()
 	for i := 0; i < 4; i++ {
-		if err := tab.InsertCtx(ctx, fillBatch(t, opts, ds, 100*i, 100)); err != nil {
+		if err := tab.Insert(ctx, fillBatch(t, opts, ds, 100*i, 100)); err != nil {
 			t.Fatal(err)
 		}
 		if err := tab.FlushWAL(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := tab.InsertCtx(ctx, fillBatch(t, opts, ds, 400, 50)); err != nil {
+	if err := tab.Insert(ctx, fillBatch(t, opts, ds, 400, 50)); err != nil {
 		t.Fatal(err)
 	}
 	var mu sync.Mutex
@@ -76,10 +76,10 @@ func TestVersionPinsReads(t *testing.T) {
 	if n, err := tab.CompactAll(CompactionPolicy{MinSegments: 2}); err != nil || n != 4 {
 		t.Fatalf("compaction merged %d (%v), want 4", n, err)
 	}
-	if n, err := tab.DeleteByKeyCtx(ctx, "id", []int64{3, 150, 420}); err != nil || n != 3 {
+	if n, err := tab.DeleteByKey(ctx, "id", []int64{3, 150, 420}); err != nil || n != 3 {
 		t.Fatalf("DELETE marked %d (%v), want 3", n, err)
 	}
-	if err := tab.InsertCtx(ctx, fillBatch(t, opts, ds, 500, 50)); err != nil {
+	if err := tab.Insert(ctx, fillBatch(t, opts, ds, 500, 50)); err != nil {
 		t.Fatal(err)
 	}
 	if err := tab.FlushWAL(); err != nil {
@@ -134,9 +134,7 @@ func TestVersionDeleteRacingQueries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tab.Insert(fillBatch(t, opts, ds, 0, 600)); err != nil {
-		t.Fatal(err)
-	}
+	ingest(t, tab, fillBatch(t, opts, ds, 0, 600))
 	// The j-th DELETE removes key(j): ids walk the three segments, so
 	// every bitmap is copied again and again while queries hold older
 	// ones.
@@ -162,7 +160,7 @@ func TestVersionDeleteRacingQueries(t *testing.T) {
 	}
 	defer func() { stop.Store(true); wg.Wait() }() // also on a failed DELETE
 	for j := int64(0); j < 60; j++ {
-		if n, err := tab.DeleteByKey("id", []int64{key(j)}); err != nil || n != 1 {
+		if n, err := tab.DeleteByKey(context.Background(), "id", []int64{key(j)}); err != nil || n != 1 {
 			t.Fatalf("DELETE of %d marked %d (%v)", key(j), n, err)
 		}
 		done.Store(j + 1)
@@ -195,9 +193,7 @@ func TestFailedDeleteIsInvisible(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tab.Insert(fillBatch(t, opts, ds, 0, 600)); err != nil {
-		t.Fatal(err)
-	}
+	ingest(t, tab, fillBatch(t, opts, ds, 0, 600))
 	var broken atomic.Bool
 	broken.Store(true)
 	fault.SetHook(func(op storage.FaultOp, key string) error {
@@ -206,7 +202,7 @@ func TestFailedDeleteIsInvisible(t *testing.T) {
 		}
 		return nil
 	})
-	if _, err := tab.DeleteByKey("id", []int64{7, 450}); err == nil {
+	if _, err := tab.DeleteByKey(context.Background(), "id", []int64{7, 450}); err == nil {
 		t.Fatal("DELETE succeeded though its bitmap was not persisted")
 	}
 	if rows := tableContents(t, tab); !hasRow(rows, 7) || !hasRow(rows, 450) || len(rows) != 600 {
@@ -216,7 +212,7 @@ func TestFailedDeleteIsInvisible(t *testing.T) {
 		t.Fatalf("live rows after a failed DELETE = %d, want 600", got)
 	}
 	broken.Store(false)
-	if n, err := tab.DeleteByKey("id", []int64{7, 450}); err != nil || n != 2 {
+	if n, err := tab.DeleteByKey(context.Background(), "id", []int64{7, 450}); err != nil || n != 2 {
 		t.Fatalf("healed DELETE marked %d (%v), want 2", n, err)
 	}
 	re, err := Open(fault, opts.Name)
@@ -241,9 +237,7 @@ func TestOpenIndexPinsItsSegment(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		if err := tab.Insert(fillBatch(t, opts, ds, 200*i, 200)); err != nil {
-			t.Fatal(err)
-		}
+		ingest(t, tab, fillBatch(t, opts, ds, 200*i, 200))
 	}
 	seg := tab.Segments()[0].Name
 	var (

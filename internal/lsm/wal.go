@@ -29,18 +29,30 @@ var (
 
 var lsmLog = obs.Logger("lsm")
 
+// ErrReadOnly is returned by a write (Insert, DeleteByKey, Update) to a
+// table whose log is not running — never enabled, or stopped by CloseWAL
+// or Drop. The log is the only write path, so the write stores nothing.
+var ErrReadOnly = errors.New("lsm: table is read-only: its write-ahead log is not running")
+
+func (t *Table) errReadOnly() error { return fmt.Errorf("%w (table %q)", ErrReadOnly, t.opts.Name) }
+
+// The memtable's byte budget and the flush backlog: crossing
+// maxMemBytes trips a background flush like MaxMemRows does, and
+// writers block (ctx-cancellable) while maxSealed sealed memtables
+// await flushing.
+const (
+	maxMemBytes = 32 << 20
+	maxSealed   = 2
+)
+
 // WALConfig tunes the real-time write path of one table.
 type WALConfig struct {
-	// MaxMemRows / MaxMemBytes trip a background flush when the active
-	// memtable crosses either (defaults 8192 rows / 32 MiB).
-	MaxMemRows  int
-	MaxMemBytes int64
+	// MaxMemRows trips a background flush when the active memtable
+	// holds this many rows (default 8192), or maxMemBytes.
+	MaxMemRows int
 	// FlushInterval bounds how long rows sit unflushed regardless of
 	// volume (default 2s).
 	FlushInterval time.Duration
-	// MaxSealed caps the flush backlog; writers block (ctx-cancellable)
-	// when this many sealed memtables await flushing (default 2).
-	MaxSealed int
 	// OnError observes background flush failures (may be nil). The
 	// failed memtable stays sealed and query-visible; the flusher
 	// retries on the next tick.
@@ -51,14 +63,8 @@ func (c WALConfig) withDefaults() WALConfig {
 	if c.MaxMemRows <= 0 {
 		c.MaxMemRows = 8192
 	}
-	if c.MaxMemBytes <= 0 {
-		c.MaxMemBytes = 32 << 20
-	}
 	if c.FlushInterval <= 0 {
 		c.FlushInterval = 2 * time.Second
-	}
-	if c.MaxSealed <= 0 {
-		c.MaxSealed = 2
 	}
 	return c
 }
@@ -80,12 +86,13 @@ type walState struct {
 	spaceCh chan struct{}
 }
 
-// EnableWAL turns on the table's real-time write path: InsertCtx and
-// DeleteByKeyCtx group-commit through a durable log, acknowledged
-// rows become query-visible via the memtable immediately, and a
-// background flusher drains the memtable into L0 segments through the
-// normal ingest + auto-index path. Call CloseWAL before abandoning
-// the handle.
+// EnableWAL starts the table's write path: Insert, DeleteByKey and
+// Update group-commit through a durable log, acknowledged rows become
+// query-visible via the memtable immediately, and a background
+// flusher drains the memtable into L0 segments through the normal
+// ingest + auto-index path. Until it runs, and after CloseWAL or Drop,
+// every write returns ErrReadOnly. Call CloseWAL before abandoning the
+// handle: it stops the flusher.
 func (t *Table) EnableWAL(cfg WALConfig) error {
 	cfg = cfg.withDefaults()
 	if t.walRT.Load() != nil {
@@ -150,23 +157,21 @@ func (t *Table) EnableWAL(cfg WALConfig) error {
 	return nil
 }
 
-// walApply is the group committer's post-durability hook: it makes a
-// record's effects visible in the active memtable before the writer
-// is acknowledged. Holding t.mu.RLock across the append pins the
+// walApply is the group committer's post-durability hook: it makes an
+// insert's rows visible in the active memtable before the writer is
+// acknowledged. Holding t.mu.RLock across the append pins the
 // active memtable — a concurrent seal (t.mu.Lock) either waits for
 // this apply or happens entirely before it, so no applied record can
-// land in a sealed memtable after its flush snapshot.
+// land in a sealed memtable after its flush snapshot. A delete's marks
+// are applied by its DeleteByKey caller under dmlMu; the hook only
+// orders its ack after durability.
 func (t *Table) walApply(rec *wal.Record) {
+	if rec.Type != wal.RecInsert {
+		return
+	}
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	switch rec.Type {
-	case wal.RecInsert:
-		appendTo(t.cur.mem, rec.Batch, rec.LSN)
-	case wal.RecDelete:
-		// Memtable + segment application is done by the DeleteByKeyCtx
-		// caller under dmlMu; the hook only orders the ack after
-		// durability.
-	}
+	appendTo(t.cur.mem, rec.Batch, rec.LSN)
 }
 
 // appendTo applies an acknowledged insert to the active memtable m
@@ -185,14 +190,14 @@ func retire(m *wal.Memtable) {
 	mMemBytes.Add(-m.Bytes())
 }
 
-// InsertCtx ingests a batch through the real-time write path when the
-// WAL is enabled: the batch is group-committed to the durable log and
-// becomes query-visible via the memtable the moment this returns —
-// segment cutting and index building happen later in the background
-// flusher. Without a WAL it falls back to the synchronous Insert
-// path. Backpressure: when the flush backlog is full the call blocks
-// until a flush completes or ctx fires.
-func (t *Table) InsertCtx(ctx context.Context, batch *storage.RowBatch) error {
+// Insert ingests a batch through the write path: the batch is
+// group-committed to the durable log and becomes query-visible via the
+// memtable the moment this returns — segment cutting and index
+// building happen later in the background flusher. A table whose log
+// is not running returns ErrReadOnly. Backpressure: when the flush
+// backlog is full the call blocks until a flush completes or ctx
+// fires.
+func (t *Table) Insert(ctx context.Context, batch *storage.RowBatch) error {
 	if err := batch.Validate(); err != nil {
 		return err
 	}
@@ -201,14 +206,14 @@ func (t *Table) InsertCtx(ctx context.Context, batch *storage.RowBatch) error {
 	}
 	ws := t.walRT.Load()
 	if ws == nil {
-		return t.insertSegments(batch)
+		return t.errReadOnly()
 	}
 	if err := t.waitForSpace(ctx, ws); err != nil {
 		return err
 	}
 	_, err := ws.log.Append(ctx, &wal.Record{Type: wal.RecInsert, Batch: batch})
 	if errors.Is(err, wal.ErrClosed) {
-		return t.insertSegments(batch)
+		return t.errReadOnly()
 	}
 	if err != nil {
 		return err
@@ -217,7 +222,7 @@ func (t *Table) InsertCtx(ctx context.Context, batch *storage.RowBatch) error {
 	t.mu.RLock()
 	// A table dropped since the append holds no memtable.
 	m := t.cur.mem
-	over := m != nil && (m.Rows() >= ws.cfg.MaxMemRows || m.Bytes() >= ws.cfg.MaxMemBytes)
+	over := m != nil && (m.Rows() >= ws.cfg.MaxMemRows || m.Bytes() >= maxMemBytes)
 	t.mu.RUnlock()
 	if over {
 		kickFlush(ws)
@@ -239,7 +244,7 @@ func (t *Table) waitForSpace(ctx context.Context, ws *walState) error {
 		n := len(t.cur.sealed)
 		ch := ws.spaceCh
 		t.mu.RUnlock()
-		if n < ws.cfg.MaxSealed {
+		if n < maxSealed {
 			return nil
 		}
 		mMemStalls.Inc()
@@ -359,10 +364,11 @@ func (t *Table) flushOnce(ws *walState) error {
 	return nil
 }
 
-// CloseWAL drains and disables the real-time write path: in-flight
-// appends commit, the flusher stops, and one final flush moves every
-// memtable row into segments (after which the WAL directory is
-// empty). The table remains usable on the synchronous paths.
+// CloseWAL drains and stops the write path: in-flight appends commit,
+// the flusher stops, and one final flush moves every memtable row into
+// segments (after which the WAL directory is empty). The table stays
+// readable; a write to it returns ErrReadOnly until EnableWAL runs
+// again.
 func (t *Table) CloseWAL() error {
 	ws := t.stopWAL()
 	if ws == nil {
@@ -386,10 +392,12 @@ func (t *Table) stopWAL() *walState {
 
 // Drop stops the table's write path without flushing, retires its
 // memtables and deletes every blob the table stored (DROP TABLE). A
-// flush already under way finishes first; the handle must not be used
-// afterwards.
+// flush already under way finishes first. A write that loses the race
+// returns ErrReadOnly and stores nothing: every append the log took
+// committed before Drop lists the blobs it deletes. The handle must not
+// be used afterwards.
 func (t *Table) Drop() error {
-	t.stopWAL()
+	ws := t.stopWAL()
 	t.dmlMu.Lock()
 	t.dropped.Store(true)
 	t.publish(func(next *Version) {
@@ -397,13 +405,18 @@ func (t *Table) Drop() error {
 			retire(m)
 		}
 		next.Segments, next.sealed, next.mem = nil, nil, nil
+		if ws != nil {
+			close(ws.spaceCh) // a writer stalled on the backlog finds the log closed
+			ws.spaceCh = make(chan struct{})
+		}
 	})
 	t.dmlMu.Unlock()
 	return t.deleteBlobs("tables/" + t.opts.Name + "/")
 }
 
-// FlushWAL forces a synchronous flush of the memtable (tests and
-// admin tooling).
+// FlushWAL forces a synchronous flush of the memtable, leaving the
+// write path running (loaders that cut segments at set points, tests
+// and admin tooling).
 func (t *Table) FlushWAL() error {
 	ws := t.walRT.Load()
 	if ws == nil {

@@ -2,6 +2,7 @@ package lsm
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"sort"
@@ -20,7 +21,7 @@ import (
 // walTestConfig disables every automatic flush trigger so tests control
 // exactly when memtables drain.
 func walTestConfig() WALConfig {
-	return WALConfig{MaxMemRows: 1 << 20, MaxMemBytes: 1 << 40, FlushInterval: time.Hour}
+	return WALConfig{MaxMemRows: 1 << 20, FlushInterval: time.Hour}
 }
 
 // crashWAL simulates a process crash after acknowledgment: it stops the
@@ -86,7 +87,7 @@ func TestWALFreshnessAndFlush(t *testing.T) {
 	if err := tab.EnableWAL(walTestConfig()); err != nil {
 		t.Fatal(err)
 	}
-	if err := tab.InsertCtx(context.Background(), fillBatch(t, tab.Options(), ds, 0, 250)); err != nil {
+	if err := tab.Insert(context.Background(), fillBatch(t, tab.Options(), ds, 0, 250)); err != nil {
 		t.Fatal(err)
 	}
 	// Acked ⇒ visible, before any segment is cut.
@@ -151,11 +152,11 @@ func TestWALCrashRecovery(t *testing.T) {
 	}
 	ctx := context.Background()
 	for i := 0; i < 3; i++ {
-		if err := tab.InsertCtx(ctx, fillBatch(t, opts, ds, i*80, 80)); err != nil {
+		if err := tab.Insert(ctx, fillBatch(t, opts, ds, i*80, 80)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if n, err := tab.DeleteByKeyCtx(ctx, "id", []int64{5, 100}); err != nil || n != 2 {
+	if n, err := tab.DeleteByKey(ctx, "id", []int64{5, 100}); err != nil || n != 2 {
 		t.Fatalf("delete: n=%d err=%v", n, err)
 	}
 	want := tableContents(t, tab)
@@ -189,7 +190,7 @@ func TestWALCrashRecovery(t *testing.T) {
 	if err := re.EnableWAL(walTestConfig()); err != nil {
 		t.Fatal(err)
 	}
-	if err := re.InsertCtx(ctx, fillBatch(t, opts, ds, 500, 10)); err != nil {
+	if err := re.Insert(ctx, fillBatch(t, opts, ds, 500, 10)); err != nil {
 		t.Fatal(err)
 	}
 	if got := len(tableContents(t, re)); got != 248 {
@@ -208,20 +209,15 @@ func TestWALDeleteSpansMemtableAndSegments(t *testing.T) {
 	before := runtime.NumGoroutine()
 	tab, ds := newTestTable(t, testOptions("t"))
 	opts := tab.Options()
-	// 200 rows via the synchronous path → segments.
-	if err := tab.Insert(fillBatch(t, opts, ds, 0, 200)); err != nil {
-		t.Fatal(err)
-	}
-	if err := tab.EnableWAL(walTestConfig()); err != nil {
-		t.Fatal(err)
-	}
-	// 100 more rows through the WAL → memtable.
+	// 200 rows flushed → segments.
+	ingest(t, tab, fillBatch(t, opts, ds, 0, 200))
+	// 100 more rows, not flushed → memtable.
 	ctx := context.Background()
-	if err := tab.InsertCtx(ctx, fillBatch(t, opts, ds, 200, 100)); err != nil {
+	if err := tab.Insert(ctx, fillBatch(t, opts, ds, 200, 100)); err != nil {
 		t.Fatal(err)
 	}
 	// One key in a segment, one in the memtable.
-	if n, err := tab.DeleteByKeyCtx(ctx, "id", []int64{10, 250}); err != nil || n != 2 {
+	if n, err := tab.DeleteByKey(ctx, "id", []int64{10, 250}); err != nil || n != 2 {
 		t.Fatalf("delete: n=%d err=%v", n, err)
 	}
 	if got := len(tableContents(t, tab)); got != 298 {
@@ -234,7 +230,7 @@ func TestWALDeleteSpansMemtableAndSegments(t *testing.T) {
 		t.Fatalf("after flush: rows=%d mem=%d", tab.Rows(), tab.MemRows())
 	}
 	// Deleting an already-deleted key is still idempotent through the WAL.
-	if n, err := tab.DeleteByKeyCtx(ctx, "id", []int64{10}); err != nil || n != 0 {
+	if n, err := tab.DeleteByKey(ctx, "id", []int64{10}); err != nil || n != 0 {
 		t.Fatalf("re-delete: n=%d err=%v", n, err)
 	}
 	if err := tab.CloseWAL(); err != nil {
@@ -250,7 +246,7 @@ func TestWALConcurrentInsertsDurable(t *testing.T) {
 	before := runtime.NumGoroutine()
 	tab, ds := newTestTable(t, testOptions("t"))
 	opts := tab.Options()
-	cfg := WALConfig{MaxMemRows: 50, FlushInterval: 20 * time.Millisecond, MaxSealed: 2}
+	cfg := WALConfig{MaxMemRows: 50, FlushInterval: 20 * time.Millisecond}
 	if err := tab.EnableWAL(cfg); err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +263,7 @@ func TestWALConcurrentInsertsDurable(t *testing.T) {
 			defer wg.Done()
 			for b := 0; b < batches; b++ {
 				start := (w*batches + b) * perOp
-				if err := tab.InsertCtx(context.Background(), fillBatch(t, opts, ds, start, perOp)); err != nil {
+				if err := tab.Insert(context.Background(), fillBatch(t, opts, ds, start, perOp)); err != nil {
 					errCh <- err
 					return
 				}
@@ -352,7 +348,7 @@ func TestWALDeleteCannotTruncateUnflushedInserts(t *testing.T) {
 	}
 	ctx := context.Background()
 	// M1: rows 0..99 (WAL record LSN 1).
-	if err := tab.InsertCtx(ctx, fillBatch(t, opts, ds, 0, 100)); err != nil {
+	if err := tab.Insert(ctx, fillBatch(t, opts, ds, 0, 100)); err != nil {
 		t.Fatal(err)
 	}
 	// Its flush fails at the segment write, leaving M1 sealed.
@@ -362,11 +358,11 @@ func TestWALDeleteCannotTruncateUnflushedInserts(t *testing.T) {
 	}
 	failPuts(fs, nil)
 	// M2 (the new active memtable): rows 100..199 (LSN 2).
-	if err := tab.InsertCtx(ctx, fillBatch(t, opts, ds, 100, 100)); err != nil {
+	if err := tab.Insert(ctx, fillBatch(t, opts, ds, 100, 100)); err != nil {
 		t.Fatal(err)
 	}
 	// Delete a row buffered in sealed M1 (LSN 3).
-	if n, err := tab.DeleteByKeyCtx(ctx, "id", []int64{5}); err != nil || n != 1 {
+	if n, err := tab.DeleteByKey(ctx, "id", []int64{5}); err != nil || n != 1 {
 		t.Fatalf("delete: n=%d err=%v", n, err)
 	}
 	// Next flush run: M1 flushes and truncates its own records, then
@@ -416,13 +412,13 @@ func TestWALRecoveryManifestAtomic(t *testing.T) {
 	ctx := context.Background()
 	// insert / delete / insert: the delete cuts the replay into two
 	// ingest batches, the shape that used to write two manifests.
-	if err := tab.InsertCtx(ctx, fillBatch(t, opts, ds, 0, 100)); err != nil {
+	if err := tab.Insert(ctx, fillBatch(t, opts, ds, 0, 100)); err != nil {
 		t.Fatal(err)
 	}
-	if n, err := tab.DeleteByKeyCtx(ctx, "id", []int64{5}); err != nil || n != 1 {
+	if n, err := tab.DeleteByKey(ctx, "id", []int64{5}); err != nil || n != 1 {
 		t.Fatalf("delete: n=%d err=%v", n, err)
 	}
-	if err := tab.InsertCtx(ctx, fillBatch(t, opts, ds, 100, 50)); err != nil {
+	if err := tab.Insert(ctx, fillBatch(t, opts, ds, 100, 50)); err != nil {
 		t.Fatal(err)
 	}
 	want := tableContents(t, tab)
@@ -460,16 +456,14 @@ func TestWALPartialFlushFailureWakesBlockedWriters(t *testing.T) {
 		t.Fatal(err)
 	}
 	ds := dataset.Small(lN, lDim, 3)
-	cfg := walTestConfig()
-	cfg.MaxSealed = 2
-	if err := tab.EnableWAL(cfg); err != nil {
+	if err := tab.EnableWAL(walTestConfig()); err != nil {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
 	// Two failed flushes fill the sealed backlog to its cap.
 	failPuts(fs, isSegmentKey)
 	for i := 0; i < 2; i++ {
-		if err := tab.InsertCtx(ctx, fillBatch(t, opts, ds, i*50, 50)); err != nil {
+		if err := tab.Insert(ctx, fillBatch(t, opts, ds, i*50, 50)); err != nil {
 			t.Fatal(err)
 		}
 		if err := tab.FlushWAL(); err == nil {
@@ -480,7 +474,7 @@ func TestWALPartialFlushFailureWakesBlockedWriters(t *testing.T) {
 	wctx, cancel := context.WithTimeout(ctx, 10*time.Second)
 	defer cancel()
 	done := make(chan error, 1)
-	go func() { done <- tab.InsertCtx(wctx, fillBatch(t, opts, ds, 100, 50)) }()
+	go func() { done <- tab.Insert(wctx, fillBatch(t, opts, ds, 100, 50)) }()
 	// Next run: M1 flushes fine (its segment writes and manifest land
 	// before the predicate trips) but M2's segment write still fails.
 	// The slot M1 freed must wake the writer despite the run's error.
@@ -526,18 +520,16 @@ func TestOpenRoundTripIdenticalResults(t *testing.T) {
 	}
 	ds := dataset.Small(lN, lDim, 3)
 	for i := 0; i < 5; i++ {
-		if err := tab.Insert(fillBatch(t, opts, ds, i*100, 100)); err != nil {
-			t.Fatal(err)
-		}
+		ingest(t, tab, fillBatch(t, opts, ds, i*100, 100))
 	}
-	if _, err := tab.DeleteByKey("id", []int64{1, 101, 201, 499}); err != nil {
+	if _, err := tab.DeleteByKey(context.Background(), "id", []int64{1, 101, 201, 499}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := tab.CompactOnce(CompactionPolicy{MinSegments: 2}); err != nil {
 		t.Fatal(err)
 	}
 	// One post-compaction delete so a live bitmap must survive reopen too.
-	if _, err := tab.DeleteByKey("id", []int64{42}); err != nil {
+	if _, err := tab.DeleteByKey(context.Background(), "id", []int64{42}); err != nil {
 		t.Fatal(err)
 	}
 	want := tableContents(t, tab)
@@ -574,24 +566,18 @@ func TestOpenRoundTripIdenticalResults(t *testing.T) {
 	}
 }
 
-// TestWALCloseRaceDeleteFallback: a DeleteByKeyCtx whose WAL append
+// TestWALCloseRaceDeleteIsReadOnly: a DeleteByKey whose WAL append
 // loses the race with CloseWAL (Append returns wal.ErrClosed while
-// walRT is still loaded) falls back to the synchronous segment path.
-// Regression: the fallback used to call deleteFromSegments — which
-// re-acquires the non-reentrant dmlMu the delete already holds — a
+// walRT is still loaded) returns ErrReadOnly and marks nothing.
+// Regression: the synchronous fallback that delete once took there
+// re-acquired the non-reentrant dmlMu the delete already held — a
 // self-deadlock that hung the delete and, with it, every later DML,
 // flush, and compaction on the table.
-func TestWALCloseRaceDeleteFallback(t *testing.T) {
+func TestWALCloseRaceDeleteIsReadOnly(t *testing.T) {
 	before := runtime.NumGoroutine()
 	tab, ds := newTestTable(t, testOptions("t"))
 	ctx := context.Background()
-	// Rows in segments (pre-WAL insert) so the fallback has bitmaps to mark.
-	if err := tab.InsertCtx(ctx, fillBatch(t, tab.Options(), ds, 0, 100)); err != nil {
-		t.Fatal(err)
-	}
-	if err := tab.EnableWAL(walTestConfig()); err != nil {
-		t.Fatal(err)
-	}
+	ingest(t, tab, fillBatch(t, tab.Options(), ds, 0, 100))
 	// Close the log while walRT stays loaded — the exact window a
 	// concurrent CloseWAL opens between its Swap and a racing delete's
 	// walRT.Load.
@@ -603,23 +589,23 @@ func TestWALCloseRaceDeleteFallback(t *testing.T) {
 	}
 	done := make(chan result, 1)
 	go func() {
-		n, err := tab.DeleteByKeyCtx(ctx, "id", []int64{5})
+		n, err := tab.DeleteByKey(ctx, "id", []int64{5})
 		done <- result{n, err}
 	}()
 	select {
 	case r := <-done:
-		if r.err != nil || r.n != 1 {
-			t.Fatalf("fallback delete: n=%d err=%v, want n=1 err=nil", r.n, r.err)
+		if !errors.Is(r.err, ErrReadOnly) || r.n != 0 {
+			t.Fatalf("delete on a closed log: n=%d err=%v, want n=0 ErrReadOnly", r.n, r.err)
 		}
 	case <-time.After(10 * time.Second):
-		t.Fatal("DeleteByKeyCtx deadlocked on the WAL-closed fallback path")
+		t.Fatal("DeleteByKey deadlocked on a closed log")
 	}
-	if got := len(tableContents(t, tab)); got != 99 {
-		t.Fatalf("rows after fallback delete = %d, want 99", got)
+	if got := len(tableContents(t, tab)); got != 100 {
+		t.Fatalf("rows after refused delete = %d, want 100", got)
 	}
-	// DML must still flow: the deadlock also wedged dmlMu for everyone.
-	if n, err := tab.DeleteByKey("id", []int64{6}); err != nil || n != 1 {
-		t.Fatalf("follow-up delete: n=%d err=%v", n, err)
+	// dmlMu is free: a flush, which takes it, runs.
+	if err := tab.FlushWAL(); err != nil {
+		t.Fatal(err)
 	}
 	crashWAL(tab) // log already closed (idempotent); stops the flusher
 	testutil.CheckNoLeaks(t, before)

@@ -50,9 +50,7 @@ func shapeTable(t *testing.T, n, dim int) *lsm.Table {
 			b.Col("v").Vecs = append(b.Col("v").Vecs, rng.Float32())
 		}
 	}
-	if err := tab.Insert(b); err != nil {
-		t.Fatal(err)
-	}
+	ingest(t, tab, b)
 	return tab
 }
 

@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -41,9 +42,7 @@ func planTable(t *testing.T, n int) *lsm.Table {
 		b.Col("score").Floats = append(b.Col("score").Floats, float64(i)/float64(n))
 		b.Col("embedding").Vecs = append(b.Col("embedding").Vecs, ds.Vectors.Row(i)...)
 	}
-	if err := tab.Insert(b); err != nil {
-		t.Fatal(err)
-	}
+	ingest(t, tab, b)
 	return tab
 }
 
@@ -361,5 +360,21 @@ func TestIntBounds(t *testing.T) {
 	}
 	if _, _, _, err := IntBounds(sql.Predicate{Op: sql.OpLt, Value: "x"}); err == nil {
 		t.Error("a string literal against an integer column must be an error")
+	}
+}
+
+// ingest writes b through tab's write-ahead log, as serve does; closing
+// the log flushes the rows into segments and leaves tab read-only.
+func ingest(t testing.TB, tab *lsm.Table, b *storage.RowBatch) {
+	t.Helper()
+	if err := tab.EnableWAL(lsm.WALConfig{}); err != nil {
+		t.Fatal(err)
+	}
+	err := tab.Insert(context.Background(), b)
+	if cerr := tab.CloseWAL(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		t.Fatal(err)
 	}
 }

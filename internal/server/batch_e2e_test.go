@@ -28,6 +28,7 @@ func batchTestEngine(t testing.TB, maxGroup int) *core.Engine {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(e.Close)
 	mustExec(t, e, fmt.Sprintf(`CREATE TABLE items (
 		id UInt64,
 		label String,
@@ -47,6 +48,7 @@ func batchTestEngine(t testing.TB, maxGroup int) *core.Engine {
 		b = append(b, fmt.Sprintf("(%d, 'l%d', %s)", i, i%4, vecLit(vp))...)
 	}
 	mustExec(t, e, string(b))
+	flush(t, e, "items")
 	return e
 }
 

@@ -82,6 +82,7 @@ func goldenEngine(t testing.TB, strategy plan.Strategy, batching bool) *core.Eng
 		fmt.Fprintf(&b, "(%d, %d, 'l%d', %s)", i, (i*7919)%1000, i%5, vecLit(vecs[i*goldenDim:(i+1)*goldenDim]))
 	}
 	mustExec(t, e, b.String())
+	flush(t, e, "items")
 	return e
 }
 

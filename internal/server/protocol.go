@@ -2,6 +2,7 @@ package server
 
 import (
 	"encoding/json"
+	"errors"
 	"net/http"
 
 	"blendhouse/pkg/api"
@@ -15,12 +16,29 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = enc.Encode(v)
 }
 
-// writeError maps err through the taxonomy's status table
-// (api.StatusFor) and writes the standard error body. A retryable
-// failure (SHED, DRAINING) gets a Retry-After hint so well-behaved
-// clients pace their backoff.
-func writeError(w http.ResponseWriter, err error, traceID string) {
-	status, code := api.StatusFor(err)
+// requestError is a request refused before it reaches the engine: a
+// malformed body or wire version (BAD_REQUEST) or a rejected SET
+// (SESSION). It carries its own HTTP status and code.
+type requestError struct {
+	status int
+	code   string
+	msg    string
+}
+
+func (e *requestError) Error() string { return e.msg }
+
+// writeError writes the standard error body for every failure the
+// query handler reports, and returns its status and code: a
+// requestError's own, any other error's from the taxonomy's status
+// table (api.StatusFor). A retryable failure (SHED, DRAINING) gets a
+// Retry-After hint so well-behaved clients pace their backoff.
+func writeError(w http.ResponseWriter, err error, traceID string) (status int, code string) {
+	var re *requestError
+	if errors.As(err, &re) {
+		status, code = re.status, re.code
+	} else {
+		status, code = api.StatusFor(err)
+	}
 	retryable := api.Retryable(code)
 	if retryable {
 		w.Header().Set("Retry-After", "1")
@@ -28,4 +46,5 @@ func writeError(w http.ResponseWriter, err error, traceID string) {
 	writeJSON(w, status, api.ErrorBody{Error: api.WireError{
 		Code: code, Message: err.Error(), Retryable: retryable, TraceID: traceID,
 	}})
+	return status, code
 }

@@ -305,20 +305,12 @@ func (s *Server) statementHandler(route string) http.HandlerFunc {
 		}()
 		fail := func(err error) {
 			mErrs.Inc()
-			status, code = api.StatusFor(err)
-			writeError(w, err, traceID)
-		}
-		badRequest := func(httpStatus int, wireCode, msg string) {
-			mErrs.Inc()
-			status, code = httpStatus, wireCode
-			writeJSON(w, httpStatus, api.ErrorBody{Error: api.WireError{
-				Code: wireCode, Message: msg, TraceID: traceID,
-			}})
+			status, code = writeError(w, err, traceID)
 		}
 
 		if r.Method != http.MethodPost {
 			w.Header().Set("Allow", http.MethodPost)
-			badRequest(http.StatusMethodNotAllowed, api.CodeBadRequest, "use POST with a JSON body")
+			fail(&requestError{http.StatusMethodNotAllowed, api.CodeBadRequest, "use POST with a JSON body"})
 			return
 		}
 		if s.draining.Load() {
@@ -328,19 +320,19 @@ func (s *Server) statementHandler(route string) http.HandlerFunc {
 		var req api.QueryRequest
 		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody))
 		if err := dec.Decode(&req); err != nil {
-			badRequest(http.StatusBadRequest, api.CodeBadRequest, "bad request body: "+err.Error())
+			fail(&requestError{http.StatusBadRequest, api.CodeBadRequest, "bad request body: " + err.Error()})
 			return
 		}
 		if strings.TrimSpace(req.Query) == "" {
-			badRequest(http.StatusBadRequest, api.CodeBadRequest, `"query" must be a non-empty SQL statement`)
+			fail(&requestError{http.StatusBadRequest, api.CodeBadRequest, `"query" must be a non-empty SQL statement`})
 			return
 		}
 		// Version gate: 0 (field omitted, every pre-versioned client)
 		// reads as version 1; anything newer than this build is refused
 		// loudly instead of silently dropping fields it can't know about.
 		if req.V > api.Version {
-			badRequest(http.StatusBadRequest, api.CodeBadRequest,
-				fmt.Sprintf("wire version %d not supported (this server speaks ≤ %d)", req.V, api.Version))
+			fail(&requestError{http.StatusBadRequest, api.CodeBadRequest,
+				fmt.Sprintf("wire version %d not supported (this server speaks ≤ %d)", req.V, api.Version)})
 			return
 		}
 
@@ -349,7 +341,7 @@ func (s *Server) statementHandler(route string) http.HandlerFunc {
 		sess := s.sessionFrom(r.Context())
 		if handled, msg, err := sess.HandleSet(req.Query); handled {
 			if err != nil {
-				badRequest(http.StatusBadRequest, api.CodeSession, err.Error())
+				fail(&requestError{http.StatusBadRequest, api.CodeSession, err.Error()})
 				return
 			}
 			rows = 1

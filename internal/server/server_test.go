@@ -42,6 +42,7 @@ func testEngine(t testing.TB, opLatency time.Duration) *core.Engine {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(e.Close)
 	mustExec(t, e, fmt.Sprintf(`CREATE TABLE items (
 		id UInt64,
 		label String,
@@ -61,6 +62,7 @@ func testEngine(t testing.TB, opLatency time.Duration) *core.Engine {
 		b = append(b, fmt.Sprintf("(%d, 'l%d', %s)", i, i%4, vecLit(vp))...)
 	}
 	mustExec(t, e, string(b))
+	flush(t, e, "items")
 	return e
 }
 
@@ -68,6 +70,14 @@ func mustExec(t testing.TB, e *core.Engine, stmt string) {
 	t.Helper()
 	if _, err := e.Exec(context.Background(), stmt); err != nil {
 		t.Fatalf("exec %q: %v", firstWords(stmt), err)
+	}
+}
+
+// flush cuts table's logged rows into segments.
+func flush(t testing.TB, e *core.Engine, table string) {
+	t.Helper()
+	if err := e.Table(table).FlushWAL(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -337,30 +347,45 @@ func waitFor(t testing.TB, timeout time.Duration, cond func() bool) {
 	}
 }
 
-// TestBadRequests covers the pre-engine rejections.
+// TestBadRequests covers the pre-engine rejections: the bytes of each
+// answer, written by the one error writer, with no Retry-After.
 func TestBadRequests(t *testing.T) {
 	s, _ := startServer(t, testEngine(t, 0), Config{})
-	base := "http://" + s.Addr()
-
-	resp, err := http.Get(base + "/v1/query")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Fatalf("GET /v1/query = %d, want 405", resp.StatusCode)
-	}
-
-	for _, body := range []string{"{not json", `{"query": ""}`} {
-		resp, err := http.Post(base+"/v1/query", "application/json", strings.NewReader(body))
+	url := "http://" + s.Addr() + "/v1/query"
+	const tail = `,"retryable":false,"trace_id":"a1"}}` + "\n"
+	for _, c := range []struct {
+		method, body string
+		status       int
+		want         string
+	}{
+		{http.MethodGet, "", http.StatusMethodNotAllowed,
+			`{"error":{"code":"BAD_REQUEST","message":"use POST with a JSON body"` + tail},
+		{http.MethodPost, "{not json", http.StatusBadRequest,
+			`{"error":{"code":"BAD_REQUEST","message":"bad request body: invalid character 'n' looking for beginning of object key string"` + tail},
+		{http.MethodPost, `{"query": ""}`, http.StatusBadRequest,
+			`{"error":{"code":"BAD_REQUEST","message":"\"query\" must be a non-empty SQL statement"` + tail},
+		{http.MethodPost, `{"v": 99, "query": "SHOW TABLES"}`, http.StatusBadRequest,
+			`{"error":{"code":"BAD_REQUEST","message":"wire version 99 not supported (this server speaks ≤ 1)"` + tail},
+		{http.MethodPost, `{"query": "SET batch = maybe"}`, http.StatusBadRequest,
+			`{"error":{"code":"SESSION","message":"session: batch wants on or off, got \"maybe\""` + tail},
+	} {
+		req, err := http.NewRequest(c.method, url, strings.NewReader(c.body))
 		if err != nil {
 			t.Fatal(err)
 		}
-		var eb api.ErrorBody
-		_ = json.NewDecoder(resp.Body).Decode(&eb)
+		req.Header.Set(api.TraceIDHeader, "a1")
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
 		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest || eb.Error.Code != api.CodeBadRequest {
-			t.Fatalf("body %q → %d %q, want 400 BAD_REQUEST", body, resp.StatusCode, eb.Error.Code)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != c.status || string(body) != c.want || resp.Header.Get("Retry-After") != "" {
+			t.Fatalf("%s %q → %d (Retry-After %q) %s\nwant %d %s", c.method, c.body,
+				resp.StatusCode, resp.Header.Get("Retry-After"), body, c.status, c.want)
 		}
 	}
 }

@@ -66,6 +66,7 @@ func TestEndToEndTracePropagation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(e.Close)
 	mustExec(t, e, `CREATE TABLE items (
 		id UInt64,
 		label String,
@@ -85,6 +86,7 @@ func TestEndToEndTracePropagation(t *testing.T) {
 		b = append(b, []byte(vecLitRow(i, vp))...)
 	}
 	mustExec(t, e, string(b))
+	flush(t, e, "items")
 
 	s, c := startServer(t, e, Config{Admission: AdmissionConfig{MaxConcurrent: 1, MaxQueue: 8}})
 

@@ -349,11 +349,13 @@ func AppendValues(buf []byte, col *ColumnData, start, end int) ([]byte, error) {
 // bytes are shorter than the rows the mark index promises.
 var ErrCorruptGranule = errors.New("storage: corrupt granule")
 
-// decodeBlock appends the rows of one encoded granule to dst, decoding
-// straight out of data (which it only reads — it may be the blob
-// tier's cached copy) into dst grown once. Every length is checked
-// against the bytes present before anything is sized from it.
-func decodeBlock(data []byte, def ColumnDef, rows int, dst *ColumnData) error {
+// DecodeValues appends rows values of column def, as AppendValues
+// encodes them, to dst and returns the bytes of data after them. It
+// decodes straight out of data (which it only reads — it may be the
+// blob tier's cached copy) into dst grown once, and checks every
+// length against the bytes present before anything is sized from it.
+// A granule decodes here, and so do a WAL record's columns and keys.
+func DecodeValues(data []byte, def ColumnDef, rows int, dst *ColumnData) ([]byte, error) {
 	width := 0
 	switch def.Type {
 	case Int64Type, DateTimeType, Float64Type:
@@ -363,10 +365,10 @@ func decodeBlock(data []byte, def ColumnDef, rows int, dst *ColumnData) error {
 	case VectorType:
 		width = 4 * def.Dim
 	default:
-		return fmt.Errorf("storage: unknown column type %d", def.Type)
+		return nil, fmt.Errorf("storage: unknown column type %d", def.Type)
 	}
 	if rows < 0 || width < 0 || (width > 0 && rows > len(data)/width) {
-		return fmt.Errorf("%w: %d rows of column %q need at least %d bytes each, granule has %d",
+		return nil, fmt.Errorf("%w: %d rows of column %q need at least %d bytes each, granule has %d",
 			ErrCorruptGranule, rows, def.Name, width, len(data))
 	}
 	switch def.Type {
@@ -386,16 +388,17 @@ func decodeBlock(data []byte, def ColumnDef, rows int, dst *ColumnData) error {
 		dst.Strs = slices.Grow(dst.Strs, rows)
 		for i := 0; i < rows; i++ {
 			if len(data) < 4 {
-				return fmt.Errorf("%w: column %q row %d: length prefix truncated", ErrCorruptGranule, def.Name, i)
+				return nil, fmt.Errorf("%w: column %q row %d: length prefix truncated", ErrCorruptGranule, def.Name, i)
 			}
 			n := binary.LittleEndian.Uint32(data)
 			data = data[4:]
 			if uint64(n) > uint64(len(data)) {
-				return fmt.Errorf("%w: column %q row %d: string of %d bytes, %d remain", ErrCorruptGranule, def.Name, i, n, len(data))
+				return nil, fmt.Errorf("%w: column %q row %d: string of %d bytes, %d remain", ErrCorruptGranule, def.Name, i, n, len(data))
 			}
 			dst.Strs = append(dst.Strs, string(data[:n]))
 			data = data[n:]
 		}
+		return data, nil
 	case VectorType:
 		var out []float32
 		dst.Vecs, out = extend(dst.Vecs, rows*def.Dim)
@@ -403,7 +406,7 @@ func decodeBlock(data []byte, def ColumnDef, rows int, dst *ColumnData) error {
 			out[i] = math.Float32frombits(binary.LittleEndian.Uint32(data[4*i:]))
 		}
 	}
-	return nil
+	return data[rows*width:], nil
 }
 
 // extend lengthens s by n elements, allocating at most once, and
@@ -513,7 +516,7 @@ func (r *SegmentReader) ReadColumnCtx(ctx context.Context, name string) (*Column
 		if b.Length > int64(len(blob))-off {
 			return nil, fmt.Errorf("%w: column %q blob shorter than mark index", ErrCorruptGranule, name)
 		}
-		if err := decodeBlock(blob[off:off+b.Length], *def, b.Rows, out); err != nil {
+		if _, err := DecodeValues(blob[off:off+b.Length], *def, b.Rows, out); err != nil {
 			return nil, err
 		}
 	}
@@ -568,7 +571,7 @@ func (r *SegmentReader) ReadGranuleCtx(ctx context.Context, name string, block i
 		return nil, 0, err
 	}
 	cd := NewColumnData(*def)
-	if err := decodeBlock(blob, *def, b.Rows, cd); err != nil {
+	if _, err := DecodeValues(blob, *def, b.Rows, cd); err != nil {
 		return nil, 0, err
 	}
 	return cd, b.Length, nil

@@ -539,32 +539,32 @@ func TestDecodeBlockRoundTripAndTruncation(t *testing.T) {
 	for _, col := range cols {
 		data := encodeGranule(t, col)
 		got := NewColumnData(col.Def)
-		if err := decodeBlock(data, col.Def, col.Len(), got); err != nil {
+		if _, err := DecodeValues(data, col.Def, col.Len(), got); err != nil {
 			t.Fatalf("column %q: %v", col.Def.Name, err)
 		}
 		if !reflect.DeepEqual(got, col) {
 			t.Fatalf("column %q: decoded %+v, want %+v", col.Def.Name, got, col)
 		}
 		// Decoding appends: a second granule lands after the first.
-		if err := decodeBlock(data, col.Def, col.Len(), got); err != nil || got.Len() != 2*col.Len() {
+		if _, err := DecodeValues(data, col.Def, col.Len(), got); err != nil || got.Len() != 2*col.Len() {
 			t.Fatalf("column %q: second granule: len %d, %v", col.Def.Name, got.Len(), err)
 		}
 		// One byte short is a typed error, never a short column. (For
 		// strings the byte is missing from the last prefix.)
 		short := NewColumnData(col.Def)
-		if err := decodeBlock(data[:len(data)-1], col.Def, col.Len(), short); !errors.Is(err, ErrCorruptGranule) {
+		if _, err := DecodeValues(data[:len(data)-1], col.Def, col.Len(), short); !errors.Is(err, ErrCorruptGranule) {
 			t.Fatalf("column %q one byte short: err = %v, want ErrCorruptGranule", col.Def.Name, err)
 		}
 		// A row count the bytes cannot hold must be refused before
 		// anything is sized from it.
-		if err := decodeBlock(data, col.Def, 1<<40, NewColumnData(col.Def)); !errors.Is(err, ErrCorruptGranule) {
+		if _, err := DecodeValues(data, col.Def, 1<<40, NewColumnData(col.Def)); !errors.Is(err, ErrCorruptGranule) {
 			t.Fatalf("column %q absurd row count: err = %v, want ErrCorruptGranule", col.Def.Name, err)
 		}
 	}
 	// A string whose length prefix points past the granule.
 	def := ColumnDef{Name: "s", Type: StringType}
 	bad := []byte{200, 0, 0, 0, 'a', 'b'}
-	if err := decodeBlock(bad, def, 1, NewColumnData(def)); !errors.Is(err, ErrCorruptGranule) {
+	if _, err := DecodeValues(bad, def, 1, NewColumnData(def)); !errors.Is(err, ErrCorruptGranule) {
 		t.Fatalf("overlong string: err = %v, want ErrCorruptGranule", err)
 	}
 }
@@ -581,7 +581,7 @@ func TestDecodeBlockAllocatesOnce(t *testing.T) {
 	var dst ColumnData
 	allocs := testing.AllocsPerRun(50, func() {
 		dst.Ints = nil
-		if err := decodeBlock(data, col.Def, DefaultBlockRows, &dst); err != nil || len(dst.Ints) != DefaultBlockRows {
+		if _, err := DecodeValues(data, col.Def, DefaultBlockRows, &dst); err != nil || len(dst.Ints) != DefaultBlockRows {
 			t.Fatalf("decoded %d rows, %v", len(dst.Ints), err)
 		}
 	})

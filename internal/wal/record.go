@@ -16,7 +16,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"math"
 
 	"blendhouse/internal/storage"
 )
@@ -57,7 +56,8 @@ type Record struct {
 //	  crc   u32   (IEEE CRC-32 of the payload bytes)
 //	  payload [plen]byte
 //
-// Insert payload: u32 row count, then each schema column in order
+// Insert payload: u32 row count, then each schema column in order as
+// storage.AppendValues encodes it and storage.DecodeValues reads it
 // (ints/floats little-endian, strings length-prefixed, vectors as
 // dim×rows float32s). Delete payload: u16 column-name length + name,
 // u32 key count, keys. Blobs are written atomically (one Put per
@@ -77,52 +77,33 @@ func (w *walBuf) u64(v uint64) { w.b = binary.LittleEndian.AppendUint64(w.b, v) 
 func (w *walBuf) raw(p []byte) { w.b = append(w.b, p...) }
 func (w *walBuf) str(s string) { w.b = append(w.b, s...) }
 
-type walReader struct {
-	b   []byte
-	off int
-}
-
-func (r *walReader) remain() int { return len(r.b) - r.off }
+// walReader consumes a blob or a record payload front to back.
+type walReader struct{ b []byte }
 
 func (r *walReader) take(n int) ([]byte, error) {
-	if r.remain() < n {
-		return nil, fmt.Errorf("wal: truncated record (need %d bytes, have %d)", n, r.remain())
+	if len(r.b) < n {
+		return nil, fmt.Errorf("wal: truncated record (need %d bytes, have %d)", n, len(r.b))
 	}
-	p := r.b[r.off : r.off+n]
-	r.off += n
+	p := r.b[:n]
+	r.b = r.b[n:]
 	return p, nil
 }
 
-func (r *walReader) u8() (byte, error) {
-	p, err := r.take(1)
-	if err != nil {
-		return 0, err
+// uint reads an n-byte little-endian unsigned integer.
+func (r *walReader) uint(n int) (uint64, error) {
+	p, err := r.take(n)
+	var v uint64
+	for i := len(p) - 1; i >= 0; i-- {
+		v = v<<8 | uint64(p[i])
 	}
-	return p[0], nil
+	return v, err
 }
 
-func (r *walReader) u16() (uint16, error) {
-	p, err := r.take(2)
-	if err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint16(p), nil
-}
-
-func (r *walReader) u32() (uint32, error) {
-	p, err := r.take(4)
-	if err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint32(p), nil
-}
-
-func (r *walReader) u64() (uint64, error) {
-	p, err := r.take(8)
-	if err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint64(p), nil
+// values decodes rows values of a def column into dst, as a granule's
+// are decoded (storage.DecodeValues).
+func (r *walReader) values(def storage.ColumnDef, rows int, dst *storage.ColumnData) (err error) {
+	r.b, err = storage.DecodeValues(r.b, def, rows, dst)
+	return err
 }
 
 // encodePayload serializes a record's body (everything after the
@@ -164,67 +145,25 @@ func encodePayload(rec *Record) ([]byte, error) {
 	return w.b, nil
 }
 
-// decodePayload parses a record body against the table schema.
+// decodePayload parses a record body against the table schema. Insert
+// columns and delete keys decode as granule values do.
 func decodePayload(schema *storage.Schema, typ RecordType, payload []byte) (*Record, error) {
 	r := &walReader{b: payload}
 	rec := &Record{Type: typ}
 	switch typ {
 	case RecInsert:
-		nu, err := r.u32()
+		n, err := r.uint(4)
 		if err != nil {
 			return nil, err
 		}
-		n := int(nu)
-		batch := storage.NewRowBatch(schema)
-		for _, col := range batch.Cols {
-			switch col.Def.Type {
-			case storage.Int64Type, storage.DateTimeType:
-				col.Ints = make([]int64, n)
-				for i := 0; i < n; i++ {
-					v, err := r.u64()
-					if err != nil {
-						return nil, err
-					}
-					col.Ints[i] = int64(v)
-				}
-			case storage.Float64Type:
-				col.Floats = make([]float64, n)
-				for i := 0; i < n; i++ {
-					v, err := r.u64()
-					if err != nil {
-						return nil, err
-					}
-					col.Floats[i] = math.Float64frombits(v)
-				}
-			case storage.StringType:
-				col.Strs = make([]string, n)
-				for i := 0; i < n; i++ {
-					l, err := r.u32()
-					if err != nil {
-						return nil, err
-					}
-					p, err := r.take(int(l))
-					if err != nil {
-						return nil, err
-					}
-					col.Strs[i] = string(p)
-				}
-			case storage.VectorType:
-				col.Vecs = make([]float32, n*col.Def.Dim)
-				for i := range col.Vecs {
-					v, err := r.u32()
-					if err != nil {
-						return nil, err
-					}
-					col.Vecs[i] = math.Float32frombits(v)
-				}
-			default:
-				return nil, fmt.Errorf("wal: unknown column type %d", col.Def.Type)
+		rec.Batch = storage.NewRowBatch(schema)
+		for _, col := range rec.Batch.Cols {
+			if err := r.values(col.Def, int(n), col); err != nil {
+				return nil, err
 			}
 		}
-		rec.Batch = batch
 	case RecDelete:
-		nl, err := r.u16()
+		nl, err := r.uint(2)
 		if err != nil {
 			return nil, err
 		}
@@ -233,23 +172,20 @@ func decodePayload(schema *storage.Schema, typ RecordType, payload []byte) (*Rec
 			return nil, err
 		}
 		rec.DeleteCol = string(name)
-		nk, err := r.u32()
+		nk, err := r.uint(4)
 		if err != nil {
 			return nil, err
 		}
-		rec.DeleteKeys = make([]int64, nk)
-		for i := range rec.DeleteKeys {
-			v, err := r.u64()
-			if err != nil {
-				return nil, err
-			}
-			rec.DeleteKeys[i] = int64(v)
+		keys := storage.ColumnData{Def: storage.ColumnDef{Name: rec.DeleteCol, Type: storage.Int64Type}}
+		if err := r.values(keys.Def, int(nk), &keys); err != nil {
+			return nil, err
 		}
+		rec.DeleteKeys = keys.Ints
 	default:
 		return nil, fmt.Errorf("wal: unknown record type %d", typ)
 	}
-	if r.remain() != 0 {
-		return nil, fmt.Errorf("wal: %d trailing bytes after record payload", r.remain())
+	if len(r.b) != 0 {
+		return nil, fmt.Errorf("wal: %d trailing bytes after record payload", len(r.b))
 	}
 	return rec, nil
 }
@@ -284,39 +220,31 @@ func EncodeBlob(recs []*Record) ([]byte, error) {
 // checksums.
 func DecodeBlob(schema *storage.Schema, blob []byte) ([]*Record, error) {
 	r := &walReader{b: blob}
-	magic, err := r.u32()
+	magic, err := r.uint(4)
 	if err != nil {
 		return nil, err
 	}
-	if magic != walMagic {
+	if magic != uint64(walMagic) {
 		return nil, fmt.Errorf("wal: bad magic %#x", magic)
 	}
-	ver, err := r.u8()
+	ver, err := r.uint(1)
 	if err != nil {
 		return nil, err
 	}
-	if ver != walVersion {
+	if ver != uint64(walVersion) {
 		return nil, fmt.Errorf("wal: unsupported version %d", ver)
 	}
 	var out []*Record
-	for r.remain() > 0 {
-		lsn, err := r.u64()
-		if err != nil {
-			return nil, err
+	for len(r.b) > 0 {
+		// lsn u64, type u8, plen u32, crc u32
+		var hdr [4]uint64
+		for i, n := range [4]int{8, 1, 4, 4} {
+			if hdr[i], err = r.uint(n); err != nil {
+				return nil, err
+			}
 		}
-		typ, err := r.u8()
-		if err != nil {
-			return nil, err
-		}
-		plen, err := r.u32()
-		if err != nil {
-			return nil, err
-		}
-		sum, err := r.u32()
-		if err != nil {
-			return nil, err
-		}
-		payload, err := r.take(int(plen))
+		lsn, typ, sum := hdr[0], hdr[1], uint32(hdr[3])
+		payload, err := r.take(int(hdr[2]))
 		if err != nil {
 			return nil, err
 		}

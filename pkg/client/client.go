@@ -220,6 +220,12 @@ func (c *Client) doRetry(ctx context.Context, route, query string, opts Options,
 		}
 		return nil, traceID, apiErr
 	}
+	if c.cfg.MaxRetries == 0 {
+		if apiErr, ok := lastErr.(*APIError); ok {
+			return nil, traceID, apiErr // one attempt: the server's answer as it came
+		}
+		return nil, traceID, withTraceID(lastErr, traceID)
+	}
 	return nil, traceID, withTraceID(
 		fmt.Errorf("%w (after %d attempts)", lastErr, c.cfg.MaxRetries+1), traceID)
 }

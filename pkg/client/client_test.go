@@ -6,6 +6,7 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -92,6 +93,24 @@ func TestRetriesExhaustSurfaceShed(t *testing.T) {
 // TestNoRetryOnNonRetryable pins the safety property: errors without
 // the server's never-executed promise are not resent (a retried INSERT
 // after a 500 could double-apply).
+// TestRetriesOffReturnsTheServersShed: with retries off a 429 is the
+// server's *APIError, still ErrShed, and says nothing of attempts.
+func TestRetriesOffReturnsTheServersShed(t *testing.T) {
+	srv, calls := fakeServer(t, shedResponse)
+	c := newTestClient(t, srv.URL, -1)
+	_, err := c.Query(context.Background(), "SELECT 1")
+	apiErr, ok := err.(*APIError)
+	if !ok || apiErr.StatusCode != http.StatusTooManyRequests || !errors.Is(err, api.ErrShed) {
+		t.Fatalf("err = %#v, want the server's 429 *APIError matching api.ErrShed", err)
+	}
+	if msg := err.Error(); strings.Contains(msg, "attempt") {
+		t.Fatalf("one attempt reported as a retry run: %q", msg)
+	}
+	if got := calls.Load(); got != 1 {
+		t.Fatalf("server saw %d calls, want 1", got)
+	}
+}
+
 func TestNoRetryOnNonRetryable(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
