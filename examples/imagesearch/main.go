@@ -27,7 +27,6 @@ func main() {
 		Store:            storage.NewMemStore(),
 		ColumnCache:      &ccCfg,
 		SemanticFraction: 0.4, // semantic pruning: search the 40% nearest buckets first
-		MinSegments:      1,
 		SegmentRows:      500,
 	})
 	if err != nil {

@@ -125,8 +125,8 @@ func (s *Store) Load(vectors []float32, dim int, attrs []int64) error {
 		cc = cache.NewColumnCache(cfg)
 	}
 	s.ex = &exec.Executor{
-		Table: tab, ColCache: cc,
-		SemanticFraction: s.cfg.SemanticFraction, MinSegments: 1,
+		Table: tab, Indexes: lsm.NewIndexCache(tab.Store()), ColCache: cc,
+		SemanticFraction: s.cfg.SemanticFraction,
 	}
 	return nil
 }

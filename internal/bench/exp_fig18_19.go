@@ -55,7 +55,7 @@ func runFig18(cfg Config) (*Report, error) {
 			return err
 		}
 		for _, c := range cands[:minInt(3, len(cands))] {
-			if _, err := v.Segment(c.Segment).Reader.ReadRows("id", []int{int(c.Offset)}); err != nil {
+			if _, err := v.Segment(c.Segment).Reader.ReadRows(context.Background(), "id", []int{int(c.Offset)}); err != nil {
 				return err
 			}
 		}

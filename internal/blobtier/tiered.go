@@ -101,7 +101,7 @@ type TieredStore struct {
 	disk   *cache.LRU[string]
 	diskFS storage.BlobStore
 
-	sf   singleflight
+	sf   cache.Singleflight[string, []byte]
 	freq *freq
 	// gen counts invalidations (Put, Delete). A read snapshots it before
 	// it reads the disk tier or the backing store and admits what it
@@ -353,12 +353,9 @@ func (s *TieredStore) List(prefix string) ([]string, error) {
 
 // fill fetches a missing blob from the backing store, deduplicating
 // concurrent misses on the same key through singleflight: the leader
-// and every waiter return the one slice the leader admitted. A waiter
-// that shared a failed flight retries directly rather than inheriting
-// an error that may be specific to the leader (its context, a
-// transient fault the retry layer below would have absorbed again).
+// and every waiter return the one slice the leader admitted.
 func (s *TieredStore) fill(ctx context.Context, key string, gen uint64) ([]byte, error) {
-	data, err, shared := s.sf.do(key, func() ([]byte, error) {
+	return s.sf.Do(key, func() ([]byte, error) {
 		d, err := storage.GetCtx(ctx, s.backing, key)
 		if err != nil {
 			return nil, err
@@ -367,16 +364,6 @@ func (s *TieredStore) fill(ctx context.Context, key string, gen uint64) ([]byte,
 		s.admit(key, d, gen)
 		return d, nil
 	})
-	if err != nil && shared {
-		d, derr := storage.GetCtx(ctx, s.backing, key)
-		if derr != nil {
-			return nil, derr
-		}
-		mFills.Inc()
-		s.admit(key, d, gen)
-		return d, nil
-	}
-	return data, err
 }
 
 // count records a read of key for the admission gate.

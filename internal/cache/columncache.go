@@ -64,16 +64,16 @@ func (c *ColumnCache) Stats() (dataHits, dataMisses, bypasses int64) {
 // number of rows the query is fetching, used for admission control.
 // ctx bounds the underlying blob reads (nil = unbounded); a trace on it
 // (obs.TraceFrom) tallies hit/miss per granule and admission-control
-// bypasses.
+// bypasses. A nil cache reads straight through the reader.
 func (c *ColumnCache) ReadRows(ctx context.Context, reader *storage.SegmentReader, col string, rows []int, queryRows int) (*storage.ColumnData, error) {
-	if reader.InMemory() { // a memtable segment: its name does not name its rows
-		return reader.ReadRowsCtx(ctx, col, rows)
+	if c == nil || reader.InMemory() { // a memtable segment: its name does not name its rows
+		return reader.ReadRows(ctx, col, rows)
 	}
 	if c.cfg.RowLimit > 0 && queryRows > c.cfg.RowLimit {
 		// Too big: bypass so we don't thrash the hot set.
 		c.bypasses.Add(1)
 		obs.TraceFrom(ctx).ColTally().Bypass()
-		return reader.ReadRowsCtx(ctx, col, rows)
+		return reader.ReadRows(ctx, col, rows)
 	}
 	return c.readRowsCached(ctx, reader, col, rows)
 }
@@ -92,7 +92,7 @@ func (c *ColumnCache) readRowsCached(ctx context.Context, reader *storage.Segmen
 			return v.(*storage.ColumnData), nil
 		}
 		tally.Miss()
-		blk, size, err := reader.ReadGranuleCtx(ctx, col, block)
+		blk, size, err := reader.ReadGranule(ctx, col, block)
 		if err != nil {
 			return nil, err
 		}
@@ -106,8 +106,8 @@ func (c *ColumnCache) readRowsCached(ctx context.Context, reader *storage.Segmen
 // and caching their decoded form is part of §IV-C's adaptive caching.
 // ctx bounds the blob read; a trace on it tallies the hit or miss.
 func (c *ColumnCache) ReadColumn(ctx context.Context, reader *storage.SegmentReader, col string) (*storage.ColumnData, error) {
-	if reader.InMemory() {
-		return reader.ReadColumnCtx(ctx, col)
+	if c == nil || reader.InMemory() {
+		return reader.ReadColumn(ctx, col)
 	}
 	tally := obs.TraceFrom(ctx).ColTally()
 	key := granuleKey{table: reader.Meta.Table, seg: reader.Meta.Name, col: col, block: wholeColumn}
@@ -116,7 +116,7 @@ func (c *ColumnCache) ReadColumn(ctx context.Context, reader *storage.SegmentRea
 		return v.(*storage.ColumnData), nil
 	}
 	tally.Miss()
-	cd, err := reader.ReadColumnCtx(ctx, col)
+	cd, err := reader.ReadColumn(ctx, col)
 	if err != nil {
 		return nil, err
 	}

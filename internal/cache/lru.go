@@ -1,12 +1,8 @@
-// Package cache implements the caching tiers of BlendHouse's
-// disaggregated architecture (paper §II-D and §IV-C):
-//
-//   - a size-aware LRU building block,
-//   - the hierarchical vector-index cache (memory over local disk over
-//     remote shared storage) with separate metadata and data spaces so
-//     the two access patterns don't thrash each other,
-//   - the adaptive column cache with a row-limit admission control that
-//     keeps huge hybrid-query reads from evicting the hot set.
+// Package cache holds the building blocks of BlendHouse's caches
+// (paper §II-D and §IV-C): a size-aware LRU and a singleflight, which
+// the blob tier and the decoded-index cache (lsm.IndexCache) are built
+// from, and the adaptive column cache, whose row-limit admission keeps
+// huge hybrid-query reads from evicting the hot set.
 package cache
 
 import (
@@ -217,11 +213,24 @@ func (c *LRU[K]) Stats() (hits, misses int64) {
 	return c.hits, c.misses
 }
 
-// Purge empties the cache without callbacks.
+// Keys lists the cached keys, most recently used first, without
+// touching recency or stats.
+func (c *LRU[K]) Keys() []K {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	out := make([]K, 0, len(c.items))
+	for el := c.ll.Front(); el != nil; el = el.Next() {
+		out = append(out, el.Value.(*lruEntry[K]).key)
+	}
+	return out
+}
+
+// Purge empties the cache without callbacks. It clears the list and
+// map in place: a cold-node reset per query allocates nothing.
 func (c *LRU[K]) Purge() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.ll = list.New()
-	c.items = map[K]*list.Element{}
+	c.ll.Init()
+	clear(c.items)
 	c.size = 0
 }

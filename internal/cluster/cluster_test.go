@@ -94,7 +94,7 @@ func globalIDs(t *testing.T, vw *VW, tab *lsm.Table, cands []SegmentCandidate) [
 		if seg == nil {
 			t.Fatalf("segment %q not live", c.Segment)
 		}
-		col, err := seg.Reader.ReadRows("id", []int{int(c.Offset)})
+		col, err := seg.Reader.ReadRows(context.Background(), "id", []int{int(c.Offset)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -295,7 +295,7 @@ func TestDeletedRowsNeverResurface(t *testing.T) {
 	// The query is row 0 of a segment the ring moved to the cold
 	// worker: it is its own top hit, and its scan is served.
 	seg := vw.ScheduleSegments(tab, segments(tab))["cold"][0]
-	row, err := seg.Reader.ReadRows("embedding", []int{0})
+	row, err := seg.Reader.ReadRows(context.Background(), "embedding", []int{0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -573,6 +573,31 @@ func TestServingSurvivesCompaction(t *testing.T) {
 	}
 	if !slices.Equal(got, want) {
 		t.Fatalf("served %v, local %v", got, want)
+	}
+}
+
+// A worker's handle of a segment goes when the segment retires: a
+// compaction replaces it, and the last Version naming it is released.
+func TestWorkerDropsRetiredSegmentsIndex(t *testing.T) {
+	vw, tab, ds := fixture(t, 1)
+	w := vw.Worker("w0")
+	v, segs := tab.Acquire()
+	seg := segs[0]
+	if _, err := w.SearchSegment(context.Background(), tab, seg, ds.Queries.Row(0), 10, index.SearchParams{Ef: 64}, nil, false); err != nil {
+		t.Fatal(err)
+	}
+	if !w.HasIndexInMem(tab, seg) {
+		t.Fatalf("worker holds no index of %s after searching it", seg.Meta.Name)
+	}
+	if n, err := tab.CompactAll(lsm.CompactionPolicy{MinSegments: 2}); err != nil || n == 0 {
+		t.Fatalf("compaction merged %d (%v)", n, err)
+	}
+	if !w.HasIndexInMem(tab, seg) {
+		t.Fatalf("handle of %s dropped while a Version names it", seg.Meta.Name)
+	}
+	v.Release()
+	if w.HasIndexInMem(tab, seg) {
+		t.Fatalf("worker still holds the index of retired %s", seg.Meta.Name)
 	}
 }
 

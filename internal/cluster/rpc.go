@@ -59,8 +59,8 @@ func (s *SearchService) Search(args *SearchArgs, reply *SearchReply) error {
 		return fmt.Errorf("cluster: rpc search on unknown table %q", args.Table)
 	}
 	var seg *lsm.Segment
-	if ix, ok := s.w.indexes.Get(table.IndexKeyOf(args.Segment)); ok {
-		seg = &lsm.Segment{Meta: &storage.SegmentMeta{Name: args.Segment}, Index: ix.(index.Index)}
+	if ix, ok := s.w.indexes.Get(table, args.Segment); ok {
+		seg = &lsm.Segment{Meta: &storage.SegmentMeta{Name: args.Segment}, Index: ix}
 	} else {
 		v, _ := table.Acquire()
 		defer v.Release()

@@ -117,6 +117,8 @@ func (vw *VW) RemoveWorker(id string) error {
 	vw.ring.Remove(id)
 	vw.mu.Unlock()
 	w.closeRPC()
+	w.indexes.Purge() // the tables' retire hooks outlive the worker
+
 	return nil
 }
 

@@ -17,7 +17,6 @@ import (
 
 	"blendhouse/internal/bitset"
 	"blendhouse/internal/blobtier"
-	"blendhouse/internal/cache"
 	"blendhouse/internal/index"
 	"blendhouse/internal/lsm"
 	"blendhouse/internal/obs"
@@ -35,11 +34,10 @@ var (
 )
 
 // A worker models a node of fixed size: workerSlots concurrent segment
-// scans, indexBytes of decoded indexes in memory, and a blob tier of
-// tierMemBytes in memory over tierDiskBytes of local disk.
+// scans, an lsm.IndexCache of decoded indexes in memory, and a blob
+// tier of tierMemBytes in memory over tierDiskBytes of local disk.
 const (
 	workerSlots   = 2
-	indexBytes    = 1 << 30
 	tierMemBytes  = 256 << 20
 	tierDiskBytes = 4 << 30
 )
@@ -51,11 +49,9 @@ type Worker struct {
 	ID string
 	vw *VW
 	// tier reads index blobs: memory, then the node's local disk, then
-	// the VW's remote store. indexes holds the decoded ones; loadMu
-	// makes a miss load each index once.
+	// the VW's remote store. indexes holds the decoded ones.
 	tier    *blobtier.TieredStore
-	indexes *cache.LRU[string]
-	loadMu  sync.Mutex
+	indexes *lsm.IndexCache
 	// slots bounds concurrent segment scans — the worker's compute
 	// capacity. Scans block here when the worker is saturated, which
 	// is how adding workers raises VW throughput.
@@ -90,7 +86,7 @@ func newWorker(id string, vw *VW) (*Worker, error) {
 		ID:      id,
 		vw:      vw,
 		tier:    tier,
-		indexes: cache.NewLRU[string](indexBytes),
+		indexes: lsm.NewIndexCache(tier),
 		slots:   make(chan struct{}, workerSlots),
 	}
 	if err := w.listen(); err != nil {
@@ -159,35 +155,8 @@ func (w *Worker) Recover() { w.alive.Store(true) }
 // HasIndexInMem reports whether the segment's index is at hand — the
 // serving path consults this without triggering a load.
 func (w *Worker) HasIndexInMem(table *lsm.Table, seg *lsm.Segment) bool {
-	return seg.Index != nil || w.indexes.Contains(table.IndexKeyOf(seg.Meta.Name))
-}
-
-// index returns the segment's index: a memtable segment's own, or a
-// stored segment's decoded from its blob, read through the tier on a
-// miss. ctx bounds the blob read.
-func (w *Worker) index(ctx context.Context, table *lsm.Table, seg *lsm.Segment) (index.Index, error) {
-	if seg.Index != nil {
-		return seg.Index, nil
-	}
-	key := table.IndexKeyOf(seg.Meta.Name)
-	if v, ok := w.indexes.Get(key); ok {
-		return v.(index.Index), nil
-	}
-	w.loadMu.Lock()
-	defer w.loadMu.Unlock()
-	if v, ok := w.indexes.Get(key); ok {
-		return v.(index.Index), nil
-	}
-	blob, err := w.tier.GetCtx(ctx, key)
-	if err != nil {
-		return nil, err
-	}
-	ix, err := table.DecodeIndex(seg, blob)
-	if err != nil {
-		return nil, err
-	}
-	w.indexes.Put(key, ix, ix.MemoryBytes())
-	return ix, nil
+	_, ok := w.indexes.Get(table, seg.Meta.Name)
+	return seg.Index != nil || ok
 }
 
 // SearchSegment runs a top-k scan of one segment on this worker over
@@ -207,7 +176,7 @@ func (w *Worker) SearchSegment(ctx context.Context, table *lsm.Table, seg *lsm.S
 	defer release()
 	var ix index.Index
 	if !brute {
-		ix, err = w.index(ctx, table, seg)
+		ix, err = w.indexes.Index(ctx, table, seg)
 		brute = storage.IsNotFound(err)
 		if err != nil && !brute {
 			return nil, err
@@ -231,7 +200,7 @@ func (w *Worker) SearchSegment(ctx context.Context, table *lsm.Table, seg *lsm.S
 func (w *Worker) Preload(table *lsm.Table, segs []*lsm.Segment) []error {
 	var errs []error
 	for _, seg := range segs {
-		if _, err := w.index(context.Background(), table, seg); err != nil {
+		if _, err := w.indexes.Index(context.Background(), table, seg); err != nil {
 			errs = append(errs, fmt.Errorf("preload %s: %w", seg.Meta.Name, err))
 		}
 	}

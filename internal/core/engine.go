@@ -75,8 +75,6 @@ type Config struct {
 	// (0 = GOMAXPROCS). Individual queries can override it via
 	// QueryOptions.MaxParallelism.
 	MaxParallelism int
-	// MinSegments floors the semantic cut.
-	MinSegments int
 	// SegmentRows caps ingest segment size (default 8192).
 	SegmentRows int
 	// AutoIndex enables rule-based per-segment parameter selection.
@@ -138,6 +136,7 @@ type Engine struct {
 	cfg      Config
 	planner  *plan.Planner
 	colCache *cache.ColumnCache
+	indexes  *lsm.IndexCache // every table's decoded index handles
 
 	mu     sync.RWMutex
 	tables map[string]*lsm.Table
@@ -204,6 +203,7 @@ func New(cfg Config) (*Engine, error) {
 		stopCompaction: make(chan struct{}),
 		retryStore:     retryStore,
 		tier:           tier,
+		indexes:        lsm.NewIndexCache(cfg.Store),
 	}
 	e.traces.Every = cfg.TraceSample
 	if cfg.ColumnCache != nil {
@@ -281,10 +281,10 @@ func (e *Engine) registerTable(t *lsm.Table) error {
 		frac = e.cfg.SemanticFraction
 	}
 	e.execs[t.Name()] = &exec.Executor{
-		Table: t, ColCache: e.colCache,
-		SemanticFraction: frac, MinSegments: e.cfg.MinSegments,
-		MaxParallelism: e.cfg.MaxParallelism,
-		Stats:          &obs.ScanStats{},
+		Table: t, Indexes: e.indexes, ColCache: e.colCache,
+		SemanticFraction: frac,
+		MaxParallelism:   e.cfg.MaxParallelism,
+		Stats:            &obs.ScanStats{},
 	}
 	e.mu.Unlock()
 	if e.cfg.CompactionInterval > 0 {

@@ -429,7 +429,7 @@ func TestColumnCacheIntegration(t *testing.T) {
 }
 
 func TestSemanticPruningOnClusteredTable(t *testing.T) {
-	e := newEngine(t, Config{SemanticFraction: 0.3, MinSegments: 1, SegmentRows: 50})
+	e := newEngine(t, Config{SemanticFraction: 0.3, SegmentRows: 50})
 	mustExec(t, e, fmt.Sprintf(`CREATE TABLE c (
 		id UInt64,
 		embedding Array(Float32),

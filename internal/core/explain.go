@@ -91,7 +91,7 @@ func (e *Engine) planLines(ph *plan.Physical, maxPar int) []string {
 	if ex := e.Executor(lg.Table); ex != nil {
 		if ex.SemanticFraction > 0 && lg.IsVectorQuery() {
 			lines = append(lines, fmt.Sprintf("semantic pruning: fraction=%.4g min_segments=%d (adaptive widening on shortfall)",
-				ex.SemanticFraction, ex.MinSegments))
+				ex.SemanticFraction, exec.MinSegments))
 		}
 		lines = append(lines, fmt.Sprintf("parallelism: %d (per-segment worker pool)", ex.Parallelism(maxPar)))
 	}

@@ -217,3 +217,69 @@ func TestReopenThroughTierBorrowsBlob(t *testing.T) {
 		t.Fatalf("reopening %d index bytes through the tier allocates %d bytes, want < half", blobBytes, perReopen)
 	}
 }
+
+// blockingIndexStore holds every read of one key until release closes,
+// counting the reads.
+type blockingIndexStore struct {
+	storage.BlobStore
+	key     atomic.Pointer[string]
+	release chan struct{}
+	gets    atomic.Int32
+}
+
+func (s *blockingIndexStore) Get(key string) ([]byte, error) {
+	if k := s.key.Load(); k != nil && *k == key {
+		s.gets.Add(1)
+		<-s.release
+	}
+	return s.BlobStore.Get(key)
+}
+
+// Concurrent queries that all miss one segment's handle read and decode
+// its index blob once: the others wait for that load and share it.
+func TestConcurrentColdQueriesLoadIndexOnce(t *testing.T) {
+	store := &blockingIndexStore{BlobStore: storage.NewMemStore(), release: make(chan struct{})}
+	e := newEngine(t, Config{Store: store, SegmentRows: eN})
+	ds := seedImages(t, e)
+	tab := e.Table("images")
+	segs := tab.Segments()
+	if len(segs) != 1 {
+		t.Fatalf("%d segments, want 1", len(segs))
+	}
+	key := tab.IndexKeyOf(segs[0].Name)
+	store.key.Store(&key)
+
+	const queries = 8
+	traces := make([]*obs.Trace, queries)
+	errs := make(chan error, queries)
+	for i := range traces {
+		traces[i] = obs.NewTrace("q")
+		ctx := obs.WithTrace(context.Background(), traces[i])
+		src := fmt.Sprintf(`SELECT id FROM images ORDER BY L2Distance(embedding, %s) LIMIT 10`, vecLit(ds.Queries.Row(i)))
+		go func() {
+			_, err := e.Query(ctx, src, QueryOptions{})
+			errs <- err
+		}()
+	}
+	// Release the read once every query has missed (or one has ended
+	// early): from then on each shares the one load or finds its
+	// handle cached.
+	for missed := 0; missed < queries && len(errs) == 0; {
+		missed = 0
+		for _, tr := range traces {
+			if _, m, _ := tr.IdxTally().Values(); m > 0 {
+				missed++
+			}
+		}
+		runtime.Gosched()
+	}
+	close(store.release)
+	for range traces {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := store.gets.Load(); n != 1 {
+		t.Fatalf("%d concurrent cold queries read the index blob %d times, want 1", queries, n)
+	}
+}

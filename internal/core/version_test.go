@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"slices"
 	"strings"
@@ -121,7 +122,7 @@ func TestVersionRetiresIndexHandles(t *testing.T) {
 	}
 	rows := 0
 	for _, s := range v.Segments {
-		ids, err := s.Reader.ReadColumn("id")
+		ids, err := s.Reader.ReadColumn(context.Background(), "id")
 		if err != nil {
 			t.Fatalf("held Version's segment %s: %v", s.Meta.Name, err)
 		}

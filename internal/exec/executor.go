@@ -35,20 +35,22 @@ var (
 	mMemScans    = obs.Default().Counter("bh.exec.memtable_scans")
 )
 
-// Executor runs physical plans against one table, keeping each
-// segment's opened index in-process. Per-segment work within a query
-// runs on a bounded worker pool; see RunOptions.MaxParallelism.
+// Executor runs physical plans against one table, taking each stored
+// segment's index from the node's index cache. Per-segment work within
+// a query runs on a bounded worker pool; see RunOptions.MaxParallelism.
 type Executor struct {
 	Table *lsm.Table
+	// Indexes holds the node's decoded index handles, shared by every
+	// table's executor.
+	Indexes *lsm.IndexCache
 	// ColCache is the adaptive column cache (nil = direct reads).
 	ColCache *cache.ColumnCache
 	// SemanticFraction enables semantic segment pruning for vector
 	// queries on clustered tables: only this fraction of segments
 	// (nearest centroids first) is searched, widening adaptively when
-	// results come back short. 0 disables.
+	// results come back short; it keeps at least MinSegments. 0
+	// disables.
 	SemanticFraction float64
-	// MinSegments floors the semantic cut.
-	MinSegments int
 	// MaxParallelism bounds the per-query segment fan-out (0 =
 	// GOMAXPROCS). Individual runs can override it via RunOptions.
 	MaxParallelism int
@@ -58,10 +60,11 @@ type Executor struct {
 	// solo and shared alike, so the averages stay fresh regardless of
 	// which path the scheduler picks.
 	Stats *obs.ScanStats
-
-	localIdx   sync.Map // segment name -> index.Index
-	retireOnce sync.Once
 }
+
+// MinSegments floors the semantic cut: a pruned vector query searches
+// at least this many segments.
+const MinSegments = 1
 
 // RunOptions tunes one execution. A trace on the run's context
 // (obs.WithTrace) records its span tree and tallies.
@@ -363,7 +366,7 @@ func (e *Executor) runVector(ctx context.Context, r *run) error {
 			return err
 		}
 		pruneSp := root.Child("prune")
-		segs, cut := pruneSegments(r.segs, r.preds, partCol, solo.lg.Distance.Query, frac, e.MinSegments)
+		segs, cut := pruneSegments(r.segs, r.preds, partCol, solo.lg.Distance.Query, frac)
 		pruneSp.SetInt("round", int64(round))
 		pruneSp.SetInt("segments_total", int64(len(r.segs)))
 		pruneSp.SetInt("segments_kept", int64(len(segs)))
@@ -384,7 +387,7 @@ func (e *Executor) runVector(ctx context.Context, r *run) error {
 		if frac *= 2; frac < 1 {
 			continue
 		}
-		segs, _ = pruneSegments(r.segs, r.preds, partCol, nil, 0, 0) // final pass over everything
+		segs, _ = pruneSegments(r.segs, r.preds, partCol, nil, 0) // final pass over everything
 		if err := e.scan(ctx, r, segs, true); err != nil {
 			return err
 		}
@@ -470,12 +473,8 @@ func (e *Executor) predicateBitset(ctx context.Context, seg *lsm.Segment, preds 
 					c = cols[j]
 				}
 			}
-			switch {
-			case c != nil:
-			case e.ColCache != nil:
+			if c == nil {
 				c, err = e.ColCache.ReadColumn(ctx, rd, p.col)
-			default:
-				c, err = rd.ReadColumnCtx(ctx, p.col)
 			}
 			if err != nil {
 				return nil, err
@@ -500,56 +499,18 @@ func (e *Executor) predicateBitset(ctx context.Context, seg *lsm.Segment, preds 
 	return bs, nil
 }
 
-// segmentIndex returns the segment's opened index, opening it on first
-// use. Handles are keyed by segment name, which is immutable and never
-// reused, and nothing query-specific is baked into one (delete bitmaps
-// come with each query's Version), so a handle stays valid for as long
-// as its segment is live: writes never invalidate it, and the table's
-// retire hook drops it when the last Version naming the segment is
-// released. A memtable segment's name outlives its contents, so its
-// own index is used and never stored.
-func (e *Executor) segmentIndex(ctx context.Context, seg *lsm.Segment) (index.Index, error) {
-	if seg.Index != nil {
-		return seg.Index, nil
-	}
-	tally := obs.TraceFrom(ctx).IdxTally()
-	if v, ok := e.localIdx.Load(seg.Meta.Name); ok {
-		tally.Hit()
-		return v.(index.Index), nil
-	}
-	tally.Miss()
-	e.retireOnce.Do(func() {
-		e.Table.OnRetire(func(name string) { e.localIdx.Delete(name) })
-	})
-	ix, err := e.Table.LoadIndex(ctx, seg)
-	if err != nil {
-		return nil, err
-	}
-	actual, _ := e.localIdx.LoadOrStore(seg.Meta.Name, ix)
-	return actual.(index.Index), nil
-}
-
-// LoadedIndexSegments lists, sorted, the segments whose index handle
-// the executor currently holds.
+// LoadedIndexSegments lists, sorted, the table's segments whose index
+// handle the node's cache holds.
 func (e *Executor) LoadedIndexSegments() []string {
-	var names []string
-	e.localIdx.Range(func(k, _ any) bool {
-		names = append(names, k.(string))
-		return true
-	})
-	sort.Strings(names)
-	return names
+	return e.Indexes.Segments(e.Table)
 }
 
-// InvalidateLocalIndexes drops every handle, so the next query reopens
-// each segment's index from the blob store — the explicit cold-node
-// hook of the cache experiments and the benchmark. The engine's own
-// write and compaction paths never call it.
+// InvalidateLocalIndexes drops every handle the node holds, so the next
+// query reopens each segment's index from the blob store — the explicit
+// cold-node hook of the cache experiments and the benchmark. The
+// engine's own write and compaction paths never call it.
 func (e *Executor) InvalidateLocalIndexes() {
-	e.localIdx.Range(func(k, _ any) bool {
-		e.localIdx.Delete(k)
-		return true
-	})
+	e.Indexes.Purge()
 }
 
 // --- per-segment scans -------------------------------------------------------
@@ -596,7 +557,7 @@ func (e *Executor) scanSegment(ctx context.Context, r *run, s *segScan) error {
 	if brute {
 		return e.scanRows(ctx, r, s, bs)
 	}
-	ix, err := e.segmentIndex(ctx, s.seg)
+	ix, err := e.Indexes.Index(ctx, e.Table, s.seg)
 	if err != nil {
 		return err
 	}
@@ -636,7 +597,7 @@ func (e *Executor) scanRows(ctx context.Context, r *run, s *segScan, bs *bitset.
 	if len(sc.rows) == 0 {
 		return nil
 	}
-	vcol, err := e.readRows(ctx, s.seg.Reader, r.members[0].lg.VectorColumn, sc.rows, len(sc.rows))
+	vcol, err := e.ColCache.ReadRows(ctx, s.seg.Reader, r.members[0].lg.VectorColumn, sc.rows, len(sc.rows))
 	if err != nil {
 		return err
 	}
@@ -716,7 +677,7 @@ func (e *Executor) postFilter(ctx context.Context, r *run, s *segScan, ix index.
 			continue
 		}
 		for _, p := range r.preds {
-			col, err := e.readRows(ctx, rd, p.col, sc.rows, len(sc.rows))
+			col, err := e.ColCache.ReadRows(ctx, rd, p.col, sc.rows, len(sc.rows))
 			if err != nil {
 				return err
 			}
@@ -757,7 +718,7 @@ func internalRadius(lg *plan.Logical) float32 {
 
 func (e *Executor) runScalar(ctx context.Context, r *run) error {
 	lg, preds, tr := r.members[0].lg, r.preds, r.tr
-	segs, _ := pruneSegments(r.segs, preds, e.partitionColumn(), nil, 0, 0)
+	segs, _ := pruneSegments(r.segs, preds, e.partitionColumn(), nil, 0)
 	sp := tr.Span().Child("scalar-scan")
 	sp.SetInt("segments", int64(len(segs)))
 	type scalarRow struct {
@@ -784,7 +745,7 @@ func (e *Executor) runScalar(ctx context.Context, r *run) error {
 		}
 		var sortCol *storage.ColumnData
 		if lg.OrderColumn != "" {
-			sortCol, err = e.readRows(ctx, seg.Reader, lg.OrderColumn, offsets, len(offsets))
+			sortCol, err = e.ColCache.ReadRows(ctx, seg.Reader, lg.OrderColumn, offsets, len(offsets))
 			if err != nil {
 				return nil, err
 			}
@@ -840,15 +801,6 @@ func sortKey(col *storage.ColumnData, row int) (float64, string) {
 }
 
 // --- output assembly ---------------------------------------------------------------
-
-// readRows fetches rows of one column, through the adaptive column
-// cache when configured.
-func (e *Executor) readRows(ctx context.Context, rd *storage.SegmentReader, col string, rows []int, queryRows int) (*storage.ColumnData, error) {
-	if e.ColCache != nil {
-		return e.ColCache.ReadRows(ctx, rd, col, rows, queryRows)
-	}
-	return rd.ReadRowsCtx(ctx, col, rows)
-}
 
 // place locates a hit's row in the assembly fetch: its segment, and
 // its position among the rows fetched from that segment.
@@ -962,7 +914,7 @@ func (e *Executor) assemble(ctx context.Context, r *run, sp *obs.Span) error {
 			if sf.need&(1<<min(fi, 63)) == 0 {
 				continue
 			}
-			cd, err := e.readRows(ctx, sf.seg.Reader, c, sf.rows, rows)
+			cd, err := e.ColCache.ReadRows(ctx, sf.seg.Reader, c, sf.rows, rows)
 			if err != nil {
 				return err
 			}

@@ -18,9 +18,9 @@ import (
 // meet iff every pair of them does, so these tests together prune on
 // the intersection of every constraint on a column. With a query
 // vector and 0 < frac < 1, semantic pruning then keeps the frac of the
-// survivors (at least minSegs) whose centroids are nearest the query,
+// survivors (at least MinSegments) whose centroids are nearest the query,
 // nearest first; cut reports whether it dropped any.
-func pruneSegments(all []*lsm.Segment, preds []compiledPred, partCol string, q []float32, frac float64, minSegs int) (kept []*lsm.Segment, cut bool) {
+func pruneSegments(all []*lsm.Segment, preds []compiledPred, partCol string, q []float32, frac float64) (kept []*lsm.Segment, cut bool) {
 	for i := range preds {
 		for j := i; j < len(preds); j++ {
 			if disjoint(&preds[i], &preds[j]) {
@@ -38,7 +38,7 @@ func pruneSegments(all []*lsm.Segment, preds []compiledPred, partCol string, q [
 	}
 	if q != nil && frac > 0 && frac < 1 && len(kept) > 1 {
 		n := len(kept)
-		kept = semanticCut(kept, q, frac, minSegs)
+		kept = semanticCut(kept, q, frac)
 		cut = len(kept) < n
 	}
 	return kept, cut
@@ -75,8 +75,8 @@ func admits(m *storage.SegmentMeta, preds []compiledPred, partCol string) bool {
 }
 
 // semanticCut keeps the fraction of segments whose centroids are
-// nearest the query vector.
-func semanticCut(segs []*lsm.Segment, q []float32, frac float64, minSegs int) []*lsm.Segment {
+// nearest the query vector, at least MinSegments.
+func semanticCut(segs []*lsm.Segment, q []float32, frac float64) []*lsm.Segment {
 	type scored struct {
 		s *lsm.Segment
 		d float32
@@ -96,16 +96,7 @@ func semanticCut(segs []*lsm.Segment, q []float32, frac float64, minSegs int) []
 		}
 		return scoredList[i].s.Meta.Name < scoredList[j].s.Meta.Name
 	})
-	keep := int(float64(len(scoredList))*frac + 0.5)
-	if keep < minSegs {
-		keep = minSegs
-	}
-	if keep < 1 {
-		keep = 1
-	}
-	if keep > len(scoredList) {
-		keep = len(scoredList)
-	}
+	keep := min(max(int(float64(len(scoredList))*frac+0.5), MinSegments), len(scoredList))
 	out := make([]*lsm.Segment, 0, keep+len(noCentroid))
 	for i := 0; i < keep; i++ {
 		out = append(out, scoredList[i].s)

@@ -58,7 +58,7 @@ func TestPruneSegmentsScalar(t *testing.T) {
 	// id ranges are disjoint per segment (sequential fill): prune to
 	// ranges covering only low ids.
 	kept, _ := pruneSegments(segs, compileAll(t, tab.Schema(),
-		sql.Predicate{Column: "id", Op: sql.OpBetween, Value: int64(0), Value2: int64(150)}), "", nil, 0, 0)
+		sql.Predicate{Column: "id", Op: sql.OpBetween, Value: int64(0), Value2: int64(150)}), "", nil, 0)
 	if len(kept) >= len(segs) {
 		t.Fatalf("no pruning happened: %d of %d", len(kept), len(segs))
 	}
@@ -68,7 +68,7 @@ func TestPruneSegmentsScalar(t *testing.T) {
 		}
 	}
 	// Unknown column: nothing pruned.
-	all, _ := pruneSegments(segs, []compiledPred{{col: "zz", intRange: &[2]int64{0, 1}}}, "", nil, 0, 0)
+	all, _ := pruneSegments(segs, []compiledPred{{col: "zz", intRange: &[2]int64{0, 1}}}, "", nil, 0)
 	if len(all) != len(segs) {
 		t.Fatal("missing stats must not prune")
 	}
@@ -78,7 +78,7 @@ func TestPruneSegmentsSemantic(t *testing.T) {
 	_, v, ds := pruneFixture(t)
 	segs := v.Segments
 	q := ds.Queries.Row(0)
-	kept, cut := pruneSegments(segs, nil, "", q, 0.5, 1)
+	kept, cut := pruneSegments(segs, nil, "", q, 0.5)
 	if len(kept) >= len(segs) || len(kept) == 0 || !cut {
 		t.Fatalf("semantic cut kept %d of %d (cut=%v)", len(kept), len(segs), cut)
 	}
@@ -108,11 +108,11 @@ func TestPruneSegmentsPartition(t *testing.T) {
 	_, v, _ := pruneFixture(t)
 	segs := v.Segments
 	other, own := "elsewhere", ""
-	kept, _ := pruneSegments(segs, []compiledPred{{col: "p", eqString: &other}}, "p", nil, 0, 0)
+	kept, _ := pruneSegments(segs, []compiledPred{{col: "p", eqString: &other}}, "p", nil, 0)
 	if len(kept) != 0 {
 		t.Fatal("another partition's equality should prune everything")
 	}
-	kept, _ = pruneSegments(segs, []compiledPred{{col: "p", eqString: &own}}, "p", nil, 0, 0)
+	kept, _ = pruneSegments(segs, []compiledPred{{col: "p", eqString: &own}}, "p", nil, 0)
 	if len(kept) != len(segs) {
 		t.Fatal("matching partition should keep all")
 	}
@@ -165,7 +165,7 @@ func TestPruneIntersectsConstraints(t *testing.T) {
 					preds[i], preds[j] = preds[j], preds[i]
 				}
 			}
-			kept, _ := pruneSegments(segs, compileAll(t, schema, preds...), "p", nil, 0, 0)
+			kept, _ := pruneSegments(segs, compileAll(t, schema, preds...), "p", nil, 0)
 			names := make([]string, len(kept))
 			for i, s := range kept {
 				names[i] = s.Meta.Name

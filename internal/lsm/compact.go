@@ -1,6 +1,7 @@
 package lsm
 
 import (
+	"context"
 	"fmt"
 	"slices"
 	"time"
@@ -71,7 +72,7 @@ func (t *Table) CompactOnce(policy CompactionPolicy) (int, error) {
 		maxLevel = max(maxLevel, s.Meta.Level)
 		cols := make([]*storage.ColumnData, len(t.opts.Schema.Columns))
 		for ci, def := range t.opts.Schema.Columns {
-			col, err := s.Reader.ReadColumn(def.Name)
+			col, err := s.Reader.ReadColumn(context.TODO(), def.Name)
 			if err != nil {
 				return 0, fmt.Errorf("lsm: compaction reading %s/%s: %w", s.Meta.Name, def.Name, err)
 			}

@@ -165,7 +165,7 @@ func TestScalarPartitioning(t *testing.T) {
 	// Every segment's rows must share the partition value.
 	for _, seg := range liveSegments(tab) {
 		m := seg.Meta
-		col, err := seg.Reader.ReadColumn("label")
+		col, err := seg.Reader.ReadColumn(context.Background(), "label")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -192,7 +192,7 @@ func TestSemanticBuckets(t *testing.T) {
 		}
 		buckets[m.Bucket] = true
 		// Rows must actually be nearest their bucket's centroid.
-		col, err := tab.current().Segment(m.Name).Reader.ReadColumn("embedding")
+		col, err := tab.current().Segment(m.Name).Reader.ReadColumn(context.Background(), "embedding")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -355,7 +355,7 @@ func TestCompactionRespectsGroups(t *testing.T) {
 	// After compaction no segment may mix partitions.
 	for _, seg := range liveSegments(tab) {
 		m := seg.Meta
-		col, err := seg.Reader.ReadColumn("label")
+		col, err := seg.Reader.ReadColumn(context.Background(), "label")
 		if err != nil {
 			t.Fatal(err)
 		}

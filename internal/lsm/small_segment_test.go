@@ -118,7 +118,7 @@ func segmentTop10(t *testing.T, tab *Table, q []float32, keep func(id int64) boo
 	defer v.Release()
 	top := index.NewTopK(10)
 	for _, s := range v.Segments {
-		col, err := s.Reader.ReadColumn("id")
+		col, err := s.Reader.ReadColumn(context.Background(), "id")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -128,7 +128,7 @@ func segmentTop10(t *testing.T, tab *Table, q []float32, keep func(id int64) boo
 				f.Set(r)
 			}
 		}
-		ix, err := tab.LoadIndex(context.Background(), s)
+		ix, err := tab.loadIndex(context.Background(), tab.Store(), s)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -276,16 +276,16 @@ func tableRows(t *testing.T, tab *Table) map[int64][]float32 {
 	out := map[int64][]float32{}
 	for _, s := range liveSegments(tab) {
 		rd, m := s.Reader, s.Meta
-		ids, err := rd.ReadColumn("id")
+		ids, err := rd.ReadColumn(context.Background(), "id")
 		if err != nil {
 			t.Fatal(err)
 		}
-		vecs, err := rd.ReadColumn("embedding")
+		vecs, err := rd.ReadColumn(context.Background(), "embedding")
 		if err != nil {
 			t.Fatal(err)
 		}
 		// Granule-wise too: both read functions see the same bytes.
-		byRows, err := rd.ReadRows("embedding", []int{m.Rows - 1, 0, m.Rows / 2})
+		byRows, err := rd.ReadRows(context.Background(), "embedding", []int{m.Rows - 1, 0, m.Rows / 2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -454,7 +454,7 @@ func TestGoldenTableFromPR22(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ids, err := (&storage.SegmentReader{Store: store, Meta: m, Schema: tab.Schema()}).ReadColumn("id")
+	ids, err := (&storage.SegmentReader{Store: store, Meta: m, Schema: tab.Schema()}).ReadColumn(context.Background(), "id")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -83,7 +83,9 @@ type Table struct {
 	centroids *vec.Matrix // semantic bucket centroids; nil until trained
 	nextSeg   int64
 	hist      map[string]*Histogram // per-column histograms for the CBO
-	onRetire  []func(seg string)
+	// retireHooks run as each segment retires; caches: see watch.
+	retireHooks []func(seg string)
+	caches      []*IndexCache
 
 	// dropped is set by Drop, which deletes the table's blobs itself.
 	dropped atomic.Bool
@@ -479,24 +481,19 @@ func (t *Table) OpenIndex(seg string) (index.Index, error) {
 	if s == nil {
 		return nil, fmt.Errorf("lsm: segment %q not live", seg)
 	}
-	return t.LoadIndex(nil, s)
+	return t.loadIndex(nil, t.store, s)
 }
 
-// LoadIndex loads the segment's vector index from the store, bounded
-// by ctx; a trace on ctx counts the blob read among the query's reads.
-func (t *Table) LoadIndex(ctx context.Context, s *Segment) (index.Index, error) {
-	blob, err := storage.TracedGet(ctx, t.store, storage.IndexKey(t.opts.Name, s.Meta.Name, t.opts.IndexColumn))
+// loadIndex reads the segment's index blob from store, bounded by ctx
+// (a trace on ctx counts the read among the query's), and builds the
+// index from it, wired to read exact vectors through the segment's
+// reader. The index is of the type the segment's meta records; a meta
+// written before it recorded one means the table's type.
+func (t *Table) loadIndex(ctx context.Context, store storage.BlobStore, s *Segment) (index.Index, error) {
+	blob, err := storage.TracedGet(ctx, store, t.IndexKeyOf(s.Meta.Name))
 	if err != nil {
 		return nil, err
 	}
-	return t.DecodeIndex(s, blob)
-}
-
-// DecodeIndex builds the segment's index from its blob, wired to read
-// exact vectors through the segment's reader. The index is of the type
-// the segment's meta records; a meta written before it recorded one
-// means the table's type.
-func (t *Table) DecodeIndex(s *Segment, blob []byte) (index.Index, error) {
 	typ := index.Type(s.Meta.IndexType)
 	if typ == "" {
 		typ = t.opts.IndexType
@@ -544,7 +541,7 @@ func (t *Table) wireRefine(ix index.Index, rd *storage.SegmentReader) {
 	vcol := t.opts.IndexColumn
 	rr.SetRawProvider(func(id int64, out []float32) bool {
 		once.Do(func() {
-			c, err := rd.ReadColumn(vcol)
+			c, err := rd.ReadColumn(context.TODO(), vcol)
 			if err == nil {
 				col = c
 			}

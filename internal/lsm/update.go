@@ -116,7 +116,7 @@ func (t *Table) deleteFromSegmentsLocked(pkCol string, keys []int64) (int, error
 		if !anyInRange {
 			continue
 		}
-		col, err := s.Reader.ReadColumn(pkCol)
+		col, err := s.Reader.ReadColumn(context.TODO(), pkCol)
 		if err != nil {
 			return 0, fmt.Errorf("lsm: reading key column of %s: %w", s.Meta.Name, err)
 		}

@@ -109,7 +109,7 @@ func (t *Table) Acquire() (*Version, []*Segment) {
 // as ids. Its "~mem" name stays the same while the memtable's rows and
 // deletes change, so nothing keyed by segment name may hold it: it is
 // in no Version, never retires, and the column cache and the
-// executor's index handles pass it by. Rows only grow: an empty
+// IndexCache pass it by. Rows only grow: an empty
 // memtable is asked before it is snapshotted.
 func (t *Table) appendMem(segs []*Segment, m *wal.Memtable) []*Segment {
 	if m.Rows() == 0 {
@@ -127,7 +127,7 @@ func (t *Table) appendMem(segs []*Segment, m *wal.Memtable) []*Segment {
 // its reader, with the row offsets as ids: the exact kernel flat
 // segments and memtables run on, for a caller that has no index of s.
 func (t *Table) ExactIndex(ctx context.Context, s *Segment) (index.Index, error) {
-	col, err := s.Reader.ReadColumnCtx(ctx, t.opts.IndexColumn)
+	col, err := s.Reader.ReadColumn(ctx, t.opts.IndexColumn)
 	if err != nil {
 		return nil, err
 	}
@@ -175,13 +175,13 @@ func (t *Table) publish(edit func(next *Version)) {
 	cur.Release()
 }
 
-// OnRetire registers fn to run with the name of each segment as it
+// onRetire registers fn to run with the name of each segment as it
 // retires: compacted away or dropped, and released by the last Version
-// that named it. An executor drops its index handle there.
-func (t *Table) OnRetire(fn func(seg string)) {
+// that named it. An IndexCache drops the segment's handle there.
+func (t *Table) onRetire(fn func(seg string)) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.onRetire = append(t.onRetire, fn)
+	t.retireHooks = append(t.retireHooks, fn)
 }
 
 // retireSegment deletes a retired segment's blobs (best effort: the
@@ -193,7 +193,7 @@ func (t *Table) retireSegment(s *Segment) {
 		_ = t.deleteBlobs(segmentsPrefix(t.opts.Name) + s.Meta.Name + "/")
 	}
 	t.mu.RLock()
-	hooks := t.onRetire
+	hooks := t.retireHooks
 	t.mu.RUnlock()
 	for _, fn := range hooks {
 		fn(s.Meta.Name)

@@ -58,7 +58,7 @@ func TestVersionPinsReads(t *testing.T) {
 	}
 	var mu sync.Mutex
 	var retired []string
-	tab.OnRetire(func(seg string) {
+	tab.onRetire(func(seg string) {
 		mu.Lock()
 		defer mu.Unlock()
 		retired = append(retired, seg)

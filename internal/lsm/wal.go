@@ -288,14 +288,16 @@ func (t *Table) flushLoop(ws *walState) {
 // the memtable, advance flushedLSN — under one t.mu.Lock so queries
 // see exactly one of (memtable rows | segment rows). The manifest Put
 // persists the watermark before the WAL below it is truncated; a
-// crash between the two just replays idempotent work.
+// crash between the two just replays idempotent work. A row-less
+// memtable whose LSN a DELETE raised is sealed too: the delete's bitmaps
+// are persisted, so its flush only moves the watermark past the record.
 func (t *Table) flushOnce(ws *walState) error {
 	t.dmlMu.Lock()
 	defer t.dmlMu.Unlock()
 	start := obs.Now()
 	cur := t.current() // dmlMu keeps its memtable set current
 	sealed := cur.sealed
-	if cur.mem != nil && cur.mem.Rows() > 0 {
+	if cur.mem != nil && (cur.mem.Rows() > 0 || cur.mem.MaxLSN() > t.FlushedLSN()) {
 		t.publish(func(next *Version) {
 			next.sealed = append(next.sealed, next.mem)
 			t.memGen++
@@ -462,7 +464,7 @@ func (t *Table) walTruncatePinned() bool {
 	return t.walPins > 0
 }
 
-// FlushedLSN returns the recovery watermark (tests).
+// FlushedLSN returns the recovery watermark.
 func (t *Table) FlushedLSN() int64 {
 	t.mu.RLock()
 	defer t.mu.RUnlock()

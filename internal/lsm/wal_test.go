@@ -49,7 +49,7 @@ func versionContents(t *testing.T, segs []*Segment) []string {
 	for _, s := range segs {
 		var cols [4]*storage.ColumnData
 		for i, name := range []string{"id", "label", "score", "embedding"} {
-			c, err := s.Reader.ReadColumn(name)
+			c, err := s.Reader.ReadColumn(context.Background(), name)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -286,7 +286,7 @@ func TestWALConcurrentInsertsDurable(t *testing.T) {
 	seen := map[int64]int{}
 	for _, s := range liveSegments(tab) {
 		rd := s.Reader
-		ids, err := rd.ReadColumn("id")
+		ids, err := rd.ReadColumn(context.Background(), "id")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -389,6 +389,43 @@ func TestWALDeleteCannotTruncateUnflushedInserts(t *testing.T) {
 		t.Fatalf("recovered rows = %d, want 199 (acknowledged inserts above a flushed delete LSN were lost)", got)
 	}
 	testutil.CheckNoLeaks(t, before)
+}
+
+// TestWALDeleteOnlyTailIsTruncated: a DELETE after the last flushed
+// INSERT leaves no record in the log once CloseWAL returns — its
+// segment bitmaps are persisted, so the watermark passes it — and a
+// reopen still hides the deleted row.
+func TestWALDeleteOnlyTailIsTruncated(t *testing.T) {
+	mem := storage.NewMemStore()
+	opts := testOptions("t")
+	tab, err := Create(mem, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds := dataset.Small(lN, lDim, 3)
+	ingest(t, tab, fillBatch(t, opts, ds, 0, 50))
+	if n, err := tab.DeleteByKey(context.Background(), "id", []int64{7}); err != nil || n != 1 {
+		t.Fatalf("delete: n=%d err=%v", n, err)
+	}
+	if err := tab.CloseWAL(); err != nil {
+		t.Fatal(err)
+	}
+	if keys, _ := mem.List("tables/t/wal/"); len(keys) != 0 {
+		t.Fatalf("WAL after CloseWAL holds %v, want nothing", keys)
+	}
+	re, err := Open(mem, "t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := tableContents(t, re)
+	if len(rows) != 49 {
+		t.Fatalf("reopened table has %d rows, want 49", len(rows))
+	}
+	for _, r := range rows {
+		if strings.HasPrefix(r, "7|") {
+			t.Fatalf("reopened table shows deleted row %s", r)
+		}
+	}
 }
 
 // TestWALRecoveryManifestAtomic: crash recovery must commit replayed

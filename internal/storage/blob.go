@@ -14,6 +14,7 @@ package storage
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -32,10 +33,10 @@ type ErrNotFound struct{ Key string }
 
 func (e *ErrNotFound) Error() string { return fmt.Sprintf("storage: key %q not found", e.Key) }
 
-// IsNotFound reports whether err is a missing-key error.
+// IsNotFound reports whether err is, or wraps, a missing-key error.
 func IsNotFound(err error) bool {
-	_, ok := err.(*ErrNotFound)
-	return ok
+	var nf *ErrNotFound
+	return errors.As(err, &nf)
 }
 
 // BlobStore is the persistence interface. Keys are slash-separated
@@ -111,7 +112,7 @@ func GetRangeCtx(ctx context.Context, s BlobStore, key string, off, length int64
 
 // TracedGet is GetCtx that charges the read to the trace ctx carries
 // (obs.TraceFrom): a segment's column blobs (SegmentReader) and its
-// index blob (lsm.Table.LoadIndex) are counted here and nowhere else,
+// index blob (lsm.IndexCache) are counted here and nowhere else,
 // so a read retried or served by a wrapper below counts once. On an
 // untraced ctx it adds nothing but the lookup — no clock, no allocation.
 func TracedGet(ctx context.Context, s BlobStore, key string) ([]byte, error) {

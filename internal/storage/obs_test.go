@@ -86,7 +86,7 @@ func TestIOTallyFedBySegmentReads(t *testing.T) {
 
 	tr := obs.NewTrace("q")
 	ctx := obs.WithTrace(context.Background(), tr)
-	if _, err := r.ReadColumnCtx(ctx, "id"); err != nil {
+	if _, err := r.ReadColumn(ctx, "id"); err != nil {
 		t.Fatal(err)
 	}
 	reads, bytes, dur := tr.Reads()
@@ -98,7 +98,7 @@ func TestIOTallyFedBySegmentReads(t *testing.T) {
 	}
 
 	// Without a trace on the ctx the same read is uncounted (and cheap).
-	if _, err := r.ReadColumnCtx(context.Background(), "id"); err != nil {
+	if _, err := r.ReadColumn(context.Background(), "id"); err != nil {
 		t.Fatal(err)
 	}
 	if r2, _, _ := tr.Reads(); r2 != reads {

@@ -145,6 +145,35 @@ func TestRetryNeverRetriesPermanent(t *testing.T) {
 	}
 }
 
+// wrappedNotFoundStore answers every Get with a not-found wrapped in
+// context, as a layer above the store reports it, and counts the calls.
+type wrappedNotFoundStore struct {
+	BlobStore
+	calls int
+}
+
+func (s *wrappedNotFoundStore) Get(key string) ([]byte, error) {
+	s.calls++
+	return nil, fmt.Errorf("shard 3: %w", &ErrNotFound{key})
+}
+
+// TestWrappedNotFoundIsNotRetried: a not-found wrapped with %w is still
+// not-found, so the retry layer reads it once and passes it on.
+func TestWrappedNotFoundIsNotRetried(t *testing.T) {
+	inner := &wrappedNotFoundStore{BlobStore: NewMemStore()}
+	rs := NewRetryStore(inner, fastRetryConfig())
+	_, err := rs.Get("k")
+	if !IsNotFound(err) || IsTransient(err) {
+		t.Fatalf("Get = %v: IsNotFound %v, IsTransient %v; want true, false", err, IsNotFound(err), IsTransient(err))
+	}
+	if inner.calls != 1 {
+		t.Errorf("backend saw %d reads of a missing key, want 1", inner.calls)
+	}
+	if rs.Stats().Retries != 0 {
+		t.Errorf("Retries = %d, want 0", rs.Stats().Retries)
+	}
+}
+
 func TestRetryHonorsContext(t *testing.T) {
 	inner := &failNStore{BlobStore: NewMemStore(), n: 100}
 	rs := NewRetryStore(inner, RetryConfig{

@@ -483,15 +483,11 @@ func (r *SegmentReader) colMeta(name string) (*ColumnMeta, *ColumnDef, error) {
 	return nil, nil, fmt.Errorf("storage: column %q not in segment %s", name, r.Meta.Name)
 }
 
-// ReadColumn fetches an entire column with one blob read.
-func (r *SegmentReader) ReadColumn(name string) (*ColumnData, error) {
-	return r.ReadColumnCtx(nil, name)
-}
-
-// ReadColumnCtx is ReadColumn bounded by a context: a fired deadline or
-// cancel aborts the (remote) blob read. Of a shared blob it fetches
-// only the span the column's granules cover, not the index around it.
-func (r *SegmentReader) ReadColumnCtx(ctx context.Context, name string) (*ColumnData, error) {
+// ReadColumn fetches an entire column with one blob read, bounded by
+// ctx: a fired deadline or cancel aborts the (remote) blob read. Of a
+// shared blob it fetches only the span the column's granules cover,
+// not the index around it.
+func (r *SegmentReader) ReadColumn(ctx context.Context, name string) (*ColumnData, error) {
 	if r.mem != nil {
 		return r.memColumn(name) // read-only: the caller shares it
 	}
@@ -526,14 +522,9 @@ func (r *SegmentReader) ReadColumnCtx(ctx context.Context, name string) (*Column
 // ReadRows fetches only the granules containing the requested row
 // offsets (any order, duplicates allowed) and returns values aligned
 // with rows. This is the reduced-granularity read path: remote reads
-// are one GetRange per needed granule, not the whole column.
-func (r *SegmentReader) ReadRows(name string, rows []int) (*ColumnData, error) {
-	return r.ReadRowsCtx(nil, name, rows)
-}
-
-// ReadRowsCtx is ReadRows bounded by a context: each granule fetch
-// checks for cancellation and aborts in-flight remote range reads.
-func (r *SegmentReader) ReadRowsCtx(ctx context.Context, name string, rows []int) (*ColumnData, error) {
+// are one GetRange per needed granule, not the whole column. ctx
+// bounds each granule fetch.
+func (r *SegmentReader) ReadRows(ctx context.Context, name string, rows []int) (*ColumnData, error) {
 	if r.mem != nil {
 		src, err := r.memColumn(name)
 		if err != nil {
@@ -546,15 +537,15 @@ func (r *SegmentReader) ReadRowsCtx(ctx context.Context, name string, rows []int
 		return out, nil
 	}
 	return r.GatherRows(name, rows, func(block int) (*ColumnData, error) {
-		cd, _, err := r.ReadGranuleCtx(ctx, name, block)
+		cd, _, err := r.ReadGranule(ctx, name, block)
 		return cd, err
 	})
 }
 
-// ReadGranuleCtx fetches and decodes one granule of a column with one
+// ReadGranule fetches and decodes one granule of a column with one
 // range read, returning it with its encoded size (what a cache charges
 // for holding it).
-func (r *SegmentReader) ReadGranuleCtx(ctx context.Context, name string, block int) (*ColumnData, int64, error) {
+func (r *SegmentReader) ReadGranule(ctx context.Context, name string, block int) (*ColumnData, int64, error) {
 	cm, def, err := r.colMeta(name)
 	if err != nil {
 		return nil, 0, err

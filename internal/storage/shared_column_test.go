@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"reflect"
@@ -73,14 +74,14 @@ func TestSharedColumnReads(t *testing.T) {
 					t.Fatalf("%s: granule directory not built over the shared column", which)
 				}
 			}
-			col, err := r.ReadColumn("embedding")
+			col, err := r.ReadColumn(context.Background(), "embedding")
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(col.Vecs, batch.Col("embedding").Vecs) {
 				t.Fatal("whole-column read of the shared column differs")
 			}
-			got, err := r.ReadRows("embedding", []int{24, 0, 11, 11, 9})
+			got, err := r.ReadRows(context.Background(), "embedding", []int{24, 0, 11, 11, 9})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -89,12 +90,12 @@ func TestSharedColumnReads(t *testing.T) {
 					t.Fatalf("row %d of the shared column differs", row)
 				}
 			}
-			cd, size, err := r.ReadGranuleCtx(nil, "embedding", 2)
+			cd, size, err := r.ReadGranule(nil, "embedding", 2)
 			if err != nil || cd.Len() != 5 || size != 5*16 {
 				t.Fatalf("granule 2: %d rows, %d bytes, %v", cd.Len(), size, err)
 			}
 			// The other columns are untouched by the sharing.
-			ids, err := r.ReadColumn("id")
+			ids, err := r.ReadColumn(context.Background(), "id")
 			if err != nil || !reflect.DeepEqual(ids.Ints, batch.Col("id").Ints) {
 				t.Fatalf("id column: %v", err)
 			}
@@ -114,7 +115,7 @@ func TestSharedColumnReadFetchesSpan(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := rs.Snapshot()
-	if _, err := r.ReadColumn("embedding"); err != nil {
+	if _, err := r.ReadColumn(context.Background(), "embedding"); err != nil {
 		t.Fatal(err)
 	}
 	after := rs.Snapshot()
@@ -173,12 +174,12 @@ func TestCorruptGranuleAddresses(t *testing.T) {
 					}
 					return
 				}
-				if _, err := r.ReadColumn("embedding"); !errors.Is(err, ErrCorruptGranule) {
+				if _, err := r.ReadColumn(context.Background(), "embedding"); !errors.Is(err, ErrCorruptGranule) {
 					t.Errorf("ReadColumn: %v, want ErrCorruptGranule", err)
 				}
 				failed := false
 				for block := range m.Columns[4].Blocks {
-					if _, _, err := r.ReadGranuleCtx(nil, "embedding", block); err != nil {
+					if _, _, err := r.ReadGranule(nil, "embedding", block); err != nil {
 						failed = true
 						if !errors.Is(err, ErrCorruptGranule) {
 							t.Errorf("ReadGranule(%d): %v, want ErrCorruptGranule", block, err)

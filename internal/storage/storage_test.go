@@ -204,7 +204,7 @@ func TestWriteReadSegmentRoundTrip(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, cn := range []string{"id", "score", "label", "ts", "embedding"} {
-				col, err := r.ReadColumn(cn)
+				col, err := r.ReadColumn(context.Background(), cn)
 				if err != nil {
 					t.Fatalf("ReadColumn(%s): %v", cn, err)
 				}
@@ -212,11 +212,11 @@ func TestWriteReadSegmentRoundTrip(t *testing.T) {
 					t.Fatalf("%s len = %d", cn, col.Len())
 				}
 			}
-			lbl, _ := r.ReadColumn("label")
+			lbl, _ := r.ReadColumn(context.Background(), "label")
 			if lbl.Strs[4] != "dog" {
 				t.Fatalf("label[4] = %q", lbl.Strs[4])
 			}
-			emb, _ := r.ReadColumn("embedding")
+			emb, _ := r.ReadColumn(context.Background(), "embedding")
 			if emb.Vector(7)[0] != 7 {
 				t.Fatalf("embedding[7] = %v", emb.Vector(7))
 			}
@@ -237,7 +237,7 @@ func TestReadRowsBlockGranular(t *testing.T) {
 	}
 	before := rs.Snapshot().Gets
 	// Rows 5 and 7 share block 0; row 95 is block 9 → exactly 2 block reads.
-	col, err := r.ReadRows("id", []int{5, 95, 7})
+	col, err := r.ReadRows(context.Background(), "id", []int{5, 95, 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,14 +251,14 @@ func TestReadRowsBlockGranular(t *testing.T) {
 		}
 	}
 	// Strings too (variable length blocks).
-	lbl, err := r.ReadRows("label", []int{0, 99})
+	lbl, err := r.ReadRows(context.Background(), "label", []int{0, 99})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if lbl.Strs[0] != "cat" || lbl.Strs[1] != "cat" {
 		t.Fatalf("labels = %v", lbl.Strs)
 	}
-	if _, err := r.ReadRows("id", []int{100}); err == nil {
+	if _, err := r.ReadRows(context.Background(), "id", []int{100}); err == nil {
 		t.Error("out-of-range row should fail")
 	}
 }
@@ -304,7 +304,7 @@ func TestEmptySegment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	col, err := r.ReadColumn("id")
+	col, err := r.ReadColumn(context.Background(), "id")
 	if err != nil || col.Len() != 0 {
 		t.Fatalf("empty column read: %d rows, %v", col.Len(), err)
 	}
@@ -419,10 +419,10 @@ func TestReadColumnUnknown(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.ReadColumn("nope"); err == nil {
+	if _, err := r.ReadColumn(context.Background(), "nope"); err == nil {
 		t.Fatal("unknown column should fail")
 	}
-	if _, err := r.ReadRows("nope", []int{0}); err == nil {
+	if _, err := r.ReadRows(context.Background(), "nope", []int{0}); err == nil {
 		t.Fatal("unknown column rows should fail")
 	}
 }
@@ -481,14 +481,14 @@ func TestReadRowsManyGranules(t *testing.T) {
 	}
 	rows := []int{99, 0, 50, 51, 7, 93, 12, 12, 64, 33, 28, 71, 86, 45, 19, 0, 99, 58}
 	before := rs.Snapshot().Gets
-	ids, err := r.ReadRows("id", rows)
+	ids, err := r.ReadRows(context.Background(), "id", rows)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := rs.Snapshot().Gets - before; got != 14 {
 		t.Fatalf("%d granule reads for 14 distinct granules", got)
 	}
-	emb, err := r.ReadRows("embedding", rows)
+	emb, err := r.ReadRows(context.Background(), "embedding", rows)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -501,16 +501,16 @@ func TestReadRowsManyGranules(t *testing.T) {
 		t.Fatalf("lengths %d/%d, want %d", ids.Len(), emb.Len(), len(rows))
 	}
 
-	g, size, err := r.ReadGranuleCtx(context.Background(), "id", 19)
+	g, size, err := r.ReadGranule(context.Background(), "id", 19)
 	if err != nil || g.Len() != 5 || g.Ints[0] != 95 || size != 40 {
 		t.Fatalf("granule 19: %v rows, first %v, %d bytes, err %v", g.Len(), g.Ints, size, err)
 	}
 	for _, block := range []int{-1, 20} {
-		if _, _, err := r.ReadGranuleCtx(context.Background(), "id", block); err == nil {
+		if _, _, err := r.ReadGranule(context.Background(), "id", block); err == nil {
 			t.Errorf("granule %d should be out of range", block)
 		}
 	}
-	if _, _, err := r.ReadGranuleCtx(context.Background(), "nope", 0); err == nil {
+	if _, _, err := r.ReadGranule(context.Background(), "nope", 0); err == nil {
 		t.Error("unknown column should fail")
 	}
 }
