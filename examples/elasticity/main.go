@@ -16,8 +16,11 @@ import (
 
 	"blendhouse/internal/bench/dataset"
 	"blendhouse/internal/cluster"
+	"blendhouse/internal/exec"
 	"blendhouse/internal/index"
 	"blendhouse/internal/lsm"
+	"blendhouse/internal/plan"
+	"blendhouse/internal/sql"
 	"blendhouse/internal/storage"
 
 	// Register the pluggable index types (the core engine does this
@@ -77,14 +80,24 @@ func main() {
 	}
 	fmt.Println("VW started with 2 preloaded workers")
 
+	// The engine's executor runs each query, its segment scans placed
+	// on the VW's workers.
+	ex := &exec.Executor{Table: tab, Placement: vw}
+	lg, err := plan.BuildLogical(&sql.Select{
+		Table: tab.Name(), Columns: []sql.SelectItem{{Name: "id"}, {Name: "dist"}},
+		OrderBy: &sql.OrderBy{Alias: "dist",
+			Distance: &sql.DistanceExpr{Func: "L2Distance", Column: "embedding", Query: ds.Queries.Row(0)}},
+		Limit: 5, Settings: map[string]int{"ef_search": 64},
+	}, tab.Schema())
+	if err != nil {
+		log.Fatal(err)
+	}
 	search := func(tag string) {
-		cands, err := vw.Search(context.Background(), tab, ds.Queries.Row(0), 5,
-			cluster.SearchOptions{Params: index.SearchParams{Ef: 64}})
+		res, err := ex.Run(context.Background(), &plan.Physical{Logical: lg, Strategy: plan.PreFilter})
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("[%s] top hit: segment=%s offset=%d dist=%.4f\n",
-			tag, cands[0].Segment, cands[0].Offset, cands[0].Dist)
+		fmt.Printf("[%s] top hit: id=%d dist=%.4f\n", tag, res.Rows[0][0], res.Rows[0][1])
 	}
 	search("steady state")
 

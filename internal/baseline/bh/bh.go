@@ -125,7 +125,7 @@ func (s *Store) Load(vectors []float32, dim int, attrs []int64) error {
 		cc = cache.NewColumnCache(cfg)
 	}
 	s.ex = &exec.Executor{
-		Table: tab, Indexes: lsm.NewIndexCache(tab.Store()), ColCache: cc,
+		Table: tab, Placement: lsm.NewIndexCache(tab.Store()), ColCache: cc,
 		SemanticFraction: s.cfg.SemanticFraction,
 	}
 	return nil

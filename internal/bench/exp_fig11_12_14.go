@@ -11,8 +11,11 @@ import (
 	"blendhouse/internal/baseline/bh"
 	"blendhouse/internal/bench/dataset"
 	"blendhouse/internal/cluster"
+	"blendhouse/internal/exec"
 	"blendhouse/internal/index"
 	"blendhouse/internal/lsm"
+	"blendhouse/internal/plan"
+	"blendhouse/internal/sql"
 	"blendhouse/internal/storage"
 )
 
@@ -67,6 +70,25 @@ func clusterFixture(cfg Config, workers int, ds *dataset.Dataset, scanCost, post
 	return vw, tab, nil
 }
 
+// vwPlan is the top-10 of q on the cluster fixture's table under
+// strategy at ef_search ef, projecting cols, where "d" is the distance.
+func vwPlan(tab *lsm.Table, q []float32, ef int, strategy plan.Strategy, cols ...string) (*plan.Physical, error) {
+	sel := &sql.Select{
+		Table:    tab.Name(),
+		OrderBy:  &sql.OrderBy{Distance: &sql.DistanceExpr{Func: "L2Distance", Column: "embedding", Query: q}, Alias: "d"},
+		Limit:    10,
+		Settings: map[string]int{"ef_search": ef},
+	}
+	for _, c := range cols {
+		sel.Columns = append(sel.Columns, sql.SelectItem{Name: c})
+	}
+	lg, err := plan.BuildLogical(sel, tab.Schema())
+	if err != nil {
+		return nil, err
+	}
+	return &plan.Physical{Logical: lg, Strategy: strategy}, nil
+}
+
 // runFig11 reproduces Figure 11: per-query latency under three
 // regimes — warm local index cache, vector search serving over a real
 // TCP RPC to the previous owner, and the brute-force fallback that
@@ -86,15 +108,20 @@ func runFig11(cfg Config) (*Report, error) {
 	if errs := vw.Preload(tab); len(errs) != 0 {
 		return nil, fmt.Errorf("preload: %v", errs[0])
 	}
-	params := index.SearchParams{Ef: 64}
-	measure := func(opts cluster.SearchOptions) (time.Duration, error) {
+	// The queries project only the distance, so each times the scans
+	// and the merge, no row fetch.
+	ex := &exec.Executor{Table: tab, Placement: vw}
+	measure := func(strategy plan.Strategy) (time.Duration, error) {
 		t, err := MeasureSerial(cfg.Queries, func(qi int) error {
-			_, err := vw.Search(context.Background(), tab, ds.Queries.Row(qi%ds.Queries.Rows()), 10, opts)
+			ph, err := vwPlan(tab, ds.Queries.Row(qi%ds.Queries.Rows()), 64, strategy, "d")
+			if err == nil {
+				_, err = ex.Run(context.Background(), ph)
+			}
 			return err
 		})
 		return t.Mean, err
 	}
-	local, err := measure(cluster.SearchOptions{Params: params})
+	local, err := measure(plan.PreFilter)
 	if err != nil {
 		return nil, err
 	}
@@ -103,11 +130,11 @@ func runFig11(cfg Config) (*Report, error) {
 	if _, err := vw.AddWorker("w2"); err != nil {
 		return nil, err
 	}
-	serving, err := measure(cluster.SearchOptions{Params: params})
+	serving, err := measure(plan.PreFilter)
 	if err != nil {
 		return nil, err
 	}
-	brute, err := measure(cluster.SearchOptions{Params: params, ForceBruteForce: true})
+	brute, err := measure(plan.BruteForce)
 	if err != nil {
 		return nil, err
 	}

@@ -129,7 +129,7 @@ func runFig16(cfg Config) (*Report, error) {
 			frac = 0.3
 		}
 		ccCfg := cache.DefaultColumnCacheConfig()
-		ex := &exec.Executor{Table: tab, Indexes: lsm.NewIndexCache(tab.Store()), ColCache: cache.NewColumnCache(ccCfg), SemanticFraction: frac}
+		ex := &exec.Executor{Table: tab, Placement: lsm.NewIndexCache(tab.Store()), ColCache: cache.NewColumnCache(ccCfg), SemanticFraction: frac}
 		planner := plan.NewPlanner(plan.PlannerConfig{})
 		// Warm index loads before measuring.
 		if ph, err := planner.Plan(laionQuery(ds, 0, 0.3, false), tab); err == nil {
@@ -187,7 +187,7 @@ func runFig17(cfg Config) (*Report, error) {
 			ccCfg := cache.DefaultColumnCacheConfig()
 			cc = cache.NewColumnCache(ccCfg)
 		}
-		ex := &exec.Executor{Table: tab, Indexes: lsm.NewIndexCache(tab.Store()), ColCache: cc}
+		ex := &exec.Executor{Table: tab, Placement: lsm.NewIndexCache(tab.Store()), ColCache: cc}
 		planner := plan.NewPlanner(v.planner)
 		// Queries project two scalar columns so the result-fetch I/O
 		// (the read amplification of §IV-C) is on the measured path.
@@ -466,6 +466,6 @@ func prodTable(cfg Config, ds *dataset.Dataset, part bool) (*lsm.Table, *exec.Ex
 		frac = 0.4
 	}
 	ccCfg := cache.DefaultColumnCacheConfig()
-	ex := &exec.Executor{Table: tab, Indexes: lsm.NewIndexCache(tab.Store()), ColCache: cache.NewColumnCache(ccCfg), SemanticFraction: frac}
+	ex := &exec.Executor{Table: tab, Placement: lsm.NewIndexCache(tab.Store()), ColCache: cache.NewColumnCache(ccCfg), SemanticFraction: frac}
 	return tab, ex, plan.NewPlanner(plan.PlannerConfig{}), nil
 }

@@ -7,9 +7,10 @@ import (
 
 	"blendhouse/internal/baseline/bh"
 	"blendhouse/internal/bench/dataset"
-	"blendhouse/internal/cluster"
+	"blendhouse/internal/exec"
 	"blendhouse/internal/index"
 	"blendhouse/internal/lsm"
+	"blendhouse/internal/plan"
 	"blendhouse/internal/storage"
 )
 
@@ -40,26 +41,19 @@ func runFig18(cfg Config) (*Report, error) {
 	if errs := vw.Preload(tab); len(errs) != 0 {
 		return nil, fmt.Errorf("preload: %v", errs[0])
 	}
-	v, _ := tab.Acquire() // nothing writes the table: v names every segment
-	defer v.Release()
-	params := index.SearchParams{Ef: 32}
-	// Each query ends by fetching its result rows from the
+	// Each query ends by fetching its result rows' ids from the
 	// latency-modeled remote store (the end-to-end query of the
 	// paper's workload, not a bare ANN probe). Client concurrency is
 	// fixed well above VW capacity, so throughput is capacity-bound —
 	// adding workers is what raises it.
 	const clientConcurrency = 16
+	ex := &exec.Executor{Table: tab, Placement: vw}
 	runQuery := func(qi int) error {
-		cands, err := vw.Search(context.Background(), tab, ds.Queries.Row(qi%ds.Queries.Rows()), 10, cluster.SearchOptions{Params: params})
-		if err != nil {
-			return err
+		ph, err := vwPlan(tab, ds.Queries.Row(qi%ds.Queries.Rows()), 32, plan.PreFilter, "id")
+		if err == nil {
+			_, err = ex.Run(context.Background(), ph)
 		}
-		for _, c := range cands[:minInt(3, len(cands))] {
-			if _, err := v.Segment(c.Segment).Reader.ReadRows(context.Background(), "id", []int{int(c.Offset)}); err != nil {
-				return err
-			}
-		}
-		return nil
+		return err
 	}
 	var baseQPS float64
 	for workers := 1; workers <= 4; workers++ {
@@ -142,11 +136,4 @@ func runFig19(cfg Config) (*Report, error) {
 		s.Executor().InvalidateLocalIndexes()
 	}
 	return rep, nil
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

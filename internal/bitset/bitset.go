@@ -190,20 +190,24 @@ func (b *Bitset) MarshalBinary() ([]byte, error) {
 	return out, nil
 }
 
-// UnmarshalBinary deserializes a bitset written by MarshalBinary.
+// UnmarshalBinary deserializes a bitset written by MarshalBinary. It
+// rejects a length the payload does not hold exactly and a set bit at
+// or past the length, neither of which MarshalBinary writes.
 func (b *Bitset) UnmarshalBinary(data []byte) error {
 	if len(data) < 8 {
 		return fmt.Errorf("bitset: truncated header (%d bytes)", len(data))
 	}
-	n := int(binary.LittleEndian.Uint64(data))
-	nwords := (n + wordBits - 1) / wordBits
-	if len(data) != 8+8*nwords {
-		return fmt.Errorf("bitset: want %d payload bytes for %d bits, have %d", 8*nwords, n, len(data)-8)
+	n, payload := binary.LittleEndian.Uint64(data), uint64(len(data)-8)
+	if payload%8 != 0 || n > payload*8 || n+wordBits <= payload*8 {
+		return fmt.Errorf("bitset: %d payload bytes do not hold %d bits", payload, n)
 	}
-	b.n = n
-	b.words = make([]uint64, nwords)
-	for i := range b.words {
-		b.words[i] = binary.LittleEndian.Uint64(data[8+8*i:])
+	words := make([]uint64, payload/8)
+	for i := range words {
+		words[i] = binary.LittleEndian.Uint64(data[8+8*i:])
 	}
+	if r := n % wordBits; r != 0 && words[len(words)-1]>>r != 0 {
+		return fmt.Errorf("bitset: bits set past length %d", n)
+	}
+	b.n, b.words = int(n), words
 	return nil
 }

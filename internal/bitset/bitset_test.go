@@ -1,6 +1,7 @@
 package bitset
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -154,6 +155,36 @@ func TestUnmarshalRejectsCorrupt(t *testing.T) {
 	if err := b.UnmarshalBinary(good[:len(good)-1]); err == nil {
 		t.Error("truncated payload should fail")
 	}
+	if err := b.UnmarshalBinary(bytes.Repeat([]byte{0xff}, 8)); err == nil {
+		t.Errorf("a length of 2^64-1 with no payload decoded as Len %d", b.Len())
+	}
+	one, _ := New(1).MarshalBinary()
+	one[8] = 0xff
+	one[9] = 0xff
+	if err := b.UnmarshalBinary(one); err == nil {
+		t.Errorf("bits past the length decoded as Count %d of Len %d", b.Count(), b.Len())
+	}
+}
+
+// FuzzUnmarshalBinary: no input panics the decoder, and what it
+// accepts marshals back to the same bytes.
+func FuzzUnmarshalBinary(f *testing.F) {
+	for _, n := range []int{0, 1, 63, 64, 65, 200} {
+		full, _ := NewFull(n).MarshalBinary()
+		f.Add(full)
+	}
+	f.Add(bytes.Repeat([]byte{0xff}, 8))
+	f.Add([]byte{1, 0, 0, 0, 0, 0, 0, 0, 0xff, 0xff, 0, 0, 0, 0, 0, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var b Bitset
+		if b.UnmarshalBinary(data) != nil {
+			return
+		}
+		out, err := b.MarshalBinary()
+		if err != nil || !bytes.Equal(out, data) {
+			t.Fatalf("accepted %x, re-marshals to %x (%v)", data, out, err)
+		}
+	})
 }
 
 func TestDeMorganProperty(t *testing.T) {

@@ -1,20 +1,24 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"fmt"
+	"reflect"
 	"slices"
-	"strings"
 	"testing"
 	"time"
 
 	"blendhouse/internal/bench/dataset"
 	"blendhouse/internal/bitset"
+	"blendhouse/internal/exec"
 	"blendhouse/internal/index"
 	_ "blendhouse/internal/index/flat"
 	_ "blendhouse/internal/index/hnsw"
 	_ "blendhouse/internal/index/ivf"
 	"blendhouse/internal/lsm"
+	"blendhouse/internal/plan"
+	"blendhouse/internal/sql"
 	"blendhouse/internal/storage"
 )
 
@@ -82,23 +86,44 @@ func segments(tab *lsm.Table) []*lsm.Segment {
 	return segs
 }
 
-// globalSearch runs a distributed search over all segments and maps
-// (segment, offset) back to the id column for recall checks.
-func globalIDs(t *testing.T, vw *VW, tab *lsm.Table, cands []SegmentCandidate) []int64 {
+// query is the top-k of q over tab's embedding under strategy,
+// projecting id and the distance d, with ef_search 64 and the scalar
+// (or distance range) predicates where.
+func query(t *testing.T, tab *lsm.Table, q []float32, k int, strategy plan.Strategy, where ...sql.Predicate) *plan.Physical {
 	t.Helper()
-	out := make([]int64, 0, len(cands))
-	v, _ := tab.Acquire()
-	defer v.Release()
-	for _, c := range cands {
-		seg := v.Segment(c.Segment)
-		if seg == nil {
-			t.Fatalf("segment %q not live", c.Segment)
-		}
-		col, err := seg.Reader.ReadRows(context.Background(), "id", []int{int(c.Offset)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		out = append(out, col.Ints[0])
+	sel := &sql.Select{
+		Table: tab.Name(), Columns: []sql.SelectItem{{Name: "id"}, {Name: "d"}}, Where: where,
+		OrderBy: &sql.OrderBy{Distance: l2(q), Alias: "d"},
+		Limit:   k, Settings: map[string]int{"ef_search": 64},
+	}
+	lg, err := plan.BuildLogical(sel, tab.Schema())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &plan.Physical{Logical: lg, Strategy: strategy}
+}
+
+func l2(q []float32) *sql.DistanceExpr {
+	return &sql.DistanceExpr{Func: "L2Distance", Column: "embedding", Query: q}
+}
+
+// run executes ph on tab through the engine's executor, its scans
+// placed by p.
+func run(p exec.Placement, tab *lsm.Table, ph *plan.Physical) (*exec.Result, error) {
+	return (&exec.Executor{Table: tab, Placement: p}).Run(context.Background(), ph)
+}
+
+// ids runs a top-k of q on the VW's placement and returns the ids of
+// its rows.
+func ids(t *testing.T, p exec.Placement, tab *lsm.Table, q []float32, k int, strategy plan.Strategy) []int64 {
+	t.Helper()
+	res, err := run(p, tab, query(t, tab, q, k, strategy))
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make([]int64, len(res.Rows))
+	for i, row := range res.Rows {
+		out[i] = row[0].(int64)
 	}
 	return out
 }
@@ -108,13 +133,7 @@ func TestDistributedSearchMatchesOracle(t *testing.T) {
 	truth := ds.GroundTruth(tab.Options().IndexParams.Metric, 10, nil)
 	got := make([][]int64, ds.Queries.Rows())
 	for qi := 0; qi < ds.Queries.Rows(); qi++ {
-		cands, err := vw.Search(context.Background(), tab, ds.Queries.Row(qi), 10, SearchOptions{
-			Params: index.SearchParams{Ef: 64},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		got[qi] = globalIDs(t, vw, tab, cands)
+		got[qi] = ids(t, vw, tab, ds.Queries.Row(qi), 10, plan.PreFilter)
 	}
 	if r := dataset.Recall(truth, got); r < 0.9 {
 		t.Fatalf("distributed recall = %.3f", r)
@@ -163,19 +182,13 @@ func TestWorkerFailureRetriesOnReplica(t *testing.T) {
 	// Kill one worker; queries must still succeed (stateless workers,
 	// query-level retry of paper §II-E).
 	vw.Worker("w1").Fail()
-	cands, err := vw.Search(context.Background(), tab, ds.Queries.Row(0), 10, SearchOptions{
-		Params: index.SearchParams{Ef: 64},
-	})
-	if err != nil {
-		t.Fatalf("search with dead worker: %v", err)
-	}
-	if len(cands) != 10 {
-		t.Fatalf("got %d candidates", len(cands))
+	if got := ids(t, vw, tab, ds.Queries.Row(0), 10, plan.PreFilter); len(got) != 10 {
+		t.Fatalf("search with dead worker: got %d rows", len(got))
 	}
 	// Recover and confirm it serves again.
 	vw.Worker("w1").Recover()
-	if _, err := vw.Search(context.Background(), tab, ds.Queries.Row(1), 5, SearchOptions{Params: index.SearchParams{Ef: 32}}); err != nil {
-		t.Fatal(err)
+	if got := ids(t, vw, tab, ds.Queries.Row(1), 5, plan.PreFilter); len(got) != 5 {
+		t.Fatalf("got %d rows", len(got))
 	}
 }
 
@@ -183,7 +196,7 @@ func TestAllWorkersDead(t *testing.T) {
 	vw, tab, ds := fixture(t, 2)
 	vw.Worker("w0").Fail()
 	vw.Worker("w1").Fail()
-	if _, err := vw.Search(context.Background(), tab, ds.Queries.Row(0), 5, SearchOptions{}); err == nil {
+	if _, err := run(vw, tab, query(t, tab, ds.Queries.Row(0), 5, plan.PreFilter)); err == nil {
 		t.Fatal("search with no live workers should fail")
 	}
 }
@@ -241,22 +254,22 @@ func bruteSearches(vw *VW) (n int64) {
 	return n
 }
 
+func servedScans(vw *VW) (n int64) {
+	for _, wid := range vw.Workers() {
+		n += vw.Worker(wid).ServedSearches.Load()
+	}
+	return n
+}
+
 func TestVectorSearchServingOnScaleUp(t *testing.T) {
 	vw, tab, ds := fixture(t, 2)
 	// Some segments now map to the cold worker; serving must proxy
 	// those scans to the previous owners over the RPC.
 	moved := scaleUp(t, vw, tab)
-	cands, err := vw.Search(context.Background(), tab, ds.Queries.Row(0), 10, SearchOptions{
-		Params: index.SearchParams{Ef: 64},
-	})
-	if err != nil {
-		t.Fatal(err)
+	if got := ids(t, vw, tab, ds.Queries.Row(0), 10, plan.PreFilter); len(got) != 10 {
+		t.Fatalf("got %d rows", len(got))
 	}
-	if len(cands) != 10 {
-		t.Fatalf("got %d candidates", len(cands))
-	}
-	served := vw.Worker("w0").ServedSearches.Load() + vw.Worker("w1").ServedSearches.Load()
-	if served == 0 {
+	if servedScans(vw) == 0 {
 		t.Fatalf("no searches were served via RPC despite %d moved segments", moved)
 	}
 	if n := bruteSearches(vw); n != 0 {
@@ -264,30 +277,30 @@ func TestVectorSearchServingOnScaleUp(t *testing.T) {
 	}
 }
 
-// TestTCPServingRoundTrip checks that a scan served over the RPC
-// answers exactly what the same scan answers locally.
+// TestTCPServingRoundTrip checks that a query whose scans are served
+// over the RPC answers exactly what it answers locally.
 func TestTCPServingRoundTrip(t *testing.T) {
 	vw, tab, ds := fixture(t, 2)
-	opts := SearchOptions{Params: index.SearchParams{Ef: 64}}
-	local, err := vw.Search(context.Background(), tab, ds.Queries.Row(2), 10, opts)
+	ph := query(t, tab, ds.Queries.Row(2), 10, plan.PreFilter)
+	local, err := run(vw, tab, ph)
 	if err != nil {
 		t.Fatal(err)
 	}
 	scaleUp(t, vw, tab)
-	served, err := vw.Search(context.Background(), tab, ds.Queries.Row(2), 10, opts)
+	got, err := run(vw, tab, ph)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if vw.Worker("w0").ServedSearches.Load()+vw.Worker("w1").ServedSearches.Load() == 0 {
+	if servedScans(vw) == 0 {
 		t.Fatal("no scan was served")
 	}
-	if !slices.Equal(local, served) {
-		t.Fatalf("served result %v, local %v", served, local)
+	if !reflect.DeepEqual(local, got) {
+		t.Fatalf("served result %v, local %v", got.Rows, local.Rows)
 	}
 }
 
 // TestDeletedRowsNeverResurface deletes the top hit and searches again
-// with the scan served over the RPC after a scale-up, on the exact
+// with the scan served over the RPC after a scale-up, on plan A's exact
 // path, and on the index path: the deleted row must never come back.
 func TestDeletedRowsNeverResurface(t *testing.T) {
 	vw, tab, _ := fixture(t, 2)
@@ -300,20 +313,7 @@ func TestDeletedRowsNeverResurface(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := slices.Clone(row.Vector(0))
-	search := func(brute bool) []int64 {
-		t.Helper()
-		cands, err := vw.Search(context.Background(), tab, q, 10, SearchOptions{
-			Params: index.SearchParams{Ef: 64}, ForceBruteForce: brute,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return globalIDs(t, vw, tab, cands)
-	}
-	served := func() int64 {
-		return vw.Worker("w0").ServedSearches.Load() + vw.Worker("w1").ServedSearches.Load()
-	}
-	top := search(false)[0]
+	top := ids(t, vw, tab, q, 10, plan.PreFilter)[0]
 	if n, err := tab.DeleteByKey(context.Background(), "id", []int64{top}); err != nil || n != 1 {
 		t.Fatalf("delete %d: n=%d err=%v", top, n, err)
 	}
@@ -323,18 +323,18 @@ func TestDeletedRowsNeverResurface(t *testing.T) {
 			t.Fatalf("%s: deleted id %d in %v", what, top, ids)
 		}
 	}
-	before := served()
-	check("served", search(false))
-	if served() == before {
+	before := servedScans(vw)
+	check("served", ids(t, vw, tab, q, 10, plan.PreFilter))
+	if servedScans(vw) == before {
 		t.Fatal("no scan was served after the scale-up")
 	}
-	check("brute force", search(true))
+	check("brute force", ids(t, vw, tab, q, 10, plan.BruteForce))
 	if errs := vw.Preload(tab); len(errs) != 0 {
 		t.Fatalf("preload: %v", errs)
 	}
-	before = served()
-	check("index", search(false))
-	if served() != before {
+	before = servedScans(vw)
+	check("index", ids(t, vw, tab, q, 10, plan.PreFilter))
+	if servedScans(vw) != before {
 		t.Fatal("a scan was served after the cold worker preloaded")
 	}
 }
@@ -350,27 +350,26 @@ func TestUnflushedRowsAreSearched(t *testing.T) {
 	if err := tab.Insert(context.Background(), batch); err != nil {
 		t.Fatal(err)
 	}
-	top := func(brute bool) SegmentCandidate {
+	top := func(strategy plan.Strategy) []any {
 		t.Helper()
-		cands, err := vw.Search(context.Background(), tab, q, 3, SearchOptions{
-			Params: index.SearchParams{Ef: 64}, ForceBruteForce: brute,
-		})
+		res, err := run(vw, tab, query(t, tab, q, 3, strategy))
 		if err != nil {
 			t.Fatal(err)
 		}
-		return cands[0]
+		return res.Rows[0]
 	}
-	for _, brute := range []bool{false, true} {
-		if c := top(brute); c.Dist != 0 || !strings.HasPrefix(c.Segment, "~mem") {
-			t.Fatalf("brute=%v: top hit %+v, want the unflushed row", brute, c)
+	strategies := []plan.Strategy{plan.PreFilter, plan.BruteForce}
+	for _, st := range strategies {
+		if row := top(st); row[0] != int64(9999) || row[1] != 0.0 {
+			t.Fatalf("%v: top hit %v, want the unflushed row", st, row)
 		}
 	}
 	if n, err := tab.DeleteByKey(context.Background(), "id", []int64{9999}); err != nil || n != 1 {
 		t.Fatalf("delete: n=%d err=%v", n, err)
 	}
-	for _, brute := range []bool{false, true} {
-		if c := top(brute); c.Dist == 0 {
-			t.Fatalf("brute=%v: deleted unflushed row returned: %+v", brute, c)
+	for _, st := range strategies {
+		if row := top(st); row[1] == 0.0 {
+			t.Fatalf("%v: deleted unflushed row returned: %v", st, row)
 		}
 	}
 }
@@ -380,10 +379,15 @@ func TestUnflushedRowsAreSearched(t *testing.T) {
 // answer.
 func TestMissingIndexFallsBackToExactScan(t *testing.T) {
 	vw, tab, ds := fixtureOf(t, 1, index.HNSWSQ)
+	ctx := context.Background()
 	seg := segments(tab)[0]
 	w := vw.Worker("w0")
 	q := ds.Queries.Row(0)
-	want, err := w.SearchSegment(context.Background(), tab, seg, q, 5, index.SearchParams{}, nil, true)
+	exact, err := tab.ExactIndex(ctx, seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := exact.SearchWithFilter(q, 5, nil, index.SearchParams{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -396,41 +400,36 @@ func TestMissingIndexFallsBackToExactScan(t *testing.T) {
 	if err := tab.Store().Delete(key); err != nil {
 		t.Fatal(err)
 	}
-	before := w.BruteSearches.Load()
-	got, err := w.SearchSegment(context.Background(), tab, seg, q, 5, index.SearchParams{}, nil, false)
+	ix, err := w.searcher(ctx, tab, seg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if w.BruteSearches.Load() != before+1 || !slices.Equal(got, want) {
-		t.Fatalf("missing index: brute searches %d → %d, got %v want %v", before, w.BruteSearches.Load(), got, want)
+	got, err := ix.SearchWithFilter(q, 5, nil, index.SearchParams{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w.BruteSearches.Load() != 1 || !slices.Equal(got, want) {
+		t.Fatalf("missing index: %d brute searches, got %v want %v", w.BruteSearches.Load(), got, want)
 	}
 	if err := tab.Store().Put(key, blob[:len(blob)/2]); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := w.SearchSegment(context.Background(), tab, seg, q, 5, index.SearchParams{}, nil, false); err == nil {
+	if _, err := run(vw, tab, query(t, tab, q, 5, plan.PreFilter)); err == nil {
 		t.Fatal("a corrupt index blob must fail the scan")
 	}
 }
 
 func TestBruteForceMatchesIndexOnEasyQuery(t *testing.T) {
 	vw, tab, ds := fixture(t, 1)
-	seg := segments(tab)[0]
-	w := vw.Worker("w0")
-	bf, err := w.SearchSegment(context.Background(), tab, seg, ds.Queries.Row(0), 5, index.SearchParams{}, nil, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ix, err := w.SearchSegment(context.Background(), tab, seg, ds.Queries.Row(0), 5, index.SearchParams{Ef: 64}, nil, false)
-	if err != nil {
-		t.Fatal(err)
-	}
+	bf := ids(t, vw, tab, ds.Queries.Row(0), 5, plan.BruteForce)
+	ix := ids(t, vw, tab, ds.Queries.Row(0), 5, plan.PreFilter)
 	if len(bf) != 5 || len(ix) != 5 {
 		t.Fatalf("lens %d/%d", len(bf), len(ix))
 	}
 	// Exact scan is ground truth; HNSW on easy data should agree on
 	// the top hit.
-	if bf[0].ID != ix[0].ID {
-		t.Fatalf("top-1 disagrees: brute %d vs index %d", bf[0].ID, ix[0].ID)
+	if bf[0] != ix[0] {
+		t.Fatalf("top-1 disagrees: brute %d vs index %d", bf[0], ix[0])
 	}
 }
 
@@ -438,6 +437,7 @@ func TestBruteForceMatchesIndexOnEasyQuery(t *testing.T) {
 // bitset admits, on the index path, the exact path and over the RPC.
 func TestSearchWithFilters(t *testing.T) {
 	vw, tab, ds := fixture(t, 2)
+	ctx := context.Background()
 	seg := segments(tab)[0]
 	even := bitset.New(seg.Meta.Rows)
 	for i := 0; i < seg.Meta.Rows; i += 2 {
@@ -446,14 +446,22 @@ func TestSearchWithFilters(t *testing.T) {
 	w := vw.Worker("w0")
 	q := ds.Queries.Row(0)
 	p := index.SearchParams{Ef: 64}
-	for _, brute := range []bool{false, true} {
-		cands, err := w.SearchSegment(context.Background(), tab, seg, q, 10, p, even, brute)
+	ix, err := w.searcher(ctx, tab, seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	exact, err := tab.ExactIndex(ctx, seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ix := range []index.Index{ix, exact} {
+		cands, err := ix.SearchWithFilter(q, 10, even, p)
 		if err != nil {
 			t.Fatal(err)
 		}
 		checkEven(t, cands)
 	}
-	served, err := vw.serve(context.Background(), w, tab, seg, q, 10, p, even)
+	served, err := vw.serve(ctx, w, tab, seg, q, 10, p, even)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -484,13 +492,22 @@ func TestRPCErrorPaths(t *testing.T) {
 	if err := svc.Search(&SearchArgs{Table: tab.Name(), Segment: "nope", Query: ds.Queries.Row(0), K: 5}, &reply); err == nil {
 		t.Fatal("unknown segment should fail")
 	}
-	// Corrupt filter bytes.
-	seg := segments(tab)[0].Meta.Name
-	if err := svc.Search(&SearchArgs{Table: tab.Name(), Segment: seg, Query: ds.Queries.Row(0), K: 5, Filter: []byte{1, 2}}, &reply); err == nil {
-		t.Fatal("corrupt filter should fail")
+	// Corrupt filter bytes; a length of 2^64-1; set bits past the
+	// length; a filter shorter than the segment.
+	seg := segments(tab)[0]
+	pastLen, _ := bitset.New(1).MarshalBinary()
+	pastLen[8], pastLen[9] = 0xff, 0xff
+	short, _ := bitset.NewFull(seg.Meta.Rows - 1).MarshalBinary()
+	for what, filter := range map[string][]byte{
+		"corrupt": {1, 2}, "negative length": bytes.Repeat([]byte{0xff}, 8),
+		"bits past length": pastLen, "short": short,
+	} {
+		if err := svc.Search(&SearchArgs{Table: tab.Name(), Segment: seg.Meta.Name, Query: ds.Queries.Row(0), K: 5, Filter: filter}, &reply); err == nil {
+			t.Fatalf("%s filter should fail, answered %v", what, reply.Cands)
+		}
 	}
 	// Valid request through the service directly.
-	if err := svc.Search(&SearchArgs{Table: tab.Name(), Segment: seg, Query: ds.Queries.Row(0), K: 5, Params: index.SearchParams{Ef: 32}}, &reply); err != nil {
+	if err := svc.Search(&SearchArgs{Table: tab.Name(), Segment: seg.Meta.Name, Query: ds.Queries.Row(0), K: 5, Params: index.SearchParams{Ef: 32}}, &reply); err != nil {
 		t.Fatal(err)
 	}
 	if len(reply.Cands) != 5 {
@@ -511,11 +528,10 @@ func TestWorkerSlotsLimitConcurrency(t *testing.T) {
 	done := make(chan struct{}, 3)
 	for i := 0; i < 3; i++ {
 		go func() {
-			release, err := w.acquire(context.Background())
-			if err != nil {
+			if err := w.occupy(context.Background(), vw.cfg.SimulatedScanCost); err != nil {
 				t.Error(err)
 			} else {
-				release()
+				<-w.slots
 			}
 			done <- struct{}{}
 		}()
@@ -557,7 +573,11 @@ func TestServingSurvivesCompaction(t *testing.T) {
 	defer v.Release()
 	seg := segs[0]
 	q, p := ds.Queries.Row(1), index.SearchParams{Ef: 64}
-	want, err := pw.SearchSegment(ctx, tab, seg, q, 10, p, nil, false) // loads the index into pw
+	ix, err := pw.searcher(ctx, tab, seg) // loads the index into pw
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := ix.SearchWithFilter(q, 10, nil, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -579,11 +599,11 @@ func TestServingSurvivesCompaction(t *testing.T) {
 // A worker's handle of a segment goes when the segment retires: a
 // compaction replaces it, and the last Version naming it is released.
 func TestWorkerDropsRetiredSegmentsIndex(t *testing.T) {
-	vw, tab, ds := fixture(t, 1)
+	vw, tab, _ := fixture(t, 1)
 	w := vw.Worker("w0")
 	v, segs := tab.Acquire()
 	seg := segs[0]
-	if _, err := w.SearchSegment(context.Background(), tab, seg, ds.Queries.Row(0), 10, index.SearchParams{Ef: 64}, nil, false); err != nil {
+	if _, err := w.searcher(context.Background(), tab, seg); err != nil {
 		t.Fatal(err)
 	}
 	if !w.HasIndexInMem(tab, seg) {
@@ -619,28 +639,121 @@ func TestMirroredVWFailover(t *testing.T) {
 	if errs := m.Preload(tab); len(errs) != 0 {
 		t.Fatalf("preload: %v", errs)
 	}
-	opts := SearchOptions{Params: index.SearchParams{Ef: 64}}
+	q := func(qi int) (*exec.Result, error) {
+		return run(m, tab, query(t, tab, ds.Queries.Row(qi), 10, plan.PreFilter))
+	}
 	// Healthy primary: served by A.
-	if _, err := m.Search(context.Background(), tab, ds.Queries.Row(0), 10, opts); err != nil {
+	if _, err := q(0); err != nil {
 		t.Fatal(err)
 	}
 	// Kill every worker in A: queries fail over to B.
 	vwA.Worker("w0").Fail()
 	vwA.Worker("w1").Fail()
-	res, err := m.Search(context.Background(), tab, ds.Queries.Row(1), 10, opts)
+	res, err := q(1)
 	if err != nil {
 		t.Fatalf("failover search: %v", err)
 	}
-	if len(res) != 10 {
-		t.Fatalf("failover got %d candidates", len(res))
+	if len(res.Rows) != 10 {
+		t.Fatalf("failover got %d rows", len(res.Rows))
 	}
 	// Kill B too: total failure surfaces an error naming both replicas.
 	vwB.Worker("r0").Fail()
 	vwB.Worker("r1").Fail()
-	if _, err := m.Search(context.Background(), tab, ds.Queries.Row(2), 10, opts); err == nil {
+	if _, err := q(2); err == nil {
 		t.Fatal("all-replica failure should error")
 	}
 	if _, err := NewMirroredVW(); err == nil {
 		t.Fatal("empty mirror should fail")
+	}
+}
+
+// TestVWMatchesEngine: on a table with deleted rows and an unflushed
+// memtable, plans A, B and C and a range search with a scalar
+// predicate answer on a VW of 1 worker, of 3, and of 3 right after a
+// cold scale-up (its top-k scans served) exactly the rows the engine's
+// own node answers.
+func TestVWMatchesEngine(t *testing.T) {
+	_, tab, ds := fixture(t, 0)
+	ctx := context.Background()
+	batch := storage.NewRowBatch(tab.Schema())
+	for i := 0; i < 40; i++ {
+		batch.Col("id").Ints = append(batch.Col("id").Ints, int64(cN+i))
+		batch.Col("embedding").Vecs = append(batch.Col("embedding").Vecs, ds.Vectors.Row(3*i)...)
+	}
+	if err := tab.Insert(ctx, batch); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := tab.DeleteByKey(ctx, "id", []int64{5, 150, 333, 420, 777, cN + 7}); err != nil || n != 6 {
+		t.Fatalf("delete: n=%d err=%v", n, err)
+	}
+	if len(segments(tab)) == tab.SegmentCount() {
+		t.Fatal("no memtable segment")
+	}
+	newVW := func(workers int) *VW {
+		vw := NewVW(VWConfig{Name: fmt.Sprint("vw", workers)}, tab.Store())
+		t.Cleanup(vw.Close)
+		vw.RegisterTable(tab)
+		for i := 0; i < workers; i++ {
+			if _, err := vw.AddWorker(fmt.Sprintf("w%d", i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return vw
+	}
+	engine := lsm.NewIndexCache(tab.Store())
+	pred := sql.Predicate{Column: "id", Op: sql.OpLt, Value: int64(700)}
+	q := ds.Queries.Row(4)
+	for _, c := range []struct {
+		name string
+		ph   *plan.Physical
+	}{
+		{"plan A", query(t, tab, q, 10, plan.BruteForce, pred)},
+		{"plan B", query(t, tab, q, 10, plan.PreFilter, pred)},
+		{"plan C", query(t, tab, q, 10, plan.PostFilter, pred)},
+		{"range", query(t, tab, q, 0, plan.PreFilter, pred, sql.Predicate{Distance: l2(q), Op: sql.OpLt, Value: 0.45})},
+	} {
+		want, err := run(engine, tab, c.ph)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(want.Rows) < 5 {
+			t.Fatalf("%s: the engine answers %d rows", c.name, len(want.Rows))
+		}
+		cold := newVW(2)
+		scaleUp(t, cold, tab)
+		for what, vw := range map[string]*VW{"1 worker": newVW(1), "3 workers": newVW(3), "cold scale-up": cold} {
+			got, err := run(vw, tab, c.ph)
+			if err != nil {
+				t.Fatalf("%s on %s: %v", c.name, what, err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s on %s:\n got  %v\n want %v", c.name, what, got.Rows, want.Rows)
+			}
+		}
+		if c.name == "plan B" && servedScans(cold) == 0 {
+			t.Fatal("plan B served no scan after the cold scale-up")
+		}
+	}
+}
+
+// Workers that join and leave do not stay on the tables they served:
+// a removed worker's cache is dropped from every table's list.
+func TestScaleCyclesLeaveNoWatchers(t *testing.T) {
+	vw, tab, ds := fixture(t, 2)
+	for i := 0; i < 20; i++ {
+		id := fmt.Sprintf("c%d", i)
+		if _, err := vw.AddWorker(id); err != nil {
+			t.Fatal(err)
+		}
+		if errs := vw.Preload(tab); len(errs) != 0 {
+			t.Fatalf("preload: %v", errs)
+		}
+		ids(t, vw, tab, ds.Queries.Row(i), 10, plan.PreFilter)
+		if err := vw.RemoveWorker(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n, live := tab.Watchers(), len(vw.Workers()); n > live {
+		t.Fatalf("%d caches watch the table, %d workers are live", n, live)
 	}
 }

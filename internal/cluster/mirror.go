@@ -1,9 +1,11 @@
 package cluster
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 
+	"blendhouse/internal/index"
 	"blendhouse/internal/lsm"
 )
 
@@ -44,24 +46,21 @@ func (m *MirroredVW) Preload(t *lsm.Table) []error {
 	return errs
 }
 
-// Search tries each replica in order, returning the first success.
-// Only genuine execution failures fall through; an empty result is a
-// valid answer and is returned as-is. A cancelled or timed-out ctx
-// stops the fail-over chain — later replicas would just re-observe
-// the same dead context.
-func (m *MirroredVW) Search(ctx context.Context, table *lsm.Table, q []float32, k int, opts SearchOptions) ([]SegmentCandidate, error) {
+// Occupy places a segment's scan (exec.Placement) on the first
+// replica that can take it, so a query fails over per segment. A
+// cancelled or timed-out ctx stops the fail-over chain — later
+// replicas would just re-observe the same dead context.
+func (m *MirroredVW) Occupy(ctx context.Context, t *lsm.Table, s *lsm.Segment, exact bool) (index.Searcher, func(), error) {
 	var firstErr error
 	for _, vw := range m.replicas {
-		res, err := vw.Search(ctx, table, q, k, opts)
+		ix, release, err := vw.Occupy(ctx, t, s, exact)
 		if err == nil {
-			return res, nil
+			return ix, release, nil
 		}
-		if firstErr == nil {
-			firstErr = err
+		if ctx.Err() != nil {
+			return nil, nil, ctx.Err()
 		}
-		if ctx != nil && ctx.Err() != nil {
-			return nil, ctx.Err()
-		}
+		firstErr = cmp.Or(firstErr, err)
 	}
-	return nil, fmt.Errorf("cluster: all %d VW replicas failed: %w", len(m.replicas), firstErr)
+	return nil, nil, fmt.Errorf("cluster: all %d VW replicas failed: %w", len(m.replicas), firstErr)
 }

@@ -2,9 +2,11 @@ package cluster
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net"
 	"net/rpc"
+	"time"
 
 	"blendhouse/internal/bitset"
 	"blendhouse/internal/index"
@@ -48,18 +50,24 @@ type SearchService struct {
 	w *Worker
 }
 
-// Search executes a segment ANN scan on the receiving worker. A
-// requester proxies a scan only to a worker that holds the segment's
-// index, and its pinned Version may name a segment a compaction has
-// since retired: so a cached index stands in for the segment, which is
-// looked up in the table's current Version only on a miss.
+// Search executes a segment's top-k scan on the receiving worker, in
+// one of its slots, over the rows the filter admits. A requester
+// proxies a scan only to a worker that holds the segment's index, and
+// its pinned Version may name a segment a compaction has since
+// retired: so a cached index stands in for the segment, which is
+// looked up in the table's current Version only on a miss. A filter
+// must cover exactly the segment's rows.
 func (s *SearchService) Search(args *SearchArgs, reply *SearchReply) error {
-	table := s.w.vw.lookupTable(args.Table)
+	w := s.w
+	if !w.Alive() {
+		return fmt.Errorf("cluster: worker %s is down", w.ID)
+	}
+	table := w.vw.lookupTable(args.Table)
 	if table == nil {
 		return fmt.Errorf("cluster: rpc search on unknown table %q", args.Table)
 	}
 	var seg *lsm.Segment
-	if ix, ok := s.w.indexes.Get(table, args.Segment); ok {
+	if ix, ok := w.indexes.Get(table, args.Segment); ok {
 		seg = &lsm.Segment{Meta: &storage.SegmentMeta{Name: args.Segment}, Index: ix}
 	} else {
 		v, _ := table.Acquire()
@@ -68,21 +76,79 @@ func (s *SearchService) Search(args *SearchArgs, reply *SearchReply) error {
 			return fmt.Errorf("cluster: rpc search on unknown segment %q", args.Segment)
 		}
 	}
+	// net/rpc carries no context across the wire; the server side runs
+	// unbounded and the caller abandons the wait on cancellation.
+	ctx := context.Background()
+	if err := w.occupy(ctx, w.vw.cfg.SimulatedScanCost); err != nil {
+		return err
+	}
+	defer func() { <-w.slots }()
+	ix, err := w.searcher(ctx, table, seg)
+	if err != nil {
+		return err
+	}
 	var allow *bitset.Bitset
 	if len(args.Filter) > 0 {
 		allow = &bitset.Bitset{}
 		if err := allow.UnmarshalBinary(args.Filter); err != nil {
 			return fmt.Errorf("cluster: rpc filter: %w", err)
 		}
+		if allow.Len() != ix.Count() {
+			return fmt.Errorf("cluster: rpc filter of %d rows for segment %q of %d", allow.Len(), args.Segment, ix.Count())
+		}
 	}
-	s.w.ServedSearches.Add(1)
+	w.ServedSearches.Add(1)
 	mServedSearches.Inc()
-	// net/rpc carries no context across the wire; the server side runs
-	// unbounded and the caller abandons the wait on cancellation.
-	var err error
-	reply.Cands, err = s.w.SearchSegment(context.Background(), table, seg, args.Query, args.K, args.Params, allow, false)
+	reply.Cands, err = ix.SearchWithFilter(args.Query, args.K, allow, args.Params)
 	return err
 }
+
+// served is a cold owner's searcher for a segment whose previous owner
+// holds the index warm: a top-k runs there over the serving RPC, with
+// its filter on the wire, and falls back to the owner's own handle when
+// the RPC fails. A range search or an iterator loads the index on the
+// owner.
+type served struct {
+	ctx         context.Context
+	vw          *VW
+	prev, owner *Worker
+	t           *lsm.Table
+	s           *lsm.Segment
+}
+
+func (sv *served) SearchWithFilter(q []float32, k int, f index.Filter, p index.SearchParams) ([]index.Candidate, error) {
+	rpcStart := obs.Now()
+	cands, err := sv.vw.serve(sv.ctx, sv.prev, sv.t, sv.s, q, k, p, f)
+	mServingRTT.Observe(time.Since(rpcStart))
+	if err == nil || sv.ctx.Err() != nil {
+		return cands, err
+	}
+	ix, lerr := sv.owner.searcher(sv.ctx, sv.t, sv.s)
+	if lerr != nil {
+		return nil, errors.Join(err, lerr)
+	}
+	return ix.SearchWithFilter(q, k, f, p)
+}
+
+func (sv *served) SearchWithRange(q []float32, radius float32, f index.Filter, p index.SearchParams) ([]index.Candidate, error) {
+	ix, err := sv.owner.searcher(sv.ctx, sv.t, sv.s)
+	if err != nil {
+		return nil, err
+	}
+	return ix.SearchWithRange(q, radius, f, p)
+}
+
+func (sv *served) SearchIterator(q []float32, p index.SearchParams) (index.Iterator, error) {
+	ix, err := sv.owner.searcher(sv.ctx, sv.t, sv.s)
+	if err != nil {
+		return nil, err
+	}
+	return ix.SearchIterator(q, p)
+}
+
+// Count is the segment's row count, which its index holds one vector
+// per.
+func (sv *served) Count() int { return sv.s.Meta.Rows }
 
 // listen opens the worker's loopback listener and serves its
 // SearchService on it until closeRPC.

@@ -2,17 +2,14 @@ package cluster
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sort"
 	"sync"
 	"time"
 
-	"blendhouse/internal/bitset"
 	"blendhouse/internal/hashring"
 	"blendhouse/internal/index"
 	"blendhouse/internal/lsm"
-	"blendhouse/internal/obs"
 	"blendhouse/internal/storage"
 )
 
@@ -36,13 +33,14 @@ type VWConfig struct {
 	SimulatedPostCost time.Duration
 }
 
-// replicas is the number of candidate workers per segment that
-// query-level retry tries (paper §II-E).
+// replicas is the number of ring candidates per segment a scan tries
+// in order before any live worker (query-level retry, paper §II-E).
 const replicas = 2
 
 // VW is a virtual warehouse: an elastic group of stateless workers
-// sharing one remote store. Search scheduling, serving and retry all
-// live here.
+// sharing one remote store, and a placement of the engine's executor
+// (exec.Placement): segment scheduling, serving and failover live here;
+// the query pipeline is exec's.
 type VW struct {
 	cfg    VWConfig
 	remote storage.BlobStore
@@ -117,8 +115,7 @@ func (vw *VW) RemoveWorker(id string) error {
 	vw.ring.Remove(id)
 	vw.mu.Unlock()
 	w.closeRPC()
-	w.indexes.Purge() // the tables' retire hooks outlive the worker
-
+	w.indexes.Purge() // the worker's cache leaves every table's list
 	return nil
 }
 
@@ -146,7 +143,7 @@ func (vw *VW) ScheduleSegments(table *lsm.Table, segs []*lsm.Segment) map[string
 }
 
 // ownerOf returns the live worker responsible for a segment,
-// consulting replicas when the primary is down.
+// consulting replicas when the primary is down ("" when none is live).
 func (vw *VW) ownerOf(table *lsm.Table, seg string) string {
 	vw.mu.RLock()
 	defer vw.mu.RUnlock()
@@ -178,188 +175,43 @@ func (vw *VW) PreviousOwner(table *lsm.Table, seg string) string {
 	return vw.prevRing.Get(segKey(table, seg))
 }
 
-// SearchOptions tunes a distributed search.
-type SearchOptions struct {
-	Params index.SearchParams
-	// ForceBruteForce skips the index entirely (Fig 11's worst case).
-	ForceBruteForce bool
-}
-
-// Search runs a distributed top-k over the table's current Version:
-// schedule its segments, scan each (local, served, or brute-force)
-// over its live rows, merge. Failed workers are retried on replicas
-// (query-level retry, §II-E). ctx bounds every leg of the fan-out —
-// slot waits, simulated service times, index loads and serving RPC
-// waits; cancelling it stops pending per-segment scans before they
-// start.
-func (vw *VW) Search(ctx context.Context, table *lsm.Table, q []float32, k int, opts SearchOptions) ([]SegmentCandidate, error) {
-	if ctx == nil {
-		ctx = context.Background()
+// Occupy places the scan of t's segment s (exec.Placement) on its ring
+// owner, or on the next replica when the owner is down. The owner holds
+// a slot for SimulatedScanCost and searches its IndexCache handle, or
+// the exact scan of s's vector column when s has no index blob. When
+// the owner is cold and the previous owner warm, the previous owner
+// serves the scan over the RPC instead, in its own slot (vector search
+// serving, §II-D). The release charges SimulatedPostCost on the owner:
+// post-processing runs there wherever the scan ran.
+func (vw *VW) Occupy(ctx context.Context, t *lsm.Table, s *lsm.Segment, exact bool) (index.Searcher, func(), error) {
+	w := vw.Worker(vw.ownerOf(t, s.Meta.Name))
+	if w == nil {
+		return nil, nil, fmt.Errorf("cluster: no live worker in VW %s for segment %s", vw.cfg.Name, s.Meta.Name)
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	v, segs := table.Acquire()
-	defer v.Release()
-	assign := vw.ScheduleSegments(table, segs)
-	assigned := 0
-	for _, ss := range assign {
-		assigned += len(ss)
-	}
-	if assigned < len(segs) {
-		return nil, fmt.Errorf("cluster: %d of %d segments unassignable (no live workers in VW %s)",
-			len(segs)-assigned, len(segs), vw.cfg.Name)
-	}
-	// Per-query cancel: the first failing worker goroutine stops the
-	// rest of the fan-out instead of letting it run to completion.
-	gctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	type result struct {
-		cands []SegmentCandidate
-		err   error
-	}
-	ch := make(chan result, len(assign))
-	for workerID, ss := range assign {
-		go func() {
-			var all []SegmentCandidate
-			for _, seg := range ss {
-				if err := gctx.Err(); err != nil {
-					ch <- result{nil, err}
-					return
-				}
-				cands, err := vw.searchOneWithRetry(gctx, table, seg, workerID, q, k, opts)
-				if err != nil {
-					ch <- result{nil, err}
-					return
-				}
-				for _, c := range cands {
-					all = append(all, SegmentCandidate{Segment: seg.Meta.Name, Offset: c.ID, Dist: c.Dist})
-				}
-			}
-			ch <- result{all, nil}
-		}()
-	}
-	var merged []SegmentCandidate
-	var firstErr error
-	for range assign {
-		r := <-ch
-		if r.err != nil {
-			// Prefer a root-cause error over cancellations induced by
-			// our own cancel() below.
-			if firstErr == nil || (isCtxErr(firstErr) && ctx.Err() == nil && !isCtxErr(r.err)) {
-				firstErr = r.err
-			}
-			cancel()
-		}
-		merged = append(merged, r.cands...)
-	}
-	if firstErr != nil {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		return nil, firstErr
-	}
-	sortSegmentCandidates(merged)
-	if len(merged) > k {
-		merged = merged[:k]
-	}
-	return merged, nil
-}
-
-// SegmentCandidate is a search hit qualified by its segment.
-type SegmentCandidate struct {
-	Segment string
-	Offset  int64
-	Dist    float32
-}
-
-// isCtxErr reports whether err is a context cancellation/deadline.
-func isCtxErr(err error) bool {
-	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
-}
-
-func sortSegmentCandidates(cs []SegmentCandidate) {
-	sort.Slice(cs, func(i, j int) bool {
-		if cs[i].Dist != cs[j].Dist {
-			return cs[i].Dist < cs[j].Dist
-		}
-		if cs[i].Segment != cs[j].Segment {
-			return cs[i].Segment < cs[j].Segment
-		}
-		return cs[i].Offset < cs[j].Offset
-	})
-}
-
-// liveRows is the allow bitset of a segment's rows that no delete
-// removed, nil when none is deleted.
-func liveRows(seg *lsm.Segment) *bitset.Bitset {
-	if seg.Deletes == nil {
-		return nil
-	}
-	allow := bitset.NewFull(seg.Meta.Rows)
-	allow.AndNot(seg.Deletes)
-	return allow
-}
-
-// searchOneWithRetry searches one segment on the designated worker,
-// applying the serving path on cache miss and retrying on a replica
-// if the worker dies mid-query.
-func (vw *VW) searchOneWithRetry(ctx context.Context, table *lsm.Table, seg *lsm.Segment, workerID string, q []float32, k int, opts SearchOptions) ([]index.Candidate, error) {
-	allow := liveRows(seg)
-	tryWorker := func(id string) ([]index.Candidate, error) {
-		w := vw.Worker(id)
-		if w == nil || !w.Alive() {
-			return nil, fmt.Errorf("cluster: worker %s unavailable", id)
-		}
-		// Vector search serving: if this worker lacks the index in
-		// memory, proxy to the previous owner that still has it warm.
-		if !opts.ForceBruteForce && !w.HasIndexInMem(table, seg) {
-			if prev := vw.PreviousOwner(table, seg.Meta.Name); prev != "" && prev != id {
-				if pw := vw.Worker(prev); pw != nil && pw.Alive() && pw.HasIndexInMem(table, seg) {
-					rpcStart := obs.Now()
-					res, err := vw.serve(ctx, pw, table, seg, q, k, opts.Params, allow)
-					mServingRTT.Observe(time.Since(rpcStart))
-					return res, err
-				}
+	post := func() { w.chargePost(ctx) }
+	if !exact && !w.HasIndexInMem(t, s) {
+		if prev := vw.PreviousOwner(t, s.Meta.Name); prev != w.ID {
+			if pw := vw.Worker(prev); pw != nil && pw.Alive() && pw.HasIndexInMem(t, s) {
+				return &served{ctx: ctx, vw: vw, prev: pw, owner: w, t: t, s: s}, post, nil
 			}
 		}
-		return w.SearchSegment(ctx, table, seg, q, k, opts.Params, allow, opts.ForceBruteForce)
 	}
-	res, err := tryWorker(workerID)
-	if err == nil {
-		// Post-processing (fetch/filter/merge) runs on the assigned
-		// worker regardless of where the ANN scan executed.
-		if w := vw.Worker(workerID); w != nil {
-			if perr := w.chargePost(ctx); perr != nil {
-				return nil, perr
-			}
-		}
-		return res, nil
+	if err := w.occupy(ctx, vw.cfg.SimulatedScanCost); err != nil {
+		return nil, nil, err
 	}
-	// A cancelled/timed-out query must not fail over: the replicas
-	// would just re-observe the same dead context.
-	if cerr := ctx.Err(); cerr != nil {
-		return nil, cerr
+	release := func() {
+		<-w.slots
+		post()
 	}
-	// Query-level retry on replicas (paper §II-E).
-	for _, id := range vw.replicasFor(table, seg.Meta.Name) {
-		if id == workerID {
-			continue
-		}
-		if res, rerr := tryWorker(id); rerr == nil {
-			return res, nil
-		}
-		if cerr := ctx.Err(); cerr != nil {
-			return nil, cerr
-		}
+	if exact {
+		return nil, release, nil
 	}
-	return nil, err
-}
-
-func (vw *VW) replicasFor(table *lsm.Table, seg string) []string {
-	vw.mu.RLock()
-	defer vw.mu.RUnlock()
-	return vw.ring.GetN(segKey(table, seg), replicas)
+	ix, err := w.searcher(ctx, t, s)
+	if err != nil {
+		release()
+		return nil, nil, err
+	}
+	return ix, release, nil
 }
 
 // Preload warms every worker's cache with the indexes of the segments

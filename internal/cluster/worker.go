@@ -15,7 +15,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"blendhouse/internal/bitset"
 	"blendhouse/internal/blobtier"
 	"blendhouse/internal/index"
 	"blendhouse/internal/lsm"
@@ -67,8 +66,9 @@ type Worker struct {
 	clientMu  sync.Mutex
 	client    *rpc.Client
 
-	// Counters for the benchmarks.
-	ServedSearches atomic.Int64 // searches executed on behalf of another worker
+	// Counters for the benchmarks: scans run on behalf of another
+	// worker, and scans of a segment without an index blob.
+	ServedSearches atomic.Int64
 	BruteSearches  atomic.Int64
 }
 
@@ -116,26 +116,13 @@ func (w *Worker) occupy(ctx context.Context, d time.Duration) error {
 	return nil
 }
 
-// acquire blocks until the worker has a free compute slot (or ctx
-// fires) and charges the simulated per-scan service time, if
-// configured.
-func (w *Worker) acquire(ctx context.Context) (func(), error) {
-	if err := w.occupy(ctx, w.vw.cfg.SimulatedScanCost); err != nil {
-		return nil, err
-	}
-	return func() { <-w.slots }, nil
-}
-
 // chargePost charges the simulated per-segment post-processing time
-// on this worker's capacity (see VWConfig.SimulatedPostCost).
-func (w *Worker) chargePost(ctx context.Context) error {
-	if c := w.vw.cfg.SimulatedPostCost; c > 0 {
-		if err := w.occupy(ctx, c); err != nil {
-			return err
-		}
+// on this worker's capacity (see VWConfig.SimulatedPostCost); a fired
+// ctx cuts it short.
+func (w *Worker) chargePost(ctx context.Context) {
+	if c := w.vw.cfg.SimulatedPostCost; c > 0 && w.occupy(ctx, c) == nil {
 		<-w.slots
 	}
-	return nil
 }
 
 // Alive reports whether the worker is serving.
@@ -159,39 +146,25 @@ func (w *Worker) HasIndexInMem(table *lsm.Table, seg *lsm.Segment) bool {
 	return seg.Index != nil || ok
 }
 
-// SearchSegment runs a top-k scan of one segment on this worker over
-// the rows allow admits (nil: every row). It searches the segment's
-// index, or, when brute is set or the segment has no index blob, the
-// exact scan of its vector column read from the store — the fallback
-// of paper §II-D that serving exists to avoid. ctx bounds the slot
-// wait, the simulated service time and the reads.
-func (w *Worker) SearchSegment(ctx context.Context, table *lsm.Table, seg *lsm.Segment, q []float32, k int, p index.SearchParams, allow *bitset.Bitset, brute bool) ([]index.Candidate, error) {
-	if !w.Alive() {
-		return nil, fmt.Errorf("cluster: worker %s is down", w.ID)
-	}
-	release, err := w.acquire(ctx)
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	var ix index.Index
-	if !brute {
-		ix, err = w.indexes.Index(ctx, table, seg)
-		brute = storage.IsNotFound(err)
-		if err != nil && !brute {
-			return nil, err
+// searcher returns the worker's searcher for t's segment s: its
+// IndexCache handle, loaded on a miss, or, when s has no index blob,
+// the exact scan of its vector column read from the store — the
+// fallback of paper §II-D that serving exists to avoid. ctx bounds
+// the reads.
+func (w *Worker) searcher(ctx context.Context, t *lsm.Table, s *lsm.Segment) (index.Index, error) {
+	ix, err := w.indexes.Index(ctx, t, s)
+	if !storage.IsNotFound(err) {
+		if err == nil {
+			mLocalSearches.Inc()
 		}
+		return ix, err
 	}
-	if brute {
-		w.BruteSearches.Add(1)
-		mBruteSearches.Inc()
-		if ix, err = table.ExactIndex(ctx, seg); err != nil {
-			return nil, fmt.Errorf("cluster: exact scan of %s: %w", seg.Meta.Name, err)
-		}
-	} else {
-		mLocalSearches.Inc()
+	w.BruteSearches.Add(1)
+	mBruteSearches.Inc()
+	if ix, err = t.ExactIndex(ctx, s); err != nil {
+		return nil, fmt.Errorf("cluster: exact scan of %s: %w", s.Meta.Name, err)
 	}
-	return ix.SearchWithFilter(q, k, allow, p)
+	return ix, nil
 }
 
 // Preload pulls the given segments' indexes through the cache tiers

@@ -281,7 +281,7 @@ func (e *Engine) registerTable(t *lsm.Table) error {
 		frac = e.cfg.SemanticFraction
 	}
 	e.execs[t.Name()] = &exec.Executor{
-		Table: t, Indexes: e.indexes, ColCache: e.colCache,
+		Table: t, Placement: e.indexes, ColCache: e.colCache,
 		SemanticFraction: frac,
 		MaxParallelism:   e.cfg.MaxParallelism,
 		Stats:            &obs.ScanStats{},

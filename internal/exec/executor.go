@@ -35,14 +35,15 @@ var (
 	mMemScans    = obs.Default().Counter("bh.exec.memtable_scans")
 )
 
-// Executor runs physical plans against one table, taking each stored
-// segment's index from the node's index cache. Per-segment work within
-// a query runs on a bounded worker pool; see RunOptions.MaxParallelism.
+// Executor runs physical plans against one table, each segment's scan
+// on the node its Placement gives. Per-segment work within a query runs
+// on a bounded worker pool; see RunOptions.MaxParallelism.
 type Executor struct {
 	Table *lsm.Table
-	// Indexes holds the node's decoded index handles, shared by every
-	// table's executor.
-	Indexes *lsm.IndexCache
+	// Placement gives each segment's scan its node: the engine's
+	// lsm.IndexCache, shared by every table's executor, or a virtual
+	// warehouse.
+	Placement Placement
 	// ColCache is the adaptive column cache (nil = direct reads).
 	ColCache *cache.ColumnCache
 	// SemanticFraction enables semantic segment pruning for vector
@@ -60,6 +61,14 @@ type Executor struct {
 	// solo and shared alike, so the averages stay fresh regardless of
 	// which path the scheduler picks.
 	Stats *obs.ScanStats
+}
+
+// Placement puts a run's segment scans on nodes. Occupy takes the node
+// that scans t's segment s and returns that node's searcher for s
+// (none when exact: plan A reads the rows itself) and the release that
+// frees the node once the scan is done.
+type Placement interface {
+	Occupy(ctx context.Context, t *lsm.Table, s *lsm.Segment, exact bool) (index.Searcher, func(), error)
 }
 
 // MinSegments floors the semantic cut: a pruned vector query searches
@@ -500,17 +509,22 @@ func (e *Executor) predicateBitset(ctx context.Context, seg *lsm.Segment, preds 
 }
 
 // LoadedIndexSegments lists, sorted, the table's segments whose index
-// handle the node's cache holds.
+// handle the engine's node holds (none on a virtual warehouse).
 func (e *Executor) LoadedIndexSegments() []string {
-	return e.Indexes.Segments(e.Table)
+	if c, ok := e.Placement.(*lsm.IndexCache); ok {
+		return c.Segments(e.Table)
+	}
+	return nil
 }
 
-// InvalidateLocalIndexes drops every handle the node holds, so the next
-// query reopens each segment's index from the blob store — the explicit
-// cold-node hook of the cache experiments and the benchmark. The
-// engine's own write and compaction paths never call it.
+// InvalidateLocalIndexes drops every handle the engine's node holds, so
+// the next query reopens each segment's index from the blob store — the
+// explicit cold-node hook of the cache experiments and the benchmark.
+// The engine's own write and compaction paths never call it.
 func (e *Executor) InvalidateLocalIndexes() {
-	e.Indexes.Purge()
+	if c, ok := e.Placement.(*lsm.IndexCache); ok {
+		c.Purge()
+	}
 }
 
 // --- per-segment scans -------------------------------------------------------
@@ -554,12 +568,13 @@ func (e *Executor) scanSegment(ctx context.Context, r *run, s *segScan) error {
 	} else {
 		mSegScans.Inc()
 	}
-	if brute {
-		return e.scanRows(ctx, r, s, bs)
-	}
-	ix, err := e.Indexes.Index(ctx, e.Table, s.seg)
+	ix, release, err := e.Placement.Occupy(ctx, e.Table, s.seg, brute)
 	if err != nil {
 		return err
+	}
+	defer release()
+	if brute {
+		return e.scanRows(ctx, r, s, bs)
 	}
 	for i := range r.members {
 		if r.dropped(i) {
@@ -638,7 +653,7 @@ func segmentRows(dst []int, bs *bitset.Bitset, n int) []int {
 // predicates (reading only the predicate columns of the candidate
 // rows) until k rows qualify or the index is exhausted — Figure 2's
 // SearchIterator + partial-top-k-before-filter pipeline.
-func (e *Executor) postFilter(ctx context.Context, r *run, s *segScan, ix index.Index, i int) error {
+func (e *Executor) postFilter(ctx context.Context, r *run, s *segScan, ix index.Searcher, i int) error {
 	mb := &r.members[i]
 	it, err := index.OpenIterator(ix, mb.lg.Distance.Query, mb.k, mb.params)
 	if err != nil {

@@ -88,8 +88,21 @@ type Index interface {
 	// with an error wrapping ErrCorrupt.
 	Load(blob []byte) error
 
-	// --- execution API -----------------------------------------------
+	Searcher
 
+	// --- metadata ----------------------------------------------------
+
+	Type() Type
+	Dim() int
+	// MemoryBytes reports resident size of the searchable structure,
+	// feeding Table VI and the hierarchical cache's accounting.
+	MemoryBytes() int64
+	NeedsTrain() bool
+}
+
+// Searcher is the execution API: what a query's scan asks of a
+// segment's index, on whichever node holds it.
+type Searcher interface {
 	// SearchWithFilter returns the k nearest candidates passing the
 	// filter, closest first. Fewer than k are returned only when the
 	// filtered index holds fewer than k vectors.
@@ -101,16 +114,8 @@ type Index interface {
 	// native support return ErrNoNativeIterator; callers then wrap
 	// the index with NewRestartIterator.
 	SearchIterator(q []float32, p SearchParams) (Iterator, error)
-
-	// --- metadata ----------------------------------------------------
-
-	Type() Type
-	Dim() int
+	// Count is the number of vectors indexed.
 	Count() int
-	// MemoryBytes reports resident size of the searchable structure,
-	// feeding Table VI and the hierarchical cache's accounting.
-	MemoryBytes() int64
-	NeedsTrain() bool
 }
 
 // RowKeeper is optionally implemented by index types whose saved blob

@@ -11,7 +11,7 @@ package index
 // HNSW iterator avoids, and the abl-iterator ablation bench measures
 // the gap.
 type RestartIterator struct {
-	idx    Index
+	idx    Searcher
 	q      []float32
 	p      SearchParams
 	k      int // k used for the next refill
@@ -24,7 +24,7 @@ type RestartIterator struct {
 // NewRestartIterator wraps idx with restart-with-doubling semantics.
 // initialK sizes the first underlying search (the engine passes the
 // query's LIMIT).
-func NewRestartIterator(idx Index, q []float32, initialK int, p SearchParams) *RestartIterator {
+func NewRestartIterator(idx Searcher, q []float32, initialK int, p SearchParams) *RestartIterator {
 	if initialK <= 0 {
 		initialK = 16
 	}
@@ -91,7 +91,7 @@ func (it *RestartIterator) Close() error {
 // OpenIterator returns the index's native iterator when available and
 // the generic restart wrapper otherwise — the single entry point the
 // executor uses, keeping the fallback policy in one place.
-func OpenIterator(idx Index, q []float32, initialK int, p SearchParams) (Iterator, error) {
+func OpenIterator(idx Searcher, q []float32, initialK int, p SearchParams) (Iterator, error) {
 	it, err := idx.SearchIterator(q, p)
 	if err == ErrNoNativeIterator {
 		return NewRestartIterator(idx, q, initialK, p), nil

@@ -3,6 +3,7 @@ package lsm
 import (
 	"context"
 	"slices"
+	"sync"
 
 	"blendhouse/internal/cache"
 	"blendhouse/internal/index"
@@ -14,13 +15,17 @@ import (
 // §II-D): the engine's, for every table's executor, or a VW worker's.
 // A handle is keyed by table and immutable segment name and holds
 // nothing query-specific (deletes come with each query's Version), so
-// writes never invalidate it; the table's retire hook drops it. The
-// node gives handles 1 GiB, least recently used out first, and
-// concurrent misses on one segment load its blob once.
+// writes never invalidate it; a table drops the handle of a segment
+// that retires from every cache holding its handles. The node gives
+// handles 1 GiB, least recently used out first, and concurrent misses
+// on one segment load its blob once.
 type IndexCache struct {
 	store storage.BlobStore // where index blobs are read
 	lru   *cache.LRU[indexKey]
 	sf    cache.Singleflight[indexKey, index.Index]
+
+	mu     sync.Mutex // orders a handle's Put and its table's watch against Purge
+	tables []*Table   // the tables whose caches list c
 }
 
 type indexKey struct {
@@ -49,17 +54,36 @@ func (c *IndexCache) Index(ctx context.Context, t *Table, s *Segment) (index.Ind
 		return ix, nil
 	}
 	tally.Miss()
-	t.watch(c)
 	return c.sf.Do(key, func() (index.Index, error) {
 		if ix, ok := c.Get(t, key.seg); ok {
 			return ix, nil
 		}
 		ix, err := t.loadIndex(ctx, c.store, s)
 		if err == nil {
+			c.mu.Lock()
+			if !slices.Contains(c.tables, t) {
+				c.tables = append(c.tables, t)
+				t.watch(c, true)
+			}
 			c.lru.Put(key, ix, ix.MemoryBytes())
+			c.mu.Unlock()
 		}
 		return ix, err
 	})
+}
+
+// noRelease frees the engine's one node: nothing holds it.
+func noRelease() {}
+
+// Occupy is the engine's one-node placement of a scan (exec.Placement):
+// the node is this process, never busy, and its searcher for s is s's
+// index, or none for an exact scan (plan A reads its rows itself).
+func (c *IndexCache) Occupy(ctx context.Context, t *Table, s *Segment, exact bool) (index.Searcher, func(), error) {
+	if exact {
+		return nil, noRelease, nil
+	}
+	ix, err := c.Index(ctx, t, s)
+	return ix, noRelease, err
 }
 
 // Get returns the cached handle of t's segment seg, loading nothing.
@@ -81,16 +105,34 @@ func (c *IndexCache) Segments(t *Table) []string {
 	return names
 }
 
-// Purge drops every handle: the node turns cold.
-func (c *IndexCache) Purge() { c.lru.Purge() }
+// Purge drops every handle, and c leaves every table's list: the node
+// turns cold, or leaves its VW.
+func (c *IndexCache) Purge() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.lru.Purge()
+	for _, t := range c.tables {
+		t.watch(c, false)
+	}
+	c.tables = nil
+}
 
-// watch registers, once per cache, t's retire hook that drops a
-// retired segment's handle from c.
-func (t *Table) watch(c *IndexCache) {
+// watch adds c to t's caches, the ones a retiring segment's handle is
+// dropped from, or with on false takes it off. A retirement may be
+// reading the list it replaces, so a removal copies it.
+func (t *Table) watch(c *IndexCache, on bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if !slices.Contains(t.caches, c) {
+	if on {
 		t.caches = append(t.caches, c)
-		t.retireHooks = append(t.retireHooks, func(seg string) { c.lru.Remove(indexKey{t, seg}) })
+	} else {
+		t.caches = slices.DeleteFunc(slices.Clone(t.caches), func(x *IndexCache) bool { return x == c })
 	}
+}
+
+// Watchers is the number of caches that hold handles of t's segments.
+func (t *Table) Watchers() int {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	return len(t.caches)
 }

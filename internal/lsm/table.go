@@ -83,9 +83,8 @@ type Table struct {
 	centroids *vec.Matrix // semantic bucket centroids; nil until trained
 	nextSeg   int64
 	hist      map[string]*Histogram // per-column histograms for the CBO
-	// retireHooks run as each segment retires; caches: see watch.
-	retireHooks []func(seg string)
-	caches      []*IndexCache
+	// caches hold handles of the table's segments; see watch.
+	caches []*IndexCache
 
 	// dropped is set by Drop, which deletes the table's blobs itself.
 	dropped atomic.Bool

@@ -144,7 +144,7 @@ func (t *Table) current() *Version {
 
 // Release unpins v. When a Version that is no longer current loses its
 // last pin, each segment no other live Version names retires: its
-// blobs are deleted and the table's retire hooks run.
+// blobs are deleted and its cached handles dropped.
 func (v *Version) Release() {
 	if v.pins.Add(-1) > 0 {
 		return
@@ -175,28 +175,21 @@ func (t *Table) publish(edit func(next *Version)) {
 	cur.Release()
 }
 
-// onRetire registers fn to run with the name of each segment as it
-// retires: compacted away or dropped, and released by the last Version
-// that named it. An IndexCache drops the segment's handle there.
-func (t *Table) onRetire(fn func(seg string)) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.retireHooks = append(t.retireHooks, fn)
-}
-
 // retireSegment deletes a retired segment's blobs (best effort: the
-// manifest no longer names them, so an orphan is harmless) and runs
-// the retire hooks. A dropped table's blobs are already gone, and its
-// name may be in use again.
+// manifest no longer names them, so an orphan is harmless) and drops
+// its handle from every cache that holds the table's. A segment
+// retires when it is compacted away or dropped and the last Version
+// naming it is released. A dropped table's blobs are already gone, and
+// its name may be in use again.
 func (t *Table) retireSegment(s *Segment) {
 	if !t.dropped.Load() {
 		_ = t.deleteBlobs(segmentsPrefix(t.opts.Name) + s.Meta.Name + "/")
 	}
 	t.mu.RLock()
-	hooks := t.retireHooks
+	caches := t.caches
 	t.mu.RUnlock()
-	for _, fn := range hooks {
-		fn(s.Meta.Name)
+	for _, c := range caches {
+		c.lru.Remove(indexKey{t, s.Meta.Name})
 	}
 }
 

@@ -30,8 +30,8 @@ func hasRow(contents []string, id int64) bool {
 // A held Version is the table as it was acquired: compaction, a DELETE
 // and a flush that run to completion meanwhile change nothing it
 // reads, and delete no blob it names. Its release retires the segments
-// the compaction merged — their blobs go and the retire hook names
-// each once — and nothing else.
+// the compaction merged — their blobs go and a node's cache drops
+// their handles — and nothing else.
 func TestVersionPinsReads(t *testing.T) {
 	ds := dataset.Small(lN, lDim, 3)
 	opts := testOptions("pin")
@@ -56,19 +56,16 @@ func TestVersionPinsReads(t *testing.T) {
 	if err := tab.Insert(ctx, fillBatch(t, opts, ds, 400, 50)); err != nil {
 		t.Fatal(err)
 	}
-	var mu sync.Mutex
-	var retired []string
-	tab.onRetire(func(seg string) {
-		mu.Lock()
-		defer mu.Unlock()
-		retired = append(retired, seg)
-	})
-
+	// A node's cache holds each input's handle; retirement drops it.
+	cache := NewIndexCache(store)
 	v, segs := tab.Acquire()
 	want := versionContents(t, segs)
 	var inputs []string
 	for _, s := range v.Segments {
 		inputs = append(inputs, s.Meta.Name)
+		if _, err := cache.Index(ctx, tab, s); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if len(inputs) != 4 || len(segs) != 5 {
 		t.Fatalf("acquired %d segments and %d memtables, want 4 and 1", len(inputs), len(segs)-len(inputs))
@@ -98,8 +95,8 @@ func TestVersionPinsReads(t *testing.T) {
 			t.Fatalf("blobs of %s deleted while a Version names it", seg)
 		}
 	}
-	if len(retired) != 0 {
-		t.Fatalf("retired %v while a Version names them", retired)
+	if held := cache.Segments(tab); !slices.Equal(held, inputs) {
+		t.Fatalf("cache holds %v while a Version names %v", held, inputs)
 	}
 
 	v.Release()
@@ -108,9 +105,8 @@ func TestVersionPinsReads(t *testing.T) {
 			t.Fatalf("%d blobs of retired %s left after the last release", n, seg)
 		}
 	}
-	slices.Sort(retired)
-	if !slices.Equal(retired, inputs) {
-		t.Fatalf("retire hook named %v, want %v", retired, inputs)
+	if held := cache.Segments(tab); len(held) != 0 {
+		t.Fatalf("cache holds retired %v after the last release", held)
 	}
 	now := tableContents(t, tab)
 	for _, id := range []int64{3, 150, 420} {
