@@ -8,8 +8,8 @@
 //	blendhouse -data ./bhdata -f setup.sql   # run a script
 //	blendhouse serve -data ./bhdata -addr 127.0.0.1:8428
 //	                                         # HTTP query server (pkg/client)
-//	blendhouse coordinate -shards host:port,host:port -replicas 2
-//	                                         # cluster coordinator (internal/coord)
+//	blendhouse backup -data ./bhdata -table t -to ./bk
+//	blendhouse restore -data ./bhdata -table t -from ./bk
 //
 // The dialect is the paper's (Example 1): CREATE TABLE with INDEX ...
 // TYPE HNSW('DIM=...'), PARTITION BY, CLUSTER BY ... INTO n BUCKETS;
@@ -19,16 +19,13 @@
 // Serve mode hosts POST /v1/query and /v1/exec (see internal/server)
 // with admission control and per-connection SET sessions, drains
 // gracefully on SIGTERM/SIGINT, and can host the debug endpoint
-// (-debug-addr) under the same lifecycle. Coordinate mode hosts the
-// same API over a data-less scatter-gather router across shard-owned
-// serve processes (placement by consistent hashing, deterministic
-// top-k merge, per-shard circuit breaking — see internal/coord).
+// (-debug-addr) under the same lifecycle. Any other first argument
+// that is not a flag is an error (exit 2), not a shell.
 package main
 
 import (
 	"bufio"
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -39,7 +36,6 @@ import (
 
 	"blendhouse/internal/batch"
 	"blendhouse/internal/cache"
-	"blendhouse/internal/coord"
 	"blendhouse/internal/core"
 	"blendhouse/internal/exec"
 	"blendhouse/internal/lsm"
@@ -50,21 +46,18 @@ import (
 )
 
 func main() {
-	if len(os.Args) > 1 && os.Args[1] == "serve" {
-		runServe(os.Args[2:])
-		return
-	}
-	if len(os.Args) > 1 && os.Args[1] == "coordinate" {
-		runCoordinate(os.Args[2:])
-		return
-	}
-	if len(os.Args) > 1 && os.Args[1] == "backup" {
-		runBackup(os.Args[2:])
-		return
-	}
-	if len(os.Args) > 1 && os.Args[1] == "restore" {
-		runRestore(os.Args[2:])
-		return
+	if len(os.Args) > 1 {
+		switch os.Args[1] {
+		case "serve":
+			runServe(os.Args[2:])
+			return
+		case "backup":
+			runBackup(os.Args[2:])
+			return
+		case "restore":
+			runRestore(os.Args[2:])
+			return
+		}
 	}
 	var (
 		oneShot = flag.String("e", "", "execute one statement and exit")
@@ -72,6 +65,14 @@ func main() {
 	)
 	ef := registerEngineFlags(flag.CommandLine, false)
 	flag.Parse()
+	// flag.Parse stops at the first non-flag, so a mistyped mode
+	// ("sevre -data x") would otherwise drop every flag after it and
+	// open a shell on the default data directory.
+	if flag.NArg() > 0 {
+		fmt.Fprintf(os.Stderr, "blendhouse: unknown mode %q (modes: serve, backup, restore; no mode runs the shell)\n", flag.Arg(0))
+		flag.Usage()
+		os.Exit(2)
+	}
 	configureLogging(ef.logLevel, ef.logFormat)
 
 	// The debug endpoint binds synchronously so a bad address fails the
@@ -92,7 +93,7 @@ func main() {
 	}
 	defer engine.Close() // drain the WAL flushers so acked rows reach segments
 
-	sess := &session{engine: engine, vars: server.NewSession(ef.timeout, 0)}
+	sess := &session{engine: engine, vars: server.NewSession(ef.timeout)}
 	switch {
 	case *oneShot != "":
 		if err := sess.runStatement(*oneShot); err != nil {
@@ -282,104 +283,6 @@ func runServe(args []string) {
 		os.Exit(code)
 	case err := <-srv.Err():
 		fatal(fmt.Errorf("query server failed: %w", err))
-	case err := <-debugErr:
-		fatal(fmt.Errorf("debug server failed: %w", err))
-	}
-}
-
-// runCoordinate hosts the cluster coordinator: the same serving layer
-// as `serve` (admission, sessions, tracing, graceful drain) over a
-// scatter-gather backend (internal/coord) that routes statements to
-// shard-owned `serve` processes instead of a local engine.
-func runCoordinate(args []string) {
-	fs := flag.NewFlagSet("blendhouse coordinate", flag.ExitOnError)
-	var (
-		shardList    = fs.String("shards", "", "comma-separated shard addresses (host:port or http://...), required")
-		replicas     = fs.Int("replicas", 1, "placement copies per key; >1 lets queries survive shard loss")
-		addr         = fs.String("addr", "127.0.0.1:8427", "query API listen address (POST /v1/query, /v1/exec)")
-		debugAddr    = fs.String("debug-addr", "", "also serve /metrics, /vars and /debug/traces on this address")
-		maxConc      = fs.Int("max-concurrent", 0, "statements executing at once (0 = 2×GOMAXPROCS)")
-		maxQueue     = fs.Int("max-queue", 0, "admission wait-queue bound; beyond it statements shed with 429 (0 = 4×max-concurrent, negative = no queue)")
-		queueTimeout = fs.Duration("queue-timeout", 0, "shed statements queued longer than this (0 = wait for the statement deadline)")
-		drainTimeout = fs.Duration("drain-timeout", 10*time.Second, "grace for in-flight statements on shutdown")
-		timeout      = fs.Duration("timeout", 0, "default per-session statement timeout (sessions adjust with SET statement_timeout)")
-		maxPar       = fs.Int("max-parallelism", 0, "per-query segment fan-out forwarded to shards (0 = shard default)")
-		legRetries   = fs.Int("leg-retries", 2, "pkg/client retries per shard leg (never-executed failures only)")
-		brkThreshold = fs.Int("breaker-threshold", 3, "consecutive down-class leg failures that open a shard's breaker")
-		brkCooldown  = fs.Duration("breaker-cooldown", 2*time.Second, "how long an open breaker skips a shard before probing it")
-		logLevel     = fs.String("log-level", "info", "structured log level: debug|info|warn|error")
-		logFormat    = fs.String("log-format", "text", "structured log format: text|json")
-		traceSample  = fs.Int("trace-sample", 1, "record a coordinator span tree (one child span per shard leg) for 1-in-N statements (0 = off)")
-	)
-	fs.Parse(args)
-	configureLogging(*logLevel, *logFormat)
-	if *shardList == "" {
-		fatal(errors.New("coordinate: -shards is required (comma-separated shard addresses)"))
-	}
-	co, err := coord.New(coord.Config{
-		Shards:           coord.ParseShardList(*shardList),
-		Replicas:         *replicas,
-		MaxRetries:       *legRetries,
-		BreakerThreshold: *brkThreshold,
-		BreakerCooldown:  *brkCooldown,
-		TraceSample:      *traceSample,
-	})
-	if err != nil {
-		fatal(err)
-	}
-	srv, err := server.New(server.Config{
-		Backend: co,
-		Addr:    *addr,
-		Admission: server.AdmissionConfig{
-			MaxConcurrent: *maxConc,
-			MaxQueue:      *maxQueue,
-			QueueTimeout:  *queueTimeout,
-		},
-		DrainTimeout:          *drainTimeout,
-		SessionTimeout:        *timeout,
-		SessionMaxParallelism: *maxPar,
-	})
-	if err != nil {
-		fatal(err)
-	}
-	if err := srv.Start(); err != nil {
-		fatal(err)
-	}
-	var debug *server.DebugServer
-	debugErr := make(<-chan error) // nil-like: blocks forever when unused
-	if *debugAddr != "" {
-		if debug, err = server.NewDebug(*debugAddr); err != nil {
-			fatal(err)
-		}
-		debugErr = debug.Err()
-		fmt.Printf("blendhouse debug endpoint on http://%s\n", debug.Addr())
-	}
-	fmt.Printf("blendhouse coordinating on http://%s (shards=%d, replicas=%d)\n",
-		srv.Addr(), len(co.ShardNames()), co.Replicas())
-
-	sigCh := make(chan os.Signal, 1)
-	signal.Notify(sigCh, syscall.SIGTERM, syscall.SIGINT)
-	select {
-	case sig := <-sigCh:
-		fmt.Printf("received %v, draining (up to %v)...\n", sig, *drainTimeout)
-		code := 0
-		if err := srv.Drain(); err != nil {
-			fmt.Fprintln(os.Stderr, "drain:", err)
-			code = 1
-		}
-		if debug != nil {
-			if err := debug.Drain(time.Second); err != nil {
-				fmt.Fprintln(os.Stderr, "debug drain:", err)
-				code = 1
-			}
-		}
-		co.Close()
-		if code == 0 {
-			fmt.Println("drained cleanly")
-		}
-		os.Exit(code)
-	case err := <-srv.Err():
-		fatal(fmt.Errorf("coordinator server failed: %w", err))
 	case err := <-debugErr:
 		fatal(fmt.Errorf("debug server failed: %w", err))
 	}

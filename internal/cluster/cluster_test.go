@@ -375,19 +375,15 @@ func TestUnflushedRowsAreSearched(t *testing.T) {
 }
 
 // TestMissingIndexFallsBackToExactScan: a segment whose index blob is
-// missing is scanned exactly, and a corrupt blob is an error, never an
-// answer.
+// missing is scanned exactly, by the engine's node and by a VW alike,
+// and a corrupt blob is an error, never an answer.
 func TestMissingIndexFallsBackToExactScan(t *testing.T) {
 	vw, tab, ds := fixtureOf(t, 1, index.HNSWSQ)
 	ctx := context.Background()
 	seg := segments(tab)[0]
 	w := vw.Worker("w0")
 	q := ds.Queries.Row(0)
-	exact, err := tab.ExactIndex(ctx, seg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := exact.SearchWithFilter(q, 5, nil, index.SearchParams{})
+	want, err := exactIndex(t, seg).SearchWithFilter(q, 5, nil, index.SearchParams{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -411,6 +407,18 @@ func TestMissingIndexFallsBackToExactScan(t *testing.T) {
 	if w.BruteSearches.Load() != 1 || !slices.Equal(got, want) {
 		t.Fatalf("missing index: %d brute searches, got %v want %v", w.BruteSearches.Load(), got, want)
 	}
+	ph := query(t, tab, q, 5, plan.PreFilter)
+	onEngine, err := run(lsm.NewIndexCache(tab.Store()), tab, ph)
+	if err != nil {
+		t.Fatalf("missing index on the engine's node: %v", err)
+	}
+	onVW, err := run(vw, tab, ph)
+	if err != nil || !reflect.DeepEqual(onVW, onEngine) {
+		t.Fatalf("missing index on a VW: %v\n got  %v\n want %v", err, onVW, onEngine)
+	}
+	if w.BruteSearches.Load() != 2 {
+		t.Fatalf("%d brute searches after the VW's query, want 2", w.BruteSearches.Load())
+	}
 	if err := tab.Store().Put(key, blob[:len(blob)/2]); err != nil {
 		t.Fatal(err)
 	}
@@ -433,6 +441,28 @@ func TestBruteForceMatchesIndexOnEasyQuery(t *testing.T) {
 	}
 }
 
+// exactIndex is a flat index over seg's vector column with the row
+// offsets as ids: the exact scan a segment without an index blob gets.
+func exactIndex(t *testing.T, seg *lsm.Segment) index.Index {
+	t.Helper()
+	col, err := seg.Reader.ReadColumn(context.Background(), "embedding")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix, err := index.New(index.Flat, index.BuildParams{Dim: cDim}.WithDefaults())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := make([]int64, seg.Meta.Rows)
+	for i := range ids {
+		ids[i] = int64(i)
+	}
+	if err := ix.AddWithIDs(col.Vecs, ids); err != nil {
+		t.Fatal(err)
+	}
+	return ix
+}
+
 // TestSearchWithFilters: a segment scan returns only rows its allow
 // bitset admits, on the index path, the exact path and over the RPC.
 func TestSearchWithFilters(t *testing.T) {
@@ -450,11 +480,7 @@ func TestSearchWithFilters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	exact, err := tab.ExactIndex(ctx, seg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, ix := range []index.Index{ix, exact} {
+	for _, ix := range []index.Index{ix, exactIndex(t, seg)} {
 		cands, err := ix.SearchWithFilter(q, 10, even, p)
 		if err != nil {
 			t.Fatal(err)

@@ -146,25 +146,17 @@ func (w *Worker) HasIndexInMem(table *lsm.Table, seg *lsm.Segment) bool {
 	return seg.Index != nil || ok
 }
 
-// searcher returns the worker's searcher for t's segment s: its
-// IndexCache handle, loaded on a miss, or, when s has no index blob,
-// the exact scan of its vector column read from the store — the
-// fallback of paper §II-D that serving exists to avoid. ctx bounds
-// the reads.
+// searcher is the worker's searcher for t's segment s
+// (lsm.IndexCache.Searcher); an exact scan counts in BruteSearches.
 func (w *Worker) searcher(ctx context.Context, t *lsm.Table, s *lsm.Segment) (index.Index, error) {
-	ix, err := w.indexes.Index(ctx, t, s)
-	if !storage.IsNotFound(err) {
-		if err == nil {
-			mLocalSearches.Inc()
-		}
-		return ix, err
+	ix, brute, err := w.indexes.Searcher(ctx, t, s)
+	if brute {
+		w.BruteSearches.Add(1)
+		mBruteSearches.Inc()
+	} else if err == nil {
+		mLocalSearches.Inc()
 	}
-	w.BruteSearches.Add(1)
-	mBruteSearches.Inc()
-	if ix, err = t.ExactIndex(ctx, s); err != nil {
-		return nil, fmt.Errorf("cluster: exact scan of %s: %w", s.Meta.Name, err)
-	}
-	return ix, nil
+	return ix, err
 }
 
 // Preload pulls the given segments' indexes through the cache tiers

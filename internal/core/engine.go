@@ -374,11 +374,6 @@ type QueryOptions struct {
 	// materializes as a "queue" span so tail-latency attribution
 	// (queue vs exec vs storage) works from the span tree alone.
 	QueueWait time.Duration
-	// AllowPartial lets a scatter-gather backend (internal/coord)
-	// return results missing unreachable shards instead of failing the
-	// query (SET allow_partial = on). A single engine ignores it — its
-	// results are never partial.
-	AllowPartial bool
 	// DisableBatch bypasses the batching scheduler for this statement.
 	// The server sets it when it already admitted the statement itself
 	// (session batching off, or batching disabled), so a query is never
@@ -470,9 +465,9 @@ func (e *Engine) dispatch(ctx context.Context, st sql.Statement, opts QueryOptio
 	case *sql.ShowTables:
 		return e.showTables(), nil
 	case *sql.ShowMetrics:
-		return ShowMetrics(), nil
+		return showMetrics(), nil
 	case *sql.ShowTraces:
-		return ShowTraces(), nil
+		return showTraces(), nil
 	case *sql.Explain:
 		return e.explain(ctx, s, opts)
 	case *sql.Describe:

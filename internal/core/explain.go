@@ -122,9 +122,9 @@ func segmentKinds(segs []*storage.SegmentMeta) string {
 	return ": " + strings.Join(kinds, ", ")
 }
 
-// ShowMetrics renders the process-wide registry as a two-column
-// result: SHOW METRICS on the engine and on the coordinator.
-func ShowMetrics() *exec.Result {
+// showMetrics renders the process-wide registry as a two-column
+// result: SHOW METRICS.
+func showMetrics() *exec.Result {
 	res := &exec.Result{Columns: []string{"metric", "value"}}
 	for _, kv := range obs.Default().Snapshot() {
 		res.Rows = append(res.Rows, []any{kv.Key, kv.Value})
@@ -134,8 +134,8 @@ func ShowMetrics() *exec.Result {
 
 // ShowTraces lists the trace ring (newest first): one row per retained
 // finished statement, with /debug/traces holding the full span dumps.
-// It answers SHOW TRACES on the engine and on the coordinator.
-func ShowTraces() *exec.Result {
+// It answers SHOW TRACES.
+func showTraces() *exec.Result {
 	res := &exec.Result{Columns: []string{"trace_id", "start", "duration_ms", "statement", "status", "slow", "query"}}
 	for _, r := range obs.Traces().Snapshot() {
 		status := "ok"

@@ -172,9 +172,8 @@ func TestMemtableQueryAllocsBounded(t *testing.T) {
 }
 
 // Result rows are cut from one backing array of cells; each must be
-// capacity-limited, so a caller that appends to a row (the coordinator
-// adds merge keys, clients add computed columns) cannot write into the
-// row after it.
+// capacity-limited, so a caller that appends to a row (a client adding
+// a computed column) cannot write into the row after it.
 func TestResultRowsDoNotShareCapacity(t *testing.T) {
 	e := newEngine(t, Config{})
 	defer e.Close()

@@ -93,12 +93,6 @@ var ErrInvalidQuery = errors.New("exec: invalid query")
 type Result struct {
 	Columns []string
 	Rows    [][]any
-	// Partial marks a result assembled from a strict subset of the data
-	// holders that should have answered — set only by the scatter-gather
-	// coordinator (internal/coord) when shard legs failed and the
-	// session opted into partial results. Single-engine execution never
-	// sets it.
-	Partial bool
 }
 
 // hit is one ANN candidate qualified by segment.

@@ -182,8 +182,8 @@ func TestGetNDistinct(t *testing.T) {
 	}
 }
 
-// TestRemoveUnderLiveLookups pins the rebalance contract the
-// coordinator's shard routing leans on: once Remove(w) returns, no
+// TestRemoveUnderLiveLookups pins the rebalance contract a VW's
+// segment ownership leans on: once Remove(w) returns, no
 // lookup — Get, GetN or a bulk Assign — may return w, even with
 // lookups hammering the ring from many goroutines throughout the
 // removal. Run with -race this also verifies the copy-on-write

@@ -7,6 +7,7 @@ import (
 
 	"blendhouse/internal/cache"
 	"blendhouse/internal/index"
+	"blendhouse/internal/index/flat"
 	"blendhouse/internal/obs"
 	"blendhouse/internal/storage"
 )
@@ -72,17 +73,34 @@ func (c *IndexCache) Index(ctx context.Context, t *Table, s *Segment) (index.Ind
 	})
 }
 
+// Searcher is s's index or, when s has no index blob, a flat index
+// over its vector column with the row offsets as ids (brute): every
+// placement answers such a segment so, with the exact kernel flat
+// segments run on — the fallback of paper §II-D that a VW's serving
+// exists to avoid.
+func (c *IndexCache) Searcher(ctx context.Context, t *Table, s *Segment) (ix index.Index, brute bool, err error) {
+	// IsNotFound allocates, so a hit does not ask it.
+	if ix, err = c.Index(ctx, t, s); err == nil || !storage.IsNotFound(err) {
+		return ix, false, err
+	}
+	col, err := s.Reader.ReadColumn(ctx, t.opts.IndexColumn)
+	if err != nil {
+		return nil, true, err
+	}
+	return flat.View(t.buildParamsFor(index.Flat, s.Meta.Rows), col.Vecs, nil), true, nil
+}
+
 // noRelease frees the engine's one node: nothing holds it.
 func noRelease() {}
 
 // Occupy is the engine's one-node placement of a scan (exec.Placement):
-// the node is this process, never busy, and its searcher for s is s's
-// index, or none for an exact scan (plan A reads its rows itself).
+// the node is this process, never busy, and its searcher for s is
+// Searcher's, or none for an exact scan (plan A reads its rows itself).
 func (c *IndexCache) Occupy(ctx context.Context, t *Table, s *Segment, exact bool) (index.Searcher, func(), error) {
 	if exact {
 		return nil, noRelease, nil
 	}
-	ix, err := c.Index(ctx, t, s)
+	ix, _, err := c.Searcher(ctx, t, s)
 	return ix, noRelease, err
 }
 

@@ -1,7 +1,6 @@
 package lsm
 
 import (
-	"context"
 	"slices"
 	"strings"
 	"sync/atomic"
@@ -121,17 +120,6 @@ func (t *Table) appendMem(segs []*Segment, m *wal.Memtable) []*Segment {
 		seg.Index = flat.View(t.buildParamsFor(index.Flat, s.Meta.Rows), vcol.Vecs, nil)
 	}
 	return append(segs, seg)
-}
-
-// ExactIndex returns a flat index over s's vector column, read through
-// its reader, with the row offsets as ids: the exact kernel flat
-// segments and memtables run on, for a caller that has no index of s.
-func (t *Table) ExactIndex(ctx context.Context, s *Segment) (index.Index, error) {
-	col, err := s.Reader.ReadColumn(ctx, t.opts.IndexColumn)
-	if err != nil {
-		return nil, err
-	}
-	return flat.View(t.buildParamsFor(index.Flat, s.Meta.Rows), col.Vecs, nil), nil
 }
 
 // current returns the current Version unpinned, for a caller that

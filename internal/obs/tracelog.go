@@ -7,7 +7,7 @@ import (
 	"time"
 )
 
-// Sampler picks the statements an engine or coordinator traces: every
+// Sampler picks the statements an engine traces: every
 // one when Every is 1, one in Every otherwise, none when Every <= 0.
 type Sampler struct {
 	Every int

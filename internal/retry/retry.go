@@ -1,8 +1,8 @@
 // Package retry is the fault-tolerance policy every remote call shares
 // (DESIGN decision 12): a circuit breaker, a jittered exponential
-// backoff and an interruptible sleep. storage.RetryStore, the
-// coordinator and pkg/client keep their own retry loops, since the
-// errors they classify differ. It imports only the standard library.
+// backoff and an interruptible sleep. storage.RetryStore, the VW's
+// replica failover and pkg/client keep their own retry loops, since
+// the errors they classify differ. It imports only the standard library.
 package retry
 
 import (

@@ -42,10 +42,6 @@ func startHTTP(srv *http.Server, addr string) (*httpLifecycle, error) {
 // addr reports the bound address (resolves ":0" to the chosen port).
 func (l *httpLifecycle) addr() string { return l.ln.Addr().String() }
 
-// kill force-closes the listener and all open connections with no
-// grace whatsoever (the chaos "process died" model).
-func (l *httpLifecycle) kill() { _ = l.srv.Close() }
-
 // drain stops accepting new connections and waits up to timeout for
 // in-flight requests to finish; connections still busy after that are
 // force-closed (0 = wait indefinitely).

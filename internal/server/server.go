@@ -28,35 +28,9 @@ import (
 	"time"
 
 	"blendhouse/internal/core"
-	"blendhouse/internal/exec"
 	"blendhouse/internal/obs"
 	"blendhouse/pkg/api"
 )
-
-// Backend executes statements for the server. Two implementations
-// exist: a single core.Engine (the `serve` shard role, wrapped by
-// engineBackend) and the scatter-gather coordinator (internal/coord,
-// the `coordinate` role). The server machinery — sessions, admission,
-// deadlines, tracing, streaming, error mapping — is identical either
-// way; only statement execution differs.
-type Backend interface {
-	// Query parses and executes one statement (core.Engine.Query's
-	// contract: errors match the sentinels of pkg/api's taxonomy).
-	Query(ctx context.Context, stmt string, opts core.QueryOptions) (*exec.Result, error)
-	// Info describes the node for GET /v1/info.
-	Info() api.NodeInfo
-}
-
-// engineBackend adapts a core.Engine to the Backend interface.
-type engineBackend struct{ e *core.Engine }
-
-func (b engineBackend) Query(ctx context.Context, stmt string, opts core.QueryOptions) (*exec.Result, error) {
-	return b.e.Query(ctx, stmt, opts)
-}
-
-func (b engineBackend) Info() api.NodeInfo {
-	return api.NodeInfo{V: api.Version, Role: api.RoleServer, Tables: b.e.Tables()}
-}
 
 // Serving metrics (beyond the bh.server.admission.* family): one
 // request counter + error counter + latency histogram per route, plus
@@ -77,12 +51,8 @@ const maxRequestBody = 64 << 20
 
 // Config assembles a Server.
 type Config struct {
-	// Engine executes the statements (the single-node `serve` role).
-	// Exactly one of Engine and Backend must be set.
+	// Engine executes the statements (required).
 	Engine *core.Engine
-	// Backend executes the statements when the node is not a plain
-	// engine host (the coordinator role). Takes precedence over Engine.
-	Backend Backend
 	// Addr is the listen address (default "127.0.0.1:8428").
 	Addr string
 	// Admission sizes the admission controller (zero = defaults).
@@ -93,8 +63,6 @@ type Config struct {
 	// SessionTimeout seeds each new session's statement timeout
 	// (0 = none; clients adjust with SET statement_timeout).
 	SessionTimeout time.Duration
-	// SessionMaxParallelism seeds each new session's fan-out override.
-	SessionMaxParallelism int
 }
 
 func (c Config) withDefaults() Config {
@@ -107,40 +75,28 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Server hosts the query API over one backend (engine or
-// coordinator).
+// Server hosts the query API over one engine.
 type Server struct {
 	cfg      Config
-	backend  Backend
 	adm      *Admission
 	mux      *http.ServeMux
 	draining atomic.Bool
 	lc       *httpLifecycle
-
-	// batchEngine is non-nil when the engine runs a batching scheduler:
-	// SELECTs then skip per-statement admission (the scheduler acquires
-	// one slot per formed group through the gate wired in New).
-	batchEngine *core.Engine
 }
 
 // New builds a server (not yet listening; call Start, or mount
 // Handler on a listener of your own).
 func New(cfg Config) (*Server, error) {
-	backend := cfg.Backend
-	if backend == nil {
-		if cfg.Engine == nil {
-			return nil, fmt.Errorf("server: one of Config.Engine or Config.Backend is required")
-		}
-		backend = engineBackend{cfg.Engine}
+	if cfg.Engine == nil {
+		return nil, fmt.Errorf("server: Config.Engine is required")
 	}
 	cfg = cfg.withDefaults()
-	s := &Server{cfg: cfg, backend: backend, adm: NewAdmission(cfg.Admission)}
-	if cfg.Backend == nil && cfg.Engine != nil && cfg.Engine.Batcher() != nil {
+	s := &Server{cfg: cfg, adm: NewAdmission(cfg.Admission)}
+	if b := cfg.Engine.Batcher(); b != nil {
 		// Batching mode: the scheduler admits groups, not statements, so
 		// it gets the admission controller as its gate and the handler
 		// routes SELECTs around the per-statement Acquire.
-		s.batchEngine = cfg.Engine
-		cfg.Engine.Batcher().SetGate(s.adm)
+		b.SetGate(s.adm)
 	}
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("/v1/query", s.statementHandler("query"))
@@ -166,8 +122,7 @@ func (s *Server) Start() error {
 		Handler:           s.mux,
 		ReadHeaderTimeout: 10 * time.Second,
 		ConnContext: func(ctx context.Context, c net.Conn) context.Context {
-			return context.WithValue(ctx, sessionKey{},
-				NewSession(s.cfg.SessionTimeout, s.cfg.SessionMaxParallelism))
+			return context.WithValue(ctx, sessionKey{}, NewSession(s.cfg.SessionTimeout))
 		},
 		ConnState: func(c net.Conn, st http.ConnState) {
 			switch st {
@@ -213,17 +168,6 @@ func (s *Server) Drain() error {
 	return s.lc.drain(s.cfg.DrainTimeout)
 }
 
-// Kill closes the listener and every open connection immediately — no
-// drain, no 503s, in-flight statements see their connections reset.
-// It exists so chaos tests and the cluster bench can model a shard
-// dying abruptly (the kill -9 case) without forking a process.
-func (s *Server) Kill() {
-	s.draining.Store(true)
-	if s.lc != nil {
-		s.lc.kill()
-	}
-}
-
 // sessionKey carries the per-connection *Session in request contexts.
 type sessionKey struct{}
 
@@ -233,7 +177,7 @@ func (s *Server) sessionFrom(ctx context.Context) *Session {
 	if sess, ok := ctx.Value(sessionKey{}).(*Session); ok {
 		return sess
 	}
-	return NewSession(s.cfg.SessionTimeout, s.cfg.SessionMaxParallelism)
+	return NewSession(s.cfg.SessionTimeout)
 }
 
 // handleHealth answers load balancers: 200 while serving, 503 once
@@ -250,11 +194,10 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// handleInfo answers GET /v1/info with the node's role and catalog —
-// the shard-role endpoint the coordinator (and operators) use to tell
-// what kind of process answers at an address.
+// handleInfo answers GET /v1/info with the node's role and catalog,
+// so an operator can tell what kind of process answers at an address.
 func (s *Server) handleInfo(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.backend.Info())
+	writeJSON(w, http.StatusOK, api.NodeInfo{V: api.Version, Role: api.RoleServer, Tables: s.cfg.Engine.Tables()})
 }
 
 // statementHandler builds the handler shared by /v1/query and
@@ -345,7 +288,7 @@ func (s *Server) statementHandler(route string) http.HandlerFunc {
 				return
 			}
 			rows = 1
-			s.writeResult(w, r, &resultPayload{Columns: []string{"status"}, Rows: [][]any{{msg}}}, start, traceID)
+			s.writeResult(w, r, []string{"status"}, [][]any{{msg}}, start, traceID)
 			return
 		}
 
@@ -371,7 +314,7 @@ func (s *Server) statementHandler(route string) http.HandlerFunc {
 		// queries occupies one engine slot, the throughput-multiplier
 		// contract. Everything else (DML, DDL, SHOW, sessions that SET
 		// batch = off) is admitted here as before.
-		gated := s.batchEngine != nil && sess.Batch() && s.batchEngine.BatchRoutes(req.Query)
+		gated := s.cfg.Engine.BatchRoutes(req.Query) && sess.Batch()
 		var release func()
 		var wait time.Duration
 		if !gated {
@@ -386,10 +329,9 @@ func (s *Server) statementHandler(route string) http.HandlerFunc {
 				return
 			}
 		}
-		res, err := s.backend.Query(ctx, req.Query, core.QueryOptions{
+		res, err := s.cfg.Engine.Query(ctx, req.Query, core.QueryOptions{
 			MaxParallelism: maxPar,
 			QueueWait:      wait,
-			AllowPartial:   sess.AllowPartial(),
 			DisableBatch:   !gated,
 		})
 		if release != nil {
@@ -400,30 +342,21 @@ func (s *Server) statementHandler(route string) http.HandlerFunc {
 			return
 		}
 		rows = len(res.Rows)
-		s.writeResult(w, r, &resultPayload{Columns: res.Columns, Rows: res.Rows, Partial: res.Partial}, start, traceID)
+		s.writeResult(w, r, res.Columns, res.Rows, start, traceID)
 	}
-}
-
-// resultPayload is what writeResult encodes (the engine result, or a
-// synthesized status row).
-type resultPayload struct {
-	Columns []string
-	Rows    [][]any
-	Partial bool
 }
 
 // writeResult encodes a successful result: NDJSON streaming when the
 // client asked for it (Accept: application/x-ndjson), one JSON object
 // otherwise.
-func (s *Server) writeResult(w http.ResponseWriter, r *http.Request, res *resultPayload, start time.Time, traceID string) {
+func (s *Server) writeResult(w http.ResponseWriter, r *http.Request, columns []string, rows [][]any, start time.Time, traceID string) {
 	if !strings.Contains(r.Header.Get("Accept"), api.NDJSONContentType) {
 		writeJSON(w, http.StatusOK, api.QueryResponse{
-			Columns:   res.Columns,
-			Rows:      res.Rows,
-			RowCount:  len(res.Rows),
+			Columns:   columns,
+			Rows:      rows,
+			RowCount:  len(rows),
 			ElapsedMS: float64(time.Since(start).Microseconds()) / 1000,
 			TraceID:   traceID,
-			Partial:   res.Partial,
 		})
 		return
 	}
@@ -431,10 +364,10 @@ func (s *Server) writeResult(w http.ResponseWriter, r *http.Request, res *result
 	w.WriteHeader(http.StatusOK)
 	enc := json.NewEncoder(w)
 	fl, _ := w.(http.Flusher)
-	if err := enc.Encode(api.StreamHeader{Columns: res.Columns, TraceID: traceID}); err != nil {
+	if err := enc.Encode(api.StreamHeader{Columns: columns, TraceID: traceID}); err != nil {
 		return
 	}
-	for i, row := range res.Rows {
+	for i, row := range rows {
 		if err := enc.Encode(row); err != nil {
 			return // client went away; nothing left to signal
 		}
@@ -444,9 +377,8 @@ func (s *Server) writeResult(w http.ResponseWriter, r *http.Request, res *result
 	}
 	_ = enc.Encode(api.StreamTrailer{
 		Done:      true,
-		RowCount:  len(res.Rows),
+		RowCount:  len(rows),
 		ElapsedMS: float64(time.Since(start).Microseconds()) / 1000,
-		Partial:   res.Partial,
 	})
 	if fl != nil {
 		fl.Flush()

@@ -19,22 +19,19 @@ import (
 //
 //	SET statement_timeout = <ms>   (0 disables)
 //	SET max_parallelism  = <n>     (0 = engine default)
-//	SET allow_partial    = on|off  (coordinator only: accept results
-//	                                missing unreachable shards)
 //	SET batch            = on|off  (opt this session's SELECTs out of
 //	                                the multi-query batching scheduler)
 type Session struct {
-	mu           sync.Mutex
-	timeout      time.Duration
-	maxPar       int
-	allowPartial bool
-	batchOff     bool
+	mu       sync.Mutex
+	timeout  time.Duration
+	maxPar   int
+	batchOff bool
 }
 
-// NewSession builds a session with initial defaults (as set by server
-// or shell flags).
-func NewSession(timeout time.Duration, maxParallelism int) *Session {
-	return &Session{timeout: timeout, maxPar: maxParallelism}
+// NewSession builds a session whose statement timeout starts at the
+// server's or shell's -timeout flag.
+func NewSession(timeout time.Duration) *Session {
+	return &Session{timeout: timeout}
 }
 
 // Batch reports whether the session participates in multi-query
@@ -57,15 +54,6 @@ func (s *Session) MaxParallelism() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.maxPar
-}
-
-// AllowPartial reports whether the session accepts partial
-// (shard-coverage-lost) results from a coordinator. Meaningless on a
-// single-engine server, where results are never partial.
-func (s *Session) AllowPartial() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.allowPartial
 }
 
 // HandleSet intercepts a SET statement. It returns handled=false when
@@ -110,23 +98,6 @@ func (s *Session) HandleSet(stmt string) (handled bool, msg string, err error) {
 			return true, "OK: max_parallelism reset to engine default", nil
 		}
 		return true, fmt.Sprintf("OK: max_parallelism set to %d", n), nil
-	case "allow_partial":
-		var on bool
-		switch strings.ToLower(value) {
-		case "on", "1", "true":
-			on = true
-		case "off", "0", "false":
-			on = false
-		default:
-			return true, "", fmt.Errorf("session: allow_partial wants on or off, got %q", value)
-		}
-		s.mu.Lock()
-		s.allowPartial = on
-		s.mu.Unlock()
-		if on {
-			return true, "OK: partial results allowed (queries survive shard loss)", nil
-		}
-		return true, "OK: partial results disallowed (queries fail closed on shard loss)", nil
 	case "batch":
 		var on bool
 		switch strings.ToLower(value) {
@@ -145,6 +116,6 @@ func (s *Session) HandleSet(stmt string) (handled bool, msg string, err error) {
 		}
 		return true, "OK: multi-query batching disabled for this session", nil
 	default:
-		return true, "", fmt.Errorf("session: unknown variable %q (supported: statement_timeout, max_parallelism, allow_partial, batch)", name)
+		return true, "", fmt.Errorf("session: unknown variable %q (supported: statement_timeout, max_parallelism, batch)", name)
 	}
 }

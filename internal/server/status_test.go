@@ -13,7 +13,7 @@ import (
 
 // classes lists every sentinel of the failure taxonomy.
 var classes = []error{api.ErrTimeout, api.ErrCanceled, api.ErrUnknownTable,
-	api.ErrPlan, api.ErrShed, api.ErrDraining, api.ErrUnavailable}
+	api.ErrPlan, api.ErrShed, api.ErrDraining}
 
 // served runs err through writeError and returns the status, the
 // decoded wire error and the Retry-After header.
@@ -64,7 +64,6 @@ func TestStatusMappingServingErrors(t *testing.T) {
 	}{
 		{fmt.Errorf("x: %w", api.ErrShed), http.StatusTooManyRequests, api.CodeShed},
 		{fmt.Errorf("x: %w", api.ErrDraining), http.StatusServiceUnavailable, api.CodeDraining},
-		{fmt.Errorf("x: %w", api.ErrUnavailable), http.StatusBadGateway, api.CodeUnavailable},
 		{api.ErrTimeout, http.StatusGatewayTimeout, api.CodeTimeout},
 		{api.ErrCanceled, api.StatusClientClosedRequest, api.CodeCanceled},
 		{api.ErrUnknownTable, http.StatusNotFound, api.CodeUnknownTable},

@@ -15,7 +15,7 @@ var Kinds = []string{
 }
 
 // Kind classifies a statement for the per-type latency histograms,
-// the trace ring and the logs of the engine and the coordinator.
+// the trace ring and the engine's logs.
 func Kind(st Statement) string {
 	switch st.(type) {
 	case *Select:

@@ -1,12 +1,10 @@
 // Package api is the single source of truth for BlendHouse's wire
 // protocol: the typed request/response/error DTOs exchanged by
-// internal/server (the shard/query server), pkg/client (the Go
-// client) and internal/coord (the scatter-gather coordinator), and
-// the failure taxonomy (errors.go) that the engine, those three and
-// the shell share. Every participant imports the same structs and
+// internal/server (the query server) and pkg/client (the Go client),
+// and the failure taxonomy (errors.go) that the engine, those two and
+// the shell share. Both ends of the wire import the same structs and
 // sentinels, so a field or failure class added here shows up on both
-// ends of the wire — and in the coordinator's shard RPC — at compile
-// time.
+// at compile time.
 //
 // The package deliberately depends only on the standard library so
 // pkg/client (which promises a stdlib-only dependency closure to
@@ -28,9 +26,7 @@ const NDJSONContentType = "application/x-ndjson"
 // TraceIDHeader carries the query trace ID in both directions: a
 // client may send one (pkg/client does, keeping it stable across
 // retries) and the server always answers with the ID it used — minted
-// fresh when the request carried none or an invalid one. The
-// coordinator forwards the same ID on every shard fan-out leg, so one
-// trace spans the whole scatter-gather.
+// fresh when the request carried none or an invalid one.
 const TraceIDHeader = "X-BH-Trace-Id"
 
 // QueryRequest is the POST body of /v1/query and /v1/exec.
@@ -59,10 +55,6 @@ type QueryResponse struct {
 	RowCount  int      `json:"row_count"`
 	ElapsedMS float64  `json:"elapsed_ms"`
 	TraceID   string   `json:"trace_id,omitempty"`
-	// Partial marks a coordinator result assembled from a strict
-	// subset of shards (SET allow_partial = on let the query survive
-	// shard failures). Single-node servers never set it.
-	Partial bool `json:"partial,omitempty"`
 }
 
 // StreamHeader is the first NDJSON line of a streaming response.
@@ -80,9 +72,6 @@ type StreamTrailer struct {
 	RowCount  int        `json:"row_count"`
 	ElapsedMS float64    `json:"elapsed_ms"`
 	Error     *WireError `json:"error,omitempty"`
-	// Partial mirrors QueryResponse.Partial for streamed coordinator
-	// results.
-	Partial bool `json:"partial,omitempty"`
 }
 
 // WireError is the machine-readable error body. Code is one of the
@@ -103,24 +92,15 @@ type ErrorBody struct {
 	Error WireError `json:"error"`
 }
 
-// Node roles reported by /v1/info.
-const (
-	RoleServer      = "server"
-	RoleCoordinator = "coordinator"
-)
+// RoleServer is the node role /v1/info reports: a query server over
+// one engine, the only kind of process that answers the API.
+const RoleServer = "server"
 
 // NodeInfo is the GET /v1/info response: what kind of process answers
-// at this address and what it hosts. The coordinator uses it to sanity
-// -check its shard list at startup; operators use it to tell a shard
-// from a coordinator behind one load-balancer name.
+// at this address and what it hosts.
 type NodeInfo struct {
 	V    int    `json:"v"`
 	Role string `json:"role"`
-	// Tables lists the node's catalog (server role only).
+	// Tables lists the node's catalog.
 	Tables []string `json:"tables,omitempty"`
-	// Shards lists the configured shard addresses (coordinator role
-	// only), in placement-ring registration order.
-	Shards []string `json:"shards,omitempty"`
-	// Replicas is the coordinator's placement copies per key.
-	Replicas int `json:"replicas,omitempty"`
 }

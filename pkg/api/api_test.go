@@ -28,8 +28,7 @@ func TestRequestShape(t *testing.T) {
 	}
 }
 
-// TestResponseShape pins the response JSON field names and that
-// Partial stays off the wire for non-partial (single-node) results.
+// TestResponseShape pins the response JSON field names.
 func TestResponseShape(t *testing.T) {
 	b, err := json.Marshal(QueryResponse{
 		Columns: []string{"id"}, Rows: [][]any{{int64(7)}},
@@ -62,7 +61,7 @@ func TestRetryable(t *testing.T) {
 		CodeShed: true, CodeDraining: true,
 		CodeTimeout: false, CodeCanceled: false, CodeUnknownTable: false,
 		CodePlan: false, CodeBadRequest: false, CodeSession: false,
-		CodeInternal: false, CodeUnavailable: false,
+		CodeInternal: false,
 	} {
 		if got := Retryable(code); got != want {
 			t.Errorf("Retryable(%s) = %t, want %t", code, got, want)

@@ -8,10 +8,10 @@ import (
 )
 
 // The failure taxonomy. Every error returned by the engine
-// (core.Engine.Query), the serving layer, the coordinator and
-// pkg/client matches at most one of these sentinels under errors.Is,
-// so callers branch on failure class without string matching; the
-// cause stays in the chain beside the sentinel.
+// (core.Engine.Query), the serving layer and pkg/client matches at
+// most one of these sentinels under errors.Is, so callers branch on
+// failure class without string matching; the cause stays in the chain
+// beside the sentinel.
 var (
 	// ErrTimeout: the statement deadline fired (the context's, or the
 	// statement_timeout the server enforces).
@@ -29,10 +29,6 @@ var (
 	// ErrDraining: the server is shutting down gracefully. The
 	// statement never started; retry against another replica.
 	ErrDraining = errors.New("draining, not accepting statements")
-	// ErrUnavailable: a coordinator lost shard coverage — the result
-	// would silently miss rows and the session did not SET
-	// allow_partial = on — or a shard shed or refused its leg.
-	ErrUnavailable = errors.New("shard coverage lost")
 )
 
 // Machine-readable error codes carried in WireError.Code: one per
@@ -45,7 +41,6 @@ const (
 	CodePlan         = "PLAN"
 	CodeShed         = "SHED"
 	CodeDraining     = "DRAINING"
-	CodeUnavailable  = "UNAVAILABLE"
 	CodeBadRequest   = "BAD_REQUEST"
 	CodeSession      = "SESSION"
 	CodeInternal     = "INTERNAL"
@@ -73,7 +68,6 @@ var classes = [...]struct {
 	{ErrPlan, CodePlan, http.StatusBadRequest, false},
 	{ErrShed, CodeShed, http.StatusTooManyRequests, true},
 	{ErrDraining, CodeDraining, http.StatusServiceUnavailable, true},
-	{ErrUnavailable, CodeUnavailable, http.StatusBadGateway, false},
 }
 
 // StatusFor maps an error to its HTTP status and wire code; an error

@@ -25,7 +25,6 @@ func TestTaxonomy(t *testing.T) {
 		{ErrPlan, http.StatusBadRequest, CodePlan, false},
 		{ErrShed, http.StatusTooManyRequests, CodeShed, true},
 		{ErrDraining, http.StatusServiceUnavailable, CodeDraining, true},
-		{ErrUnavailable, http.StatusBadGateway, CodeUnavailable, false},
 	}
 	if len(cases) != len(classes) {
 		t.Fatalf("%d classes in the table, %d pinned here", len(classes), len(cases))

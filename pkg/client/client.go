@@ -117,8 +117,7 @@ func New(cfg Config) (*Client, error) {
 // api.QueryResponse verbatim. Numeric values decode as json.Number
 // (not float64), preserving the server's exact wire representation.
 // TraceID is the ID the server answered with (the one sent in
-// X-BH-Trace-Id, echoed back); Partial marks a coordinator result
-// assembled from a subset of shards under SET allow_partial = on.
+// X-BH-Trace-Id, echoed back).
 type Result = api.QueryResponse
 
 // Query executes one statement and materializes the result.

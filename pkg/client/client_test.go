@@ -245,7 +245,6 @@ func TestAPIErrorUnwrapTable(t *testing.T) {
 		"SESSION":       api.ErrPlan,
 		"SHED":          api.ErrShed,
 		"DRAINING":      api.ErrDraining,
-		"UNAVAILABLE":   api.ErrUnavailable,
 	} {
 		err := &APIError{StatusCode: 400, Code: code, Message: "m"}
 		if !errors.Is(err, want) {

@@ -99,13 +99,6 @@ func (s *Stream) RowCount() int {
 	return s.trailer.RowCount
 }
 
-// Partial reports whether a drained coordinator stream was assembled
-// from a subset of shards (see api.QueryResponse.Partial). Only
-// meaningful after Next returned io.EOF.
-func (s *Stream) Partial() bool {
-	return s.trailer != nil && s.trailer.Partial
-}
-
 // Close releases the connection. Safe after any Next outcome.
 func (s *Stream) Close() error { return s.resp.Body.Close() }
 
