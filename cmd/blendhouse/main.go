@@ -8,13 +8,12 @@
 //	blendhouse -data ./bhdata -f setup.sql   # run a script
 //	blendhouse serve -data ./bhdata -addr 127.0.0.1:8428
 //	                                         # HTTP query server (pkg/client)
-//	blendhouse backup -data ./bhdata -table t -to ./bk
-//	blendhouse restore -data ./bhdata -table t -from ./bk
 //
 // The dialect is the paper's (Example 1): CREATE TABLE with INDEX ...
 // TYPE HNSW('DIM=...'), PARTITION BY, CLUSTER BY ... INTO n BUCKETS;
 // INSERT ... VALUES / CSV INFILE; SELECT ... WHERE ... ORDER BY
-// L2Distance(col, [..]) LIMIT k [SETTINGS ef_search=..].
+// L2Distance(col, [..]) LIMIT k [SETTINGS ef_search=..]; BACKUP TABLE
+// t TO 'dir' and RESTORE TABLE t FROM 'dir' [WITH KEY '...'].
 //
 // Serve mode hosts POST /v1/query and /v1/exec (see internal/server)
 // with admission control and per-connection SET sessions, drains
@@ -26,6 +25,7 @@ package main
 import (
 	"bufio"
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -46,18 +46,9 @@ import (
 )
 
 func main() {
-	if len(os.Args) > 1 {
-		switch os.Args[1] {
-		case "serve":
-			runServe(os.Args[2:])
-			return
-		case "backup":
-			runBackup(os.Args[2:])
-			return
-		case "restore":
-			runRestore(os.Args[2:])
-			return
-		}
+	if len(os.Args) > 1 && os.Args[1] == "serve" {
+		runServe(os.Args[2:])
+		return
 	}
 	var (
 		oneShot = flag.String("e", "", "execute one statement and exit")
@@ -69,7 +60,7 @@ func main() {
 	// ("sevre -data x") would otherwise drop every flag after it and
 	// open a shell on the default data directory.
 	if flag.NArg() > 0 {
-		fmt.Fprintf(os.Stderr, "blendhouse: unknown mode %q (modes: serve, backup, restore; no mode runs the shell)\n", flag.Arg(0))
+		fmt.Fprintf(os.Stderr, "blendhouse: unknown mode %q (modes: serve; no mode runs the shell)\n", flag.Arg(0))
 		flag.Usage()
 		os.Exit(2)
 	}
@@ -378,13 +369,21 @@ func (sess *session) runStatement(stmt string) error {
 }
 
 // classifyError prefixes an error with its failure class, the wire
-// code of the taxonomy's table in lower case ("timeout: ", "plan: ",
-// "unknown table: "; "internal: " for an error of no class), so a
-// shell user tells a timeout from a cancel from a bad statement at a
-// glance.
+// code the server answers it with in lower case ("timeout: ", "plan: ",
+// "unknown table: ", "session: " for a rejected SET; "internal: " for
+// an error of no class), so a shell user tells a timeout from a cancel
+// from a bad statement at a glance. A message that already starts with
+// its class keeps one prefix.
 func classifyError(err error) string {
 	_, code := api.StatusFor(err)
-	return strings.ToLower(strings.ReplaceAll(code, "_", " ")) + ": " + err.Error()
+	if errors.Is(err, server.ErrSession) {
+		code = api.CodeSession
+	}
+	prefix := strings.ToLower(strings.ReplaceAll(code, "_", " ")) + ": "
+	if msg := err.Error(); strings.HasPrefix(msg, prefix) {
+		return msg
+	}
+	return prefix + err.Error()
 }
 
 func printResult(res *exec.Result) {

@@ -9,6 +9,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"blendhouse/internal/server"
 )
 
 // TestUnknownModeExits2 runs main in a child process with a mistyped
@@ -20,7 +22,7 @@ func TestUnknownModeExits2(t *testing.T) {
 		main()
 		return
 	}
-	for _, args := range []string{"sevre -data x", "coordinate -shards a:1,b:2", "-e SELECT stray"} {
+	for _, args := range []string{"sevre -data x", "coordinate -shards a:1,b:2", "backup -data x", "-e SELECT stray"} {
 		t.Run(args, func(t *testing.T) {
 			dir := t.TempDir()
 			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
@@ -34,7 +36,7 @@ func TestUnknownModeExits2(t *testing.T) {
 			if !errors.As(err, &exit) || exit.ExitCode() != 2 {
 				t.Fatalf("exit: %v, want status 2; output:\n%s", err, out)
 			}
-			if !strings.Contains(string(out), "modes: serve, backup, restore") {
+			if !strings.Contains(string(out), "modes: serve;") {
 				t.Errorf("output does not list the modes:\n%s", out)
 			}
 			for _, d := range []string{"bhdata", "x"} {
@@ -43,5 +45,21 @@ func TestUnknownModeExits2(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestRejectedSetIsSession: the shell labels a rejected SET with the
+// class the server answers it with (400 SESSION), not "internal".
+func TestRejectedSetIsSession(t *testing.T) {
+	sess := &session{vars: server.NewSession(0)}
+	for _, stmt := range []string{"SET allow_partial = on", "SET batch = maybe", "SET nothing"} {
+		err := sess.runStatement(stmt)
+		if err == nil {
+			t.Fatalf("%s: accepted", stmt)
+		}
+		got := classifyError(err)
+		if !strings.HasPrefix(got, "session: ") || strings.HasPrefix(got, "session: session:") {
+			t.Errorf("%s: shell prints %q, want one \"session: \" prefix", stmt, got)
+		}
 	}
 }

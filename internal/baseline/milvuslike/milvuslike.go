@@ -44,18 +44,20 @@ type Config struct {
 	Seed              int64
 	// QueryOverhead models proxy+querynode routing (default 250µs).
 	QueryOverhead time.Duration
-	// BruteForceThreshold: if the filtered candidate set is below this
+}
+
+const (
+	// bruteForceThreshold: if the filtered candidate set is below this
 	// fraction of a segment, scan it exactly instead of using the
 	// index (Milvus's small-set fallback).
-	BruteForceThreshold float64
-	// TaskScheduleDelay models the per-segment flush→index-task
-	// handoff of the staged pipeline (default 50ms).
-	TaskScheduleDelay time.Duration
-	// ReadyPollInterval models the client's index-readiness polling
-	// granularity; half of it is paid once at the end of the load
-	// (default 200ms).
-	ReadyPollInterval time.Duration
-}
+	bruteForceThreshold = 0.05
+	// taskScheduleDelay models the per-segment flush→index-task
+	// handoff of the staged pipeline.
+	taskScheduleDelay = 50 * time.Millisecond
+	// readyPollInterval models the client's index-readiness polling
+	// granularity; half of it is paid once at the end of the load.
+	readyPollInterval = 200 * time.Millisecond
+)
 
 func (c Config) withDefaults() Config {
 	if c.SegmentRows <= 0 {
@@ -69,15 +71,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.QueryOverhead == 0 {
 		c.QueryOverhead = 250 * time.Microsecond
-	}
-	if c.BruteForceThreshold == 0 {
-		c.BruteForceThreshold = 0.05
-	}
-	if c.TaskScheduleDelay == 0 {
-		c.TaskScheduleDelay = 50 * time.Millisecond
-	}
-	if c.ReadyPollInterval == 0 {
-		c.ReadyPollInterval = 200 * time.Millisecond
 	}
 	return c
 }
@@ -143,7 +136,7 @@ func (s *Store) Load(vectors []float32, dim int, attrs []int64) error {
 	// Stage 2: the "index node" reads each flushed segment back and
 	// builds its index; only then is the segment searchable.
 	for _, pf := range flushed {
-		time.Sleep(s.cfg.TaskScheduleDelay) // flush → index-task handoff
+		time.Sleep(taskScheduleDelay) // flush → index-task handoff
 		blob, err := s.store.Get(pf.key)
 		if err != nil {
 			return fmt.Errorf("milvuslike: reading back segment: %w", err)
@@ -177,7 +170,7 @@ func (s *Store) Load(vectors []float32, dim int, attrs []int64) error {
 	}
 	// The client's readiness poll discovers completion half an
 	// interval late, in expectation.
-	time.Sleep(s.cfg.ReadyPollInterval / 2)
+	time.Sleep(readyPollInterval / 2)
 	return nil
 }
 
@@ -200,7 +193,7 @@ func (s *Store) Search(q []float32, k int, attrLo, attrHi int64, p index.SearchP
 		}
 	}
 	t := index.NewTopK(k)
-	if filtered && float64(qualify) < s.cfg.BruteForceThreshold*float64(s.n) {
+	if filtered && float64(qualify) < bruteForceThreshold*float64(s.n) {
 		// Small-set fallback: exact scan of qualifying rows.
 		for _, seg := range s.segs {
 			for i := 0; i < seg.count; i++ {

@@ -37,9 +37,10 @@ type Config struct {
 	// (default 400µs — heavier than an embedded engine or a purpose-
 	// built proxy).
 	QueryOverhead time.Duration
-	// HeapPageRows sizes the heap flush batches (default 512).
-	HeapPageRows int
 }
+
+// heapPageRows sizes the heap flush batches.
+const heapPageRows = 512
 
 func (c Config) withDefaults() Config {
 	if c.M <= 0 {
@@ -50,9 +51,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.QueryOverhead == 0 {
 		c.QueryOverhead = 400 * time.Microsecond
-	}
-	if c.HeapPageRows <= 0 {
-		c.HeapPageRows = 512
 	}
 	return c
 }
@@ -91,8 +89,8 @@ func (s *Store) Load(vectors []float32, dim int, attrs []int64) error {
 
 	// Heap write, page by page (WAL-ish I/O).
 	page := 0
-	for base := 0; base < n; base += s.cfg.HeapPageRows {
-		end := base + s.cfg.HeapPageRows
+	for base := 0; base < n; base += heapPageRows {
+		end := base + heapPageRows
 		if end > n {
 			end = n
 		}

@@ -10,10 +10,7 @@
 //     ByteHouse).
 //   - EncryptingStore: AES-GCM at-rest encryption with a per-blob
 //     nonce, composable anywhere in the stack (including as a backup
-//     destination).
-//   - BackupTable/RestoreTable: consistent snapshots of one table
-//     (manifest + segments + WAL tail) into any BlobStore, taken
-//     under live writes, with point-in-time recovery on restore.
+//     destination; BACKUP and RESTORE themselves are lsm's).
 package blobtier
 
 import (

@@ -46,10 +46,10 @@ func (e *Engine) openBackupStore(dest, stmtKey string) (storage.BlobStore, error
 	return blobtier.NewEncrypting(base, blobtier.KeyFromString(key))
 }
 
-// backup executes BACKUP TABLE t TO 'dest': a consistent snapshot of
-// the table's manifest, segments and WAL tail into the destination
-// store, taken while live writes continue (the table handle pins WAL
-// truncation for the duration).
+// backup executes BACKUP TABLE t TO 'dest': the table's current
+// Version — its manifest, its segments and the WAL tail past its
+// watermark — copied into the destination store while live writes
+// continue (lsm.Table.Backup).
 func (e *Engine) backup(ctx context.Context, s *sql.Backup) (*exec.Result, error) {
 	t := e.Table(s.Table)
 	if t == nil {
@@ -59,7 +59,7 @@ func (e *Engine) backup(ctx context.Context, s *sql.Backup) (*exec.Result, error
 	if err != nil {
 		return nil, planErr(err)
 	}
-	bm, err := blobtier.BackupTable(ctx, e.cfg.Store, s.Table, t, dst)
+	bm, err := t.Backup(ctx, dst)
 	if err != nil {
 		return nil, err
 	}
@@ -68,10 +68,11 @@ func (e *Engine) backup(ctx context.Context, s *sql.Backup) (*exec.Result, error
 		s.Table, s.Dest, len(bm.Blobs), bm.Bytes, bm.SnapshotLSN)), nil
 }
 
-// restore executes RESTORE TABLE t FROM 'src': the backup's blobs are
-// verified and copied into the engine's store, then the table is
-// opened — which replays the copied WAL tail past the snapshot
-// watermark (point-in-time recovery) — and registered in the catalog.
+// restore executes RESTORE TABLE t FROM 'src': lsm.Restore verifies
+// and copies the backup's blobs into the engine's store and opens the
+// table, replaying the copied WAL tail past the snapshot watermark
+// (point-in-time recovery); the table is then registered in the
+// catalog.
 func (e *Engine) restore(ctx context.Context, s *sql.Restore) (*exec.Result, error) {
 	if e.Table(s.Table) != nil {
 		return nil, planErr(fmt.Errorf("table %q already exists; drop it before restoring", s.Table))
@@ -80,16 +81,12 @@ func (e *Engine) restore(ctx context.Context, s *sql.Restore) (*exec.Result, err
 	if err != nil {
 		return nil, planErr(err)
 	}
-	bm, err := blobtier.RestoreTable(ctx, src, s.Table, e.cfg.Store)
+	t, bm, err := lsm.Restore(ctx, src, e.cfg.Store, s.Table)
 	if err != nil {
-		if errors.Is(err, blobtier.ErrNoBackup) || errors.Is(err, blobtier.ErrRestoreExists) ||
-			errors.Is(err, blobtier.ErrCorruptBackup) || errors.Is(err, blobtier.ErrDecrypt) {
+		if errors.Is(err, lsm.ErrNoBackup) || errors.Is(err, lsm.ErrRestoreExists) ||
+			errors.Is(err, lsm.ErrCorruptBackup) || errors.Is(err, blobtier.ErrDecrypt) {
 			return nil, planErr(err)
 		}
-		return nil, err
-	}
-	t, err := lsm.Open(e.cfg.Store, s.Table)
-	if err != nil {
 		return nil, err
 	}
 	replayed := t.FlushedLSN() - bm.SnapshotLSN

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"blendhouse/internal/blobtier"
+	"blendhouse/internal/lsm"
 	"blendhouse/internal/storage"
 	"blendhouse/pkg/api"
 )
@@ -105,7 +106,7 @@ func TestSQLBackupEncrypted(t *testing.T) {
 
 	// The raw destination store holds no plaintext manifest.
 	raw := dests.stores["vault"]
-	if blob, err := raw.Get(blobtier.MarkerKey("images")); err != nil || strings.Contains(string(blob), "snapshot_lsn") {
+	if blob, err := raw.Get(lsm.MarkerKey("images")); err != nil || strings.Contains(string(blob), "snapshot_lsn") {
 		t.Fatalf("marker not encrypted at rest (err=%v)", err)
 	}
 

@@ -210,18 +210,11 @@ func New(cfg Config) (*Engine, error) {
 		e.colCache = cache.NewColumnCache(*cfg.ColumnCache)
 	}
 	// Recover existing tables from manifests.
-	keys, err := cfg.Store.List("tables/")
+	names, err := lsm.Tables(cfg.Store)
 	if err != nil {
 		return nil, err
 	}
-	for _, k := range keys {
-		if !strings.HasSuffix(k, "/manifest.json") {
-			continue
-		}
-		name := strings.TrimSuffix(strings.TrimPrefix(k, "tables/"), "/manifest.json")
-		if strings.Contains(name, "/") {
-			continue
-		}
+	for _, name := range names {
 		t, err := lsm.Open(cfg.Store, name)
 		if err != nil {
 			return nil, fmt.Errorf("core: recovering table %q: %w", name, err)

@@ -2,10 +2,15 @@ package lsm
 
 import (
 	"context"
+	"encoding/json"
+	"os"
+	"reflect"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
-	"blendhouse/internal/blobtier"
+	"blendhouse/internal/bench/dataset"
 	"blendhouse/internal/storage"
 	"blendhouse/internal/wal"
 )
@@ -20,7 +25,9 @@ func TestPinWALTruncate(t *testing.T) {
 	if err := tab.Insert(context.Background(), fillBatch(t, tab.Options(), ds, 0, 100)); err != nil {
 		t.Fatal(err)
 	}
-	unpin := tab.PinWALTruncate()
+	tab.mu.Lock()
+	unpin := tab.pinWALTruncateLocked()
+	tab.mu.Unlock()
 	if err := tab.FlushWAL(); err != nil {
 		t.Fatal(err)
 	}
@@ -70,15 +77,12 @@ func TestBackupPITRRoundTrip(t *testing.T) {
 	want := tableContents(t, tab)
 
 	dst := storage.NewMemStore()
-	bm, err := blobtier.BackupTable(ctx, tab.Store(), "bk", tab, dst)
+	bm, err := tab.Backup(ctx, dst)
 	if err != nil {
 		t.Fatal(err)
 	}
 	out := storage.NewMemStore()
-	if _, err := blobtier.RestoreTable(ctx, dst, "bk", out); err != nil {
-		t.Fatal(err)
-	}
-	rt, err := Open(out, "bk")
+	rt, _, err := Restore(ctx, dst, out, "bk")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +137,7 @@ func TestBackupUnderConcurrentWrites(t *testing.T) {
 		}
 	}()
 	dst := storage.NewMemStore()
-	_, err := blobtier.BackupTable(ctx, tab.Store(), "live", tab, dst)
+	_, err := tab.Backup(ctx, dst)
 	close(stop)
 	wg.Wait()
 	if err != nil {
@@ -141,10 +145,7 @@ func TestBackupUnderConcurrentWrites(t *testing.T) {
 	}
 
 	out := storage.NewMemStore()
-	if _, err := blobtier.RestoreTable(ctx, dst, "live", out); err != nil {
-		t.Fatal(err)
-	}
-	rt, err := Open(out, "live")
+	rt, _, err := Restore(ctx, dst, out, "live")
 	if err != nil {
 		t.Fatalf("restored table does not open (inconsistent snapshot?): %v", err)
 	}
@@ -159,5 +160,161 @@ func TestBackupUnderConcurrentWrites(t *testing.T) {
 	}
 	if err := tab.CloseWAL(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestBackupPinsVersionUnderCompaction: every time the backup reads a
+// segment blob, a hook on the source inserts rows, flushes them into a
+// segment and compacts the table down to one segment, retiring every
+// segment the backup started from. The backup still completes in one
+// pass, copies exactly the segments of the Version it pinned, and its
+// restore answers as the source does: the pinned segments plus the WAL
+// tail, which carries the hook's inserts past the snapshot watermark.
+func TestBackupPinsVersionUnderCompaction(t *testing.T) {
+	ctx := context.Background()
+	ds := dataset.Small(lN, lDim, 3)
+	src := storage.NewFaultStore(storage.NewMemStore(), storage.FaultConfig{Seed: 1})
+	tab, err := Create(src, testOptions("race"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tab.EnableWAL(walTestConfig()); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if err := tab.Insert(ctx, fillBatch(t, tab.Options(), ds, i*200, 200)); err != nil {
+			t.Fatal(err)
+		}
+		if err := tab.FlushWAL(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pinned := map[string]bool{}
+	for _, m := range tab.Segments() {
+		pinned[m.Name] = true
+	}
+	snapshotLSN := tab.FlushedLSN()
+
+	var backingUp, inHook atomic.Bool
+	next, compactions := 1000, 0
+	src.SetHook(func(op storage.FaultOp, key string) error {
+		if op != storage.FaultOpGet || !strings.Contains(key, "/segments/") ||
+			!backingUp.Load() || inHook.Swap(true) {
+			return nil
+		}
+		defer inHook.Store(false)
+		if err := tab.Insert(ctx, fillBatch(t, tab.Options(), ds, next, 20)); err != nil {
+			return err
+		}
+		next += 20
+		if err := tab.FlushWAL(); err != nil {
+			return err
+		}
+		n, err := tab.CompactAll(CompactionPolicy{MinSegments: 2})
+		if err != nil {
+			return err
+		}
+		if n > 0 {
+			compactions++
+		}
+		return nil
+	})
+	dst := storage.NewMemStore()
+	backingUp.Store(true)
+	bm, err := tab.Backup(ctx, dst)
+	backingUp.Store(false)
+	if err != nil {
+		t.Fatalf("backup under compaction: %v", err)
+	}
+	if compactions == 0 {
+		t.Fatal("the hook never compacted: the race did not happen")
+	}
+	if bm.SnapshotLSN != snapshotLSN {
+		t.Fatalf("snapshot lsn %d, want the pinned Version's %d", bm.SnapshotLSN, snapshotLSN)
+	}
+	copied := map[string]bool{}
+	for _, b := range bm.Blobs {
+		if rest, ok := strings.CutPrefix(b.Key, segmentsPrefix("race")); ok {
+			seg, _, _ := strings.Cut(rest, "/")
+			if !pinned[seg] {
+				t.Fatalf("backup copied %s, a segment the pinned Version does not name", b.Key)
+			}
+			copied[seg] = true
+		}
+	}
+	if len(copied) != len(pinned) {
+		t.Fatalf("backup copied segments %v, the pinned Version names %v", copied, pinned)
+	}
+	for _, m := range tab.Segments() {
+		if pinned[m.Name] {
+			t.Fatalf("segment %s is still live: the hook's compactions did not retire the pinned ones", m.Name)
+		}
+	}
+	out := storage.NewMemStore()
+	rt, _, err := Restore(ctx, dst, out, "race")
+	if err != nil {
+		t.Fatal(err)
+	}
+	equalContents(t, tableContents(t, tab), tableContents(t, rt), "restored table")
+	if err := tab.CloseWAL(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// testdata/golden_backup_v1/ is a backup destination as BACKUP wrote it
+// before lsm took it over, from a table with two flushed segments, their
+// delete bitmaps, and an insert and a delete only in the WAL tail;
+// testdata/golden_backup_v1.json holds that table's row count and exact
+// top-10 answers at the snapshot. Both are append-only: the set must
+// keep restoring, replay its tail and answer what it answered.
+func TestGoldenBackupV1Restores(t *testing.T) {
+	raw, err := os.ReadFile("testdata/golden_backup_v1.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var g struct {
+		Table       string `json:"table"`
+		Rows        int    `json:"rows"`
+		SnapshotLSN int64  `json:"snapshot_lsn"`
+		Blobs       int    `json:"blobs"`
+		Queries     []struct {
+			Q        []float32 `json:"q"`
+			K        int       `json:"k"`
+			ExactIDs []int64   `json:"exact_ids"`
+		} `json:"queries"`
+	}
+	if err := json.Unmarshal(raw, &g); err != nil {
+		t.Fatal(err)
+	}
+	src, err := storage.NewFSStore("testdata/golden_backup_v1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tab, bm, err := Restore(context.Background(), src, storage.NewMemStore(), g.Table)
+	if err != nil {
+		t.Fatalf("the golden backup set no longer restores: %v", err)
+	}
+	if bm.SnapshotLSN != g.SnapshotLSN || len(bm.Blobs) != g.Blobs {
+		t.Fatalf("marker: snapshot lsn %d, %d blobs; golden %d, %d", bm.SnapshotLSN, len(bm.Blobs), g.SnapshotLSN, g.Blobs)
+	}
+	if tab.FlushedLSN() <= bm.SnapshotLSN {
+		t.Fatalf("the WAL tail did not replay: lsn %d", tab.FlushedLSN())
+	}
+	if tab.Rows() != g.Rows {
+		t.Fatalf("restored %d rows, golden %d", tab.Rows(), g.Rows)
+	}
+	rows := tableRows(t, tab)
+	all := func(int64) bool { return true }
+	for qi, q := range g.Queries {
+		if got := exactTopK(rows, q.Q, q.K); !reflect.DeepEqual(got, q.ExactIDs) {
+			t.Fatalf("query %d: exact top-%d %v, golden %v", qi, q.K, got, q.ExactIDs)
+		}
+		var ann []int64
+		for _, c := range segmentTop10(t, tab, q.Q, all) {
+			ann = append(ann, c.ID)
+		}
+		if !reflect.DeepEqual(ann, q.ExactIDs) {
+			t.Fatalf("query %d: index top-%d %v, golden %v", qi, q.K, ann, q.ExactIDs)
+		}
 	}
 }

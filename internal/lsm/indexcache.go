@@ -79,8 +79,7 @@ func (c *IndexCache) Index(ctx context.Context, t *Table, s *Segment) (index.Ind
 // segments run on — the fallback of paper §II-D that a VW's serving
 // exists to avoid.
 func (c *IndexCache) Searcher(ctx context.Context, t *Table, s *Segment) (ix index.Index, brute bool, err error) {
-	// IsNotFound allocates, so a hit does not ask it.
-	if ix, err = c.Index(ctx, t, s); err == nil || !storage.IsNotFound(err) {
+	if ix, err = c.Index(ctx, t, s); !storage.IsNotFound(err) {
 		return ix, false, err
 	}
 	col, err := s.Reader.ReadColumn(ctx, t.opts.IndexColumn)

@@ -99,9 +99,9 @@ type Table struct {
 	// EnableWAL takes it; nil when there is none. Guarded by t.mu.
 	walKeys []string
 
-	// walPins counts active PinWALTruncate holders (backups copying
-	// the WAL tail); while nonzero the flusher skips TruncateBelow so
-	// no tail blob vanishes mid-copy. Guarded by t.mu.
+	// walPins counts the backups copying the WAL tail
+	// (pinWALTruncateLocked); while nonzero the flusher skips
+	// TruncateBelow so no tail blob vanishes mid-copy. Guarded by t.mu.
 	walPins int
 
 	// walRT holds the WAL runtime (log + flusher); atomic so the hot

@@ -427,15 +427,13 @@ func (t *Table) FlushWAL() error {
 	return t.flushOnce(ws)
 }
 
-// PinWALTruncate suspends WAL truncation until the returned release
-// func runs (idempotent). Backups hold a pin while copying the WAL
-// tail so a concurrent flush can't delete tail blobs mid-copy; flushes
-// themselves keep running, only log reclamation is deferred. Releasing
-// the last pin runs a best-effort catch-up truncation.
-func (t *Table) PinWALTruncate() func() {
-	t.mu.Lock()
+// pinWALTruncateLocked suspends WAL truncation until the returned
+// release func runs (idempotent): a backup holds the pin while it
+// copies the WAL tail, so no tail blob is deleted mid-copy. Flushes
+// keep running; only log reclamation waits, and releasing the last pin
+// runs a best-effort catch-up truncation. Caller holds t.mu.
+func (t *Table) pinWALTruncateLocked() func() {
 	t.walPins++
-	t.mu.Unlock()
 	var once sync.Once
 	return func() {
 		once.Do(func() {

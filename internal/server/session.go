@@ -1,6 +1,7 @@
 package server
 
 import (
+	"errors"
 	"fmt"
 	"strconv"
 	"strings"
@@ -27,6 +28,11 @@ type Session struct {
 	maxPar   int
 	batchOff bool
 }
+
+// ErrSession is wrapped by every error HandleSet returns: a rejected
+// SET, which the server answers 400 SESSION and the shell labels
+// "session". Its text keeps each message's "session: " prefix.
+var ErrSession = errors.New("session")
 
 // NewSession builds a session whose statement timeout starts at the
 // server's or shell's -timeout flag.
@@ -69,7 +75,7 @@ func (s *Session) HandleSet(stmt string) (handled bool, msg string, err error) {
 	rest := strings.TrimSpace(trimmed[len(fields[0]):])
 	name, value, ok := strings.Cut(rest, "=")
 	if !ok {
-		return true, "", fmt.Errorf("session: SET wants <variable> = <value>")
+		return true, "", fmt.Errorf("%w: SET wants <variable> = <value>", ErrSession)
 	}
 	name = strings.ToLower(strings.TrimSpace(name))
 	value = strings.TrimSpace(value)
@@ -77,7 +83,7 @@ func (s *Session) HandleSet(stmt string) (handled bool, msg string, err error) {
 	case "statement_timeout":
 		ms, err := strconv.ParseInt(value, 10, 64)
 		if err != nil || ms < 0 {
-			return true, "", fmt.Errorf("session: statement_timeout wants a non-negative integer (milliseconds), got %q", value)
+			return true, "", fmt.Errorf("%w: statement_timeout wants a non-negative integer (milliseconds), got %q", ErrSession, value)
 		}
 		s.mu.Lock()
 		s.timeout = time.Duration(ms) * time.Millisecond
@@ -89,7 +95,7 @@ func (s *Session) HandleSet(stmt string) (handled bool, msg string, err error) {
 	case "max_parallelism":
 		n, err := strconv.Atoi(value)
 		if err != nil || n < 0 {
-			return true, "", fmt.Errorf("session: max_parallelism wants a non-negative integer, got %q", value)
+			return true, "", fmt.Errorf("%w: max_parallelism wants a non-negative integer, got %q", ErrSession, value)
 		}
 		s.mu.Lock()
 		s.maxPar = n
@@ -106,7 +112,7 @@ func (s *Session) HandleSet(stmt string) (handled bool, msg string, err error) {
 		case "off", "0", "false":
 			on = false
 		default:
-			return true, "", fmt.Errorf("session: batch wants on or off, got %q", value)
+			return true, "", fmt.Errorf("%w: batch wants on or off, got %q", ErrSession, value)
 		}
 		s.mu.Lock()
 		s.batchOff = !on
@@ -116,6 +122,6 @@ func (s *Session) HandleSet(stmt string) (handled bool, msg string, err error) {
 		}
 		return true, "OK: multi-query batching disabled for this session", nil
 	default:
-		return true, "", fmt.Errorf("session: unknown variable %q (supported: statement_timeout, max_parallelism, batch)", name)
+		return true, "", fmt.Errorf("%w: unknown variable %q (supported: statement_timeout, max_parallelism, batch)", ErrSession, name)
 	}
 }

@@ -14,10 +14,10 @@ package storage
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -34,9 +34,19 @@ type ErrNotFound struct{ Key string }
 func (e *ErrNotFound) Error() string { return fmt.Sprintf("storage: key %q not found", e.Key) }
 
 // IsNotFound reports whether err is, or wraps, a missing-key error.
+// It walks the chain itself: errors.As would move its target to the
+// heap on every call, a nil err included, and the index-cache hit path
+// asks on every segment.
 func IsNotFound(err error) bool {
-	var nf *ErrNotFound
-	return errors.As(err, &nf)
+	switch e := err.(type) {
+	case *ErrNotFound:
+		return true
+	case interface{ Unwrap() error }:
+		return IsNotFound(e.Unwrap())
+	case interface{ Unwrap() []error }:
+		return slices.ContainsFunc(e.Unwrap(), IsNotFound)
+	}
+	return false
 }
 
 // BlobStore is the persistence interface. Keys are slash-separated

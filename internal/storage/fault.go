@@ -1,10 +1,9 @@
 // FaultStore is the deterministic fault injector behind chaos testing:
-// a BlobStore wrapper that fails, delays, or hooks operations according
-// to a seeded schedule. It generalizes the test-local flaky store the
-// WAL durability tests grew in PR 4 into a first-class tool: per-op
-// error rates for soak tests, per-key rules and fail-after-N sequences
-// for deterministic regressions, latency spikes for tail-latency work,
-// and a synchronous Hook for precise race interleavings.
+// a BlobStore wrapper that fails or hooks operations according to a
+// seeded schedule: per-op error rates for soak tests, per-key rules and
+// fail-after-N sequences for deterministic regressions, and a
+// synchronous Hook for precise race interleavings. Latency is
+// RemoteStore's to model, not this wrapper's.
 package storage
 
 import (
@@ -16,7 +15,6 @@ import (
 	"time"
 
 	"blendhouse/internal/obs"
-	"blendhouse/internal/retry"
 )
 
 var mFaultsInjected = obs.Default().Counter("bh.storage.faults_injected")
@@ -55,8 +53,6 @@ type FaultRule struct {
 	// Permanent makes injected errors non-retryable (not wrapped in
 	// TransientError), for exercising give-up paths.
 	Permanent bool
-	// Latency is added to matching ops (on top of FaultConfig.Latency).
-	Latency time.Duration
 
 	matched, fired int // guarded by FaultStore.mu
 }
@@ -69,13 +65,6 @@ type FaultConfig struct {
 	// ErrRate is the baseline probability any operation fails with a
 	// transient error.
 	ErrRate float64
-	// Latency is added to every operation.
-	Latency time.Duration
-	// SpikeRate is the probability an operation additionally sleeps
-	// SpikeLatency — modeled tail-latency spikes.
-	SpikeRate float64
-	// SpikeLatency is the spike duration.
-	SpikeLatency time.Duration
 	// Rules are targeted injections checked before the baseline rate.
 	Rules []FaultRule
 }
@@ -86,7 +75,8 @@ type FaultStats struct {
 }
 
 // FaultStore wraps a backing store with deterministic fault injection.
-// It implements CtxReader so injected latency respects read deadlines.
+// It implements CtxReader so a read's deadline reaches the backing
+// store.
 type FaultStore struct {
 	backing BlobStore
 
@@ -142,22 +132,16 @@ func (r *FaultRule) matches(op FaultOp, key string) bool {
 	return r.KeySubstr == "" || strings.Contains(key, r.KeySubstr)
 }
 
-// decide consults the schedule for one operation. It returns the error
-// to inject (nil = proceed) and any extra latency to model. The rng and
-// rule counters sit behind s.mu; sleeping happens in inject, outside it.
-func (s *FaultStore) decide(op FaultOp, key string) (error, time.Duration) {
+// decide consults the schedule for one operation and returns the error
+// to inject (nil = proceed). The rng and rule counters sit behind s.mu.
+func (s *FaultStore) decide(op FaultOp, key string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.ops++
-	delay := s.cfg.Latency
-	if s.cfg.SpikeRate > 0 && s.rng.Float64() < s.cfg.SpikeRate {
-		delay += s.cfg.SpikeLatency
-	}
 	for _, r := range s.rules {
 		if !r.matches(op, key) {
 			continue
 		}
-		delay += r.Latency
 		r.matched++
 		if r.matched <= r.FailAfter {
 			continue
@@ -173,21 +157,21 @@ func (s *FaultStore) decide(op FaultOp, key string) (error, time.Duration) {
 		mFaultsInjected.Inc()
 		err := fmt.Errorf("storage: injected fault (%s %s)", op, key)
 		if r.Permanent {
-			return &PermanentError{err}, delay
+			return &PermanentError{err}
 		}
-		return &TransientError{err}, delay
+		return &TransientError{err}
 	}
 	if s.cfg.ErrRate > 0 && s.rng.Float64() < s.cfg.ErrRate {
 		s.injected++
 		mFaultsInjected.Inc()
-		return &TransientError{fmt.Errorf("storage: injected fault (%s %s)", op, key)}, delay
+		return &TransientError{fmt.Errorf("storage: injected fault (%s %s)", op, key)}
 	}
-	return nil, delay
+	return nil
 }
 
-// inject runs the schedule (hook, latency, then any injected error) for
-// one operation. ctx bounds the modeled latency.
-func (s *FaultStore) inject(ctx context.Context, op FaultOp, key string) error {
+// inject runs the schedule (hook, then any injected error) for one
+// operation.
+func (s *FaultStore) inject(op FaultOp, key string) error {
 	s.mu.Lock()
 	hook := s.hook
 	s.mu.Unlock()
@@ -196,16 +180,12 @@ func (s *FaultStore) inject(ctx context.Context, op FaultOp, key string) error {
 			return err
 		}
 	}
-	err, delay := s.decide(op, key)
-	if serr := retry.Sleep(ctx, delay); serr != nil {
-		return serr
-	}
-	return err
+	return s.decide(op, key)
 }
 
 // Put implements BlobStore.
 func (s *FaultStore) Put(key string, data []byte) error {
-	if err := s.inject(nil, FaultOpPut, key); err != nil {
+	if err := s.inject(FaultOpPut, key); err != nil {
 		return err
 	}
 	return s.backing.Put(key, data)
@@ -218,7 +198,7 @@ func (s *FaultStore) Get(key string) ([]byte, error) {
 
 // GetCtx implements CtxReader.
 func (s *FaultStore) GetCtx(ctx context.Context, key string) ([]byte, error) {
-	if err := s.inject(ctx, FaultOpGet, key); err != nil {
+	if err := s.inject(FaultOpGet, key); err != nil {
 		return nil, err
 	}
 	return GetCtx(ctx, s.backing, key)
@@ -234,7 +214,7 @@ func (s *FaultStore) GetRangeCtx(ctx context.Context, key string, off, length in
 	if err := checkRange(off, length); err != nil {
 		return nil, err
 	}
-	if err := s.inject(ctx, FaultOpGetRange, key); err != nil {
+	if err := s.inject(FaultOpGetRange, key); err != nil {
 		return nil, err
 	}
 	return GetRangeCtx(ctx, s.backing, key, off, length)
@@ -242,7 +222,7 @@ func (s *FaultStore) GetRangeCtx(ctx context.Context, key string, off, length in
 
 // Size implements BlobStore.
 func (s *FaultStore) Size(key string) (int64, error) {
-	if err := s.inject(nil, FaultOpSize, key); err != nil {
+	if err := s.inject(FaultOpSize, key); err != nil {
 		return 0, err
 	}
 	return s.backing.Size(key)
@@ -250,7 +230,7 @@ func (s *FaultStore) Size(key string) (int64, error) {
 
 // Delete implements BlobStore.
 func (s *FaultStore) Delete(key string) error {
-	if err := s.inject(nil, FaultOpDelete, key); err != nil {
+	if err := s.inject(FaultOpDelete, key); err != nil {
 		return err
 	}
 	return s.backing.Delete(key)
@@ -258,7 +238,7 @@ func (s *FaultStore) Delete(key string) error {
 
 // List implements BlobStore.
 func (s *FaultStore) List(prefix string) ([]string, error) {
-	if err := s.inject(nil, FaultOpList, prefix); err != nil {
+	if err := s.inject(FaultOpList, prefix); err != nil {
 		return nil, err
 	}
 	return s.backing.List(prefix)

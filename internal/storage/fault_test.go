@@ -4,7 +4,6 @@ import (
 	"errors"
 	"strings"
 	"testing"
-	"time"
 )
 
 func TestFaultStoreDeterministicSchedule(t *testing.T) {
@@ -113,17 +112,6 @@ func TestFaultHook(t *testing.T) {
 	}
 	if len(seen) != 3 {
 		t.Errorf("hook saw %d ops, want 3", len(seen))
-	}
-}
-
-func TestFaultLatencyIsBounded(t *testing.T) {
-	fs := NewFaultStore(NewMemStore(), FaultConfig{Seed: 1, Latency: 2 * time.Millisecond})
-	start := time.Now()
-	if err := fs.Put("k", []byte("v")); err != nil {
-		t.Fatal(err)
-	}
-	if el := time.Since(start); el < 2*time.Millisecond {
-		t.Errorf("Put took %v, expected >= 2ms modeled latency", el)
 	}
 }
 

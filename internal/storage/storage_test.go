@@ -3,6 +3,7 @@ package storage
 import (
 	"context"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -587,5 +588,31 @@ func TestDecodeBlockAllocatesOnce(t *testing.T) {
 	})
 	if allocs != 1 {
 		t.Errorf("decoding a %d-row Int64 granule makes %.0f allocations, want 1", DefaultBlockRows, allocs)
+	}
+}
+
+// TestIsNotFoundAllocatesNothing: the index-cache hit path asks
+// IsNotFound of every segment's load error, nil included, so it must
+// not move anything to the heap.
+func TestIsNotFoundAllocatesNothing(t *testing.T) {
+	plain := errors.New("storage: some other failure")
+	wrapped := fmt.Errorf("lsm: loading index: %w", &ErrNotFound{Key: "k"})
+	joined := fmt.Errorf("%w: %w", plain, &ErrNotFound{Key: "k"})
+	for _, c := range []struct {
+		name string
+		err  error
+		want bool
+	}{
+		{"nil", nil, false},
+		{"plain", plain, false},
+		{"wrapped", wrapped, true},
+		{"joined", joined, true},
+	} {
+		if got := IsNotFound(c.err); got != c.want {
+			t.Errorf("%s: IsNotFound = %v, want %v", c.name, got, c.want)
+		}
+		if n := testing.AllocsPerRun(100, func() { IsNotFound(c.err) }); n != 0 {
+			t.Errorf("%s: IsNotFound allocates %v times per call", c.name, n)
+		}
 	}
 }
