@@ -35,6 +35,6 @@ type VectorStore interface {
 	// Search returns the ids of the top-k rows whose attribute lies in
 	// [attrLo, attrHi] (use AttrMin/AttrMax for no filter).
 	Search(q []float32, k int, attrLo, attrHi int64, p index.SearchParams) ([]int64, error)
-	// MemoryBytes reports resident index size.
-	MemoryBytes() int64
+	// MemoryBytes reports resident index size, or why it cannot.
+	MemoryBytes() (int64, error)
 }

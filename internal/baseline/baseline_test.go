@@ -1,6 +1,9 @@
 package baseline_test
 
 import (
+	"errors"
+	"strings"
+	"sync/atomic"
 	"testing"
 
 	"blendhouse/internal/baseline"
@@ -8,6 +11,7 @@ import (
 	"blendhouse/internal/baseline/milvuslike"
 	"blendhouse/internal/baseline/pgvectorlike"
 	"blendhouse/internal/bench/dataset"
+	"blendhouse/internal/core"
 	"blendhouse/internal/index"
 	"blendhouse/internal/storage"
 	"blendhouse/internal/vec"
@@ -27,7 +31,7 @@ func stores(t *testing.T) (map[string]baseline.VectorStore, *dataset.Dataset) {
 		attrs[i] = int64(i) // attr == id: selectivity ranges are easy to reason about
 	}
 	out := map[string]baseline.VectorStore{
-		"bh":       bh.New(bh.Config{SegmentRows: 300, Seed: 4, M: 8, EfConstr: 64}, storage.NewMemStore()),
+		"bh":       bh.New(bh.Config{Engine: core.Config{SegmentRows: 300, Seed: 4}, M: 8, EfConstr: 64}, storage.NewMemStore()),
 		"milvus":   milvuslike.New(milvuslike.Config{SegmentRows: 300, Seed: 4, M: 8, EfConstruction: 64, QueryOverhead: 1}, storage.NewMemStore()),
 		"pgvector": pgvectorlike.New(pgvectorlike.Config{Seed: 4, M: 8, EfConstruction: 64, QueryOverhead: 1}, storage.NewMemStore()),
 	}
@@ -101,9 +105,34 @@ func TestFilteredRecallShapesMatchPaper(t *testing.T) {
 func TestMemoryReporting(t *testing.T) {
 	sys, _ := stores(t)
 	for name, s := range sys {
-		if s.MemoryBytes() <= 0 {
-			t.Errorf("%s MemoryBytes = %d", name, s.MemoryBytes())
+		if n, err := s.MemoryBytes(); err != nil || n <= 0 {
+			t.Errorf("%s MemoryBytes = %d, %v", name, n, err)
 		}
+	}
+}
+
+// TestMemoryBytesFailsOnUnreadableIndex: an index blob that cannot be
+// read fails BlendHouse's sum instead of leaving it short.
+func TestMemoryBytesFailsOnUnreadableIndex(t *testing.T) {
+	ds := dataset.Small(bN, bDim, 31)
+	fs := storage.NewFaultStore(storage.NewMemStore(), storage.FaultConfig{Seed: 1})
+	s := bh.New(bh.Config{Engine: core.Config{SegmentRows: 300, Seed: 4}, M: 8, EfConstr: 64}, fs)
+	if err := s.Load(ds.Vectors.Data, bDim, make([]int64, bN)); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := s.MemoryBytes(); err != nil || n <= 0 {
+		t.Fatalf("MemoryBytes = %d, %v", n, err)
+	}
+	// Armed after the load: the second index GET fails.
+	var idxGets atomic.Int64
+	fs.SetHook(func(op storage.FaultOp, key string) error {
+		if op == storage.FaultOpGet && strings.Contains(key, "idx_") && idxGets.Add(1) == 2 {
+			return errors.New("injected: index GET failed")
+		}
+		return nil
+	})
+	if n, err := s.MemoryBytes(); err == nil {
+		t.Fatalf("MemoryBytes = %d with an index unreadable, want an error", n)
 	}
 }
 

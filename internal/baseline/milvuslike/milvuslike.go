@@ -225,13 +225,13 @@ func (s *Store) Search(q []float32, k int, attrLo, attrHi int64, p index.SearchP
 }
 
 // MemoryBytes reports index plus sealed raw vectors (both resident in
-// Milvus query nodes).
-func (s *Store) MemoryBytes() int64 {
+// Milvus query nodes); it never fails.
+func (s *Store) MemoryBytes() (int64, error) {
 	var n int64
 	for _, seg := range s.segs {
 		n += seg.idx.MemoryBytes() + int64(4*len(seg.raw))
 	}
-	return n
+	return n, nil
 }
 
 const (

@@ -159,10 +159,10 @@ func (s *Store) Search(q []float32, k int, attrLo, attrHi int64, p index.SearchP
 	return out, nil
 }
 
-// MemoryBytes reports the global index size.
-func (s *Store) MemoryBytes() int64 {
+// MemoryBytes reports the in-memory global index size; it never fails.
+func (s *Store) MemoryBytes() (int64, error) {
 	if s.idx == nil {
-		return 0
+		return 0, nil
 	}
-	return s.idx.MemoryBytes()
+	return s.idx.MemoryBytes(), nil
 }

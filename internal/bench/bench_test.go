@@ -160,28 +160,36 @@ func TestSelRange(t *testing.T) {
 	}
 }
 
-// TestExperimentSmoke runs cheap experiments end to end at minimum
-// scale, ensuring the harness plumbing (registry, dataset generation,
-// report assembly) works without waiting for the full evaluation.
-// fig11, fig12 and fig18 drive the virtual-warehouse simulation, so a
-// change that breaks it fails here; rows are asserted, not timings.
+// TestExperimentSmoke runs every Section V experiment that loads the
+// engine end to end at minimum scale, ensuring the harness plumbing
+// (registry, dataset generation, the load and query path, report
+// assembly) works without waiting for the full evaluation. fig11,
+// fig12 and fig18 drive the virtual-warehouse simulation, so a change
+// that breaks it fails here; rows are asserted, not timings.
 func TestExperimentSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	for _, id := range []string{"fig7", "fig11", "fig12", "fig18", "fig19"} {
-		e, ok := Get(id)
-		if !ok {
-			t.Fatalf("missing %s", id)
-		}
-		rep, err := e.Run(Config{Scale: 0.02, Queries: 5})
-		if err != nil {
-			t.Fatalf("%s: %v", id, err)
-		}
+	for _, id := range []string{
+		"fig7", "fig9", "fig10", "fig11", "fig12", "fig13", "fig14", "fig15", "fig16",
+		"fig17", "fig18", "fig19", "table4", "table5", "table6", "table7",
+	} {
+		rep := smokeRun(t, id)
 		if len(rep.Rows) == 0 {
 			t.Fatalf("%s produced no rows", id)
 		}
-		if id == "fig18" {
+		switch id {
+		case "fig15":
+			// The strategy is the engine's EXPLAIN: the CBO picks
+			// post-filter on the 1%-selectivity workload, and without it
+			// the planner defaults to pre-filter.
+			want := map[string]string{"on": "post-filter", "off": "pre-filter (default)"}
+			for _, row := range rep.Rows {
+				if row[2] != want[row[1]] {
+					t.Fatalf("fig15 row %v: CBO %s picked %q, want %q", row, row[1], row[2], want[row[1]])
+				}
+			}
+		case "fig18":
 			// Serving covers every cold worker's scans: Fig 18's claim,
 			// which no timing moves.
 			col := slices.Index(rep.Headers, "brute-force fallbacks")

@@ -1,8 +1,6 @@
 package bench
 
 import (
-	"context"
-	"errors"
 	"fmt"
 	"time"
 
@@ -11,7 +9,7 @@ import (
 	"blendhouse/internal/baseline/milvuslike"
 	"blendhouse/internal/baseline/pgvectorlike"
 	"blendhouse/internal/bench/dataset"
-	"blendhouse/internal/lsm"
+	"blendhouse/internal/core"
 	"blendhouse/internal/storage"
 	"blendhouse/internal/vec"
 
@@ -89,7 +87,7 @@ func fastStore() storage.BlobStore { return storage.NewMemStore() }
 // stores. segRows aligns BlendHouse and Milvus-like segment sizes.
 func systemSet(cfg Config, segRows int, store func() storage.BlobStore) map[string]baseline.VectorStore {
 	return map[string]baseline.VectorStore{
-		"BlendHouse": bh.New(bh.Config{SegmentRows: segRows, Seed: cfg.Seed, M: 12, EfConstr: 120}, store()),
+		"BlendHouse": bh.New(bh.Config{Engine: core.Config{SegmentRows: segRows, Seed: cfg.Seed}, M: 12, EfConstr: 120}, store()),
 		"Milvus":     milvuslike.New(milvuslike.Config{SegmentRows: segRows, Seed: cfg.Seed, M: 12, EfConstruction: 120}, store()),
 		"pgvector":   pgvectorlike.New(pgvectorlike.Config{Seed: cfg.Seed, M: 12, EfConstruction: 120}, store()),
 	}
@@ -124,13 +122,3 @@ func fmtDur(d time.Duration) string {
 func fmtQPS(q float64) string { return fmt.Sprintf("%.1f", q) }
 
 func fmtRecall(r float64) string { return fmt.Sprintf("%.4f", r) }
-
-// ingest loads batch into a fresh table as serve does: through its
-// write-ahead log, whose closing flush cuts the segments and builds
-// their indexes. The table is read-only afterwards.
-func ingest(tab *lsm.Table, batch *storage.RowBatch) error {
-	if err := tab.EnableWAL(lsm.WALConfig{}); err != nil {
-		return err
-	}
-	return errors.Join(tab.Insert(context.Background(), batch), tab.CloseWAL())
-}

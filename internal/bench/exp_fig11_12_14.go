@@ -11,6 +11,7 @@ import (
 	"blendhouse/internal/baseline/bh"
 	"blendhouse/internal/bench/dataset"
 	"blendhouse/internal/cluster"
+	"blendhouse/internal/core"
 	"blendhouse/internal/exec"
 	"blendhouse/internal/index"
 	"blendhouse/internal/lsm"
@@ -25,8 +26,8 @@ func init() {
 	register("fig14", "Impact of updates and compaction on search performance", runFig14)
 }
 
-// clusterFixture builds a table over a latency-modeled shared store
-// and a VW of that many workers on top of it, with the simulated
+// clusterFixture loads a table over a latency-modeled shared store
+// and builds a VW of that many workers on top of it, with the simulated
 // per-scan and post-processing service times (non-zero only in the
 // elasticity experiment; see VWConfig docs).
 func clusterFixture(cfg Config, workers int, ds *dataset.Dataset, scanCost, postCost time.Duration) (*cluster.VW, *lsm.Table, error) {
@@ -37,28 +38,18 @@ func clusterFixture(cfg Config, workers int, ds *dataset.Dataset, scanCost, post
 		segRows = ds.Vectors.Rows()/24 + 1
 	}
 	remote := remoteStore()
-	tab, err := lsm.Create(remote, lsm.Options{
-		Name: "t",
-		Schema: &storage.Schema{Columns: []storage.ColumnDef{
-			{Name: "id", Type: storage.Int64Type},
-			{Name: "embedding", Type: storage.VectorType, Dim: ds.Spec.Dim},
-		}},
-		IndexColumn: "embedding", IndexType: index.HNSW,
-		IndexParams: index.BuildParams{M: 12, EfConstruction: 120, Seed: cfg.Seed},
-		SegmentRows: segRows, Seed: cfg.Seed,
+	ddl := "CREATE TABLE t (id Int64, embedding Array(Float32), " + bh.IndexDDL("embedding", index.HNSW,
+		index.BuildParams{Dim: ds.Spec.Dim, M: 12, EfConstruction: 120, Seed: cfg.Seed}) + ")"
+	eng, err := bh.Load(core.Config{Store: remote, SegmentRows: segRows, Seed: cfg.Seed}, ddl, func(b *storage.RowBatch) {
+		for i := 0; i < ds.Vectors.Rows(); i++ {
+			b.Col("id").Ints = append(b.Col("id").Ints, int64(i))
+		}
+		b.Col("embedding").Vecs = append(b.Col("embedding").Vecs, ds.Vectors.Data...)
 	})
 	if err != nil {
 		return nil, nil, err
 	}
-	batch := storage.NewRowBatch(tab.Schema())
-	n := ds.Vectors.Rows()
-	for i := 0; i < n; i++ {
-		batch.Col("id").Ints = append(batch.Col("id").Ints, int64(i))
-	}
-	batch.Col("embedding").Vecs = append(batch.Col("embedding").Vecs, ds.Vectors.Data...)
-	if err := ingest(tab, batch); err != nil {
-		return nil, nil, err
-	}
+	tab := eng.Table("t")
 	vw := cluster.NewVW(cluster.VWConfig{Name: "read", SimulatedScanCost: scanCost, SimulatedPostCost: postCost}, remote)
 	vw.RegisterTable(tab)
 	for i := 0; i < workers; i++ {
@@ -156,7 +147,7 @@ func runFig12(cfg Config) (*Report, error) {
 	rep.Note("paper Fig 12: higher write concurrency degrades mixed-VW read QPS; dedicated VWs stay flat")
 	ds := dataset.Generate(dataset.Spec{Name: "fig12", N: cfg.n(6000), Dim: 96, Queries: cfg.Queries, Seed: cfg.Seed})
 	n := ds.Vectors.Rows()
-	readStore := bh.New(bh.Config{TableName: "read", SegmentRows: 1500, Seed: cfg.Seed, M: 12, EfConstr: 120}, storage.NewMemStore())
+	readStore := bh.New(bh.Config{Engine: core.Config{SegmentRows: 1500, Seed: cfg.Seed}, TableName: "read", M: 12, EfConstr: 120}, storage.NewMemStore())
 	if err := readStore.Load(ds.Vectors.Data, ds.Spec.Dim, seqAttrs(n)); err != nil {
 		return nil, err
 	}
@@ -194,7 +185,7 @@ func runFig12(cfg Config) (*Report, error) {
 					default:
 					}
 					sub := dataset.Generate(dataset.Spec{Name: "wr", N: writeBatchRows, Dim: ds.Spec.Dim, Queries: 1, Seed: cfg.Seed + int64(w*1000+round)})
-					wtab := bh.New(bh.Config{TableName: fmt.Sprintf("write%d_%d", w, round), SegmentRows: writeBatchRows, Seed: cfg.Seed, M: 12, EfConstr: 120}, storage.NewMemStore())
+					wtab := bh.New(bh.Config{Engine: core.Config{SegmentRows: writeBatchRows, Seed: cfg.Seed}, TableName: fmt.Sprintf("write%d_%d", w, round), M: 12, EfConstr: 120}, storage.NewMemStore())
 					if err := wtab.Load(sub.Vectors.Data, ds.Spec.Dim, seqAttrs(writeBatchRows)); err != nil {
 						writerErr.Store(err)
 						return
@@ -226,7 +217,7 @@ func runFig14(cfg Config) (*Report, error) {
 	rep.Note("paper Fig 14: QPS degrades as updates accumulate; compaction restores it")
 	ds := dataset.Generate(dataset.Spec{Name: "fig14", N: cfg.n(6000), Dim: 96, Queries: cfg.Queries, Seed: cfg.Seed})
 	n := ds.Vectors.Rows()
-	s := bh.New(bh.Config{TableName: "t", SegmentRows: 1500, Seed: cfg.Seed, M: 12, EfConstr: 120}, storage.NewMemStore())
+	s := bh.New(bh.Config{Engine: core.Config{SegmentRows: 1500, Seed: cfg.Seed}, TableName: "t", M: 12, EfConstr: 120}, storage.NewMemStore())
 	if err := s.Load(ds.Vectors.Data, ds.Spec.Dim, seqAttrs(n)); err != nil {
 		return nil, err
 	}
@@ -259,11 +250,13 @@ func runFig14(cfg Config) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	rep.AddRow("0", "n/a", fmt.Sprint(s.Table().SegmentCount()), fmtQPS(qps0), fmtRecall(r0))
+	tab := s.Engine().Table("t")
+	rep.AddRow("0", "n/a", fmt.Sprint(tab.SegmentCount()), fmtQPS(qps0), fmtRecall(r0))
 
-	tab := s.Table()
 	schema := tab.Schema()
-	// Each round's new versions are flushed into segments at once.
+	// The loaded table is read-only: the update rounds re-enable its
+	// WAL, and each round's new versions are flushed into segments at
+	// once.
 	if err := tab.EnableWAL(lsm.WALConfig{FlushInterval: time.Hour}); err != nil {
 		return nil, err
 	}
@@ -286,7 +279,6 @@ func runFig14(cfg Config) (*Report, error) {
 			return nil, err
 		}
 		updated = target
-		s.Executor().InvalidateLocalIndexes()
 		qps, r, err := measure()
 		if err != nil {
 			return nil, err
@@ -297,7 +289,6 @@ func runFig14(cfg Config) (*Report, error) {
 	if _, err := tab.CompactAll(lsm.CompactionPolicy{MinSegments: 2, MaxMergeRows: 1 << 20}); err != nil {
 		return nil, err
 	}
-	s.Executor().InvalidateLocalIndexes()
 	qpsC, rC, err := measure()
 	if err != nil {
 		return nil, err

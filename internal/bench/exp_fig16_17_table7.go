@@ -1,19 +1,18 @@
 package bench
 
 import (
-	"context"
 	"fmt"
+	"strconv"
 	"time"
 
+	"blendhouse/internal/baseline/bh"
 	"blendhouse/internal/baseline/milvuslike"
 	"blendhouse/internal/baseline/pgvectorlike"
 	"blendhouse/internal/bench/dataset"
 	"blendhouse/internal/cache"
-	"blendhouse/internal/exec"
+	"blendhouse/internal/core"
 	"blendhouse/internal/index"
-	"blendhouse/internal/lsm"
 	"blendhouse/internal/plan"
-	"blendhouse/internal/sql"
 	"blendhouse/internal/storage"
 )
 
@@ -23,77 +22,49 @@ func init() {
 	register("table7", "Production workload: latency & recall with and without partitioning", runTable7)
 }
 
-// laionTable builds an LSM table over the LAION-like dataset with the
-// requested partitioning strategy. simbucket is the similarity
-// quartile, giving the scalar partitioner tight per-segment similarity
-// ranges. Segment sizing keeps the total segment count comparable
-// across strategies (~16) so pruning effectiveness — not per-segment
-// overhead — is what the experiment measures.
-func laionTable(cfg Config, ds *dataset.Dataset, name string, scalarPart bool, buckets int, store storage.BlobStore) (*lsm.Table, error) {
-	schema := &storage.Schema{Columns: []storage.ColumnDef{
-		{Name: "id", Type: storage.Int64Type},
-		{Name: "simbucket", Type: storage.Int64Type},
-		{Name: "similarity", Type: storage.Float64Type},
-		{Name: "caption", Type: storage.StringType},
-		{Name: "embedding", Type: storage.VectorType, Dim: ds.Spec.Dim},
-	}}
+// laionTable loads the LAION-like dataset into table t on an engine
+// over ecfg, with the requested partitioning strategy. simbucket is
+// the similarity quartile, giving the scalar partitioner tight
+// per-segment similarity ranges.
+func laionTable(cfg Config, ds *dataset.Dataset, scalarPart bool, buckets int, ecfg core.Config) (*core.Engine, error) {
 	n := ds.Vectors.Rows()
 	// Same segment-size cap for every strategy, so each variant ends
 	// with ~16 segments and pruning power — not per-segment overhead —
 	// is what the experiment compares. (The combined strategy has 16
 	// (partition, bucket) groups, which exactly matches the cap.)
-	segRows := n/16 + 1
-	opts := lsm.Options{
-		Name: name, Schema: schema,
-		IndexColumn: "embedding", IndexType: index.HNSW,
-		IndexParams: index.BuildParams{M: 12, EfConstruction: 120, Seed: cfg.Seed},
-		SegmentRows: segRows, Seed: cfg.Seed,
-		ClusterBuckets: buckets,
-	}
+	ecfg.SegmentRows = n/16 + 1
+	ecfg.Seed = cfg.Seed
+	ddl := "CREATE TABLE t (id Int64, simbucket Int64, similarity Float64, caption String, embedding Array(Float32), " +
+		bh.IndexDDL("embedding", index.HNSW, index.BuildParams{Dim: ds.Spec.Dim, M: 12, EfConstruction: 120, Seed: cfg.Seed}) + ")"
 	if scalarPart {
-		opts.PartitionBy = []string{"simbucket"}
+		ddl += " PARTITION BY simbucket"
 	}
-	tab, err := lsm.Create(store, opts)
-	if err != nil {
-		return nil, err
+	if buckets > 0 {
+		ddl += fmt.Sprintf(" CLUSTER BY embedding INTO %d BUCKETS", buckets)
 	}
-	batch := storage.NewRowBatch(schema)
-	for i := 0; i < n; i++ {
-		batch.Col("id").Ints = append(batch.Col("id").Ints, int64(i))
-		sb := int64(ds.Floats[i] * 4)
-		if sb > 3 {
-			sb = 3
+	return bh.Load(ecfg, ddl, func(b *storage.RowBatch) {
+		for i := 0; i < n; i++ {
+			b.Col("id").Ints = append(b.Col("id").Ints, int64(i))
+			sb := int64(ds.Floats[i] * 4)
+			if sb > 3 {
+				sb = 3
+			}
+			b.Col("simbucket").Ints = append(b.Col("simbucket").Ints, sb)
+			b.Col("similarity").Floats = append(b.Col("similarity").Floats, ds.Floats[i])
+			b.Col("caption").Strs = append(b.Col("caption").Strs, ds.Captions[i])
 		}
-		batch.Col("simbucket").Ints = append(batch.Col("simbucket").Ints, sb)
-		batch.Col("similarity").Floats = append(batch.Col("similarity").Floats, ds.Floats[i])
-		batch.Col("caption").Strs = append(batch.Col("caption").Strs, ds.Captions[i])
-	}
-	batch.Col("embedding").Vecs = append(batch.Col("embedding").Vecs, ds.Vectors.Data...)
-	if err := ingest(tab, batch); err != nil {
-		return nil, err
-	}
-	return tab, nil
+		b.Col("embedding").Vecs = append(b.Col("embedding").Vecs, ds.Vectors.Data...)
+	})
 }
 
-// laionQuery builds the paper's LAION workload SELECT: vector search
-// with a similarity range predicate and a caption regex.
-func laionQuery(ds *dataset.Dataset, qi int, threshold float64, withRegex bool) *sql.Select {
-	sel := &sql.Select{
-		Table:   "t",
-		Columns: []sql.SelectItem{{Name: "id"}},
-		Where: []sql.Predicate{
-			{Column: "similarity", Op: sql.OpBetween, Value: threshold, Value2: 1.0},
-		},
-		OrderBy: &sql.OrderBy{Distance: &sql.DistanceExpr{
-			Func: "L2Distance", Column: "embedding", Query: ds.Queries.Row(qi),
-		}},
-		Limit:    10,
-		Settings: map[string]int{"ef_search": 64},
-	}
-	if withRegex {
-		sel.Where = append(sel.Where, sql.Predicate{Column: "caption", Op: sql.OpRegexp, Value: "^[a-z]"})
-	}
-	return sel
+// laionQuery is the paper's LAION workload statement: the top-10 of
+// query qi among rows whose similarity lies in [threshold, 1.0],
+// projecting cols.
+func laionQuery(ds *dataset.Dataset, qi int, threshold float64, cols string) string {
+	b := fmt.Appendf(nil, "SELECT %s FROM t WHERE similarity BETWEEN %s AND 1.0 ORDER BY L2Distance(embedding, ",
+		cols, strconv.FormatFloat(threshold, 'g', -1, 64))
+	b = bh.AppendVector(b, ds.Queries.Row(qi))
+	return string(append(b, ") LIMIT 10 SETTINGS ef_search=64"...))
 }
 
 // runFig16 reproduces Figure 16: the LAION multi-predicate workload
@@ -119,37 +90,28 @@ func runFig16(cfg Config) (*Report, error) {
 	// Per-query similarity thresholds in [0.3, 0.9] — "a random range
 	// between a threshold and 1.0", per the paper's LAION workload.
 	thresholdOf := func(qi int) float64 { return 0.3 + 0.6*float64(qi%10)/10 }
+	ccCfg := cache.DefaultColumnCacheConfig()
 	for _, v := range variants {
-		tab, err := laionTable(cfg, ds, "t", v.scalar, v.buckets, storage.NewMemStore())
+		// SemanticFraction applies to the clustered variants only.
+		eng, err := laionTable(cfg, ds, v.scalar, v.buckets, core.Config{
+			Store: storage.NewMemStore(), ColumnCache: &ccCfg, SemanticFraction: 0.3,
+		})
 		if err != nil {
 			return nil, err
 		}
-		frac := 0.0
-		if v.buckets > 0 {
-			frac = 0.3
-		}
-		ccCfg := cache.DefaultColumnCacheConfig()
-		ex := &exec.Executor{Table: tab, Placement: lsm.NewIndexCache(tab.Store()), ColCache: cache.NewColumnCache(ccCfg), SemanticFraction: frac}
-		planner := plan.NewPlanner(plan.PlannerConfig{})
 		// Warm index loads before measuring.
-		if ph, err := planner.Plan(laionQuery(ds, 0, 0.3, false), tab); err == nil {
-			if _, err := ex.Run(context.Background(), ph); err != nil {
-				return nil, err
-			}
+		if _, err := bh.IDs(eng, laionQuery(ds, 0, 0.3, "id")); err != nil {
+			return nil, err
 		}
 		timing, err := MeasureSerial(cfg.Queries*2, func(qi int) error {
 			qq := qi % ds.Queries.Rows()
-			ph, err := planner.Plan(laionQuery(ds, qq, thresholdOf(qq), false), tab)
-			if err != nil {
-				return err
-			}
-			_, err = ex.Run(context.Background(), ph)
+			_, err := bh.IDs(eng, laionQuery(ds, qq, thresholdOf(qq), "id"))
 			return err
 		})
 		if err != nil {
 			return nil, err
 		}
-		rep.AddRow(v.label, fmt.Sprint(tab.SegmentCount()), fmtQPS(timing.QPS))
+		rep.AddRow(v.label, fmt.Sprint(eng.Table("t").SegmentCount()), fmtQPS(timing.QPS))
 	}
 	return rep, nil
 }
@@ -166,8 +128,7 @@ func runFig17(cfg Config) (*Report, error) {
 	rep.Note("paper Fig 17: READ_Opt +124%%, READ_Opt+Query_Opt +206%% vs baseline; shape check = monotone improvement")
 	ds := laionLike(cfg)
 	store := remoteStore()
-	tab, err := laionTable(cfg, ds, "t", false, 0, store)
-	if err != nil {
+	if _, err := laionTable(cfg, ds, false, 0, core.Config{Store: store}); err != nil {
 		return nil, err
 	}
 	threshold := 0.3
@@ -182,34 +143,29 @@ func runFig17(cfg Config) (*Report, error) {
 	}
 	var baseQPS float64
 	for i, v := range variants {
-		var cc *cache.ColumnCache
+		// Each variant is an engine of its own over the loaded store.
+		ecfg := core.Config{Store: store, Planner: v.planner}
 		if v.colCache {
 			ccCfg := cache.DefaultColumnCacheConfig()
-			cc = cache.NewColumnCache(ccCfg)
+			ecfg.ColumnCache = &ccCfg
 		}
-		ex := &exec.Executor{Table: tab, Placement: lsm.NewIndexCache(tab.Store()), ColCache: cc}
-		planner := plan.NewPlanner(v.planner)
+		eng, err := core.New(ecfg)
+		if err != nil {
+			return nil, err
+		}
 		// Queries project two scalar columns so the result-fetch I/O
 		// (the read amplification of §IV-C) is on the measured path.
-		mkSel := func(qi int) *sql.Select {
-			sel := laionQuery(ds, qi, threshold, false)
-			sel.Columns = []sql.SelectItem{{Name: "id"}, {Name: "similarity"}, {Name: "caption"}}
-			return sel
-		}
+		const cols = "id, similarity, caption"
 		// Warm one query (index loads, caches) before measuring.
-		if ph, err := planner.Plan(mkSel(0), tab); err == nil {
-			if _, err := ex.Run(context.Background(), ph); err != nil {
-				return nil, err
-			}
-		}
-		timing, err := MeasureSerial(cfg.Queries*4, func(qi int) error {
-			ph, err := planner.Plan(mkSel(qi%ds.Queries.Rows()), tab)
-			if err != nil {
+		_, err = bh.IDs(eng, laionQuery(ds, 0, threshold, cols))
+		var timing Timing
+		if err == nil {
+			timing, err = MeasureSerial(cfg.Queries*4, func(qi int) error {
+				_, err := bh.IDs(eng, laionQuery(ds, qi%ds.Queries.Rows(), threshold, cols))
 				return err
-			}
-			_, err = ex.Run(context.Background(), ph)
-			return err
-		})
+			})
+		}
+		eng.Close()
 		if err != nil {
 			return nil, err
 		}
@@ -251,47 +207,24 @@ func runTable7(cfg Config) (*Report, error) {
 
 	// BlendHouse variants (real engine).
 	for _, part := range []bool{false, true} {
-		tab, ex, planner, err := prodTable(cfg, ds, part)
+		eng, err := prodTable(cfg, ds, part)
 		if err != nil {
 			return nil, err
 		}
-		mkSel := func(qi int) *sql.Select {
-			return &sql.Select{
-				Table:   "t",
-				Columns: []sql.SelectItem{{Name: "id"}},
-				Where: []sql.Predicate{
-					{Column: "category", Op: sql.OpEq, Value: queryCat},
-					{Column: "ts", Op: sql.OpBetween, Value: tsLo, Value2: tsHi},
-				},
-				OrderBy: &sql.OrderBy{Distance: &sql.DistanceExpr{
-					Func: "L2Distance", Column: "embedding", Query: ds.Queries.Row(qi),
-				}},
-				Limit:    k,
-				Settings: map[string]int{"ef_search": 128},
-			}
+		stmt := func(qi int) string {
+			b := fmt.Appendf(nil, "SELECT id FROM t WHERE category = '%s' AND ts BETWEEN %d AND %d ORDER BY L2Distance(embedding, ",
+				queryCat, tsLo, tsHi)
+			b = bh.AppendVector(b, ds.Queries.Row(qi))
+			return string(fmt.Appendf(b, ") LIMIT %d SETTINGS ef_search=128", k))
 		}
 		// Warm index and column caches before measuring.
-		if ph, err := planner.Plan(mkSel(0), tab); err == nil {
-			if _, err := ex.Run(context.Background(), ph); err != nil {
-				return nil, err
-			}
+		if _, err := bh.IDs(eng, stmt(0)); err != nil {
+			return nil, err
 		}
 		got := make([][]int64, ds.Queries.Rows())
-		timing, err := MeasureSerial(ds.Queries.Rows(), func(qi int) error {
-			ph, err := planner.Plan(mkSel(qi), tab)
-			if err != nil {
-				return err
-			}
-			res, err := ex.Run(context.Background(), ph)
-			if err != nil {
-				return err
-			}
-			ids := make([]int64, len(res.Rows))
-			for i, row := range res.Rows {
-				ids[i] = row[0].(int64)
-			}
-			got[qi] = ids
-			return nil
+		timing, err := MeasureSerial(ds.Queries.Rows(), func(qi int) (err error) {
+			got[qi], err = bh.IDs(eng, stmt(qi))
+			return err
 		})
 		if err != nil {
 			return nil, err
@@ -425,47 +358,24 @@ func runTable7(cfg Config) (*Report, error) {
 	return rep, nil
 }
 
-// prodTable builds the production-like table, partitioned by category
+// prodTable loads the production-like table, partitioned by category
 // and clustered into semantic buckets when part is true.
-func prodTable(cfg Config, ds *dataset.Dataset, part bool) (*lsm.Table, *exec.Executor, *plan.Planner, error) {
-	schema := &storage.Schema{Columns: []storage.ColumnDef{
-		{Name: "id", Type: storage.Int64Type},
-		{Name: "category", Type: storage.StringType},
-		{Name: "region", Type: storage.StringType},
-		{Name: "ts", Type: storage.Int64Type},
-		{Name: "embedding", Type: storage.VectorType, Dim: ds.Spec.Dim},
-	}}
-	opts := lsm.Options{
-		Name: "t", Schema: schema,
-		IndexColumn: "embedding", IndexType: index.HNSW,
-		IndexParams: index.BuildParams{M: 12, EfConstruction: 120, Seed: cfg.Seed},
-		SegmentRows: 800, Seed: cfg.Seed,
-	}
-	if part {
-		opts.PartitionBy = []string{"category"}
-		opts.ClusterBuckets = 6
-	}
-	tab, err := lsm.Create(storage.NewMemStore(), opts)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	n := ds.Vectors.Rows()
-	batch := storage.NewRowBatch(schema)
-	for i := 0; i < n; i++ {
-		batch.Col("id").Ints = append(batch.Col("id").Ints, int64(i))
-		batch.Col("category").Strs = append(batch.Col("category").Strs, ds.Category[i])
-		batch.Col("region").Strs = append(batch.Col("region").Strs, ds.Region[i])
-		batch.Col("ts").Ints = append(batch.Col("ts").Ints, ds.TSMillis[i])
-	}
-	batch.Col("embedding").Vecs = append(batch.Col("embedding").Vecs, ds.Vectors.Data...)
-	if err := ingest(tab, batch); err != nil {
-		return nil, nil, nil, err
-	}
-	frac := 0.0
-	if part {
-		frac = 0.4
-	}
+func prodTable(cfg Config, ds *dataset.Dataset, part bool) (*core.Engine, error) {
 	ccCfg := cache.DefaultColumnCacheConfig()
-	ex := &exec.Executor{Table: tab, Placement: lsm.NewIndexCache(tab.Store()), ColCache: cache.NewColumnCache(ccCfg), SemanticFraction: frac}
-	return tab, ex, plan.NewPlanner(plan.PlannerConfig{}), nil
+	ecfg := core.Config{Store: storage.NewMemStore(), SegmentRows: 800, Seed: cfg.Seed, ColumnCache: &ccCfg}
+	ddl := "CREATE TABLE t (id Int64, category String, region String, ts Int64, embedding Array(Float32), " +
+		bh.IndexDDL("embedding", index.HNSW, index.BuildParams{Dim: ds.Spec.Dim, M: 12, EfConstruction: 120, Seed: cfg.Seed}) + ")"
+	if part {
+		ddl += " PARTITION BY category CLUSTER BY embedding INTO 6 BUCKETS"
+		ecfg.SemanticFraction = 0.4
+	}
+	return bh.Load(ecfg, ddl, func(b *storage.RowBatch) {
+		for i := 0; i < ds.Vectors.Rows(); i++ {
+			b.Col("id").Ints = append(b.Col("id").Ints, int64(i))
+			b.Col("category").Strs = append(b.Col("category").Strs, ds.Category[i])
+			b.Col("region").Strs = append(b.Col("region").Strs, ds.Region[i])
+			b.Col("ts").Ints = append(b.Col("ts").Ints, ds.TSMillis[i])
+		}
+		b.Col("embedding").Vecs = append(b.Col("embedding").Vecs, ds.Vectors.Data...)
+	})
 }

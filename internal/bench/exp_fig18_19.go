@@ -7,6 +7,7 @@ import (
 
 	"blendhouse/internal/baseline/bh"
 	"blendhouse/internal/bench/dataset"
+	"blendhouse/internal/core"
 	"blendhouse/internal/exec"
 	"blendhouse/internal/index"
 	"blendhouse/internal/lsm"
@@ -95,7 +96,7 @@ func runFig19(cfg Config) (*Report, error) {
 	n := ds.Vectors.Rows()
 	// Ingest in many small batches — the extremely-high-write-rate
 	// state — yielding ~32 small segments.
-	s := bh.New(bh.Config{TableName: "t", SegmentRows: n/32 + 1, Seed: cfg.Seed, M: 12, EfConstr: 120}, storage.NewMemStore())
+	s := bh.New(bh.Config{Engine: core.Config{SegmentRows: n/32 + 1, Seed: cfg.Seed}, TableName: "t", M: 12, EfConstr: 120}, storage.NewMemStore())
 	if err := s.Load(ds.Vectors.Data, ds.Spec.Dim, seqAttrs(n)); err != nil {
 		return nil, err
 	}
@@ -112,7 +113,7 @@ func runFig19(cfg Config) (*Report, error) {
 		return t.QPS, err
 	}
 	// Measure, then compact in steps, re-measuring at each bin.
-	tab := s.Table()
+	tab := s.Engine().Table("t")
 	prevSegs := -1
 	for {
 		segs := tab.SegmentCount()
@@ -133,7 +134,6 @@ func runFig19(cfg Config) (*Report, error) {
 		if _, err := tab.CompactOnce(lsm.CompactionPolicy{MinSegments: 2, MaxMergeRows: n/3 + 1}); err != nil {
 			return nil, err
 		}
-		s.Executor().InvalidateLocalIndexes()
 	}
 	return rep, nil
 }

@@ -8,6 +8,7 @@ import (
 	"blendhouse/internal/baseline"
 	"blendhouse/internal/baseline/bh"
 	"blendhouse/internal/bench/dataset"
+	"blendhouse/internal/core"
 	"blendhouse/internal/index"
 	"blendhouse/internal/storage"
 )
@@ -134,17 +135,12 @@ func runTable4(cfg Config) (*Report, error) {
 
 // indexTypeSet builds BlendHouse instances per index type for Tables
 // V/VI and Figure 13.
-func indexTypeSet(cfg Config, useRemote bool) map[string]*bh.Store {
-	mk := func() storage.BlobStore {
-		if useRemote {
-			return remoteStore()
-		}
-		return fastStore()
-	}
+func indexTypeSet(cfg Config) map[string]*bh.Store {
+	eng := core.Config{SegmentRows: 1500, Seed: cfg.Seed}
 	return map[string]*bh.Store{
-		"BH-HNSW":    bh.New(bh.Config{TableName: "hnsw", IndexType: index.HNSW, SegmentRows: 1500, Seed: cfg.Seed, M: 12, EfConstr: 120}, mk()),
-		"BH-HNSWSQ":  bh.New(bh.Config{TableName: "hnswsq", IndexType: index.HNSWSQ, SegmentRows: 1500, Seed: cfg.Seed, M: 12, EfConstr: 120}, mk()),
-		"BH-IVFPQFS": bh.New(bh.Config{TableName: "ivfpqfs", IndexType: index.IVFPQFS, SegmentRows: 1500, Seed: cfg.Seed, AutoIndex: true}, mk()),
+		"BH-HNSW":    bh.New(bh.Config{Engine: eng, TableName: "hnsw", IndexType: index.HNSW, M: 12, EfConstr: 120}, fastStore()),
+		"BH-HNSWSQ":  bh.New(bh.Config{Engine: eng, TableName: "hnswsq", IndexType: index.HNSWSQ, M: 12, EfConstr: 120}, fastStore()),
+		"BH-IVFPQFS": bh.New(bh.Config{Engine: core.Config{SegmentRows: 1500, Seed: cfg.Seed, AutoIndex: true}, TableName: "ivfpqfs", IndexType: index.IVFPQFS}, fastStore()),
 	}
 }
 
@@ -159,7 +155,7 @@ func runTable5(cfg Config) (*Report, error) {
 		Headers: []string{"Index", "Cohere-like"}}
 	rep.Note("paper Table V: HNSW 559 > HNSWSQ 352 > IVFPQFS 265 (s, Cohere); shape check = same ordering")
 	ds := cohereLike(cfg)
-	systems := indexTypeSet(cfg, false)
+	systems := indexTypeSet(cfg)
 	attrs := seqAttrs(ds.Vectors.Rows())
 	times := map[string]time.Duration{}
 	for name, s := range systems {
@@ -184,14 +180,17 @@ func runTable6(cfg Config) (*Report, error) {
 		Headers: []string{"Index", "Size (MB)", "vs HNSW"}}
 	rep.Note("paper Table VI: HNSW 596GB > HNSWSQ 238GB > IVFPQFS 91GB; shape check = same ordering & similar ratios (~2.5x, ~6.5x)")
 	ds := cohereLike(cfg)
-	systems := indexTypeSet(cfg, false)
+	systems := indexTypeSet(cfg)
 	attrs := seqAttrs(ds.Vectors.Rows())
 	sizes := map[string]int64{}
 	for name, s := range systems {
-		if err := s.Load(ds.Vectors.Data, ds.Spec.Dim, attrs); err != nil {
+		err := s.Load(ds.Vectors.Data, ds.Spec.Dim, attrs)
+		if err != nil {
 			return nil, err
 		}
-		sizes[name] = s.MemoryBytes()
+		if sizes[name], err = s.MemoryBytes(); err != nil {
+			return nil, fmt.Errorf("%s: %w", name, err)
+		}
 	}
 	base := float64(sizes["BH-HNSW"])
 	for _, name := range indexTypeOrder {
@@ -211,7 +210,7 @@ func runFig13(cfg Config) (*Report, error) {
 	ds := cohereLike(cfg)
 	attrs := seqAttrs(ds.Vectors.Rows())
 	truth := ds.GroundTruth(datasetMetric, 10, nil)
-	systems := indexTypeSet(cfg, false)
+	systems := indexTypeSet(cfg)
 	for _, name := range indexTypeOrder {
 		s := systems[name]
 		if err := s.Load(ds.Vectors.Data, ds.Spec.Dim, attrs); err != nil {

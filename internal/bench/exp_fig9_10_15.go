@@ -1,11 +1,14 @@
 package bench
 
 import (
+	"context"
 	"fmt"
+	"strings"
 
 	"blendhouse/internal/baseline"
 	"blendhouse/internal/baseline/bh"
 	"blendhouse/internal/bench/dataset"
+	"blendhouse/internal/core"
 	"blendhouse/internal/index"
 	"blendhouse/internal/plan"
 	"blendhouse/internal/storage"
@@ -126,10 +129,26 @@ func runFig10(cfg Config) (*Report, error) {
 	return rep, nil
 }
 
+// explainStrategy is the strategy the engine's EXPLAIN of stmt names
+// on its "plan: B (pre-filter)" line.
+func explainStrategy(eng *core.Engine, stmt string) (string, error) {
+	res, err := eng.Query(context.Background(), "EXPLAIN "+stmt, core.QueryOptions{})
+	if err != nil {
+		return "", err
+	}
+	line := res.Rows[0][0].(string)
+	i, j := strings.IndexByte(line, '('), strings.LastIndexByte(line, ')')
+	if !strings.HasPrefix(line, "plan: ") || i < 0 || j < i {
+		return "", fmt.Errorf("EXPLAIN: unexpected first line %q", line)
+	}
+	return line[i+1 : j], nil
+}
+
 // runFig15 reproduces Figure 15: the paper's 1%-selectivity hybrid
 // workload (s=0.99) with the cost-based optimizer on vs off. With CBO
 // the planner picks post-filter; without it the default pre-filter
-// pays a full-table structured scan per query.
+// pays a full-table structured scan per query. The strategy column is
+// the engine's EXPLAIN of the measured statement.
 func runFig15(cfg Config) (*Report, error) {
 	cfg = cfg.WithDefaults()
 	rep := &Report{ID: "fig15", Title: "QPS at recall@0.99 with and without the CBO",
@@ -155,8 +174,8 @@ func runFig15(cfg Config) (*Report, error) {
 			{"off", plan.PlannerConfig{DisableCBO: true}},
 		} {
 			s := bh.New(bh.Config{
-				TableName: "t", SegmentRows: 8000, Seed: cfg.Seed,
-				M: 8, EfConstr: 60, Planner: mode.planner,
+				Engine:    core.Config{Planner: mode.planner, SegmentRows: 8000, Seed: cfg.Seed},
+				TableName: "t", M: 8, EfConstr: 60,
 			}, storage.NewMemStore())
 			if err := s.Load(ds.Vectors.Data, ds.Spec.Dim, seqAttrs(n)); err != nil {
 				return nil, err
@@ -173,10 +192,12 @@ func runFig15(cfg Config) (*Report, error) {
 			if err != nil {
 				return nil, err
 			}
-			// Recover which strategy the planner picked.
-			strategy := "post-filter"
+			strategy, err := explainStrategy(s.Engine(), s.Statement(ds.Queries.Row(0), 10, lo, hi, p))
+			if err != nil {
+				return nil, err
+			}
 			if mode.planner.DisableCBO {
-				strategy = "pre-filter (default)"
+				strategy += " (default)"
 			}
 			rep.AddRow(mk.label, mode.label, strategy, fmtQPS(timing.QPS))
 		}
