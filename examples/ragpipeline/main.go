@@ -80,7 +80,7 @@ func main() {
 	//    the new version as a fresh segment and masks the old rows via
 	//    a delete bitmap — no index mutation anywhere.
 	tab := engine.Table("chunks")
-	top := topChunk(engine, q)
+	top, oldDist := topChunk(engine, q)
 	fmt.Printf("re-ingesting chunk %d with a new embedding...\n\n", top)
 	far := make([]float32, dim)
 	for i := range far {
@@ -93,23 +93,28 @@ func main() {
 	if _, err := tab.Update(context.Background(), "chunk_id", upd); err != nil {
 		log.Fatal(err)
 	}
-	engine.Executor("chunks").InvalidateLocalIndexes()
 
 	fmt.Println("-- same retrieval after the update (old version invisible) --")
-	show(engine, fmt.Sprintf(
+	rows := show(engine, fmt.Sprintf(
 		`SELECT chunk_id, source, dist FROM chunks
 		 ORDER BY L2Distance(embedding, %s) AS dist
 		 LIMIT 5 SETTINGS ef_search=96`, vecLit(q)))
+	for _, row := range rows {
+		if row[0].(int64) == top && row[2].(float64) == oldDist {
+			log.Fatalf("chunk %d is still retrieved at its old distance %.4f after the update", top, oldDist)
+		}
+	}
 	fmt.Printf("rows marked deleted awaiting compaction: %d\n", tab.DeletedRows())
 }
 
-func topChunk(e *core.Engine, q []float32) int64 {
+// topChunk returns the chunk nearest q and its distance.
+func topChunk(e *core.Engine, q []float32) (int64, float64) {
 	res, err := e.Exec(context.Background(), fmt.Sprintf(
-		`SELECT chunk_id FROM chunks ORDER BY L2Distance(embedding, %s) LIMIT 1`, vecLit(q)))
+		`SELECT chunk_id, dist FROM chunks ORDER BY L2Distance(embedding, %s) AS dist LIMIT 1`, vecLit(q)))
 	if err != nil {
 		log.Fatal(err)
 	}
-	return res.Rows[0][0].(int64)
+	return res.Rows[0][0].(int64), res.Rows[0][1].(float64)
 }
 
 func mustExec(e *core.Engine, sqlText string) {
@@ -118,7 +123,8 @@ func mustExec(e *core.Engine, sqlText string) {
 	}
 }
 
-func show(e *core.Engine, sqlText string) {
+// show prints a query's result and returns its rows.
+func show(e *core.Engine, sqlText string) [][]any {
 	res, err := e.Exec(context.Background(), sqlText)
 	if err != nil {
 		log.Fatal(err)
@@ -136,6 +142,7 @@ func show(e *core.Engine, sqlText string) {
 		fmt.Println(strings.Join(cells, "\t"))
 	}
 	fmt.Println()
+	return res.Rows
 }
 
 func vecLit(v []float32) string {

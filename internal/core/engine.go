@@ -8,6 +8,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -35,9 +36,9 @@ import (
 )
 
 // Engine-level query metrics. The cache and planner counters are
-// published lazily as callback gauges in New — the existing Stats()
-// methods stay the single source of truth; the registry just reads
-// them at snapshot time.
+// published as callback gauges in New (registerStatGauges) — the
+// existing Stats() methods stay the single source of truth; the
+// registry just reads them at snapshot time.
 var (
 	mQueries      = obs.Default().Counter("bh.query.total")
 	mQueryLatency = obs.Default().Histogram("bh.query.latency")
@@ -154,6 +155,10 @@ type Engine struct {
 
 	// batcher is the multi-query batching scheduler (nil = disabled).
 	batcher *batch.Scheduler
+
+	// gauges are the engine's stat sources by metric name
+	// (registerStatGauges).
+	gauges map[string]func() int64
 }
 
 // New builds an engine, reopening any tables already present in the
@@ -230,37 +235,67 @@ func New(cfg Config) (*Engine, error) {
 	return e, nil
 }
 
+// openEngines lists the open engines, oldest first. The process-wide
+// stat gauges read the newest open engine with the source, SHOW METRICS
+// its own engine's; Close takes an engine off the list, so the registry
+// keeps no closed engine reachable.
+var openEngines struct {
+	sync.Mutex
+	list []*Engine
+}
+
 // registerStatGauges publishes the engine's existing stat sources
 // (column cache, planner, storage stack) as callback gauges: the
 // counters keep living where they are, and the registry evaluates
 // them only when a snapshot is taken — no second bookkeeping path.
 func (e *Engine) registerStatGauges() {
-	reg := obs.Default()
-	if cc := e.colCache; cc != nil {
-		reg.RegisterFunc("bh.cache.column.hits", func() int64 { h, _, _ := cc.Stats(); return h })
-		reg.RegisterFunc("bh.cache.column.misses", func() int64 { _, m, _ := cc.Stats(); return m })
-		reg.RegisterFunc("bh.cache.column.bypasses", func() int64 { _, _, b := cc.Stats(); return b })
-	}
 	pl := e.planner
-	reg.RegisterFunc("bh.plan.cache.hits", func() int64 { h, _, _ := pl.Stats(); return h })
-	reg.RegisterFunc("bh.plan.cache.misses", func() int64 { _, m, _ := pl.Stats(); return m })
-	reg.RegisterFunc("bh.plan.short_circuits", func() int64 { _, _, s := pl.Stats(); return s })
-	// Breaker state is published per-engine as a live callback on THIS
-	// engine's store, not as a shared gauge written by every RetryStore
-	// in the process (test stores would make it reflect whichever
-	// instance transitioned last). The tier may wrap the retry store,
-	// so the handle kept at construction is used instead of cfg.Store.
+	e.gauges = map[string]func() int64{
+		"bh.plan.cache.hits":     func() int64 { h, _, _ := pl.Stats(); return h },
+		"bh.plan.cache.misses":   func() int64 { _, m, _ := pl.Stats(); return m },
+		"bh.plan.short_circuits": func() int64 { _, _, s := pl.Stats(); return s },
+	}
+	if cc := e.colCache; cc != nil {
+		e.gauges["bh.cache.column.hits"] = func() int64 { h, _, _ := cc.Stats(); return h }
+		e.gauges["bh.cache.column.misses"] = func() int64 { _, m, _ := cc.Stats(); return m }
+		e.gauges["bh.cache.column.bypasses"] = func() int64 { _, _, b := cc.Stats(); return b }
+	}
+	// Breaker state is this engine's store's, not a shared gauge written
+	// by every RetryStore in the process. The tier may wrap the retry
+	// store, so the handle kept at construction is used instead of
+	// cfg.Store.
 	rs := e.retryStore
 	if rs == nil {
 		rs, _ = e.cfg.Store.(*storage.RetryStore)
 	}
 	if rs != nil {
-		reg.RegisterFunc("bh.storage.breaker_state", func() int64 { return int64(rs.BreakerState()) })
+		e.gauges["bh.storage.breaker_state"] = func() int64 { return int64(rs.BreakerState()) }
 	}
 	if ts := e.tier; ts != nil {
-		reg.RegisterFunc("bh.storage.tier.mem_bytes", func() int64 { return ts.TierStats().MemBytes })
-		reg.RegisterFunc("bh.storage.tier.disk_bytes", func() int64 { return ts.TierStats().DiskBytes })
+		e.gauges["bh.storage.tier.mem_bytes"] = func() int64 { return ts.TierStats().MemBytes }
+		e.gauges["bh.storage.tier.disk_bytes"] = func() int64 { return ts.TierStats().DiskBytes }
 	}
+	openEngines.Lock()
+	openEngines.list = append(openEngines.list, e)
+	openEngines.Unlock()
+	for name := range e.gauges {
+		obs.Default().RegisterFunc(name, func() int64 { return newestStat(name) })
+	}
+}
+
+// newestStat evaluates the named stat gauge of the newest open engine
+// that has it (0 when none does).
+func newestStat(name string) int64 {
+	openEngines.Lock()
+	var fn func() int64
+	for i := len(openEngines.list) - 1; i >= 0 && fn == nil; i-- {
+		fn = openEngines.list[i].gauges[name]
+	}
+	openEngines.Unlock()
+	if fn == nil {
+		return 0
+	}
+	return fn()
 }
 
 func (e *Engine) registerTable(t *lsm.Table) error {
@@ -323,6 +358,9 @@ func (e *Engine) Close() {
 			// WAL, where the next Open replays them.
 			_ = t.CloseWAL()
 		}
+		openEngines.Lock()
+		openEngines.list = slices.DeleteFunc(openEngines.list, func(o *Engine) bool { return o == e })
+		openEngines.Unlock()
 	})
 }
 
@@ -458,7 +496,7 @@ func (e *Engine) dispatch(ctx context.Context, st sql.Statement, opts QueryOptio
 	case *sql.ShowTables:
 		return e.showTables(), nil
 	case *sql.ShowMetrics:
-		return showMetrics(), nil
+		return e.showMetrics(), nil
 	case *sql.ShowTraces:
 		return showTraces(), nil
 	case *sql.Explain:

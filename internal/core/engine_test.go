@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"os"
@@ -19,6 +20,7 @@ import (
 	"blendhouse/internal/plan"
 	"blendhouse/internal/storage"
 	"blendhouse/internal/vec"
+	"blendhouse/pkg/api"
 )
 
 const (
@@ -299,6 +301,27 @@ func TestInsertCSVInfile(t *testing.T) {
 	out := mustExec(t, e, `SELECT id, name FROM t ORDER BY L2Distance(v, [0.3, 0.4]) LIMIT 1`)
 	if out.Rows[0][0].(int64) != 2 || out.Rows[0][1].(string) != "beta" {
 		t.Fatalf("row = %v", out.Rows[0])
+	}
+}
+
+// An INFILE vector cell may not spell a non-finite element: the load
+// fails as a validation error naming the line and column, and no row
+// of the file is inserted.
+func TestInsertCSVInfileRejectsNonFinite(t *testing.T) {
+	e := newEngine(t, Config{})
+	mustExec(t, e, `CREATE TABLE t (id UInt64, v Array(Float32), INDEX i v TYPE FLAT('DIM=2'))`)
+	for _, bad := range []string{"NaN", "Inf", "-Inf"} {
+		path := filepath.Join(t.TempDir(), "data.csv")
+		if err := os.WriteFile(path, []byte("1,0.1;0.2\n2,0.3;"+bad+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := e.Exec(context.Background(), fmt.Sprintf(`INSERT INTO t CSV INFILE '%s'`, path))
+		if !errors.Is(err, api.ErrPlan) || !strings.Contains(err.Error(), `csv line 2 column "v"`) {
+			t.Errorf("%s: INFILE error %v, want api.ErrPlan naming csv line 2 column \"v\"", bad, err)
+		}
+	}
+	if res := mustExec(t, e, `SELECT id FROM t WHERE id >= 0`); len(res.Rows) != 0 {
+		t.Fatalf("%d rows inserted from rejected files", len(res.Rows))
 	}
 }
 

@@ -123,10 +123,14 @@ func segmentKinds(segs []*storage.SegmentMeta) string {
 }
 
 // showMetrics renders the process-wide registry as a two-column
-// result: SHOW METRICS.
-func showMetrics() *exec.Result {
+// result: SHOW METRICS. The engine's own stat gauges replace the
+// registry's, which read the newest open engine.
+func (e *Engine) showMetrics() *exec.Result {
 	res := &exec.Result{Columns: []string{"metric", "value"}}
 	for _, kv := range obs.Default().Snapshot() {
+		if fn := e.gauges[kv.Key]; fn != nil {
+			kv.Value = fn()
+		}
 		res.Rows = append(res.Rows, []any{kv.Key, kv.Value})
 	}
 	return res

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"regexp"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -12,6 +13,8 @@ import (
 	"time"
 
 	"blendhouse/internal/cache"
+	"blendhouse/internal/obs"
+	"blendhouse/internal/plan"
 	"blendhouse/internal/storage"
 )
 
@@ -198,6 +201,55 @@ func TestShowMetricsNonZeroAfterQueries(t *testing.T) {
 	if plans < vals["bh.query.vector.total"] {
 		t.Fatalf("plan counters (%d) < vector queries (%d)", plans, vals["bh.query.vector.total"])
 	}
+}
+
+// SHOW METRICS reads its own engine's stat gauges, whatever engines the
+// process built since; once an engine closes, the process-wide gauges
+// read the newest open one and the registry no longer holds the closed
+// engine's planner.
+func TestShowMetricsReadsOwnEngine(t *testing.T) {
+	a := newEngine(t, Config{})
+	ds := seedImages(t, a)
+	q := fmt.Sprintf("SELECT id FROM images WHERE label IN ('city', 'beach') ORDER BY L2Distance(embedding, %s) LIMIT 5", vecLit(ds.Queries.Row(0)))
+	mustExec(t, a, q)
+	mustExec(t, a, q)
+	hits, misses, _ := a.Planner().Stats()
+	if hits == 0 || misses == 0 {
+		t.Fatalf("plan cache hits %d, misses %d after a repeated query", hits, misses)
+	}
+
+	b, err := New(Config{Store: storage.NewMemStore(), WAL: noFlushWAL()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	collected := make(chan struct{})
+	runtime.SetFinalizer(b.Planner(), func(*plan.Planner) { close(collected) })
+	b.Close()
+	b = nil
+
+	shown := map[string]int64{}
+	for _, r := range mustExec(t, a, "SHOW METRICS").Rows {
+		shown[r[0].(string)] = r[1].(int64)
+	}
+	registry := map[string]int64{}
+	for _, kv := range obs.Default().Snapshot() {
+		registry[kv.Key] = kv.Value
+	}
+	for name, m := range map[string]map[string]int64{"SHOW METRICS": shown, "the registry": registry} {
+		if m["bh.plan.cache.hits"] != hits || m["bh.plan.cache.misses"] != misses {
+			t.Errorf("%s: plan cache hits %d, misses %d; the engine's planner counted %d, %d",
+				name, m["bh.plan.cache.hits"], m["bh.plan.cache.misses"], hits, misses)
+		}
+	}
+	for i := 0; i < 50; i++ {
+		runtime.GC()
+		select {
+		case <-collected:
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	t.Fatal("a closed engine's planner is still reachable")
 }
 
 // TestExplainCostsDeterministic: the cost constants are a committed

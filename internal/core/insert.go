@@ -5,6 +5,7 @@ import (
 	"encoding/csv"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -180,6 +181,11 @@ func readCSVRows(path string, schema *storage.Schema) ([][]any, error) {
 					fl, err := strconv.ParseFloat(strings.TrimSpace(p), 32)
 					if err != nil {
 						return nil, fmt.Errorf("core: csv line %d vector %q: %w", ri+1, def.Name, err)
+					}
+					// ParseFloat accepts NaN and ±Inf, which INSERT ... VALUES
+					// cannot spell and no distance orders.
+					if math.IsNaN(fl) || math.IsInf(fl, 0) {
+						return nil, planErr(fmt.Errorf("csv line %d column %q: vector element %d is %s, not a finite number", ri+1, def.Name, i, strings.TrimSpace(p)))
 					}
 					vecv[i] = float32(fl)
 				}

@@ -276,8 +276,7 @@ func TestBatchedBuildRecall(t *testing.T) {
 
 // pairDist is the distance the per-pair build scored: a fresh anchor at
 // node i for every pair; for SQ IP and cosine, i's code decoded and
-// queried — encoded again when the quantizer is uniform, else on the
-// float paths.
+// encoded again as a query.
 func pairDist(ix *Index, i, j int) float32 {
 	switch st := ix.store.(type) {
 	case *floatStore:
@@ -287,18 +286,16 @@ func pairDist(ix *Index, i, j int) float32 {
 			return st.sq.CodeL2Squared(st.code(i), st.code(j))
 		}
 		dec := make([]float32, st.dim)
+		qc := make([]byte, st.dim)
 		st.sq.Decode(st.code(i), dec)
-		sym, ok := st.sq.NewSymQuery(dec)
-		switch {
-		case ok && st.metric == vec.InnerProduct:
+		st.sq.Encode(dec, qc)
+		sum, sumSq := quant.CodeStats(qc)
+		var sym quant.SymQuery
+		st.sq.SetSymCode(&sym, qc, sum, sumSq)
+		if st.metric == vec.InnerProduct {
 			return -sym.DotDecoded(st.code(j), st.sums[j])
-		case ok:
-			return sym.CosineDecoded(st.code(j), st.sums[j], st.sumSqs[j])
-		case st.metric == vec.InnerProduct:
-			w, bias := st.sq.DotTable(dec)
-			return -quant.DotWithTable(w, bias, st.code(j))
 		}
-		return st.sq.CosineToCode(dec, st.code(j), vec.Dot(dec, dec))
+		return sym.CosineDecoded(st.code(j), st.sums[j], st.sumSqs[j])
 	}
 	panic("unknown store")
 }
@@ -346,10 +343,9 @@ func selectPerPair(ix *Index, cands []scored, m int) []scored {
 // The batched heuristic — four kept neighbours per call — keeps exactly
 // what the per-pair loop keeps, in the same order, on random candidate
 // lists over clustered data, for every metric and store. HNSWSQ runs
-// three quantizers: as trained, where a node anchors as its stored
-// code; trained on data far from zero, where not every code survives a
-// decode and encode, so a node anchors decoded and encoded again; and
-// non-uniform, as Load can meet one (a NaN range), on the float paths.
+// two quantizers: as trained, where a node anchors as its stored code;
+// and trained on data far from zero, where not every code survives a
+// decode and encode, so a node anchors decoded and encoded again.
 // The last rows repeat the first ones, and half the lists hold the
 // base's twin: once kept, it ties every later candidate's distance
 // exactly, so a test that should be strict is checked where it matters.
@@ -369,7 +365,7 @@ func TestHeuristicsMatchPerPairLoop(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(29))
 	for _, m := range buildMetrics {
-		for _, store := range []string{"HNSW", "HNSWSQ", "HNSWSQ far from zero", "HNSWSQ non-uniform"} {
+		for _, store := range []string{"HNSW", "HNSWSQ", "HNSWSQ far from zero"} {
 			ix, err := New(index.BuildParams{Dim: dim, Metric: m, M: 8, EfConstruction: 40, Seed: 2}.WithDefaults(), store != "HNSW")
 			if err != nil {
 				t.Fatal(err)
@@ -382,13 +378,6 @@ func TestHeuristicsMatchPerPairLoop(t *testing.T) {
 				t.Fatal(err)
 			}
 			if st, ok := ix.store.(*sqStore); ok {
-				if store == "HNSWSQ non-uniform" {
-					sq := *st.sq
-					sq.Step = slices.Clone(sq.Step)
-					sq.Step[dim/2] *= 1.5
-					sq.Uniform = false
-					st.use(&sq)
-				}
 				if want := store == "HNSWSQ"; st.exact != want {
 					t.Fatalf("%s: exact %v, want %v", store, st.exact, want)
 				}

@@ -506,7 +506,7 @@ func TestMemoryBytesTracksSlabs(t *testing.T) {
 			case *floatStore:
 				held += 4 * cap(st.data)
 			case *sqStore:
-				held += cap(st.codes) + 4*(cap(st.sums)+cap(st.sumSqs)) + 4*(len(st.sq.Min)+len(st.sq.Step))
+				held += cap(st.codes) + 4*(cap(st.sums)+cap(st.sumSqs)) + 8*st.dim // and the saved pairs
 			}
 			got := ix.MemoryBytes()
 			if diff := math.Abs(float64(got) - float64(held)); diff > 0.05*float64(held) {
@@ -739,6 +739,30 @@ func TestLoadCorruptBlob(t *testing.T) {
 				mutated[rng.Intn(len(mutated))] ^= byte(1 << rng.Intn(8))
 				loadAndProbe(t, what("bit flip"), p, quantized, mutated)
 			}
+		}
+	}
+}
+
+// An HNSWSQ blob saves its one (min, step) pair once per dimension; a
+// blob in which one dimension's step differs describes a per-dimension
+// quantizer, which no build writes, and is refused as corrupt in every
+// wire version.
+func TestLoadRejectsPerDimensionSQRange(t *testing.T) {
+	p, v3 := smallBlob(t, true)
+	for version, blob := range wireVersions(v3) {
+		// The payload ends the blob: nParams u64 | dim u32 | dim×(min | step)
+		// | nCodes u64 | codes.
+		codes := len(v3) - layoutV3(v3).payload - 8 - 8 - (4 + 8*p.Dim)
+		step := len(blob) - codes - 8 - 8*p.Dim + 8*(p.Dim/2) + 4
+		mutated := bytes.Clone(blob)
+		s := math.Float32frombits(binary.LittleEndian.Uint32(mutated[step:]))
+		binary.LittleEndian.PutUint32(mutated[step:], math.Float32bits(1.5*s))
+		ix, err := New(p, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ix.Load(mutated); !errors.Is(err, index.ErrCorrupt) {
+			t.Errorf("%s: Load of a blob with dimension %d's step %v → %v: %v, want ErrCorrupt", version, p.Dim/2, s, 1.5*s, err)
 		}
 	}
 }

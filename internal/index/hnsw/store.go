@@ -38,12 +38,9 @@ type store interface {
 // form the store's kernel takes it. It borrows the query or the stored
 // node it was set to; buf and dec are its own.
 type anchor struct {
-	v    []float32      // float store, SQ float paths: the point
-	code []byte         // SQ integer kernels: the point's code
+	v    []float32      // float store: the point
+	code []byte         // SQ: the point's code
 	sym  quant.SymQuery // ... with IP and cosine: its expansion terms
-	w    []float32      // SQ float path, IP: the query-side weights
-	bias float32        // ... and bias
-	norm float32        // SQ float path, cosine: Dot(v, v)
 	buf  []byte         // SQ: an encoded query
 	dec  []float32      // SQ: a decoded node
 }
@@ -76,11 +73,11 @@ func (s *floatStore) trained() bool         { return true }
 func (s *floatStore) train([]float32) error { return nil }
 
 // sqStore keeps SQ8 codes — 1 byte per dimension (HNSWSQ), quantized
-// uniformly so code-to-code L2 is an integer kernel. Queries are
+// over one range so code-to-code L2 is an integer kernel. Queries are
 // encoded once per search. Per-node code sums (Σc, Σc²) are maintained
-// at add time so the uniform IP/Cosine fast paths reduce each node
-// visit to one integer dot product — search never decodes a node back
-// to float32 on any metric.
+// at add time so IP and cosine reduce each node visit to one integer
+// dot product — search never decodes a node back to float32 on any
+// metric.
 type sqStore struct {
 	dim    int
 	metric vec.Metric
@@ -127,13 +124,13 @@ func (s *sqStore) rebuildStats() {
 	}
 }
 
-// use installs the quantizer and notes whether it is uniform with every
-// code surviving Decode then Encode. A code may not where Min lies far
-// from zero against Step: float32 cannot hold Min + c·Step finely
-// enough. Uniform means one dimension answers for all.
+// use installs the quantizer and notes whether every code survives
+// Decode then Encode. A code may not where Min lies far from zero
+// against Step: float32 cannot hold Min + c·Step finely enough. One
+// dimension answers for all, since they share the range.
 func (s *sqStore) use(sq *quant.ScalarQuantizer) {
-	s.sq, s.exact = sq, sq.Uniform
-	one := quant.ScalarQuantizer{Dim: 1, Min: sq.Min[:1], Step: sq.Step[:1]}
+	s.sq, s.exact = sq, true
+	one := quant.ScalarQuantizer{Dim: 1, Min: sq.Min, Step: sq.Step}
 	var v [1]float32
 	var c, back [1]byte
 	for k := 0; k < 256 && s.exact; k++ {
@@ -144,24 +141,15 @@ func (s *sqStore) use(sq *quant.ScalarQuantizer) {
 	}
 }
 
-// query encodes q once where the integer kernels run — L2, and IP and
-// cosine through a uniform quantizer's symmetric expansion; IP and
-// cosine over a non-uniform one take the float paths.
+// query encodes q once for the integer kernels, with the symmetric
+// expansion terms for IP and cosine.
 func (s *sqStore) query(a *anchor, q []float32) {
-	if s.metric == vec.L2 || s.sq.Uniform {
-		a.buf = slices.Grow(a.buf[:0], s.dim)[:s.dim]
-		s.sq.Encode(q, a.buf)
-		a.code = a.buf
-		if s.metric != vec.L2 {
-			sum, sumSq := quant.CodeStats(a.buf)
-			s.sq.SetSymCode(&a.sym, a.buf, sum, sumSq)
-		}
-		return
-	}
-	if a.v = q; s.metric == vec.InnerProduct {
-		a.w, a.bias = s.sq.DotTable(q)
-	} else {
-		a.norm = vec.Dot(q, q)
+	a.buf = slices.Grow(a.buf[:0], s.dim)[:s.dim]
+	s.sq.Encode(q, a.buf)
+	a.code = a.buf
+	if s.metric != vec.L2 {
+		sum, sumSq := quant.CodeStats(a.buf)
+		s.sq.SetSymCode(&a.sym, a.buf, sum, sumSq)
 	}
 }
 
@@ -189,14 +177,10 @@ func (s *sqStore) dists(a *anchor, nodes []uint32, out []float32) {
 		switch {
 		case s.metric == vec.L2:
 			out[k] = s.sq.CodeL2Squared(a.code, c)
-		case s.metric == vec.InnerProduct && s.sq.Uniform:
-			out[k] = -a.sym.DotDecoded(c, s.sums[i])
-		case s.sq.Uniform:
-			out[k] = a.sym.CosineDecoded(c, s.sums[i], s.sumSqs[i])
 		case s.metric == vec.InnerProduct:
-			out[k] = -quant.DotWithTable(a.w, a.bias, c)
+			out[k] = -a.sym.DotDecoded(c, s.sums[i])
 		default:
-			out[k] = s.sq.CosineToCode(a.v, c, a.norm)
+			out[k] = a.sym.CosineDecoded(c, s.sums[i], s.sumSqs[i])
 		}
 	}
 }
@@ -212,7 +196,7 @@ func (s *sqStore) memoryBytes() int64 {
 	n := int64(cap(s.codes))
 	n += int64(4 * (cap(s.sums) + cap(s.sumSqs))) // per-node Σc / Σc² fast-path tables
 	if s.sq != nil {
-		n += int64(8 * s.dim) // min/step tables
+		n += int64(8 * s.dim) // the saved min/step pairs
 	}
 	return n
 }
@@ -224,7 +208,7 @@ func (s *sqStore) train(sample []float32) error {
 	if len(sample) == 0 {
 		return fmt.Errorf("hnsw: empty SQ training sample")
 	}
-	sq, err := quant.TrainScalarUniform(sample, s.dim)
+	sq, err := quant.TrainScalar(sample, s.dim)
 	if err != nil {
 		return err
 	}

@@ -31,7 +31,7 @@ func BenchmarkSQ8CodeL2Kernel(b *testing.B) {
 	for i := range data {
 		data[i] = rng.Float32()
 	}
-	sq, err := TrainScalarUniform(data, 96)
+	sq, err := TrainScalar(data, 96)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package quant
 
 import (
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"testing"
@@ -43,44 +44,6 @@ func TestScalarRoundTripError(t *testing.T) {
 	// 8-bit over a range of ~2 ⇒ step ~1/128; allow one step of error.
 	if worst > 2.0/255+1e-4 {
 		t.Fatalf("worst reconstruction error %v too large", worst)
-	}
-}
-
-func TestScalarL2ToCodeMatchesDecode(t *testing.T) {
-	dim := 10
-	data := randomData(100, dim, 2)
-	sq, err := TrainScalar(data, dim)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := data[:dim]
-	code := make([]byte, dim)
-	dec := make([]float32, dim)
-	for r := 1; r < 50; r++ {
-		sq.Encode(data[r*dim:(r+1)*dim], code)
-		sq.Decode(code, dec)
-		want := vec.L2Squared(q, dec)
-		got := sq.L2ToCode(q, code)
-		if math.Abs(float64(want-got)) > 1e-3 {
-			t.Fatalf("row %d: L2ToCode %v != decode-then-L2 %v", r, got, want)
-		}
-	}
-}
-
-func TestScalarDotToCode(t *testing.T) {
-	dim := 8
-	data := randomData(50, dim, 3)
-	sq, err := TrainScalar(data, dim)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := data[:dim]
-	code := make([]byte, dim)
-	dec := make([]float32, dim)
-	sq.Encode(data[dim:2*dim], code)
-	sq.Decode(code, dec)
-	if got, want := sq.DotToCode(q, code), vec.Dot(q, dec); math.Abs(float64(got-want)) > 1e-3 {
-		t.Fatalf("DotToCode %v != %v", got, want)
 	}
 }
 
@@ -140,6 +103,48 @@ func TestScalarMarshalRoundTrip(t *testing.T) {
 	}
 	if _, err := UnmarshalScalar([]byte{1}); err == nil {
 		t.Error("truncated blob should fail")
+	}
+}
+
+// The wire form repeats the one (min, step) pair per dimension; a blob
+// whose dimensions disagree, even in one bit of one step, is refused.
+func TestUnmarshalScalarRejectsPerDimensionRanges(t *testing.T) {
+	dim := 6
+	sq, err := TrainScalar(randomData(100, dim, 4), dim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, off := range []int{4 + 8*3, 8 + 8*3, 8 + 8*(dim-1)} { // min, step of dim 3; last step
+		blob := sq.Marshal()
+		binary.LittleEndian.PutUint32(blob[off:], binary.LittleEndian.Uint32(blob[off:])^1)
+		if _, err := UnmarshalScalar(blob); err == nil {
+			t.Errorf("a blob with the word at %d changed loaded", off)
+		}
+	}
+	if _, err := UnmarshalScalar([]byte{0, 0, 0, 0}); err == nil {
+		t.Error("a dim-0 blob loaded")
+	}
+}
+
+// A sample that starts with NaN trains a NaN range (no comparison moves
+// min or max off it). Reloading it must give the quantizer that was
+// saved, bit for bit, so a segment runs the same kernels before and
+// after a restart.
+func TestNaNTrainedQuantizerReloadsUnchanged(t *testing.T) {
+	dim := 4
+	data := randomData(10, dim, 5)
+	data[0] = float32(math.NaN())
+	sq, err := TrainScalar(data, dim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, err := UnmarshalScalar(sq.Marshal())
+	if err != nil {
+		t.Fatalf("reloading a NaN-trained quantizer: %v", err)
+	}
+	if back.Dim != sq.Dim || math.Float32bits(back.Min) != math.Float32bits(sq.Min) ||
+		math.Float32bits(back.Step) != math.Float32bits(sq.Step) {
+		t.Fatalf("reloaded %+v, saved %+v", *back, *sq)
 	}
 }
 

@@ -8,70 +8,27 @@
 package quant
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
 )
 
 // ScalarQuantizer compresses float32 vectors to one uint8 per
-// dimension using per-dimension min/max ranges learned from training
-// data. Distances are computed on the decoded values, trading ~4x
-// memory for a small recall loss — the BH-HNSWSQ trade-off of
-// paper Table V/VI.
+// dimension over one [Min, Min+255·Step] range shared by every
+// dimension (faiss's QT_8bit_uniform), so distances between codes are
+// integer sums scaled once — the arithmetic saving behind the BH-HNSWSQ
+// trade-off of paper Table V/VI: ~4x less memory for a small recall
+// loss.
 type ScalarQuantizer struct {
 	Dim  int
-	Min  []float32 // per-dimension lower bound
-	Step []float32 // per-dimension (max-min)/255; 0 for constant dims
-	// Uniform marks quantizers whose Min/Step are identical across
-	// dimensions (faiss's QT_8bit_uniform). Uniform quantizers get a
-	// pure-integer code-to-code L2 kernel — the arithmetic saving that
-	// makes HNSWSQ build and search faster than raw HNSW.
-	Uniform bool
+	Min  float32 // the lower bound of every dimension
+	Step float32 // (max-min)/255; 0 for constant training data
 }
 
-// TrainScalar learns per-dimension ranges from the rows of data
-// (flat row-major, len = rows*dim).
+// TrainScalar learns one [min, max] range across all dimensions from
+// the rows of data (flat row-major, len = rows*dim).
 func TrainScalar(data []float32, dim int) (*ScalarQuantizer, error) {
-	if dim <= 0 {
-		return nil, fmt.Errorf("quant: dim must be positive, got %d", dim)
-	}
-	if len(data) == 0 || len(data)%dim != 0 {
-		return nil, fmt.Errorf("quant: training data length %d not a multiple of dim %d", len(data), dim)
-	}
-	rows := len(data) / dim
-	sq := &ScalarQuantizer{
-		Dim:  dim,
-		Min:  make([]float32, dim),
-		Step: make([]float32, dim),
-	}
-	maxs := make([]float32, dim)
-	for d := 0; d < dim; d++ {
-		sq.Min[d] = float32(math.Inf(1))
-		maxs[d] = float32(math.Inf(-1))
-	}
-	for r := 0; r < rows; r++ {
-		row := data[r*dim : r*dim+dim]
-		for d, v := range row {
-			if v < sq.Min[d] {
-				sq.Min[d] = v
-			}
-			if v > maxs[d] {
-				maxs[d] = v
-			}
-		}
-	}
-	for d := 0; d < dim; d++ {
-		sq.Step[d] = (maxs[d] - sq.Min[d]) / 255
-	}
-	sq.detectUniform()
-	return sq, nil
-}
-
-// TrainScalarUniform learns one shared [min, max] range across all
-// dimensions (QT_8bit_uniform): slightly coarser than per-dimension
-// ranges, but distances between codes reduce to integer sums scaled
-// once.
-func TrainScalarUniform(data []float32, dim int) (*ScalarQuantizer, error) {
 	if dim <= 0 {
 		return nil, fmt.Errorf("quant: dim must be positive, got %d", dim)
 	}
@@ -87,77 +44,45 @@ func TrainScalarUniform(data []float32, dim int) (*ScalarQuantizer, error) {
 			mx = v
 		}
 	}
-	step := (mx - mn) / 255
-	sq := &ScalarQuantizer{Dim: dim, Min: make([]float32, dim), Step: make([]float32, dim), Uniform: true}
-	for d := 0; d < dim; d++ {
-		sq.Min[d] = mn
-		sq.Step[d] = step
-	}
-	return sq, nil
-}
-
-// detectUniform flags quantizers whose parameters happen to be (or
-// were deserialized as) dimension-uniform, re-enabling the fast
-// kernels after a Load.
-func (sq *ScalarQuantizer) detectUniform() {
-	if sq.Dim == 0 {
-		return
-	}
-	for d := 1; d < sq.Dim; d++ {
-		if sq.Min[d] != sq.Min[0] || sq.Step[d] != sq.Step[0] {
-			sq.Uniform = false
-			return
-		}
-	}
-	sq.Uniform = true
+	return &ScalarQuantizer{Dim: dim, Min: mn, Step: (mx - mn) / 255}, nil
 }
 
 // CodeL2Squared computes squared L2 distance between two encoded
-// vectors. For uniform quantizers it is a pure integer loop with one
-// final float multiply; otherwise it falls back to per-dimension
-// scaling.
+// vectors: a pure integer loop with one final float multiply.
 func (sq *ScalarQuantizer) CodeL2Squared(a, b []byte) float32 {
-	if sq.Uniform {
-		// int32 accumulation is safe to ~33k dims (96·255² ≈ 6.2e6).
-		// Reslicing to the exact length lets the compiler eliminate
-		// bounds checks in the unrolled loop.
-		n := sq.Dim
-		a = a[:n]
-		b = b[:n]
-		var acc0, acc1, acc2, acc3 int32
-		d := 0
-		for ; d+4 <= n; d += 4 {
-			e0 := int32(a[d]) - int32(b[d])
-			e1 := int32(a[d+1]) - int32(b[d+1])
-			e2 := int32(a[d+2]) - int32(b[d+2])
-			e3 := int32(a[d+3]) - int32(b[d+3])
-			acc0 += e0 * e0
-			acc1 += e1 * e1
-			acc2 += e2 * e2
-			acc3 += e3 * e3
-		}
-		for ; d < n; d++ {
-			e := int32(a[d]) - int32(b[d])
-			acc0 += e * e
-		}
-		return float32(acc0+acc1+acc2+acc3) * sq.Step[0] * sq.Step[0]
+	// int32 accumulation is safe to ~33k dims (96·255² ≈ 6.2e6).
+	// Reslicing to the exact length lets the compiler eliminate bounds
+	// checks in the unrolled loop.
+	n := sq.Dim
+	a = a[:n]
+	b = b[:n]
+	var acc0, acc1, acc2, acc3 int32
+	d := 0
+	for ; d+4 <= n; d += 4 {
+		e0 := int32(a[d]) - int32(b[d])
+		e1 := int32(a[d+1]) - int32(b[d+1])
+		e2 := int32(a[d+2]) - int32(b[d+2])
+		e3 := int32(a[d+3]) - int32(b[d+3])
+		acc0 += e0 * e0
+		acc1 += e1 * e1
+		acc2 += e2 * e2
+		acc3 += e3 * e3
 	}
-	var s float32
-	for d := 0; d < sq.Dim; d++ {
-		e := float32(int32(a[d])-int32(b[d])) * sq.Step[d]
-		s += e * e
+	for ; d < n; d++ {
+		e := int32(a[d]) - int32(b[d])
+		acc0 += e * e
 	}
-	return s
+	return float32(acc0+acc1+acc2+acc3) * sq.Step * sq.Step
 }
 
 // Encode quantizes v into code (len Dim each).
 func (sq *ScalarQuantizer) Encode(v []float32, code []byte) {
+	if sq.Step == 0 {
+		clear(code[:sq.Dim])
+		return
+	}
 	for d := 0; d < sq.Dim; d++ {
-		if sq.Step[d] == 0 {
-			code[d] = 0
-			continue
-		}
-		q := (v[d] - sq.Min[d]) / sq.Step[d]
+		q := (v[d] - sq.Min) / sq.Step
 		if q < 0 {
 			q = 0
 		} else if q > 255 {
@@ -170,72 +95,43 @@ func (sq *ScalarQuantizer) Encode(v []float32, code []byte) {
 // Decode reconstructs code into out (len Dim each).
 func (sq *ScalarQuantizer) Decode(code []byte, out []float32) {
 	for d := 0; d < sq.Dim; d++ {
-		out[d] = sq.Min[d] + float32(code[d])*sq.Step[d]
+		out[d] = sq.Min + float32(code[d])*sq.Step
 	}
-}
-
-// L2ToCode computes squared L2 distance between a full-precision query
-// q and an encoded vector without materializing the decode, 4-way
-// unrolled like the vec kernels.
-func (sq *ScalarQuantizer) L2ToCode(q []float32, code []byte) float32 {
-	var s0, s1, s2, s3 float32
-	d := 0
-	n := sq.Dim
-	for ; d+4 <= n; d += 4 {
-		e0 := q[d] - (sq.Min[d] + float32(code[d])*sq.Step[d])
-		e1 := q[d+1] - (sq.Min[d+1] + float32(code[d+1])*sq.Step[d+1])
-		e2 := q[d+2] - (sq.Min[d+2] + float32(code[d+2])*sq.Step[d+2])
-		e3 := q[d+3] - (sq.Min[d+3] + float32(code[d+3])*sq.Step[d+3])
-		s0 += e0 * e0
-		s1 += e1 * e1
-		s2 += e2 * e2
-		s3 += e3 * e3
-	}
-	for ; d < n; d++ {
-		e := q[d] - (sq.Min[d] + float32(code[d])*sq.Step[d])
-		s0 += e * e
-	}
-	return s0 + s1 + s2 + s3
-}
-
-// DotToCode computes the inner product between query q and an encoded
-// vector.
-func (sq *ScalarQuantizer) DotToCode(q []float32, code []byte) float32 {
-	var s float32
-	for d := 0; d < sq.Dim; d++ {
-		s += q[d] * (sq.Min[d] + float32(code[d])*sq.Step[d])
-	}
-	return s
 }
 
 // CodeSize returns bytes per encoded vector.
 func (sq *ScalarQuantizer) CodeSize() int { return sq.Dim }
 
-// Marshal serializes the quantizer parameters.
+// Marshal serializes the quantizer parameters in the wire form of
+// per-dimension ranges: dim u32, then Dim copies of min f32 | step f32.
 func (sq *ScalarQuantizer) Marshal() []byte {
 	out := make([]byte, 4+8*sq.Dim)
 	binary.LittleEndian.PutUint32(out, uint32(sq.Dim))
 	for d := 0; d < sq.Dim; d++ {
-		binary.LittleEndian.PutUint32(out[4+8*d:], math.Float32bits(sq.Min[d]))
-		binary.LittleEndian.PutUint32(out[8+8*d:], math.Float32bits(sq.Step[d]))
+		binary.LittleEndian.PutUint32(out[4+8*d:], math.Float32bits(sq.Min))
+		binary.LittleEndian.PutUint32(out[8+8*d:], math.Float32bits(sq.Step))
 	}
 	return out
 }
 
-// UnmarshalScalar deserializes quantizer parameters written by Marshal.
+// UnmarshalScalar deserializes quantizer parameters written by
+// Marshal. Every dimension must carry the same (min, step) pair, bit
+// for bit: a range that differs per dimension is no quantizer this
+// package trains.
 func UnmarshalScalar(data []byte) (*ScalarQuantizer, error) {
 	if len(data) < 4 {
 		return nil, fmt.Errorf("quant: truncated scalar quantizer header")
 	}
 	dim := int(binary.LittleEndian.Uint32(data))
-	if len(data) != 4+8*dim {
-		return nil, fmt.Errorf("quant: scalar quantizer payload %d bytes, want %d", len(data)-4, 8*dim)
+	if dim == 0 || len(data) != 4+8*dim {
+		return nil, fmt.Errorf("quant: scalar quantizer payload %d bytes for dim %d", len(data)-4, dim)
 	}
-	sq := &ScalarQuantizer{Dim: dim, Min: make([]float32, dim), Step: make([]float32, dim)}
-	for d := 0; d < dim; d++ {
-		sq.Min[d] = math.Float32frombits(binary.LittleEndian.Uint32(data[4+8*d:]))
-		sq.Step[d] = math.Float32frombits(binary.LittleEndian.Uint32(data[8+8*d:]))
+	pair := data[4:12]
+	for d := 1; d < dim; d++ {
+		if !bytes.Equal(data[4+8*d:12+8*d], pair) {
+			return nil, fmt.Errorf("quant: scalar quantizer range of dimension %d differs from dimension 0's", d)
+		}
 	}
-	sq.detectUniform()
-	return sq, nil
+	le := binary.LittleEndian
+	return &ScalarQuantizer{Dim: dim, Min: math.Float32frombits(le.Uint32(pair)), Step: math.Float32frombits(le.Uint32(pair[4:]))}, nil
 }

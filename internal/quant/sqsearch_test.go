@@ -25,19 +25,27 @@ func randRows(rng *rand.Rand, rows, dim int) []float32 {
 	return data
 }
 
+// symQuery encodes q and makes it the symmetric query, as the HNSWSQ
+// store does once per search.
+func symQuery(sq *ScalarQuantizer, q []float32) *SymQuery {
+	qc := make([]byte, sq.Dim)
+	sq.Encode(q, qc)
+	sum, sumSq := CodeStats(qc)
+	s := new(SymQuery)
+	sq.SetSymCode(s, qc, sum, sumSq)
+	return s
+}
+
 func TestSymQueryMatchesDecodeReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for _, dim := range []int{1, 3, 4, 7, 8, 31, 96} {
 		data := randRows(rng, 64, dim)
-		sq, err := TrainScalarUniform(data, dim)
+		sq, err := TrainScalar(data, dim)
 		if err != nil {
 			t.Fatal(err)
 		}
 		q := data[:dim]
-		sym, ok := sq.NewSymQuery(q)
-		if !ok {
-			t.Fatal("uniform quantizer must produce a SymQuery")
-		}
+		sym := symQuery(sq, q)
 		decQ := make([]float32, dim)
 		sq.Decode(sym.qc, decQ)
 		code := make([]byte, dim)
@@ -57,52 +65,6 @@ func TestSymQueryMatchesDecodeReference(t *testing.T) {
 			gotCos := sym.CosineDecoded(code, sum, sumSq)
 			if math.Abs(float64(gotCos-wantCos)) > 2e-3 {
 				t.Fatalf("dim=%d row=%d: CosineDecoded %v != reference %v", dim, r, gotCos, wantCos)
-			}
-		}
-	}
-}
-
-func TestDotTableMatchesDotToCode(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	for _, dim := range []int{1, 5, 8, 96} {
-		data := randRows(rng, 32, dim)
-		sq, err := TrainScalar(data, dim) // per-dimension ranges: non-uniform in general
-		if err != nil {
-			t.Fatal(err)
-		}
-		q := randRows(rng, 1, dim)
-		w, bias := sq.DotTable(q)
-		code := make([]byte, dim)
-		for r := 0; r < 32; r++ {
-			sq.Encode(data[r*dim:(r+1)*dim], code)
-			want := sq.DotToCode(q, code)
-			got := DotWithTable(w, bias, code)
-			if !relClose(float64(got), float64(want), float64(want)) {
-				t.Fatalf("dim=%d row=%d: DotWithTable %v != DotToCode %v", dim, r, got, want)
-			}
-		}
-	}
-}
-
-func TestCosineToCodeMatchesDecodeReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(29))
-	for _, dim := range []int{1, 5, 8, 96} {
-		data := randRows(rng, 32, dim)
-		sq, err := TrainScalar(data, dim)
-		if err != nil {
-			t.Fatal(err)
-		}
-		q := randRows(rng, 1, dim)
-		qn := vec.Dot(q, q)
-		code := make([]byte, dim)
-		dec := make([]float32, dim)
-		for r := 0; r < 32; r++ {
-			sq.Encode(data[r*dim:(r+1)*dim], code)
-			sq.Decode(code, dec)
-			want := vec.CosineDistance(q, dec)
-			got := sq.CosineToCode(q, code, qn)
-			if math.Abs(float64(got-want)) > 2e-3 {
-				t.Fatalf("dim=%d row=%d: CosineToCode %v != reference %v", dim, r, got, want)
 			}
 		}
 	}
@@ -133,47 +95,6 @@ func TestCodeDotAndStats(t *testing.T) {
 	}
 }
 
-// Regression: training on a constant dimension learns Step == 0.
-// Encode must not divide by zero into NaN codes, Decode must
-// round-trip to Min, and every distance path (including the new
-// query-side fast paths) must stay finite.
-func TestConstantDimensionStepZero(t *testing.T) {
-	dim := 4
-	// Column 0 and 2 constant, 1 and 3 varying.
-	data := []float32{
-		7, 1, -2, 0,
-		7, 2, -2, 5,
-		7, 3, -2, 9,
-	}
-	sq, err := TrainScalar(data, dim)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sq.Step[0] != 0 || sq.Step[2] != 0 {
-		t.Fatalf("constant dims should learn Step 0: %v", sq.Step)
-	}
-	code := make([]byte, dim)
-	out := make([]float32, dim)
-	sq.Encode(data[:dim], code)
-	for d, c := range code {
-		if c != code[d] || math.IsNaN(float64(float32(c))) {
-			t.Fatalf("NaN-ish code at %d", d)
-		}
-	}
-	sq.Decode(code, out)
-	if out[0] != 7 || out[2] != -2 {
-		t.Fatalf("constant dims must decode to Min: %v", out)
-	}
-	for _, v := range out {
-		if math.IsNaN(float64(v)) {
-			t.Fatalf("decode produced NaN: %v", out)
-		}
-	}
-	if d := sq.CodeL2Squared(code, code); d != 0 || math.IsNaN(float64(d)) {
-		t.Fatalf("self distance = %v", d)
-	}
-}
-
 // Fully constant training data through the uniform quantizer: step 0
 // everywhere. Every fast path must return finite values and the
 // self-distances must be exact.
@@ -184,25 +105,22 @@ func TestConstantColumnUniformFastPaths(t *testing.T) {
 		for i := range data {
 			data[i] = c
 		}
-		sq, err := TrainScalarUniform(data, dim)
+		sq, err := TrainScalar(data, dim)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if sq.Step[0] != 0 {
-			t.Fatalf("constant data should learn step 0, got %v", sq.Step[0])
+		if sq.Step != 0 {
+			t.Fatalf("constant data should learn step 0, got %v", sq.Step)
 		}
 		q := data[:dim]
 		code := make([]byte, dim)
 		sq.Encode(q, code)
 		sum, sumSq := CodeStats(code)
 
-		if d := sq.L2ToCode(q, code); d != 0 {
-			t.Fatalf("L2ToCode = %v", d)
+		if d := sq.CodeL2Squared(code, code); d != 0 {
+			t.Fatalf("CodeL2Squared = %v", d)
 		}
-		sym, ok := sq.NewSymQuery(q)
-		if !ok {
-			t.Fatal("uniform quantizer must produce a SymQuery")
-		}
+		sym := symQuery(sq, q)
 		dot := sym.DotDecoded(code, sum)
 		if math.IsNaN(float64(dot)) || !relClose(float64(dot), float64(c)*float64(c)*float64(dim), float64(c)*float64(c)*float64(dim)) {
 			t.Fatalf("c=%v: DotDecoded = %v", c, dot)
@@ -218,14 +136,6 @@ func TestConstantColumnUniformFastPaths(t *testing.T) {
 		}
 		if c != 0 && math.Abs(float64(cos)) > 1e-6 {
 			t.Fatalf("constant %v: self cosine distance = %v", c, cos)
-		}
-		// Non-uniform-path kernels on the same degenerate quantizer.
-		w, bias := sq.DotTable(q)
-		if got := DotWithTable(w, bias, code); math.IsNaN(float64(got)) {
-			t.Fatal("DotWithTable NaN")
-		}
-		if got := sq.CosineToCode(q, code, vec.Dot(q, q)); math.IsNaN(float64(got)) {
-			t.Fatal("CosineToCode NaN")
 		}
 	}
 }
